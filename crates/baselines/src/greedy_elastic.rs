@@ -57,9 +57,10 @@ impl GreedyElasticScheduler {
         if time_left <= 0.0 {
             return None;
         }
+        let remaining = job.remaining_work(view.time);
         (job.min_parallelism..=job.max_parallelism).find(|&p| {
             let rate = speed * job.speedup.speedup(p);
-            job.remaining_work / rate <= time_left
+            remaining / rate <= time_left
         })
     }
 }
@@ -75,7 +76,7 @@ impl Scheduler for GreedyElasticScheduler {
         // 1. Re-scale running jobs based on their slack.
         let queue_waiting = !view.pending.is_empty();
         for job in &view.running {
-            if !job.malleable || !job.scale_ready {
+            if !job.malleable || !view.scale_ready(job) {
                 continue;
             }
             let slack = job.slack(view.time);

@@ -333,10 +333,19 @@ pub fn run_sweep_parent(
         plane.signal_abort();
     }
     plane.signal_shutdown();
-    supervisor.join_all(Duration::from_secs(10));
+    let late_exits = supervisor.join_all(Duration::from_secs(10));
     let _ = std::fs::remove_file(&options.plane_path);
 
-    let (rows, computed, requeued, crashed_workers) = outcome?;
+    let (rows, computed, requeued, mut crashed_workers) = outcome?;
+    // A worker killed just before the last row landed is reaped only here:
+    // its exit never reached the drive loop, but it still died by signal.
+    // Every row is already in, so there is nothing left to requeue.
+    for (slot, exit) in late_exits {
+        if exit == WorkerExit::Crashed {
+            crashed_workers += 1;
+            eprintln!("sweep: worker {slot} crashed");
+        }
+    }
     let mut table = plan.table_shell();
     table.rows.extend(rows);
     if let Some(path) = &options.checkpoint {

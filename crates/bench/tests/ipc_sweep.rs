@@ -42,6 +42,22 @@ fn sweep_args(csv: &std::path::Path) -> Vec<String> {
     .collect()
 }
 
+/// The chaos test's grid: [`sweep_args`] with cells of 800 jobs (tens of
+/// milliseconds each in a debug build), so the targeted worker completes a
+/// cell and is killed while the others still have work. At 20 jobs a whole
+/// cell takes about a millisecond, and the survivors could finish the
+/// sweep before the kill fires.
+fn chaos_sweep_args(csv: &std::path::Path) -> Vec<String> {
+    let mut args = sweep_args(csv);
+    let jobs = args
+        .iter()
+        .position(|a| a == "--jobs")
+        .expect("--jobs in the grid")
+        + 1;
+    args[jobs] = "800".into();
+    args
+}
+
 fn run(args: &[String]) -> Output {
     expdriver().args(args).output().expect("spawn expdriver")
 }
@@ -105,12 +121,12 @@ fn killed_worker_is_requeued_and_output_stays_identical() {
     let seq_csv = dir.join("seq.csv");
     let kill_csv = dir.join("kill.csv");
 
-    let out = run(&sweep_args(&seq_csv));
+    let out = run(&chaos_sweep_args(&seq_csv));
     assert_success(&out, "sequential sweep");
 
     // SIGKILL worker 0 after its first completed cell: its in-flight cell
     // must be requeued and recomputed by a surviving worker.
-    let mut args = sweep_args(&kill_csv);
+    let mut args = chaos_sweep_args(&kill_csv);
     args.extend([
         "--workers".into(),
         "3".into(),

@@ -162,7 +162,7 @@ impl ActionSpace {
         if self.elastic {
             let running = encoder.running_slot_jobs(view);
             for (slot, job) in running.iter().enumerate().take(self.running_slots) {
-                if !job.malleable || !job.scale_ready {
+                if !job.malleable || !view.scale_ready(job) {
                     continue;
                 }
                 if job.units < job.max_parallelism {
@@ -325,7 +325,6 @@ mod tests {
             speedup: SpeedupModel::Linear,
             malleable: true,
             utility_value: 1.0,
-            wait: 0.0,
         };
         assert_eq!(space.level_to_parallelism(&job, 0), 2);
         assert_eq!(space.level_to_parallelism(&job, 1), 6);

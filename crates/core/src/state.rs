@@ -223,11 +223,11 @@ impl StateEncoder {
                         out.push(if job.class == class { 1.0 } else { 0.0 });
                     }
                     out.push(job.units as f32 / 16.0);
-                    out.push((job.remaining_work / job.total_work.max(1e-9)) as f32);
+                    out.push((job.remaining_work(view.time) / job.total_work.max(1e-9)) as f32);
                     out.push(squash(job.slack(view.time), TIME_SCALE));
                     out.push(job.max_parallelism.saturating_sub(job.units) as f32 / 16.0);
                     out.push(if job.malleable { 1.0 } else { 0.0 });
-                    out.push(if job.scale_ready { 1.0 } else { 0.0 });
+                    out.push(if view.scale_ready(job) { 1.0 } else { 0.0 });
                 }
                 None => out.extend(std::iter::repeat_n(0.0, RUNNING_FEATURES)),
             }
@@ -238,8 +238,7 @@ impl StateEncoder {
         let pending = view.pending.len();
         let running = view.running.len();
         let backlog = pending.saturating_sub(self.queue_slots);
-        // Engine-maintained aggregate — no re-summation over the queue.
-        let total_pending_work: f64 = view.pending_work_total;
+        let total_pending_work = view.pending_work_total();
         let infeasible_pending = view
             .pending
             .iter()

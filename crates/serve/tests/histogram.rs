@@ -3,18 +3,30 @@
 //! error bound against exact sorted quantiles, and merging is associative.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use proptest::prelude::*;
 use tcrm_serve::LatencyHistogram;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Per-thread, so the
+    /// proptests running on other test threads never pollute the count;
+    /// `const`-initialised, so touching it from inside the allocator never
+    /// allocates itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    // `try_with`: the slot is gone while a thread tears down its
+    // thread-locals, and allocations then simply go uncounted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -23,7 +35,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -31,10 +43,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations `f` makes on the calling thread.
 fn count_allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 /// Exact nearest-rank quantile over a sorted slice (the reference the
@@ -44,9 +57,8 @@ fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// Record and merge are allocation-free; only construction allocates. A
-/// single `#[test]` keeps concurrent test threads from polluting the
-/// counter.
+/// Record and merge are allocation-free; only construction allocates. The
+/// count is per-thread, so the proptests below may run concurrently.
 #[test]
 fn record_quantile_and_merge_do_not_allocate() {
     let mut a = LatencyHistogram::new();

@@ -59,10 +59,11 @@ pub enum EpochKind {
 /// Progress is **lazily reconciled**: between two rate changes (start,
 /// re-scale) a running job's execution rate is constant, so nothing touches
 /// the job while time advances. `remaining_work` and `unit_seconds` are the
-/// values *as of `last_update`*; [`Self::remaining_at`] derives the current
-/// remaining work on demand and [`Self::reconcile`] folds the elapsed span in
-/// exactly when the rate is about to change (or the job completes). Time
-/// advances are therefore O(1) instead of O(running jobs).
+/// values *as of `last_update`*; the view row carries the same reconciled
+/// state and [`RunningJobView::remaining_work`] derives the current
+/// remaining work on demand, while [`Self::reconcile`] folds the elapsed
+/// span in exactly when the rate is about to change (or the job completes).
+/// Time advances are therefore O(1) instead of O(running jobs).
 #[derive(Debug, Clone)]
 struct RunningJob {
     job: Job,
@@ -91,15 +92,6 @@ impl RunningJob {
         speed * job.speedup.speedup(alloc.total_units())
     }
 
-    /// Remaining work at `now`, derived from the last reconciled state.
-    fn remaining_at(&self, now: f64) -> f64 {
-        if now <= self.last_update {
-            self.remaining_work
-        } else {
-            (self.remaining_work - (now - self.last_update) * self.rate).max(0.0)
-        }
-    }
-
     /// Fold the constant-rate span `[last_update, now]` into the stored
     /// progress. Must run before the rate changes (re-scale) and at
     /// completion.
@@ -124,14 +116,23 @@ impl RunningJob {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 enum ViewDelta {
-    /// A job arrived: append this row to `pending` (its time-dependent
-    /// `wait` field is refreshed on every refill).
+    /// A job arrived: append this row to `pending`.
     Arrived(PendingJobView),
     /// A pending job started: remove the row at this arrival-order position.
     PendingRemoved { pos: u32 },
-    /// A job started: insert this row at the given start-order position
-    /// (dynamic fields are refreshed on every refill).
+    /// A job started: insert this row at the given start-order position.
     RunningInserted { pos: u32, row: RunningJobView },
+    /// A running job was re-scaled — the only change to a running row
+    /// between its start and completion: overwrite the reconciled progress
+    /// of the row at this start-order position.
+    RunningRescaled {
+        pos: u32,
+        units: u32,
+        remaining_at_update: f64,
+        last_update: f64,
+        rate: f64,
+        last_scaled_at: f64,
+    },
     /// A running job completed: remove the row at this start-order position.
     RunningRemoved { pos: u32 },
     /// A node's free capacity changed: overwrite its `node_free` entry.
@@ -410,9 +411,7 @@ impl Simulator {
         job.max_parallelism = job.min_parallelism;
         if self.config.incremental_view {
             self.log
-                .push(ViewDelta::Arrived(ClusterView::pending_view_of(
-                    &job, self.time,
-                )));
+                .push(ViewDelta::Arrived(ClusterView::pending_view_of(&job)));
         }
         self.pending.push(job);
         true
@@ -552,9 +551,7 @@ impl Simulator {
                     self.arrival_hint = self.arrival_hint.saturating_sub(1);
                     if self.config.incremental_view {
                         self.log
-                            .push(ViewDelta::Arrived(ClusterView::pending_view_of(
-                                &job, self.time,
-                            )));
+                            .push(ViewDelta::Arrived(ClusterView::pending_view_of(&job)));
                     }
                     self.last_epoch = EpochKind::Arrival(job.id);
                     self.pending.push(job);
@@ -622,13 +619,14 @@ impl Simulator {
     /// When the snapshot was last filled by **this simulator in this run**
     /// (tracked through an engine-owned sync cookie) and
     /// [`SimConfig::incremental_view`] is on, the refill is *incremental*:
-    /// the structural deltas recorded since the last refill (job arrived /
-    /// started / completed, node capacities touched) are replayed onto the
-    /// retained rows, and only the time-dependent fields (pending `wait`,
-    /// running `remaining_work`/`rate`/`units`/`scale_ready`, per-class free
-    /// capacity, the deadline index and the pending-work aggregate) are
-    /// refreshed — O(changes + rows) cheap field writes instead of
-    /// reconstructing every row and re-reading every node.
+    /// the deltas recorded since the last refill (job arrived / started /
+    /// re-scaled / completed, node capacities touched) are replayed onto the
+    /// retained rows, and only the header and per-class free capacity are
+    /// refreshed — O(changes + classes), plus copying the engine-maintained
+    /// deadline order. Rows are time-affine (see [`RunningJobView`]): they
+    /// hold reconciled state and derive `wait` / `remaining_work` /
+    /// `scale_ready` at the `now` a reader asks for, so a refill where only
+    /// time moved rewrites no row.
     ///
     /// Any view that cannot prove it is in sync — freshly built, fabricated,
     /// last filled by another simulator or an earlier run — falls back to
@@ -656,6 +654,21 @@ impl Simulator {
                 ViewDelta::RunningInserted { pos, row } => {
                     out.running.insert(*pos as usize, row.clone())
                 }
+                ViewDelta::RunningRescaled {
+                    pos,
+                    units,
+                    remaining_at_update,
+                    last_update,
+                    rate,
+                    last_scaled_at,
+                } => {
+                    let row = &mut out.running[*pos as usize];
+                    row.units = *units;
+                    row.remaining_at_update = *remaining_at_update;
+                    row.last_update = *last_update;
+                    row.rate = *rate;
+                    row.last_scaled_at = *last_scaled_at;
+                }
                 ViewDelta::RunningRemoved { pos } => {
                     out.running.remove(*pos as usize);
                 }
@@ -668,7 +681,8 @@ impl Simulator {
             }
         }
         out.sync.log_pos = self.log_base + self.log.len();
-        self.refresh_dynamic_fields(out);
+        debug_assert_eq!(out.running.len(), self.running_order.len());
+        self.refresh_header(out);
         // The deadline index comes straight from the engine-maintained
         // order; the rebuild reference recomputes it by sorting, so the
         // paired tests cross-check the maintained index itself.
@@ -730,18 +744,15 @@ impl Simulator {
             }
         }
         out.pending.clear();
-        out.pending.extend(
-            self.pending
-                .iter()
-                .map(|j| ClusterView::pending_view_of(j, self.time)),
-        );
+        out.pending
+            .extend(self.pending.iter().map(ClusterView::pending_view_of));
         out.running.clear();
         out.running.extend(
             self.running_order
                 .iter()
                 .map(|id| self.running_row(&self.running[id])),
         );
-        self.refresh_dynamic_fields(out);
+        self.refresh_header(out);
         // Reference computation of the deadline index: an actual sort over
         // the rows, independent of the engine-maintained order (into the
         // retained buffer).
@@ -754,43 +765,30 @@ impl Simulator {
         };
     }
 
-    /// Rewrite the time-dependent fields shared by the incremental and
-    /// rebuild refill paths, using identical expressions so both produce
-    /// bit-identical snapshots: pending `wait` (and the pending-work
-    /// aggregate, summed in row order), the running rows' progress/rate/
-    /// cooldown state, per-class free capacity from the cluster's
-    /// delta-maintained aggregates, and the header fields.
-    fn refresh_dynamic_fields(&self, out: &mut ClusterView) {
+    /// Rewrite the fields shared by the incremental and rebuild refill
+    /// paths: the header (time, future-arrival count, scaling rules) and
+    /// per-class free capacity from the cluster's delta-maintained
+    /// aggregates. O(classes) — rows are time-affine and need no refresh.
+    fn refresh_header(&self, out: &mut ClusterView) {
         out.time = self.time;
         out.future_arrivals = self.arrivals_remaining.max(self.arrival_hint);
+        out.allow_scaling = self.config.allow_scaling;
+        out.scale_cooldown = self.config.scale_cooldown;
         for (class_view, id) in out.classes.iter_mut().zip(self.cluster.class_ids()) {
             class_view.free_capacity = self.cluster.free_capacity_of_class(id);
         }
-        let mut pending_work = 0.0;
-        for row in &mut out.pending {
-            row.wait = (self.time - row.arrival).max(0.0);
-            pending_work += row.total_work;
-        }
-        out.pending_work_total = pending_work;
-        debug_assert_eq!(out.running.len(), self.running_order.len());
-        for (row, id) in out.running.iter_mut().zip(self.running_order.iter()) {
-            let r = &self.running[id];
-            row.units = r.alloc.total_units();
-            row.remaining_work = r.remaining_at(self.time);
-            row.rate = r.rate;
-            row.scale_ready = self.scale_ready(r);
-        }
     }
 
-    /// One running-job row, built with the exact expressions the refresh
-    /// pass uses for the dynamic fields.
+    /// One running-job row: the job's static fields plus its reconciled
+    /// progress, exactly what a `RunningRescaled` delta patches.
     fn running_row(&self, r: &RunningJob) -> RunningJobView {
         RunningJobView {
             id: r.job.id,
             class: r.job.class,
             node_class: r.alloc.class,
             units: r.alloc.total_units(),
-            remaining_work: r.remaining_at(self.time),
+            remaining_at_update: r.remaining_work,
+            last_update: r.last_update,
             total_work: r.job.total_work,
             arrival: r.job.arrival,
             started_at: r.started_at,
@@ -802,13 +800,8 @@ impl Simulator {
             malleable: r.job.malleable,
             rate: r.rate,
             utility_value: r.job.utility.value,
-            scale_ready: self.scale_ready(r),
+            last_scaled_at: r.last_scaled_at,
         }
-    }
-
-    fn scale_ready(&self, r: &RunningJob) -> bool {
-        self.config.allow_scaling
-            && self.time - r.last_scaled_at >= self.config.scale_cooldown - 1e-9
     }
 
     /// Apply one scheduling action at the current decision epoch.
@@ -1286,6 +1279,14 @@ impl Simulator {
     /// incremental view — so it panics instead of degrading to a linear
     /// scan.
     fn remove_running_order(&mut self, job_id: JobId, started_at: f64) -> usize {
+        let pos = self.running_order_pos(job_id, started_at);
+        self.running_order.remove(pos);
+        pos
+    }
+
+    /// Position of a running job in the order index (the binary search of
+    /// [`Self::remove_running_order`], which see).
+    fn running_order_pos(&self, job_id: JobId, started_at: f64) -> usize {
         let probe = (started_at, job_id);
         let pos = self.running_order.partition_point(|id| {
             let r = &self.running[id];
@@ -1295,7 +1296,6 @@ impl Simulator {
             self.running_order.get(pos) == Some(&job_id),
             "running-order index out of sync for {job_id}"
         );
-        self.running_order.remove(pos);
         pos
     }
 
@@ -1351,6 +1351,18 @@ impl Simulator {
             self.log_node_frees(&released);
         }
         self.metrics.record_scale_event();
+        if self.config.incremental_view {
+            let r = &self.running[&job_id];
+            let pos = self.running_order_pos(job_id, r.started_at);
+            self.log.push(ViewDelta::RunningRescaled {
+                pos: pos as u32,
+                units: r.alloc.total_units(),
+                remaining_at_update: r.remaining_work,
+                last_update: r.last_update,
+                rate: r.rate,
+                last_scaled_at: r.last_scaled_at,
+            });
+        }
         self.schedule_completion(job_id);
         ActionOutcome::Scaled
     }
@@ -1701,7 +1713,7 @@ mod tests {
             assert_eq!(fresh.pending, reused.pending);
             assert_eq!(fresh.running, reused.running);
             assert_eq!(fresh.pending_by_deadline, reused.pending_by_deadline);
-            assert_eq!(fresh.pending_work_total, reused.pending_work_total);
+            assert_eq!(fresh.pending_work_total(), reused.pending_work_total());
             epochs += 1;
             // Drive a simple policy so the running set stays busy.
             if let Some(job) = reused.pending.first() {
@@ -1710,7 +1722,7 @@ mod tests {
                     class: NodeClassId(0),
                     parallelism: job.min_parallelism,
                 });
-            } else if let Some(r) = reused.running.iter().find(|r| r.scale_ready) {
+            } else if let Some(r) = reused.running.iter().find(|r| reused.scale_ready(r)) {
                 let _ = sim.apply(&Action::Scale {
                     job: r.id,
                     new_parallelism: r.units + 1,
@@ -1721,6 +1733,56 @@ mod tests {
             }
         }
         assert!(epochs >= 12, "expected at least one epoch per job");
+    }
+
+    #[test]
+    fn time_affine_rows_agree_with_the_engine_at_any_later_time() {
+        // A row read at `now` must report what the engine itself would:
+        // the remaining work `reconcile(now)` folds in, and the cooldown
+        // verdict `apply_scale` reaches at `now`.
+        let mut cfg = SimConfig::default();
+        cfg.scale_cooldown = 6.0;
+        cfg.reconfig_cost_frac = 0.05;
+        let mut sim = Simulator::new(tiny_spec(), cfg);
+        sim.start(vec![simple_job(0, 0.0, 40.0, 1000.0)]);
+        assert!(sim.advance());
+        let start = Action::Start {
+            job: JobId(0),
+            class: NodeClassId(0),
+            parallelism: 1,
+        };
+        assert_eq!(sim.apply(&start), ActionOutcome::Started);
+        sim.time = 7.0;
+        let grow = Action::Scale {
+            job: JobId(0),
+            new_parallelism: 3,
+        };
+        assert_eq!(sim.apply(&grow), ActionOutcome::Scaled);
+        let view = sim.view();
+        let row = &view.running[0];
+        assert_eq!(
+            (row.last_update, row.last_scaled_at, row.units),
+            (7.0, 7.0, 3)
+        );
+        for now in [7.0, 7.5, 12.0, 13.0 - 1e-9, 13.0, 13.0 + 1e-9, 20.0, 1e4] {
+            let mut r = sim.running[&JobId(0)].clone();
+            r.reconcile(now);
+            assert_eq!(
+                row.remaining_work(now).to_bits(),
+                r.remaining_work.to_bits()
+            );
+            let mut at = sim.clone();
+            at.time = now;
+            let verdict = at.apply(&Action::Scale {
+                job: JobId(0),
+                new_parallelism: 2,
+            });
+            assert_eq!(
+                row.scale_ready(now, view.allow_scaling, view.scale_cooldown),
+                verdict != ActionOutcome::Invalid("reconfiguration cooldown"),
+                "now {now}: engine said {verdict:?}"
+            );
+        }
     }
 
     #[test]

@@ -218,12 +218,10 @@ pub struct PendingJobView {
     pub malleable: bool,
     /// Utility earned when meeting the deadline.
     pub utility_value: f64,
-    /// How long the job has been waiting (now − arrival).
-    pub wait: f64,
 }
 
 impl PendingJobView {
-    fn from_job(job: &Job, now: f64) -> Self {
+    fn from_job(job: &Job) -> Self {
         PendingJobView {
             id: job.id,
             class: job.class,
@@ -236,8 +234,14 @@ impl PendingJobView {
             speedup: job.speedup,
             malleable: job.malleable,
             utility_value: job.utility.value,
-            wait: (now - job.arrival).max(0.0),
         }
+    }
+
+    /// How long the job has been waiting by `now` (`now − arrival`, never
+    /// negative). Rows hold no time-dependent state, so a row stays valid
+    /// while time advances and every reader picks its own `now`.
+    pub fn wait(&self, now: f64) -> f64 {
+        (now - self.arrival).max(0.0)
     }
 
     /// Time remaining until the deadline (may be negative).
@@ -267,6 +271,13 @@ impl PendingJobView {
 }
 
 /// A running job, as seen by the scheduler.
+///
+/// Rows are **time-affine**: they hold the engine's reconciled progress
+/// (remaining work as of [`Self::last_update`], the constant `rate` since
+/// then, the cooldown anchor) instead of values at "now", and the
+/// time-dependent quantities are methods taking the `now` to read them at.
+/// Between its start and completion a row changes only when the job is
+/// re-scaled, so a refill where only time moved rewrites no row.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunningJobView {
     /// Job id.
@@ -277,8 +288,12 @@ pub struct RunningJobView {
     pub node_class: NodeClassId,
     /// Current degree of parallelism.
     pub units: u32,
-    /// Remaining work.
-    pub remaining_work: f64,
+    /// Remaining work as of [`Self::last_update`] — not "now"; read the
+    /// current value through [`Self::remaining_work`].
+    pub remaining_at_update: f64,
+    /// Time the engine last reconciled the job's progress (its start or
+    /// most recent re-scale).
+    pub last_update: f64,
     /// Total work at submission.
     pub total_work: f64,
     /// Arrival time.
@@ -297,23 +312,45 @@ pub struct RunningJobView {
     pub speedup: SpeedupModel,
     /// Whether the job may be re-scaled.
     pub malleable: bool,
-    /// Current execution rate in work units per second.
+    /// Execution rate in work units per second, constant since
+    /// [`Self::last_update`].
     pub rate: f64,
     /// Utility earned when meeting the deadline.
     pub utility_value: f64,
-    /// True when the engine would currently accept a re-scaling of this job
-    /// (scaling enabled and the reconfiguration cooldown has elapsed).
-    pub scale_ready: bool,
+    /// Time of the job's start or most recent re-scale — the anchor of the
+    /// reconfiguration cooldown read by [`Self::scale_ready`].
+    pub last_scaled_at: f64,
 }
 
 impl RunningJobView {
-    /// Expected finish time at the current rate.
-    pub fn expected_finish(&self, now: f64) -> f64 {
-        now + self.remaining_work / self.rate.max(1e-9)
+    /// Remaining work at `now`: the reconciled value minus the progress made
+    /// at the constant rate since [`Self::last_update`], clamped at zero —
+    /// the expression the engine folds in when it reconciles the job, so
+    /// the value is bit-identical to the simulator's own at `now`.
+    pub fn remaining_work(&self, now: f64) -> f64 {
+        if now <= self.last_update {
+            self.remaining_at_update
+        } else {
+            (self.remaining_at_update - (now - self.last_update) * self.rate).max(0.0)
+        }
     }
 
-    /// Slack at the current rate (negative means the deadline will be missed
-    /// without scaling up).
+    /// True when the engine would accept a re-scaling of this job at `now`
+    /// under the given rules (the view header's `allow_scaling` /
+    /// `scale_cooldown`; [`ClusterView::scale_ready`] passes them): scaling
+    /// enabled and the reconfiguration cooldown elapsed, with the engine's
+    /// 1e-9 tolerance.
+    pub fn scale_ready(&self, now: f64, allow_scaling: bool, scale_cooldown: f64) -> bool {
+        allow_scaling && now - self.last_scaled_at >= scale_cooldown - 1e-9
+    }
+
+    /// Expected finish time when the job keeps its current rate from `now`.
+    pub fn expected_finish(&self, now: f64) -> f64 {
+        now + self.remaining_work(now) / self.rate.max(1e-9)
+    }
+
+    /// Slack at `now` at the current rate (negative means the deadline will
+    /// be missed without scaling up).
     pub fn slack(&self, now: f64) -> f64 {
         self.deadline - self.expected_finish(now)
     }
@@ -365,10 +402,14 @@ pub struct ClusterView {
     /// instead of re-sorting the queue at every decision.
     #[serde(default)]
     pub pending_by_deadline: Vec<u32>,
-    /// Sum of `total_work` over the pending jobs (maintained alongside the
-    /// rows so feature extraction reads it instead of re-summing).
+    /// Whether the engine accepts re-scaling at all (its
+    /// `SimConfig::allow_scaling`); read by [`Self::scale_ready`].
     #[serde(default)]
-    pub pending_work_total: f64,
+    pub allow_scaling: bool,
+    /// Minimum time between two re-scalings of one job (its
+    /// `SimConfig::scale_cooldown`); read by [`Self::scale_ready`].
+    #[serde(default)]
+    pub scale_cooldown: f64,
     /// Incremental-refill cookie (engine-owned, never serialised).
     #[serde(skip)]
     pub(crate) sync: ViewSync,
@@ -377,7 +418,8 @@ pub struct ClusterView {
 impl ClusterView {
     /// Build a view (used by the engine; exposed for tests of downstream
     /// schedulers that want to fabricate synthetic views). The deadline
-    /// index and pending-work aggregate are derived from `pending`.
+    /// index is derived from `pending`; a fabricated view allows scaling
+    /// with no cooldown (the engine overwrites both from its config).
     pub fn new(
         time: f64,
         spec: Arc<ClusterSpec>,
@@ -387,7 +429,6 @@ impl ClusterView {
         future_arrivals: usize,
     ) -> Self {
         let pending_by_deadline = Self::sorted_deadline_index(&pending);
-        let pending_work_total = pending.iter().map(|j| j.total_work).sum();
         ClusterView {
             time,
             spec,
@@ -396,7 +437,8 @@ impl ClusterView {
             running,
             future_arrivals,
             pending_by_deadline,
-            pending_work_total,
+            allow_scaling: true,
+            scale_cooldown: 0.0,
             sync: ViewSync::default(),
         }
     }
@@ -432,6 +474,19 @@ impl ClusterView {
         self.pending_by_deadline
             .iter()
             .map(move |&i| &self.pending[i as usize])
+    }
+
+    /// Sum of `total_work` over the pending jobs, folded in row order from
+    /// `0.0`. O(pending); only the DRL state encoder reads it.
+    pub fn pending_work_total(&self) -> f64 {
+        self.pending.iter().fold(0.0, |acc, j| acc + j.total_work)
+    }
+
+    /// True when the engine would accept a re-scaling of `job` at this
+    /// view's time ([`RunningJobView::scale_ready`] under the header's
+    /// scaling rules).
+    pub fn scale_ready(&self, job: &RunningJobView) -> bool {
+        job.scale_ready(self.time, self.allow_scaling, self.scale_cooldown)
     }
 
     /// One class view by id.
@@ -504,8 +559,8 @@ impl ClusterView {
 
     /// Build the pending-job view (helper for the engine and for synthetic
     /// views in tests).
-    pub fn pending_view_of(job: &Job, now: f64) -> PendingJobView {
-        PendingJobView::from_job(job, now)
+    pub fn pending_view_of(job: &Job) -> PendingJobView {
+        PendingJobView::from_job(job)
     }
 }
 
@@ -548,7 +603,7 @@ mod tests {
             10.0,
             spec,
             vec![class_view],
-            vec![ClusterView::pending_view_of(&job, 10.0)],
+            vec![ClusterView::pending_view_of(&job)],
             vec![],
             3,
         )
@@ -663,7 +718,7 @@ mod tests {
     fn pending_view_carries_wait_and_slack() {
         let view = make_view();
         let j = &view.pending[0];
-        assert!((j.wait - 10.0).abs() < 1e-9);
+        assert!((j.wait(view.time) - 10.0).abs() < 1e-9);
         // service time at p=1: 40 / (2*1) = 20, time to deadline = 20 -> slack 0
         assert!((j.slack_on(10.0, &view.classes[0], 1)).abs() < 1e-9);
         assert!(j.slack_on(10.0, &view.classes[0], 4) > 0.0);
@@ -671,6 +726,148 @@ mod tests {
             j.min_parallelism_meeting_deadline(10.0, &view.classes[0]),
             Some(1)
         );
+    }
+
+    #[test]
+    fn wait_is_the_engine_expression_at_any_now() {
+        let j = make_view().pending[0].clone();
+        // The engine's pending-wait expression, `(now - arrival).max(0.0)`,
+        // including a `now` before the arrival (clamped, never negative).
+        for now in [-5.0, 0.0, 1e-12, 3.25, 10.0, 1e9] {
+            assert_eq!(
+                j.wait(now).to_bits(),
+                (now - j.arrival).max(0.0).to_bits(),
+                "now {now}"
+            );
+        }
+        assert_eq!(j.wait(-5.0), 0.0);
+    }
+
+    fn running_row() -> RunningJobView {
+        RunningJobView {
+            id: JobId(2),
+            class: JobClass::Stream,
+            node_class: NodeClassId(0),
+            units: 2,
+            remaining_at_update: 10.0,
+            last_update: 4.0,
+            total_work: 20.0,
+            arrival: 0.0,
+            started_at: 1.0,
+            deadline: 20.0,
+            demand_per_unit: ResourceVector::of(1.0, 1.0, 0.0, 0.1),
+            min_parallelism: 1,
+            max_parallelism: 4,
+            speedup: SpeedupModel::Linear,
+            malleable: true,
+            rate: 2.0,
+            utility_value: 1.0,
+            last_scaled_at: 4.0,
+        }
+    }
+
+    /// The engine's remaining-work expression over reconciled state
+    /// (`RunningJob::reconcile` folds exactly this span in).
+    fn engine_remaining(r: &RunningJobView, now: f64) -> f64 {
+        if now > r.last_update {
+            (r.remaining_at_update - (now - r.last_update) * r.rate).max(0.0)
+        } else {
+            r.remaining_at_update
+        }
+    }
+
+    /// The engine's acceptance test for a re-scale's cooldown
+    /// (`apply_scale` rejects when this is false).
+    fn engine_scale_ready(r: &RunningJobView, now: f64, allow: bool, cooldown: f64) -> bool {
+        allow && !(now - r.last_scaled_at < cooldown - 1e-9)
+    }
+
+    #[test]
+    fn remaining_work_is_the_engine_expression_at_any_now() {
+        let r = running_row();
+        // now < last_update reads the reconciled value unchanged; at
+        // last_update nothing has elapsed; 4.0 + 10/2 = 9.0 is the exact
+        // drain point, past it the value clamps at 0.
+        for now in [0.0, 3.999, 4.0, 4.0 + 1e-12, 6.5, 9.0 - 1e-9, 9.0, 9.5, 1e6] {
+            assert_eq!(
+                r.remaining_work(now).to_bits(),
+                engine_remaining(&r, now).to_bits(),
+                "now {now}"
+            );
+        }
+        assert_eq!(r.remaining_work(2.0), 10.0, "before last_update");
+        assert_eq!(r.remaining_work(6.5), 5.0);
+        assert_eq!(r.remaining_work(9.5), 0.0, "clamped at zero");
+        assert_eq!(r.remaining_work(1e6), 0.0, "clamped at zero");
+    }
+
+    #[test]
+    fn scale_ready_is_the_engine_cooldown_test() {
+        let r = running_row();
+        let cooldown = 20.0;
+        let ready_at = r.last_scaled_at + cooldown;
+        for now in [
+            0.0,
+            r.last_scaled_at,
+            ready_at - 1e-9 - 1e-9,
+            ready_at - 1e-9,
+            ready_at - 0.5e-9,
+            ready_at,
+            ready_at + 1e-9,
+            1e6,
+        ] {
+            for allow in [true, false] {
+                assert_eq!(
+                    r.scale_ready(now, allow, cooldown),
+                    engine_scale_ready(&r, now, allow, cooldown),
+                    "now {now} allow {allow}"
+                );
+            }
+        }
+        // Exactly at the boundary ±1e-9: the engine's tolerance accepts
+        // 1e-9 early and refuses anything earlier.
+        assert!(r.scale_ready(ready_at, true, cooldown));
+        assert!(r.scale_ready(ready_at - 1e-9, true, cooldown));
+        assert!(r.scale_ready(ready_at + 1e-9, true, cooldown));
+        assert!(!r.scale_ready(ready_at - 1e-6, true, cooldown));
+        // Scaling disabled: never ready, however long the job has waited.
+        assert!(!r.scale_ready(1e9, false, cooldown));
+        assert!(!r.scale_ready(1e9, false, 0.0));
+        // No cooldown: ready at the very instant of the last re-scale.
+        assert!(r.scale_ready(r.last_scaled_at, true, 0.0));
+    }
+
+    #[test]
+    fn view_header_rules_drive_scale_ready() {
+        let mut view = make_view();
+        view.running.push(running_row());
+        view.time = 10.0;
+        view.allow_scaling = true;
+        view.scale_cooldown = 5.0;
+        assert!(view.scale_ready(&view.running[0]), "10 - 4 >= 5");
+        view.scale_cooldown = 7.0;
+        assert!(!view.scale_ready(&view.running[0]), "10 - 4 < 7");
+        view.scale_cooldown = 0.0;
+        view.allow_scaling = false;
+        assert!(!view.scale_ready(&view.running[0]), "scaling disabled");
+    }
+
+    #[test]
+    fn pending_work_total_folds_rows_in_order() {
+        let mut view = make_view();
+        let base = view.pending[0].clone();
+        view.pending = [0.1, 0.2, 0.3, 1e16, -1e16]
+            .iter()
+            .map(|&w| PendingJobView {
+                total_work: w,
+                ..base.clone()
+            })
+            .collect();
+        let expected = view.pending.iter().fold(0.0, |acc, j| acc + j.total_work);
+        assert_eq!(view.pending_work_total().to_bits(), expected.to_bits());
+        view.pending.clear();
+        // Folded from +0.0: an empty queue totals +0.0.
+        assert_eq!(view.pending_work_total().to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
@@ -691,27 +888,12 @@ mod tests {
 
     #[test]
     fn running_view_slack() {
-        let r = RunningJobView {
-            id: JobId(2),
-            class: JobClass::Stream,
-            node_class: NodeClassId(0),
-            units: 2,
-            remaining_work: 10.0,
-            total_work: 20.0,
-            arrival: 0.0,
-            started_at: 1.0,
-            deadline: 20.0,
-            demand_per_unit: ResourceVector::of(1.0, 1.0, 0.0, 0.1),
-            min_parallelism: 1,
-            max_parallelism: 4,
-            speedup: SpeedupModel::Linear,
-            malleable: true,
-            rate: 2.0,
-            utility_value: 1.0,
-            scale_ready: true,
-        };
-        assert!((r.expected_finish(10.0) - 15.0).abs() < 1e-9);
-        assert!((r.slack(10.0) - 5.0).abs() < 1e-9);
+        let r = running_row();
+        // At now = 6.5 the job has 5 work left at rate 2: finish at 9.0.
+        assert!((r.expected_finish(6.5) - 9.0).abs() < 1e-9);
+        assert!((r.slack(6.5) - 11.0).abs() < 1e-9);
+        // The estimate is the same whenever it is read: progress is affine.
+        assert_eq!(r.expected_finish(4.0), r.expected_finish(6.5));
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! jobs, unknown classes, out-of-range parallelism, re-scaling rigid jobs,
 //! waiting) so the protocol is exercised across rejected applications too.
 
+mod common;
+
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use tcrm_sim::node::SpeedProfile;
 use tcrm_sim::prelude::*;
 
@@ -150,15 +153,14 @@ fn assert_views_equal(inc: &ClusterView, reference: &ClusterView) {
         inc.pending_by_deadline, reference.pending_by_deadline,
         "deadline index diverged"
     );
-    assert_eq!(
-        inc.pending_work_total, reference.pending_work_total,
-        "pending-work aggregate diverged"
-    );
+    common::assert_derived_equal(inc, reference);
 }
 
 /// Drive the paired simulators through the script and assert equality at
-/// every step. Returns the number of epochs observed.
-fn run_paired(jobs: Vec<Job>, script: &[(u8, u8, u8)], decision_interval: f64) -> usize {
+/// every step. Returns the number of epochs observed and of re-scales the
+/// engines accepted (each one a `RunningRescaled` delta on the incremental
+/// path).
+fn run_paired(jobs: Vec<Job>, script: &[(u8, u8, u8)], decision_interval: f64) -> (usize, usize) {
     let mut cfg = SimConfig::default();
     cfg.decision_interval = Some(decision_interval);
     cfg.scale_cooldown = 3.0;
@@ -178,6 +180,7 @@ fn run_paired(jobs: Vec<Job>, script: &[(u8, u8, u8)], decision_interval: f64) -
 
     let mut cursor = 0usize;
     let mut epochs = 0usize;
+    let mut accepted_scales = 0usize;
     let mut post_script_epochs = 0usize;
     loop {
         let alive_inc = sim_inc.advance();
@@ -211,6 +214,7 @@ fn run_paired(jobs: Vec<Job>, script: &[(u8, u8, u8)], decision_interval: f64) -
             let out_inc = sim_inc.apply(&action);
             let out_ref = sim_ref.apply(&action);
             assert_eq!(out_inc, out_ref, "action outcomes diverged");
+            accepted_scales += usize::from(out_inc == ActionOutcome::Scaled);
             sim_inc.view_into(&mut view_inc);
             sim_ref.view_into(&mut view_ref);
             assert_views_equal(&view_inc, &view_ref);
@@ -225,24 +229,35 @@ fn run_paired(jobs: Vec<Job>, script: &[(u8, u8, u8)], decision_interval: f64) -
         res_inc.completed, res_ref.completed,
         "completion records diverged"
     );
-    epochs
+    (epochs, accepted_scales)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// Random workloads × random valid/invalid action scripts: the
+/// incremental view is byte-identical to the rebuilt reference at every
+/// epoch, after every action, and in the final run records. The cases
+/// together must apply at least one accepted re-scale, so the
+/// `RunningRescaled` patch is part of what is compared.
+#[test]
+fn incremental_view_matches_rebuild_reference() {
+    static ACCEPTED_SCALES: AtomicUsize = AtomicUsize::new(0);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random workloads × random valid/invalid action scripts: the
-    /// incremental view is byte-identical to the rebuilt reference at every
-    /// epoch, after every action, and in the final run records.
-    #[test]
-    fn incremental_view_matches_rebuild_reference(
-        params in prop::collection::vec(arb_job_params(), 1..18),
-        script in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..120),
-        interval in 1.0f64..6.0,
-    ) {
-        let jobs = build_jobs(&params);
-        run_paired(jobs, &script, interval);
+        fn incremental_view_matches_rebuild_reference(
+            params in prop::collection::vec(arb_job_params(), 1..18),
+            script in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..120),
+            interval in 1.0f64..6.0,
+        ) {
+            let jobs = build_jobs(&params);
+            let (_, scales) = run_paired(jobs, &script, interval);
+            ACCEPTED_SCALES.fetch_add(scales, Ordering::Relaxed);
+        }
     }
+    incremental_view_matches_rebuild_reference();
+    assert!(
+        ACCEPTED_SCALES.load(Ordering::Relaxed) > 0,
+        "no case applied an accepted Scale"
+    );
 }
 
 #[test]
@@ -265,8 +280,9 @@ fn paired_run_with_dense_script_exercises_scales_and_rejections() {
     let script: Vec<(u8, u8, u8)> = (0..200u32)
         .map(|i| ((i % 5) as u8, (i * 7 % 251) as u8, (i * 13 % 241) as u8))
         .collect();
-    let epochs = run_paired(jobs, &script, 2.0);
+    let (epochs, scales) = run_paired(jobs, &script, 2.0);
     assert!(epochs >= 14, "expected at least one epoch per job");
+    assert!(scales > 0, "the dense script must re-scale a running job");
 }
 
 #[test]

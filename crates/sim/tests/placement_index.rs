@@ -11,6 +11,8 @@
 //! 64k-scale saturating `units_available` regression test (the `u32` sum
 //! used to wrap in release builds).
 
+mod common;
+
 use proptest::prelude::*;
 use tcrm_sim::node::SpeedProfile;
 use tcrm_sim::prelude::*;
@@ -146,10 +148,7 @@ fn assert_views_equal(indexed: &ClusterView, reference: &ClusterView) {
         indexed.pending_by_deadline, reference.pending_by_deadline,
         "deadline index diverged"
     );
-    assert_eq!(
-        indexed.pending_work_total, reference.pending_work_total,
-        "pending-work aggregate diverged"
-    );
+    common::assert_derived_equal(indexed, reference);
 }
 
 /// Drive a fit-indexed simulator and a reference-walk simulator through the
