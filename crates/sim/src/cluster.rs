@@ -2,7 +2,7 @@
 
 use crate::allocation::Placement;
 use crate::config::ClusterSpec;
-use crate::fit_index::{bucket_rank, FitIndex};
+use crate::fit_index::{bucket_rank, rank_floor, FitIndex};
 use crate::job::JobClass;
 use crate::node::{Node, NodeClassId, NodeId};
 use crate::resources::{ResourceVector, NUM_RESOURCES};
@@ -247,7 +247,8 @@ impl Cluster {
     /// `min(units_available, cap)`, returning as soon as the cap is reached.
     /// The sum is iteration-order-independent, so this walks the fit index in
     /// emptiest-first order when available (reaching the cap after the fewest
-    /// nodes) and accumulates saturating either way.
+    /// nodes, and skipping the buckets below the demand's [`rank_floor`],
+    /// whose nodes fit nothing) and accumulates saturating either way.
     pub fn units_available_capped(
         &self,
         class: NodeClassId,
@@ -260,7 +261,8 @@ impl Cluster {
         let mut total = 0u32;
         if self.fit_index_valid(class) {
             let slice = self.class_nodes(class);
-            for idx in self.fit[class.0].nodes_desc() {
+            let floor = rank_floor(per_unit, &self.unit_capacity_of_class(class));
+            for idx in self.fit[class.0].nodes_desc_from(floor) {
                 let u = slice[idx].units_that_fit(per_unit);
                 if u == u32::MAX {
                     continue; // zero-demand jobs are handled by the caller
@@ -322,7 +324,8 @@ impl Cluster {
     }
 
     /// Indexed placement: O(placed + skipped) bucket-order traversal, no
-    /// per-start sort.
+    /// per-start sort, that stops at the demand's [`rank_floor`] (the nodes
+    /// below it fit nothing, so the walk skips them too).
     fn find_placement_indexed(
         &self,
         class: NodeClassId,
@@ -332,7 +335,8 @@ impl Cluster {
         let slice = self.class_nodes(class);
         let mut remaining = units;
         let mut placements = Vec::new();
-        for idx in self.fit[class.0].nodes_desc() {
+        let floor = rank_floor(per_unit, &self.unit_capacity_of_class(class));
+        for idx in self.fit[class.0].nodes_desc_from(floor) {
             let node = &slice[idx];
             let fit = node.units_that_fit(per_unit);
             if fit == 0 {
@@ -585,22 +589,36 @@ mod tests {
         }
     }
 
+    /// True when the fit query for `per_unit` on `class` skips a node: its
+    /// rank floor is non-zero and some node of the class ranks below it.
+    fn floor_prunes(c: &Cluster, class: NodeClassId, per_unit: &ResourceVector) -> bool {
+        let floor = rank_floor(per_unit, &c.unit_capacity_of_class(class));
+        let fit = &c.fit[class.0];
+        floor > 0 && (0..fit.len()).any(|i| fit.rank(i) < floor)
+    }
+
     #[test]
     fn indexed_and_walk_placements_are_identical() {
         // Drive both paths through an allocate/release churn and require
-        // byte-identical placements at every step.
+        // byte-identical placements at every step. Every class sees every
+        // demand, and the last ones fill whole nodes, so some steps query
+        // past full nodes below the rank floor.
         let mut c = Cluster::new(ClusterSpec::icpp_default());
         let demands = [
             ResourceVector::of(2.0, 4.0, 0.0, 1.0),
             ResourceVector::of(7.0, 1.0, 0.0, 0.0),
             ResourceVector::of(1.0, 100.0, 0.0, 0.0),
             ResourceVector::of(4.0, 16.0, 1.0, 2.0),
+            ResourceVector::of(8.0, 32.0, 0.0, 2.5),
+            ResourceVector::of(4.0, 32.0, 1.0, 6.25),
         ];
         let mut live: Vec<(ResourceVector, Vec<Placement>)> = Vec::new();
-        for step in 0..40usize {
+        let mut pruned_steps = 0;
+        for step in 0..60usize {
             let class = NodeClassId(step % c.num_classes());
-            let per_unit = demands[step % demands.len()];
+            let per_unit = demands[(step / c.num_classes() + step) % demands.len()];
             let units = 1 + (step % 5) as u32;
+            pruned_steps += usize::from(floor_prunes(&c, class, &per_unit));
             c.set_indexed_placement(true);
             let indexed = c.find_placement(class, &per_unit, units);
             c.set_indexed_placement(false);
@@ -627,6 +645,10 @@ mod tests {
             }
             c.check_invariants().expect("invariants hold");
         }
+        assert!(
+            pruned_steps > 0,
+            "no step queried below a non-zero rank floor"
+        );
         for (d, p) in live.drain(..) {
             c.release_placement(&d, &p);
         }

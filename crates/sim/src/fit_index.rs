@@ -19,6 +19,22 @@
 //! by the *same* `(bucket_rank desc, id asc)` key, which is what keeps their
 //! placements byte-identical (pinned in `tests/placement_index.rs`).
 //!
+//! **Rank floor.** A fit query need not visit every bucket. A node fits one
+//! unit of demand `d` when `(free_i + 1e-9) / d_i ≥ 1` on every demanded
+//! dimension, i.e. `free_i ≥ d_i − 1e-9`. So when *every* positive-capacity
+//! dimension of the class is demanded, a fitting node's scarcest fraction
+//! is at least `g = min_i (d_i − 1e-9) / cap_i`, and its bucket is at least
+//! the bucket of `g`. [`rank_floor`] returns that bucket minus one octave:
+//! in floating point the fit test also accepts a `free_i` up to half an ulp
+//! of `d_i` below `d_i − 1e-9`, never more than half of that difference, so
+//! the scarcest fraction stays above `g / 2` (proptested below).
+//! Queries walk [`FitIndex::nodes_desc_from`] that floor, skipping the full
+//! nodes that dominate the low buckets under load; skipped nodes fit zero
+//! units, so counts and placements are unchanged. The floor is 0 (the full
+//! walk) when some positive-capacity dimension is undemanded — a CPU-only
+//! job on a GPU class can fit a node whose GPUs are all taken — and when
+//! `g` is not positive or NaN.
+//!
 //! Determinism note: `floor(log2(x))` is read straight from the IEEE-754
 //! exponent bits instead of `f64::log2` — exact for every normal positive
 //! double and identical on every platform, so index and walk can never be
@@ -55,6 +71,40 @@ pub fn bucket_rank(free: &ResourceVector, unit_capacity: &ResourceVector) -> u8 
             }
         }
     }
+    fraction_rank(frac)
+}
+
+/// The lowest bucket that can hold a node fitting one unit of `per_unit`
+/// demand in a class whose per-node capacity is `unit_capacity`; every node
+/// in a lower bucket provably fits zero units (see the module docs). 0 —
+/// the full walk — when some positive-capacity dimension is undemanded
+/// (zero, negative or NaN demand) or the guaranteed fraction is not
+/// positive.
+#[inline]
+pub fn rank_floor(per_unit: &ResourceVector, unit_capacity: &ResourceVector) -> u8 {
+    let mut g = f64::INFINITY;
+    for i in 0..NUM_RESOURCES {
+        let cap = unit_capacity.0[i];
+        if cap > 0.0 {
+            let d = per_unit.0[i];
+            if !(d > 0.0) {
+                return 0;
+            }
+            let f = (d - 1e-9) / cap;
+            if f.is_nan() {
+                return 0;
+            }
+            g = g.min(f);
+        }
+    }
+    // One octave of margin absorbs the rounding of the fit test.
+    fraction_rank(g).saturating_sub(1)
+}
+
+/// `MAX_RANK + floor(log2(frac))` clamped to `[0, MAX_RANK]`; zero,
+/// negative, subnormal and NaN fractions rank 0.
+#[inline]
+fn fraction_rank(frac: f64) -> u8 {
     if frac >= 1.0 {
         return MAX_RANK;
     }
@@ -165,11 +215,14 @@ impl FitIndex {
         self.rank_of[idx] = new_rank;
     }
 
-    /// All tracked in-class node indices in worst-fit visit order: emptiest
-    /// bucket first, ascending node index within a bucket — exactly the
-    /// `(bucket_rank desc, id asc)` order the reference walk sorts into.
-    pub fn nodes_desc(&self) -> impl Iterator<Item = usize> + '_ {
-        self.buckets
+    /// The tracked in-class node indices in buckets `floor..=MAX_RANK`, in
+    /// worst-fit visit order: emptiest bucket first, ascending node index
+    /// within a bucket — exactly the `(bucket_rank desc, id asc)` order the
+    /// reference walk sorts into. With the query's [`rank_floor`] these are
+    /// the only nodes that can fit its demand; a floor of 0 yields them all.
+    pub fn nodes_desc_from(&self, floor: u8) -> impl Iterator<Item = usize> + '_ {
+        let floor = (floor as usize).min(self.buckets.len());
+        self.buckets[floor..]
             .iter()
             .rev()
             .flat_map(|b| b.iter().map(|&i| i as usize))
@@ -236,6 +289,9 @@ impl FitIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::{Node, NodeClassId, NodeId};
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn cap() -> ResourceVector {
         ResourceVector::of(8.0, 32.0, 0.0, 10.0)
@@ -282,6 +338,152 @@ mod tests {
         }
     }
 
+    /// Units of `per_unit` fitting into `free`, through the engine's own fit
+    /// test (a node whose capacity is `free` and that has nothing allocated
+    /// reports exactly `free` as its free vector).
+    fn units_fitting(free: &ResourceVector, per_unit: &ResourceVector) -> u32 {
+        Node::new(NodeId(0), NodeClassId(0), *free).units_that_fit(per_unit)
+    }
+
+    /// `x` moved by `steps` ulps (negative steps move down).
+    fn ulps(mut x: f64, steps: i32) -> f64 {
+        for _ in 0..steps.unsigned_abs() {
+            x = if steps > 0 {
+                x.next_up()
+            } else {
+                x.next_down()
+            };
+        }
+        x
+    }
+
+    /// One dimension's `(capacity, demand, free)` from raw draws. Capacities
+    /// include zero, arbitrary, power-of-two and *tight* ones — an exact
+    /// power-of-two multiple of `demand − 1e-9`, so the guaranteed fraction
+    /// `g` sits exactly on a bucket boundary. Demands include undemanded,
+    /// at or below the 1e-9 tolerance, a few ulps above it, ordinary, larger
+    /// than the capacity and NaN. Free values sit at exact multiples of the
+    /// demand ±1 ulp, at the tolerance `demand − 1e-9` ±1 ulp, or anywhere
+    /// in `[0, capacity]`.
+    fn dimension(
+        (cap_mode, demand_mode, free_mode, u, k, step): (u8, u8, u8, f64, i32, i32),
+    ) -> (f64, f64, f64) {
+        let mut cap = match cap_mode {
+            0 => 0.0,
+            1 => 1e-3 + u * 1e3,
+            2 => 2f64.powi(k * 6),
+            3 => 8.0 * 2f64.powi(k),
+            _ => 1.0, // tight, set below
+        };
+        let scale = if cap > 0.0 { cap } else { 1.0 + u };
+        let demand = match demand_mode {
+            0 => 0.0,
+            1 => [1e-9, 5e-10, 1e-12, -1.0][k.rem_euclid(4) as usize],
+            2 => ulps(1e-9, 1 + k.rem_euclid(4)),
+            3 => scale * (1.001 + 2.0 * u),
+            4 => f64::NAN,
+            5 => scale / 2f64.powi(k.rem_euclid(18)),
+            _ => scale * (0.001 + 0.999 * u),
+        };
+        if cap_mode >= 4 && demand > 1e-9 {
+            // Tight: g = (demand − 1e-9) / cap is exactly 2^-j.
+            cap = (demand - 1e-9) * 2f64.powi(k.rem_euclid(15));
+        }
+        let free = match free_mode {
+            0..=2 => ulps(demand * (1 + k.rem_euclid(4)) as f64, step),
+            3..=5 => ulps(demand - 1e-9, step),
+            6 => 0.0,
+            _ => cap * u,
+        };
+        (cap, demand, free.max(0.0))
+    }
+
+    #[test]
+    fn a_fitting_node_never_ranks_below_the_floor() {
+        static FITTING: AtomicUsize = AtomicUsize::new(0);
+        static PRUNING: AtomicUsize = AtomicUsize::new(0);
+        static AT_FLOOR: AtomicUsize = AtomicUsize::new(0);
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(50_000))]
+
+            fn a_fitting_node_never_ranks_below_the_floor(
+                dims in prop::collection::vec(
+                    (0u8..8, 0u8..12, 0u8..8, 0.0f64..1.0, -3i32..4, -1i32..2),
+                    NUM_RESOURCES,
+                ),
+            ) {
+                let mut cap = ResourceVector::zero();
+                let mut demand = ResourceVector::zero();
+                let mut free = ResourceVector::zero();
+                for (i, raw) in dims.into_iter().enumerate() {
+                    (cap.0[i], demand.0[i], free.0[i]) = dimension(raw);
+                }
+                let floor = rank_floor(&demand, &cap);
+                for i in 0..NUM_RESOURCES {
+                    if cap.0[i] > 0.0 && !(demand.0[i] > 0.0) {
+                        prop_assert_eq!(floor, 0, "undemanded or NaN dimension {}", i);
+                    }
+                }
+                let units = units_fitting(&free, &demand);
+                if units >= 1 && units != u32::MAX {
+                    let rank = bucket_rank(&free, &cap);
+                    prop_assert!(
+                        rank >= floor,
+                        "fitting node ranks {} below floor {}: cap {:?} demand {:?} free {:?}",
+                        rank, floor, cap, demand, free
+                    );
+                    FITTING.fetch_add(1, Ordering::Relaxed);
+                    if floor > 0 {
+                        PRUNING.fetch_add(1, Ordering::Relaxed);
+                        if rank == floor {
+                            AT_FLOOR.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                }
+            }
+        }
+        a_fitting_node_never_ranks_below_the_floor();
+        // The draws must exercise the claim where it bites: fitting nodes
+        // under a non-zero floor, some of them in the floor bucket itself
+        // (the octave of margin is what admits them).
+        assert!(FITTING.load(Ordering::Relaxed) > 1000);
+        assert!(PRUNING.load(Ordering::Relaxed) > 100);
+        assert!(
+            AT_FLOOR.load(Ordering::Relaxed) > 0,
+            "no fitting node sat at the floor"
+        );
+    }
+
+    #[test]
+    fn floor_edges() {
+        let c = ResourceVector::of(16.0, 128.0, 4.0, 25.0);
+        // Every dimension demanded: g = min(2/16, 8/128, 1/4, 1/25) ≈ 1/25,
+        // bucket MAX_RANK − 5, minus one octave.
+        let full = ResourceVector::of(2.0, 8.0, 1.0, 1.0);
+        assert_eq!(rank_floor(&full, &c), MAX_RANK - 6);
+        // A CPU-only job on the GPU class: a node whose GPUs are all taken
+        // ranks 0 yet still fits it.
+        let cpu_only = ResourceVector::of(2.0, 8.0, 0.0, 1.0);
+        assert_eq!(rank_floor(&cpu_only, &c), 0);
+        let gpus_taken = ResourceVector::of(16.0, 128.0, 0.0, 25.0);
+        assert_eq!(bucket_rank(&gpus_taken, &c), 0);
+        assert!(units_fitting(&gpus_taken, &cpu_only) >= 1);
+        // NaN demand, demand within the tolerance, and NaN g all walk fully.
+        let nan = ResourceVector::of(f64::NAN, 8.0, 1.0, 1.0);
+        assert_eq!(rank_floor(&nan, &c), 0);
+        let sliver = ResourceVector::of(1e-9, 8.0, 1.0, 1.0);
+        assert_eq!(rank_floor(&sliver, &c), 0);
+        let inf_cap = ResourceVector::of(f64::INFINITY, 0.0, 0.0, 0.0);
+        let inf_demand = ResourceVector::of(f64::INFINITY, 0.0, 0.0, 0.0);
+        assert_eq!(rank_floor(&inf_demand, &inf_cap), 0);
+        // Demand above capacity floors one octave below the top; a demand
+        // on a zero-capacity dimension does not enter g.
+        let over = ResourceVector::of(64.0, 40.0, 0.0, 20.0);
+        assert_eq!(rank_floor(&over, &cap()), MAX_RANK - 1);
+        let over_gpu = ResourceVector::of(64.0, 40.0, 1e-3, 20.0);
+        assert_eq!(rank_floor(&over_gpu, &cap()), MAX_RANK - 1);
+    }
+
     #[test]
     fn rebuild_update_and_order() {
         let c = cap();
@@ -296,14 +498,19 @@ mod tests {
         assert_eq!(index.len(), 4);
         assert!(index.check(&c, frees.iter().copied()).is_ok());
         // Emptiest first, id-ascending within a bucket, full nodes last.
-        let order: Vec<usize> = index.nodes_desc().collect();
+        let order: Vec<usize> = index.nodes_desc_from(0).collect();
         assert_eq!(order, vec![0, 2, 1, 3]);
+        // A floor drops the buckets beneath it and keeps the order.
+        let order: Vec<usize> = index.nodes_desc_from(MAX_RANK - 1).collect();
+        assert_eq!(order, vec![0, 2, 1]);
+        let order: Vec<usize> = index.nodes_desc_from(MAX_RANK).collect();
+        assert_eq!(order, vec![0, 2]);
         // Free node 3 entirely: it joins the top bucket after 0 and 2.
         let mut frees = frees;
         frees[3] = c;
         index.update(3, &frees[3], &c);
         assert!(index.check(&c, frees.iter().copied()).is_ok());
-        let order: Vec<usize> = index.nodes_desc().collect();
+        let order: Vec<usize> = index.nodes_desc_from(0).collect();
         assert_eq!(order, vec![0, 2, 3, 1]);
         // No-op update keeps everything in place.
         index.update(3, &frees[3], &c);

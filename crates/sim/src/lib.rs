@@ -76,7 +76,7 @@ pub use cluster::Cluster;
 pub use config::{ClusterSpec, NodeClassSpec, PowerModel, SimConfig};
 pub use engine::{EpochKind, SimulationResult, Simulator};
 pub use event::{Event, EventKind, EventQueue};
-pub use fit_index::{bucket_rank, FitIndex, MAX_RANK, NUM_RANKS};
+pub use fit_index::{bucket_rank, rank_floor, FitIndex, MAX_RANK, NUM_RANKS};
 pub use job::{Job, JobBuilder, JobClass, JobId, JobState, SpeedupModel, TimeUtility};
 pub use metrics::{
     BoundedStats, CompletedJob, EnergyReport, MetricsCollector, PerClassUtilization, Summary,

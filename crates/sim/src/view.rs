@@ -5,7 +5,7 @@
 //! it to an RL replay buffer, or serialise it for debugging.
 
 use crate::config::ClusterSpec;
-use crate::fit_index::FitIndex;
+use crate::fit_index::{rank_floor, FitIndex};
 use crate::job::{Job, JobClass, JobId, SpeedupModel};
 use crate::node::NodeClassId;
 use crate::resources::ResourceVector;
@@ -51,13 +51,24 @@ impl NodeClassView {
     /// How many units of `per_unit` demand can still be placed on this class,
     /// respecting per-node fragmentation. Saturating — at 64k nodes the raw
     /// per-node sum can exceed `u32::MAX`.
+    ///
+    /// The saturating sum is order-independent, so it walks only the fit
+    /// index's buckets at or above the demand's [`rank_floor`] when the
+    /// index is present, and the plain slice otherwise.
     pub fn units_available(&self, per_unit: &ResourceVector) -> u32 {
         if per_unit.total() <= 0.0 {
             return u32::MAX;
         }
-        self.node_free.iter().fold(0u32, |acc, free| {
-            acc.saturating_add(unit_fit(free, per_unit))
-        })
+        let fits = |free: &ResourceVector| unit_fit(free, per_unit);
+        if self.fit_index_valid() {
+            let floor = rank_floor(per_unit, &self.unit_capacity);
+            self.fit_index
+                .nodes_desc_from(floor)
+                .map(|idx| fits(&self.node_free[idx]))
+                .fold(0, u32::saturating_add)
+        } else {
+            self.node_free.iter().map(fits).fold(0, u32::saturating_add)
+        }
     }
 
     /// True when the fit index covers every node of the class (always for
@@ -99,13 +110,16 @@ impl NodeClassView {
     /// proven placeable: returns `min(units_available, cap)`.
     ///
     /// Feasibility queries never need more than the requested parallelism,
-    /// so this replaces the full node walk in the hot scheduler paths with
-    /// (a) the O(dims) aggregate screen — which alone rejects requests on
-    /// saturated classes, the common case under load — and (b) a walk over
-    /// the fit index in emptiest-first order that exits as soon as the
-    /// target is reached (typically after one or two machines on an
-    /// unsaturated class, and after the *fewest possible* machines because
-    /// the emptiest nodes contribute the most units). The sum is
+    /// so the hot scheduler paths answer with (a) the O(dims) aggregate
+    /// screen — which alone rejects requests on saturated classes, the
+    /// common case under load — and (b) a walk over the fit index in
+    /// emptiest-first order that exits as soon as the target is reached
+    /// (after the *fewest possible* machines, because the emptiest nodes
+    /// contribute the most units) and never descends below the demand's
+    /// [`rank_floor`]. A query the class cannot satisfy therefore visits
+    /// every node in the buckets at or above the floor — all of the class
+    /// when the floor is 0 (some capacity dimension undemanded) — but not
+    /// the nearly-full nodes beneath it. The sum is
     /// iteration-order-independent, so the plain-slice fallback for views
     /// without an index returns the identical answer.
     pub fn units_available_capped(&self, per_unit: &ResourceVector, cap: u32) -> u32 {
@@ -122,7 +136,8 @@ impl NodeClassView {
         let cap = cap.min(bound);
         let mut total = 0u32;
         if self.fit_index_valid() {
-            for idx in self.fit_index.nodes_desc() {
+            let floor = rank_floor(per_unit, &self.unit_capacity);
+            for idx in self.fit_index.nodes_desc_from(floor) {
                 total = total.saturating_add(unit_fit(&self.node_free[idx], per_unit));
                 if total >= cap {
                     return cap;
@@ -512,7 +527,10 @@ impl ClusterView {
     /// Can `parallelism` units of this pending job be placed on `class` right
     /// now? (Fragmentation-aware; screened through the class free-capacity
     /// aggregate and early-exiting, so a saturated class answers in O(dims)
-    /// and an open one after a node or two — never a full node walk.)
+    /// and an open one after a node or two. An infeasible query on a
+    /// fragmented class visits the nodes in fit-index buckets at or above
+    /// the demand's rank floor — see
+    /// [`NodeClassView::units_available_capped`].)
     pub fn can_start(&self, job: &PendingJobView, class: NodeClassId, parallelism: u32) -> bool {
         if parallelism < job.min_parallelism || parallelism > job.max_parallelism {
             return false;

@@ -14,6 +14,8 @@
 mod common;
 
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use tcrm_sim::fit_index::{bucket_rank, rank_floor};
 use tcrm_sim::node::SpeedProfile;
 use tcrm_sim::prelude::*;
 
@@ -239,49 +241,75 @@ proptest! {
         let jobs = build_jobs(&params);
         run_paired(jobs, &script, interval);
     }
+}
 
-    /// Direct cluster-level differential: random demand/unit sequences with
-    /// interleaved releases; `find_placement` must return the identical
-    /// placement vector on both paths after every mutation, and the counting
-    /// queries must match a fresh per-node saturating sum.
-    #[test]
-    fn cluster_paths_agree_under_random_churn(
-        ops in prop::collection::vec(
-            (0usize..4, 0.5f64..8.0, 0.5f64..40.0, 0.0f64..2.0, 1u32..7, any::<bool>()),
-            1..60,
-        ),
-    ) {
-        let mut c = Cluster::new(ClusterSpec::icpp_default());
-        let mut live: Vec<(ResourceVector, Vec<Placement>)> = Vec::new();
-        for (class, cpu, mem, gpu, units, release) in ops {
-            let class = NodeClassId(class % c.num_classes());
-            let per_unit = ResourceVector::of(cpu, mem, gpu.floor(), 0.25);
-            c.set_indexed_placement(true);
-            let indexed = c.find_placement(class, &per_unit, units);
-            c.set_indexed_placement(false);
-            let walk = c.find_placement(class, &per_unit, units);
-            prop_assert_eq!(&indexed, &walk, "placement paths diverged");
-            let fresh_sum = c
-                .nodes_of_class(class)
-                .map(|n| n.units_that_fit(&per_unit))
-                .filter(|&u| u != u32::MAX)
-                .fold(0u32, |a, u| a.saturating_add(u));
-            prop_assert_eq!(c.units_available(class, &per_unit), fresh_sum);
-            prop_assert_eq!(
-                c.max_placeable_units(class, &per_unit, units),
-                fresh_sum.min(units)
-            );
-            if let Some(p) = indexed {
-                c.apply_placement(&per_unit, &p);
-                live.push((per_unit, p));
+/// True when the fit query for `per_unit` on `class` skips a node: its rank
+/// floor is non-zero and some node of the class ranks below it.
+fn floor_prunes(c: &Cluster, class: NodeClassId, per_unit: &ResourceVector) -> bool {
+    let cap = c.unit_capacity_of_class(class);
+    let floor = rank_floor(per_unit, &cap);
+    floor > 0
+        && c.nodes_of_class(class)
+            .any(|n| bucket_rank(&n.free(), &cap) < floor)
+}
+
+/// Direct cluster-level differential: random demand/unit sequences with
+/// interleaved releases; `find_placement` must return the identical
+/// placement vector on both paths after every mutation, and the counting
+/// queries must match a fresh per-node saturating sum. The cases together
+/// must query at least once past a node below a non-zero rank floor, so the
+/// floored walk is part of what is compared.
+#[test]
+fn cluster_paths_agree_under_random_churn() {
+    static PRUNED: AtomicUsize = AtomicUsize::new(0);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        fn cluster_paths_agree_under_random_churn(
+            ops in prop::collection::vec(
+                (0usize..4, 0.5f64..8.0, 0.5f64..40.0, 0.0f64..2.0, 1u32..7, any::<bool>()),
+                1..60,
+            ),
+        ) {
+            let mut c = Cluster::new(ClusterSpec::icpp_default());
+            let mut live: Vec<(ResourceVector, Vec<Placement>)> = Vec::new();
+            for (class, cpu, mem, gpu, units, release) in ops {
+                let class = NodeClassId(class % c.num_classes());
+                let per_unit = ResourceVector::of(cpu, mem, gpu.floor(), 0.25);
+                let prunes = floor_prunes(&c, class, &per_unit);
+                PRUNED.fetch_add(usize::from(prunes), Ordering::Relaxed);
+                c.set_indexed_placement(true);
+                let indexed = c.find_placement(class, &per_unit, units);
+                c.set_indexed_placement(false);
+                let walk = c.find_placement(class, &per_unit, units);
+                prop_assert_eq!(&indexed, &walk, "placement paths diverged");
+                let fresh_sum = c
+                    .nodes_of_class(class)
+                    .map(|n| n.units_that_fit(&per_unit))
+                    .filter(|&u| u != u32::MAX)
+                    .fold(0u32, |a, u| a.saturating_add(u));
+                prop_assert_eq!(c.units_available(class, &per_unit), fresh_sum);
+                prop_assert_eq!(
+                    c.max_placeable_units(class, &per_unit, units),
+                    fresh_sum.min(units)
+                );
+                if let Some(p) = indexed {
+                    c.apply_placement(&per_unit, &p);
+                    live.push((per_unit, p));
+                }
+                if release && !live.is_empty() {
+                    let (d, p) = live.remove(live.len() / 2);
+                    c.release_placement(&d, &p);
+                }
+                c.check_invariants().expect("invariants hold under churn");
             }
-            if release && !live.is_empty() {
-                let (d, p) = live.remove(live.len() / 2);
-                c.release_placement(&d, &p);
-            }
-            c.check_invariants().expect("invariants hold under churn");
         }
     }
+    cluster_paths_agree_under_random_churn();
+    assert!(
+        PRUNED.load(Ordering::Relaxed) > 0,
+        "no query skipped a node below a non-zero rank floor"
+    );
 }
 
 #[test]

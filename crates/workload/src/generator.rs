@@ -1,36 +1,10 @@
-//! The historical batch entry point, kept as a thin shim over
-//! [`SyntheticSource`].
-//!
-//! New code should build a [`SyntheticSource`] (or go through the
-//! [`crate::scenario`] grammar) and stream jobs instead of materialising
-//! them: the source is resettable, composes with transformers, and feeds
-//! `Simulator::run_source` without an upfront `Vec`. The shim is pinned
-//! byte-identical to the streamed output by a test below.
+//! Distributional tests of the synthetic job generator,
+//! [`crate::SyntheticSource`]: counts and ids, arrival order, seeding,
+//! deadline feasibility, load and burstiness, class mix and elasticity.
 
 use crate::source::SyntheticSource;
 use crate::spec::WorkloadSpec;
 use tcrm_sim::{ClusterSpec, Job};
-
-/// Generate `spec.num_jobs` jobs for the given cluster, deterministically
-/// from the seed. Jobs are returned sorted by arrival time with dense ids.
-///
-/// The arrival rate is derived from the offered load: the cluster's
-/// aggregate work capacity times `spec.load`, divided by the mean work per
-/// job.
-///
-/// # Panics
-///
-/// Panics when the spec does not validate — the historical contract. Use
-/// [`SyntheticSource::new`] to get a `Result` instead.
-#[deprecated(
-    note = "use SyntheticSource::new(spec, cluster, seed) — the streaming, resettable \
-            WorkloadSource form of this generator (returns Result instead of panicking)"
-)]
-pub fn generate(spec: &WorkloadSpec, cluster: &ClusterSpec, seed: u64) -> Vec<Job> {
-    SyntheticSource::new(spec, cluster, seed)
-        .expect("invalid workload spec")
-        .collect()
-}
 
 #[cfg(test)]
 mod tests {
@@ -46,37 +20,6 @@ mod tests {
         SyntheticSource::new(spec, cluster, seed)
             .expect("valid spec")
             .collect()
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn shim_is_byte_identical_to_the_streaming_source() {
-        for seed in [0, 1, 7, 99] {
-            let spec = WorkloadSpec::icpp_default().with_num_jobs(150);
-            assert_eq!(
-                generate(&spec, &cluster(), seed),
-                jobs(&spec, &cluster(), seed)
-            );
-            let bursty = spec.with_arrivals(ArrivalProcess::Bursty {
-                burst_factor: 5.0,
-                burst_period: 40.0,
-            });
-            assert_eq!(
-                generate(&bursty, &cluster(), seed),
-                jobs(&bursty, &cluster(), seed)
-            );
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "invalid workload spec")]
-    fn shim_keeps_the_historical_panic_contract() {
-        let _ = generate(
-            &WorkloadSpec::icpp_default().with_num_jobs(0),
-            &cluster(),
-            1,
-        );
     }
 
     #[test]

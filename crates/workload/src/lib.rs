@@ -42,12 +42,14 @@
 //! assert_eq!(bursty.by_ref().count(), 20);
 //! ```
 //!
-//! Load sweeps and trace serialisation live in [`sweep`] and [`trace`]; the
-//! deprecated batch [`generate`] survives as a shim over [`SyntheticSource`].
+//! Load sweeps and trace serialisation live in [`sweep`] and [`trace`]. A
+//! batch of jobs is a collected source:
+//! `SyntheticSource::new(&spec, &cluster, seed)?.collect::<Vec<_>>()`.
 
 pub mod distributions;
 pub mod error;
-pub mod generator;
+#[cfg(test)]
+mod generator;
 pub mod scenario;
 pub mod source;
 pub mod spec;
@@ -56,8 +58,6 @@ pub mod trace;
 
 pub use distributions::{BoundedPareto, Exponential, LogNormal, WeightedChoice};
 pub use error::WorkloadError;
-#[allow(deprecated)]
-pub use generator::generate;
 pub use scenario::{
     ScenarioContext, ScenarioFactory, ScenarioRegistry, ScenarioSpec, SourceSpec, TransformSpec,
     DEFAULT_BURST_PERIOD,

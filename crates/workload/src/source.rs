@@ -8,9 +8,8 @@
 //! source instance can serve replication after replication without being
 //! rebuilt. The bundled families are
 //!
-//! * [`SyntheticSource`] — the incremental form of the classic generator: the
-//!   same draws in the same order as [`crate::generate`], emitted one job at
-//!   a time instead of materialised upfront;
+//! * [`SyntheticSource`] — the synthetic generator, emitting one job at a
+//!   time instead of materialising the trace upfront;
 //! * [`ReplaySource`] — a recorded [`crate::Trace`] re-emitted verbatim or
 //!   time-scaled (reproducible comparisons on a fixed event sequence);
 //! * [`FnSource`] — a custom stream built from a `seed -> iterator` closure.
@@ -86,10 +85,8 @@ pub fn partition_lane(seed: u64, position: u64, lanes: usize) -> usize {
 // ---------------------------------------------------------------------------
 
 /// The incremental synthetic generator: draws one job per [`Iterator::next`]
-/// call using exactly the sampling sequence of the historical batch
-/// [`crate::generate`], so `SyntheticSource::new(spec, cluster, seed)`
-/// streamed to completion is byte-identical to `generate(spec, cluster,
-/// seed)` (pinned by a test in [`crate::generator`]).
+/// call, so a trace never has to be materialised; collect it when a batch
+/// is wanted.
 #[derive(Debug, Clone)]
 pub struct SyntheticSource {
     spec: WorkloadSpec,
