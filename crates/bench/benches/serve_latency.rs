@@ -9,17 +9,19 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use tcrm_baselines::EdfScheduler;
 use tcrm_serve::{ClockMode, LatencyHistogram, ServeConfig, ServeSession, ShedPolicy};
-use tcrm_sim::{ClusterSpec, Job, SimConfig};
-use tcrm_workload::{ScenarioRegistry, WorkloadSpec};
+use tcrm_sim::{ClusterSpec, SimConfig};
+use tcrm_workload::{ReplaySource, ScenarioRegistry, WorkloadSpec};
 
-fn scenario_jobs(spec_str: &str, n: usize) -> Vec<Job> {
+fn scenario_replay(spec_str: &str, n: usize) -> ReplaySource {
     let registry = ScenarioRegistry::new();
     let base = WorkloadSpec::icpp_default().with_num_jobs(n);
     let cluster = ClusterSpec::icpp_default();
-    registry
-        .build_str(spec_str, &base, &cluster, 7)
-        .expect("valid scenario")
-        .collect()
+    ReplaySource::from_jobs(
+        registry
+            .build_str(spec_str, &base, &cluster, 7)
+            .expect("valid scenario")
+            .collect(),
+    )
 }
 
 fn bench_serve(c: &mut Criterion) {
@@ -32,8 +34,8 @@ fn bench_serve(c: &mut Criterion) {
         ("nominal", "poisson", usize::MAX / 2),
         ("overload2x", "poisson+overload(2x,60s)", 16),
     ] {
-        let jobs = scenario_jobs(scenario, 150);
-        group.bench_with_input(BenchmarkId::new("run", name), &jobs, |b, jobs| {
+        let replay = scenario_replay(scenario, 150);
+        group.bench_with_input(BenchmarkId::new("run", name), &replay, |b, replay| {
             let config = ServeConfig {
                 producers: 4,
                 channel_capacity: 64,
@@ -46,7 +48,7 @@ fn bench_serve(c: &mut Criterion) {
             b.iter(|| {
                 let mut session =
                     ServeSession::new(ClusterSpec::icpp_default(), SimConfig::default(), config);
-                let report = session.run(jobs.clone(), &mut EdfScheduler::new());
+                let report = session.run_source(|| replay.clone(), &mut EdfScheduler::new());
                 report.telemetry.decision_latency.count()
             })
         });

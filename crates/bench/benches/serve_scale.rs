@@ -1,19 +1,16 @@
-//! Criterion bench: the serving plane at scale — streaming vs materialized
-//! ingest on synthetic poisson arrivals under the virtual clock.
+//! Criterion bench: the serving plane at scale — streamed ingest of
+//! synthetic poisson arrivals under the virtual clock.
 //!
 //! Two layers:
 //!
-//! * Criterion rows (`serve_scale/ingest/...`) time full serving runs at the
-//!   100k-arrival tier in both ingest modes — these feed the committed
-//!   snapshot and the regression gate. Streaming must be at least as fast as
-//!   materialized: it does the same merge through recycled block buffers and
-//!   skips building (and partition-copying) the job vector.
-//! * A one-shot million-arrival report (full mode only): each tier runs once
+//! * A criterion row (`serve_scale/ingest/stream/...`) times full serving
+//!   runs at the 100k-arrival tier — it feeds the committed snapshot and the
+//!   regression gate.
+//! * A one-shot million-arrival report (full mode only): the tier runs once
 //!   under a peak-tracking allocator and prints wall time, jobs/s and peak
-//!   live bytes. The headline claim — streaming peak memory is >10x below
-//!   materialized at 1M arrivals at equal-or-better throughput — is printed
-//!   here and asserted by `crates/serve/tests/alloc_bounded_stream.rs` at
-//!   test scale.
+//!   live bytes. That the peak does not grow with the arrival count is
+//!   asserted by `crates/serve/tests/alloc_bounded_stream.rs` at test
+//!   scale.
 //!
 //! `TCRM_SIM_SCALE=smoke` shrinks the tier to 20k arrivals and skips the
 //! million-arrival report — the CI bench-smoke configuration.
@@ -92,18 +89,8 @@ fn run_streamed(n: usize) -> ServeReport {
     )
 }
 
-fn run_materialized(n: usize) -> ServeReport {
-    let cluster = ClusterSpec::icpp_default();
-    let spec = WorkloadSpec::icpp_default().with_num_jobs(n);
-    let jobs = SyntheticSource::new(&spec, &cluster, 7)
-        .expect("valid spec")
-        .collect();
-    let mut session = ServeSession::new(cluster, sim_config(), serve_config());
-    session.run(jobs, &mut EdfScheduler::new())
-}
-
 /// Run one tier once, printing wall time, jobs/s and peak live bytes.
-fn report_tier(label: &str, n: usize, run: impl FnOnce(usize) -> ServeReport) -> usize {
+fn report_tier(label: &str, n: usize, run: impl FnOnce(usize) -> ServeReport) {
     let live0 = LIVE_BYTES.load(Ordering::SeqCst);
     PEAK_BYTES.store(live0, Ordering::SeqCst);
     let started = Instant::now();
@@ -116,7 +103,6 @@ fn report_tier(label: &str, n: usize, run: impl FnOnce(usize) -> ServeReport) ->
         n as f64 / wall.max(1e-9),
         peak as f64 / (1024.0 * 1024.0),
     );
-    peak
 }
 
 fn bench_serve_scale(c: &mut Criterion) {
@@ -129,21 +115,12 @@ fn bench_serve_scale(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("ingest/stream", &label), |b| {
         b.iter(|| run_streamed(n).summary.completed_jobs)
     });
-    group.bench_function(BenchmarkId::new("ingest/materialized", &label), |b| {
-        b.iter(|| run_materialized(n).summary.completed_jobs)
-    });
     group.finish();
 
-    // The million-arrival tier: one run per ingest mode, reported (not
-    // criterion-sampled — a 1M run is seconds, and the peak-memory story is
-    // the point).
+    // The million-arrival tier: one run, reported (not criterion-sampled —
+    // a 1M run is seconds, and the peak-memory story is the point).
     if !smoke_only() {
-        let stream_peak = report_tier("stream", 1_000_000, run_streamed);
-        let materialized_peak = report_tier("materialized", 1_000_000, run_materialized);
-        eprintln!(
-            "serve_scale: materialized/stream peak ratio at 1M = {:.1}x",
-            materialized_peak as f64 / stream_peak.max(1) as f64
-        );
+        report_tier("stream", 1_000_000, run_streamed);
     }
 }
 

@@ -40,7 +40,7 @@ use tcrm_bench::experiments::{ExperimentOutput, Lab, ALL_EXPERIMENTS};
 use tcrm_bench::mproc::{self, MprocFlags, MprocOptions, SweepConfig};
 use tcrm_bench::{cli, EvalSession, PolicyRegistry, ResultRow, ResultTable};
 use tcrm_serve::{ClockMode, ServeConfig, ServeSession, ShedPolicy};
-use tcrm_sim::{ClusterSpec, Job, SimConfig};
+use tcrm_sim::{ClusterSpec, SimConfig};
 use tcrm_workload::{ScenarioRegistry, SyntheticSource, Trace, WorkloadSpec};
 
 fn usage() -> ! {
@@ -52,7 +52,7 @@ fn usage() -> ! {
          \x20               [--heartbeat-timeout <secs>]] [--checkpoint <path>] [--csv <path>]\n\
          \x20      expdriver serve [--policy <p>] [--scenario <spec>] [--seed <s>] [--jobs <n>] \\\n\
          \x20               [--producers <n>] [--queue-cap <n>] [--shed <p1,p2,..|all>] \\\n\
-         \x20               [--stream [--chunk <n>]] [--mode virtual|wall] \\\n\
+         \x20               [--chunk <n>] [--mode virtual|wall] \\\n\
          \x20               [--event-log <path>] [--report <path>] [--csv <path>]\n\
          \x20      expdriver record-trace --out <path> [--jobs <n>] [--load <f>] [--seed <s>]\n\
          \x20      expdriver merge-checkpoints --out <path> [--csv <path>] <in.json> ...\n\
@@ -297,8 +297,7 @@ fn run_serve(args: &[String]) {
     let mut queue_cap = 32usize;
     let mut sheds = vec![ShedPolicy::RejectNewest];
     let mut mode = ClockMode::Virtual;
-    let mut stream = false;
-    let mut chunk: Option<usize> = None;
+    let mut chunk = tcrm_serve::DEFAULT_CHUNK;
     let mut event_log: Option<PathBuf> = None;
     let mut report_path: Option<PathBuf> = None;
     let mut csv: Option<PathBuf> = None;
@@ -350,18 +349,13 @@ fn run_serve(args: &[String]) {
                     other => fail(format!("--mode must be 'virtual' or 'wall', got '{other}'")),
                 };
             }
-            "--stream" => stream = true,
-            "--chunk" => {
-                chunk = Some(cli::parse_chunk(&value("--chunk")).unwrap_or_else(|e| fail(e)))
-            }
+            "--chunk" => chunk = cli::parse_chunk(&value("--chunk")).unwrap_or_else(|e| fail(e)),
             "--event-log" => event_log = Some(PathBuf::from(value("--event-log"))),
             "--report" => report_path = Some(PathBuf::from(value("--report"))),
             "--csv" => csv = Some(PathBuf::from(value("--csv"))),
             other => fail(format!("unknown serve argument '{other}'")),
         }
     }
-    let chunk = cli::resolve_serve_ingest(stream, chunk).unwrap_or_else(|e| fail(e));
-
     let scenario_registry = ScenarioRegistry::new();
     let base = WorkloadSpec::icpp_default().with_num_jobs(jobs);
     let cluster = ClusterSpec::icpp_default();
@@ -369,12 +363,6 @@ fn run_serve(args: &[String]) {
         scenario_registry
             .build_str(&scenario, &base, &cluster, seed)
             .unwrap_or_else(|e| fail(e))
-    };
-    // Streaming never materializes the workload — that is its whole point.
-    let job_list: Vec<Job> = if stream {
-        Vec::new()
-    } else {
-        make_source().collect()
     };
     let registry = PolicyRegistry::with_baselines();
 
@@ -421,11 +409,7 @@ fn run_serve(args: &[String]) {
                 );
             }
         });
-        let run = if stream {
-            session.run_source(make_source, scheduler.as_mut())
-        } else {
-            session.run(job_list.clone(), scheduler.as_mut())
-        };
+        let run = session.run_source(make_source, scheduler.as_mut());
         let t = &run.telemetry;
         eprintln!(
             "serve: {policy}@{shed} p50={:.6}s p99={:.6}s p999={:.6}s max_depth={} shed_rate={:.4}{}",

@@ -48,20 +48,6 @@ pub fn parse_chunk(text: &str) -> Result<usize, String> {
     }
 }
 
-/// Resolve the `serve` ingest flags. `--chunk` sizes the blocks of the
-/// streaming path, so it requires `--stream`; the resolved value falls back
-/// to the streaming default when the flag is absent.
-pub fn resolve_serve_ingest(stream: bool, chunk: Option<usize>) -> Result<usize, String> {
-    match (stream, chunk) {
-        (false, Some(_)) => Err(
-            "--chunk sizes streamed arrival blocks, so it requires --stream \
-             (the materialized path sends jobs one at a time)"
-                .into(),
-        ),
-        (_, chunk) => Ok(chunk.unwrap_or(tcrm_serve::DEFAULT_CHUNK)),
-    }
-}
-
 /// Parse a `--workers <n>` value: a positive worker count.
 pub fn parse_workers(text: &str) -> Result<usize, String> {
     match text.trim().parse::<usize>() {
@@ -147,21 +133,6 @@ mod tests {
         assert!(err.contains("at least 1"), "unhelpful error: {err}");
         assert!(parse_chunk("big").is_err());
         assert!(parse_chunk("-4").is_err());
-    }
-
-    #[test]
-    fn serve_ingest_gates_chunk_behind_stream() {
-        assert_eq!(
-            resolve_serve_ingest(true, None),
-            Ok(tcrm_serve::DEFAULT_CHUNK)
-        );
-        assert_eq!(resolve_serve_ingest(true, Some(7)), Ok(7));
-        assert_eq!(
-            resolve_serve_ingest(false, None),
-            Ok(tcrm_serve::DEFAULT_CHUNK)
-        );
-        let err = resolve_serve_ingest(false, Some(7)).unwrap_err();
-        assert!(err.contains("--stream"), "error must name the fix: {err}");
     }
 
     #[test]

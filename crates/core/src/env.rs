@@ -297,7 +297,7 @@ impl Environment for SchedulingEnv {
             let sim = self.sim.as_mut().expect("no active episode");
             sim.view_into(&mut view);
             sim.compact_log(&view);
-            if sim.running_count() == 0 && view.future_arrivals == 0 && !view.pending.is_empty() {
+            if sim.is_stalled() {
                 let reward = self.collect_reward(&view);
                 self.write_terminal_into(observation, mask);
                 self.current_view = Some(view);

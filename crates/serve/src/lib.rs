@@ -9,18 +9,18 @@
 //! Three pieces:
 //!
 //! * **Deterministic virtual-time executor** ([`ServeSession`]): producer
-//!   threads feed bounded channels, a seeded multiplexer merges them into
-//!   one arrival stream, and the serving loop drives the engine's decision
-//!   epochs. In [`ClockMode::Virtual`] the whole run is a pure function of
+//!   threads stream a `WorkloadSource` through bounded channels of recycled
+//!   job blocks, a seeded multiplexer merges them into one arrival stream,
+//!   and the engine's own epoch loop (`Simulator::run_service`) drives the
+//!   decision epochs with the session's admission and telemetry hooks. In
+//!   [`ClockMode::Virtual`] the whole run is a pure function of
 //!   `(jobs, config, scheduler)` — a given `(seed, scenario, policy)` yields
 //!   a **byte-identical event log** and identical percentile reports every
 //!   run, on every machine. [`ClockMode::Wall`] adds host-clock measurement
-//!   of per-epoch compute without changing job-visible behaviour. The
-//!   streaming entry point ([`ServeSession::run_source`]) feeds the same
-//!   loop straight from a `WorkloadSource` through recycled job blocks —
-//!   byte-identical output to the materialized path with memory bounded by
-//!   `producers × chunk × channel_capacity + queue_cap`, which is what
-//!   makes million-arrival runs a benchmark row instead of an allocation.
+//!   of per-epoch compute without changing job-visible behaviour. Memory is
+//!   bounded by `producers × chunk × channel_capacity + queue_cap` jobs,
+//!   which is what makes million-arrival runs a benchmark row instead of an
+//!   allocation.
 //! * **Overload robustness**: a hard-bounded admission queue with pluggable
 //!   [`ShedPolicy`]s (reject-newest, reject-latest-deadline,
 //!   degrade-to-rigid) and per-class backpressure counters.
@@ -42,8 +42,6 @@ pub mod telemetry;
 
 pub use events::{ServeEvent, ShedPolicy};
 pub use hist::{LatencyHistogram, MIN_LATENCY, NUM_BUCKETS, SUBBUCKETS_PER_OCTAVE};
-pub use mux::{
-    partition_jobs, produce_blocks, ArrivalFeed, BlockChannel, BlockMux, JobMux, DEFAULT_CHUNK,
-};
+pub use mux::{produce_blocks, BlockChannel, BlockMux, DEFAULT_CHUNK};
 pub use session::{ClockMode, ServeConfig, ServeProgress, ServeReport, ServeSession};
 pub use telemetry::{ClassCounters, ServeTelemetry};

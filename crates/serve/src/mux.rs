@@ -5,16 +5,16 @@
 //! module reproduces that shape with `std` threads and bounded
 //! `sync_channel`s (backpressure included) while keeping the *merged order*
 //! a pure function of the workload: jobs are partitioned across producers by
-//! a seeded hash, each producer preserves its subsequence order, and the
-//! merge always takes the globally smallest `(arrival, id)` head — blocking
-//! on the owning channel when that head has not been sent yet. Thread
-//! scheduling therefore affects only timing, never output, which is what
-//! makes the virtual-time executor's event log byte-reproducible.
+//! a seeded position hash ([`tcrm_workload::Partition::pinned`]), each
+//! producer preserves its subsequence order, and the merge always takes the
+//! globally smallest `(arrival, id)` head — blocking on the owning channel
+//! when that head has not been sent yet. Thread scheduling therefore affects
+//! only timing, never output, which is what makes the virtual-time
+//! executor's event log byte-reproducible.
 
 use std::sync::mpsc::{Receiver, SyncSender};
 
 use tcrm_sim::Job;
-use tcrm_workload::partition_lane;
 
 /// Number of jobs per block on the chunked streaming ingest path. Blocks
 /// amortise channel synchronisation: one send/recv rendezvous per
@@ -25,120 +25,6 @@ pub const DEFAULT_CHUNK: usize = 64;
 /// data receiver plus the recycle sender that hands spent buffers back to
 /// the producer.
 pub type BlockChannel = (Receiver<Vec<Job>>, SyncSender<Vec<Job>>);
-
-/// Deterministically split `jobs` (already sorted by `(arrival, id)`) into
-/// `producers` subsequences. Each job lands on the producer chosen by a
-/// seeded hash of its position ([`tcrm_workload::partition_lane`] — the
-/// same hash the streaming path's
-/// [`tcrm_workload::Partition`] filter applies lane-local), so the
-/// partition — like everything else in the virtual-time executor — is a
-/// function of `(jobs, producers, seed)`.
-pub fn partition_jobs(jobs: Vec<Job>, producers: usize, seed: u64) -> Vec<Vec<Job>> {
-    let producers = producers.max(1);
-    let mut parts: Vec<Vec<Job>> = (0..producers).map(|_| Vec::new()).collect();
-    for (position, job) in jobs.into_iter().enumerate() {
-        parts[partition_lane(seed, position as u64, producers)].push(job);
-    }
-    parts
-}
-
-/// The producer half: replay one partition into a bounded channel. Runs on a
-/// scoped thread; a closed receiver (aborted run) just ends the replay.
-pub fn produce(part: Vec<Job>, tx: SyncSender<Job>) {
-    for job in part {
-        if tx.send(job).is_err() {
-            break;
-        }
-    }
-}
-
-/// The consumer half: a K-way merge over producer channels that always
-/// yields the globally smallest `(arrival, id)` head.
-pub struct JobMux {
-    receivers: Vec<Receiver<Job>>,
-    /// Current head of each channel; `None` once that producer disconnected.
-    heads: Vec<Option<Job>>,
-    /// Producer index each pending head came from (event attribution).
-    produced: usize,
-}
-
-impl JobMux {
-    /// Build the merge state, blocking for every producer's first job.
-    pub fn new(receivers: Vec<Receiver<Job>>) -> Self {
-        let heads = receivers.iter().map(|rx| rx.recv().ok()).collect();
-        Self {
-            receivers,
-            heads,
-            produced: 0,
-        }
-    }
-
-    /// Jobs yielded so far.
-    pub fn produced(&self) -> usize {
-        self.produced
-    }
-
-    /// Drain every remaining job (an aborted run counts leftovers toward the
-    /// total, mirroring the batch drivers' accounting) and return how many
-    /// there were. Consumes the mux; producers finish and disconnect.
-    pub fn drain(self) -> usize {
-        let mut leftover = self.heads.iter().flatten().count();
-        for rx in &self.receivers {
-            leftover += rx.iter().count();
-        }
-        leftover
-    }
-}
-
-impl Iterator for JobMux {
-    type Item = (Job, usize);
-
-    /// Pop the next job in global `(arrival, id)` order together with the
-    /// index of the producer that carried it. Blocks until the owning
-    /// producer has sent it; `None` once every channel has drained.
-    fn next(&mut self) -> Option<(Job, usize)> {
-        let lane = self
-            .heads
-            .iter()
-            .enumerate()
-            .filter_map(|(i, head)| head.as_ref().map(|job| (i, job)))
-            .min_by(|(_, a), (_, b)| {
-                a.arrival
-                    .partial_cmp(&b.arrival)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.id.cmp(&b.id))
-            })
-            .map(|(i, _)| i)?;
-        let job = self.heads[lane].take().expect("selected head exists");
-        self.heads[lane] = self.receivers[lane].recv().ok();
-        self.produced += 1;
-        Some((job, lane))
-    }
-}
-
-/// A merged arrival stream the serving loop can drive: `(job, producer)`
-/// pairs in global `(arrival, id)` order plus end-of-run draining. Both the
-/// per-job [`JobMux`] (materialized path) and the chunked [`BlockMux`]
-/// (streaming path) implement it, which is what lets one epoch loop serve
-/// both entry points byte-identically.
-pub trait ArrivalFeed: Iterator<Item = (Job, usize)> {
-    /// Jobs yielded so far.
-    fn produced(&self) -> usize;
-
-    /// Drain every remaining job (an aborted run counts leftovers toward
-    /// the total) and return how many there were.
-    fn drain(self) -> usize;
-}
-
-impl ArrivalFeed for JobMux {
-    fn produced(&self) -> usize {
-        self.produced()
-    }
-
-    fn drain(self) -> usize {
-        self.drain()
-    }
-}
 
 /// The streaming producer half: pull jobs straight from a source iterator
 /// (typically a [`tcrm_workload::Partition`]-filtered rebuild of the
@@ -224,13 +110,10 @@ impl BlockLane {
     }
 }
 
-/// The chunked consumer half: a K-way merge over block channels that always
-/// yields the globally smallest `(arrival, id)` head — the block-iterator
-/// sibling of [`JobMux`], producing the exact same merged order for the
-/// same partitioned stream.
+/// The consumer half: a K-way merge over block channels that always yields
+/// the globally smallest `(arrival, id)` head.
 pub struct BlockMux {
     lanes: Vec<BlockLane>,
-    produced: usize,
 }
 
 impl BlockMux {
@@ -250,7 +133,26 @@ impl BlockMux {
         for lane in &mut lanes {
             lane.refill();
         }
-        Self { lanes, produced: 0 }
+        Self { lanes }
+    }
+
+    /// Drain every remaining job (an aborted run counts leftovers toward
+    /// the total) and return how many there were. Blocks until every
+    /// producer has finished; the merge yields nothing afterwards.
+    pub fn drain(&mut self) -> usize {
+        let mut leftover = 0;
+        for lane in &mut self.lanes {
+            leftover += lane.block.len().saturating_sub(lane.cursor);
+            lane.cursor = lane.block.len();
+            for block in lane.rx.iter() {
+                leftover += block.len();
+                // Keep buffers circulating so a budget-exhausted producer
+                // is never left waiting on a recycle that will not come.
+                let _ = lane.recycle.try_send(block);
+            }
+            lane.done = true;
+        }
+        leftover
     }
 }
 
@@ -280,28 +182,7 @@ impl Iterator for BlockMux {
         let job = lane.block[lane.cursor].clone();
         lane.cursor += 1;
         lane.refill();
-        self.produced += 1;
         Some((job, lane_index))
-    }
-}
-
-impl ArrivalFeed for BlockMux {
-    fn produced(&self) -> usize {
-        self.produced
-    }
-
-    fn drain(self) -> usize {
-        let mut leftover = 0;
-        for lane in self.lanes {
-            leftover += lane.block.len().saturating_sub(lane.cursor);
-            for block in lane.rx.iter() {
-                leftover += block.len();
-                // Keep buffers circulating so a budget-exhausted producer
-                // is never left waiting on a recycle that will not come.
-                let _ = lane.recycle.try_send(block);
-            }
-        }
-        leftover
     }
 }
 
@@ -310,6 +191,7 @@ mod tests {
     use super::*;
     use std::sync::mpsc::sync_channel;
     use tcrm_sim::{Job, JobClass, JobId, ResourceVector};
+    use tcrm_workload::{Partition, ReplaySource};
 
     fn job(id: u64, arrival: f64) -> Job {
         Job::builder(JobId(id), JobClass::Batch)
@@ -321,77 +203,47 @@ mod tests {
             .build()
     }
 
-    #[test]
-    fn partition_is_deterministic_and_complete() {
-        let jobs: Vec<Job> = (0..100).map(|i| job(i, i as f64)).collect();
-        let a = partition_jobs(jobs.clone(), 4, 7);
-        let b = partition_jobs(jobs.clone(), 4, 7);
-        assert_eq!(a, b, "same seed, same partition");
-        assert_eq!(a.iter().map(Vec::len).sum::<usize>(), jobs.len());
-        let c = partition_jobs(jobs, 4, 8);
-        assert_ne!(a, c, "different seed, different partition");
+    /// Run `check` against a mux over `lanes` producer threads, each
+    /// streaming its `Partition::pinned` lane of `jobs` in `chunk`-job
+    /// blocks — the serving session's pipeline shape.
+    fn with_mux(jobs: &[Job], lanes: usize, seed: u64, chunk: usize, check: impl FnOnce(BlockMux)) {
+        let replay = ReplaySource::from_jobs(jobs.to_vec());
+        std::thread::scope(|s| {
+            let mut channels = Vec::new();
+            for slot in 0..lanes {
+                let (tx, rx) = sync_channel(2);
+                let (recycle_tx, recycle_rx) = sync_channel(8);
+                let part = Partition::pinned(replay.clone(), slot, lanes, seed);
+                s.spawn(move || produce_blocks(part, chunk, tx, recycle_rx, 4));
+                channels.push((rx, recycle_tx));
+            }
+            check(BlockMux::new(channels));
+        });
     }
 
     #[test]
     fn merge_restores_global_arrival_order_regardless_of_lanes() {
-        let jobs: Vec<Job> = (0..200).map(|i| job(i, (i / 3) as f64)).collect();
-        let parts = partition_jobs(jobs.clone(), 5, 42);
-        std::thread::scope(|s| {
-            let mut rxs = Vec::new();
-            for part in parts {
-                let (tx, rx) = sync_channel(4);
-                s.spawn(move || produce(part, tx));
-                rxs.push(rx);
-            }
-            let mut mux = JobMux::new(rxs);
-            let mut merged = Vec::new();
-            for (job, lane) in mux.by_ref() {
-                assert!(lane < 5);
-                merged.push(job);
-            }
-            assert_eq!(merged, jobs, "merge must restore (arrival, id) order");
-            assert_eq!(mux.produced(), 200);
-            assert_eq!(mux.drain(), 0);
-        });
-    }
-
-    #[test]
-    fn block_merge_matches_the_per_job_merge() {
         let jobs: Vec<Job> = (0..300).map(|i| job(i, (i / 4) as f64)).collect();
-        let parts = partition_jobs(jobs.clone(), 4, 9);
-        std::thread::scope(|s| {
-            let mut channels = Vec::new();
-            for part in parts {
-                let (tx, rx) = sync_channel(2);
-                let (recycle_tx, recycle_rx) = sync_channel(8);
-                s.spawn(move || produce_blocks(part.into_iter(), 7, tx, recycle_rx, 4));
-                channels.push((rx, recycle_tx));
-            }
-            let mut mux = BlockMux::new(channels);
-            let mut merged = Vec::new();
-            for (job, lane) in mux.by_ref() {
-                assert!(lane < 4);
-                merged.push(job);
-            }
-            assert_eq!(merged, jobs, "block merge must restore (arrival, id) order");
-            assert_eq!(mux.produced(), 300);
-            assert_eq!(mux.drain(), 0);
-        });
+        for (lanes, seed, chunk) in [(1, 0, 64), (4, 9, 7), (5, 42, 1)] {
+            with_mux(&jobs, lanes, seed, chunk, |mut mux| {
+                let mut merged = Vec::new();
+                for (job, lane) in mux.by_ref() {
+                    assert!(lane < lanes);
+                    merged.push(job);
+                }
+                assert_eq!(
+                    merged, jobs,
+                    "{lanes} lanes: merge must restore (arrival, id) order"
+                );
+                assert_eq!(mux.drain(), 0);
+            });
+        }
     }
 
     #[test]
     fn block_drain_counts_everything_not_yet_consumed() {
         let jobs: Vec<Job> = (0..100).map(|i| job(i, i as f64)).collect();
-        let parts = partition_jobs(jobs, 3, 1);
-        std::thread::scope(|s| {
-            let mut channels = Vec::new();
-            for part in parts {
-                let (tx, rx) = sync_channel(2);
-                let (recycle_tx, recycle_rx) = sync_channel(8);
-                s.spawn(move || produce_blocks(part.into_iter(), 8, tx, recycle_rx, 4));
-                channels.push((rx, recycle_tx));
-            }
-            let mut mux = BlockMux::new(channels);
+        with_mux(&jobs, 3, 1, 8, |mut mux| {
             for _ in 0..40 {
                 mux.next().unwrap();
             }
@@ -400,25 +252,7 @@ mod tests {
                 60,
                 "cursors + queued blocks + unsent all count"
             );
-        });
-    }
-
-    #[test]
-    fn drain_counts_everything_not_yet_consumed() {
-        let jobs: Vec<Job> = (0..50).map(|i| job(i, i as f64)).collect();
-        let parts = partition_jobs(jobs, 3, 1);
-        std::thread::scope(|s| {
-            let mut rxs = Vec::new();
-            for part in parts {
-                let (tx, rx) = sync_channel(4);
-                s.spawn(move || produce(part, tx));
-                rxs.push(rx);
-            }
-            let mut mux = JobMux::new(rxs);
-            for _ in 0..20 {
-                mux.next().unwrap();
-            }
-            assert_eq!(mux.drain(), 30, "heads + queued + unsent all count");
+            assert!(mux.next().is_none(), "a drained mux yields nothing");
         });
     }
 }

@@ -1,30 +1,23 @@
 //! The serving session: producers feed a deterministic multiplexer, the
-//! serving loop drives the engine epoch by epoch, admission control sheds
-//! under overload, and every observable step streams to subscribers and into
-//! a byte-reproducible event log.
+//! engine's epoch loop drives the run with the session's hooks plugged in —
+//! admission control sheds under overload, and every observable step streams
+//! to subscribers and into a byte-reproducible event log.
 //!
-//! The loop's ordering deliberately mirrors the engine's own streaming
-//! driver (`Simulator::run_source`): advance one epoch, keep exactly one
-//! future arrival buffered, run the decision rounds, compact the view log,
-//! apply the deadlock guard. With admission disabled (a cap the workload
-//! never reaches) a serving run therefore reports the **identical**
-//! [`Summary`] as the batch drivers over the same jobs — the parity pin the
-//! integration tests assert.
+//! The session does not drive epochs itself: [`ServeSession::run_source`]
+//! hands the engine ([`Simulator::run_service`]) an [`EpochHooks`] value
+//! whose ingress is the merged producer stream, whose `on_epoch` runs
+//! admission control, whose `on_action` records starts and scales, and whose
+//! `after_epoch` samples telemetry. Advance, arrival buffering, decision
+//! rounds, log compaction and the deadlock guard are the engine's, so with
+//! admission disabled (a cap the workload never reaches) a serving run
+//! reports the **identical** [`Summary`] as `Simulator::run` over the same
+//! jobs — the parity pin the integration tests assert.
 //!
-//! # Two entry points, one merged stream
+//! # Memory model
 //!
-//! [`ServeSession::run`] takes a materialized `Vec<Job>` and replays it
-//! through per-job channels; [`ServeSession::run_source`] streams straight
-//! from a [`WorkloadSource`] factory with no intermediate job vector. Both
-//! partition arrivals across producers by the same seeded position hash
-//! ([`tcrm_workload::partition_lane`]) and merge them back in `(arrival,
-//! id)` order, so for the same `(seed, workload, policy, producers)` the
-//! two paths produce **byte-identical** event logs and reports — the
-//! streaming path just never holds more than a few blocks of jobs alive.
-//!
-//! # Memory model of the streaming path
-//!
-//! Peak job-holding state of [`ServeSession::run_source`] is bounded by the
+//! Producers rebuild the workload source and keep only their own slots of a
+//! seeded position hash ([`tcrm_workload::partition_lane`]); the merge
+//! restores `(arrival, id)` order. Peak job-holding state is bounded by the
 //! pipeline, not the workload:
 //! `producers × chunk × (channel_capacity + warm-up blocks) + queue_cap`
 //! jobs plus the engine's running set — independent of how many arrivals
@@ -33,7 +26,10 @@
 //! per-job metrics into fixed-size aggregates) and `log_events: false` to
 //! keep a million-arrival run's footprint flat; block buffers are recycled
 //! through a back-channel, so the steady-state ingest loop allocates
-//! nothing after warm-up.
+//! nothing after warm-up. A job vector is served by replaying it:
+//! `session.run_source(|| replay.clone(), ..)` over a
+//! [`tcrm_workload::ReplaySource`], which shares its jobs rather than
+//! copying them per producer.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -41,13 +37,13 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::Instant;
 
 use tcrm_sim::{
-    Action, ActionOutcome, ClusterSpec, EpochKind, Job, JobClass, Scheduler, SimConfig, Simulator,
-    Summary,
+    Action, ActionOutcome, ClusterSpec, ClusterView, EpochHooks, EpochKind, Job, JobClass, JobId,
+    Scheduler, SimConfig, Simulator, Summary,
 };
 use tcrm_workload::{Partition, WorkloadSource};
 
 use crate::events::{ServeEvent, ShedPolicy};
-use crate::mux::{partition_jobs, produce, produce_blocks, ArrivalFeed, BlockMux, JobMux};
+use crate::mux::{produce_blocks, BlockMux};
 use crate::telemetry::ServeTelemetry;
 
 /// How the executor experiences time.
@@ -59,9 +55,10 @@ pub enum ClockMode {
     #[default]
     Virtual,
     /// Virtual event time plus real measurement: each decision epoch's
-    /// compute time is measured with the host monotonic clock and recorded
-    /// in [`ServeTelemetry::epoch_compute`]. Job-visible behaviour (event
-    /// log, summary) is identical to [`ClockMode::Virtual`].
+    /// compute time (its decision rounds, not the ingress wait or admission
+    /// control) is measured with the host monotonic clock and recorded in
+    /// [`ServeTelemetry::epoch_compute`]. Job-visible behaviour (event log,
+    /// summary) is identical to [`ClockMode::Virtual`].
     Wall,
 }
 
@@ -70,12 +67,12 @@ pub enum ClockMode {
 pub struct ServeConfig {
     /// Number of producer threads feeding the session.
     pub producers: usize,
-    /// Bounded capacity of each producer's channel (backpressure): job
-    /// slots on the materialized path, block slots on the streaming path.
+    /// Bounded capacity of each producer's channel, in blocks of `chunk`
+    /// jobs (backpressure).
     pub channel_capacity: usize,
-    /// Jobs per block on the streaming path
-    /// ([`crate::mux::DEFAULT_CHUNK`] by default) — one channel rendezvous
-    /// per `chunk` jobs. Ignored by the materialized path.
+    /// Jobs per block ([`crate::mux::DEFAULT_CHUNK`] by default) — one
+    /// channel rendezvous per `chunk` jobs. A transport knob only: it never
+    /// changes what the engine observes.
     pub chunk: usize,
     /// Hard cap on the admission (pending) queue depth.
     pub queue_cap: usize,
@@ -134,9 +131,7 @@ pub struct ServeProgress {
     pub completed: u64,
 }
 
-/// Per-job bookkeeping the serving loop keeps outside the engine. Entries
-/// are pruned at completion/shed, so the map holds only live jobs — O(queue
-/// + running), not O(jobs).
+/// Per-job bookkeeping the session keeps outside the engine.
 #[derive(Debug, Clone, Copy)]
 struct JobMeta {
     class: JobClass,
@@ -171,9 +166,9 @@ const PROGRESS_STRIDE: u64 = 1024;
 
 /// A reusable serving facade over one simulator.
 ///
-/// The recommended entry point streams arrivals straight from a workload
-/// source — no materialized job vector, so memory stays bounded by the
-/// queue and channel capacities however many arrivals the run serves:
+/// [`Self::run_source`] streams arrivals straight from a workload source —
+/// no materialized job vector, so memory stays bounded by the queue and
+/// channel capacities however many arrivals the run serves:
 ///
 /// ```
 /// use tcrm_serve::{ServeConfig, ServeSession};
@@ -202,6 +197,8 @@ const PROGRESS_STRIDE: u64 = 1024;
 /// ```
 pub struct ServeSession {
     sim: Simulator,
+    /// The scheduler-facing snapshot, refilled in place run after run.
+    view: ClusterView,
     config: ServeConfig,
     subscribers: Vec<Sender<ServeEvent>>,
     progress: Option<Box<dyn FnMut(ServeProgress)>>,
@@ -210,8 +207,10 @@ pub struct ServeSession {
 impl ServeSession {
     /// Build a session over a fresh simulator.
     pub fn new(spec: ClusterSpec, sim_config: SimConfig, config: ServeConfig) -> Self {
+        let sim = Simulator::new(spec, sim_config);
         Self {
-            sim: Simulator::new(spec, sim_config),
+            view: sim.view(),
+            sim,
             config,
             subscribers: Vec::new(),
             progress: None,
@@ -238,77 +237,31 @@ impl ServeSession {
         self.progress = Some(Box::new(hook));
     }
 
-    /// Serve one **materialized** workload under `scheduler` and return the
-    /// report. The session (simulator and subscribers) is reusable
-    /// afterwards. Prefer [`Self::run_source`] for anything large: this
-    /// path holds every job alive up front.
-    pub fn run<S: Scheduler + ?Sized>(
-        &mut self,
-        mut jobs: Vec<Job>,
-        scheduler: &mut S,
-    ) -> ServeReport {
-        jobs.sort_by(|a, b| {
-            a.arrival
-                .partial_cmp(&b.arrival)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.id.cmp(&b.id))
-        });
-        let expected = jobs.len();
-        let parts = partition_jobs(jobs, self.config.producers, self.config.seed);
-        let config = self.config;
-        let sim = &mut self.sim;
-        let subscribers = &mut self.subscribers;
-        let progress = &mut self.progress;
-        let channel_capacity = config.channel_capacity.max(1);
-
-        let (leftover, telemetry, sink) = std::thread::scope(|scope| {
-            let mut receivers = Vec::with_capacity(parts.len());
-            for part in parts {
-                let (tx, rx) = mpsc::sync_channel(channel_capacity);
-                scope.spawn(move || produce(part, tx));
-                receivers.push(rx);
-            }
-            let mux = JobMux::new(receivers);
-            drive(
-                sim,
-                scheduler,
-                mux,
-                expected,
-                &config,
-                subscribers,
-                progress,
-            )
-        });
-        finish(sim, leftover, telemetry, sink)
-    }
-
     /// Serve one workload **streamed** from `make_source` under `scheduler`
-    /// — the O(queue) entry point: no intermediate `Vec<Job>` ever exists.
+    /// and return the report — no intermediate `Vec<Job>` ever exists. The
+    /// session (simulator, view and subscribers) is reusable afterwards.
     ///
     /// Each producer thread rebuilds the source via `make_source()` and
     /// keeps only its own slots of the seeded position hash
-    /// ([`tcrm_workload::Partition::pinned`] over
-    /// [`ServeConfig::seed`]), then ships jobs in
-    /// [`ServeConfig::chunk`]-sized recycled blocks. The merged stream the
-    /// engine observes is byte-identical to [`Self::run`] over the
-    /// collected source — for the same `(seed, workload, policy)` the two
-    /// paths produce the same event log, summary and telemetry, for any
-    /// producer count.
+    /// ([`tcrm_workload::Partition::pinned`] over [`ServeConfig::seed`]),
+    /// then ships jobs in [`ServeConfig::chunk`]-sized recycled blocks. For
+    /// the same `(seed, workload, policy)` the event log, summary and
+    /// telemetry are the same for any producer count, channel capacity and
+    /// chunk size.
     ///
     /// The source must yield jobs in `(arrival, id)` order with
     /// deterministic replay across rebuilds (every
-    /// [`tcrm_workload::ScenarioRegistry`]-built source does); sources with
-    /// an exact size hint avoid an extra counting pass for the arrival
-    /// hint.
+    /// [`tcrm_workload::ScenarioRegistry`]-built source and every
+    /// [`tcrm_workload::ReplaySource`] does); sources with an exact size
+    /// hint avoid an extra counting pass for the arrival hint.
     pub fn run_source<Src, F, S>(&mut self, make_source: F, scheduler: &mut S) -> ServeReport
     where
         Src: WorkloadSource,
         F: Fn() -> Src,
         S: Scheduler + ?Sized,
     {
-        // The engine's arrival hint must match the materialized path's job
-        // count exactly (it feeds `future_arrivals` in scheduler views, so
-        // it is part of the byte-identity contract). Sources with an exact
+        // The engine's arrival hint feeds `future_arrivals` in scheduler
+        // views, so it must be the exact job count. Sources with an exact
         // size hint answer for free; anything else costs one counting pass
         // over a throwaway rebuild — still O(1) memory.
         let mut probe = make_source();
@@ -319,9 +272,13 @@ impl ServeSession {
         drop(probe);
 
         let config = self.config;
-        let sim = &mut self.sim;
-        let subscribers = &mut self.subscribers;
-        let progress = &mut self.progress;
+        let Self {
+            sim,
+            view,
+            subscribers,
+            progress,
+            ..
+        } = self;
         let producers = config.producers.max(1);
         let chunk = config.chunk.max(1);
         let channel_capacity = config.channel_capacity.max(1);
@@ -331,7 +288,7 @@ impl ServeSession {
         // never blocks the consumer.
         let budget = channel_capacity + 2;
 
-        let (leftover, telemetry, sink) = std::thread::scope(|scope| {
+        let (summary, telemetry, mut sink) = std::thread::scope(|scope| {
             let mut channels = Vec::with_capacity(producers);
             for slot in 0..producers {
                 let (tx, rx) = mpsc::sync_channel(channel_capacity);
@@ -340,87 +297,96 @@ impl ServeSession {
                 scope.spawn(move || produce_blocks(source, chunk, tx, recycle_rx, budget));
                 channels.push((rx, recycle_tx));
             }
-            let mux = BlockMux::new(channels);
-            drive(
-                sim,
-                scheduler,
-                mux,
-                expected,
-                &config,
-                subscribers,
+            let mut hooks = ServeHooks {
+                feed: BlockMux::new(channels),
+                // Live jobs only (pruned at completion/shed), so the capacity
+                // hint is bounded: a million-arrival run does not warrant a
+                // million-slot map.
+                meta: HashMap::with_capacity(expected.min(4096)),
+                telemetry: ServeTelemetry::new(config.shed_policy, config.queue_cap),
+                sink: EventSink {
+                    text: String::new(),
+                    seq: 0,
+                    enabled: config.log_events,
+                    subscribers,
+                },
                 progress,
-            )
+                config,
+                now: 0.0,
+                compute_start: None,
+                submitted: 0,
+                completed: 0,
+                epochs: 0,
+            };
+            let summary = sim.run_service(&mut hooks, scheduler, view, expected);
+            (summary, hooks.telemetry, hooks.sink)
         });
-        finish(sim, leftover, telemetry, sink)
+        let aborted = sim.is_aborted();
+        sink.emit(
+            sim.time(),
+            ServeEvent::Finished {
+                total_jobs: summary.total_jobs,
+                aborted,
+            },
+        );
+        ServeReport {
+            summary,
+            telemetry,
+            event_log: sink.text,
+            aborted,
+        }
     }
 }
 
-/// The serving epoch loop, shared verbatim by both entry points — the feed
-/// is the only thing that differs, which is what pins the streaming path
-/// byte-identical to the materialized one. Returns the drained leftover
-/// count plus the run's telemetry and event sink.
-fn drive<'a, F, S>(
-    sim: &mut Simulator,
-    scheduler: &mut S,
-    mut feed: F,
-    expected: usize,
-    config: &ServeConfig,
-    subscribers: &'a mut Vec<Sender<ServeEvent>>,
-    progress: &mut Option<Box<dyn FnMut(ServeProgress)>>,
-) -> (usize, ServeTelemetry, EventSink<'a>)
-where
-    F: ArrivalFeed,
-    S: Scheduler + ?Sized,
-{
-    let cap = config.queue_cap;
-    let policy = config.shed_policy;
-    let wall = config.mode == ClockMode::Wall;
+/// The session's side of the engine's epoch loop: the merged producer
+/// stream as ingress, admission control at arrival epochs, and the event
+/// log, telemetry and progress hook.
+struct ServeHooks<'a> {
+    feed: BlockMux,
+    /// Per-job bookkeeping, inserted when a job is pulled and pruned at
+    /// completion/shed, so the map holds O(queue + running) entries.
+    meta: HashMap<u64, JobMeta>,
+    telemetry: ServeTelemetry,
+    sink: EventSink<'a>,
+    progress: &'a mut Option<Box<dyn FnMut(ServeProgress)>>,
+    config: ServeConfig,
+    /// Virtual time of the current epoch.
+    now: f64,
+    /// Start of the current epoch's decision rounds (wall mode only).
+    compute_start: Option<Instant>,
+    submitted: u64,
+    completed: u64,
+    epochs: u64,
+}
 
-    sim.reset();
-    scheduler.on_simulation_start();
-    sim.begin_service(expected);
-    let mut view = sim.view();
-    let mut telemetry = ServeTelemetry::new(policy, cap);
-    let mut sink = EventSink {
-        text: String::new(),
-        seq: 0,
-        enabled: config.log_events,
-        subscribers,
-    };
-    // Live jobs only (pruned at completion/shed), so the capacity hint is
-    // bounded: a million-arrival run does not warrant a million-slot map.
-    let mut meta: HashMap<u64, JobMeta> = HashMap::with_capacity(expected.min(4096));
-    let mut submitted = 0u64;
-    let mut completed = 0u64;
-    let mut epochs = 0u64;
+impl EpochHooks for ServeHooks<'_> {
+    fn next_arrival(&mut self) -> Option<Job> {
+        let (job, producer) = self.feed.next()?;
+        self.meta.insert(
+            job.id.0,
+            JobMeta {
+                class: job.class,
+                arrival: job.arrival,
+                producer,
+            },
+        );
+        Some(job)
+    }
 
-    let pull = |sim: &mut Simulator, meta: &mut HashMap<u64, JobMeta>, feed: &mut F| {
-        if let Some((job, producer)) = feed.next() {
-            meta.insert(
-                job.id.0,
-                JobMeta {
-                    class: job.class,
-                    arrival: job.arrival,
-                    producer,
-                },
-            );
-            sim.submit(job);
-        }
-    };
-    // Prime the single-lookahead invariant: exactly one future arrival
-    // buffered while producers still have work.
-    pull(sim, &mut meta, &mut feed);
+    fn unpulled(&mut self) -> usize {
+        self.feed.drain()
+    }
 
-    while sim.advance() {
-        let now = sim.time();
+    fn on_epoch(&mut self, sim: &mut Simulator) {
+        self.now = sim.time();
         match sim.last_epoch() {
             EpochKind::Arrival(id) => {
-                let m = meta[&id.0];
+                let m = self.meta[&id.0];
                 let depth = sim.pending_count();
-                submitted += 1;
-                telemetry.classes.submitted[m.class.index()] += 1;
-                sink.emit(
-                    now,
+                self.submitted += 1;
+                self.telemetry.classes.submitted[m.class.index()] += 1;
+                self.sink.emit(
+                    self.now,
                     ServeEvent::Submitted {
                         job: id,
                         class: m.class,
@@ -428,218 +394,143 @@ where
                         depth,
                     },
                 );
-                admission_control(
-                    sim,
-                    id,
-                    depth,
-                    cap,
-                    policy,
-                    &mut meta,
-                    &mut telemetry,
-                    &mut sink,
-                );
+                self.admission_control(sim, id, depth);
             }
             EpochKind::Completion(id) => {
-                completed += 1;
-                if let Some(m) = meta.remove(&id.0) {
-                    telemetry.classes.completed[m.class.index()] += 1;
+                self.completed += 1;
+                if let Some(m) = self.meta.remove(&id.0) {
+                    self.telemetry.classes.completed[m.class.index()] += 1;
                 }
-                sink.emit(now, ServeEvent::Completed { job: id });
+                self.sink.emit(self.now, ServeEvent::Completed { job: id });
             }
             EpochKind::Periodic => {}
         }
-        if sim.buffered_arrivals() == 0 {
-            pull(sim, &mut meta, &mut feed);
+        self.compute_start = (self.config.mode == ClockMode::Wall).then(Instant::now);
+    }
+
+    /// Translate one applied scheduler action into telemetry and events.
+    fn on_action(&mut self, action: &Action, outcome: &ActionOutcome) {
+        match (action, outcome) {
+            (
+                Action::Start {
+                    job,
+                    class,
+                    parallelism,
+                },
+                ActionOutcome::Started,
+            ) => {
+                let m = self.meta.get(&job.0);
+                let latency = m.map_or(0.0, |m| (self.now - m.arrival).max(0.0));
+                self.telemetry.decision_latency.record(latency);
+                if let Some(m) = m {
+                    self.telemetry.classes.started[m.class.index()] += 1;
+                }
+                self.sink.emit(
+                    self.now,
+                    ServeEvent::Started {
+                        job: *job,
+                        class: *class,
+                        parallelism: *parallelism,
+                        latency,
+                    },
+                );
+            }
+            (
+                Action::Scale {
+                    job,
+                    new_parallelism,
+                },
+                ActionOutcome::Scaled,
+            ) => {
+                self.sink.emit(
+                    self.now,
+                    ServeEvent::Scaled {
+                        job: *job,
+                        parallelism: *new_parallelism,
+                    },
+                );
+            }
+            _ => {}
         }
-        let compute_start = wall.then(Instant::now);
-        let changed = {
-            let meta = &meta;
-            let telemetry = &mut telemetry;
-            let sink = &mut sink;
-            sim.decision_rounds_hooked(scheduler, &mut view, &mut |action, outcome| {
-                observe_action(action, outcome, now, meta, telemetry, sink);
-            })
-        };
-        if let Some(t0) = compute_start {
-            telemetry.epoch_compute.record(t0.elapsed().as_secs_f64());
+    }
+
+    fn after_epoch(&mut self, sim: &Simulator) {
+        if let Some(t0) = self.compute_start.take() {
+            self.telemetry
+                .epoch_compute
+                .record(t0.elapsed().as_secs_f64());
         }
-        sim.compact_log(&view);
-        telemetry.sample_depth(now, sim.pending_count());
-        // Deadlock guard — the bundled drivers' condition verbatim.
-        if !changed
-            && sim.running_count() == 0
-            && sim.buffered_arrivals() == 0
-            && sim.pending_count() > 0
-        {
-            sim.abort_service();
-        }
-        epochs += 1;
-        if epochs.is_multiple_of(PROGRESS_STRIDE) {
-            if let Some(hook) = progress.as_mut() {
+        self.telemetry.sample_depth(self.now, sim.pending_count());
+        self.epochs += 1;
+        if self.epochs.is_multiple_of(PROGRESS_STRIDE) {
+            if let Some(hook) = self.progress.as_mut() {
                 hook(ServeProgress {
-                    time: now,
-                    submitted,
-                    completed,
+                    time: self.now,
+                    submitted: self.submitted,
+                    completed: self.completed,
                 });
             }
         }
     }
-    (feed.drain(), telemetry, sink)
 }
 
-/// Shared run epilogue: account leftovers, finish the engine run, emit the
-/// terminal event and assemble the report.
-fn finish(
-    sim: &mut Simulator,
-    leftover: usize,
-    telemetry: ServeTelemetry,
-    mut sink: EventSink<'_>,
-) -> ServeReport {
-    // Jobs the producers never got to submit (aborted run) still count
-    // toward the total, mirroring the batch drivers.
-    sim.account_unsubmitted(leftover);
-    let aborted = sim.is_aborted();
-    let summary = sim.finish_service();
-    sink.emit(
-        sim.time(),
-        ServeEvent::Finished {
-            total_jobs: summary.total_jobs,
-            aborted,
-        },
-    );
-    ServeReport {
-        summary,
-        telemetry,
-        event_log: sink.text,
-        aborted,
-    }
-}
-
-/// Enforce the bounded admission queue at an arrival epoch. `depth` is the
-/// queue depth with the arrival already in it; on exit the depth is ≤ `cap`
-/// (the bound is hard under every policy).
-#[allow(clippy::too_many_arguments)]
-fn admission_control(
-    sim: &mut Simulator,
-    arrival: tcrm_sim::JobId,
-    depth: usize,
-    cap: usize,
-    policy: ShedPolicy,
-    meta: &mut HashMap<u64, JobMeta>,
-    telemetry: &mut ServeTelemetry,
-    sink: &mut EventSink<'_>,
-) {
-    let now = sim.time();
-    let over = depth > cap;
-    match policy {
-        ShedPolicy::RejectNewest => {
-            if over {
-                shed(sim, arrival, policy, meta, telemetry, sink, now);
-            }
-        }
-        ShedPolicy::RejectLatestDeadline => {
-            if over {
-                let victim = sim
-                    .pending_jobs()
-                    .max_by(|a, b| {
-                        a.deadline
-                            .partial_cmp(&b.deadline)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.id.cmp(&b.id))
-                    })
-                    .map(|job| job.id)
-                    .expect("queue is over cap, so it is non-empty");
-                shed(sim, victim, policy, meta, telemetry, sink, now);
-            }
-        }
-        ShedPolicy::DegradeToRigid => {
-            if over {
-                // The cap is hard even for the soft policy.
-                shed(sim, arrival, policy, meta, telemetry, sink, now);
-            } else if depth * 2 > cap && sim.degrade_pending_to_rigid(arrival) {
-                if let Some(m) = meta.get(&arrival.0) {
-                    telemetry.classes.degraded[m.class.index()] += 1;
+impl ServeHooks<'_> {
+    /// Enforce the bounded admission queue at an arrival epoch. `depth` is
+    /// the queue depth with the arrival already in it; on exit the depth is
+    /// ≤ `queue_cap` (the bound is hard under every policy).
+    fn admission_control(&mut self, sim: &mut Simulator, arrival: JobId, depth: usize) {
+        let cap = self.config.queue_cap;
+        let over = depth > cap;
+        match self.config.shed_policy {
+            ShedPolicy::RejectNewest => {
+                if over {
+                    self.shed(sim, arrival);
                 }
-                sink.emit(now, ServeEvent::Degraded { job: arrival });
+            }
+            ShedPolicy::RejectLatestDeadline => {
+                if over {
+                    let victim = sim
+                        .pending_jobs()
+                        .max_by(|a, b| {
+                            a.deadline
+                                .partial_cmp(&b.deadline)
+                                .unwrap_or(std::cmp::Ordering::Equal)
+                                .then(a.id.cmp(&b.id))
+                        })
+                        .map(|job| job.id)
+                        .expect("queue is over cap, so it is non-empty");
+                    self.shed(sim, victim);
+                }
+            }
+            ShedPolicy::DegradeToRigid => {
+                if over {
+                    // The cap is hard even for the soft policy.
+                    self.shed(sim, arrival);
+                } else if depth * 2 > cap && sim.degrade_pending_to_rigid(arrival) {
+                    if let Some(m) = self.meta.get(&arrival.0) {
+                        self.telemetry.classes.degraded[m.class.index()] += 1;
+                    }
+                    self.sink
+                        .emit(self.now, ServeEvent::Degraded { job: arrival });
+                }
             }
         }
     }
-}
 
-fn shed(
-    sim: &mut Simulator,
-    victim: tcrm_sim::JobId,
-    policy: ShedPolicy,
-    meta: &mut HashMap<u64, JobMeta>,
-    telemetry: &mut ServeTelemetry,
-    sink: &mut EventSink<'_>,
-    now: f64,
-) {
-    if sim.cancel_pending(victim).is_some() {
-        // A shed job will never complete: prune its bookkeeping now so the
-        // meta map stays O(live jobs).
-        if let Some(m) = meta.remove(&victim.0) {
-            telemetry.classes.shed[m.class.index()] += 1;
-        }
-        sink.emit(
-            now,
-            ServeEvent::Shed {
-                job: victim,
-                policy,
-            },
-        );
-    }
-}
-
-/// Translate one applied scheduler action into telemetry and events.
-fn observe_action(
-    action: &Action,
-    outcome: &ActionOutcome,
-    now: f64,
-    meta: &HashMap<u64, JobMeta>,
-    telemetry: &mut ServeTelemetry,
-    sink: &mut EventSink<'_>,
-) {
-    match (action, outcome) {
-        (
-            Action::Start {
-                job,
-                class,
-                parallelism,
-            },
-            ActionOutcome::Started,
-        ) => {
-            let m = meta.get(&job.0);
-            let latency = m.map_or(0.0, |m| (now - m.arrival).max(0.0));
-            telemetry.decision_latency.record(latency);
-            if let Some(m) = m {
-                telemetry.classes.started[m.class.index()] += 1;
+    fn shed(&mut self, sim: &mut Simulator, victim: JobId) {
+        if sim.cancel_pending(victim).is_some() {
+            // A shed job will never complete: prune its bookkeeping now so
+            // the meta map stays O(live jobs).
+            if let Some(m) = self.meta.remove(&victim.0) {
+                self.telemetry.classes.shed[m.class.index()] += 1;
             }
-            sink.emit(
-                now,
-                ServeEvent::Started {
-                    job: *job,
-                    class: *class,
-                    parallelism: *parallelism,
-                    latency,
+            self.sink.emit(
+                self.now,
+                ServeEvent::Shed {
+                    job: victim,
+                    policy: self.config.shed_policy,
                 },
             );
         }
-        (
-            Action::Scale {
-                job,
-                new_parallelism,
-            },
-            ActionOutcome::Scaled,
-        ) => {
-            sink.emit(
-                now,
-                ServeEvent::Scaled {
-                    job: *job,
-                    parallelism: *new_parallelism,
-                },
-            );
-        }
-        _ => {}
     }
 }

@@ -5,15 +5,16 @@
 //!    real producer threads racing on real channels.
 //! 2. **Batch parity** — with admission effectively disabled, a serving run
 //!    reports the identical [`Summary`] as `Simulator::run` over the same
-//!    jobs (the facade adds observability, never different scheduling).
+//!    jobs (the facade adds observability, never different scheduling) —
+//!    including runs the engine aborts, which match `Simulator::run_source`.
 //! 3. **Bounded admission** — the queue never exceeds its cap, under every
 //!    shed policy, across random workloads and seeds (property-tested).
 
 use proptest::prelude::*;
 use tcrm_baselines::EdfScheduler;
 use tcrm_serve::{ClockMode, ServeConfig, ServeEvent, ServeSession, ShedPolicy};
-use tcrm_sim::{ClusterSpec, Job, SimConfig, Simulator};
-use tcrm_workload::{ScenarioRegistry, WorkloadSource, WorkloadSpec};
+use tcrm_sim::{Action, ClusterSpec, ClusterView, Job, Scheduler, SimConfig, Simulator};
+use tcrm_workload::{ReplaySource, ScenarioRegistry, WorkloadSource, WorkloadSpec};
 
 fn jobs_for(spec_str: &str, n: usize, seed: u64) -> Vec<Job> {
     let registry = ScenarioRegistry::new();
@@ -23,6 +24,12 @@ fn jobs_for(spec_str: &str, n: usize, seed: u64) -> Vec<Job> {
         .build_str(spec_str, &base, &cluster, seed)
         .unwrap()
         .collect()
+}
+
+/// The same jobs as a cheaply cloneable replay: `|| replay.clone()` is the
+/// source factory that serves a collected job list.
+fn replay_for(spec_str: &str, n: usize, seed: u64) -> ReplaySource {
+    ReplaySource::from_jobs(jobs_for(spec_str, n, seed))
 }
 
 /// A rebuildable source factory over the same scenario `jobs_for` collects —
@@ -42,7 +49,7 @@ fn session(config: ServeConfig) -> ServeSession {
 
 #[test]
 fn same_seed_virtual_runs_are_byte_identical() {
-    let jobs = jobs_for("poisson+overload(2x,60s)", 120, 11);
+    let replay = replay_for("poisson+overload(2x,60s)", 120, 11);
     let config = ServeConfig {
         producers: 6,
         channel_capacity: 8,
@@ -52,8 +59,8 @@ fn same_seed_virtual_runs_are_byte_identical() {
         mode: ClockMode::Virtual,
         ..ServeConfig::default()
     };
-    let a = session(config).run(jobs.clone(), &mut EdfScheduler::new());
-    let b = session(config).run(jobs, &mut EdfScheduler::new());
+    let a = session(config).run_source(|| replay.clone(), &mut EdfScheduler::new());
+    let b = session(config).run_source(|| replay.clone(), &mut EdfScheduler::new());
     assert!(!a.event_log.is_empty());
     assert_eq!(
         a.event_log, b.event_log,
@@ -73,15 +80,15 @@ fn producer_count_does_not_change_the_outcome() {
     // arrival order is a pure function of the jobs, so even the *partition*
     // shape must not leak into scheduling outcomes (only into the
     // producer= attribution in the log).
-    let jobs = jobs_for("poisson", 80, 5);
+    let replay = replay_for("poisson", 80, 5);
     let mut base = ServeConfig::default();
     base.queue_cap = usize::MAX / 2;
-    let reference = session(base).run(jobs.clone(), &mut EdfScheduler::new());
+    let reference = session(base).run_source(|| replay.clone(), &mut EdfScheduler::new());
     for (producers, capacity) in [(1, 1), (2, 3), (9, 64)] {
         let mut config = base;
         config.producers = producers;
         config.channel_capacity = capacity;
-        let run = session(config).run(jobs.clone(), &mut EdfScheduler::new());
+        let run = session(config).run_source(|| replay.clone(), &mut EdfScheduler::new());
         assert_eq!(
             run.summary, reference.summary,
             "{producers} producers x cap {capacity} changed the summary"
@@ -90,57 +97,16 @@ fn producer_count_does_not_change_the_outcome() {
 }
 
 #[test]
-fn streaming_matches_the_materialized_run_byte_for_byte() {
-    // The tentpole pin: for the same `(seed, scenario, policy, producers)`,
-    // `run_source` must be indistinguishable from `run` over the collected
-    // jobs — event log, summary, telemetry, abort flag — because the two
-    // paths share one epoch loop and one seeded position hash.
-    const SCENARIO: &str = "poisson+overload(2x,60s)";
-    const N: usize = 150;
-    const SEED: u64 = 11;
-    let jobs = jobs_for(SCENARIO, N, SEED);
-    for producers in [1usize, 3, 6] {
-        let config = ServeConfig {
-            producers,
-            channel_capacity: 4,
-            chunk: 7,
-            queue_cap: 16,
-            shed_policy: ShedPolicy::RejectLatestDeadline,
-            seed: SEED,
-            mode: ClockMode::Virtual,
-            ..ServeConfig::default()
-        };
-        let materialized = session(config).run(jobs.clone(), &mut EdfScheduler::new());
-        let streamed =
-            session(config).run_source(source_for(SCENARIO, N, SEED), &mut EdfScheduler::new());
-        assert!(!streamed.event_log.is_empty());
-        assert_eq!(
-            streamed.event_log, materialized.event_log,
-            "{producers} producers: event logs must be byte-identical"
-        );
-        assert_eq!(
-            streamed.summary, materialized.summary,
-            "{producers} producers"
-        );
-        assert_eq!(
-            streamed.telemetry, materialized.telemetry,
-            "{producers} producers: telemetry must match field for field"
-        );
-        assert_eq!(streamed.aborted, materialized.aborted);
-    }
-}
-
-#[test]
 fn chunk_size_never_leaks_into_the_streamed_outcome() {
     // Block size is a transport knob: it changes how many jobs ride each
     // channel rendezvous, never what the engine observes.
     const SCENARIO: &str = "poisson+spike(10x,5s,at=30)";
-    let reference = jobs_for(SCENARIO, 90, 5);
     let mut base = ServeConfig::default();
     base.producers = 3;
     base.queue_cap = 10;
     base.seed = 5;
-    let pinned = session(base).run(reference, &mut EdfScheduler::new());
+    let pinned = session(base).run_source(source_for(SCENARIO, 90, 5), &mut EdfScheduler::new());
+    assert!(!pinned.event_log.is_empty());
     for chunk in [1usize, 5, 64, 1024] {
         let mut config = base;
         config.chunk = chunk;
@@ -170,59 +136,96 @@ fn disabling_the_event_log_changes_nothing_but_the_log() {
 }
 
 #[test]
-fn bounded_metrics_streaming_matches_bounded_materialized() {
-    // The million-run configuration (streaming + folded aggregates) must
-    // itself be pinned: bounded mode changes how the summary is computed,
-    // not which path fed the engine.
-    const SCENARIO: &str = "poisson+overload(2x,60s)";
-    let bounded_session = |config: ServeConfig| {
-        let sim = SimConfig {
-            bounded_metrics: true,
-            ..SimConfig::default()
-        };
-        ServeSession::new(ClusterSpec::icpp_default(), sim, config)
-    };
-    let jobs = jobs_for(SCENARIO, 120, 17);
-    let config = ServeConfig {
-        producers: 4,
-        queue_cap: 14,
-        seed: 17,
-        log_events: false,
-        ..ServeConfig::default()
-    };
-    let materialized = bounded_session(config).run(jobs, &mut EdfScheduler::new());
-    let streamed =
-        bounded_session(config).run_source(source_for(SCENARIO, 120, 17), &mut EdfScheduler::new());
-    assert_eq!(streamed.summary, materialized.summary);
-    assert_eq!(streamed.telemetry, materialized.telemetry);
-}
-
-#[test]
 fn serving_matches_the_batch_driver_when_admission_is_disabled() {
     for scenario in ["poisson", "poisson+spike(10x,5s,at=30)"] {
         let jobs = jobs_for(scenario, 100, 21);
+        let replay = ReplaySource::from_jobs(jobs.clone());
         let batch = Simulator::new(ClusterSpec::icpp_default(), SimConfig::default())
-            .run(jobs.clone(), &mut EdfScheduler::new());
+            .run(jobs, &mut EdfScheduler::new());
         let mut config = ServeConfig::default();
         config.queue_cap = usize::MAX / 2; // never sheds
-        let serve = session(config).run(jobs, &mut EdfScheduler::new());
-        assert_eq!(
-            serve.summary, batch.summary,
-            "{scenario}: serving must reproduce the batch summary"
-        );
-        assert_eq!(serve.telemetry.shed_total(), 0);
-        assert!(!serve.aborted);
+        let replayed = session(config).run_source(|| replay.clone(), &mut EdfScheduler::new());
+        let streamed =
+            session(config).run_source(source_for(scenario, 100, 21), &mut EdfScheduler::new());
+        for serve in [replayed, streamed] {
+            assert_eq!(
+                serve.summary, batch.summary,
+                "{scenario}: serving must reproduce the batch summary"
+            );
+            assert_eq!(serve.telemetry.shed_total(), 0);
+            assert!(!serve.aborted);
+        }
+    }
+}
+
+/// Never acts, so every job stays pending until the engine gives up.
+struct Inert;
+impl Scheduler for Inert {
+    fn name(&self) -> &str {
+        "inert"
+    }
+    fn decide(&mut self, _view: &ClusterView) -> Vec<Action> {
+        Vec::new()
+    }
+}
+
+/// Serve `replay` with admission disabled and check the report against the
+/// engine's own streaming driver over the same jobs; both runs must abort.
+fn assert_aborted_run_matches_run_source<S: Scheduler>(
+    sim: SimConfig,
+    replay: &ReplaySource,
+    scheduler: impl Fn() -> S,
+) {
+    let cluster = ClusterSpec::icpp_default();
+    let mut engine = Simulator::new(cluster.clone(), sim.clone());
+    let mut view = engine.view();
+    let reference = engine.run_source(replay.clone(), &mut scheduler(), &mut view);
+    assert!(engine.is_aborted());
+    assert_eq!(reference.total_jobs, replay.len());
+    for producers in [1, 4] {
+        let config = ServeConfig {
+            producers,
+            channel_capacity: 2,
+            chunk: 3,
+            queue_cap: usize::MAX / 2,
+            ..ServeConfig::default()
+        };
+        let mut session = ServeSession::new(cluster.clone(), sim.clone(), config);
+        let report = session.run_source(|| replay.clone(), &mut scheduler());
+        assert!(report.aborted, "{producers} producers");
+        assert_eq!(report.telemetry.shed_total(), 0);
+        assert_eq!(report.summary, reference, "{producers} producers");
     }
 }
 
 #[test]
+fn a_run_truncated_at_max_sim_time_counts_the_jobs_producers_still_hold() {
+    // The horizon ends the run while most arrivals are still queued in
+    // producer channels (or not yet produced): they must count toward
+    // `total_jobs` exactly as the engine's own streaming driver counts them.
+    let replay = replay_for("poisson", 200, 4);
+    let horizon = replay.clone().nth(40).unwrap().arrival;
+    let sim = SimConfig {
+        max_sim_time: horizon,
+        ..SimConfig::default()
+    };
+    assert_aborted_run_matches_run_source(sim, &replay, EdfScheduler::new);
+}
+
+#[test]
+fn a_never_starting_scheduler_trips_the_deadlock_guard() {
+    let replay = replay_for("poisson", 60, 8);
+    assert_aborted_run_matches_run_source(SimConfig::default(), &replay, || Inert);
+}
+
+#[test]
 fn wall_mode_matches_virtual_mode_job_visible_behaviour() {
-    let jobs = jobs_for("poisson+overload(2x,60s)", 60, 9);
+    let replay = replay_for("poisson+overload(2x,60s)", 60, 9);
     let mut config = ServeConfig::default();
     config.queue_cap = 10;
-    let virt = session(config).run(jobs.clone(), &mut EdfScheduler::new());
+    let virt = session(config).run_source(|| replay.clone(), &mut EdfScheduler::new());
     config.mode = ClockMode::Wall;
-    let wall = session(config).run(jobs, &mut EdfScheduler::new());
+    let wall = session(config).run_source(|| replay.clone(), &mut EdfScheduler::new());
     assert_eq!(virt.event_log, wall.event_log);
     assert_eq!(virt.summary, wall.summary);
     assert!(virt.telemetry.epoch_compute.is_empty());
@@ -234,10 +237,10 @@ fn wall_mode_matches_virtual_mode_job_visible_behaviour() {
 
 #[test]
 fn subscribers_see_the_logged_events_in_order() {
-    let jobs = jobs_for("poisson", 30, 2);
+    let replay = replay_for("poisson", 30, 2);
     let mut s = session(ServeConfig::default());
     let rx = s.subscribe();
-    let report = s.run(jobs, &mut EdfScheduler::new());
+    let report = s.run_source(|| replay.clone(), &mut EdfScheduler::new());
     let events: Vec<ServeEvent> = rx.try_iter().collect();
     assert_eq!(
         events.len() as u64,
@@ -253,12 +256,12 @@ fn subscribers_see_the_logged_events_in_order() {
 
 #[test]
 fn overload_run_sheds_and_reports_tails_under_every_policy() {
-    let jobs = jobs_for("poisson+overload(2x,60s)", 150, 13);
+    let replay = replay_for("poisson+overload(2x,60s)", 150, 13);
     for policy in ShedPolicy::ALL {
         let mut config = ServeConfig::default();
         config.queue_cap = 8;
         config.shed_policy = policy;
-        let report = session(config).run(jobs.clone(), &mut EdfScheduler::new());
+        let report = session(config).run_source(|| replay.clone(), &mut EdfScheduler::new());
         assert!(report.telemetry.max_queue_depth <= 8, "{policy}");
         assert_eq!(
             report.summary.total_jobs, 150,
@@ -290,7 +293,7 @@ proptest! {
         factor in 1.0f64..6.0,
     ) {
         let scenario = format!("poisson+overload({factor}x,60s)");
-        let jobs = jobs_for(&scenario, n, seed);
+        let replay = replay_for(&scenario, n, seed);
         let config = ServeConfig {
             producers: 1 + (seed as usize % 5),
             channel_capacity: 1 + (seed as usize % 7),
@@ -300,7 +303,7 @@ proptest! {
             mode: ClockMode::Virtual,
             ..ServeConfig::default()
         };
-        let report = session(config).run(jobs, &mut EdfScheduler::new());
+        let report = session(config).run_source(|| replay.clone(), &mut EdfScheduler::new());
         prop_assert!(
             report.telemetry.max_queue_depth <= cap,
             "depth {} over cap {}", report.telemetry.max_queue_depth, cap

@@ -4,7 +4,11 @@
 //!
 //! * [`Simulator::run`] drives a whole simulation with any [`Scheduler`]
 //!   implementation and returns a [`SimulationResult`] — this is what the
-//!   baselines, examples and benchmark harness use.
+//!   baselines, examples and benchmark harness use. Its siblings
+//!   [`Simulator::run_reusing`], [`Simulator::run_source`] and
+//!   [`Simulator::run_service`] share one epoch loop, which a serving plane
+//!   plugs its ingress, admission control and telemetry into through
+//!   [`EpochHooks`].
 //! * the step-wise API ([`Simulator::start`], [`Simulator::advance`],
 //!   [`Simulator::view`], [`Simulator::apply`], [`Simulator::finalize`]) gives
 //!   a reinforcement-learning environment full control over decision epochs —
@@ -52,6 +56,73 @@ pub enum EpochKind {
     Completion(JobId),
     /// A periodic decision-interval tick.
     Periodic,
+}
+
+/// Callbacks of the engine's epoch loop — the one loop behind
+/// [`Simulator::run`], [`Simulator::run_reusing`], [`Simulator::run_source`]
+/// and [`Simulator::run_service`]. Every method defaults to a no-op, and the
+/// loop is generic over the hooks type, so unused hooks cost nothing.
+///
+/// Per decision epoch the loop runs, in order:
+///
+/// 1. `advance` to the next epoch (arrival, completion or periodic tick);
+/// 2. pull [`Self::next_arrival`] if no arrival is buffered any more — the
+///    loop keeps exactly one future arrival buffered;
+/// 3. [`Self::on_epoch`] — admission control and shedding;
+/// 4. the decision rounds, with [`Self::on_action`] after every applied
+///    action;
+/// 5. change-log compaction, then [`Self::after_epoch`] — telemetry;
+/// 6. the deadlock guard: abort when no action changed anything and
+///    [`Simulator::is_stalled`].
+///
+/// Pulling (step 2) only schedules an arrival event and admission (step 3)
+/// never touches the event queue, so their order changes no event sequence.
+/// A pull may block on the ingress; it happens before `on_epoch`, so a hook
+/// that times the epoch from `on_epoch` to `after_epoch` excludes that wait.
+pub trait EpochHooks {
+    /// The ingress: the next job, in non-decreasing `(arrival, id)` order, or
+    /// `None` once exhausted (out-of-order arrivals are clamped forward and
+    /// counted like any other stale event).
+    fn next_arrival(&mut self) -> Option<Job> {
+        None
+    }
+
+    /// Consume the jobs the ingress still holds and return how many there
+    /// were. Called once, when a run aborts, so that jobs never pulled count
+    /// toward the total like a batch run's unfinished ones. An ingress with
+    /// no meaningful total (an endless generator) returns 0.
+    fn unpulled(&mut self) -> usize {
+        0
+    }
+
+    /// Called once per epoch after the arrival pull, before the decision
+    /// rounds; [`Simulator::last_epoch`] says what produced the epoch.
+    fn on_epoch(&mut self, _sim: &mut Simulator) {}
+
+    /// Called after every action the scheduler emitted was applied.
+    fn on_action(&mut self, _action: &Action, _outcome: &ActionOutcome) {}
+
+    /// Called once per epoch after the decision rounds and log compaction,
+    /// before the deadlock guard.
+    fn after_epoch(&mut self, _sim: &Simulator) {}
+}
+
+/// The hooks of the non-serving entry points: an iterator ingress and no
+/// callbacks (an empty iterator for the batch drivers).
+struct Arrivals<I>(I);
+
+impl<I: Iterator<Item = Job>> EpochHooks for Arrivals<I> {
+    fn next_arrival(&mut self) -> Option<Job> {
+        self.0.next()
+    }
+
+    fn unpulled(&mut self) -> usize {
+        if self.0.size_hint().1.is_some() {
+            self.0.by_ref().count()
+        } else {
+            0
+        }
+    }
 }
 
 /// Internal bookkeeping for one running job.
@@ -321,43 +392,12 @@ impl Simulator {
     }
 
     // ------------------------------------------------------------------
-    // Service hooks (the `tcrm-serve` serving plane is built on these)
+    // Service hooks (admission control and external drivers use these)
     // ------------------------------------------------------------------
 
-    /// Begin a run with **no upfront jobs**: arrivals are injected one by one
-    /// through [`Self::submit`] while the run is live. `arrival_hint` seeds
-    /// buffer pre-sizing and the `future_arrivals` count views report, like
-    /// the streaming entry point's size hint.
-    ///
-    /// This is the external-ingress sibling of [`Self::start`]: a serving
-    /// loop that receives jobs from producers (rather than owning an
-    /// iterator) drives the run with `advance`/`apply` and keeps exactly as
-    /// many future arrivals buffered as it wants.
-    pub fn begin_service(&mut self, arrival_hint: usize) {
-        // Serving loops keep at most the queue cap pending plus a one-job
-        // lookahead buffered, so the pre-size is capped far below the hint:
-        // a million-arrival hint must not translate into a million-slot
-        // reservation (the reserve is capacity only — the hint itself still
-        // sizes `future_arrivals` in scheduler views via `arrival_hint`).
-        self.begin_run(arrival_hint.min(1024), arrival_hint.min(u32::MAX as usize));
-        self.schedule_periodic_events();
-    }
-
-    /// Enqueue one externally submitted job as a future arrival event.
-    /// Jobs must be submitted in non-decreasing arrival order (out-of-order
-    /// arrivals are clamped forward and counted like any other stale event).
-    pub fn submit(&mut self, job: Job) {
-        assert!(self.started, "call Simulator::begin_service first");
-        debug_assert!(job.validate().is_ok(), "invalid job {}", job.id);
-        self.total_jobs += 1;
-        self.arrivals_remaining += 1;
-        self.events.push(job.arrival, EventKind::JobArrival(job));
-    }
-
-    /// Number of submitted-but-not-yet-arrived jobs buffered in the event
-    /// queue. Serving loops keep this at one — the same single-lookahead
-    /// invariant as [`Self::run_source`] — so results stay comparable to the
-    /// batch drivers.
+    /// Number of scheduled-but-not-yet-arrived jobs in the event queue: every
+    /// remaining job of a batch run, and at most one for the streaming
+    /// entry points, whose loop keeps a single arrival buffered.
     pub fn buffered_arrivals(&self) -> usize {
         self.arrivals_remaining
     }
@@ -417,26 +457,16 @@ impl Simulator {
         true
     }
 
-    /// Count jobs that were offered to the service but never reached
-    /// [`Self::submit`] (e.g. a run aborted at `max_sim_time` with producers
-    /// still queued), so truncated serving runs report the same totals as a
-    /// batch run over the full job list — mirroring [`Self::run_source`]'s
-    /// drain accounting.
-    pub fn account_unsubmitted(&mut self, count: usize) {
-        self.total_jobs += count;
-    }
-
-    /// Abort the run from an external driver (the serving loop's deadlock
-    /// guard — the same condition the bundled drivers abort on). The next
-    /// [`Self::advance`] returns `false`.
+    /// Abort the run from an external step-wise driver (e.g. on
+    /// [`Self::is_stalled`]). The next [`Self::advance`] returns `false`.
     pub fn abort_service(&mut self) {
         self.abort_run();
     }
 
-    /// Finish a serving run **without consuming the simulator**: charge
-    /// forfeited utility for unfinished jobs and summarize — exactly what
-    /// [`Self::run_source`] does after its drive loop, so a serving run over
-    /// the same jobs reports the identical [`Summary`]. The simulator stays
+    /// Finish a run **without consuming the simulator**: charge forfeited
+    /// utility for unfinished jobs and summarize — what every reusing entry
+    /// point ([`Self::run_reusing`], [`Self::run_source`],
+    /// [`Self::run_service`]) does after its epoch loop. The simulator stays
     /// reusable via [`Self::reset`].
     pub fn finish_service(&mut self) -> Summary {
         self.charge_unfinished();
@@ -448,7 +478,16 @@ impl Simulator {
         self.aborted
     }
 
-    /// Run setup shared by [`Self::start`] and the streaming entry point:
+    /// True when the state can never change again without a scheduler
+    /// action: nothing is running, no arrival is left and jobs are still
+    /// pending. The deadlock guard of the epoch loop (and of the RL
+    /// environment) ends a run that reaches this state after an epoch in
+    /// which no action changed anything.
+    pub fn is_stalled(&self) -> bool {
+        self.running.is_empty() && self.arrivals_remaining == 0 && !self.pending.is_empty()
+    }
+
+    /// Run setup shared by [`Self::start`] and the streaming entry points:
     /// flags, buffer pre-sizing and the future-arrival hint. Event
     /// scheduling stays with the callers — their relative ordering of
     /// arrival vs periodic events differs and is part of the determinism
@@ -864,7 +903,7 @@ impl Simulator {
     }
 
     // ------------------------------------------------------------------
-    // Convenience driver
+    // Drivers: entry points over the one epoch loop
     // ------------------------------------------------------------------
 
     /// Run a complete simulation of `jobs` under `scheduler`.
@@ -878,7 +917,7 @@ impl Simulator {
         // One view allocated for the whole run; every decision epoch refills
         // it in place (clear-and-refill, no rebuild).
         let mut view = self.view();
-        self.drive(scheduler, &mut view);
+        self.epoch_loop(&mut Arrivals(std::iter::empty()), scheduler, &mut view);
         self.finalize()
     }
 
@@ -902,9 +941,8 @@ impl Simulator {
         self.reset();
         scheduler.on_simulation_start();
         self.start(jobs);
-        self.drive(scheduler, view);
-        self.charge_unfinished();
-        self.metrics.summarize(self.total_jobs)
+        self.epoch_loop(&mut Arrivals(std::iter::empty()), scheduler, view);
+        self.finish_service()
     }
 
     /// Run a complete simulation pulling jobs **on demand** from a streaming
@@ -922,6 +960,13 @@ impl Simulator {
     /// later than in a batch run — only observable for hand-crafted traces
     /// whose arrivals exactly coincide with completions or sampling ticks.
     ///
+    /// A run aborted at `max_sim_time` may leave jobs unpulled. Sources
+    /// advertising a finite upper size bound are drained and their leftovers
+    /// counted toward the total — exactly as the batch path counts every
+    /// upfront arrival as unfinished — so truncated streamed runs report the
+    /// same miss/unfinished rates as [`Self::run`]; an endless generator
+    /// keeps the pulled-only count.
+    ///
     /// Like [`Self::run_reusing`], the simulator is [`Self::reset`] first and
     /// every per-run buffer — including the collections pre-sized from the
     /// source's `size_hint` — is retained across calls, so replication
@@ -929,7 +974,7 @@ impl Simulator {
     /// `tests/alloc_free_stream.rs`).
     pub fn run_source<S, I>(
         &mut self,
-        mut source: I,
+        source: I,
         scheduler: &mut S,
         view: &mut ClusterView,
     ) -> Summary
@@ -937,46 +982,76 @@ impl Simulator {
         S: Scheduler + ?Sized,
         I: Iterator<Item = Job>,
     {
-        self.reset();
-        scheduler.on_simulation_start();
-        self.start_stream(&mut source);
-        self.drive_stream(&mut source, scheduler, view);
-        if self.aborted {
-            // An aborted run (max_sim_time exceeded) may leave jobs unpulled.
-            // They still count toward the total — exactly as the batch path
-            // counts every upfront arrival as unfinished — so truncated
-            // streamed runs report the same miss/unfinished rates as
-            // `Self::run` over the same job list. Only sources advertising a
-            // finite upper size bound are drained; an endless generator
-            // keeps the pulled-only count (it has no meaningful total).
-            if source.size_hint().1.is_some() {
-                self.total_jobs += source.count();
-            }
-        }
-        self.charge_unfinished();
-        self.metrics.summarize(self.total_jobs)
-    }
-
-    /// Begin a streaming run: pre-size the per-run collections from the
-    /// source's size hint, seed the future-arrival hint (so views report the
-    /// expected remaining-arrival count, not just the single buffered
-    /// arrival), schedule the periodic events, and buffer the first arrival.
-    fn start_stream<I: Iterator<Item = Job>>(&mut self, source: &mut I) {
         let (lower, upper) = source.size_hint();
         // An exact hint (every bundled source provides one) sizes the
         // buffers and the arrival count for the whole run; unbounded sources
         // get bounded values and fall back to amortised growth.
         let expected = upper.unwrap_or(lower);
-        self.begin_run(expected.min(65_536), expected.min(u32::MAX as usize));
-        self.schedule_periodic_events();
-        self.pull_next_arrival(source);
+        self.run_stream(&mut Arrivals(source), scheduler, view, expected, 65_536)
     }
 
-    /// Buffer the next arrival from the source, if any. Maintains the
-    /// streaming invariant: while the source is not exhausted, exactly one
+    /// Run a complete simulation whose arrivals, admission control and
+    /// telemetry come from `hooks` — the entry point of a serving plane.
+    ///
+    /// The loop is the one every driver runs (see [`EpochHooks`] for its
+    /// per-epoch order): jobs are pulled from [`EpochHooks::next_arrival`]
+    /// one at a time exactly like [`Self::run_source`] pulls from its
+    /// iterator, so with hooks that never cancel a job the run reports the
+    /// same [`Summary`] as [`Self::run`] over the same jobs. `arrival_hint`
+    /// is the expected number of arrivals; it sizes the `future_arrivals`
+    /// count scheduler views report. A service keeps only its admission
+    /// queue pending, so unlike [`Self::run_source`] the buffers are
+    /// pre-sized for at most 1024 jobs however large the hint.
+    ///
+    /// When the run aborts, [`EpochHooks::unpulled`] counts the jobs the
+    /// ingress still holds toward the total. The simulator is
+    /// [`Self::reset`] first and stays reusable afterwards;
+    /// [`Self::is_aborted`] and [`Self::time`] describe how the run ended.
+    pub fn run_service<H, S>(
+        &mut self,
+        hooks: &mut H,
+        scheduler: &mut S,
+        view: &mut ClusterView,
+        arrival_hint: usize,
+    ) -> Summary
+    where
+        H: EpochHooks + ?Sized,
+        S: Scheduler + ?Sized,
+    {
+        self.run_stream(hooks, scheduler, view, arrival_hint, 1024)
+    }
+
+    /// The streaming entry points' shared body: reset, pre-size the per-run
+    /// collections for `min(expected, presize_cap)` jobs, seed the
+    /// future-arrival hint (so views report the expected remaining-arrival
+    /// count, not just the single buffered arrival), schedule the periodic
+    /// events, buffer the first arrival and run the loop.
+    fn run_stream<H, S>(
+        &mut self,
+        hooks: &mut H,
+        scheduler: &mut S,
+        view: &mut ClusterView,
+        expected: usize,
+        presize_cap: usize,
+    ) -> Summary
+    where
+        H: EpochHooks + ?Sized,
+        S: Scheduler + ?Sized,
+    {
+        self.reset();
+        scheduler.on_simulation_start();
+        self.begin_run(expected.min(presize_cap), expected.min(u32::MAX as usize));
+        self.schedule_periodic_events();
+        self.pull_next_arrival(hooks);
+        self.epoch_loop(hooks, scheduler, view);
+        self.finish_service()
+    }
+
+    /// Buffer the next arrival from the ingress, if any. Maintains the
+    /// streaming invariant: while the ingress is not exhausted, exactly one
     /// future arrival event is enqueued (`arrivals_remaining == 1`).
-    fn pull_next_arrival<I: Iterator<Item = Job>>(&mut self, source: &mut I) {
-        if let Some(job) = source.next() {
+    fn pull_next_arrival<H: EpochHooks + ?Sized>(&mut self, hooks: &mut H) {
+        if let Some(job) = hooks.next_arrival() {
             debug_assert!(job.validate().is_ok(), "invalid job {}", job.id);
             self.total_jobs += 1;
             self.arrivals_remaining += 1;
@@ -984,69 +1059,53 @@ impl Simulator {
         }
     }
 
-    /// The decision loop shared by [`Self::run`] and [`Self::run_reusing`].
-    fn drive<S: Scheduler + ?Sized>(&mut self, scheduler: &mut S, view: &mut ClusterView) {
-        self.drive_stream(&mut std::iter::empty(), scheduler, view)
-    }
-
-    /// The decision loop of every driver. In batch mode `source` is an empty
-    /// iterator (all arrivals were enqueued by [`Self::start`]); in streaming
-    /// mode the next arrival is pulled as soon as the buffered one fires —
-    /// `arrivals_remaining` drops to zero only when the source is exhausted,
-    /// so the refill happens before the scheduler sees the epoch.
-    fn drive_stream<S, I>(&mut self, source: &mut I, scheduler: &mut S, view: &mut ClusterView)
+    /// The decision loop of every driver, in the per-epoch order
+    /// [`EpochHooks`] documents. In batch mode the ingress is empty (all
+    /// arrivals were enqueued by [`Self::start`]); in streaming mode the
+    /// next arrival is pulled as soon as the buffered one fires —
+    /// `arrivals_remaining` drops to zero only when the ingress is
+    /// exhausted, so the refill happens before anyone sees the epoch.
+    fn epoch_loop<H, S>(&mut self, hooks: &mut H, scheduler: &mut S, view: &mut ClusterView)
     where
+        H: EpochHooks + ?Sized,
         S: Scheduler + ?Sized,
-        I: Iterator<Item = Job>,
     {
         while self.advance() {
             if self.arrivals_remaining == 0 {
-                self.pull_next_arrival(source);
+                self.pull_next_arrival(hooks);
             }
-            let epoch_changed_state = self.decision_rounds(scheduler, view);
+            hooks.on_epoch(self);
+            let epoch_changed_state = self.decision_rounds(hooks, scheduler, view);
             // The driver's view has consumed every recorded delta by the
             // end of the epoch: drop them so the log stays O(one epoch)
             // instead of O(whole run) — load-bearing for the streaming
-            // entry point's O(running + pending) memory contract.
+            // entry points' O(running + pending) memory contract.
             self.compact_log(view);
-            // Deadlock guard: nothing is running, nothing is left to arrive
-            // and the scheduler did not (or could not) start any pending job
-            // at this epoch — the state can never change again, so abort
-            // rather than spin on periodic decision epochs.
-            if !epoch_changed_state
-                && self.running.is_empty()
-                && self.arrivals_remaining == 0
-                && !self.pending.is_empty()
-            {
+            hooks.after_epoch(self);
+            // Deadlock guard: the scheduler did not (or could not) start any
+            // pending job at this epoch and nothing else can change the
+            // state — abort rather than spin on periodic decision epochs.
+            if !epoch_changed_state && self.is_stalled() {
                 self.abort_run();
             }
+        }
+        if self.aborted {
+            self.total_jobs += hooks.unpulled();
         }
     }
 
     /// Let the scheduler act (possibly repeatedly) at the current decision
-    /// epoch. Returns whether any action changed simulator state.
-    fn decision_rounds<S: Scheduler + ?Sized>(
+    /// epoch, reporting every applied action to `hooks`. Returns whether any
+    /// action changed simulator state.
+    fn decision_rounds<H, S>(
         &mut self,
+        hooks: &mut H,
         scheduler: &mut S,
         view: &mut ClusterView,
-    ) -> bool {
-        self.decision_rounds_hooked(scheduler, view, &mut |_, _| {})
-    }
-
-    /// `decision_rounds` semantics (identical round/termination
-    /// logic, so external drivers reproduce the bundled drivers' results
-    /// exactly), with `on_action` observing every `(action, outcome)` pair
-    /// as it is applied — the event hook the serving plane uses to stream
-    /// start/scale decisions and record per-job decision latency.
-    pub fn decision_rounds_hooked<S, F>(
-        &mut self,
-        scheduler: &mut S,
-        view: &mut ClusterView,
-        on_action: &mut F,
     ) -> bool
     where
+        H: EpochHooks + ?Sized,
         S: Scheduler + ?Sized,
-        F: FnMut(&Action, &ActionOutcome),
     {
         let mut rounds = 0;
         let mut epoch_changed_state = false;
@@ -1068,7 +1127,7 @@ impl Simulator {
                 }
                 let outcome = self.apply(action);
                 any_change |= outcome.changed_state();
-                on_action(action, &outcome);
+                hooks.on_action(action, &outcome);
             }
             epoch_changed_state |= any_change;
             if all_wait || !any_change {
@@ -1086,11 +1145,12 @@ impl Simulator {
     /// fails the `log_pos >= log_base` check on its next refill and falls
     /// back to the full rebuild, never to a wrong replay.
     ///
-    /// The bundled drivers ([`Self::run`], [`Self::run_reusing`],
-    /// [`Self::run_source`]) call this every epoch. Long-lived users of the
-    /// step-wise API that keep one refilled view (e.g. an RL environment)
-    /// should do the same after refilling it, so the log stays bounded by
-    /// one epoch instead of growing with the run.
+    /// The epoch loop behind every entry point ([`Self::run`],
+    /// [`Self::run_reusing`], [`Self::run_source`], [`Self::run_service`])
+    /// calls this every epoch. Long-lived users of the step-wise API that
+    /// keep one refilled view (e.g. an RL environment) should do the same
+    /// after refilling it, so the log stays bounded by one epoch instead of
+    /// growing with the run.
     pub fn compact_log(&mut self, view: &ClusterView) {
         if self.config.incremental_view
             && view.sync.sim_id == self.sim_id.0

@@ -74,7 +74,7 @@ pub mod view;
 pub use allocation::{Allocation, Placement};
 pub use cluster::Cluster;
 pub use config::{ClusterSpec, NodeClassSpec, PowerModel, SimConfig};
-pub use engine::{EpochKind, SimulationResult, Simulator};
+pub use engine::{EpochHooks, EpochKind, SimulationResult, Simulator};
 pub use event::{Event, EventKind, EventQueue};
 pub use fit_index::{bucket_rank, rank_floor, FitIndex, MAX_RANK, NUM_RANKS};
 pub use job::{Job, JobBuilder, JobClass, JobId, JobState, SpeedupModel, TimeUtility};
@@ -93,7 +93,7 @@ pub mod prelude {
     pub use crate::allocation::{Allocation, Placement};
     pub use crate::cluster::Cluster;
     pub use crate::config::{ClusterSpec, NodeClassSpec, PowerModel, SimConfig};
-    pub use crate::engine::{EpochKind, SimulationResult, Simulator};
+    pub use crate::engine::{EpochHooks, EpochKind, SimulationResult, Simulator};
     pub use crate::job::{Job, JobBuilder, JobClass, JobId, JobState, SpeedupModel, TimeUtility};
     pub use crate::metrics::{CompletedJob, EnergyReport, Summary, UtilizationTrace};
     pub use crate::node::{Node, NodeClassId, NodeId};

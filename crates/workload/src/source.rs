@@ -62,14 +62,12 @@ pub fn split_seed(seed: u64) -> u64 {
 }
 
 /// Which of `lanes` partitions the job at 0-based stream `position` belongs
-/// to, under `seed`. This is the **closed form** of the serving plane's
-/// sequential partitioner (seed XOR'd with a domain constant, one SplitMix64
-/// gamma step per job, finalizer mix): the `i`-th step of that walk lands on
-/// state `(seed ^ C) + (i + 1) * GAMMA`, so any position can be hashed
-/// independently — which is what lets a streaming producer rebuild only *its*
-/// lane of a source with a filter instead of materialising the whole stream.
-/// `tcrm-serve`'s `partition_jobs` is pinned byte-compatible with this
-/// function.
+/// to, under `seed`: seed XOR'd with a domain constant, one SplitMix64
+/// gamma step per position, finalizer mix. The `i`-th step lands on state
+/// `(seed ^ C) + (i + 1) * GAMMA`, so any position can be hashed
+/// independently — which is what lets a serving-plane producer rebuild only
+/// *its* lane of a source with a filter ([`Partition`]) instead of
+/// materialising the whole stream.
 pub fn partition_lane(seed: u64, position: u64, lanes: usize) -> usize {
     let state = (seed ^ 0xD6E8_FEB8_6659_FD93)
         .wrapping_add(position.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -795,11 +793,10 @@ impl<S: WorkloadSource> WorkloadSource for Renumber<S> {
 /// The union of the `lanes` partitions of a source (re-merged by
 /// `(arrival, id)`) is exactly the unpartitioned stream: every position maps
 /// to exactly one lane, jobs pass through unmodified, and relative order
-/// within a lane is preserved. This is the streaming twin of the serving
-/// plane's materialized `partition_jobs`: `n` producers each rebuild the
-/// same source and wrap it in `Partition` with their own `slot`, and the
-/// engine-visible merged stream is byte-identical to splitting a collected
-/// `Vec<Job>`.
+/// within a lane is preserved. This is how the serving plane feeds its
+/// producers: `n` producer threads each rebuild the same source and wrap it
+/// in `Partition` with their own `slot`, and the `(arrival, id)` merge of
+/// their lanes is the unpartitioned stream.
 ///
 /// Two seeding flavours:
 /// * [`SourceExt::partition_slot`] — the hash seed **follows** [`reset`]: like
