@@ -241,6 +241,28 @@ mod tests {
     }
 
     #[test]
+    fn block_merge_matches_the_per_job_merge() {
+        // One job per block is the per-job merge; batching jobs into
+        // blocks must not change which job comes out next, nor its lane.
+        let jobs: Vec<Job> = (0..300).map(|i| job(i, (i / 4) as f64)).collect();
+        let collect = |chunk| {
+            let mut out = Vec::new();
+            with_mux(&jobs, 4, 9, chunk, |mut mux| {
+                out.extend(mux.by_ref());
+                assert_eq!(mux.drain(), 0);
+            });
+            out
+        };
+        let per_job = collect(1);
+        assert_eq!(per_job.len(), 300);
+        assert_eq!(
+            collect(7),
+            per_job,
+            "block merge must match the per-job merge"
+        );
+    }
+
+    #[test]
     fn block_drain_counts_everything_not_yet_consumed() {
         let jobs: Vec<Job> = (0..100).map(|i| job(i, i as f64)).collect();
         with_mux(&jobs, 3, 1, 8, |mut mux| {
