@@ -1,23 +1,17 @@
 //! Criterion bench: decision-epoch throughput of the engine at
 //! large-cluster scale — 4096 jobs on a 256-node heterogeneous cluster,
-//! batch and streaming, with the incremental observation layer on (the
-//! default) and against the full-rebuild reference path (`_rebuild` rows).
-//!
-//! The `_rebuild` rows approximate the pre-refactor "rebuild the world each
-//! round" engine: every refill reconstructs every pending/running row and
-//! re-reads every node. The ratio between an `_rebuild` row and its
-//! incremental sibling is the headline speedup of the incremental
-//! `ClusterView`; the absolute numbers feed the committed snapshot and the
-//! scheduled perf-runner regression gate.
+//! batch and streaming. The absolute numbers feed the committed snapshot
+//! and the scheduled perf-runner regression gate.
 //!
 //! The scale tiers (`edf_16k`, `edf_64k`) push the same epoch-dense loop to
-//! 16,384- and 65,536-machine clusters — past the old 256-node ceiling —
-//! with the bucketed placement index on (the default) and against the
-//! O(nodes) reference slice walk (`_walk` rows,
-//! `SimConfig::placement_index = false`). The ratio between a `_walk` row
-//! and its indexed sibling is the headline speedup of the placement index.
+//! 16,384- and 65,536-machine clusters — past the old 256-node ceiling that
+//! the bucketed placement index lifted.
 //! Set `TCRM_SIM_SCALE=smoke` to run only a small 16k-node tier (fewer
 //! jobs, short budget) — the CI bench-smoke configuration.
+//!
+//! The reference paths (`Simulator::rebuild_view_into`,
+//! `Cluster::find_placement_walk`) are test oracles that the engine never
+//! runs, so no row measures them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -40,13 +34,12 @@ fn big_cluster() -> ClusterSpec {
     cluster
 }
 
-fn scale_config(incremental: bool) -> SimConfig {
+fn scale_config() -> SimConfig {
     let mut cfg = SimConfig::default();
     // A periodic epoch stream dense enough that view maintenance, not the
     // event heap, dominates — the regime the refactor targets.
     cfg.decision_interval = Some(5.0);
     cfg.max_sim_time = 1e7;
-    cfg.incremental_view = incremental;
     cfg
 }
 
@@ -67,12 +60,12 @@ fn bench_scale(c: &mut Criterion) {
     let label = format!("{JOBS}x256");
 
     // Batch runs through the sweep-style reuse path (one simulator + one
-    // retained view per mode, reset between iterations) — the EvalSession
+    // retained view per row, reset between iterations) — the EvalSession
     // worker loop in miniature.
-    for (name, incremental) in [("edf_batch", true), ("edf_batch_rebuild", false)] {
-        let mut sim = Simulator::new(cluster.clone(), scale_config(incremental));
+    {
+        let mut sim = Simulator::new(cluster.clone(), scale_config());
         let mut view = sim.view();
-        group.bench_with_input(BenchmarkId::new(name, &label), &trace, |b, trace| {
+        group.bench_with_input(BenchmarkId::new("edf_batch", &label), &trace, |b, trace| {
             b.iter(|| {
                 let mut sched = EdfScheduler::new();
                 sim.run_reusing(trace.clone(), &mut sched, &mut view)
@@ -82,26 +75,28 @@ fn bench_scale(c: &mut Criterion) {
     }
 
     // Streaming: jobs pulled one at a time (O(pending + running) memory).
-    for (name, incremental) in [("edf_stream", true), ("edf_stream_rebuild", false)] {
-        let mut sim = Simulator::new(cluster.clone(), scale_config(incremental));
+    {
+        let mut sim = Simulator::new(cluster.clone(), scale_config());
         let mut view = sim.view();
-        group.bench_with_input(BenchmarkId::new(name, &label), &trace, |b, trace| {
-            b.iter(|| {
-                let mut sched = EdfScheduler::new();
-                sim.run_source(trace.iter().cloned(), &mut sched, &mut view)
-                    .completed_jobs
-            })
-        });
+        group.bench_with_input(
+            BenchmarkId::new("edf_stream", &label),
+            &trace,
+            |b, trace| {
+                b.iter(|| {
+                    let mut sched = EdfScheduler::new();
+                    sim.run_source(trace.iter().cloned(), &mut sched, &mut view)
+                        .completed_jobs
+                })
+            },
+        );
     }
 
     // A scale-happy policy exercises the re-scale + node-dirty paths too.
-    for (name, incremental) in [
-        ("greedy-elastic_batch", true),
-        ("greedy-elastic_batch_rebuild", false),
-    ] {
-        let mut sim = Simulator::new(cluster.clone(), scale_config(incremental));
+    {
+        let mut sim = Simulator::new(cluster.clone(), scale_config());
         let mut view = sim.view();
-        group.bench_with_input(BenchmarkId::new(name, &label), &trace, |b, trace| {
+        let id = BenchmarkId::new("greedy-elastic_batch", &label);
+        group.bench_with_input(id, &trace, |b, trace| {
             b.iter(|| {
                 let mut sched = GreedyElasticScheduler::new();
                 sim.run_reusing(trace.clone(), &mut sched, &mut view)
@@ -113,10 +108,9 @@ fn bench_scale(c: &mut Criterion) {
     group.finish();
 }
 
-/// The 16k/64k scale tiers: indexed placement (default) vs the O(nodes)
-/// reference slice walk. Fewer jobs than the 256-node rows — the point is
-/// per-decision placement cost at node counts where the walk's O(nodes)
-/// scan dominates, not job-stream volume.
+/// The 16k/64k scale tiers. Fewer jobs than the 256-node rows — the point
+/// is per-decision placement cost at node counts where an O(nodes) scan
+/// would dominate, not job-stream volume.
 fn bench_scale_tiers(c: &mut Criterion) {
     let smoke = smoke_only();
     let mut group = c.benchmark_group("sim_scale");
@@ -138,22 +132,17 @@ fn bench_scale_tiers(c: &mut Criterion) {
         let trace: Vec<_> = SyntheticSource::new(&workload, &cluster, 11)
             .expect("valid spec")
             .collect();
-        let short = format!("edf_{}k", nodes / 1024);
+        let name = format!("edf_{}k", nodes / 1024);
         let label = format!("{jobs}x{nodes}");
-        for (suffix, indexed) in [("", true), ("_walk", false)] {
-            let mut cfg = scale_config(true);
-            cfg.placement_index = indexed;
-            let mut sim = Simulator::new(cluster.clone(), cfg);
-            let mut view = sim.view();
-            let name = format!("{short}{suffix}");
-            group.bench_with_input(BenchmarkId::new(name, &label), &trace, |b, trace| {
-                b.iter(|| {
-                    let mut sched = EdfScheduler::new();
-                    sim.run_reusing(trace.clone(), &mut sched, &mut view)
-                        .completed_jobs
-                })
-            });
-        }
+        let mut sim = Simulator::new(cluster.clone(), scale_config());
+        let mut view = sim.view();
+        group.bench_with_input(BenchmarkId::new(name, &label), &trace, |b, trace| {
+            b.iter(|| {
+                let mut sched = EdfScheduler::new();
+                sim.run_reusing(trace.clone(), &mut sched, &mut view)
+                    .completed_jobs
+            })
+        });
     }
     group.finish();
 }

@@ -26,65 +26,6 @@ fn session(registry: &PolicyRegistry) -> EvalSession<'_> {
 }
 
 #[test]
-fn incremental_views_do_not_change_sweep_results() {
-    // The EvalSession workers ride the incremental observation layer by
-    // default (`SimConfig::incremental_view`); a whole sweep re-run against
-    // the full-rebuild reference views must be row-for-row identical.
-    let registry = PolicyRegistry::with_baselines();
-    let incremental = session(&registry).run().expect("incremental sweep").table;
-    let mut rebuild_cfg = SimConfig::default();
-    rebuild_cfg.incremental_view = false;
-    let rebuild = session(&registry)
-        .sim(rebuild_cfg)
-        .run()
-        .expect("rebuild sweep")
-        .table;
-    assert_eq!(incremental.rows.len(), rebuild.rows.len());
-    for (a, b) in incremental.rows.iter().zip(rebuild.rows.iter()) {
-        assert_eq!(a.scheduler, b.scheduler);
-        assert_eq!(a.parameter, b.parameter);
-        assert_eq!(a.seed, b.seed);
-        assert_eq!(
-            a.summary, b.summary,
-            "{}@{}#{}",
-            a.scheduler, a.parameter, a.seed
-        );
-    }
-}
-
-#[test]
-fn placement_index_does_not_change_sweep_results() {
-    // The placement index re-routes every `find_placement` /
-    // `units_available` query through the bucketed free-capacity index
-    // (`SimConfig::placement_index`, on by default); a whole sweep re-run
-    // against the O(nodes) reference slice walk must be row-for-row — and,
-    // rendered to CSV, byte-for-byte — identical.
-    let registry = PolicyRegistry::with_baselines();
-    let indexed = session(&registry).run().expect("indexed sweep").table;
-    let mut walk_cfg = SimConfig::default();
-    walk_cfg.placement_index = false;
-    let walk = session(&registry)
-        .sim(walk_cfg)
-        .run()
-        .expect("walk sweep")
-        .table;
-    assert_eq!(indexed.rows.len(), walk.rows.len());
-    for (a, b) in indexed.rows.iter().zip(walk.rows.iter()) {
-        assert_eq!(a.scheduler, b.scheduler);
-        assert_eq!(a.parameter, b.parameter);
-        assert_eq!(a.seed, b.seed);
-        assert_eq!(
-            a.summary, b.summary,
-            "{}@{}#{}",
-            a.scheduler, a.parameter, a.seed
-        );
-    }
-    // The pinned-CSV acceptance gate: identical artefacts, not just rows.
-    assert_eq!(indexed.to_csv(), walk.to_csv());
-    assert_eq!(indexed.to_markdown(), walk.to_markdown());
-}
-
-#[test]
 fn parallel_sweep_equals_sequential_reference_row_for_row() {
     let registry = PolicyRegistry::with_baselines();
     let parallel = session(&registry).run().expect("parallel sweep").table;

@@ -6,11 +6,6 @@ use crate::fit_index::{bucket_rank, rank_floor, FitIndex};
 use crate::job::JobClass;
 use crate::node::{Node, NodeClassId, NodeId};
 use crate::resources::{ResourceVector, NUM_RESOURCES};
-use serde::{Deserialize, Serialize};
-
-fn default_indexed_placement() -> bool {
-    true
-}
 
 /// A concrete cluster instantiated from a [`ClusterSpec`].
 ///
@@ -34,13 +29,12 @@ fn default_indexed_placement() -> bool {
 ///   delta-updated by the same two methods, so [`Self::find_placement`]
 ///   visits nodes in worst-fit order without the per-start sort that capped
 ///   `sim_scale` at 256 nodes. The pre-index slice walk survives as the
-///   property-tested reference (re-keyed to the same
-///   `(bucket_rank desc, id asc)` order) behind
-///   [`crate::config::SimConfig::placement_index`] = `false`.
+///   property-tested oracle [`Self::find_placement_walk`] (re-keyed to the
+///   same `(bucket_rank desc, id asc)` order), which the engine never calls.
 ///
 /// [`Self::check_invariants`] cross-checks both the aggregates and the fit
 /// indices against a fresh per-node recomputation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cluster {
     spec: ClusterSpec,
     nodes: Vec<Node>,
@@ -49,16 +43,8 @@ pub struct Cluster {
     /// Delta-maintained per-class free capacity (see the type docs).
     free_by_class: Vec<ResourceVector>,
     /// Delta-maintained per-class bucketed placement index (see the type
-    /// docs). Always kept current — counting queries use it on both configs
-    /// (sums are iteration-order-independent); only the order-sensitive
-    /// [`Self::find_placement`] honours the toggle. Deserialized legacy
-    /// snapshots without the field fall back to the walk until rebuilt.
-    #[serde(default)]
+    /// docs), serving every fit query and [`Self::find_placement`].
     fit: Vec<FitIndex>,
-    /// Whether [`Self::find_placement`] uses the index (set from
-    /// [`crate::config::SimConfig::placement_index`] by the engine).
-    #[serde(default = "default_indexed_placement")]
-    indexed_placement: bool,
 }
 
 impl Cluster {
@@ -80,22 +66,14 @@ impl Cluster {
             .map(|ci| spec.class_capacity(NodeClassId(ci)))
             .collect();
         let mut cluster = Cluster {
+            fit: vec![FitIndex::new(); spec.num_classes()],
             spec,
             nodes,
             class_ranges,
             free_by_class,
-            fit: Vec::new(),
-            indexed_placement: default_indexed_placement(),
         };
         cluster.rebuild_fit_indices();
         cluster
-    }
-
-    /// Choose whether [`Self::find_placement`] walks the fit index or the
-    /// reference slice walk (the [`crate::config::SimConfig::placement_index`]
-    /// toggle). The index itself stays maintained either way.
-    pub fn set_indexed_placement(&mut self, indexed: bool) {
-        self.indexed_placement = indexed;
     }
 
     /// Per-node capacity of one class (uniform within a class by
@@ -107,24 +85,12 @@ impl Cluster {
 
     /// Rebuild every class's fit index from the nodes' current free vectors.
     fn rebuild_fit_indices(&mut self) {
-        if self.fit.len() != self.spec.num_classes() {
-            self.fit.resize_with(self.spec.num_classes(), FitIndex::new);
-        }
         for ci in 0..self.spec.num_classes() {
             let cap = self.spec.node_classes[ci].capacity;
             let (start, end) = self.class_ranges[ci];
             let frees = self.nodes[start..end].iter().map(|n| n.free());
             self.fit[ci].rebuild(&cap, frees);
         }
-    }
-
-    /// True when `class` has a fit index covering every node — always, except
-    /// on a legacy-deserialized cluster that predates the field.
-    fn fit_index_valid(&self, class: NodeClassId) -> bool {
-        let (start, end) = self.class_ranges[class.0];
-        self.fit
-            .get(class.0)
-            .is_some_and(|f| f.len() == end - start)
     }
 
     /// The spec this cluster was built from.
@@ -246,9 +212,9 @@ impl Cluster {
 
     /// `min(units_available, cap)`, returning as soon as the cap is reached.
     /// The sum is iteration-order-independent, so this walks the fit index in
-    /// emptiest-first order when available (reaching the cap after the fewest
-    /// nodes, and skipping the buckets below the demand's [`rank_floor`],
-    /// whose nodes fit nothing) and accumulates saturating either way.
+    /// emptiest-first order (reaching the cap after the fewest nodes, and
+    /// skipping the buckets below the demand's [`rank_floor`], whose nodes
+    /// fit nothing) and accumulates saturating.
     pub fn units_available_capped(
         &self,
         class: NodeClassId,
@@ -259,29 +225,16 @@ impl Cluster {
             return 0;
         }
         let mut total = 0u32;
-        if self.fit_index_valid(class) {
-            let slice = self.class_nodes(class);
-            let floor = rank_floor(per_unit, &self.unit_capacity_of_class(class));
-            for idx in self.fit[class.0].nodes_desc_from(floor) {
-                let u = slice[idx].units_that_fit(per_unit);
-                if u == u32::MAX {
-                    continue; // zero-demand jobs are handled by the caller
-                }
-                total = total.saturating_add(u);
-                if total >= cap {
-                    return cap;
-                }
+        let slice = self.class_nodes(class);
+        let floor = rank_floor(per_unit, &self.unit_capacity_of_class(class));
+        for idx in self.fit[class.0].nodes_desc_from(floor) {
+            let u = slice[idx].units_that_fit(per_unit);
+            if u == u32::MAX {
+                continue; // zero-demand jobs are handled by the caller
             }
-        } else {
-            for n in self.nodes_of_class(class) {
-                let u = n.units_that_fit(per_unit);
-                if u == u32::MAX {
-                    continue;
-                }
-                total = total.saturating_add(u);
-                if total >= cap {
-                    return cap;
-                }
+            total = total.saturating_add(u);
+            if total >= cap {
+                return cap;
             }
         }
         total
@@ -295,32 +248,41 @@ impl Cluster {
     /// is keyed on the node's [`bucket_rank`] — the floor-log2 bucket of its
     /// scarcest relative free resource, the same demand-independent key the
     /// [`FitIndex`] maintains — and ties break on the lower node id so the
-    /// search is deterministic. Both implementations (the indexed path and
-    /// the reference slice walk selected by
-    /// [`crate::config::SimConfig::placement_index`]) visit candidates in
-    /// exactly this `(bucket_rank desc, id asc)` order, which keeps their
-    /// placements byte-identical (pinned by `tests/placement_index.rs`).
+    /// search is deterministic. The search walks the class's [`FitIndex`]
+    /// in exactly this `(bucket_rank desc, id asc)` order; the reference
+    /// [`Self::find_placement_walk`] sorts the class slice into the same
+    /// order, which keeps the two byte-identical (pinned by
+    /// `tests/placement_index.rs`).
     pub fn find_placement(
         &self,
         class: NodeClassId,
         per_unit: &ResourceVector,
         units: u32,
     ) -> Option<Vec<Placement>> {
+        self.trivial_placement(class, per_unit, units)
+            .unwrap_or_else(|| self.find_placement_indexed(class, per_unit, units))
+    }
+
+    /// The answer both placement paths give without searching: no units
+    /// place nowhere, and zero-demand units trivially fit on the first
+    /// machine of the class. `None` when a search is needed.
+    fn trivial_placement(
+        &self,
+        class: NodeClassId,
+        per_unit: &ResourceVector,
+        units: u32,
+    ) -> Option<Option<Vec<Placement>>> {
         if units == 0 {
-            return None;
+            return Some(None);
         }
-        // Zero-demand units trivially fit on the first machine of the class.
         if per_unit.total() <= 0.0 {
-            return self
-                .nodes_of_class(class)
-                .next()
-                .map(|n| vec![Placement { node: n.id, units }]);
+            return Some(
+                self.nodes_of_class(class)
+                    .next()
+                    .map(|n| vec![Placement { node: n.id, units }]),
+            );
         }
-        if self.indexed_placement && self.fit_index_valid(class) {
-            self.find_placement_indexed(class, per_unit, units)
-        } else {
-            self.find_placement_walk(class, per_unit, units)
-        }
+        None
     }
 
     /// Indexed placement: O(placed + skipped) bucket-order traversal, no
@@ -355,15 +317,20 @@ impl Cluster {
         None
     }
 
-    /// Reference placement: the pre-index slice walk, kept property-tested
-    /// against the indexed path. Sorts candidates into the identical
-    /// `(bucket_rank desc, id asc)` worst-fit order.
-    fn find_placement_walk(
+    /// Reference placement: the pre-index slice walk, a test oracle that the
+    /// engine never calls. Same contract as [`Self::find_placement`], but
+    /// sorts the whole class slice into the identical
+    /// `(bucket_rank desc, id asc)` worst-fit order on every call — O(n log n)
+    /// per search instead of O(placed + skipped).
+    pub fn find_placement_walk(
         &self,
         class: NodeClassId,
         per_unit: &ResourceVector,
         units: u32,
     ) -> Option<Vec<Placement>> {
+        if let Some(trivial) = self.trivial_placement(class, per_unit, units) {
+            return trivial;
+        }
         let cap = self.unit_capacity_of_class(class);
         let mut candidates: Vec<(&Node, u32, u8)> = self
             .nodes_of_class(class)
@@ -438,9 +405,6 @@ impl Cluster {
     fn reindex_node(&mut self, node: NodeId) {
         let n = &self.nodes[node.0];
         let ci = n.class.0;
-        if !self.fit_index_valid(n.class) {
-            return; // legacy-deserialized cluster without the index
-        }
         let idx = node.0 - self.class_ranges[ci].0;
         let free = n.free();
         let cap = self.spec.node_classes[ci].capacity;
@@ -486,9 +450,6 @@ impl Cluster {
                 }
             }
             // The fit index must agree with ranks recomputed from the nodes.
-            if !self.fit_index_valid(class) {
-                return Err(format!("{class} has no fit index"));
-            }
             let cap = self.unit_capacity_of_class(class);
             self.fit[class.0]
                 .check(&cap, self.nodes_of_class(class).map(|n| n.free()))
@@ -568,25 +529,25 @@ mod tests {
 
     #[test]
     fn equal_capacity_ties_break_on_node_id_on_both_paths() {
-        // Satellite 3: nodes with identical free capacity (same bucket rank)
-        // must be visited in ascending NodeId order by the indexed path and
-        // the reference walk alike.
-        let mut c = Cluster::new(ClusterSpec::tiny());
+        // Nodes with identical free capacity (same bucket rank) must be
+        // visited in ascending NodeId order by the indexed path and the
+        // reference walk alike.
+        let c = Cluster::new(ClusterSpec::tiny());
         let per_unit = ResourceVector::of(2.0, 4.0, 0.0, 1.0);
-        for indexed in [true, false] {
-            c.set_indexed_placement(indexed);
-            let placement = c
-                .find_placement(NodeClassId(0), &per_unit, 1)
-                .expect("placement exists");
-            assert_eq!(
-                placement,
-                vec![Placement {
-                    node: NodeId(0),
-                    units: 1
-                }],
-                "indexed={indexed}: equal-rank tie must go to the lowest id"
-            );
-        }
+        let lowest = Some(vec![Placement {
+            node: NodeId(0),
+            units: 1,
+        }]);
+        assert_eq!(
+            c.find_placement(NodeClassId(0), &per_unit, 1),
+            lowest,
+            "indexed: equal-rank tie must go to the lowest id"
+        );
+        assert_eq!(
+            c.find_placement_walk(NodeClassId(0), &per_unit, 1),
+            lowest,
+            "walk: equal-rank tie must go to the lowest id"
+        );
     }
 
     /// True when the fit query for `per_unit` on `class` skips a node: its
@@ -619,10 +580,8 @@ mod tests {
             let per_unit = demands[(step / c.num_classes() + step) % demands.len()];
             let units = 1 + (step % 5) as u32;
             pruned_steps += usize::from(floor_prunes(&c, class, &per_unit));
-            c.set_indexed_placement(true);
             let indexed = c.find_placement(class, &per_unit, units);
-            c.set_indexed_placement(false);
-            let walk = c.find_placement(class, &per_unit, units);
+            let walk = c.find_placement_walk(class, &per_unit, units);
             assert_eq!(indexed, walk, "step {step} diverged");
             let fresh_sum = c
                 .nodes_of_class(class)

@@ -301,22 +301,6 @@ pub struct SimConfig {
     /// Hard cap on simulated time; the run aborts (completing metrics for the
     /// finished jobs only) if exceeded. Guards against livelock.
     pub max_sim_time: f64,
-    /// Maintain scheduler snapshots incrementally (apply recorded deltas to
-    /// a retained [`crate::view::ClusterView`] instead of rebuilding every
-    /// row at every decision epoch). `false` forces the full-rebuild
-    /// reference path on every refill — the two are property-tested
-    /// byte-identical; the switch exists for differential testing and for
-    /// benchmarking the refactor itself.
-    #[serde(default = "default_incremental_view")]
-    pub incremental_view: bool,
-    /// Serve placement searches from the per-class bucketed free-capacity
-    /// index ([`crate::fit_index::FitIndex`], delta-maintained by the
-    /// cluster) instead of the reference slice walk. `false` forces the
-    /// sorted-walk reference path — the two are property-tested
-    /// byte-identical; the switch exists for differential testing and for
-    /// benchmarking the refactor itself (the `sim_scale/*_walk` rows).
-    #[serde(default = "default_placement_index")]
-    pub placement_index: bool,
     /// Fold metrics into fixed-size streaming aggregates instead of keeping
     /// a per-job completion log and a full utilisation trace, so a run's
     /// metric footprint is O(1) in the number of jobs. Every
@@ -326,14 +310,6 @@ pub struct SimConfig {
     /// need exact percentiles or the utilisation trace leave it off.
     #[serde(default)]
     pub bounded_metrics: bool,
-}
-
-fn default_incremental_view() -> bool {
-    true
-}
-
-fn default_placement_index() -> bool {
-    true
 }
 
 impl Default for SimConfig {
@@ -346,8 +322,6 @@ impl Default for SimConfig {
             util_sample_interval: 5.0,
             max_decisions_per_epoch: 64,
             max_sim_time: 1e6,
-            incremental_view: true,
-            placement_index: true,
             bounded_metrics: false,
         }
     }
@@ -490,6 +464,16 @@ mod tests {
         let cfg = SimConfig::default();
         let json = serde_json::to_string(&cfg).unwrap();
         let back: SimConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(cfg, back);
+        // Configs written while the reference-path switches still existed
+        // carry two keys this struct no longer has; they load unchanged.
+        let legacy = json.replacen(
+            '{',
+            "{\"incremental_view\":false,\"placement_index\":false,",
+            1,
+        );
+        assert!(legacy.contains("\"placement_index\":false"));
+        let back: SimConfig = serde_json::from_str(&legacy).unwrap();
         assert_eq!(cfg, back);
         let spec = ClusterSpec::icpp_default();
         let json = serde_json::to_string(&spec).unwrap();

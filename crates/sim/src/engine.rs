@@ -271,8 +271,8 @@ pub struct Simulator {
     /// Bumped on every [`Self::reset`]; views synced to an earlier run
     /// rebuild instead of replaying a cleared change log.
     run_epoch: u64,
-    /// Change log of scheduler-visible state (cleared on reset, skipped
-    /// entirely when `config.incremental_view` is off). The drivers compact
+    /// Change log of scheduler-visible state (cleared on reset), always
+    /// maintained: [`Self::view_into`] replays it. The drivers compact
     /// it once their view has consumed it — see [`Self::compact_log`] — so
     /// its length is bounded by the deltas of a single decision epoch, not
     /// the run: streaming runs keep their O(running + pending) memory
@@ -291,8 +291,7 @@ impl Simulator {
             best_speed_cache[class.index()] = spec.best_speed_factor(class);
         }
         let spec = Arc::new(spec);
-        let mut cluster = Cluster::new((*spec).clone());
-        cluster.set_indexed_placement(config.placement_index);
+        let cluster = Cluster::new((*spec).clone());
         Simulator {
             spec,
             config,
@@ -426,9 +425,7 @@ impl Simulator {
     /// id is not pending.
     pub fn cancel_pending(&mut self, id: JobId) -> Option<Job> {
         let (job, pos) = self.pending.remove(id)?;
-        if self.config.incremental_view {
-            self.log.push(ViewDelta::PendingRemoved { pos });
-        }
+        self.log.push(ViewDelta::PendingRemoved { pos });
         self.metrics.record_unfinished(job.utility.value);
         Some(job)
     }
@@ -444,15 +441,11 @@ impl Simulator {
         let Some((mut job, pos)) = self.pending.remove(id) else {
             return false;
         };
-        if self.config.incremental_view {
-            self.log.push(ViewDelta::PendingRemoved { pos });
-        }
+        self.log.push(ViewDelta::PendingRemoved { pos });
         job.malleable = false;
         job.max_parallelism = job.min_parallelism;
-        if self.config.incremental_view {
-            self.log
-                .push(ViewDelta::Arrived(ClusterView::pending_view_of(&job)));
-        }
+        self.log
+            .push(ViewDelta::Arrived(ClusterView::pending_view_of(&job)));
         self.pending.push(job);
         true
     }
@@ -506,9 +499,7 @@ impl Simulator {
         // start/completion/scale, capped so huge streaming hints cannot
         // reserve unbounded memory (longer runs fall back to amortised
         // growth; the capacity persists across resets).
-        if self.config.incremental_view {
-            self.log.reserve(expected_jobs.saturating_mul(6).min(8_192));
-        }
+        self.log.reserve(expected_jobs.saturating_mul(6).min(8_192));
         // Budget the utilisation trace: enough for the horizon the workload
         // plausibly covers, capped so pathological sampling intervals cannot
         // reserve unbounded memory. Runs that outlive the budget fall back to
@@ -588,10 +579,8 @@ impl Simulator {
                 EventKind::JobArrival(job) => {
                     self.arrivals_remaining = self.arrivals_remaining.saturating_sub(1);
                     self.arrival_hint = self.arrival_hint.saturating_sub(1);
-                    if self.config.incremental_view {
-                        self.log
-                            .push(ViewDelta::Arrived(ClusterView::pending_view_of(&job)));
-                    }
+                    self.log
+                        .push(ViewDelta::Arrived(ClusterView::pending_view_of(&job)));
                     self.last_epoch = EpochKind::Arrival(job.id);
                     self.pending.push(job);
                     self.metrics.record_decision_epoch();
@@ -656,25 +645,24 @@ impl Simulator {
     /// sibling of [`Self::view`].
     ///
     /// When the snapshot was last filled by **this simulator in this run**
-    /// (tracked through an engine-owned sync cookie) and
-    /// [`SimConfig::incremental_view`] is on, the refill is *incremental*:
-    /// the deltas recorded since the last refill (job arrived / started /
-    /// re-scaled / completed, node capacities touched) are replayed onto the
-    /// retained rows, and only the header and per-class free capacity are
-    /// refreshed — O(changes + classes), plus copying the engine-maintained
-    /// deadline order. Rows are time-affine (see [`RunningJobView`]): they
-    /// hold reconciled state and derive `wait` / `remaining_work` /
-    /// `scale_ready` at the `now` a reader asks for, so a refill where only
-    /// time moved rewrites no row.
+    /// (tracked through an engine-owned sync cookie), the refill is
+    /// *incremental*: the deltas recorded since the last refill (job
+    /// arrived / started / re-scaled / completed, node capacities touched)
+    /// are replayed onto the retained rows, and only the header and
+    /// per-class free capacity are refreshed — O(changes + classes), plus
+    /// copying the engine-maintained deadline order. Rows are time-affine
+    /// (see [`RunningJobView`]): they hold reconciled state and derive
+    /// `wait` / `remaining_work` / `scale_ready` at the `now` a reader asks
+    /// for, so a refill where only time moved rewrites no row.
     ///
     /// Any view that cannot prove it is in sync — freshly built, fabricated,
     /// last filled by another simulator or an earlier run — falls back to
     /// [`Self::rebuild_view_into`], the full-rebuild reference. Both paths
-    /// produce byte-identical views (pinned by the paired-simulator property
-    /// tests in `tests/incremental_view.rs`).
+    /// produce byte-identical views: the oracle harness behind
+    /// `tests/incremental_view.rs` checks this refill against
+    /// [`Self::rebuild_view_into`] at every step of one simulator.
     pub fn view_into(&self, out: &mut ClusterView) {
-        let in_sync = self.config.incremental_view
-            && out.sync.sim_id == self.sim_id.0
+        let in_sync = out.sync.sim_id == self.sim_id.0
             && out.sync.run_epoch == self.run_epoch
             && out.sync.log_pos >= self.log_base
             && out.sync.log_pos - self.log_base <= self.log.len()
@@ -724,19 +712,19 @@ impl Simulator {
         self.refresh_header(out);
         // The deadline index comes straight from the engine-maintained
         // order; the rebuild reference recomputes it by sorting, so the
-        // paired tests cross-check the maintained index itself.
+        // oracle harness cross-checks the maintained index itself.
         out.pending_by_deadline.clear();
         out.pending_by_deadline
             .extend(self.pending.deadline_positions());
     }
 
     /// Rebuild every row of the snapshot from scratch — the full-rebuild
-    /// correctness reference of the incremental protocol (and the refill
-    /// path when the view is out of sync or `incremental_view` is off). The
-    /// static per-class skeleton (names, capacities, speed factors) is still
-    /// reused when the spec is unchanged; pending/running rows are cleared
-    /// and re-extended into the retained buffers, with running jobs in
-    /// `(started_at, id)` order straight from the maintained index.
+    /// oracle the incremental [`Self::view_into`] is checked against, and its
+    /// fallback when the view is out of sync. The static per-class skeleton
+    /// (names, capacities, speed factors) is still reused when the spec is
+    /// unchanged; pending/running rows are cleared and re-extended into the
+    /// retained buffers, with running jobs in `(started_at, id)` order
+    /// straight from the maintained index.
     pub fn rebuild_view_into(&self, out: &mut ClusterView) {
         // A spec change invalidates the whole static class skeleton (names,
         // node counts, capacities, speed factors), not just its length — a
@@ -1152,8 +1140,7 @@ impl Simulator {
     /// after refilling it, so the log stays bounded by one epoch instead of
     /// growing with the run.
     pub fn compact_log(&mut self, view: &ClusterView) {
-        if self.config.incremental_view
-            && view.sync.sim_id == self.sim_id.0
+        if view.sync.sim_id == self.sim_id.0
             && view.sync.run_epoch == self.run_epoch
             && view.sync.log_pos == self.log_base + self.log.len()
         {
@@ -1188,9 +1175,6 @@ impl Simulator {
     /// (after the cluster mutation), so incremental views patch exactly the
     /// dirty `node_free` entries.
     fn log_node_frees(&mut self, placements: &[Placement]) {
-        if !self.config.incremental_view {
-            return;
-        }
         for p in placements {
             let node = &self.cluster.nodes()[p.node.0];
             self.log.push(ViewDelta::NodeFree {
@@ -1223,9 +1207,7 @@ impl Simulator {
         // Must happen while the job is still in the map: the order index's
         // sort key is looked up there.
         let pos = self.remove_running_order(job_id, started_at);
-        if self.config.incremental_view {
-            self.log.push(ViewDelta::RunningRemoved { pos: pos as u32 });
-        }
+        self.log.push(ViewDelta::RunningRemoved { pos: pos as u32 });
         let mut r = self.running.remove(&job_id).expect("running job vanished");
         // Fold the final constant-rate span into the progress integrals
         // before the record is written.
@@ -1282,10 +1264,8 @@ impl Simulator {
             return ActionOutcome::Invalid("insufficient capacity");
         };
         let (job, pending_pos) = self.pending.remove(job_id).expect("pending job vanished");
-        if self.config.incremental_view {
-            self.log
-                .push(ViewDelta::PendingRemoved { pos: pending_pos });
-        }
+        self.log
+            .push(ViewDelta::PendingRemoved { pos: pending_pos });
         self.cluster.apply_placement(&demand, &placements);
         self.log_node_frees(&placements);
         let alloc = Allocation::new(job.id, class, placements, demand);
@@ -1304,13 +1284,11 @@ impl Simulator {
         };
         self.running.insert(job_id, running);
         let order_pos = self.insert_running_order(job_id);
-        if self.config.incremental_view {
-            let row = self.running_row(&self.running[&job_id]);
-            self.log.push(ViewDelta::RunningInserted {
-                pos: order_pos as u32,
-                row,
-            });
-        }
+        let row = self.running_row(&self.running[&job_id]);
+        self.log.push(ViewDelta::RunningInserted {
+            pos: order_pos as u32,
+            row,
+        });
         self.schedule_completion(job_id);
         ActionOutcome::Started
     }
@@ -1411,18 +1389,16 @@ impl Simulator {
             self.log_node_frees(&released);
         }
         self.metrics.record_scale_event();
-        if self.config.incremental_view {
-            let r = &self.running[&job_id];
-            let pos = self.running_order_pos(job_id, r.started_at);
-            self.log.push(ViewDelta::RunningRescaled {
-                pos: pos as u32,
-                units: r.alloc.total_units(),
-                remaining_at_update: r.remaining_work,
-                last_update: r.last_update,
-                rate: r.rate,
-                last_scaled_at: r.last_scaled_at,
-            });
-        }
+        let r = &self.running[&job_id];
+        let pos = self.running_order_pos(job_id, r.started_at);
+        self.log.push(ViewDelta::RunningRescaled {
+            pos: pos as u32,
+            units: r.alloc.total_units(),
+            remaining_at_update: r.remaining_work,
+            last_update: r.last_update,
+            rate: r.rate,
+            last_scaled_at: r.last_scaled_at,
+        });
         self.schedule_completion(job_id);
         ActionOutcome::Scaled
     }

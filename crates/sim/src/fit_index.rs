@@ -14,10 +14,11 @@
 //!
 //! The index is delta-updated on every allocation/release (an O(log bucket)
 //! membership move) and rebuilt in O(n) when a retained snapshot refills from
-//! scratch. Both the indexed queries and the property-tested reference walk
-//! ([`crate::config::SimConfig::placement_index`] = `false`) order candidates
-//! by the *same* `(bucket_rank desc, id asc)` key, which is what keeps their
-//! placements byte-identical (pinned in `tests/placement_index.rs`).
+//! scratch. Both the indexed queries and the reference walk
+//! ([`crate::cluster::Cluster::find_placement_walk`], a test oracle the engine
+//! never calls) order candidates by the *same* `(bucket_rank desc, id asc)`
+//! key, which is what keeps their placements byte-identical (pinned in
+//! `tests/placement_index.rs`).
 //!
 //! **Rank floor.** A fit query need not visit every bucket. A node fits one
 //! unit of demand `d` when `(free_i + 1e-9) / d_i ≥ 1` on every demanded

@@ -12,8 +12,11 @@
 # committed snapshot FILE: any gated entry (nn_forward/, nn_kernels/,
 # decision_latency/, sim_scale/, train_throughput/, serve_latency/,
 # serve_scale/, ipc_ring/) whose median regresses by more than
-# --max-regress percent (default 25) fails the script. The comparison only makes sense
-# between runs on the same machine, so it is skipped (with a warning) when
+# --max-regress percent (default 25) fails the script. A gated baseline
+# entry that the fresh run did not produce, in a group the run did produce
+# (a deleted or renamed row), is listed as a warning without changing the
+# exit status. The comparison only makes sense between runs on the same
+# machine, so it is skipped (with a warning) when
 # FILE's host differs from this one — which lets CI wire the invocation
 # unconditionally while only dedicated runners enforce it.
 #
@@ -116,13 +119,26 @@ if [ -n "$DIFF_AGAINST" ]; then
             line = $0
             gsub(/.*"median_ns":/, "", line); gsub(/[,}].*/, "", line)
             if (name !~ /^(nn_forward|nn_kernels|decision_latency|sim_scale|train_throughput|serve_latency|serve_scale|ipc_ring)\//) next
-            if (NR == FNR) { base[name] = line + 0; next }
+            if (NR == FNR) { base[name] = line + 0; order[++nbase] = name; next }
+            fresh[name] = 1
+            group = name; sub(/\/.*/, "", group); ran[group] = 1
             if (!(name in base) || base[name] <= 0) next
             pct = (line / base[name] - 1) * 100
             printf "  %-55s %12.1f -> %12.1f ns  (%+.1f%%)\n", name, base[name], line, pct
             if (pct > max) { bad++ }
         }
         END {
+            for (i = 1; i <= nbase; i++) {
+                name = order[i]
+                group = name; sub(/\/.*/, "", group)
+                if ((group in ran) && !(name in fresh)) {
+                    printf "  warning: %s is in the baseline but not in this run\n", name > "/dev/stderr"
+                    missing++
+                }
+            }
+            if (missing > 0) {
+                printf "warning: %d gated baseline row(s) missing from this run (deleted, renamed or not selected)\n", missing > "/dev/stderr"
+            }
             if (bad > 0) { printf "%d benchmark(s) regressed more than %s%%\n", bad, max; exit 1 }
         }
     ' "$BASELINE_FILE" "$OUT"
