@@ -1,44 +1,14 @@
 //! Criterion bench: per-decision latency of each scheduler on a loaded view,
 //! as a function of cluster size (the data behind Table 4's latency column).
 
+mod fixtures;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use fixtures::loaded_view;
 use std::time::Duration;
 use tcrm_core::{ActionSpace, AgentConfig, DrlScheduler, StateEncoder};
 use tcrm_rl::CategoricalPolicy;
-use tcrm_sim::{Action, ClusterSpec, ClusterView, NodeClassId, Scheduler, SimConfig, Simulator};
-use tcrm_workload::{SyntheticSource, WorkloadSpec};
-
-/// Build a mid-simulation view with a populated queue and running set.
-fn loaded_view(scale: f64) -> ClusterView {
-    let cluster = ClusterSpec::icpp_scaled(scale);
-    let workload = WorkloadSpec::icpp_default()
-        .with_num_jobs(60)
-        .with_load(1.2);
-    let jobs = SyntheticSource::new(&workload, &cluster, 5)
-        .expect("valid spec")
-        .collect();
-    let mut cfg = SimConfig::default();
-    cfg.decision_interval = Some(5.0);
-    let mut sim = Simulator::new(cluster, cfg);
-    sim.start(jobs);
-    // Start a handful of jobs to occupy the cluster, then accumulate a queue.
-    for _ in 0..40 {
-        if !sim.advance() {
-            break;
-        }
-        let view = sim.view();
-        if let Some(job) = view.pending.first() {
-            if view.running.len() < 6 {
-                let _ = sim.apply(&Action::Start {
-                    job: job.id,
-                    class: NodeClassId(0),
-                    parallelism: job.min_parallelism,
-                });
-            }
-        }
-    }
-    sim.view()
-}
+use tcrm_sim::Scheduler;
 
 fn untrained_agent(num_classes: usize) -> DrlScheduler {
     let config = AgentConfig::default();

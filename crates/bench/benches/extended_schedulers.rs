@@ -3,44 +3,16 @@
 //! ablation agent, and the cost of the energy/fairness post-processing added
 //! to the metrics pipeline (the data behind Table 5 / Figure 10).
 
+mod fixtures;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use fixtures::loaded_view;
 use std::hint::black_box;
 use std::time::Duration;
 use tcrm_baselines::by_name;
 use tcrm_rl::{DqnAgent, DqnConfig};
-use tcrm_sim::{Action, ClusterSpec, ClusterView, NodeClassId, SimConfig, Simulator};
+use tcrm_sim::{ClusterSpec, SimConfig, Simulator};
 use tcrm_workload::{SyntheticSource, WorkloadSpec};
-
-/// Build a mid-simulation view with a populated queue and running set.
-fn loaded_view(scale: f64) -> ClusterView {
-    let cluster = ClusterSpec::icpp_scaled(scale);
-    let workload = WorkloadSpec::icpp_default()
-        .with_num_jobs(60)
-        .with_load(1.2);
-    let jobs = SyntheticSource::new(&workload, &cluster, 5)
-        .expect("valid spec")
-        .collect();
-    let mut cfg = SimConfig::default();
-    cfg.decision_interval = Some(5.0);
-    let mut sim = Simulator::new(cluster, cfg);
-    sim.start(jobs);
-    for _ in 0..40 {
-        if !sim.advance() {
-            break;
-        }
-        let view = sim.view();
-        if let Some(job) = view.pending.first() {
-            if view.running.len() < 6 {
-                let _ = sim.apply(&Action::Start {
-                    job: job.id,
-                    class: NodeClassId(0),
-                    parallelism: job.min_parallelism,
-                });
-            }
-        }
-    }
-    sim.view()
-}
 
 fn bench_extended_decisions(c: &mut Criterion) {
     let mut group = c.benchmark_group("extended_decision_latency");

@@ -1,17 +1,14 @@
 //! Criterion bench: end-to-end throughput of one PPO training iteration
 //! (rollout collection + update) on the scheduling environment.
 //!
-//! Four variants over identical workloads, seeds and network shapes:
+//! Three variants over identical workloads, seeds and network shapes:
 //!
-//! * `per_step_reference` — the pre-vectorization collection discipline,
-//!   reconstructed faithfully: one policy forward **and one critic forward
+//! * `per_step_reference` — the pre-vectorization collection discipline:
+//!   one environment at a time, one policy forward **and one critic forward
 //!   per environment step**, fresh `Step`/`Transition` vectors every step,
-//!   trajectory storage cloned observation by observation;
-//! * `legacy_single_env` — [`Trainer::train_in_place`]: one environment at a
-//!   time, but with this PR's per-episode batched critic scoring and flat
-//!   batched advantage pipeline;
-//! * `vec_env/1` — the lockstep [`VecEnv`] pool with a single slot (pinned
-//!   seed-for-seed equivalent to `legacy_single_env` by the parity tests);
+//!   pushed into a [`RolloutBatch`] for the (shared) update;
+//! * `vec_env/1` — the trainer's lockstep [`VecEnv`] pool with a single
+//!   slot: one episode at a time, batched critic scoring per episode;
 //! * `vec_env/16` — a 16-slot pool: every decision step is **one** batched
 //!   policy forward over all live environments, finished slots are reseated
 //!   onto the remaining episodes in place, and the whole collection runs out
@@ -25,8 +22,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use tcrm_core::{AgentConfig, EpisodeSource, SchedulingEnv};
 use tcrm_rl::{
-    Algorithm, CategoricalPolicy, Environment, Ppo, PpoConfig, Trainer, TrainerConfig, Trajectory,
-    ValueNet, VecEnv,
+    Algorithm, CategoricalPolicy, Environment, Ppo, PpoConfig, RolloutBatch, Trainer,
+    TrainerConfig, ValueNet, VecEnv,
 };
 use tcrm_sim::{ClusterSpec, SimConfig};
 use tcrm_workload::WorkloadSpec;
@@ -75,17 +72,16 @@ fn trainer() -> Trainer {
 }
 
 /// One training iteration the way the repo collected rollouts before the
-/// vectorized path: per-step sampling on freshly allocated `Step`s, a critic
-/// forward for every single step, observation/mask clones into the
-/// trajectory, then the (shared) update.
-fn reference_iteration(env: &mut SchedulingEnv, algo: &mut Ppo) -> usize {
+/// vectorized path: per-step sampling on freshly allocated `Step`s and a
+/// critic forward for every single step, recorded into a [`RolloutBatch`],
+/// then the (shared) update.
+fn reference_iteration(env: &mut SchedulingEnv, algo: &mut Ppo, batch: &mut RolloutBatch) -> usize {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    let mut trajectories = Vec::with_capacity(EPISODES_PER_ITERATION);
+    batch.clear();
     for e in 0..EPISODES_PER_ITERATION as u64 {
         let seed = SEED + e;
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut trajectory = Trajectory::new();
         let mut step = env.reset(seed);
         for _ in 0..MAX_STEPS {
             let (action, log_prob, _) =
@@ -93,23 +89,23 @@ fn reference_iteration(env: &mut SchedulingEnv, algo: &mut Ppo) -> usize {
                     .sample(&step.observation, &step.action_mask, &mut rng);
             let value = algo.value_estimate(&step.observation);
             let transition = env.step(action);
-            trajectory.push(
-                step.observation.clone(),
-                step.action_mask.clone(),
+            batch.push_step(
+                &step.observation,
+                &step.action_mask,
                 action,
                 transition.reward,
                 log_prob,
-                value,
                 transition.done,
             );
+            *batch.values_mut().last_mut().unwrap() = value;
             if transition.done {
                 break;
             }
             step = transition.next;
         }
-        trajectories.push(trajectory);
+        batch.close_episode();
     }
-    algo.update(&trajectories).steps
+    algo.update_batch(batch).steps
 }
 
 fn bench_train_throughput(c: &mut Criterion) {
@@ -125,18 +121,8 @@ fn bench_train_throughput(c: &mut Criterion) {
     group.bench_function("per_step_reference", |b| {
         let mut env = make_env();
         let mut algo = make_ppo(obs_dim, action_count);
-        b.iter(|| reference_iteration(&mut env, &mut algo))
-    });
-
-    group.bench_function("legacy_single_env", |b| {
-        let mut env = make_env();
-        let mut algo = make_ppo(obs_dim, action_count);
-        b.iter(|| {
-            trainer()
-                .train_in_place(&mut env, &mut algo)
-                .iterations
-                .len()
-        })
+        let mut batch = RolloutBatch::new(obs_dim, action_count);
+        b.iter(|| reference_iteration(&mut env, &mut algo, &mut batch))
     });
 
     for num_envs in [1usize, 16] {

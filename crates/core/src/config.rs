@@ -168,9 +168,10 @@ pub struct TrainConfig {
     /// Base seed for workload generation, network init and exploration.
     pub seed: u64,
     /// Number of environments stepped in lockstep during rollouts (the
-    /// `VecEnv` pool size). `1` reproduces the single-environment trainer
-    /// seed for seed; larger pools batch more rows per policy forward and
-    /// are faster, with numerics that may differ bitwise (wider batched
+    /// `VecEnv` pool size). `1` runs one episode at a time, the loop
+    /// `tcrm-rl`'s `vec_env_parity` test checks seed for seed against a
+    /// plain single-environment oracle; larger pools batch more rows per
+    /// policy forward, with numerics that may differ bitwise (wider batched
     /// kernels) but the same per-episode seeds and boundaries.
     #[serde(default = "default_num_envs")]
     pub num_envs: usize,

@@ -497,35 +497,43 @@ mod tests {
     #[test]
     fn buffered_step_into_matches_allocating_step() {
         // The native `reset_into`/`step_into` overrides (the VecEnv hot path)
-        // must be observably identical to the `Step`/`Transition` API.
+        // must be observably identical to the `Step`/`Transition` API —
+        // including when a finished environment is reseated onto a new
+        // episode in place, as the pool does with every slot.
         let mut alloc_env = tiny_env(6);
         let mut into_env = tiny_env(6);
         let mut rng = StdRng::seed_from_u64(7);
         let mut obs = vec![0.0f32; into_env.observation_dim()];
         let mut mask = vec![false; into_env.action_count()];
-        let mut step = alloc_env.reset(21);
-        into_env.reset_into(21, &mut obs, &mut mask);
-        assert_eq!(step.observation, obs);
-        assert_eq!(step.action_mask, mask);
-        for _ in 0..500 {
-            let feasible: Vec<usize> = step
-                .action_mask
-                .iter()
-                .enumerate()
-                .filter(|(_, &m)| m)
-                .map(|(i, _)| i)
-                .collect();
-            let action = feasible[rng.gen_range(0..feasible.len())];
-            let t = alloc_env.step(action);
-            let (reward, done) = into_env.step_into(action, &mut obs, &mut mask);
-            assert_eq!(t.reward, reward);
-            assert_eq!(t.done, done);
-            assert_eq!(t.next.observation, obs);
-            assert_eq!(t.next.action_mask, mask);
-            if t.done {
-                break;
+        let seeds = [21u64, 22, 40, 3];
+        for &seed in &seeds {
+            let mut step = alloc_env.reset(seed);
+            into_env.reset_into(seed, &mut obs, &mut mask);
+            assert_eq!(step.observation, obs, "reset diverged (seed {seed})");
+            assert_eq!(step.action_mask, mask);
+            let mut done = false;
+            for _ in 0..500 {
+                let feasible: Vec<usize> = step
+                    .action_mask
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &m)| m)
+                    .map(|(i, _)| i)
+                    .collect();
+                let action = feasible[rng.gen_range(0..feasible.len())];
+                let t = alloc_env.step(action);
+                let (reward, into_done) = into_env.step_into(action, &mut obs, &mut mask);
+                assert_eq!(t.reward, reward);
+                assert_eq!(t.done, into_done);
+                assert_eq!(t.next.observation, obs);
+                assert_eq!(t.next.action_mask, mask);
+                if t.done {
+                    done = true;
+                    break;
+                }
+                step = t.next;
             }
-            step = t.next;
+            assert!(done, "episode with seed {seed} never finished");
         }
     }
 

@@ -2,11 +2,11 @@
 //! (A2C) and PPO with a clipped surrogate objective.
 //!
 //! All three share the masked categorical policy from [`crate::policy`] and
-//! differ only in how they turn a batch of trajectories into a gradient, so
+//! differ only in how they turn a [`RolloutBatch`] into a gradient, so
 //! the ablation experiments can swap the learner without touching the
 //! scheduling environment.
 
-use crate::buffer::{RolloutBatch, Trajectory};
+use crate::buffer::RolloutBatch;
 use crate::policy::CategoricalPolicy;
 use crate::value::ValueNet;
 use rand::rngs::StdRng;
@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use tcrm_nn::loss::entropy;
 use tcrm_nn::{masked_softmax_into, Adam, Matrix, Optimizer, Workspace};
 
-/// Diagnostics returned by one [`Algorithm::update`] call.
+/// Diagnostics returned by one [`Algorithm::update_batch`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct UpdateStats {
     /// Mean policy (surrogate) loss over the batch.
@@ -56,8 +56,7 @@ pub trait Algorithm {
     fn policy_mut(&mut self) -> &mut CategoricalPolicy;
 
     /// Critic estimate of the value of an observation (0 for critic-free
-    /// algorithms); the trainer records it in trajectories so GAE can be
-    /// computed at update time.
+    /// algorithms).
     fn value_estimate(&self, _obs: &[f32]) -> f32 {
         0.0
     }
@@ -65,26 +64,14 @@ pub trait Algorithm {
     /// Critic estimates for a whole batch of observations (one per row),
     /// written into a caller-owned buffer. Critic-backed learners override
     /// this with a single batched forward pass through their workspace; the
-    /// default scores row by row through [`Self::value_estimate`]. Both
-    /// rollout collectors score each finished episode through this method so
-    /// the per-episode forward shapes — and hence the recorded values — are
-    /// identical between the legacy and vectorized paths.
+    /// default scores row by row through [`Self::value_estimate`]. The
+    /// trainer scores each finished episode through this method and records
+    /// the values in the batch so GAE can be computed at update time.
     fn value_estimates_into(&mut self, observations: &Matrix, out: &mut Vec<f32>) {
         out.clear();
         for r in 0..observations.rows() {
             out.push(self.value_estimate(observations.row(r)));
         }
-    }
-
-    /// Consume a batch of trajectories and update the policy (and critic).
-    /// Provided: flattens into a [`RolloutBatch`] and defers to
-    /// [`Self::update_batch`].
-    fn update(&mut self, trajectories: &[Trajectory]) -> UpdateStats {
-        if trajectories.iter().all(|t| t.is_empty()) {
-            return UpdateStats::zero();
-        }
-        let mut batch = RolloutBatch::from_trajectories(trajectories);
-        self.update_batch(&mut batch)
     }
 
     /// Consume one flat rollout batch and update the policy (and critic).
@@ -686,13 +673,14 @@ mod tests {
     use super::*;
     use crate::env::test_envs::ChainEnv;
     use crate::trainer::{Trainer, TrainerConfig};
+    use crate::vec_env::VecEnv;
 
     fn chain_policy() -> CategoricalPolicy {
         CategoricalPolicy::new(5, &[16], 2, 0)
     }
 
-    fn train_and_return<A: Algorithm>(algo: A, iterations: usize) -> (f64, f64) {
-        let mut env = ChainEnv::new(5, 8);
+    fn train_and_return<A: Algorithm>(mut algo: A, iterations: usize) -> (f64, f64) {
+        let mut pool = VecEnv::new(vec![ChainEnv::new(5, 8)]);
         let cfg = TrainerConfig {
             episodes_per_iteration: 8,
             iterations,
@@ -700,7 +688,7 @@ mod tests {
             ..Default::default()
         };
         let mut trainer = Trainer::new(cfg);
-        let history = trainer.train(&mut env, algo);
+        let history = trainer.train_in_place_vec(&mut pool, &mut algo);
         let first = history.iterations.first().unwrap().mean_return;
         let last = history.iterations.last().unwrap().mean_return;
         (first, last)
@@ -743,39 +731,32 @@ mod tests {
 
     #[test]
     fn update_on_empty_batch_is_a_no_op() {
+        let mut empty = RolloutBatch::new(5, 2);
         let mut algo = Reinforce::new(chain_policy(), ReinforceConfig::default());
-        let stats = algo.update(&[]);
-        assert_eq!(stats.steps, 0);
+        assert_eq!(algo.update_batch(&mut empty).steps, 0);
         let mut a2c = A2c::new(
             chain_policy(),
             ValueNet::new(5, &[8], 0),
             A2cConfig::default(),
         );
-        assert_eq!(a2c.update(&[Trajectory::new()]).steps, 0);
+        assert_eq!(a2c.update_batch(&mut empty).steps, 0);
         let mut ppo = Ppo::new(
             chain_policy(),
             ValueNet::new(5, &[8], 0),
             PpoConfig::default(),
         );
-        assert_eq!(ppo.update(&[]).steps, 0);
+        assert_eq!(ppo.update_batch(&mut empty).steps, 0);
     }
 
     #[test]
     fn reinforce_baseline_tracks_returns() {
         let mut algo = Reinforce::new(chain_policy(), ReinforceConfig::default());
-        let mut t = Trajectory::new();
+        let mut batch = RolloutBatch::new(5, 2);
         for i in 0..5 {
-            t.push(
-                vec![0.0; 5],
-                vec![true, true],
-                i % 2,
-                2.0,
-                -0.5,
-                0.0,
-                i == 4,
-            );
+            batch.push_step(&[0.0; 5], &[true, true], i % 2, 2.0, -0.5, i == 4);
         }
-        algo.update(&[t]);
+        batch.close_episode();
+        algo.update_batch(&mut batch);
         assert!(algo.baseline() > 0.0);
     }
 

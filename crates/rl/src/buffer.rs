@@ -1,128 +1,13 @@
-//! Trajectory storage, discounted returns and Generalised Advantage
-//! Estimation — in two shapes: the per-episode [`Trajectory`] (one `Vec` per
-//! step, convenient for tests and offline analysis) and the flat
-//! [`RolloutBatch`] the batched training path runs on (one matrix / flat
-//! vector per field for the whole rollout, reused across iterations, with
-//! returns/GAE computed in a single backward sweep over all episodes).
+//! Rollout storage with discounted returns and Generalised Advantage
+//! Estimation.
+//!
+//! A whole rollout lives in one [`RolloutBatch`]: one matrix / flat vector
+//! per field for every episode of an iteration, reused across iterations.
+//! Returns and GAE run as single backward sweeps over all episodes
+//! ([`discounted_returns_flat_into`], [`gae_flat_into`]), resetting at every
+//! episode end whether the episode was terminal or truncated.
 
-use serde::{Deserialize, Serialize};
 use tcrm_nn::Matrix;
-
-/// One episode (or rollout segment) of experience.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Trajectory {
-    /// Observations, one per step.
-    pub observations: Vec<Vec<f32>>,
-    /// Action masks, one per step.
-    pub masks: Vec<Vec<bool>>,
-    /// Actions taken.
-    pub actions: Vec<usize>,
-    /// Rewards received.
-    pub rewards: Vec<f64>,
-    /// Log-probabilities of the taken actions under the behaviour policy.
-    pub log_probs: Vec<f32>,
-    /// Critic value estimates at each step (empty for critic-free algorithms).
-    pub values: Vec<f32>,
-    /// Episode-termination flags (true on the final step of an episode).
-    pub dones: Vec<bool>,
-}
-
-impl Trajectory {
-    /// An empty trajectory.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append one transition.
-    #[allow(clippy::too_many_arguments)]
-    pub fn push(
-        &mut self,
-        observation: Vec<f32>,
-        mask: Vec<bool>,
-        action: usize,
-        reward: f64,
-        log_prob: f32,
-        value: f32,
-        done: bool,
-    ) {
-        self.observations.push(observation);
-        self.masks.push(mask);
-        self.actions.push(action);
-        self.rewards.push(reward);
-        self.log_probs.push(log_prob);
-        self.values.push(value);
-        self.dones.push(done);
-    }
-
-    /// Number of steps stored.
-    pub fn len(&self) -> usize {
-        self.actions.len()
-    }
-
-    /// True if no steps are stored.
-    pub fn is_empty(&self) -> bool {
-        self.actions.is_empty()
-    }
-
-    /// Undiscounted episode return (sum of rewards).
-    pub fn total_reward(&self) -> f64 {
-        self.rewards.iter().sum()
-    }
-}
-
-/// Discounted returns `G_t = r_t + γ G_{t+1}`, resetting at episode
-/// boundaries (`dones`).
-pub fn discounted_returns(rewards: &[f64], dones: &[bool], gamma: f64) -> Vec<f64> {
-    assert_eq!(rewards.len(), dones.len());
-    let mut returns = vec![0.0; rewards.len()];
-    let mut acc = 0.0;
-    for t in (0..rewards.len()).rev() {
-        if dones[t] {
-            acc = 0.0;
-        }
-        acc = rewards[t] + gamma * acc;
-        returns[t] = acc;
-    }
-    returns
-}
-
-/// Generalised Advantage Estimation.
-///
-/// Returns `(advantages, targets)` where `targets[t] = advantages[t] +
-/// values[t]` is the regression target for the critic. The bootstrap value
-/// after the final step is taken as 0 when that step is terminal, otherwise
-/// `bootstrap_value`.
-pub fn gae(
-    rewards: &[f64],
-    values: &[f32],
-    dones: &[bool],
-    bootstrap_value: f32,
-    gamma: f64,
-    lambda: f64,
-) -> (Vec<f64>, Vec<f64>) {
-    assert_eq!(rewards.len(), values.len());
-    assert_eq!(rewards.len(), dones.len());
-    let n = rewards.len();
-    let mut advantages = vec![0.0; n];
-    let mut next_value = bootstrap_value as f64;
-    let mut next_advantage = 0.0;
-    for t in (0..n).rev() {
-        let non_terminal = if dones[t] { 0.0 } else { 1.0 };
-        if dones[t] {
-            next_advantage = 0.0;
-        }
-        let delta = rewards[t] + gamma * next_value * non_terminal - values[t] as f64;
-        next_advantage = delta + gamma * lambda * non_terminal * next_advantage;
-        advantages[t] = next_advantage;
-        next_value = values[t] as f64;
-    }
-    let targets: Vec<f64> = advantages
-        .iter()
-        .zip(values.iter())
-        .map(|(a, v)| a + *v as f64)
-        .collect();
-    (advantages, targets)
-}
 
 /// Discounted returns over a *flat* multi-episode batch, written into a
 /// caller-owned buffer (allocation-free once warmed).
@@ -153,11 +38,13 @@ pub fn discounted_returns_flat_into(
 }
 
 /// GAE over a *flat* multi-episode batch, written into caller-owned buffers
-/// (allocation-free once warmed). Matches running [`gae`] per episode with a
-/// bootstrap value of zero: at each `ends[t]` the sweep zeroes both the
-/// successor value and the accumulated advantage before processing step `t`,
-/// and within an episode `dones[t]` zeroes the successor exactly as the
-/// per-episode sweep does.
+/// (allocation-free once warmed).
+///
+/// `targets[t] = advantages[t] + values[t]` is the critic's regression
+/// target. Every episode bootstraps with 0 after its last step: at each
+/// `ends[t]` the sweep zeroes both the successor value and the accumulated
+/// advantage before processing step `t`, and `dones[t]` zeroes the successor
+/// of a terminal step.
 #[allow(clippy::too_many_arguments)]
 pub fn gae_flat_into(
     rewards: &[f64],
@@ -240,34 +127,6 @@ impl RolloutBatch {
             returns: Vec::new(),
             value_targets: Vec::new(),
         }
-    }
-
-    /// Flatten per-episode trajectories into one batch, preserving step order
-    /// (trajectory 0's steps first, then trajectory 1's, ...). Critic value
-    /// estimates are carried over; each trajectory closes one episode.
-    pub fn from_trajectories(trajectories: &[Trajectory]) -> Self {
-        let first = trajectories
-            .iter()
-            .find(|t| !t.is_empty())
-            .expect("cannot flatten empty trajectories");
-        let mut batch = RolloutBatch::new(first.observations[0].len(), first.masks[0].len());
-        for traj in trajectories.iter().filter(|t| !t.is_empty()) {
-            for t in 0..traj.len() {
-                batch.push_step(
-                    &traj.observations[t],
-                    &traj.masks[t],
-                    traj.actions[t],
-                    traj.rewards[t],
-                    traj.log_probs[t],
-                    traj.dones[t],
-                );
-                if let Some(&v) = traj.values.get(t) {
-                    *batch.values.last_mut().unwrap() = v;
-                }
-            }
-            batch.close_episode();
-        }
-        batch
     }
 
     /// Observation dimensionality.
@@ -503,21 +362,92 @@ pub fn normalize_advantages(advantages: &mut [f64]) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn trajectory_push_and_totals() {
-        let mut t = Trajectory::new();
-        assert!(t.is_empty());
-        t.push(vec![0.0], vec![true], 0, 1.0, -0.1, 0.5, false);
-        t.push(vec![1.0], vec![true], 1, 2.0, -0.2, 0.4, true);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.total_reward(), 3.0);
+    /// Per-episode reference for [`discounted_returns_flat_into`]:
+    /// `G_t = r_t + γ G_{t+1}`, resetting at `dones`.
+    fn discounted_returns(rewards: &[f64], dones: &[bool], gamma: f64) -> Vec<f64> {
+        assert_eq!(rewards.len(), dones.len());
+        let mut returns = vec![0.0; rewards.len()];
+        let mut acc = 0.0;
+        for t in (0..rewards.len()).rev() {
+            if dones[t] {
+                acc = 0.0;
+            }
+            acc = rewards[t] + gamma * acc;
+            returns[t] = acc;
+        }
+        returns
+    }
+
+    /// Per-episode reference for [`gae_flat_into`] on one episode that
+    /// bootstraps with 0 after its last step. Returns `(advantages,
+    /// targets)`.
+    fn gae(
+        rewards: &[f64],
+        values: &[f32],
+        dones: &[bool],
+        gamma: f64,
+        lambda: f64,
+    ) -> (Vec<f64>, Vec<f64>) {
+        assert_eq!(rewards.len(), values.len());
+        assert_eq!(rewards.len(), dones.len());
+        let n = rewards.len();
+        let mut advantages = vec![0.0; n];
+        let mut next_value = 0.0;
+        let mut next_advantage = 0.0;
+        for t in (0..n).rev() {
+            let non_terminal = if dones[t] { 0.0 } else { 1.0 };
+            if dones[t] {
+                next_advantage = 0.0;
+            }
+            let delta = rewards[t] + gamma * next_value * non_terminal - values[t] as f64;
+            next_advantage = delta + gamma * lambda * non_terminal * next_advantage;
+            advantages[t] = next_advantage;
+            next_value = values[t] as f64;
+        }
+        let targets = advantages
+            .iter()
+            .zip(values.iter())
+            .map(|(a, v)| a + *v as f64)
+            .collect();
+        (advantages, targets)
+    }
+
+    /// [`discounted_returns_flat_into`] over one batch whose episodes end
+    /// where `dones` is set.
+    fn flat_returns(rewards: &[f64], dones: &[bool], gamma: f64) -> Vec<f64> {
+        let mut out = Vec::new();
+        discounted_returns_flat_into(rewards, dones, dones, gamma, &mut out);
+        out
+    }
+
+    /// [`gae_flat_into`] over one batch whose episodes end where `dones` is
+    /// set.
+    fn flat_gae(
+        rewards: &[f64],
+        values: &[f32],
+        dones: &[bool],
+        gamma: f64,
+        lambda: f64,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let (mut adv, mut targets) = (Vec::new(), Vec::new());
+        gae_flat_into(
+            rewards,
+            values,
+            dones,
+            dones,
+            gamma,
+            lambda,
+            &mut adv,
+            &mut targets,
+        );
+        (adv, targets)
     }
 
     #[test]
     fn returns_with_full_discount_reduce_to_suffix_sums() {
         let rewards = [1.0, 1.0, 1.0];
         let dones = [false, false, true];
-        let r = discounted_returns(&rewards, &dones, 1.0);
+        let r = flat_returns(&rewards, &dones, 1.0);
         assert_eq!(r, vec![3.0, 2.0, 1.0]);
     }
 
@@ -525,7 +455,7 @@ mod tests {
     fn returns_discount_correctly() {
         let rewards = [0.0, 0.0, 1.0];
         let dones = [false, false, true];
-        let r = discounted_returns(&rewards, &dones, 0.5);
+        let r = flat_returns(&rewards, &dones, 0.5);
         assert_eq!(r, vec![0.25, 0.5, 1.0]);
     }
 
@@ -533,7 +463,7 @@ mod tests {
     fn returns_reset_at_episode_boundaries() {
         let rewards = [1.0, 1.0, 5.0, 5.0];
         let dones = [false, true, false, true];
-        let r = discounted_returns(&rewards, &dones, 1.0);
+        let r = flat_returns(&rewards, &dones, 1.0);
         assert_eq!(r, vec![2.0, 1.0, 10.0, 5.0]);
     }
 
@@ -543,8 +473,8 @@ mod tests {
         let values = [0.5, 0.5, 0.5];
         let dones = [false, false, true];
         let gamma = 0.9;
-        let (adv, targets) = gae(&rewards, &values, &dones, 0.0, gamma, 1.0);
-        let returns = discounted_returns(&rewards, &dones, gamma);
+        let (adv, targets) = flat_gae(&rewards, &values, &dones, gamma, 1.0);
+        let returns = flat_returns(&rewards, &dones, gamma);
         for t in 0..3 {
             assert!((adv[t] - (returns[t] - values[t] as f64)).abs() < 1e-9);
             assert!((targets[t] - (adv[t] + values[t] as f64)).abs() < 1e-12);
@@ -557,18 +487,9 @@ mod tests {
         let values = [0.3, 0.7];
         let dones = [false, true];
         let gamma = 0.95;
-        let (adv, _) = gae(&rewards, &values, &dones, 0.0, gamma, 0.0);
+        let (adv, _) = flat_gae(&rewards, &values, &dones, gamma, 0.0);
         assert!((adv[0] - (1.0 + gamma * 0.7 - 0.3)).abs() < 1e-6);
         assert!((adv[1] - (2.0 - 0.7)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn gae_uses_bootstrap_for_truncated_rollouts() {
-        let rewards = [1.0];
-        let values = [0.0];
-        let dones = [false]; // truncated, not terminal
-        let (adv, _) = gae(&rewards, &values, &dones, 10.0, 0.9, 1.0);
-        assert!((adv[0] - (1.0 + 0.9 * 10.0)).abs() < 1e-5);
     }
 
     /// Three ragged episodes: lengths 3 (terminal), 1 (terminal), 2
@@ -644,14 +565,7 @@ mod tests {
             (3, 4, vec![true]),
             (4, 6, vec![false, false]),
         ] {
-            let (a, t) = gae(
-                &b.rewards()[lo..hi],
-                &values[lo..hi],
-                &dones,
-                0.0,
-                gamma,
-                lambda,
-            );
+            let (a, t) = gae(&b.rewards()[lo..hi], &values[lo..hi], &dones, gamma, lambda);
             expected_adv.extend(a);
             expected_tgt.extend(t);
         }
@@ -659,23 +573,6 @@ mod tests {
             assert!((b.advantages()[t] - expected_adv[t]).abs() < 1e-12);
             assert!((b.value_targets()[t] - expected_tgt[t]).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn from_trajectories_matches_manual_flattening() {
-        let mut t1 = Trajectory::new();
-        t1.push(vec![0.0, 0.0], vec![true, true], 0, 1.0, -0.5, 0.2, false);
-        t1.push(vec![1.0, 0.0], vec![true, false], 1, 2.0, -0.4, 0.3, true);
-        let mut t2 = Trajectory::new();
-        t2.push(vec![0.0, 1.0], vec![false, true], 1, 3.0, -0.3, 0.4, false);
-        let b = RolloutBatch::from_trajectories(&[t1, t2]);
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.episodes(), 2);
-        assert_eq!(b.actions(), &[0, 1, 1]);
-        assert_eq!(b.values(), &[0.2, 0.3, 0.4]);
-        assert_eq!(b.dones(), &[false, true, false]);
-        assert_eq!(b.ends(), &[false, true, true]);
-        assert_eq!(b.observation(2), &[0.0, 1.0]);
     }
 
     #[test]

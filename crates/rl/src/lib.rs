@@ -7,18 +7,19 @@
 //! * an [`Environment`] trait with **action masking** (a scheduling decision
 //!   epoch exposes only feasible actions),
 //! * a masked [`CategoricalPolicy`] and a [`ValueNet`] critic,
-//! * trajectory storage with discounted returns and Generalised Advantage
-//!   Estimation ([`buffer`]),
+//! * flat rollout storage ([`RolloutBatch`]) with discounted returns and
+//!   Generalised Advantage Estimation as single sweeps over a whole batch
+//!   ([`buffer`]),
 //! * three interchangeable algorithms — [`Reinforce`] (with moving-average
 //!   baseline), [`A2c`] and [`Ppo`] (clipped surrogate) — behind a common
 //!   [`Algorithm`] trait,
 //! * a value-based ablation: [`DqnAgent`] with experience replay, a target
 //!   network and masked ε-greedy exploration ([`dqn`]),
-//! * a [`Trainer`] that rolls out episodes, feeds the algorithm and records a
-//!   [`TrainingHistory`] (the data behind the training-convergence figure) —
-//!   either one environment at a time, or through a lockstep [`VecEnv`] pool
-//!   whose rollouts run one batched policy forward per step for all
-//!   environments at once ([`vec_env`], [`Trainer::train_in_place_vec`]).
+//! * a [`Trainer`] that rolls out episodes through a lockstep [`VecEnv`]
+//!   pool — one batched policy forward per step for all environments at
+//!   once — feeds the algorithm and records a [`TrainingHistory`] (the data
+//!   behind the training-convergence figure) ([`vec_env`],
+//!   [`Trainer::train_in_place_vec`]).
 //!
 //! The crate is scheduler-agnostic; `tcrm-core` plugs its
 //! `SchedulingEnv` in as the [`Environment`].
@@ -35,10 +36,7 @@ pub mod vec_env;
 pub use algorithm::{
     A2c, A2cConfig, Algorithm, Ppo, PpoConfig, Reinforce, ReinforceConfig, UpdateStats,
 };
-pub use buffer::{
-    discounted_returns, discounted_returns_flat_into, gae, gae_flat_into, normalize_advantages,
-    RolloutBatch, Trajectory,
-};
+pub use buffer::{discounted_returns_flat_into, gae_flat_into, normalize_advantages, RolloutBatch};
 pub use dqn::{DqnAgent, DqnConfig, DqnUpdateStats, QNetwork, ReplayBuffer, ReplayTransition};
 pub use env::{Environment, Step, Transition};
 pub use policy::{sample_categorical, CategoricalPolicy};

@@ -127,8 +127,8 @@ impl CategoricalPolicy {
 /// batched rollout collector can sample from probability rows it computed
 /// itself (via a single batched forward) while drawing from per-environment
 /// RNGs in **exactly** the same way as the per-step path — keeping a
-/// one-environment vectorized rollout seed-for-seed identical to the legacy
-/// collector.
+/// one-environment vectorized rollout seed-for-seed identical to a plain
+/// single-environment loop.
 pub fn sample_categorical(probs: &[f32], rng: &mut StdRng) -> (usize, f32) {
     let u: f32 = rng.gen();
     let mut acc = 0.0;

@@ -1,20 +1,17 @@
 //! The training loop: roll out episodes, update the learner, record history.
 //!
-//! Two collection paths share the same seeding discipline (episode `e` of
-//! iteration `i` draws from `StdRng::seed_from_u64(seed + i·E + e)` and
-//! resets its environment with the same value):
+//! There is one collector, [`Trainer::train_in_place_vec`], over a lockstep
+//! [`VecEnv`] pool: one **batched** policy forward per step for all active
+//! environments, one batched critic forward per finished episode, and a flat
+//! [`RolloutBatch`] handed straight to [`Algorithm::update_batch`].
 //!
-//! * [`Trainer::train_in_place`] — the legacy single-environment loop, one
-//!   policy forward per step;
-//! * [`Trainer::train_in_place_vec`] — the vectorized loop over a lockstep
-//!   [`VecEnv`] pool: one **batched** policy forward per step for all active
-//!   environments, per-episode batched critic scoring, and a flat
-//!   [`RolloutBatch`] handed straight to [`Algorithm::update_batch`]. With a
-//!   one-environment pool it reproduces the legacy loop seed for seed (see
-//!   `tests/vec_env_parity.rs`).
+//! Seeding discipline: episode `e` of iteration `i` resets its environment
+//! with `seed + i·E + e` (`E` = episodes per iteration) and samples its
+//! actions from `StdRng::seed_from_u64` of the same value. Episodes enter the
+//! update batch in episode order, whatever slot collected them.
 
 use crate::algorithm::{Algorithm, UpdateStats};
-use crate::buffer::{RolloutBatch, Trajectory};
+use crate::buffer::RolloutBatch;
 use crate::env::Environment;
 use crate::policy::sample_categorical;
 use crate::vec_env::VecEnv;
@@ -119,113 +116,17 @@ impl Trainer {
         &self.config
     }
 
-    /// Roll out one episode with the current policy (stochastic actions) and
-    /// record it as a trajectory. The critic is scored once over the whole
-    /// episode (a single batched forward pass through
-    /// [`Algorithm::value_estimates_into`]) instead of once per step — the
-    /// policy and critic do not change during a rollout, so the recorded
-    /// values are the same and the per-row forward passes are gone.
-    pub fn rollout<E: Environment + ?Sized, A: Algorithm + ?Sized>(
-        &self,
-        env: &mut E,
-        algo: &mut A,
-        seed: u64,
-    ) -> Trajectory {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut trajectory = Trajectory::new();
-        let mut step = env.reset(seed);
-        for _ in 0..self.config.max_steps_per_episode {
-            let (action, log_prob, _) =
-                algo.policy()
-                    .sample(&step.observation, &step.action_mask, &mut rng);
-            let transition = env.step(action);
-            trajectory.push(
-                step.observation.clone(),
-                step.action_mask.clone(),
-                action,
-                transition.reward,
-                log_prob,
-                0.0,
-                transition.done,
-            );
-            if transition.done {
-                break;
-            }
-            step = transition.next;
-        }
-        if !trajectory.is_empty() {
-            let mut obs = Matrix::zeros(0, trajectory.observations[0].len());
-            for o in &trajectory.observations {
-                obs.push_row(o);
-            }
-            algo.value_estimates_into(&obs, &mut trajectory.values);
-        }
-        trajectory
-    }
-
-    /// Run a full training loop and return the learner together with its
-    /// history.
-    pub fn train<E: Environment + ?Sized, A: Algorithm>(
-        &mut self,
-        env: &mut E,
-        mut algo: A,
-    ) -> TrainingHistory {
-        self.train_in_place(env, &mut algo)
-    }
-
-    /// Like [`Self::train`] but keeps ownership of the learner with the
-    /// caller (used when the caller wants the trained policy afterwards).
-    pub fn train_in_place<E: Environment + ?Sized, A: Algorithm + ?Sized>(
-        &mut self,
-        env: &mut E,
-        algo: &mut A,
-    ) -> TrainingHistory {
-        let mut history = TrainingHistory::default();
-        for iteration in 0..self.config.iterations {
-            let mut trajectories = Vec::with_capacity(self.config.episodes_per_iteration);
-            for e in 0..self.config.episodes_per_iteration {
-                let seed =
-                    self.config.seed + (iteration * self.config.episodes_per_iteration + e) as u64;
-                trajectories.push(self.rollout(env, algo, seed));
-            }
-            let returns: Vec<f64> = trajectories.iter().map(|t| t.total_reward()).collect();
-            let lengths: Vec<f64> = trajectories.iter().map(|t| t.len() as f64).collect();
-            let update = algo.update(&trajectories);
-            history.iterations.push(EpisodeStats {
-                iteration,
-                mean_return: mean(&returns),
-                min_return: returns.iter().cloned().fold(f64::INFINITY, f64::min),
-                max_return: returns.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-                mean_length: mean(&lengths),
-                update,
-            });
-        }
-        history
-    }
-
-    /// Vectorized counterpart of [`Self::train`]: collect every iteration's
-    /// episodes over a lockstep [`VecEnv`] pool with batched policy/value
-    /// forwards, then update from the flat batch.
-    pub fn train_vec<E: Environment + Send, A: Algorithm>(
-        &mut self,
-        vec_env: &mut VecEnv<E>,
-        mut algo: A,
-    ) -> TrainingHistory {
-        self.train_in_place_vec(vec_env, &mut algo)
-    }
-
-    /// Like [`Self::train_vec`] but keeps ownership of the learner with the
-    /// caller.
+    /// Train `algo` in place for `config.iterations` iterations and return
+    /// the per-iteration history.
     ///
     /// Episodes are distributed over the pool work-queue style: slot `j`
     /// starts on episode `j`, and whenever a slot finishes (terminal or
     /// truncated at `max_steps_per_episode`) it is reset *in place* onto the
-    /// next unstarted episode index — so per-episode seeds, RNG streams and
-    /// episode boundaries are independent of the pool size, and a
-    /// one-environment pool reproduces [`Self::train_in_place`] seed for
-    /// seed. All rollout storage lives in persistent scratch buffers reused
-    /// across iterations; steady-state collection allocates nothing.
-    pub fn train_in_place_vec<E: Environment + Send, A: Algorithm + ?Sized>(
+    /// next unstarted episode index. Per-episode seeds, RNG streams and
+    /// episode boundaries are therefore independent of the pool size. All
+    /// rollout storage lives in persistent scratch buffers reused across
+    /// iterations; steady-state collection allocates nothing.
+    pub fn train_in_place_vec<E: Environment, A: Algorithm + ?Sized>(
         &mut self,
         vec_env: &mut VecEnv<E>,
         algo: &mut A,
@@ -261,7 +162,7 @@ impl Trainer {
     }
 
     /// Collect one iteration's worth of episodes into `scratch.batch`.
-    fn collect_vec<E: Environment + Send, A: Algorithm + ?Sized>(
+    fn collect_vec<E: Environment, A: Algorithm + ?Sized>(
         &self,
         iteration: usize,
         vec_env: &mut VecEnv<E>,
@@ -324,9 +225,8 @@ impl Trainer {
                 scratch.steps[slot] += 1;
                 if done || scratch.steps[slot] >= self.config.max_steps_per_episode {
                     scratch.episodes[ep].close_episode();
-                    // One batched critic forward over the finished episode —
-                    // the same shape the legacy rollout scores, so recorded
-                    // values match it bitwise.
+                    // One batched critic forward over the finished episode,
+                    // so the recorded values do not depend on the pool size.
                     algo.value_estimates_into(
                         scratch.episodes[ep].observations(),
                         &mut scratch.vals,
@@ -349,8 +249,8 @@ impl Trainer {
             }
         }
 
-        // Assemble the flat update batch in episode order (matching what the
-        // legacy path feeds `Algorithm::update`), plus the iteration stats.
+        // Assemble the flat update batch in episode order, plus the
+        // iteration stats.
         scratch.batch.clear();
         scratch.ep_returns.clear();
         scratch.ep_lengths.clear();
@@ -435,36 +335,62 @@ mod tests {
     use crate::env::test_envs::{ChainEnv, MaskedEnv};
     use crate::policy::CategoricalPolicy;
 
+    /// Collect one iteration of `episodes_per_iteration` episodes through a
+    /// one-slot pool and return the assembled update batch.
+    fn collect_one<E: Environment, A: Algorithm>(
+        config: TrainerConfig,
+        env: E,
+        algo: &mut A,
+    ) -> RolloutBatch {
+        let mut pool = VecEnv::new(vec![env]);
+        let mut scratch = VecScratch::new(
+            pool.observation_dim(),
+            pool.action_count(),
+            pool.num_envs(),
+            config.episodes_per_iteration,
+        );
+        Trainer::new(config).collect_vec(0, &mut pool, algo, &mut scratch);
+        scratch.batch
+    }
+
     #[test]
     fn rollout_respects_masks_and_episode_length() {
-        let trainer = Trainer::new(TrainerConfig::default());
-        let mut env = MaskedEnv { steps: 0 };
+        let cfg = TrainerConfig {
+            episodes_per_iteration: 1,
+            seed: 1,
+            ..Default::default()
+        };
         let mut algo = Reinforce::new(
             CategoricalPolicy::new(2, &[8], 3, 0),
             ReinforceConfig::default(),
         );
-        let t = trainer.rollout(&mut env, &mut algo, 1);
-        assert_eq!(t.len(), 6);
-        for (mask, action) in t.masks.iter().zip(t.actions.iter()) {
-            assert!(mask[*action], "policy acted outside the mask");
+        let b = collect_one(cfg, MaskedEnv { steps: 0 }, &mut algo);
+        assert_eq!(b.len(), 6);
+        assert_eq!(b.episodes(), 1);
+        for (i, &action) in b.actions().iter().enumerate() {
+            assert!(b.mask(i)[action], "policy acted outside the mask");
         }
-        assert!(*t.dones.last().unwrap());
+        assert!(*b.dones().last().unwrap());
+        assert!(*b.ends().last().unwrap());
     }
 
     #[test]
     fn max_steps_bounds_non_terminating_rollouts() {
         let cfg = TrainerConfig {
+            episodes_per_iteration: 1,
             max_steps_per_episode: 5,
+            seed: 2,
             ..Default::default()
         };
-        let trainer = Trainer::new(cfg);
-        let mut env = ChainEnv::new(4, 1_000_000);
         let mut algo = Reinforce::new(
             CategoricalPolicy::new(4, &[8], 2, 0),
             ReinforceConfig::default(),
         );
-        let t = trainer.rollout(&mut env, &mut algo, 2);
-        assert_eq!(t.len(), 5);
+        let b = collect_one(cfg, ChainEnv::new(4, 1_000_000), &mut algo);
+        assert_eq!(b.len(), 5);
+        // Truncated, not terminal: the episode is closed but never done.
+        assert_eq!(b.ends(), &[false, false, false, false, true]);
+        assert!(b.dones().iter().all(|&d| !d));
     }
 
     #[test]
@@ -494,18 +420,18 @@ mod tests {
     #[test]
     fn training_is_reproducible_for_a_fixed_seed() {
         let run = || {
-            let mut env = ChainEnv::new(5, 6);
+            let mut pool = VecEnv::new(vec![ChainEnv::new(5, 6)]);
             let cfg = TrainerConfig {
                 episodes_per_iteration: 4,
                 iterations: 5,
                 seed: 11,
                 ..Default::default()
             };
-            let algo = Reinforce::new(
+            let mut algo = Reinforce::new(
                 CategoricalPolicy::new(5, &[8], 2, 1),
                 ReinforceConfig::default(),
             );
-            Trainer::new(cfg).train(&mut env, algo)
+            Trainer::new(cfg).train_in_place_vec(&mut pool, &mut algo)
         };
         let a = run();
         let b = run();

@@ -8,15 +8,12 @@
 //! place. All buffers are reused, so a warmed pool performs no heap
 //! allocation per step.
 //!
-//! Stepping is sequential by default: the simulator environments this crate
-//! is paired with step in microseconds, far below the dispatch cost of the
-//! scoped-thread `rayon` facade. For expensive environments,
-//! [`VecEnv::with_parallel_stepping`] opts into stepping the slots through
-//! `rayon` (`E: Send`); the lockstep semantics — and therefore the collected
-//! rollouts — are identical either way, which `tests` pins.
+//! Slots are stepped sequentially: the simulator environments this crate is
+//! paired with step in microseconds, far below the cost of dispatching the
+//! slots to threads. A one-slot pool is the single-environment loop;
+//! `tests/vec_env_parity.rs` pins it against a hand-written one.
 
 use crate::env::Environment;
-use rayon::prelude::*;
 use tcrm_nn::Matrix;
 
 struct EnvSlot<E> {
@@ -40,7 +37,6 @@ pub struct VecEnv<E: Environment> {
     slots: Vec<EnvSlot<E>>,
     obs_dim: usize,
     action_count: usize,
-    parallel: bool,
 }
 
 impl<E: Environment> VecEnv<E> {
@@ -71,16 +67,7 @@ impl<E: Environment> VecEnv<E> {
             slots,
             obs_dim,
             action_count,
-            parallel: false,
         }
-    }
-
-    /// Opt into parallel stepping (honored by [`Self::step_active`] when
-    /// `E: Send`). Worth it only when a single environment step is expensive
-    /// relative to thread dispatch; rollout results are identical either way.
-    pub fn with_parallel_stepping(mut self, enabled: bool) -> Self {
-        self.parallel = enabled;
-        self
     }
 
     /// Number of environment slots.
@@ -171,45 +158,19 @@ impl<E: Environment> VecEnv<E> {
         rows.len()
     }
 
-    /// Step every active slot with its pending action, sequentially. The
+    /// Step every active slot with its pending action, in slot order. The
     /// per-slot reward / done / next observation land in the slot buffers
     /// ([`Self::reward`], [`Self::done`], [`Self::observation`],
     /// [`Self::mask`]).
-    pub fn step_active_seq(&mut self) {
-        for slot in self.slots.iter_mut() {
-            if slot.active {
-                step_slot(slot);
-            }
-        }
-    }
-}
-
-impl<E: Environment + Send> VecEnv<E> {
-    /// Step every active slot with its pending action — through the `rayon`
-    /// pool when parallel stepping was enabled and more than one slot is
-    /// active, sequentially otherwise. Identical results either way.
     pub fn step_active(&mut self) {
-        if self.parallel && self.active_count() > 1 {
-            self.slots
-                .par_iter_mut()
-                .map(|slot| {
-                    if slot.active {
-                        step_slot(slot);
-                    }
-                })
-                .collect::<Vec<()>>();
-        } else {
-            self.step_active_seq();
+        for slot in self.slots.iter_mut().filter(|s| s.active) {
+            let (reward, done) =
+                slot.env
+                    .step_into(slot.pending_action, &mut slot.obs, &mut slot.mask);
+            slot.reward = reward;
+            slot.done = done;
         }
     }
-}
-
-fn step_slot<E: Environment>(slot: &mut EnvSlot<E>) {
-    let (reward, done) = slot
-        .env
-        .step_into(slot.pending_action, &mut slot.obs, &mut slot.mask);
-    slot.reward = reward;
-    slot.done = done;
 }
 
 #[cfg(test)]
@@ -278,28 +239,6 @@ mod tests {
             }
         }
         assert!((0..3).all(|i| v.done(i)));
-    }
-
-    #[test]
-    fn parallel_and_sequential_stepping_agree() {
-        let run = |parallel: bool| {
-            let mut v = pool(4).with_parallel_stepping(parallel);
-            for i in 0..4 {
-                v.reset_env(i, 7);
-            }
-            let mut trace = Vec::new();
-            for t in 0..4 {
-                for i in 0..4 {
-                    v.set_action(i, (t * i) % 2);
-                }
-                v.step_active();
-                for i in 0..4 {
-                    trace.push((v.reward(i), v.done(i), v.observation(i).to_vec()));
-                }
-            }
-            trace
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

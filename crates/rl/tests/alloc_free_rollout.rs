@@ -1,8 +1,7 @@
 //! Counting-allocator proof for the flat rollout batch: once a
 //! [`RolloutBatch`] has warmed to its steady-state shape, refilling it
 //! (clear + push + close) and computing returns / GAE / normalized
-//! advantages over the whole rollout perform **zero heap allocations** —
-//! the per-step `Vec` churn of the trajectory path is gone.
+//! advantages over the whole rollout perform **zero heap allocations**.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,13 +1,77 @@
-//! Property-based tests of the RL substrate: return/GAE invariants and the
-//! masked categorical policy.
+//! Property-based tests of the RL substrate: the flat return/GAE sweeps the
+//! learners run on, and the masked categorical policy.
+//!
+//! The sweeps are exercised on multi-episode batches with random boundaries,
+//! where each episode either terminates (`dones` and `ends` set on its last
+//! step) or is truncated (`ends` set, `dones` clear).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tcrm_rl::{discounted_returns, gae, normalize_advantages, CategoricalPolicy};
+use tcrm_rl::{
+    discounted_returns_flat_into, gae_flat_into, normalize_advantages, CategoricalPolicy,
+};
 
 fn arb_rewards(n: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-5.0f64..5.0, 1..n)
+}
+
+/// Episodes of 1..10 steps, each terminal (`true`) or truncated (`false`).
+fn arb_episodes() -> impl Strategy<Value = Vec<(Vec<f64>, bool)>> {
+    prop::collection::vec((arb_rewards(10), any::<bool>()), 1..6)
+}
+
+/// A flat batch: per-step rewards, terminal flags and episode-end flags.
+struct Flat {
+    rewards: Vec<f64>,
+    dones: Vec<bool>,
+    ends: Vec<bool>,
+}
+
+fn flatten(episodes: &[(Vec<f64>, bool)]) -> Flat {
+    let mut flat = Flat {
+        rewards: Vec::new(),
+        dones: Vec::new(),
+        ends: Vec::new(),
+    };
+    for (rewards, terminal) in episodes {
+        for (t, &r) in rewards.iter().enumerate() {
+            let last = t + 1 == rewards.len();
+            flat.rewards.push(r);
+            flat.dones.push(last && *terminal);
+            flat.ends.push(last);
+        }
+    }
+    flat
+}
+
+fn returns(flat: &Flat, gamma: f64) -> Vec<f64> {
+    let mut out = Vec::new();
+    discounted_returns_flat_into(&flat.rewards, &flat.dones, &flat.ends, gamma, &mut out);
+    out
+}
+
+fn gae(flat: &Flat, values: &[f32], gamma: f64, lambda: f64) -> (Vec<f64>, Vec<f64>) {
+    let (mut adv, mut targets) = (Vec::new(), Vec::new());
+    gae_flat_into(
+        &flat.rewards,
+        values,
+        &flat.dones,
+        &flat.ends,
+        gamma,
+        lambda,
+        &mut adv,
+        &mut targets,
+    );
+    (adv, targets)
+}
+
+/// Values the tests pair with a batch: a fixed function of the reward.
+fn values_for(flat: &Flat) -> Vec<f32> {
+    flat.rewards
+        .iter()
+        .map(|r| (*r as f32) * 0.3 - 0.1)
+        .collect()
 }
 
 proptest! {
@@ -18,55 +82,62 @@ proptest! {
     // ------------------------------------------------------------------
 
     #[test]
-    fn returns_satisfy_the_bellman_recursion(rewards in arb_rewards(40), gamma in 0.5f64..1.0) {
-        let mut dones = vec![false; rewards.len()];
-        *dones.last_mut().unwrap() = true;
-        let returns = discounted_returns(&rewards, &dones, gamma);
-        for t in 0..rewards.len() {
-            let expected = if t + 1 < rewards.len() && !dones[t] {
-                rewards[t] + gamma * returns[t + 1]
+    fn returns_satisfy_the_bellman_recursion(episodes in arb_episodes(), gamma in 0.5f64..1.0) {
+        let flat = flatten(&episodes);
+        let g = returns(&flat, gamma);
+        for t in 0..g.len() {
+            let expected = if flat.dones[t] || flat.ends[t] {
+                flat.rewards[t]
             } else {
-                rewards[t]
+                flat.rewards[t] + gamma * g[t + 1]
             };
-            prop_assert!((returns[t] - expected).abs() < 1e-9);
+            prop_assert!((g[t] - expected).abs() < 1e-9);
         }
     }
 
     #[test]
-    fn returns_are_bounded_by_geometric_series(rewards in arb_rewards(40), gamma in 0.0f64..0.99) {
-        let mut dones = vec![false; rewards.len()];
-        *dones.last_mut().unwrap() = true;
-        let returns = discounted_returns(&rewards, &dones, gamma);
-        let max_abs = rewards.iter().map(|r| r.abs()).fold(0.0f64, f64::max);
+    fn returns_are_bounded_by_geometric_series(episodes in arb_episodes(), gamma in 0.0f64..0.99) {
+        let flat = flatten(&episodes);
+        let g = returns(&flat, gamma);
+        let max_abs = flat.rewards.iter().map(|r| r.abs()).fold(0.0f64, f64::max);
         let bound = max_abs / (1.0 - gamma) + 1e-9;
-        prop_assert!(returns.iter().all(|g| g.abs() <= bound));
+        prop_assert!(g.iter().all(|g| g.abs() <= bound));
     }
 
     #[test]
     fn episode_boundaries_isolate_returns(
         first in arb_rewards(10),
-        second in arb_rewards(10),
+        rest in arb_episodes(),
         gamma in 0.5f64..1.0,
+        lambda in 0.0f64..1.0,
     ) {
-        // Concatenating two episodes must give the same returns as computing
-        // them separately.
-        let mut rewards = first.clone();
-        rewards.extend(second.clone());
-        let mut dones = vec![false; rewards.len()];
-        dones[first.len() - 1] = true;
-        *dones.last_mut().unwrap() = true;
+        // A *truncated* first episode followed by more episodes must give
+        // the same returns and GAE as sweeping each part on its own: nothing
+        // leaks backwards across the boundary even though `dones` is clear.
+        let mut episodes = vec![(first.clone(), false)];
+        episodes.extend(rest.iter().cloned());
+        let whole = flatten(&episodes);
+        let head = flatten(&episodes[..1]);
+        let tail = flatten(&rest);
+        prop_assert!(!whole.dones[first.len() - 1] && whole.ends[first.len() - 1]);
 
-        let combined = discounted_returns(&rewards, &dones, gamma);
-        let mut d1 = vec![false; first.len()];
-        *d1.last_mut().unwrap() = true;
-        let mut d2 = vec![false; second.len()];
-        *d2.last_mut().unwrap() = true;
-        let separate: Vec<f64> = discounted_returns(&first, &d1, gamma)
+        let separate: Vec<f64> = returns(&head, gamma)
             .into_iter()
-            .chain(discounted_returns(&second, &d2, gamma))
+            .chain(returns(&tail, gamma))
             .collect();
-        for (a, b) in combined.iter().zip(separate.iter()) {
+        for (a, b) in returns(&whole, gamma).iter().zip(separate.iter()) {
             prop_assert!((a - b).abs() < 1e-9);
+        }
+
+        let values = values_for(&whole);
+        let (adv, targets) = gae(&whole, &values, gamma, lambda);
+        let (head_adv, head_tgt) = gae(&head, &values[..first.len()], gamma, lambda);
+        let (tail_adv, tail_tgt) = gae(&tail, &values[first.len()..], gamma, lambda);
+        let sep_adv: Vec<f64> = head_adv.into_iter().chain(tail_adv).collect();
+        let sep_tgt: Vec<f64> = head_tgt.into_iter().chain(tail_tgt).collect();
+        for t in 0..adv.len() {
+            prop_assert!((adv[t] - sep_adv[t]).abs() < 1e-9);
+            prop_assert!((targets[t] - sep_tgt[t]).abs() < 1e-9);
         }
     }
 
@@ -76,37 +147,65 @@ proptest! {
 
     #[test]
     fn gae_targets_equal_advantage_plus_value(
-        rewards in arb_rewards(30),
+        episodes in arb_episodes(),
         gamma in 0.8f64..1.0,
         lambda in 0.0f64..1.0,
     ) {
-        let values: Vec<f32> = rewards.iter().map(|r| (*r as f32) * 0.3).collect();
-        let mut dones = vec![false; rewards.len()];
-        *dones.last_mut().unwrap() = true;
-        let (adv, targets) = gae(&rewards, &values, &dones, 0.0, gamma, lambda);
-        for t in 0..rewards.len() {
+        let flat = flatten(&episodes);
+        let values = values_for(&flat);
+        let (adv, targets) = gae(&flat, &values, gamma, lambda);
+        for t in 0..adv.len() {
             prop_assert!((targets[t] - (adv[t] + values[t] as f64)).abs() < 1e-9);
             prop_assert!(adv[t].is_finite());
         }
     }
 
     #[test]
+    fn gae_satisfies_its_recursion_within_episodes(
+        episodes in arb_episodes(),
+        gamma in 0.5f64..1.0,
+        lambda in 0.0f64..1.0,
+    ) {
+        // A_t = δ_t + γλ·A_{t+1} with δ_t = r_t + γ·V_{t+1} − V_t inside an
+        // episode; the last step of every episode bootstraps with 0.
+        let flat = flatten(&episodes);
+        let values = values_for(&flat);
+        let (adv, _) = gae(&flat, &values, gamma, lambda);
+        for t in 0..adv.len() {
+            let v = values[t] as f64;
+            let expected = if flat.dones[t] || flat.ends[t] {
+                flat.rewards[t] - v
+            } else {
+                let delta = flat.rewards[t] + gamma * values[t + 1] as f64 - v;
+                delta + gamma * lambda * adv[t + 1]
+            };
+            prop_assert!((adv[t] - expected).abs() < 1e-9);
+        }
+    }
+
+    #[test]
     fn gae_with_perfect_critic_gives_zero_advantage(
-        values in prop::collection::vec(-3.0f64..3.0, 2..20),
+        episodes in prop::collection::vec(
+            (prop::collection::vec(-3.0f64..3.0, 1..12), any::<bool>()),
+            1..5,
+        ),
         gamma in 0.5f64..1.0,
     ) {
-        // If rewards are exactly the one-step TD-consistent values, λ=0
-        // advantages are zero.
-        let n = values.len();
-        let mut rewards = vec![0.0; n];
-        let mut dones = vec![false; n];
-        dones[n - 1] = true;
-        for t in 0..n {
-            let next = if t + 1 < n { values[t + 1] } else { 0.0 };
-            rewards[t] = values[t] - gamma * next;
+        // If every reward is exactly the one-step TD-consistent value, λ=0
+        // advantages are zero — for terminal and truncated episodes alike,
+        // since both bootstrap with 0 after their last step.
+        let mut with_rewards = Vec::new();
+        let mut values = Vec::new();
+        for (vals, terminal) in &episodes {
+            let n = vals.len();
+            let rewards: Vec<f64> = (0..n)
+                .map(|t| vals[t] - if t + 1 < n { gamma * vals[t + 1] } else { 0.0 })
+                .collect();
+            with_rewards.push((rewards, *terminal));
+            values.extend(vals.iter().map(|v| *v as f32));
         }
-        let values_f32: Vec<f32> = values.iter().map(|v| *v as f32).collect();
-        let (adv, _) = gae(&rewards, &values_f32, &dones, 0.0, gamma, 0.0);
+        let flat = flatten(&with_rewards);
+        let (adv, _) = gae(&flat, &values, gamma, 0.0);
         prop_assert!(adv.iter().all(|a| a.abs() < 1e-3), "advantages {adv:?}");
     }
 

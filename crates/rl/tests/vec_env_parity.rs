@@ -1,20 +1,24 @@
 //! Parity proofs for the vectorized rollout path.
 //!
 //! 1. A one-environment [`VecEnv`] pool trained through
-//!    [`Trainer::train_in_place_vec`] must reproduce the legacy
+//!    [`Trainer::train_in_place_vec`] must reproduce the plain
 //!    single-environment loop *seed for seed*: identical per-iteration
 //!    returns and step counts, losses and final weights within 1e-6 (they
 //!    are bitwise-identical in practice — both paths run the same forward
-//!    shapes — but the assertions leave float slack).
+//!    shapes — but the assertions leave float slack). The single-environment
+//!    loop lives here, as [`train_single_env`], and nowhere in the library.
 //! 2. A property test that the lockstep scatter/reset discipline preserves
 //!    per-environment episode boundaries under ragged episode lengths: every
 //!    episode collected through an N-slot pool is step-for-step identical to
 //!    running that episode on a standalone environment.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use tcrm_rl::{
-    A2c, A2cConfig, Algorithm, Environment, Ppo, PpoConfig, Reinforce, ReinforceConfig, Step,
-    Trainer, TrainerConfig, TrainingHistory, Transition, ValueNet, VecEnv,
+    A2c, A2cConfig, Algorithm, Environment, EpisodeStats, Ppo, PpoConfig, Reinforce,
+    ReinforceConfig, RolloutBatch, Step, Trainer, TrainerConfig, TrainingHistory, Transition,
+    ValueNet, VecEnv,
 };
 
 const OBS: usize = 6;
@@ -88,6 +92,67 @@ fn config() -> TrainerConfig {
     }
 }
 
+/// The oracle: one environment, episodes one after another. Episode `e` of
+/// iteration `i` resets the environment with `seed + i·E + e` and samples
+/// from a fresh `StdRng` seeded with the same value; the unbatched policy
+/// picks each action; the critic scores each finished episode in one
+/// forward; episodes are flattened into the update batch in order.
+fn train_single_env<E: Environment, A: Algorithm>(
+    env: &mut E,
+    algo: &mut A,
+    cfg: TrainerConfig,
+) -> TrainingHistory {
+    let (obs_dim, action_count) = (env.observation_dim(), env.action_count());
+    let mut batch = RolloutBatch::new(obs_dim, action_count);
+    let mut episode = RolloutBatch::new(obs_dim, action_count);
+    let mut values = Vec::new();
+    let mut history = TrainingHistory::default();
+    for iteration in 0..cfg.iterations {
+        batch.clear();
+        let (mut returns, mut lengths) = (Vec::new(), Vec::new());
+        for e in 0..cfg.episodes_per_iteration {
+            let seed = cfg.seed + (iteration * cfg.episodes_per_iteration + e) as u64;
+            let mut rng = StdRng::seed_from_u64(seed);
+            episode.clear();
+            let mut step = env.reset(seed);
+            for _ in 0..cfg.max_steps_per_episode {
+                let (action, log_prob, _) =
+                    algo.policy()
+                        .sample(&step.observation, &step.action_mask, &mut rng);
+                let t = env.step(action);
+                episode.push_step(
+                    &step.observation,
+                    &step.action_mask,
+                    action,
+                    t.reward,
+                    log_prob,
+                    t.done,
+                );
+                if t.done {
+                    break;
+                }
+                step = t.next;
+            }
+            episode.close_episode();
+            algo.value_estimates_into(episode.observations(), &mut values);
+            episode.values_mut().copy_from_slice(&values);
+            returns.push(episode.rewards().iter().sum::<f64>());
+            lengths.push(episode.len() as f64);
+            batch.append(&episode);
+        }
+        let update = algo.update_batch(&mut batch);
+        history.iterations.push(EpisodeStats {
+            iteration,
+            mean_return: returns.iter().sum::<f64>() / returns.len() as f64,
+            min_return: returns.iter().cloned().fold(f64::INFINITY, f64::min),
+            max_return: returns.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+            mean_length: lengths.iter().sum::<f64>() / lengths.len() as f64,
+            update,
+        });
+    }
+    history
+}
+
 fn probe_logits<A: Algorithm>(algo: &A) -> Vec<f32> {
     let mut out = Vec::new();
     for p in 0..3 {
@@ -99,9 +164,9 @@ fn probe_logits<A: Algorithm>(algo: &A) -> Vec<f32> {
     out
 }
 
-fn assert_history_parity(legacy: &TrainingHistory, vec: &TrainingHistory) {
-    assert_eq!(legacy.iterations.len(), vec.iterations.len());
-    for (l, v) in legacy.iterations.iter().zip(vec.iterations.iter()) {
+fn assert_history_parity(oracle: &TrainingHistory, vec: &TrainingHistory) {
+    assert_eq!(oracle.iterations.len(), vec.iterations.len());
+    for (l, v) in oracle.iterations.iter().zip(vec.iterations.iter()) {
         assert_eq!(l.mean_return, v.mean_return, "iter {}", l.iteration);
         assert_eq!(l.min_return, v.min_return);
         assert_eq!(l.max_return, v.max_return);
@@ -114,13 +179,13 @@ fn assert_history_parity(legacy: &TrainingHistory, vec: &TrainingHistory) {
 }
 
 fn check_parity<A: Algorithm, F: Fn() -> A>(make: F) {
-    let legacy_history;
-    let legacy_probe;
+    let oracle_history;
+    let oracle_probe;
     {
         let mut algo = make();
         let mut env = RaggedEnv::default();
-        legacy_history = Trainer::new(config()).train_in_place(&mut env, &mut algo);
-        legacy_probe = probe_logits(&algo);
+        oracle_history = train_single_env(&mut env, &mut algo, config());
+        oracle_probe = probe_logits(&algo);
     }
     let vec_history;
     let vec_probe;
@@ -130,8 +195,8 @@ fn check_parity<A: Algorithm, F: Fn() -> A>(make: F) {
         vec_history = Trainer::new(config()).train_in_place_vec(&mut pool, &mut algo);
         vec_probe = probe_logits(&algo);
     }
-    assert_history_parity(&legacy_history, &vec_history);
-    for (a, b) in legacy_probe.iter().zip(vec_probe.iter()) {
+    assert_history_parity(&oracle_history, &vec_history);
+    for (a, b) in oracle_probe.iter().zip(vec_probe.iter()) {
         assert!((a - b).abs() <= 1e-6, "final weights diverged: {a} vs {b}");
     }
 }
