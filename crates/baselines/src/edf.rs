@@ -10,12 +10,19 @@ use tcrm_sim::{Action, ClusterView, Scheduler};
 /// is the strongest deadline-aware heuristic in the comparison and the main
 /// non-learning contender of the DRL agent.
 #[derive(Debug, Clone, Default)]
-pub struct EdfScheduler;
+pub struct EdfScheduler {
+    memo: util::StartMemo,
+}
 
 impl EdfScheduler {
     /// Create an EDF scheduler.
     pub fn new() -> Self {
-        EdfScheduler
+        Self::default()
+    }
+
+    /// The start pass's memo (its work counters).
+    pub fn start_memo(&self) -> &util::StartMemo {
+        &self.memo
     }
 }
 
@@ -25,21 +32,13 @@ impl Scheduler for EdfScheduler {
     }
 
     fn decide(&mut self, view: &ClusterView) -> Vec<Action> {
-        // The engine maintains the (deadline, id) index incrementally —
-        // no per-decision sort (or allocation) of the queue.
         let mut actions = Vec::new();
-        for job in view.pending_in_deadline_order() {
-            if let Some(class) = util::best_class_for(job, view) {
-                if let Some(parallelism) = util::deadline_parallelism(job, view, class) {
-                    actions.push(Action::Start {
-                        job: job.id,
-                        class,
-                        parallelism,
-                    });
-                }
-            }
-        }
+        self.memo.push_starts(view, &mut actions);
         actions
+    }
+
+    fn on_simulation_start(&mut self) {
+        self.memo.clear();
     }
 }
 

@@ -34,6 +34,7 @@ impl Default for GreedyElasticConfig {
 #[derive(Debug, Clone, Default)]
 pub struct GreedyElasticScheduler {
     config: GreedyElasticConfig,
+    memo: util::StartMemo,
 }
 
 impl GreedyElasticScheduler {
@@ -44,7 +45,10 @@ impl GreedyElasticScheduler {
 
     /// Create the heuristic with explicit thresholds.
     pub fn with_config(config: GreedyElasticConfig) -> Self {
-        GreedyElasticScheduler { config }
+        GreedyElasticScheduler {
+            config,
+            ..Self::default()
+        }
     }
 
     /// Parallelism a running job needs (at its current node class speed) to
@@ -104,20 +108,13 @@ impl Scheduler for GreedyElasticScheduler {
         }
 
         // 2. Start pending jobs EDF-ordered at the cheapest deadline-meeting
-        //    parallelism on their fastest feasible class (deadline order
-        //    straight from the engine-maintained index — no per-call sort).
-        for job in view.pending_in_deadline_order() {
-            if let Some(class) = util::best_class_for(job, view) {
-                if let Some(parallelism) = util::deadline_parallelism(job, view, class) {
-                    actions.push(Action::Start {
-                        job: job.id,
-                        class,
-                        parallelism,
-                    });
-                }
-            }
-        }
+        //    parallelism on their fastest feasible class.
+        self.memo.push_starts(view, &mut actions);
         actions
+    }
+
+    fn on_simulation_start(&mut self) {
+        self.memo.clear();
     }
 }
 

@@ -1,7 +1,8 @@
 //! Shared helpers for the heuristic schedulers, plus the simulation fixtures
 //! their tests run against.
 
-use tcrm_sim::{ClusterView, NodeClassId, PendingJobView};
+use std::cmp::Ordering;
+use tcrm_sim::{Action, ClusterView, JobId, NodeClassId, PendingJobView};
 
 /// The node class on which `job` would execute fastest among the classes that
 /// can currently host at least its minimum parallelism. Ties break toward the
@@ -61,6 +62,114 @@ pub fn feasible_classes(job: &PendingJobView, view: &ClusterView) -> Vec<NodeCla
         .filter(|c| view.can_start(job, c.id, job.min_parallelism))
         .map(|c| c.id)
         .collect()
+}
+
+/// The start pass of the EDF family, memoized across calls: every pending
+/// job that fits some class gets a `Start` on its [`best_class_for`] class
+/// at [`deadline_parallelism`], in `(deadline, id)` order.
+///
+/// The memo remembers which jobs its last scan found startable. A later
+/// view of the same [`ClusterView::feasibility_gen`] and a log position no
+/// older than the memo's can only have lost capacity since, and
+/// [`best_class_for`] is monotone in free capacity, so only those jobs plus
+/// the generation's new arrivals need evaluating; any other view gets the
+/// full scan. The actions are identical either way.
+#[derive(Debug, Clone, Default)]
+pub struct StartMemo {
+    /// Generation of the last scan (0: nothing to reuse).
+    gen: u64,
+    log_pos: usize,
+    /// How many of the generation's arrivals the last scan covered.
+    arrivals_seen: usize,
+    /// `(deadline, id)` keys the last scan found startable, in that order.
+    startable: Vec<(f64, JobId)>,
+    /// Reused buffer: the keys a memo scan evaluates.
+    candidates: Vec<(f64, JobId)>,
+    full_rows: u64,
+    memo_rows: u64,
+}
+
+impl StartMemo {
+    /// Forget the memo and zero the counters (at simulation start).
+    pub fn clear(&mut self) {
+        self.gen = 0;
+        self.startable.clear();
+        self.full_rows = 0;
+        self.memo_rows = 0;
+    }
+
+    /// Pending rows evaluated by full scans since the last [`Self::clear`].
+    pub fn full_rows(&self) -> u64 {
+        self.full_rows
+    }
+
+    /// Pending rows evaluated by memo scans since the last [`Self::clear`].
+    pub fn memo_rows(&self) -> u64 {
+        self.memo_rows
+    }
+
+    /// Append the start pass's actions for `view` to `actions`.
+    pub fn push_starts(&mut self, view: &ClusterView, actions: &mut Vec<Action>) {
+        let reuse = self.gen != 0
+            && view.feasibility_gen == self.gen
+            && view.log_position() >= self.log_pos;
+        // The last scan's keys become the candidates; `startable` collects
+        // this scan's (the two buffers trade places every call).
+        std::mem::swap(&mut self.startable, &mut self.candidates);
+        self.startable.clear();
+        if reuse {
+            // The last scan's startable keys plus the generation's new
+            // arrivals (disjoint: a job arrives once per generation), back
+            // in `(deadline, id)` order.
+            let mut candidates = std::mem::take(&mut self.candidates);
+            let new = view.gen_arrivals.get(self.arrivals_seen..).unwrap_or(&[]);
+            candidates.extend_from_slice(new);
+            candidates.sort_unstable_by(key_order);
+            let mut from = 0;
+            for &(deadline, id) in &candidates {
+                from = view.deadline_position(from, deadline, id);
+                let Some(&slot) = view.pending_by_deadline.get(from) else {
+                    break;
+                };
+                let job = &view.pending[slot as usize];
+                if job.id == id {
+                    self.memo_rows += 1;
+                    self.evaluate(job, view, actions);
+                    from += 1;
+                }
+            }
+            self.candidates = candidates;
+        } else {
+            for job in view.pending_in_deadline_order() {
+                self.full_rows += 1;
+                self.evaluate(job, view, actions);
+            }
+        }
+        self.gen = view.feasibility_gen;
+        self.log_pos = view.log_position();
+        self.arrivals_seen = view.gen_arrivals.len();
+    }
+
+    fn evaluate(&mut self, job: &PendingJobView, view: &ClusterView, actions: &mut Vec<Action>) {
+        let Some(class) = best_class_for(job, view) else {
+            return;
+        };
+        self.startable.push((job.deadline, job.id));
+        if let Some(parallelism) = deadline_parallelism(job, view, class) {
+            actions.push(Action::Start {
+                job: job.id,
+                class,
+                parallelism,
+            });
+        }
+    }
+}
+
+/// The `(deadline, id)` order of [`ClusterView::pending_by_deadline`].
+fn key_order(a: &(f64, JobId), b: &(f64, JobId)) -> Ordering {
+    a.0.partial_cmp(&b.0)
+        .unwrap_or(Ordering::Equal)
+        .then(a.1.cmp(&b.1))
 }
 
 /// Test fixtures shared by the scheduler unit tests in this crate.

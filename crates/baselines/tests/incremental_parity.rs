@@ -8,6 +8,14 @@
 //! which also compare after every single action) this pins the incremental
 //! `ClusterView` to the rebuilt one across full runs for the whole
 //! scheduler zoo.
+//!
+//! The same stepping pins the EDF family's start memo
+//! (`util::StartMemo`): at every `decide` a memoized scheduler must return
+//! exactly what a memo-free twin returns on the same view, including when
+//! epochs pass without a decision, on an older clone of the view and on a
+//! serde round-tripped one; and EDF's exact work counts on a `sim_scale`
+//! style trace are pinned, so a memo that silently stops skipping rows
+//! fails here.
 
 use tcrm_baselines::greedy_elastic::GreedyElasticConfig;
 use tcrm_baselines::{
@@ -15,6 +23,7 @@ use tcrm_baselines::{
     RigidAdapter,
 };
 use tcrm_sim::prelude::*;
+use tcrm_workload::{SyntheticSource, WorkloadSpec};
 
 /// A deterministic mixed workload: varied arrivals, demands, deadlines,
 /// elasticity ranges and malleability, sized to keep several jobs pending
@@ -119,30 +128,59 @@ fn assert_view_matches_rebuild(sim: &Simulator, view: &ClusterView, oracle: &mut
         view.pending_by_deadline, oracle.pending_by_deadline,
         "deadline index diverged"
     );
+    assert_eq!(
+        view.feasibility_gen, oracle.feasibility_gen,
+        "feasibility generation diverged"
+    );
+    assert_eq!(
+        view.gen_arrivals, oracle.gen_arrivals,
+        "generation arrivals diverged"
+    );
+    assert_eq!(view.log_position(), oracle.log_position());
 }
 
 /// One batch run stepped by hand, checking the view against its rebuild
-/// oracle at every decision round. Returns the summary, the completion
-/// records and the number of rounds checked.
+/// oracle at every decision round. With a `twin` (the same scheduler,
+/// forgetting its state before every call), every `decide` must also
+/// return exactly the twin's actions. Decisions run at every
+/// `decide_every`-th epoch only, so the epochs in between advance without
+/// one. Returns the summary, the completion records and the number of
+/// rounds checked.
 fn stepped_run(
     cluster: &ClusterSpec,
     jobs: &[Job],
     sched: &mut dyn Scheduler,
+    mut twin: Option<&mut dyn Scheduler>,
+    decide_every: usize,
 ) -> (Summary, Vec<CompletedJob>, usize) {
     let mut sim = Simulator::new(cluster.clone(), config());
     let mut view = sim.view();
     let mut oracle = sim.view();
     let max_rounds = sim.config().max_decisions_per_epoch;
     let mut checked = 0;
+    let mut epochs = 0;
     sched.on_simulation_start();
     sim.start(jobs.to_vec());
     while sim.advance() {
+        epochs += 1;
+        if epochs % decide_every != 0 {
+            continue;
+        }
         let mut epoch_changed_state = false;
         for _ in 0..max_rounds {
             sim.view_into(&mut view);
             assert_view_matches_rebuild(&sim, &view, &mut oracle);
             checked += 1;
             let actions = sched.decide(&view);
+            if let Some(twin) = twin.as_mut() {
+                twin.on_simulation_start();
+                assert_eq!(
+                    actions,
+                    twin.decide(&view),
+                    "{}: memoized decide diverged from its twin at round {checked}",
+                    sched.name()
+                );
+            }
             if actions.is_empty() {
                 break;
             }
@@ -171,7 +209,7 @@ fn batch_runs_match_rebuild_reference_for_every_scheduler() {
     let mut scale_events = 0;
     for (name, _) in scheduler_specs() {
         let (stepped, stepped_completed, rounds) =
-            stepped_run(&cluster, &jobs, scheduler(&name).as_mut());
+            stepped_run(&cluster, &jobs, scheduler(&name).as_mut(), None, 1);
         assert!(rounds > 0, "{name}: no decision round was checked");
         let mut sim = Simulator::new(cluster.clone(), config());
         let mut view = sim.view();
@@ -189,4 +227,192 @@ fn batch_runs_match_rebuild_reference_for_every_scheduler() {
         scale_events += summary.scale_events;
     }
     assert!(scale_events > 0, "no scheduler applied an accepted Scale");
+}
+
+/// The schedulers whose start pass runs through the memo.
+const MEMOIZED: [&str; 5] = [
+    "edf",
+    "greedy-elastic",
+    "greedy-elastic(eager)",
+    "edf+admission",
+    "edf+rigid",
+];
+
+/// Five nodes in two classes: [`workload`] queues up on it, so start
+/// passes meet jobs that fit nowhere.
+fn small_cluster() -> ClusterSpec {
+    use tcrm_sim::node::SpeedProfile;
+    ClusterSpec::new(vec![
+        NodeClassSpec::new(
+            "generic",
+            3,
+            ResourceVector::of(8.0, 32.0, 1.0, 10.0),
+            SpeedProfile::uniform(1.0),
+        ),
+        NodeClassSpec::new(
+            "fast",
+            2,
+            ResourceVector::of(8.0, 16.0, 0.0, 10.0),
+            SpeedProfile::uniform(2.0),
+        ),
+    ])
+}
+
+#[test]
+fn memoized_decisions_match_a_memo_free_twin() {
+    let jobs = workload(80);
+    for cluster in [ClusterSpec::icpp_default(), small_cluster()] {
+        for name in MEMOIZED {
+            for decide_every in [1, 2] {
+                let mut twin = scheduler(name);
+                let (_, _, rounds) = stepped_run(
+                    &cluster,
+                    &jobs,
+                    scheduler(name).as_mut(),
+                    Some(twin.as_mut()),
+                    decide_every,
+                );
+                assert!(rounds > 0, "{name}: no decision round was checked");
+            }
+        }
+    }
+    // On the small cluster the memo must skip rows a full scan evaluates.
+    let mut edf = EdfScheduler::new();
+    stepped_run(&small_cluster(), &jobs, &mut edf, None, 1);
+    let mut memo_free = MemoFreeEdf::default();
+    stepped_run(&small_cluster(), &jobs, &mut memo_free, None, 1);
+    let memo = edf.start_memo();
+    assert!(
+        memo.memo_rows() > 0 && memo.full_rows() + memo.memo_rows() < memo_free.rows,
+        "the memo skipped nothing: {memo:?} vs {} memo-free rows",
+        memo_free.rows
+    );
+}
+
+/// One node of 8 CPUs and two 6-CPU rigid jobs arriving together: both fit
+/// alone, only one fits at a time.
+fn contended_view() -> (Simulator, ClusterView) {
+    let spec = ClusterSpec::new(vec![NodeClassSpec::new(
+        "one",
+        1,
+        ResourceVector::of(8.0, 32.0, 0.0, 10.0),
+        tcrm_sim::node::SpeedProfile::uniform(1.0),
+    )]);
+    let job = |id| {
+        Job::builder(JobId(id), JobClass::Batch)
+            .arrival(0.0)
+            .total_work(10.0)
+            .demand_per_unit(ResourceVector::of(6.0, 4.0, 0.0, 1.0))
+            .parallelism_range(1, 1)
+            .deadline(100.0 + id as f64)
+            .build()
+    };
+    let mut sim = Simulator::new(spec, config());
+    sim.start(vec![job(0), job(1)]);
+    assert!(
+        sim.advance() && sim.advance(),
+        "two arrivals, no decide between"
+    );
+    let view = sim.view();
+    assert_eq!(view.pending.len(), 2);
+    (sim, view)
+}
+
+#[test]
+fn an_older_view_of_the_same_generation_gets_a_full_scan() {
+    let (mut sim, mut view) = contended_view();
+    let old = view.clone();
+    let mut edf = EdfScheduler::new();
+    let first = edf.decide(&view);
+    assert_eq!(first.len(), 2, "both jobs fit alone: {first:?}");
+    assert!(sim.apply(&first[0]).changed_state());
+    assert!(sim.apply(&first[1]).is_invalid());
+    sim.view_into(&mut view);
+    assert_eq!(view.feasibility_gen, old.feasibility_gen);
+    assert!(view.log_position() > old.log_position());
+    assert!(
+        edf.decide(&view).is_empty(),
+        "the second job no longer fits"
+    );
+    // The older clone still has room for both: it must not reuse the memo
+    // made on the later view.
+    let mut twin = EdfScheduler::new();
+    assert_eq!(edf.decide(&old), twin.decide(&old));
+    assert_eq!(edf.decide(&old), first);
+}
+
+#[test]
+fn a_deserialized_view_is_generation_zero_and_gets_a_full_scan() {
+    let (mut sim, mut view) = contended_view();
+    let round_trip = |v: &ClusterView| -> ClusterView {
+        serde_json::from_str(&serde_json::to_string(v).unwrap()).unwrap()
+    };
+    let old = round_trip(&view);
+    assert_eq!(old.feasibility_gen, 0);
+    assert!(old.gen_arrivals.is_empty());
+    let actions = EdfScheduler::new().decide(&view);
+    for action in &actions {
+        sim.apply(action);
+    }
+    sim.view_into(&mut view);
+    let later = round_trip(&view);
+    let mut edf = EdfScheduler::new();
+    assert!(edf.decide(&later).is_empty());
+    // Both deserialized views are generation 0 at log position 0; the
+    // memo from the first must not carry over to the second.
+    assert_eq!(edf.decide(&old), EdfScheduler::new().decide(&old));
+    assert_eq!(edf.decide(&old), actions);
+}
+
+/// EDF with its memo forgotten before every call: every start pass is a
+/// full scan. Counts the rows those scans evaluate.
+#[derive(Default)]
+struct MemoFreeEdf {
+    edf: EdfScheduler,
+    rows: u64,
+}
+
+impl Scheduler for MemoFreeEdf {
+    fn name(&self) -> &str {
+        "edf(memo-free)"
+    }
+
+    fn decide(&mut self, view: &ClusterView) -> Vec<Action> {
+        self.edf.on_simulation_start();
+        let actions = self.edf.decide(view);
+        self.rows += self.edf.start_memo().full_rows();
+        actions
+    }
+}
+
+#[test]
+fn edf_work_counts_are_pinned_on_a_sim_scale_trace() {
+    // The sim_scale shape, scaled down: 1000 icpp_default jobs at load 0.95
+    // on 64 nodes with a 5 s decision interval, long enough for the queue
+    // to build up.
+    let cluster = ClusterSpec::icpp_scaled(64.0 / 24.0);
+    let workload = WorkloadSpec::icpp_default()
+        .with_num_jobs(1000)
+        .with_load(0.95);
+    let jobs: Vec<Job> = SyntheticSource::new(&workload, &cluster, 11)
+        .expect("valid workload spec")
+        .collect();
+    let cfg = SimConfig {
+        decision_interval: Some(5.0),
+        max_sim_time: 1e7,
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(cluster, cfg);
+    let mut view = sim.view();
+    let mut edf = EdfScheduler::new();
+    let summary = sim.run_reusing(jobs.clone(), &mut edf, &mut view);
+    let memo = edf.start_memo();
+    assert_eq!(
+        (memo.full_rows(), memo.memo_rows()),
+        (12255, 2094),
+        "EDF's exact (full-scan, memo-scan) row counts"
+    );
+    let mut memo_free = MemoFreeEdf::default();
+    assert_eq!(sim.run_reusing(jobs, &mut memo_free, &mut view), summary);
+    assert_eq!(memo_free.rows, 36714, "rows evaluated without the memo");
 }

@@ -24,7 +24,12 @@ fn bench_extended_decisions(c: &mut Criterion) {
         for name in ["backfill", "heft", "slack-pack", "edf"] {
             group.bench_with_input(BenchmarkId::new(name, nodes), &view, |b, view| {
                 let mut scheduler = by_name(name, 1).expect("known baseline");
-                b.iter(|| black_box(scheduler.decide(black_box(view))));
+                // Forget per-run state every call, so EDF's row times its
+                // full start pass rather than its memoized re-decide.
+                b.iter(|| {
+                    scheduler.on_simulation_start();
+                    black_box(scheduler.decide(black_box(view)))
+                });
             });
         }
     }

@@ -234,6 +234,41 @@ impl Clone for SimId {
     }
 }
 
+/// Process-unique feasibility generations (see
+/// [`ClusterView::feasibility_gen`]); 0 is never minted.
+static NEXT_FEASIBILITY_GEN: AtomicU64 = AtomicU64::new(1);
+
+/// The engine's feasibility generation and the `(deadline, id)` keys of the
+/// jobs that arrived since it began. Cloning a simulator deliberately mints
+/// a *fresh* generation: the clone's state diverges from the original's, so
+/// nothing a scheduler learned about one may carry over to the other.
+#[derive(Debug)]
+struct Feasibility {
+    gen: u64,
+    arrivals: Vec<(f64, JobId)>,
+}
+
+impl Feasibility {
+    fn fresh() -> Self {
+        Feasibility {
+            gen: NEXT_FEASIBILITY_GEN.fetch_add(1, Ordering::Relaxed),
+            arrivals: Vec::new(),
+        }
+    }
+
+    /// Begin a new generation: some pending job may have become startable.
+    fn bump(&mut self) {
+        self.gen = NEXT_FEASIBILITY_GEN.fetch_add(1, Ordering::Relaxed);
+        self.arrivals.clear();
+    }
+}
+
+impl Clone for Feasibility {
+    fn clone(&self) -> Self {
+        Feasibility::fresh()
+    }
+}
+
 /// The discrete-event simulator.
 #[derive(Debug, Clone)]
 pub struct Simulator {
@@ -281,6 +316,8 @@ pub struct Simulator {
     /// Absolute log position of `log[0]`: view cursors are absolute, so
     /// compaction just advances the base and views behind it rebuild.
     log_base: usize,
+    /// Current feasibility generation, stamped on every refilled view.
+    feasibility: Feasibility,
 }
 
 impl Simulator {
@@ -314,6 +351,7 @@ impl Simulator {
             run_epoch: 0,
             log: Vec::new(),
             log_base: 0,
+            feasibility: Feasibility::fresh(),
         }
     }
 
@@ -426,6 +464,7 @@ impl Simulator {
     pub fn cancel_pending(&mut self, id: JobId) -> Option<Job> {
         let (job, pos) = self.pending.remove(id)?;
         self.log.push(ViewDelta::PendingRemoved { pos });
+        self.feasibility.bump();
         self.metrics.record_unfinished(job.utility.value);
         Some(job)
     }
@@ -442,6 +481,7 @@ impl Simulator {
             return false;
         };
         self.log.push(ViewDelta::PendingRemoved { pos });
+        self.feasibility.bump();
         job.malleable = false;
         job.max_parallelism = job.min_parallelism;
         self.log
@@ -488,6 +528,7 @@ impl Simulator {
     fn begin_run(&mut self, expected_jobs: usize, arrival_hint: usize) {
         assert!(!self.started, "Simulator::start called twice");
         self.started = true;
+        self.feasibility.bump();
         self.arrival_hint = arrival_hint;
         self.metrics.configure(self.config.bounded_metrics);
         // Pre-size the per-run collections so steady-state stepping does not
@@ -500,6 +541,7 @@ impl Simulator {
         // reserve unbounded memory (longer runs fall back to amortised
         // growth; the capacity persists across resets).
         self.log.reserve(expected_jobs.saturating_mul(6).min(8_192));
+        self.feasibility.arrivals.reserve(expected_jobs.min(8_192));
         // Budget the utilisation trace: enough for the horizon the workload
         // plausibly covers, capped so pathological sampling intervals cannot
         // reserve unbounded memory. Runs that outlive the budget fall back to
@@ -581,6 +623,7 @@ impl Simulator {
                     self.arrival_hint = self.arrival_hint.saturating_sub(1);
                     self.log
                         .push(ViewDelta::Arrived(ClusterView::pending_view_of(&job)));
+                    self.feasibility.arrivals.push((job.deadline, job.id));
                     self.last_epoch = EpochKind::Arrival(job.id);
                     self.pending.push(job);
                     self.metrics.record_decision_epoch();
@@ -653,7 +696,10 @@ impl Simulator {
     /// copying the engine-maintained deadline order. Rows are time-affine
     /// (see [`RunningJobView`]): they hold reconciled state and derive
     /// `wait` / `remaining_work` / `scale_ready` at the `now` a reader asks
-    /// for, so a refill where only time moved rewrites no row.
+    /// for, so a refill where only time moved rewrites no row. Both paths
+    /// stamp the engine's feasibility generation
+    /// ([`ClusterView::feasibility_gen`]) and its arrival keys; the
+    /// incremental one appends only the keys it has not seen.
     ///
     /// Any view that cannot prove it is in sync — freshly built, fabricated,
     /// last filled by another simulator or an earlier run — falls back to
@@ -710,6 +756,15 @@ impl Simulator {
         out.sync.log_pos = self.log_base + self.log.len();
         debug_assert_eq!(out.running.len(), self.running_order.len());
         self.refresh_header(out);
+        // Within one generation the arrival keys only grow: append the
+        // tail; a new generation starts the list over.
+        let arrivals = &self.feasibility.arrivals;
+        if out.feasibility_gen != self.feasibility.gen || out.gen_arrivals.len() > arrivals.len() {
+            out.feasibility_gen = self.feasibility.gen;
+            out.gen_arrivals.clear();
+        }
+        out.gen_arrivals
+            .extend_from_slice(&arrivals[out.gen_arrivals.len()..]);
         // The deadline index comes straight from the engine-maintained
         // order; the rebuild reference recomputes it by sorting, so the
         // oracle harness cross-checks the maintained index itself.
@@ -780,6 +835,10 @@ impl Simulator {
                 .map(|id| self.running_row(&self.running[id])),
         );
         self.refresh_header(out);
+        out.feasibility_gen = self.feasibility.gen;
+        out.gen_arrivals.clear();
+        out.gen_arrivals
+            .extend_from_slice(&self.feasibility.arrivals);
         // Reference computation of the deadline index: an actual sort over
         // the rows, independent of the engine-maintained order (into the
         // retained buffer).
@@ -888,6 +947,7 @@ impl Simulator {
         self.run_epoch = self.run_epoch.wrapping_add(1);
         self.log.clear();
         self.log_base = 0;
+        self.feasibility.bump();
     }
 
     // ------------------------------------------------------------------
@@ -1215,6 +1275,7 @@ impl Simulator {
         self.cluster
             .release_placement(&r.alloc.demand_per_unit, &r.alloc.placements);
         self.log_node_frees(&r.alloc.placements);
+        self.feasibility.bump();
         let job = &r.job;
         let finish = self.time;
         let wait = r.started_at - job.arrival;
@@ -1387,6 +1448,7 @@ impl Simulator {
             r.rate = speed * speedup.speedup(r.alloc.total_units());
             self.cluster.release_placement(&demand, &released);
             self.log_node_frees(&released);
+            self.feasibility.bump();
         }
         self.metrics.record_scale_event();
         let r = &self.running[&job_id];
@@ -2052,5 +2114,105 @@ mod tests {
         for (a, b) in r1.completed.iter().zip(r2.completed.iter()) {
             assert_eq!(a, b);
         }
+    }
+
+    /// Refill `view` and require it to agree with a fresh rebuild on the
+    /// generation header; returns the generation.
+    fn refilled_gen(sim: &Simulator, view: &mut ClusterView) -> u64 {
+        sim.view_into(view);
+        let rebuilt = sim.view();
+        assert_eq!(view.feasibility_gen, rebuilt.feasibility_gen);
+        assert_eq!(view.gen_arrivals, rebuilt.gen_arrivals);
+        assert_ne!(
+            view.feasibility_gen, 0,
+            "engine views are never generation 0"
+        );
+        view.feasibility_gen
+    }
+
+    #[test]
+    fn feasibility_generation_changes_only_when_a_job_could_become_startable() {
+        let mut cfg = SimConfig::default();
+        cfg.decision_interval = Some(1.0);
+        cfg.scale_cooldown = 0.0;
+        let mut sim = Simulator::new(tiny_spec(), cfg);
+        let mut view = sim.view();
+        let fresh = refilled_gen(&sim, &mut view);
+        let jobs = vec![
+            simple_job(0, 0.0, 100.0, 1e4),
+            simple_job(1, 0.5, 100.0, 1e4),
+            simple_job(2, 0.6, 100.0, 1e4),
+            simple_job(3, 0.7, 3.0, 1e4),
+        ];
+        let key = |j: &Job| (j.deadline, j.id);
+        let keys: Vec<_> = jobs.iter().map(key).collect();
+        sim.start(jobs);
+        let started = refilled_gen(&sim, &mut view);
+        assert_ne!(started, fresh, "start");
+        assert!(view.gen_arrivals.is_empty());
+
+        // Arrivals, starts and scale-ups keep the generation; each arrival
+        // appends its key.
+        assert!(sim.advance());
+        assert_eq!(sim.last_epoch(), EpochKind::Arrival(JobId(0)));
+        assert_eq!(refilled_gen(&sim, &mut view), started, "arrival");
+        assert_eq!(view.gen_arrivals, keys[..1]);
+        let start = |job, parallelism| Action::Start {
+            job: JobId(job),
+            class: NodeClassId(0),
+            parallelism,
+        };
+        assert_eq!(sim.apply(&start(0, 1)), ActionOutcome::Started);
+        assert_eq!(refilled_gen(&sim, &mut view), started, "start");
+        let scale = |job, new_parallelism| Action::Scale {
+            job: JobId(job),
+            new_parallelism,
+        };
+        assert_eq!(sim.apply(&scale(0, 3)), ActionOutcome::Scaled);
+        assert_eq!(refilled_gen(&sim, &mut view), started, "scale-up");
+        for id in 1..4 {
+            assert!(sim.advance());
+            assert_eq!(sim.last_epoch(), EpochKind::Arrival(JobId(id)));
+            assert_eq!(refilled_gen(&sim, &mut view), started, "arrival");
+        }
+        assert_eq!(view.gen_arrivals, keys, "started jobs keep their key");
+        assert!(sim.advance());
+        assert_eq!(sim.last_epoch(), EpochKind::Periodic);
+        assert_eq!(refilled_gen(&sim, &mut view), started, "periodic epoch");
+
+        // A scale-down, a cancel and a degrade each begin a generation,
+        // with no arrivals yet.
+        let mut seen = vec![fresh, started];
+        let mut expect_new = |gen: u64, what: &str| {
+            assert!(!seen.contains(&gen), "{what} must change the generation");
+            seen.push(gen);
+        };
+        assert_eq!(sim.apply(&scale(0, 2)), ActionOutcome::Scaled);
+        expect_new(refilled_gen(&sim, &mut view), "scale-down");
+        assert!(view.gen_arrivals.is_empty());
+        assert!(sim.cancel_pending(JobId(1)).is_some());
+        expect_new(refilled_gen(&sim, &mut view), "cancel");
+        assert!(sim.degrade_pending_to_rigid(JobId(2)));
+        expect_new(refilled_gen(&sim, &mut view), "degrade");
+        assert!(view.gen_arrivals.is_empty(), "a degrade is not an arrival");
+
+        // Periodic epochs keep it until a completion changes it.
+        assert_eq!(sim.apply(&start(3, 1)), ActionOutcome::Started);
+        let before = refilled_gen(&sim, &mut view);
+        loop {
+            assert!(sim.advance());
+            let gen = refilled_gen(&sim, &mut view);
+            if sim.last_epoch() == EpochKind::Completion(JobId(3)) {
+                expect_new(gen, "completion");
+                break;
+            }
+            assert_eq!(sim.last_epoch(), EpochKind::Periodic);
+            assert_eq!(gen, before, "periodic epoch");
+        }
+        sim.reset();
+        expect_new(refilled_gen(&sim, &mut view), "reset");
+        // A clone never shares its original's generation.
+        let clone = sim.clone();
+        assert_ne!(clone.view().feasibility_gen, sim.view().feasibility_gen);
     }
 }

@@ -425,6 +425,24 @@ pub struct ClusterView {
     /// `SimConfig::scale_cooldown`); read by [`Self::scale_ready`].
     #[serde(default)]
     pub scale_cooldown: f64,
+    /// Feasibility generation: a process-unique id the engine stamps on
+    /// every refill, 0 on fabricated or deserialized views. It changes
+    /// whenever a pending job could have become startable — a completion or
+    /// scale-down releases capacity, a pending job is cancelled or degraded,
+    /// the simulator resets or starts — and on nothing else: arrivals,
+    /// periodic epochs, starts and scale-ups keep it. Within one generation
+    /// every node's free capacity only shrinks and pending rows only arrive
+    /// or leave, so between two views of the same generation, the later one
+    /// by [`Self::log_position`], a job that fit no class in the earlier
+    /// fits none in the later, unless it is in [`Self::gen_arrivals`]. 0
+    /// means: assume nothing.
+    #[serde(skip)]
+    pub feasibility_gen: u64,
+    /// `(deadline, id)` keys of the jobs that arrived since
+    /// [`Self::feasibility_gen`] began, in arrival order (engine-maintained;
+    /// rows that started since keep their key).
+    #[serde(skip)]
+    pub gen_arrivals: Vec<(f64, JobId)>,
     /// Incremental-refill cookie (engine-owned, never serialised).
     #[serde(skip)]
     pub(crate) sync: ViewSync,
@@ -454,6 +472,8 @@ impl ClusterView {
             pending_by_deadline,
             allow_scaling: true,
             scale_cooldown: 0.0,
+            feasibility_gen: 0,
+            gen_arrivals: Vec::new(),
             sync: ViewSync::default(),
         }
     }
@@ -489,6 +509,34 @@ impl ClusterView {
         self.pending_by_deadline
             .iter()
             .map(move |&i| &self.pending[i as usize])
+    }
+
+    /// Position in [`Self::pending_by_deadline`] of the first row whose
+    /// `(deadline, id)` key is not below the given one, searching onwards
+    /// from `from`: every row before `from` must be below the key. The
+    /// search gallops (doubling steps, then a binary search), so it costs
+    /// O(log distance) and looking up a sorted run of keys in order, each
+    /// from the position after the last, costs little more than one pass.
+    pub fn deadline_position(&self, from: usize, deadline: f64, id: JobId) -> usize {
+        let below = |slot: &u32| {
+            let job = &self.pending[*slot as usize];
+            (job.deadline, job.id) < (deadline, id)
+        };
+        let order = &self.pending_by_deadline;
+        let (mut lo, mut step) = (from.min(order.len()), 1);
+        while lo + step <= order.len() && below(&order[lo + step - 1]) {
+            lo += step;
+            step *= 2;
+        }
+        let hi = (lo + step - 1).min(order.len());
+        lo + order[lo..hi].partition_point(below)
+    }
+
+    /// Change-log position of the simulator state this view mirrors
+    /// (0 on fabricated or deserialized views). Within one
+    /// [`Self::feasibility_gen`], a larger position is a later state.
+    pub fn log_position(&self) -> usize {
+        self.sync.log_pos
     }
 
     /// Sum of `total_work` over the pending jobs, folded in row order from
@@ -730,6 +778,18 @@ mod tests {
         view.pending_by_deadline = ClusterView::sorted_deadline_index(&view.pending);
         let ids: Vec<u64> = view.pending_in_deadline_order().map(|j| j.id.0).collect();
         assert_eq!(ids, vec![1, 9, 3, 5]);
+        // Galloping lookups agree with a linear scan from every start.
+        let mut keys: Vec<(f64, JobId)> = view.pending.iter().map(|j| (j.deadline, j.id)).collect();
+        keys.extend([(10.0, JobId(4)), (0.0, JobId(0)), (99.0, JobId(0))]);
+        for (deadline, id) in keys {
+            let expected = view
+                .pending_in_deadline_order()
+                .take_while(|j| (j.deadline, j.id) < (deadline, id))
+                .count();
+            for from in 0..=expected {
+                assert_eq!(view.deadline_position(from, deadline, id), expected);
+            }
+        }
     }
 
     #[test]
