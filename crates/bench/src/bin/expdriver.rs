@@ -1,6 +1,6 @@
 //! Experiment driver: regenerates the tables and figures of the evaluation,
-//! records and replays workload traces, runs ad-hoc scenario sweeps, and
-//! shards grids across processes.
+//! records and replays workload traces, runs ad-hoc scenario sweeps on
+//! every core, and shards grids across machines.
 //!
 //! ```text
 //! # Tables and figures (optionally sharded across processes):
@@ -14,11 +14,13 @@
 //!     --scenarios 'poisson;poisson+burst(3x);replay(results/trace.json)' \
 //!     --loads 0.7,0.9 --seeds 1,2 --csv results/sweep.csv
 //!
-//! # Same sweep over 3 crash-tolerant worker processes (shared-memory
-//! # work-stealing plane; output byte-identical to the line above):
-//! expdriver sweep --policies edf,fifo --loads 0.7,0.9 --workers 3 --csv results/sweep.csv
+//! # Resume an interrupted sweep: rerun with the same checkpoint, and
+//! # only the cells it does not hold are simulated:
+//! expdriver sweep --policies edf,fifo --loads 0.7,0.9 --checkpoint results/sweep.json
 //!
-//! # Combine shard checkpoints into the full grid:
+//! # Spread a grid across machines, one shard each, then combine the
+//! # shard checkpoints into the full grid:
+//! expdriver sweep --policies edf,fifo --shard 0/2 --checkpoint s0.json
 //! expdriver merge-checkpoints --out merged.json --csv merged.csv s0.json s1.json
 //!
 //! # Serve a scenario through the deterministic virtual-time facade and
@@ -37,7 +39,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use tcrm_bench::experiments::{ExperimentOutput, Lab, ALL_EXPERIMENTS};
-use tcrm_bench::mproc::{self, MprocFlags, MprocOptions, SweepConfig};
 use tcrm_bench::{cli, EvalSession, PolicyRegistry, ResultRow, ResultTable};
 use tcrm_serve::{ClockMode, ServeConfig, ServeSession, ShedPolicy};
 use tcrm_sim::{ClusterSpec, SimConfig};
@@ -48,8 +49,7 @@ fn usage() -> ! {
         "usage: expdriver <experiment ...|all> [--quick|--full] [--out <dir>] [--shard <i>/<n>]\n\
          \x20      expdriver sweep --policies <a,b,..> [--scenarios '<s1>;<s2>;..'] \\\n\
          \x20               [--loads <l1,l2,..>] [--jobs <n>] [--seeds <s1,s2,..>] \\\n\
-         \x20               [--shard <i>/<n>] [--workers <n> [--plane <path>] \\\n\
-         \x20               [--heartbeat-timeout <secs>]] [--checkpoint <path>] [--csv <path>]\n\
+         \x20               [--shard <i>/<n>] [--checkpoint <path>] [--csv <path>]\n\
          \x20      expdriver serve [--policy <p>] [--scenario <spec>] [--seed <s>] [--jobs <n>] \\\n\
          \x20               [--producers <n>] [--queue-cap <n>] [--shed <p1,p2,..|all>] \\\n\
          \x20               [--chunk <n>] [--mode virtual|wall] \\\n\
@@ -71,24 +71,9 @@ fn parse_shard(text: &str) -> (usize, usize) {
     cli::parse_shard(text).unwrap_or_else(|e| fail(e))
 }
 
-/// Emit a finished sweep table: CSV to `path` (creating parent dirs) when
-/// given, markdown to stdout otherwise.
-fn emit_table(table: &ResultTable, csv: &Option<PathBuf>) {
-    if let Some(path) = csv {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        std::fs::write(path, table.to_csv()).unwrap_or_else(|e| fail(e));
-        eprintln!("sweep: wrote {}", path.display());
-    } else {
-        println!("{}", table.to_markdown());
-    }
-}
-
 /// `expdriver sweep`: one ad-hoc `(policy × scenario × load × seed)` grid
-/// over the baseline registry, with optional sharding, checkpointing, CSV
-/// output and — with `--workers` — multi-process execution over the
-/// shared-memory sweep plane.
+/// over the baseline registry, run in-process on every core, with optional
+/// sharding, checkpointing and CSV output.
 fn run_sweep(args: &[String]) {
     let mut policies: Vec<String> = Vec::new();
     let mut scenarios: Vec<String> = Vec::new();
@@ -98,7 +83,6 @@ fn run_sweep(args: &[String]) {
     let mut shard = None;
     let mut checkpoint: Option<PathBuf> = None;
     let mut csv: Option<PathBuf> = None;
-    let mut mflags: Option<MprocFlags> = None;
 
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -144,61 +128,11 @@ fn run_sweep(args: &[String]) {
             "--shard" => shard = Some(parse_shard(&value("--shard"))),
             "--checkpoint" => checkpoint = Some(PathBuf::from(value("--checkpoint"))),
             "--csv" => csv = Some(PathBuf::from(value("--csv"))),
-            other => {
-                let flag_value = value(other);
-                let consumed = mproc::parse_mproc_flag(&mut mflags, other, &flag_value)
-                    .unwrap_or_else(|e| fail(e));
-                if !consumed {
-                    fail(format!("unknown sweep argument '{other}'"));
-                }
-            }
+            other => fail(format!("unknown sweep argument '{other}'")),
         }
     }
     if policies.is_empty() {
         fail("sweep needs --policies");
-    }
-
-    // Multi-process path: same grid, executed by worker processes over the
-    // shared-memory plane. Byte-identical output to the path below.
-    if let Some(flags) = mflags {
-        if flags.workers == 0 {
-            fail("--plane/--kill-worker/--heartbeat-timeout make no sense without --workers <n>");
-        }
-        if shard.is_some() {
-            fail(
-                "--shard and --workers are mutually exclusive: --workers already \
-                 spreads the whole grid over processes on this machine; use --shard \
-                 plus merge-checkpoints to spread it over machines",
-            );
-        }
-        let config = SweepConfig {
-            policies,
-            scenarios,
-            loads,
-            jobs,
-            seeds,
-        };
-        let exe = std::env::current_exe().unwrap_or_else(|e| fail(e));
-        let mut options = MprocOptions::new(flags.workers, exe);
-        if let Some(path) = flags.plane {
-            options.plane_path = path;
-        }
-        options.kill_worker = flags.kill_worker;
-        if let Some(timeout) = flags.heartbeat_timeout {
-            options.heartbeat_timeout = timeout;
-        }
-        options.checkpoint = checkpoint;
-        let report = mproc::run_sweep_parent(&config, &options).unwrap_or_else(|e| fail(e));
-        eprintln!(
-            "sweep: {} rows ({} workers, {} cells computed, {} requeued, {} worker crashes)",
-            report.table.rows.len(),
-            flags.workers,
-            report.computed,
-            report.requeued,
-            report.crashed_workers
-        );
-        emit_table(&report.table, &csv);
-        return;
     }
 
     let registry = PolicyRegistry::with_baselines();
@@ -224,8 +158,7 @@ fn run_sweep(args: &[String]) {
         session = session.checkpoint(path.clone());
     }
     // Progress heartbeat for long sweeps: at most one line per 2 s window,
-    // so quick sweeps stay silent. The multi-process parent emits the same
-    // line shape (with worker liveness appended).
+    // so quick sweeps stay silent.
     let started = Instant::now();
     let last_tick = AtomicU64::new(0);
     session = session.on_row(move |_, done, total| {
@@ -249,39 +182,14 @@ fn run_sweep(args: &[String]) {
         report.resumed,
         report.computed
     );
-    emit_table(&report.table, &csv);
-}
-
-/// `expdriver worker`: the child side of `sweep --workers` — internal, but
-/// a stable interface (the parent may be an older or newer build; the grid
-/// fingerprint in the plane manifest catches disagreement).
-fn run_worker(args: &[String]) {
-    let mut plane: Option<PathBuf> = None;
-    let mut slot: Option<usize> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .unwrap_or_else(|| fail(format!("{name} needs a value")))
-                .clone()
-        };
-        match arg.as_str() {
-            "--plane" => plane = Some(PathBuf::from(value("--plane"))),
-            "--slot" => {
-                slot = Some(
-                    value("--slot")
-                        .parse()
-                        .unwrap_or_else(|_| fail("bad --slot value")),
-                );
-            }
-            other => fail(format!("unknown worker argument '{other}'")),
+    if let Some(path) = csv {
+        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+            let _ = std::fs::create_dir_all(parent);
         }
-    }
-    let (Some(plane), Some(slot)) = (plane, slot) else {
-        fail("worker needs --plane <path> and --slot <i>");
-    };
-    if let Err(e) = mproc::run_sweep_worker(&plane, slot) {
-        fail(format!("worker {slot}: {e}"));
+        std::fs::write(&path, report.table.to_csv()).unwrap_or_else(|e| fail(e));
+        eprintln!("sweep: wrote {}", path.display());
+    } else {
+        println!("{}", report.table.to_markdown());
     }
 }
 
@@ -564,7 +472,6 @@ fn main() {
     }
     match args[0].as_str() {
         "sweep" => return run_sweep(&args[1..]),
-        "worker" => return run_worker(&args[1..]),
         "serve" => return run_serve(&args[1..]),
         "record-trace" => return run_record_trace(&args[1..]),
         "merge-checkpoints" => return run_merge_checkpoints(&args[1..]),

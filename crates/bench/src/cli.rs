@@ -48,47 +48,6 @@ pub fn parse_chunk(text: &str) -> Result<usize, String> {
     }
 }
 
-/// Parse a `--workers <n>` value: a positive worker count.
-pub fn parse_workers(text: &str) -> Result<usize, String> {
-    match text.trim().parse::<usize>() {
-        Ok(0) => Err("--workers must be at least 1".into()),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("--workers '{text}' is not a positive integer")),
-    }
-}
-
-/// Parse a duration flag value (e.g. `--heartbeat-timeout <secs>`):
-/// positive seconds, fractions allowed. `flag` names the flag in errors.
-pub fn parse_timeout_secs(flag: &str, text: &str) -> Result<std::time::Duration, String> {
-    match text.trim().parse::<f64>() {
-        Ok(secs) if secs.is_finite() && secs > 0.0 => Ok(std::time::Duration::from_secs_f64(secs)),
-        Ok(_) => Err(format!(
-            "{flag} must be a positive number of seconds, got '{text}'"
-        )),
-        Err(_) => Err(format!("{flag} '{text}' is not a number of seconds")),
-    }
-}
-
-/// Parse a `--kill-worker <slot>@<cells>` chaos spec: SIGKILL worker
-/// `slot` once it has completed `cells` cells. Used by the crash-recovery
-/// tests and CI; hidden from the main usage text.
-pub fn parse_kill_worker(text: &str) -> Result<(usize, u64), String> {
-    let Some((slot_text, cells_text)) = text.split_once('@') else {
-        return Err(format!(
-            "--kill-worker must be '<slot>@<cells>' (e.g. '1@2'), got '{text}'"
-        ));
-    };
-    let slot = slot_text
-        .trim()
-        .parse()
-        .map_err(|_| format!("--kill-worker slot '{slot_text}' is not a non-negative integer"))?;
-    let cells = cells_text
-        .trim()
-        .parse()
-        .map_err(|_| format!("--kill-worker cell count '{cells_text}' is not an integer"))?;
-    Ok((slot, cells))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,42 +92,5 @@ mod tests {
         assert!(err.contains("at least 1"), "unhelpful error: {err}");
         assert!(parse_chunk("big").is_err());
         assert!(parse_chunk("-4").is_err());
-    }
-
-    #[test]
-    fn workers_requires_a_positive_count() {
-        assert_eq!(parse_workers("3"), Ok(3));
-        assert!(parse_workers("0").is_err());
-        assert!(parse_workers("lots").is_err());
-        assert!(parse_workers("-2").is_err());
-    }
-
-    #[test]
-    fn timeout_secs_accepts_positive_seconds_only() {
-        use std::time::Duration;
-        assert_eq!(
-            parse_timeout_secs("--heartbeat-timeout", "60"),
-            Ok(Duration::from_secs(60))
-        );
-        assert_eq!(
-            parse_timeout_secs("--heartbeat-timeout", "0.5"),
-            Ok(Duration::from_millis(500))
-        );
-        for bad in ["0", "-1", "nan", "inf", "soon", ""] {
-            let err = parse_timeout_secs("--heartbeat-timeout", bad).unwrap_err();
-            assert!(
-                err.contains("--heartbeat-timeout"),
-                "error must name the flag: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn kill_worker_parses_slot_at_cells() {
-        assert_eq!(parse_kill_worker("1@2"), Ok((1, 2)));
-        assert_eq!(parse_kill_worker("0@0"), Ok((0, 0)));
-        assert!(parse_kill_worker("1").is_err());
-        assert!(parse_kill_worker("x@2").is_err());
-        assert!(parse_kill_worker("1@y").is_err());
     }
 }

@@ -6,8 +6,10 @@
 //!   (baselines, DRL agents, ad-hoc policies) resolved and composed with
 //!   adapters through spec strings like `"edf+rigid"`;
 //! * [`runner`] — the builder-style [`EvalSession`]: one flattened,
-//!   work-stealing `(policy × workload × seed)` sweep with per-worker
-//!   scratch reuse, streaming progress and versioned-JSON checkpoints;
+//!   work-stealing `(policy × workload × seed)` sweep on every core, with
+//!   per-worker scratch reuse, streaming progress, versioned-JSON
+//!   checkpoints (rerun with the same checkpoint to resume) and shards
+//!   for spreading a grid across machines;
 //! * [`results`] — row/aggregate types plus CSV, markdown and versioned
 //!   JSON emitters;
 //! * [`experiments`] — one function per table/figure (`table1` … `fig11`),
@@ -21,7 +23,6 @@
 
 pub mod cli;
 pub mod experiments;
-pub mod mproc;
 pub mod policy;
 pub mod results;
 pub mod runner;

@@ -10,15 +10,14 @@
 //! simulator/view/scheduler scratch so the steady-state sweep loop stays off
 //! the allocator, streams completed rows through a progress callback,
 //! checkpoints/resumes partial grids as versioned JSON, and shards grids
-//! across processes (`shard(i, n)` + [`ResultTable::merge`]).
+//! across machines (`shard(i, n)` + [`ResultTable::merge`]).
 //!
 //! The validated grid itself is a first-class value: [`EvalSession::plan`]
 //! freezes a session into a [`SweepPlan`] — the canonical cell list, the
-//! grid fingerprint and a `run_cell(index)` executor — which is what the
-//! in-process sweep drives with rayon and the multi-process sweep
-//! (`tcrm-ipc` work ring, see [`crate::mproc`]) drives across worker
-//! processes. Both paths execute the *same* cells through the *same* code,
-//! which is why their outputs are byte-identical.
+//! grid fingerprint and a `run_cell(index)` executor. [`EvalSession::run`]
+//! drives it with rayon; a caller that schedules cells on its own threads
+//! drives the same plan through [`SweepPlan::make_scratch`] and
+//! [`SweepPlan::run_cell`] and gets the same rows.
 
 use crate::policy::{PolicyError, PolicyRegistry, PolicySpec};
 use crate::results::{ResultRow, ResultTable, DEFAULT_SCENARIO};
@@ -130,8 +129,8 @@ fn grid_fingerprint(
 /// [`Simulator::run_source`]). This extends the zero-allocation stepping
 /// contract to the sweep loop — steady-state replication reuses the
 /// cluster, event heap, metrics buffers, view and job stream instead of
-/// reconstructing them per cell. Create one per worker (thread *or*
-/// process) with [`SweepPlan::make_scratch`].
+/// reconstructing them per cell. Create one per worker thread with
+/// [`SweepPlan::make_scratch`].
 pub struct SweepScratch {
     sim: Simulator,
     view: ClusterView,
@@ -160,10 +159,8 @@ impl SweepScratch {
 /// only fail for genuinely late reasons (a trace deleted mid-sweep, a
 /// seed-dependent custom factory). The flat index is the plan's stable cell
 /// identity: index `i` always names the same `(policy, scenario, point,
-/// seed)` tuple in canonical order, in every process that builds the plan
-/// from the same configuration — which is what lets the multi-process sweep
-/// ship bare indices through a shared-memory ring and still reassemble the
-/// exact sequential table.
+/// seed)` tuple in canonical order, so a driver may run cells in any order
+/// on any thread and still reassemble the exact sequential table by index.
 pub struct SweepPlan<'r> {
     registry: &'r PolicyRegistry,
     scenario_registry: Option<&'r ScenarioRegistry>,
@@ -208,7 +205,7 @@ impl<'r> SweepPlan<'r> {
 
     /// The resume key of cell `index`: `(scheduler, scenario, parameter
     /// bits, seed)`, matching [`ResultRow::key`].
-    pub fn key(&self, index: usize) -> (String, String, u64, u64) {
+    fn key(&self, index: usize) -> (String, String, u64, u64) {
         let cell = &self.cells[index];
         (
             self.policies[cell.policy].name(),
@@ -220,7 +217,7 @@ impl<'r> SweepPlan<'r> {
 
     /// Whether two grid points share this parameter value — such rows are
     /// ambiguous under the resume key and must never be resumed.
-    pub fn ambiguous_parameter(&self, parameter_bits: u64) -> bool {
+    fn ambiguous_parameter(&self, parameter_bits: u64) -> bool {
         self.parameter_counts
             .get(&parameter_bits)
             .copied()
@@ -239,8 +236,8 @@ impl<'r> SweepPlan<'r> {
     /// Execute cell `index` on `scratch` and return its row.
     ///
     /// Deterministic: the same plan configuration and index produce the
-    /// same row in any process, on any thread, in any order — all cell
-    /// state is re-armed from the cell's seed.
+    /// same row on any thread, in any order — all cell state is re-armed
+    /// from the cell's seed.
     pub fn run_cell(
         &self,
         scratch: &mut SweepScratch,
@@ -963,8 +960,8 @@ mod tests {
     fn plan_cells_match_run_rows_exactly() {
         // The plan's flat-index executor is the same computation as run():
         // executing every cell by index in canonical order reproduces the
-        // full table byte for byte. This is the contract the multi-process
-        // sweep (cells shipped as indices over shared memory) rests on.
+        // full table byte for byte. This is the contract any driver that
+        // schedules cells on its own threads (perfbench's sweep_main) rests on.
         let registry = PolicyRegistry::with_baselines();
         let scenarios = ScenarioRegistry::new();
         let build = || {

@@ -156,7 +156,7 @@ fn scenario_grid_checkpoints_resumes_and_matches_sequential() {
 }
 
 /// Sharded runs written to per-shard checkpoints merge back into the
-/// unsharded grid byte for byte (the multi-process sweep workflow).
+/// unsharded grid byte for byte (the multi-machine sweep workflow).
 #[test]
 fn shard_checkpoints_merge_into_the_full_grid() {
     let dir = std::env::temp_dir().join("tcrm-eval-session-shards");

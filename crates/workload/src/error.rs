@@ -2,6 +2,7 @@
 //! (naming the offending segment), unknown scenario names and trace I/O.
 
 use std::fmt;
+use tcrm_sim::JobId;
 
 /// Errors produced by workload-source constructors, the scenario spec
 /// grammar and the [`crate::ScenarioRegistry`].
@@ -39,11 +40,22 @@ pub enum WorkloadError {
         /// The underlying error.
         message: String,
     },
+    /// A trace job failed [`tcrm_sim::Job::validate`] (non-finite or
+    /// non-positive work, non-finite times, a deadline before arrival,
+    /// parallelism bounds out of order, a negative demand).
+    InvalidTraceJob {
+        /// The trace path.
+        path: String,
+        /// The offending job.
+        job: JobId,
+        /// What is wrong with it (the validation message, naming the job).
+        reason: String,
+    },
     /// A source would emit non-finite samples — NaN or infinite arrival
     /// times, work sizes or deadlines, e.g. from a degenerate user-supplied
-    /// distribution parameter or a corrupt trace. Rejected at construction
-    /// so a single NaN can never poison a sweep worker's arrival clock or
-    /// panic a sort downstream.
+    /// distribution parameter. Rejected at construction so a single NaN can
+    /// never poison a sweep worker's arrival clock or panic a sort
+    /// downstream.
     NonFiniteSample {
         /// Which quantity went non-finite.
         context: String,
@@ -95,6 +107,9 @@ impl fmt::Display for WorkloadError {
             ),
             WorkloadError::TraceIo { path, message } => {
                 write!(f, "trace '{path}': {message}")
+            }
+            WorkloadError::InvalidTraceJob { path, reason, .. } => {
+                write!(f, "trace '{path}': invalid {reason}")
             }
             WorkloadError::NonFiniteSample { context, value } => {
                 write!(

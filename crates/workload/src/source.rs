@@ -315,9 +315,10 @@ impl ReplaySource {
         }
     }
 
-    /// Load a trace from disk and replay it. Rejects corrupt traces whose
-    /// jobs carry non-finite arrival times or deadlines — replaying those
-    /// would poison the simulator's clock instead of failing loudly here.
+    /// Load a trace from disk and replay it. Every job must pass
+    /// [`Job::validate`]: the engine only `debug_assert!`s it, so a corrupt
+    /// trace (a NaN arrival, zero parallelism, a negative demand) would
+    /// otherwise run in a release build and report a meaningless table.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, WorkloadError> {
         let path = path.as_ref();
         let trace = Trace::load(path).map_err(|e| WorkloadError::TraceIo {
@@ -325,14 +326,12 @@ impl ReplaySource {
             message: e.to_string(),
         })?;
         for job in &trace.jobs {
-            for (what, value) in [("arrival time", job.arrival), ("deadline", job.deadline)] {
-                if !value.is_finite() {
-                    return Err(WorkloadError::NonFiniteSample {
-                        context: format!("{what} of job {} in trace '{}'", job.id, path.display()),
-                        value,
-                    });
-                }
-            }
+            job.validate()
+                .map_err(|reason| WorkloadError::InvalidTraceJob {
+                    path: path.display().to_string(),
+                    job: job.id,
+                    reason,
+                })?;
         }
         Ok(Self::from_trace(trace))
     }
@@ -1060,6 +1059,71 @@ mod tests {
         jobs[2].arrival = f64::NAN;
         let replay = ReplaySource::from_jobs(jobs);
         assert_eq!(replay.len(), 5);
+    }
+
+    /// Save a 30-job trace with job 7 edited by `edit`, load it back and
+    /// return the rejection, checking that it names the job and the path.
+    fn load_with_bad_job(name: &str, edit: impl FnOnce(&mut Job)) -> String {
+        let spec = WorkloadSpec::tiny().with_num_jobs(30);
+        let mut jobs = jobs_of(&mut SyntheticSource::new(&spec, &ClusterSpec::tiny(), 5).unwrap());
+        let bad = jobs.iter_mut().find(|j| j.id == JobId(7)).unwrap();
+        edit(bad);
+        let path = std::env::temp_dir().join(format!(
+            "tcrm-replay-invalid-{name}-{}.json",
+            std::process::id()
+        ));
+        Trace::new(spec, 5, jobs).save(&path).unwrap();
+        let result = ReplaySource::load(&path);
+        let _ = std::fs::remove_file(&path);
+        let Err(err) = result else {
+            panic!("a trace with an invalid job must not load");
+        };
+        match &err {
+            WorkloadError::InvalidTraceJob { path: p, job, .. } => {
+                assert_eq!(*job, JobId(7));
+                assert_eq!(p, &path.display().to_string());
+            }
+            other => panic!("expected InvalidTraceJob, got {other:?}"),
+        }
+        let message = err.to_string();
+        assert!(message.contains("job-7"), "{message}");
+        assert!(message.contains(&path.display().to_string()), "{message}");
+        message
+    }
+
+    #[test]
+    fn replay_load_rejects_zero_min_parallelism() {
+        let message = load_with_bad_job("min-par", |job| job.min_parallelism = 0);
+        assert!(message.contains("min_parallelism"), "{message}");
+    }
+
+    #[test]
+    fn replay_load_rejects_max_parallelism_below_min() {
+        let message = load_with_bad_job("max-par", |job| {
+            job.min_parallelism = 3;
+            job.max_parallelism = 2;
+        });
+        assert!(message.contains("max_parallelism"), "{message}");
+    }
+
+    #[test]
+    fn replay_load_rejects_negative_demand() {
+        let message = load_with_bad_job("demand", |job| job.demand_per_unit.0[0] = -1.0);
+        assert!(message.contains("demand"), "{message}");
+    }
+
+    #[test]
+    fn replay_load_rejects_non_positive_total_work() {
+        for (name, work) in [("zero-work", 0.0), ("negative-work", -5.0)] {
+            let message = load_with_bad_job(name, |job| job.total_work = work);
+            assert!(message.contains("total_work"), "{message}");
+        }
+    }
+
+    #[test]
+    fn replay_load_rejects_deadline_before_arrival() {
+        let message = load_with_bad_job("deadline", |job| job.deadline = job.arrival - 1.0);
+        assert!(message.contains("deadline before arrival"), "{message}");
     }
 
     #[test]

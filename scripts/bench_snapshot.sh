@@ -11,7 +11,7 @@
 # With --diff-against FILE the fresh run is additionally compared to the
 # committed snapshot FILE: any gated entry (nn_forward/, nn_kernels/,
 # decision_latency/, sim_scale/, train_throughput/, serve_latency/,
-# serve_scale/, ipc_ring/) whose median regresses by more than
+# serve_scale/) whose median regresses by more than
 # --max-regress percent (default 25) fails the script. A gated baseline
 # entry that the fresh run did not produce, in a group the run did produce
 # (a deleted or renamed row), is listed as a warning without changing the
@@ -54,7 +54,7 @@ while [ $# -gt 0 ]; do
     esac
 done
 if [ ${#BENCHES[@]} -eq 0 ]; then
-    BENCHES=(nn_forward training_step train_throughput decision_latency sim_engine sim_scale workload_gen extended_schedulers serve_latency serve_scale ipc_ring)
+    BENCHES=(nn_forward training_step train_throughput decision_latency sim_engine sim_scale workload_gen extended_schedulers serve_latency serve_scale)
 fi
 
 LINES_FILE="$(mktemp)"
@@ -118,7 +118,7 @@ if [ -n "$DIFF_AGAINST" ]; then
             gsub(/.*"name":"/, "", line); name = line; gsub(/".*/, "", name)
             line = $0
             gsub(/.*"median_ns":/, "", line); gsub(/[,}].*/, "", line)
-            if (name !~ /^(nn_forward|nn_kernels|decision_latency|sim_scale|train_throughput|serve_latency|serve_scale|ipc_ring)\//) next
+            if (name !~ /^(nn_forward|nn_kernels|decision_latency|sim_scale|train_throughput|serve_latency|serve_scale)\//) next
             if (NR == FNR) { base[name] = line + 0; order[++nbase] = name; next }
             fresh[name] = 1
             group = name; sub(/\/.*/, "", group); ran[group] = 1
