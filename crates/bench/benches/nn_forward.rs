@@ -85,6 +85,49 @@ fn bench_kernel_backends(c: &mut Criterion) {
         });
     }
 
+    // The PPO update's products at batch 256 (policy 103→128→64→13): the
+    // input gradient g₂·W₂ᵀ, the weight gradient x₁ᵀ·g₂ and the ragged
+    // 13-wide head a₂·W₃, whose last panel is a masked one.
+    let fill = |rows: usize, cols: usize, modulus: usize| {
+        let data = (0..rows * cols)
+            .map(|i| ((i % modulus) as f32 - (modulus / 2) as f32) / modulus as f32)
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    };
+    let (g2, w2, x1, w3) = (
+        fill(256, 64, 19),
+        fill(128, 64, 13),
+        fill(256, 128, 29),
+        fill(64, 13, 7),
+    );
+    let mut grad_w = Matrix::zeros(128, 64);
+    for backend in [Backend::Scalar, Backend::Simd] {
+        group.bench_function(
+            format!("matmul_transb_256x64x128_{}", backend.name()),
+            |bench| {
+                bench.iter(|| {
+                    g2.matmul_transb_into_with(backend, &w2, &mut out);
+                    out.get(0, 0)
+                })
+            },
+        );
+        group.bench_function(
+            format!("matmul_transa_acc_256x128x64_{}", backend.name()),
+            |bench| {
+                bench.iter(|| {
+                    x1.matmul_transa_acc_into_with(backend, &g2, &mut grad_w);
+                    grad_w.get(0, 0)
+                })
+            },
+        );
+    }
+    group.bench_function("matmul_256x64x13_simd", |bench| {
+        bench.iter(|| {
+            g2.matmul_into_with(Backend::Simd, &w3, &mut out);
+            out.get(0, 0)
+        })
+    });
+
     // tanh over a hidden-layer-sized buffer: std library vs fast_tanh on
     // each backend.
     let src: Vec<f32> = (0..64 * 128)

@@ -8,12 +8,22 @@
 //!   blocks, 16-column tiles, ILP-friendly dot products). Works everywhere
 //!   and is the reference the differential test harness
 //!   (`tests/backend_diff.rs`) pins the vector backend against.
-//! * [`Backend::Simd`] — an 8-wide f32 microkernel using AVX2+FMA
-//!   intrinsics on `x86_64`. `matmul` packs the right-hand operand into
-//!   8-column panels (reused from a thread-local workspace buffer, so the
-//!   hot paths stay allocation-free after warm-up) and accumulates 4×16
-//!   output tiles entirely in registers; single-row products (the
-//!   per-decision policy forward) skip packing and stream `B` directly.
+//! * [`Backend::Simd`] — AVX2+FMA intrinsics on `x86_64`, built from **one
+//!   packing routine and one GEMM microkernel**. The packing routine copies
+//!   the logical `k×n` right-hand operand into 8-lane panels, zero-padding
+//!   the last one, from either a row-major B (`matmul`) or the transpose
+//!   of a row-major matrix (`matmul_transb` packs Wᵀ). The panels live in
+//!   a thread-local buffer that only grows, so the hot paths stay
+//!   allocation-free after warm-up. The microkernel reads the left-hand
+//!   operand through a (row stride, k stride) pair, so `matmul_transa_acc`
+//!   reads Aᵀ in place (row stride 1: its 4-row loads are contiguous). It
+//!   accumulates 4×16 output tiles entirely in registers, can store the
+//!   tile or add it to the output, and writes the last, partial panel with
+//!   a lane mask: padded lanes compute `0·A` (NaN for a NaN or infinite A)
+//!   and are never stored. Single-row `matmul` products keep a separate
+//!   streaming path that reads `B` directly, because one output row never
+//!   amortises packing; it is the per-decision policy forward, and
+//!   single-row forwards must match the rows of a one-slot batch.
 //!   On hosts without AVX2+FMA — checked once via
 //!   `is_x86_feature_detected!` — this backend degrades to the scalar
 //!   kernels, so forcing it is always safe.
@@ -49,7 +59,7 @@ use std::sync::OnceLock;
 pub enum Backend {
     /// Portable register-blocked scalar kernels (the reference semantics).
     Scalar,
-    /// 8-wide AVX2+FMA microkernels with packed-B panels; degrades to
+    /// 8-wide AVX2+FMA packed-panel microkernel; degrades to
     /// [`Backend::Scalar`] when the CPU lacks AVX2+FMA.
     Simd,
 }
@@ -122,7 +132,7 @@ fn avx2_available() -> bool {
 
 #[cfg(target_arch = "x86_64")]
 thread_local! {
-    /// Reusable packed-B panel buffer for the SIMD `matmul`. Thread-local so
+    /// Reusable packed-B panel buffer for the SIMD products. Thread-local so
     /// rayon sweep workers never contend, and grown monotonically so the hot
     /// paths are allocation-free after one warm-up call per thread (pinned
     /// by `tests/alloc_free.rs`).
@@ -155,10 +165,7 @@ pub fn matmul(
             // Latency path: a single output row never amortises packing.
             unsafe { avx2::matmul_row(a, b, out, k, n) };
         } else {
-            PACK.with(|pack| {
-                let mut pack = pack.borrow_mut();
-                unsafe { avx2::matmul_packed(a, b, out, m, k, n, &mut pack) };
-            });
+            packed_gemm(a, (k, 1), b, false, out, (m, k, n), false);
         }
         return;
     }
@@ -183,7 +190,7 @@ pub fn matmul_transb(
     let _ = backend;
     #[cfg(target_arch = "x86_64")]
     if backend.is_accelerated() {
-        unsafe { avx2::matmul_transb(a, b, out, m, k, n) };
+        packed_gemm(a, (k, 1), b, true, out, (m, k, n), false);
         return;
     }
     scalar::matmul_transb(a, b, out, m, k, n);
@@ -208,10 +215,44 @@ pub fn matmul_transa_acc(
     let _ = backend;
     #[cfg(target_arch = "x86_64")]
     if backend.is_accelerated() {
-        unsafe { avx2::matmul_transa_acc(a, b, out, k, m, n) };
+        packed_gemm(a, (1, m), b, false, out, (m, k, n), true);
         return;
     }
     scalar::matmul_transa_acc(a, b, out, k, m, n);
+}
+
+/// Pack B (`b`, or the transpose of `b` with `b_transposed`) into the
+/// thread-local panel buffer and run the AVX2 microkernel with A read
+/// through `a_strides = (row stride, k stride)`.
+#[cfg(target_arch = "x86_64")]
+fn packed_gemm(
+    a: &[f32],
+    (row_stride, k_stride): (usize, usize),
+    b: &[f32],
+    b_transposed: bool,
+    out: &mut [f32],
+    (m, k, n): (usize, usize, usize),
+    accumulate: bool,
+) {
+    PACK.with(|pack| {
+        let mut pack = pack.borrow_mut();
+        // SAFETY: only reached when AVX2+FMA were detected; the dispatchers
+        // assert every slice length the strides and shape imply.
+        unsafe {
+            avx2::pack_b(b, b_transposed, k, n, &mut pack);
+            let gemm = avx2::Gemm {
+                a,
+                row_stride,
+                k_stride,
+                pack: &pack,
+                m,
+                k,
+                n,
+                accumulate,
+            };
+            gemm.run(out);
+        }
+    });
 }
 
 /// Apply [`fast_tanh`] to every element in place, vectorized when the
@@ -666,251 +707,165 @@ mod avx2 {
         let _ = k;
     }
 
-    /// Packed-panel product `out (m×n) = a (m×k) · b (k×n)`.
-    ///
-    /// `b`'s full 8-column panels are first repacked into `pack` so the
-    /// microkernel reads them with unit stride (`pack[panel][k][lane]`);
-    /// the buffer is reused across calls and only grows. The microkernel
-    /// then accumulates 4 rows × 16 columns (a panel pair) per pass
-    /// entirely in registers — each packed B row is loaded once per four
-    /// output rows and each broadcast A element feeds two FMAs — dropping
-    /// to 4×8 for an odd last panel. Remainder rows (m % 4) reuse the
-    /// packed panels one row at a time; remainder columns (n % 8) fall
-    /// back to scalar accumulation.
+    /// Pack the logical `k×n` B operand into zero-padded 8-lane panels,
+    /// `pack[p][kk][lane] = B[kk][p·8 + lane]` (`0.0` past column `n`), so
+    /// the microkernel reads every panel with unit stride and never needs a
+    /// column tail. `b` holds B row-major (`k×n`) or, with `transposed`, B's
+    /// transpose row-major (`n×k`). The buffer is reused across calls and
+    /// only grows.
     ///
     /// # Safety
-    /// Caller must ensure AVX2+FMA are available and the slices have the
-    /// lengths implied by `(m, k, n)`.
+    /// Caller must ensure AVX2+FMA are available and `b.len() == k·n`.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn matmul_packed(
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        pack: &mut Vec<f32>,
-    ) {
-        let panels = n / W;
-        let packed_len = panels * k * W;
-        if pack.len() < packed_len {
-            pack.resize(packed_len, 0.0);
+    pub unsafe fn pack_b(b: &[f32], transposed: bool, k: usize, n: usize, pack: &mut Vec<f32>) {
+        let panels = n.div_ceil(W);
+        if pack.len() < panels * k * W {
+            pack.resize(panels * k * W, 0.0);
         }
-        // Pack: panel p, row kk → 8 contiguous lanes.
+        let dst = pack.as_mut_ptr();
         for p in 0..panels {
-            let dst_panel = p * k * W;
-            let src_col = p * W;
-            for kk in 0..k {
-                let src = &b[kk * n + src_col..kk * n + src_col + W];
-                pack[dst_panel + kk * W..dst_panel + kk * W + W].copy_from_slice(src);
-            }
-        }
-        let ap = a.as_ptr();
-        let op = out.as_mut_ptr();
-        let pp = pack.as_ptr();
-        let mut i = 0;
-        while i + 4 <= m {
-            // 4×16 register tile over panel pairs: 8 accumulators, and each
-            // broadcast A element feeds two FMAs, so the kernel issues 8
-            // FMAs per 6 loads instead of 4 per 5 (the load ports, not the
-            // FMA units, are the bottleneck of the 4×8 tile).
-            let mut p = 0;
-            while p + 2 <= panels {
-                let panel0 = pp.add(p * k * W);
-                let panel1 = pp.add((p + 1) * k * W);
-                let j = p * W;
-                let mut c = [_mm256_setzero_ps(); 8];
-                for kk in 0..k {
-                    let b0 = _mm256_loadu_ps(panel0.add(kk * W));
-                    let b1 = _mm256_loadu_ps(panel1.add(kk * W));
-                    for r in 0..4 {
-                        let av = _mm256_set1_ps(*ap.add((i + r) * k + kk));
-                        c[2 * r] = _mm256_fmadd_ps(av, b0, c[2 * r]);
-                        c[2 * r + 1] = _mm256_fmadd_ps(av, b1, c[2 * r + 1]);
+            let lanes = (n - p * W).min(W);
+            let panel = dst.add(p * k * W);
+            if transposed {
+                if lanes < W {
+                    for kk in 0..k {
+                        _mm256_storeu_ps(panel.add(kk * W), _mm256_setzero_ps());
                     }
                 }
-                for r in 0..4 {
-                    _mm256_storeu_ps(op.add((i + r) * n + j), c[2 * r]);
-                    _mm256_storeu_ps(op.add((i + r) * n + j + W), c[2 * r + 1]);
+                // Column j of B is row j of `b`: walk it once per lane.
+                for lane in 0..lanes {
+                    let row = &b[(p * W + lane) * k..][..k];
+                    for (kk, &v) in row.iter().enumerate() {
+                        *panel.add(kk * W + lane) = v;
+                    }
                 }
+            } else {
+                // Fixed-width 8-lane copies; the mask is all-ones except on
+                // the last panel, where it zeroes the padding.
+                let mask = lane_mask(lanes);
+                for kk in 0..k {
+                    let src = b.as_ptr().add(kk * n + p * W);
+                    _mm256_storeu_ps(panel.add(kk * W), _mm256_maskload_ps(src, mask));
+                }
+            }
+        }
+    }
+
+    /// The first `lanes` (≤ 8) lanes set.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn lane_mask(lanes: usize) -> __m256i {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(lanes as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    }
+
+    /// One product `out (m×n) = A · B`, or `out += A · B` with
+    /// `accumulate`, against B already packed by [`pack_b`]. A is read in
+    /// place through strides: `A[i][kk] = a[i·row_stride + kk·k_stride]`, so
+    /// a row-major A is `(k, 1)` and the transpose of a row-major `k×m`
+    /// matrix is `(1, m)`.
+    pub struct Gemm<'a> {
+        pub a: &'a [f32],
+        pub row_stride: usize,
+        pub k_stride: usize,
+        pub pack: &'a [f32],
+        pub m: usize,
+        pub k: usize,
+        pub n: usize,
+        pub accumulate: bool,
+    }
+
+    impl Gemm<'_> {
+        /// Run the product over all of `out` (`m×n` row-major), one panel
+        /// pair at a time so the pair stays in L1 while A streams past it:
+        /// 4×16 register tiles, 4×8 for an odd last panel, and the same
+        /// tiles one row at a time for the `m % 4` remainder rows.
+        ///
+        /// # Safety
+        /// Caller must ensure AVX2+FMA are available, `out.len() == m·n`,
+        /// every strided A index is in bounds, and `pack` holds B packed
+        /// for this `(k, n)`.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn run(&self, out: &mut [f32]) {
+            let panels = self.n.div_ceil(W);
+            let out = out.as_mut_ptr();
+            let mut p = 0;
+            while p + 2 <= panels {
+                self.panel_block::<2>(out, p);
                 p += 2;
             }
             if p < panels {
-                let panel = pp.add(p * k * W);
-                let j = p * W;
-                let mut c = [_mm256_setzero_ps(); 4];
-                for kk in 0..k {
-                    let bv = _mm256_loadu_ps(panel.add(kk * W));
-                    for r in 0..4 {
-                        c[r] = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add((i + r) * k + kk)), bv, c[r]);
+                self.panel_block::<1>(out, p);
+            }
+        }
+
+        /// Every row of `out` against panels `p..p+P`.
+        ///
+        /// # Safety
+        /// As for [`Gemm::run`], with `p + P` panels in B.
+        #[target_feature(enable = "avx2,fma")]
+        #[inline]
+        unsafe fn panel_block<const P: usize>(&self, out: *mut f32, p: usize) {
+            let mut i = 0;
+            while i + 4 <= self.m {
+                self.tile::<4, P>(out, i, p);
+                i += 4;
+            }
+            while i < self.m {
+                self.tile::<1, P>(out, i, p);
+                i += 1;
+            }
+        }
+
+        /// Rows `i..i+R` against panels `p..p+P`: `R·P` accumulators stay in
+        /// registers across the whole k loop, each packed B row is loaded
+        /// once per `R` rows and each broadcast A element feeds `P` FMAs.
+        /// Every output load and store goes through a lane mask, all-ones
+        /// except on the last panel, whose lanes past column `n` (zero-padded
+        /// B, so they hold `0·A`: NaN for an infinite or NaN A) are never
+        /// stored.
+        ///
+        /// # Safety
+        /// As for [`Gemm::run`], with rows `i + R ≤ m` and `p + P` panels.
+        #[target_feature(enable = "avx2,fma")]
+        #[inline]
+        unsafe fn tile<const R: usize, const P: usize>(&self, out: *mut f32, i: usize, p: usize) {
+            let (k, n) = (self.k, self.n);
+            let (a, panel) = (self.a.as_ptr(), self.pack.as_ptr().add(p * k * W));
+            let mut masks = [_mm256_setzero_si256(); P];
+            for (q, mask) in masks.iter_mut().enumerate() {
+                *mask = lane_mask((n - (p + q) * W).min(W));
+            }
+            let at = |r: usize, q: usize| out.add((i + r) * n + (p + q) * W);
+            let mut c = [[_mm256_setzero_ps(); P]; R];
+            if self.accumulate {
+                for r in 0..R {
+                    for q in 0..P {
+                        c[r][q] = _mm256_maskload_ps(at(r, q), masks[q]);
                     }
                 }
-                for r in 0..4 {
-                    _mm256_storeu_ps(op.add((i + r) * n + j), c[r]);
+            }
+            for kk in 0..k {
+                let mut bv = [_mm256_setzero_ps(); P];
+                for q in 0..P {
+                    bv[q] = _mm256_loadu_ps(panel.add(q * k * W + kk * W));
+                }
+                for r in 0..R {
+                    let av = _mm256_set1_ps(*a.add((i + r) * self.row_stride + kk * self.k_stride));
+                    for q in 0..P {
+                        c[r][q] = _mm256_fmadd_ps(av, bv[q], c[r][q]);
+                    }
                 }
             }
-            tail_cols(a, b, out, i, i + 4, k, n, panels * W);
-            i += 4;
-        }
-        while i < m {
-            for p in 0..panels {
-                let panel = pp.add(p * k * W);
-                let j = p * W;
-                let mut c0 = _mm256_setzero_ps();
-                for kk in 0..k {
-                    let bv = _mm256_loadu_ps(panel.add(kk * W));
-                    c0 = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(i * k + kk)), bv, c0);
-                }
-                _mm256_storeu_ps(op.add(i * n + j), c0);
-            }
-            tail_cols(a, b, out, i, i + 1, k, n, panels * W);
-            i += 1;
-        }
-    }
-
-    /// Scalar column remainder (`j ∈ [j0, n)`) for rows `[i0, i1)`.
-    #[allow(clippy::too_many_arguments)]
-    fn tail_cols(
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        i0: usize,
-        i1: usize,
-        k: usize,
-        n: usize,
-        j0: usize,
-    ) {
-        for i in i0..i1 {
-            for j in j0..n {
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += a[i * k + kk] * b[kk * n + j];
-                }
-                out[i * n + j] = acc;
-            }
-        }
-    }
-
-    /// `out (m×n) = a (m×k) · bᵀ` with `b` stored `n×k`: every output
-    /// element is a dot product of two contiguous rows — two 8-wide FMA
-    /// chains, horizontal sum, scalar tail.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available and the slices have the
-    /// lengths implied by `(m, k, n)`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn matmul_transb(
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        for i in 0..m {
-            let a_row = a.as_ptr().add(i * k);
-            for j in 0..n {
-                let b_row = b.as_ptr().add(j * k);
-                let mut acc0 = _mm256_setzero_ps();
-                let mut acc1 = _mm256_setzero_ps();
-                let mut kk = 0;
-                while kk + 2 * W <= k {
-                    acc0 = _mm256_fmadd_ps(
-                        _mm256_loadu_ps(a_row.add(kk)),
-                        _mm256_loadu_ps(b_row.add(kk)),
-                        acc0,
-                    );
-                    acc1 = _mm256_fmadd_ps(
-                        _mm256_loadu_ps(a_row.add(kk + W)),
-                        _mm256_loadu_ps(b_row.add(kk + W)),
-                        acc1,
-                    );
-                    kk += 2 * W;
-                }
-                while kk + W <= k {
-                    acc0 = _mm256_fmadd_ps(
-                        _mm256_loadu_ps(a_row.add(kk)),
-                        _mm256_loadu_ps(b_row.add(kk)),
-                        acc0,
-                    );
-                    kk += W;
-                }
-                let mut acc = hsum(_mm256_add_ps(acc0, acc1));
-                while kk < k {
-                    acc += *a_row.add(kk) * *b_row.add(kk);
-                    kk += 1;
-                }
-                out[i * n + j] = acc;
-            }
-        }
-    }
-
-    /// `out (m×n) += aᵀ · b` with `a` stored `k×m`, `b` stored `k×n`:
-    /// k advances in blocks of 4 so each output row is loaded and stored
-    /// once per four rank-1 updates; the inner loop runs 8-wide over `n`.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available and the slices have the
-    /// lengths implied by `(k, m, n)`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn matmul_transa_acc(
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        k: usize,
-        m: usize,
-        n: usize,
-    ) {
-        let bp = b.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut kk = 0;
-        while kk + 4 <= k {
-            for i in 0..m {
-                let s0 = _mm256_set1_ps(a[kk * m + i]);
-                let s1 = _mm256_set1_ps(a[(kk + 1) * m + i]);
-                let s2 = _mm256_set1_ps(a[(kk + 2) * m + i]);
-                let s3 = _mm256_set1_ps(a[(kk + 3) * m + i]);
-                let out_row = op.add(i * n);
-                let mut j = 0;
-                while j + W <= n {
-                    let mut o = _mm256_loadu_ps(out_row.add(j));
-                    o = _mm256_fmadd_ps(s0, _mm256_loadu_ps(bp.add(kk * n + j)), o);
-                    o = _mm256_fmadd_ps(s1, _mm256_loadu_ps(bp.add((kk + 1) * n + j)), o);
-                    o = _mm256_fmadd_ps(s2, _mm256_loadu_ps(bp.add((kk + 2) * n + j)), o);
-                    o = _mm256_fmadd_ps(s3, _mm256_loadu_ps(bp.add((kk + 3) * n + j)), o);
-                    _mm256_storeu_ps(out_row.add(j), o);
-                    j += W;
-                }
-                while j < n {
-                    out[i * n + j] += a[kk * m + i] * b[kk * n + j]
-                        + a[(kk + 1) * m + i] * b[(kk + 1) * n + j]
-                        + a[(kk + 2) * m + i] * b[(kk + 2) * n + j]
-                        + a[(kk + 3) * m + i] * b[(kk + 3) * n + j];
-                    j += 1;
+            for r in 0..R {
+                for q in 0..P {
+                    _mm256_maskstore_ps(at(r, q), masks[q], c[r][q]);
                 }
             }
-            kk += 4;
-        }
-        while kk < k {
-            for i in 0..m {
-                let s0 = _mm256_set1_ps(a[kk * m + i]);
-                let out_row = op.add(i * n);
-                let mut j = 0;
-                while j + W <= n {
-                    let o = _mm256_fmadd_ps(
-                        s0,
-                        _mm256_loadu_ps(bp.add(kk * n + j)),
-                        _mm256_loadu_ps(out_row.add(j)),
-                    );
-                    _mm256_storeu_ps(out_row.add(j), o);
-                    j += W;
-                }
-                while j < n {
-                    out[i * n + j] += a[kk * m + i] * b[kk * n + j];
-                    j += 1;
-                }
-            }
-            kk += 1;
         }
     }
 

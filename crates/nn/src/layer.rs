@@ -132,15 +132,19 @@ impl Dense {
     }
 
     /// Backward pass: given `dL/d(output)`, accumulate `dL/dW` and `dL/db`
-    /// and write `dL/d(input)` into `grad_input`. `grad_pre` is scratch
-    /// space for the fused activation backprop. Must follow a
-    /// `forward_train_into` call. Allocation-free once the gradient and
-    /// scratch buffers have warmed up.
+    /// and, when `grad_input` is given, write `dL/d(input)` into it. The
+    /// input gradient is the product `dL/d(pre) · Wᵀ`, as large as the
+    /// weight gradient itself, so a caller that never reads it (the first
+    /// layer of a network, whose input is the observation) passes `None`
+    /// and skips it; the weight and bias gradients do not depend on it.
+    /// `grad_pre` is scratch space for the fused activation backprop. Must
+    /// follow a `forward_train_into` call. Allocation-free once the gradient
+    /// and scratch buffers have warmed up.
     pub fn backward_into(
         &mut self,
         grad_output: &Matrix,
         grad_pre: &mut Matrix,
-        grad_input: &mut Matrix,
+        grad_input: Option<&mut Matrix>,
     ) {
         let input = self
             .cache_input
@@ -175,14 +179,16 @@ impl Dense {
         };
         grad_pre.sum_rows_acc_into(gb);
         // dL/dx = dL/d(pre) · Wᵀ, without materialising the transpose.
-        grad_pre.matmul_transb_into(&self.weights, grad_input);
+        if let Some(grad_input) = grad_input {
+            grad_pre.matmul_transb_into(&self.weights, grad_input);
+        }
     }
 
-    /// Backward pass (buffer-returning wrapper).
+    /// Backward pass (buffer-returning wrapper): returns `dL/d(input)`.
     pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
         let mut grad_pre = Matrix::default();
         let mut grad_input = Matrix::default();
-        self.backward_into(grad_output, &mut grad_pre, &mut grad_input);
+        self.backward_into(grad_output, &mut grad_pre, Some(&mut grad_input));
         grad_input
     }
 
@@ -244,9 +250,31 @@ mod tests {
         let grad_out = reference.map(|_| 1.0);
         let mut grad_pre = Matrix::default();
         let mut grad_in = Matrix::default();
-        layer.backward_into(&grad_out, &mut grad_pre, &mut grad_in);
+        layer.backward_into(&grad_out, &mut grad_pre, Some(&mut grad_in));
         assert_eq!(grad_in.rows(), 2);
         assert_eq!(grad_in.cols(), 6);
+    }
+
+    #[test]
+    fn skipping_the_input_gradient_leaves_parameter_gradients_bit_identical() {
+        let layer = Dense::new(7, 13, Activation::Tanh, &mut rng());
+        let x = Matrix::from_vec(5, 7, (0..35).map(|i| (i as f32 * 0.37).sin()).collect());
+        let grad_out = Matrix::from_vec(5, 13, (0..65).map(|i| (i as f32 * 0.11).cos()).collect());
+        let mut with = layer.clone();
+        let mut without = layer;
+        let (mut grad_pre, mut grad_in) = (Matrix::default(), Matrix::default());
+        with.forward_train(&x);
+        with.backward_into(&grad_out, &mut grad_pre, Some(&mut grad_in));
+        without.forward_train(&x);
+        without.backward_into(&grad_out, &mut grad_pre, None);
+        assert_eq!(grad_in.rows(), 5);
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(with.grad_weights.as_ref().unwrap()),
+            bits(without.grad_weights.as_ref().unwrap())
+        );
+        let bias_bits = |l: &Dense| bits(&Matrix::row_vector(l.grad_bias.as_ref().unwrap()));
+        assert_eq!(bias_bits(&with), bias_bits(&without));
     }
 
     #[test]

@@ -151,8 +151,10 @@ impl Matrix {
     ///
     /// Scalar backend: register-blocked ikj kernel (4-row blocks, 16-column
     /// register tiles, 4-wide k-unroll on remainder rows). SIMD backend:
-    /// 8-wide AVX2+FMA microkernel with packed-B panels (see
-    /// [`kernels`]). Both overwrite every element of `out`.
+    /// `other` packed into zero-padded 8-lane panels and multiplied by the
+    /// 4×16 AVX2+FMA microkernel; a single-row `self` streams `other`
+    /// directly instead (see [`kernels`]). Both overwrite every element of
+    /// `out`.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         self.matmul_into_with(Backend::active(), other, out);
     }
@@ -176,8 +178,10 @@ impl Matrix {
 
     /// Product with a transposed right operand: `self (m×k) · otherᵀ` where
     /// `other` is `n×k`, producing `m×n` — without materialising the
-    /// transpose. Each output element is a dot product of two contiguous
-    /// rows (backend-dispatched: ILP accumulator chains or 8-wide FMA).
+    /// transpose. Scalar backend: one ILP dot product of two contiguous rows
+    /// per output element. SIMD backend: `otherᵀ` is packed straight into
+    /// the 8-lane panels of the same microkernel as [`Self::matmul_into`],
+    /// so there are no per-element dot products or horizontal sums.
     pub fn matmul_transb_into(&self, other: &Matrix, out: &mut Matrix) {
         self.matmul_transb_into_with(Backend::active(), other, out);
     }
@@ -202,8 +206,9 @@ impl Matrix {
     /// `out += selfᵀ · other` where `self` is `k×m` and `other` is `k×n`,
     /// producing `m×n`. This is the weight-gradient kernel
     /// (`dW += xᵀ · d(pre)`): accumulation happens directly in the gradient
-    /// buffer, so no temporary is ever allocated. `out` must already have
-    /// shape `m×n`.
+    /// buffer, so no temporary is ever allocated. On the SIMD backend the
+    /// shared microkernel reads `selfᵀ` in place and adds its tiles to
+    /// `out`. `out` must already have shape `m×n`.
     pub fn matmul_transa_acc_into(&self, other: &Matrix, out: &mut Matrix) {
         self.matmul_transa_acc_into_with(Backend::active(), other, out);
     }

@@ -190,23 +190,27 @@ impl Mlp {
         }
     }
 
-    /// Backward pass from `dL/d(output)`; accumulates gradients in every
-    /// layer and returns `dL/d(input)` (borrowed from the internal
-    /// workspace). Allocation-free after warm-up.
-    pub fn backward(&mut self, grad_output: &Matrix) -> &Matrix {
+    /// Backward pass from `dL/d(output)`: accumulates gradients in every
+    /// layer. `dL/d(input)` is not computed — no caller reads the gradient
+    /// of an observation, and the first layer's input-gradient product costs
+    /// as much as its weight gradient. Allocation-free after warm-up.
+    pub fn backward(&mut self, grad_output: &Matrix) {
         let Mlp { layers, ws, .. } = self;
         let Workspace {
             ping,
             pong,
             grad_pre,
         } = ws;
+        let Some((first, rest)) = layers.split_first_mut() else {
+            return;
+        };
         ping.copy_from(grad_output);
         let (mut src, mut dst) = (ping, pong);
-        for layer in layers.iter_mut().rev() {
-            layer.backward_into(src, grad_pre, dst);
+        for layer in rest.iter_mut().rev() {
+            layer.backward_into(src, grad_pre, Some(dst));
             std::mem::swap(&mut src, &mut dst);
         }
-        src
+        first.backward_into(src, grad_pre, None);
     }
 
     /// Reset all accumulated gradients (buffers are parked and reused).

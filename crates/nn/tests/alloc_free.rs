@@ -102,59 +102,66 @@ fn hot_paths_do_not_allocate_after_warmup() {
         );
     }
 
-    // DQN-typical shape: 64-dim observation, two 128-wide hidden layers.
-    let cfg = MlpConfig::new(64, &[128, 128], 32, Activation::Relu);
-    let mut net = Mlp::new(&cfg, 3);
-    let single = Matrix::zeros(1, 64);
-    let batch = Matrix::from_vec(16, 64, (0..16 * 64).map(|i| (i % 7) as f32 / 7.0).collect());
-    let grad = Matrix::from_vec(16, 32, vec![0.01; 16 * 32]);
-    let mut opt = Adam::new(net.num_parameters(), 1e-3);
-    let mut ws = Workspace::new();
+    // DQN-typical shape (64-dim observation, two 128-wide hidden layers)
+    // with a full-panel head, plus the ragged heads of the policy (13
+    // actions) and value (1 output) networks, whose last panel is masked.
+    for output_dim in [32, 13, 1] {
+        let cfg = MlpConfig::new(64, &[128, 128], output_dim, Activation::Relu);
+        let mut net = Mlp::new(&cfg, 3);
+        let single = Matrix::zeros(1, 64);
+        let batch = Matrix::from_vec(16, 64, (0..16 * 64).map(|i| (i % 7) as f32 / 7.0).collect());
+        let grad = Matrix::from_vec(16, output_dim, vec![0.01; 16 * output_dim]);
+        let mut opt = Adam::new(net.num_parameters(), 1e-3);
+        let mut ws = Workspace::new();
 
-    // Warm-up: size every buffer (inference at both shapes, one full
-    // training cycle).
-    net.forward_ws(&single, &mut ws);
-    net.forward_ws(&batch, &mut ws);
-    net.forward_train(&batch);
-    net.zero_grad();
-    net.backward(&grad);
-    opt.step(&mut net);
-    net.zero_grad();
-    net.backward(&grad);
-    opt.step(&mut net);
+        // Warm-up: size every buffer (inference at both shapes, one full
+        // training cycle).
+        net.forward_ws(&single, &mut ws);
+        net.forward_ws(&batch, &mut ws);
+        net.forward_train(&batch);
+        net.zero_grad();
+        net.backward(&grad);
+        opt.step(&mut net);
+        net.zero_grad();
+        net.backward(&grad);
+        opt.step(&mut net);
 
-    // Steady state: zero allocations across repeated full cycles. Each
-    // phase is measured over several windows and judged on the minimum, so
-    // rare counter pollution from a harness thread cannot fail the test
-    // spuriously while a genuinely allocating hot path still would.
-    let inference = (0..4)
-        .map(|_| {
-            count_allocations(|| {
-                for _ in 0..10 {
-                    net.forward_ws(&batch, &mut ws).sum();
-                    net.forward_ws(&single, &mut ws).sum();
-                }
+        // Steady state: zero allocations across repeated full cycles. Each
+        // phase is measured over several windows and judged on the minimum,
+        // so rare counter pollution from a harness thread cannot fail the
+        // test spuriously while a genuinely allocating hot path still would.
+        let inference = (0..4)
+            .map(|_| {
+                count_allocations(|| {
+                    for _ in 0..10 {
+                        net.forward_ws(&batch, &mut ws).sum();
+                        net.forward_ws(&single, &mut ws).sum();
+                    }
+                })
             })
-        })
-        .min()
-        .unwrap();
-    assert_eq!(inference, 0, "forward_ws allocated in steady state");
+            .min()
+            .unwrap();
+        assert_eq!(
+            inference, 0,
+            "forward_ws allocated in steady state (output width {output_dim})"
+        );
 
-    let training = (0..4)
-        .map(|_| {
-            count_allocations(|| {
-                for _ in 0..10 {
-                    net.forward_train(&batch);
-                    net.zero_grad();
-                    net.backward(&grad);
-                    opt.step(&mut net);
-                }
+        let training = (0..4)
+            .map(|_| {
+                count_allocations(|| {
+                    for _ in 0..10 {
+                        net.forward_train(&batch);
+                        net.zero_grad();
+                        net.backward(&grad);
+                        opt.step(&mut net);
+                    }
+                })
             })
-        })
-        .min()
-        .unwrap();
-    assert_eq!(
-        training, 0,
-        "forward_train/zero_grad/backward/step allocated in steady state"
-    );
+            .min()
+            .unwrap();
+        assert_eq!(
+            training, 0,
+            "forward_train/zero_grad/backward/step allocated in steady state (output width {output_dim})"
+        );
+    }
 }

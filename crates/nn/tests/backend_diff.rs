@@ -13,11 +13,15 @@
 //! Checks:
 //! * relative error ≤ 1e-5 between backends on pseudo-random contents,
 //!   across shapes that straddle every blocking parameter (1×k rows, odd
-//!   k, k and n larger than the 8-wide panel and the 4-row block);
-//! * exact NaN propagation: an injected NaN poisons exactly the dependent
-//!   output elements on both backends;
-//! * exact ∞ propagation: with positive surroundings, an injected +∞
-//!   produces +∞ in exactly the dependent outputs on both backends.
+//!   k, k and n larger than the 8-wide panel and the 4-row block), and at
+//!   the PPO update's shapes (batch 256, widths 103/128/64/13/1);
+//! * exact NaN propagation, for all three products: an injected NaN
+//!   poisons exactly the dependent output elements on both backends (the
+//!   SIMD backend's zero-padded panel lanes compute `0·NaN` and must never
+//!   be stored);
+//! * exact ∞ propagation, for all three products: with positive
+//!   surroundings, an injected +∞ produces +∞ in exactly the dependent
+//!   outputs on both backends.
 
 use proptest::prelude::*;
 use tcrm_nn::{Backend, Matrix};
@@ -32,6 +36,35 @@ fn fill(rows: usize, cols: usize, seed: u64, salt: u64) -> Matrix {
             .map(|i| (((i as u64 * 2654435761 + seed * 97 + salt * 131) % 23) as f32 - 11.0) / 4.0)
             .collect(),
     )
+}
+
+/// The three matmul kernels, each computing the same logical product.
+#[derive(Debug, Clone, Copy)]
+enum Product {
+    /// `a · b`.
+    Plain,
+    /// `a · (bᵀ)ᵀ`: B handed over transposed (`n×k`).
+    TransB,
+    /// `0 + (aᵀ)ᵀ · b`: A handed over transposed (`k×m`), accumulated into
+    /// a zero output.
+    TransAAcc,
+}
+
+const PRODUCTS: [Product; 3] = [Product::Plain, Product::TransB, Product::TransAAcc];
+
+/// The logical product `a (m×k) · b (k×n)` through one kernel.
+fn product(kind: Product, backend: Backend, a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::default();
+    match kind {
+        Product::Plain => a.matmul_into_with(backend, b, &mut out),
+        Product::TransB => a.matmul_transb_into_with(backend, &b.transpose(), &mut out),
+        Product::TransAAcc => {
+            out = Matrix::zeros(a.rows(), b.cols());
+            a.transpose()
+                .matmul_transa_acc_into_with(backend, b, &mut out);
+        }
+    }
+    out
 }
 
 /// Relative error `|a - b| / max(|a|, |b|, 1)` ≤ `tol` element-wise.
@@ -53,7 +86,8 @@ proptest! {
 
     // Shape bounds straddle every blocking parameter of both backends:
     // the 4-row block (m up to 13), the 8-wide panel and 16-column scalar
-    // tile (n up to 45, so multi-panel + ragged tails), and the k-unrolls
+    // tile (n up to 45, so panel pairs + an odd panel + ragged lanes), and
+    // the k-unrolls
     // (k up to 37, odd values included). Zero-sized dimensions exercise the
     // degenerate paths.
     #[test]
@@ -77,11 +111,13 @@ proptest! {
         prop_assert_eq!(&first, &simd);
     }
 
+    // Same shape ranges as `matmul_backends_agree`: 4-row blocks plus
+    // remainder rows, panel pairs, an odd last panel and ragged lanes.
     #[test]
     fn matmul_transb_backends_agree(
-        m in 0usize..9,
-        k in 0usize..41,
-        n in 0usize..10,
+        m in 0usize..13,
+        k in 0usize..37,
+        n in 0usize..45,
         seed in 0u64..1000,
     ) {
         let a = fill(m, k, seed, 3);
@@ -91,13 +127,16 @@ proptest! {
         a.matmul_transb_into_with(Backend::Scalar, &b_t, &mut scalar);
         a.matmul_transb_into_with(Backend::Simd, &b_t, &mut simd);
         assert_rel_close(&scalar, &simd, 1e-5)?;
+        let first = simd.clone();
+        a.matmul_transb_into_with(Backend::Simd, &b_t, &mut simd);
+        prop_assert_eq!(&first, &simd);
     }
 
     #[test]
     fn matmul_transa_acc_backends_agree(
-        k in 1usize..19,
-        m in 1usize..9,
-        n in 1usize..21,
+        k in 0usize..37,
+        m in 0usize..13,
+        n in 0usize..45,
         seed in 0u64..1000,
     ) {
         let a = fill(k, m, seed, 5); // k×m, logical A = aᵀ
@@ -149,9 +188,8 @@ proptest! {
             b.set(pk, poison_col, f32::NAN);
             poison_row = usize::MAX; // every row of the poisoned column
         }
-        for backend in BACKENDS {
-            let mut out = Matrix::default();
-            a.matmul_into_with(backend, &b, &mut out);
+        for (kind, backend) in PRODUCTS.into_iter().flat_map(|p| BACKENDS.map(|b| (p, b))) {
+            let out = product(kind, backend, &a, &b);
             for r in 0..m {
                 for c in 0..n {
                     let dependent = (poison_in_a && r == poison_row)
@@ -159,8 +197,8 @@ proptest! {
                     prop_assert_eq!(
                         out.get(r, c).is_nan(),
                         dependent,
-                        "{} backend: NaN at ({}, {}) expected_dependent={}",
-                        backend.name(), r, c, dependent
+                        "{:?} on the {} backend: NaN at ({}, {}) expected_dependent={}",
+                        kind, backend.name(), r, c, dependent
                     );
                 }
             }
@@ -186,18 +224,17 @@ proptest! {
         let b = positive(k, n, 13);
         let poison_row = pr % m;
         a.set(poison_row, pk % k, f32::INFINITY);
-        for backend in BACKENDS {
-            let mut out = Matrix::default();
-            a.matmul_into_with(backend, &b, &mut out);
+        for (kind, backend) in PRODUCTS.into_iter().flat_map(|p| BACKENDS.map(|b| (p, b))) {
+            let out = product(kind, backend, &a, &b);
             for r in 0..m {
                 for c in 0..n {
                     let v = out.get(r, c);
                     if r == poison_row {
                         prop_assert_eq!(v, f32::INFINITY,
-                            "{} backend at ({}, {})", backend.name(), r, c);
+                            "{:?} on the {} backend at ({}, {})", kind, backend.name(), r, c);
                     } else {
                         prop_assert!(v.is_finite(),
-                            "{} backend at ({}, {}): {}", backend.name(), r, c, v);
+                            "{:?} on the {} backend at ({}, {}): {}", kind, backend.name(), r, c, v);
                     }
                 }
             }
@@ -296,6 +333,39 @@ proptest! {
                 let scale = x.abs().max(y.abs()).max(1.0);
                 prop_assert!((x - y).abs() <= 1e-5 * scale,
                     "{name}[{i}]: scalar {x} vs simd {y}");
+            }
+        }
+    }
+}
+
+/// Every product at the PPO update's shapes (batch 256; policy
+/// 103→128→64→13, value head 64→1): forward `x·W`, input gradient `g·Wᵀ`
+/// and weight gradient `xᵀ·g`, on full panels, the masked 13-lane panel and
+/// the single-lane value head.
+#[test]
+fn products_agree_at_training_shapes() {
+    const BATCH: usize = 256;
+    for (k, n) in [(103, 128), (128, 64), (64, 13), (64, 1)] {
+        let x = fill(BATCH, k, 1, 30);
+        let w = fill(k, n, 1, 31);
+        let g = fill(BATCH, n, 1, 32);
+        let base = fill(k, n, 1, 33);
+        let mut fwd = [Matrix::default(), Matrix::default()];
+        let mut dx = fwd.clone();
+        let mut dw = [base.clone(), base];
+        for (i, backend) in BACKENDS.into_iter().enumerate() {
+            x.matmul_into_with(backend, &w, &mut fwd[i]);
+            g.matmul_transb_into_with(backend, &w, &mut dx[i]);
+            x.matmul_transa_acc_into_with(backend, &g, &mut dw[i]);
+        }
+        for (name, [scalar, simd]) in [("x·W", fwd), ("g·Wᵀ", dx), ("xᵀ·g", dw)] {
+            assert_eq!((scalar.rows(), scalar.cols()), (simd.rows(), simd.cols()));
+            for (i, (s, v)) in scalar.data().iter().zip(simd.data()).enumerate() {
+                let scale = s.abs().max(v.abs()).max(1.0);
+                assert!(
+                    (s - v).abs() <= 1e-5 * scale,
+                    "{name} at k={k}, n={n}, element {i}: scalar {s} vs simd {v}"
+                );
             }
         }
     }

@@ -3,8 +3,10 @@
 #
 # Builds the perfbench binary of <rev> in a git worktree under
 # target/perfbench-ab/ and the working tree's next to it, then runs one
-# <workload> measurement of each per seed, for seeds 1..pairs, alternating
-# which side runs first from pair to pair. For every end-to-end metric
+# <workload> measurement of each per seed, for the `pairs` seeds starting at
+# first-seed (default 1), alternating which side runs first from pair to
+# pair. Passing a first-seed past the seeds used while developing a change
+# confirms a claim on held-out seeds. For every end-to-end metric
 # BENCHMARK.json declares it prints the per-pair ratio (working tree / rev),
 # each side's median and quartiles, and how many pairs the working tree won
 # (ties count for neither side). A metric reads "gain" only when at least
@@ -18,18 +20,20 @@
 # rewrite while building the working tree is restored afterwards.
 #
 # Usage:
-#   scripts/perfbench_ab.sh <rev> <workload> [pairs] [seconds]
+#   scripts/perfbench_ab.sh <rev> <workload> [pairs] [seconds] [first-seed]
 #   scripts/perfbench_ab.sh HEAD~1 engine_dense 10 20
+#   scripts/perfbench_ab.sh HEAD~1 engine_dense 10 20 11   # seeds 11..20
 set -euo pipefail
 
-if [ $# -lt 2 ] || [ $# -gt 4 ]; then
-    echo "usage: $0 <rev> <workload> [pairs] [seconds]" >&2
+if [ $# -lt 2 ] || [ $# -gt 5 ]; then
+    echo "usage: $0 <rev> <workload> [pairs] [seconds] [first-seed]" >&2
     exit 2
 fi
 REV="$1"
 WORKLOAD="$2"
 PAIRS="${3:-10}"
 SECONDS_PER_RUN="${4:-20}"
+FIRST_SEED="${5:-1}"
 
 cd "$(git rev-parse --show-toplevel)"
 SHA="$(git rev-parse --verify --quiet "$REV^{commit}")" || {
@@ -66,13 +70,14 @@ measure() {
         --trace 0 | tail -n 1)"
     echo "$side $seed $line" >>"$RESULTS"
 }
-for seed in $(seq 1 "$PAIRS"); do
-    if [ $((seed % 2)) -eq 1 ]; then
+for pair in $(seq 1 "$PAIRS"); do
+    seed=$((FIRST_SEED + pair - 1))
+    if [ $((pair % 2)) -eq 1 ]; then
         order="rev work"
     else
         order="work rev"
     fi
-    echo "== pair $seed/$PAIRS ($order)" >&2
+    echo "== pair $pair/$PAIRS, seed $seed ($order)" >&2
     for side in $order; do
         if [ "$side" = rev ]; then
             measure rev "$BIN_REV" "$seed"
