@@ -5,8 +5,8 @@
 //! branchy zero-skip, cloned bias broadcast.
 //!
 //! Acceptance gate for the zero-allocation PR: `forward_single_ws` must be
-//! ≥3x faster than `forward_single_naive` at the DQN-typical shape
-//! 1×64 → 128 → 128 → |A|.
+//! ≥3x faster than `forward_single_naive` at the small two-hidden-layer
+//! shape 1×64 → 128 → 128 → 32.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
@@ -165,19 +165,20 @@ fn bench_nn(c: &mut Criterion) {
     group.sample_size(30);
     group.measurement_time(Duration::from_secs(2));
 
-    // The acceptance shape: 1×64 → 128 → 128 → 32 (DQN-typical).
-    let dqn_cfg = MlpConfig::new(64, &[128, 128], 32, Activation::Relu);
-    let dqn_net = Mlp::new(&dqn_cfg, 0);
-    let dqn_single = Matrix::from_vec(1, 64, (0..64).map(|i| (i as f32 * 0.17).sin()).collect());
+    // The acceptance shape: 1×64 → 128 → 128 → 32, a small two-hidden-layer
+    // MLP (the default agent's shape follows).
+    let small_cfg = MlpConfig::new(64, &[128, 128], 32, Activation::Relu);
+    let small_net = Mlp::new(&small_cfg, 0);
+    let small_single = Matrix::from_vec(1, 64, (0..64).map(|i| (i as f32 * 0.17).sin()).collect());
     let mut ws = Workspace::new();
     group.bench_function("forward_single_naive", |b| {
-        b.iter(|| naive::forward(&dqn_net, &dqn_single).sum())
+        b.iter(|| naive::forward(&small_net, &small_single).sum())
     });
     group.bench_function("forward_single_alloc", |b| {
-        b.iter(|| dqn_net.forward(&dqn_single).sum())
+        b.iter(|| small_net.forward(&small_single).sum())
     });
     group.bench_function("forward_single_ws", |b| {
-        b.iter(|| dqn_net.forward_ws(&dqn_single, &mut ws).sum())
+        b.iter(|| small_net.forward_ws(&small_single, &mut ws).sum())
     });
 
     // The default agent: ~250-dim observation, 128x64 hidden, ~131 actions.

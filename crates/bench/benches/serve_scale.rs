@@ -7,7 +7,7 @@
 //!   runs at the 100k-arrival tier — it feeds the committed snapshot and the
 //!   regression gate.
 //! * A one-shot million-arrival report (full mode only): the tier runs once
-//!   under a peak-tracking allocator and prints wall time, jobs/s and peak
+//!   under `tcrm_testkit::metered` and prints wall time, jobs/s and peak
 //!   live bytes. That the peak does not grow with the arrival count is
 //!   asserted by `crates/serve/tests/alloc_bounded_stream.rs` at test
 //!   scale.
@@ -15,43 +15,14 @@
 //! `TCRM_SIM_SCALE=smoke` shrinks the tier to 20k arrivals and skips the
 //! million-arrival report — the CI bench-smoke configuration.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tcrm_baselines::EdfScheduler;
 use tcrm_serve::{ServeConfig, ServeReport, ServeSession, ShedPolicy};
 use tcrm_sim::{ClusterSpec, SimConfig};
+use tcrm_testkit::metered;
 use tcrm_workload::{SyntheticSource, WorkloadSpec};
-
-struct PeakAllocator;
-
-static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
-static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for PeakAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let live = LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-        PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let live = LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed) + new_size;
-        PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: PeakAllocator = PeakAllocator;
 
 /// True when `TCRM_SIM_SCALE=smoke`: shrink the tier, skip the 1M report.
 fn smoke_only() -> bool {
@@ -91,13 +62,9 @@ fn run_streamed(n: usize) -> ServeReport {
 
 /// Run one tier once, printing wall time, jobs/s and peak live bytes.
 fn report_tier(label: &str, n: usize, run: impl FnOnce(usize) -> ServeReport) {
-    let live0 = LIVE_BYTES.load(Ordering::SeqCst);
-    PEAK_BYTES.store(live0, Ordering::SeqCst);
     let started = Instant::now();
-    let report = run(n);
+    let (_, peak) = metered(|| assert_eq!(run(n).summary.total_jobs, n));
     let wall = started.elapsed().as_secs_f64();
-    let peak = PEAK_BYTES.load(Ordering::SeqCst).saturating_sub(live0);
-    assert_eq!(report.summary.total_jobs, n);
     eprintln!(
         "serve_scale: {label} n={n} wall={wall:.2}s rate={:.0} jobs/s peak={:.1} MiB",
         n as f64 / wall.max(1e-9),

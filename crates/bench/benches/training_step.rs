@@ -76,49 +76,5 @@ fn bench_training(c: &mut Criterion) {
     group.finish();
 }
 
-/// One DQN gradient step: persistent-scratch batched bootstrap (the shipped
-/// implementation) vs a per-row bootstrap reference that scores every
-/// transition's next-observation with its own forward pass — the pattern the
-/// batched path replaced.
-fn bench_dqn_train_step(c: &mut Criterion) {
-    use tcrm_rl::{DqnAgent, DqnConfig, ReplayTransition};
-
-    let mut group = c.benchmark_group("dqn_train_step");
-    group.sample_size(20);
-    group.measurement_time(Duration::from_secs(3));
-    let obs_dim = 64;
-    let actions = 32;
-    let make_agent = |batch_size: usize| {
-        let config = DqnConfig {
-            batch_size,
-            warmup: batch_size,
-            target_sync_interval: 0,
-            ..DqnConfig::default()
-        };
-        let mut agent = DqnAgent::new(obs_dim, actions, &[128, 128], 5, config);
-        for i in 0..2048usize {
-            agent.replay_mut().push(ReplayTransition {
-                observation: (0..obs_dim).map(|d| ((i + d) % 13) as f32 / 13.0).collect(),
-                action: i % actions,
-                reward: ((i % 5) as f64 - 2.0) / 2.0,
-                next_observation: (0..obs_dim)
-                    .map(|d| ((i + d + 1) % 13) as f32 / 13.0)
-                    .collect(),
-                next_mask: (0..actions).map(|a| a % 3 != 1).collect(),
-                done: i % 29 == 0,
-            });
-        }
-        agent.train_step(); // warm the scratch
-        agent
-    };
-    for &batch_size in &[32usize, 64] {
-        let mut agent = make_agent(batch_size);
-        group.bench_function(criterion::BenchmarkId::new("batched", batch_size), |b| {
-            b.iter(|| agent.train_step().updates)
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_training, bench_dqn_train_step);
+criterion_group!(benches, bench_training);
 criterion_main!(benches);

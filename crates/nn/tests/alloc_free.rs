@@ -7,40 +7,10 @@
 //! per-backend matmul loop below would fail the moment packing allocated
 //! per call.
 //!
-//! The whole check lives in a single `#[test]` so no concurrent test thread
-//! can pollute the allocation counter.
+//! Allocations are counted on the test's own thread, so harness threads
+//! never pollute the count.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn count_allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
-}
+use tcrm_testkit::count_allocations;
 
 #[test]
 fn hot_paths_do_not_allocate_after_warmup() {
@@ -80,20 +50,15 @@ fn hot_paths_do_not_allocate_after_warmup() {
         tcrm_nn::kernels::tanh_inplace(backend, tanh_buf.data_mut());
     }
     for backend in BACKENDS {
-        let kernel_allocs = (0..4)
-            .map(|_| {
-                count_allocations(|| {
-                    for _ in 0..10 {
-                        a_batch.matmul_into_with(backend, &b, &mut out);
-                        a_row.matmul_into_with(backend, &b, &mut out);
-                        a_batch.matmul_transb_into_with(backend, &b_t, &mut out);
-                        a_kt.matmul_transa_acc_into_with(backend, &b, &mut acc);
-                        tcrm_nn::kernels::tanh_inplace(backend, tanh_buf.data_mut());
-                    }
-                })
-            })
-            .min()
-            .unwrap();
+        let kernel_allocs = count_allocations(|| {
+            for _ in 0..10 {
+                a_batch.matmul_into_with(backend, &b, &mut out);
+                a_row.matmul_into_with(backend, &b, &mut out);
+                a_batch.matmul_transb_into_with(backend, &b_t, &mut out);
+                a_kt.matmul_transa_acc_into_with(backend, &b, &mut acc);
+                tcrm_nn::kernels::tanh_inplace(backend, tanh_buf.data_mut());
+            }
+        });
         assert_eq!(
             kernel_allocs,
             0,
@@ -102,8 +67,8 @@ fn hot_paths_do_not_allocate_after_warmup() {
         );
     }
 
-    // DQN-typical shape (64-dim observation, two 128-wide hidden layers)
-    // with a full-panel head, plus the ragged heads of the policy (13
+    // A 64-dim input through two 128-wide hidden layers (1×64 → 128 → 128),
+    // with a full-panel 32-wide head, plus the ragged heads of the policy (13
     // actions) and value (1 output) networks, whose last panel is masked.
     for output_dim in [32, 13, 1] {
         let cfg = MlpConfig::new(64, &[128, 128], output_dim, Activation::Relu);
@@ -126,39 +91,26 @@ fn hot_paths_do_not_allocate_after_warmup() {
         net.backward(&grad);
         opt.step(&mut net);
 
-        // Steady state: zero allocations across repeated full cycles. Each
-        // phase is measured over several windows and judged on the minimum,
-        // so rare counter pollution from a harness thread cannot fail the
-        // test spuriously while a genuinely allocating hot path still would.
-        let inference = (0..4)
-            .map(|_| {
-                count_allocations(|| {
-                    for _ in 0..10 {
-                        net.forward_ws(&batch, &mut ws).sum();
-                        net.forward_ws(&single, &mut ws).sum();
-                    }
-                })
-            })
-            .min()
-            .unwrap();
+        // Steady state: zero allocations across repeated full cycles.
+        let inference = count_allocations(|| {
+            for _ in 0..10 {
+                net.forward_ws(&batch, &mut ws).sum();
+                net.forward_ws(&single, &mut ws).sum();
+            }
+        });
         assert_eq!(
             inference, 0,
             "forward_ws allocated in steady state (output width {output_dim})"
         );
 
-        let training = (0..4)
-            .map(|_| {
-                count_allocations(|| {
-                    for _ in 0..10 {
-                        net.forward_train(&batch);
-                        net.zero_grad();
-                        net.backward(&grad);
-                        opt.step(&mut net);
-                    }
-                })
-            })
-            .min()
-            .unwrap();
+        let training = count_allocations(|| {
+            for _ in 0..10 {
+                net.forward_train(&batch);
+                net.zero_grad();
+                net.backward(&grad);
+                opt.step(&mut net);
+            }
+        });
         assert_eq!(
             training, 0,
             "forward_train/zero_grad/backward/step allocated in steady state (output width {output_dim})"

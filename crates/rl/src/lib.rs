@@ -13,8 +13,6 @@
 //! * three interchangeable algorithms — [`Reinforce`] (with moving-average
 //!   baseline), [`A2c`] and [`Ppo`] (clipped surrogate) — behind a common
 //!   [`Algorithm`] trait,
-//! * a value-based ablation: [`DqnAgent`] with experience replay, a target
-//!   network and masked ε-greedy exploration ([`dqn`]),
 //! * a [`Trainer`] that rolls out episodes through a lockstep [`VecEnv`]
 //!   pool — one batched policy forward per step for all environments at
 //!   once — feeds the algorithm and records a [`TrainingHistory`] (the data
@@ -26,7 +24,6 @@
 
 pub mod algorithm;
 pub mod buffer;
-pub mod dqn;
 pub mod env;
 pub mod policy;
 pub mod trainer;
@@ -37,7 +34,6 @@ pub use algorithm::{
     A2c, A2cConfig, Algorithm, Ppo, PpoConfig, Reinforce, ReinforceConfig, UpdateStats,
 };
 pub use buffer::{discounted_returns_flat_into, gae_flat_into, normalize_advantages, RolloutBatch};
-pub use dqn::{DqnAgent, DqnConfig, DqnUpdateStats, QNetwork, ReplayBuffer, ReplayTransition};
 pub use env::{Environment, Step, Transition};
 pub use policy::{sample_categorical, CategoricalPolicy};
 pub use trainer::{EpisodeStats, Trainer, TrainerConfig, TrainingHistory};

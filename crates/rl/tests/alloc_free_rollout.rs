@@ -2,40 +2,11 @@
 //! [`RolloutBatch`] has warmed to its steady-state shape, refilling it
 //! (clear + push + close) and computing returns / GAE / normalized
 //! advantages over the whole rollout perform **zero heap allocations**.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Allocations are counted per thread, so the two tests may run
+//! concurrently.
 
 use tcrm_rl::RolloutBatch;
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn count_allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
-}
+use tcrm_testkit::count_allocations;
 
 const OBS: usize = 32;
 const ACTIONS: usize = 12;
@@ -70,27 +41,19 @@ fn warm_rollout_batch_advantage_pipeline_does_not_allocate() {
     batch.set_advantages_to_returns_minus(1.5);
     batch.normalize_advantages();
 
-    // Judged on the minimum over several windows: rare counter pollution
-    // from a harness thread cannot fail the test spuriously, while a
-    // genuinely allocating pipeline still would.
-    let allocations = (0..4)
-        .map(|_| {
-            count_allocations(|| {
-                for _ in 0..5 {
-                    refill(&mut batch);
-                    batch.compute_returns(0.99);
-                    batch.compute_gae(0.99, 0.95);
-                    batch.normalize_advantages();
-                    batch.set_advantages_to_returns_minus(0.5);
-                    batch.normalize_advantages();
-                }
-            })
-        })
-        .min()
-        .unwrap();
+    let allocations = count_allocations(|| {
+        for _ in 0..5 {
+            refill(&mut batch);
+            batch.compute_returns(0.99);
+            batch.compute_gae(0.99, 0.95);
+            batch.normalize_advantages();
+            batch.set_advantages_to_returns_minus(0.5);
+            batch.normalize_advantages();
+        }
+    });
     assert_eq!(
         allocations, 0,
-        "rollout batch pipeline allocated in steady state ({allocations} allocations per window)"
+        "rollout batch pipeline allocated in steady state ({allocations} allocations over 5 refills)"
     );
 }
 
@@ -102,16 +65,11 @@ fn warm_batch_append_does_not_allocate() {
     // Warm-up: one append sizes the destination.
     batch.clear();
     batch.append(&staged);
-    let allocations = (0..4)
-        .map(|_| {
-            count_allocations(|| {
-                for _ in 0..5 {
-                    batch.clear();
-                    batch.append(&staged);
-                }
-            })
-        })
-        .min()
-        .unwrap();
+    let allocations = count_allocations(|| {
+        for _ in 0..5 {
+            batch.clear();
+            batch.append(&staged);
+        }
+    });
     assert_eq!(allocations, 0, "append allocated in steady state");
 }

@@ -1,11 +1,11 @@
 //! Batched inference must agree with per-row inference: the decision-epoch
-//! and replay-bootstrap hot paths score whole batches with one forward pass,
+//! and value-estimation hot paths score whole batches with one forward pass,
 //! and the result has to be indistinguishable (within float tolerance) from
 //! scoring every row separately through `forward_vec`.
 
 use proptest::prelude::*;
 use tcrm_nn::{Matrix, Workspace};
-use tcrm_rl::{CategoricalPolicy, QNetwork, ValueNet};
+use tcrm_rl::{CategoricalPolicy, ValueNet};
 
 fn stack(rows: &[Vec<f32>]) -> Matrix {
     let cols = rows[0].len();
@@ -22,27 +22,6 @@ fn arb_batch(rows: usize, dim: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn batched_q_scoring_matches_per_row(
-        batch in arb_batch(9, 17),
-        seed in 0u64..50,
-    ) {
-        let q = QNetwork::new(17, &[24, 12], 7, seed);
-        let stacked = stack(&batch);
-        let mut ws = Workspace::new();
-        let batched = q.q_values_batch_ws(&stacked, &mut ws);
-        for (r, obs) in batch.iter().enumerate() {
-            let per_row = q.q_values(obs);
-            prop_assert_eq!(per_row.len(), batched.cols());
-            for (a, (x, y)) in per_row.iter().zip(batched.row(r)).enumerate() {
-                prop_assert!(
-                    (x - y).abs() < 1e-5,
-                    "row {r} action {a}: per-row {x} vs batched {y}"
-                );
-            }
-        }
-    }
 
     #[test]
     fn batched_policy_logits_match_per_row(

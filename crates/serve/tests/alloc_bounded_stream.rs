@@ -17,56 +17,10 @@
 //! million-arrival configuration. A single `#[test]` in its own binary keeps
 //! concurrent test threads from polluting the counters.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
 use tcrm_serve::{ServeConfig, ServeReport, ServeSession, ShedPolicy};
 use tcrm_sim::{Action, ClusterSpec, ClusterView, Scheduler, SimConfig};
+use tcrm_testkit::metered;
 use tcrm_workload::{SyntheticSource, WorkloadSpec};
-
-struct MeteredAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
-static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
-
-fn on_alloc(size: usize) {
-    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    let live = LIVE_BYTES.fetch_add(size, Ordering::Relaxed) + size;
-    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for MeteredAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        on_alloc(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        on_alloc(new_size);
-        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: MeteredAllocator = MeteredAllocator;
-
-/// Run `f` and return `(allocations, peak live bytes above the baseline)`.
-fn metered(f: impl FnOnce()) -> (u64, usize) {
-    let live0 = LIVE_BYTES.load(Ordering::SeqCst);
-    PEAK_BYTES.store(live0, Ordering::SeqCst);
-    let allocs0 = ALLOCATIONS.load(Ordering::SeqCst);
-    f();
-    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs0;
-    let peak = PEAK_BYTES.load(Ordering::SeqCst).saturating_sub(live0);
-    (allocs, peak)
-}
 
 /// Never acts: `decide` returns an empty vec (no allocation), so the run is
 /// pure ingest — arrivals, admission, shedding — and ends via the deadlock

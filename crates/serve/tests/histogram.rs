@@ -2,53 +2,9 @@
 //! allocation-free, quantile estimates stay inside the bucketing's relative
 //! error bound against exact sorted quantiles, and merging is associative.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use proptest::prelude::*;
 use tcrm_serve::LatencyHistogram;
-
-struct CountingAllocator;
-
-thread_local! {
-    /// Allocations made by the current thread. Per-thread, so the
-    /// proptests running on other test threads never pollute the count;
-    /// `const`-initialised, so touching it from inside the allocator never
-    /// allocates itself.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn note_allocation() {
-    // `try_with`: the slot is gone while a thread tears down its
-    // thread-locals, and allocations then simply go uncounted.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_allocation();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-/// Allocations `f` makes on the calling thread.
-fn count_allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
+use tcrm_testkit::count_allocations;
 
 /// Exact nearest-rank quantile over a sorted slice (the reference the
 /// histogram estimate is checked against).

@@ -1019,7 +1019,7 @@ impl Simulator {
     /// every per-run buffer — including the collections pre-sized from the
     /// source's `size_hint` — is retained across calls, so replication
     /// sweeps stay allocation-free after the first (warm-up) run (pinned by
-    /// `tests/alloc_free_stream.rs`).
+    /// `tests/alloc_free.rs`).
     pub fn run_source<S, I>(
         &mut self,
         source: I,

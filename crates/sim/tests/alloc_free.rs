@@ -1,45 +1,22 @@
-//! Counting-allocator proof of allocation-free simulator stepping: once a
-//! run has warmed up (arrivals drained, buffers sized), `Simulator::advance`
-//! plus `Simulator::view_into` perform **zero heap allocations** per decision
-//! epoch. Utilisation sampling is included: samples store their per-class
-//! vectors inline (`PerClassUtilization`, fixed arity) and the trace buffer
-//! is pre-reserved at `Simulator::start`, so sampling-heavy runs stay on the
-//! allocation-free path too.
+//! Counting-allocator proofs of allocation-free simulation:
 //!
-//! A single `#[test]` keeps concurrent test threads from polluting the
-//! counter.
+//! * **Stepping** — once a run has warmed up (arrivals drained, buffers
+//!   sized), `Simulator::advance` plus `Simulator::view_into` perform **zero
+//!   heap allocations** per decision epoch. Utilisation sampling is
+//!   included: samples store their per-class vectors inline
+//!   (`PerClassUtilization`, fixed arity) and the trace buffer is
+//!   pre-reserved at `Simulator::start`, so sampling-heavy runs stay on the
+//!   allocation-free path too.
+//! * **Streaming** — the first `Simulator::run_source` run sizes every
+//!   retained buffer (pending/running sets, event heap, metrics, the
+//!   reusable view), and every later full run over the same source — pulled
+//!   job by job, never materialised — performs **zero** heap allocations on
+//!   the engine side.
+//!
+//! Allocations are counted per thread, so the two tests may run
+//! concurrently.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn count_allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
-}
+use tcrm_testkit::count_allocations;
 
 #[test]
 fn steady_state_stepping_does_not_allocate() {
@@ -104,30 +81,94 @@ fn steady_state_stepping_does_not_allocate() {
     }
 
     // Steady state: periodic decision epochs and job completions only.
-    // Measured over several windows, judged on the minimum: the engine's
-    // own behaviour is identical in every window, so a zero minimum proves
-    // the hot path never allocates, while rare counter pollution from a
-    // harness thread cannot fail the test spuriously.
     let mut epochs = 0u32;
-    let mut min_allocations = u64::MAX;
-    for _ in 0..4 {
-        let allocations = count_allocations(|| {
-            for _ in 0..50 {
-                if !sim.advance() {
-                    break;
-                }
-                sim.view_into(&mut view);
-                epochs += 1;
+    let allocations = count_allocations(|| {
+        for _ in 0..200 {
+            if !sim.advance() {
+                break;
             }
-        });
-        min_allocations = min_allocations.min(allocations);
-    }
+            sim.view_into(&mut view);
+            epochs += 1;
+        }
+    });
     assert!(
         epochs >= 50,
         "expected a long steady-state window, got {epochs}"
     );
     assert_eq!(
-        min_allocations, 0,
-        "advance+view_into allocated in steady state ({min_allocations} allocations per 50-epoch window)"
+        allocations, 0,
+        "advance+view_into allocated in steady state ({allocations} allocations over {epochs} epochs)"
+    );
+}
+
+#[test]
+fn run_source_is_allocation_free_after_warm_up() {
+    use tcrm_sim::node::SpeedProfile;
+    use tcrm_sim::{
+        Action, ClusterSpec, ClusterView, Job, JobClass, JobId, NodeClassSpec, ResourceVector,
+        Scheduler, SimConfig, Simulator, SpeedupModel, TimeUtility,
+    };
+
+    /// A scheduler that never acts: `decide` returns an **empty** vec (which
+    /// does not allocate), so the measurement isolates the engine's
+    /// streaming path — arrival pulls, event scheduling, pending growth,
+    /// utilisation sampling and view refills.
+    struct Inert;
+    impl Scheduler for Inert {
+        fn name(&self) -> &str {
+            "inert"
+        }
+        fn decide(&mut self, _view: &ClusterView) -> Vec<Action> {
+            Vec::new()
+        }
+    }
+
+    let spec = ClusterSpec::new(vec![NodeClassSpec::new(
+        "generic",
+        4,
+        ResourceVector::of(16.0, 64.0, 0.0, 10.0),
+        SpeedProfile::uniform(1.0),
+    )]);
+    let mut cfg = SimConfig::default();
+    cfg.decision_interval = Some(1.0);
+    cfg.util_sample_interval = 0.5;
+    cfg.max_sim_time = 1e5;
+
+    // A fixed job list replayed through a cloning iterator: `Job` holds no
+    // heap-owning fields, so cloning one allocates nothing.
+    let jobs: Vec<Job> = (0..64)
+        .map(|i| {
+            Job::builder(JobId(i), JobClass::Batch)
+                .arrival(i as f64 * 0.9)
+                .total_work(25.0 + 3.0 * i as f64)
+                .demand_per_unit(ResourceVector::of(2.0, 4.0, 0.0, 1.0))
+                .parallelism_range(1, 4)
+                .speedup(SpeedupModel::Linear)
+                .deadline(1e6)
+                .utility(TimeUtility::hard(1.0))
+                .build()
+        })
+        .collect();
+
+    let mut sim = Simulator::new(spec, cfg);
+    let mut view = sim.view();
+
+    // Warm-up run: sizes the event heap, pending queue, metrics buffers and
+    // the view.
+    let warm = sim.run_source(jobs.iter().cloned(), &mut Inert, &mut view);
+    assert_eq!(warm.total_jobs, 64);
+
+    // Steady state: whole replications, measured end to end. The replayed
+    // jobs are plain value types (no heap-owning fields) and `Inert` never
+    // allocates, so every counted allocation is the engine's.
+    let allocations = count_allocations(|| {
+        for _ in 0..4 {
+            let summary = sim.run_source(jobs.iter().cloned(), &mut Inert, &mut view);
+            assert_eq!(summary.total_jobs, 64);
+        }
+    });
+    assert_eq!(
+        allocations, 0,
+        "warmed-up run_source replications allocated ({allocations} allocations)"
     );
 }

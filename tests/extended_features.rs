@@ -1,11 +1,8 @@
 //! Integration tests for the extensions beyond the paper's headline
-//! comparison set: the EASY-backfill / HEFT / slack-pack heuristics, the
-//! energy and fairness accounting, and the value-based (DQN) learner running
-//! on the real scheduling environment.
+//! comparison set: the EASY-backfill / HEFT / slack-pack heuristics and the
+//! energy and fairness accounting.
 
 use tcrm::baselines::{by_name, EXTENDED_BASELINE_NAMES};
-use tcrm::core::{AgentConfig, EpisodeSource, SchedulingEnv};
-use tcrm::rl::{DqnAgent, DqnConfig, Environment};
 use tcrm::sim::{ClusterSpec, SimConfig, SimulationResult, Simulator};
 use tcrm::workload::{SyntheticSource, WorkloadSpec};
 
@@ -158,47 +155,4 @@ fn fairness_lies_in_the_unit_interval_for_every_scheduler() {
             assert!(class_slowdown >= 0.0 && class_slowdown.is_finite());
         }
     }
-}
-
-#[test]
-fn dqn_agent_trains_on_the_scheduling_environment() {
-    // A small end-to-end check that the value-based learner plugs into the
-    // real scheduling environment: observations and masks have the declared
-    // shapes, training runs, and the greedy policy does not get worse.
-    let cluster = ClusterSpec::tiny();
-    let agent_config = AgentConfig::default();
-    let workload = WorkloadSpec::icpp_default().with_load(0.8);
-    let mut env = SchedulingEnv::new(
-        cluster,
-        SimConfig::default(),
-        &agent_config,
-        EpisodeSource::Generated {
-            spec: workload,
-            jobs_per_episode: 8,
-        },
-    );
-    let obs_dim = env.observation_dim();
-    let action_count = env.action_count();
-    let step = env.reset(1);
-    assert_eq!(step.observation.len(), obs_dim);
-    assert_eq!(step.action_mask.len(), action_count);
-    assert!(step.feasible_actions() > 0);
-
-    let cfg = DqnConfig {
-        buffer_capacity: 4_000,
-        batch_size: 32,
-        warmup: 64,
-        target_sync_interval: 50,
-        epsilon_decay_steps: 600,
-        ..DqnConfig::default()
-    };
-    let mut agent = DqnAgent::new(obs_dim, action_count, &[32], 3, cfg);
-    let before = agent.run_episode(&mut env, 500, false);
-    agent.train(&mut env, 8, 11);
-    let after = agent.run_episode(&mut env, 500, false);
-    assert!(agent.updates() > 0, "training must take gradient steps");
-    assert!(before.is_finite() && after.is_finite());
-    // Greedy evaluation on the same seed is deterministic.
-    let again = agent.run_episode(&mut env, 500, false);
-    assert_eq!(after, again, "greedy evaluation must be deterministic");
 }
