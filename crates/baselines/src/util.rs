@@ -68,25 +68,42 @@ pub fn feasible_classes(job: &PendingJobView, view: &ClusterView) -> Vec<NodeCla
 /// job that fits some class gets a `Start` on its [`best_class_for`] class
 /// at [`deadline_parallelism`], in `(deadline, id)` order.
 ///
-/// The memo remembers which jobs its last scan found startable. A later
-/// view of the same [`ClusterView::feasibility_gen`] and a log position no
-/// older than the memo's can only have lost capacity since, and
-/// [`best_class_for`] is monotone in free capacity, so only those jobs plus
-/// the generation's new arrivals need evaluating; any other view gets the
-/// full scan. The actions are identical either way.
+/// The memo remembers which jobs its last scan found startable, the newest
+/// [`PendingJobView::arrival_seq`] it saw and the view's log position. A
+/// later view of the same [`ClusterView::feasibility_gen`] and a log
+/// position no older than the memo's (see the generation rules there)
+/// needs less than a full scan, because [`best_class_for`] is monotone in
+/// free capacity:
+///
+/// * if no class was released since ([`ClusterView::released_at`]), every
+///   node has only lost capacity: only the remembered startable jobs plus
+///   the new arrivals (the suffix of [`ClusterView::pending`] past the
+///   remembered sequence number) are evaluated;
+/// * otherwise one pass in `(deadline, id)` order evaluates those same
+///   jobs, and every other job only if a `can_start` at its minimum
+///   parallelism succeeds on one of the released classes: the other
+///   classes have only lost capacity, so it still fits none of them.
+///
+/// Any other view gets the full scan. The actions are identical either
+/// way.
 #[derive(Debug, Clone, Default)]
 pub struct StartMemo {
     /// Generation of the last scan (0: nothing to reuse).
     gen: u64,
     log_pos: usize,
-    /// How many of the generation's arrivals the last scan covered.
-    arrivals_seen: usize,
+    /// Arrival sequence number of the last pending row the last scan saw
+    /// (0: none): later rows are new arrivals.
+    seen_seq: u64,
     /// `(deadline, id)` keys the last scan found startable, in that order.
     startable: Vec<(f64, JobId)>,
     /// Reused buffer: the keys a memo scan evaluates.
     candidates: Vec<(f64, JobId)>,
+    /// Reused buffer: the classes released since the last scan.
+    released: Vec<NodeClassId>,
     full_rows: u64,
     memo_rows: u64,
+    release_rows: u64,
+    can_start_calls: u64,
 }
 
 impl StartMemo {
@@ -96,6 +113,8 @@ impl StartMemo {
         self.startable.clear();
         self.full_rows = 0;
         self.memo_rows = 0;
+        self.release_rows = 0;
+        self.can_start_calls = 0;
     }
 
     /// Pending rows evaluated by full scans since the last [`Self::clear`].
@@ -108,6 +127,18 @@ impl StartMemo {
         self.memo_rows
     }
 
+    /// Pending rows visited by release passes since the last
+    /// [`Self::clear`].
+    pub fn release_rows(&self) -> u64 {
+        self.release_rows
+    }
+
+    /// [`ClusterView::can_start`] calls made by all three kinds of scan
+    /// since the last [`Self::clear`].
+    pub fn can_start_calls(&self) -> u64 {
+        self.can_start_calls
+    }
+
     /// Append the start pass's actions for `view` to `actions`.
     pub fn push_starts(&mut self, view: &ClusterView, actions: &mut Vec<Action>) {
         let reuse = self.gen != 0
@@ -118,27 +149,19 @@ impl StartMemo {
         std::mem::swap(&mut self.startable, &mut self.candidates);
         self.startable.clear();
         if reuse {
-            // The last scan's startable keys plus the generation's new
-            // arrivals (disjoint: a job arrives once per generation), back
-            // in `(deadline, id)` order.
-            let mut candidates = std::mem::take(&mut self.candidates);
-            let new = view.gen_arrivals.get(self.arrivals_seen..).unwrap_or(&[]);
-            candidates.extend_from_slice(new);
-            candidates.sort_unstable_by(key_order);
-            let mut from = 0;
-            for &(deadline, id) in &candidates {
-                from = view.deadline_position(from, deadline, id);
-                let Some(&slot) = view.pending_by_deadline.get(from) else {
-                    break;
-                };
-                let job = &view.pending[slot as usize];
-                if job.id == id {
-                    self.memo_rows += 1;
-                    self.evaluate(job, view, actions);
-                    from += 1;
-                }
+            let log_pos = self.log_pos;
+            self.released.clear();
+            self.released.extend(
+                (view.released_at.iter().enumerate())
+                    .filter(|&(_, &at)| at > log_pos)
+                    .map(|(class, _)| NodeClassId(class)),
+            );
+            let candidates = std::mem::take(&mut self.candidates);
+            if self.released.is_empty() {
+                self.memo_scan(candidates, view, actions);
+            } else {
+                self.release_scan(candidates, view, actions);
             }
-            self.candidates = candidates;
         } else {
             for job in view.pending_in_deadline_order() {
                 self.full_rows += 1;
@@ -147,10 +170,85 @@ impl StartMemo {
         }
         self.gen = view.feasibility_gen;
         self.log_pos = view.log_position();
-        self.arrivals_seen = view.gen_arrivals.len();
+        self.seen_seq = view.pending.last().map_or(0, |job| job.arrival_seq);
+    }
+
+    /// The pending rows that arrived after the last scan: a suffix of the
+    /// arrival order.
+    fn new_arrivals<'v>(&self, view: &'v ClusterView) -> &'v [PendingJobView] {
+        let first = view
+            .pending
+            .partition_point(|job| job.arrival_seq <= self.seen_seq);
+        &view.pending[first..]
+    }
+
+    /// No capacity was released: evaluate the last scan's startable keys
+    /// plus the new arrivals (disjoint), back in `(deadline, id)` order.
+    fn memo_scan(
+        &mut self,
+        mut candidates: Vec<(f64, JobId)>,
+        view: &ClusterView,
+        actions: &mut Vec<Action>,
+    ) {
+        let new = self.new_arrivals(view);
+        candidates.extend(new.iter().map(|job| (job.deadline, job.id)));
+        candidates.sort_unstable_by(key_order);
+        let mut from = 0;
+        for &(deadline, id) in &candidates {
+            from = view.deadline_position(from, deadline, id);
+            let Some(&slot) = view.pending_by_deadline.get(from) else {
+                break;
+            };
+            let job = &view.pending[slot as usize];
+            if job.id == id {
+                self.memo_rows += 1;
+                self.evaluate(job, view, actions);
+                from += 1;
+            }
+        }
+        self.candidates = candidates;
+    }
+
+    /// Capacity was released on the classes in `self.released`: one pass
+    /// over the queue, evaluating the last scan's startable keys
+    /// (`candidates`, sorted), the new arrivals and the rows that now fit
+    /// a released class.
+    fn release_scan(
+        &mut self,
+        candidates: Vec<(f64, JobId)>,
+        view: &ClusterView,
+        actions: &mut Vec<Action>,
+    ) {
+        let mut next = candidates.iter().peekable();
+        for job in view.pending_in_deadline_order() {
+            self.release_rows += 1;
+            let key = (job.deadline, job.id);
+            while next
+                .next_if(|&c| key_order(c, &key) == Ordering::Less)
+                .is_some()
+            {}
+            let startable = next.next_if(|&c| c.1 == job.id).is_some();
+            if startable || job.arrival_seq > self.seen_seq || self.fits_a_released_class(job, view)
+            {
+                self.evaluate(job, view, actions);
+            }
+        }
+        self.candidates = candidates;
+    }
+
+    fn fits_a_released_class(&mut self, job: &PendingJobView, view: &ClusterView) -> bool {
+        for &class in &self.released {
+            self.can_start_calls += 1;
+            if view.can_start(job, class, job.min_parallelism) {
+                return true;
+            }
+        }
+        false
     }
 
     fn evaluate(&mut self, job: &PendingJobView, view: &ClusterView, actions: &mut Vec<Action>) {
+        // `best_class_for` asks `can_start` once per class.
+        self.can_start_calls += view.classes.len() as u64;
         let Some(class) = best_class_for(job, view) else {
             return;
         };

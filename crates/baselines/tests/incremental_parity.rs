@@ -133,37 +133,76 @@ fn assert_view_matches_rebuild(sim: &Simulator, view: &ClusterView, oracle: &mut
         "feasibility generation diverged"
     );
     assert_eq!(
-        view.gen_arrivals, oracle.gen_arrivals,
-        "generation arrivals diverged"
+        view.released_at, oracle.released_at,
+        "release stamps diverged"
+    );
+    let seqs = |v: &ClusterView| v.pending.iter().map(|j| j.arrival_seq).collect::<Vec<_>>();
+    assert_eq!(
+        seqs(view),
+        seqs(oracle),
+        "arrival sequence numbers diverged"
     );
     assert_eq!(view.log_position(), oracle.log_position());
 }
 
+/// What [`stepped_run`] observed.
+struct Stepped {
+    summary: Summary,
+    completed: Vec<CompletedJob>,
+    /// Decision rounds checked.
+    rounds: usize,
+    /// Rounds whose view shows capacity released on at least two classes
+    /// since the scheduler's previous round, one of them by a scale-down.
+    multi_release_rounds: usize,
+}
+
+/// Which epochs [`stepped_run`] decides at, and for how many rounds.
+#[derive(Debug, Clone, Copy)]
+struct Cadence {
+    /// Decide at every `every`-th epoch only; the epochs in between advance
+    /// without a decision.
+    every: usize,
+    /// At most this many rounds per decided epoch (`None`: the engine's
+    /// cap). One round ends the epoch even after actions that changed
+    /// state, so capacity a scale-down releases is first seen together
+    /// with whatever the next epochs release.
+    rounds: Option<usize>,
+}
+
+/// The engine's own round semantics, at every epoch.
+const EVERY_EPOCH: Cadence = Cadence {
+    every: 1,
+    rounds: None,
+};
+
 /// One batch run stepped by hand, checking the view against its rebuild
 /// oracle at every decision round. With a `twin` (the same scheduler,
 /// forgetting its state before every call), every `decide` must also
-/// return exactly the twin's actions. Decisions run at every
-/// `decide_every`-th epoch only, so the epochs in between advance without
-/// one. Returns the summary, the completion records and the number of
-/// rounds checked.
+/// return exactly the twin's actions.
 fn stepped_run(
     cluster: &ClusterSpec,
     jobs: &[Job],
     sched: &mut dyn Scheduler,
     mut twin: Option<&mut dyn Scheduler>,
-    decide_every: usize,
-) -> (Summary, Vec<CompletedJob>, usize) {
+    cadence: Cadence,
+) -> Stepped {
     let mut sim = Simulator::new(cluster.clone(), config());
     let mut view = sim.view();
     let mut oracle = sim.view();
-    let max_rounds = sim.config().max_decisions_per_epoch;
-    let mut checked = 0;
+    let max_rounds = cadence
+        .rounds
+        .unwrap_or(sim.config().max_decisions_per_epoch);
+    let (mut checked, mut multi_release_rounds) = (0, 0);
     let mut epochs = 0;
+    // Log position of the previous round's view, and the classes
+    // scale-downs released capacity on since.
+    let mut last_pos = 0;
+    let mut shrunk: Vec<NodeClassId> = Vec::new();
     sched.on_simulation_start();
     sim.start(jobs.to_vec());
     while sim.advance() {
         epochs += 1;
-        if epochs % decide_every != 0 {
+        if epochs % cadence.every != 0 {
             continue;
         }
         let mut epoch_changed_state = false;
@@ -171,6 +210,12 @@ fn stepped_run(
             sim.view_into(&mut view);
             assert_view_matches_rebuild(&sim, &view, &mut oracle);
             checked += 1;
+            let released = view.released_at.iter().filter(|&&at| at > last_pos);
+            if released.count() >= 2 && !shrunk.is_empty() {
+                multi_release_rounds += 1;
+            }
+            last_pos = view.log_position();
+            shrunk.clear();
             let actions = sched.decide(&view);
             if let Some(twin) = twin.as_mut() {
                 twin.on_simulation_start();
@@ -186,7 +231,21 @@ fn stepped_run(
             }
             let mut any_change = false;
             for action in &actions {
-                any_change |= sim.apply(action).changed_state();
+                let outcome = sim.apply(action);
+                if let (
+                    Action::Scale {
+                        job,
+                        new_parallelism,
+                    },
+                    ActionOutcome::Scaled,
+                ) = (action, &outcome)
+                {
+                    let row = view.running_job(*job).expect("scaled job was running");
+                    if *new_parallelism < row.units {
+                        shrunk.push(row.node_class);
+                    }
+                }
+                any_change |= outcome.changed_state();
             }
             epoch_changed_state |= any_change;
             if !any_change || actions.iter().all(|a| matches!(a, Action::Wait)) {
@@ -198,8 +257,12 @@ fn stepped_run(
             sim.abort_service();
         }
     }
-    let summary = sim.finish_service();
-    (summary, sim.completed_so_far().to_vec(), checked)
+    Stepped {
+        summary: sim.finish_service(),
+        completed: sim.completed_so_far().to_vec(),
+        rounds: checked,
+        multi_release_rounds,
+    }
 }
 
 #[test]
@@ -208,15 +271,20 @@ fn batch_runs_match_rebuild_reference_for_every_scheduler() {
     let jobs = workload(60);
     let mut scale_events = 0;
     for (name, _) in scheduler_specs() {
-        let (stepped, stepped_completed, rounds) =
-            stepped_run(&cluster, &jobs, scheduler(&name).as_mut(), None, 1);
-        assert!(rounds > 0, "{name}: no decision round was checked");
+        let stepped = stepped_run(
+            &cluster,
+            &jobs,
+            scheduler(&name).as_mut(),
+            None,
+            EVERY_EPOCH,
+        );
+        assert!(stepped.rounds > 0, "{name}: no decision round was checked");
         let mut sim = Simulator::new(cluster.clone(), config());
         let mut view = sim.view();
         let summary = sim.run_reusing(jobs.clone(), &mut scheduler(&name), &mut view);
-        assert_eq!(stepped, summary, "{name}: stepped summary diverged");
+        assert_eq!(stepped.summary, summary, "{name}: stepped summary diverged");
         assert_eq!(
-            stepped_completed,
+            stepped.completed,
             sim.completed_so_far(),
             "{name}: completion records diverged"
         );
@@ -261,31 +329,41 @@ fn small_cluster() -> ClusterSpec {
 #[test]
 fn memoized_decisions_match_a_memo_free_twin() {
     let jobs = workload(80);
+    let mut multi_release_rounds = 0;
     for cluster in [ClusterSpec::icpp_default(), small_cluster()] {
         for name in MEMOIZED {
-            for decide_every in [1, 2] {
+            for (every, rounds) in [(1, None), (2, None), (1, Some(1))] {
                 let mut twin = scheduler(name);
-                let (_, _, rounds) = stepped_run(
+                let stepped = stepped_run(
                     &cluster,
                     &jobs,
                     scheduler(name).as_mut(),
                     Some(twin.as_mut()),
-                    decide_every,
+                    Cadence { every, rounds },
                 );
-                assert!(rounds > 0, "{name}: no decision round was checked");
+                assert!(stepped.rounds > 0, "{name}: no decision round was checked");
+                multi_release_rounds += stepped.multi_release_rounds;
             }
         }
     }
-    // On the small cluster the memo must skip rows a full scan evaluates.
+    // Some round followed releases on two classes, one by a scale-down.
+    assert!(
+        multi_release_rounds > 0,
+        "no multi-class release was checked"
+    );
+    // On the small cluster the memo must skip rows a full scan evaluates,
+    // and take the release pass.
     let mut edf = EdfScheduler::new();
-    stepped_run(&small_cluster(), &jobs, &mut edf, None, 1);
+    stepped_run(&small_cluster(), &jobs, &mut edf, None, EVERY_EPOCH);
     let mut memo_free = MemoFreeEdf::default();
-    stepped_run(&small_cluster(), &jobs, &mut memo_free, None, 1);
+    stepped_run(&small_cluster(), &jobs, &mut memo_free, None, EVERY_EPOCH);
     let memo = edf.start_memo();
     assert!(
-        memo.memo_rows() > 0 && memo.full_rows() + memo.memo_rows() < memo_free.rows,
-        "the memo skipped nothing: {memo:?} vs {} memo-free rows",
-        memo_free.rows
+        memo.memo_rows() > 0
+            && memo.release_rows() > 0
+            && memo.can_start_calls() < memo_free.can_start_calls,
+        "the memo skipped nothing: {memo:?} vs {} memo-free calls",
+        memo_free.can_start_calls
     );
 }
 
@@ -342,6 +420,35 @@ fn an_older_view_of_the_same_generation_gets_a_full_scan() {
 }
 
 #[test]
+fn an_older_view_after_a_release_gets_a_full_scan() {
+    let (mut sim, mut view) = contended_view();
+    let mut edf = EdfScheduler::new();
+    let first = edf.decide(&view);
+    assert!(sim.apply(&first[0]).changed_state());
+    sim.view_into(&mut view);
+    assert!(edf.decide(&view).is_empty(), "job 1 is blocked");
+    // Job 0 completes after the memo's view: a release, not a new
+    // generation, and the release pass finds job 1 startable.
+    let gen = view.feasibility_gen;
+    while sim.last_epoch() != EpochKind::Completion(JobId(0)) {
+        assert!(sim.advance());
+    }
+    sim.view_into(&mut view);
+    assert_eq!(view.feasibility_gen, gen);
+    let released = view.clone();
+    let start = edf.decide(&released);
+    assert_eq!(start, EdfScheduler::new().decide(&released));
+    assert_eq!(start.len(), 1, "job 1 fits the released node: {start:?}");
+    assert!(edf.start_memo().release_rows() > 0);
+    assert!(sim.apply(&start[0]).changed_state());
+    sim.view_into(&mut view);
+    assert!(edf.decide(&view).is_empty(), "nothing is left to start");
+    // The older clone still has the released node free: it must not reuse
+    // the memo made on the later view.
+    assert_eq!(edf.decide(&released), start);
+}
+
+#[test]
 fn a_deserialized_view_is_generation_zero_and_gets_a_full_scan() {
     let (mut sim, mut view) = contended_view();
     let round_trip = |v: &ClusterView| -> ClusterView {
@@ -349,7 +456,8 @@ fn a_deserialized_view_is_generation_zero_and_gets_a_full_scan() {
     };
     let old = round_trip(&view);
     assert_eq!(old.feasibility_gen, 0);
-    assert!(old.gen_arrivals.is_empty());
+    assert!(old.released_at.is_empty());
+    assert!(old.pending.iter().all(|job| job.arrival_seq == 0));
     let actions = EdfScheduler::new().decide(&view);
     for action in &actions {
         sim.apply(action);
@@ -365,11 +473,13 @@ fn a_deserialized_view_is_generation_zero_and_gets_a_full_scan() {
 }
 
 /// EDF with its memo forgotten before every call: every start pass is a
-/// full scan. Counts the rows those scans evaluate.
+/// full scan. Counts the rows those scans evaluate and their `can_start`
+/// calls.
 #[derive(Default)]
 struct MemoFreeEdf {
     edf: EdfScheduler,
     rows: u64,
+    can_start_calls: u64,
 }
 
 impl Scheduler for MemoFreeEdf {
@@ -381,6 +491,7 @@ impl Scheduler for MemoFreeEdf {
         self.edf.on_simulation_start();
         let actions = self.edf.decide(view);
         self.rows += self.edf.start_memo().full_rows();
+        self.can_start_calls += self.edf.start_memo().can_start_calls();
         actions
     }
 }
@@ -408,10 +519,11 @@ fn edf_work_counts_are_pinned_on_a_sim_scale_trace() {
     let summary = sim.run_reusing(jobs.clone(), &mut edf, &mut view);
     let memo = edf.start_memo();
     assert_eq!(
-        (memo.full_rows(), memo.memo_rows()),
-        (12255, 2094),
-        "EDF's exact (full-scan, memo-scan) row counts"
+        (memo.full_rows(), memo.memo_rows(), memo.release_rows()),
+        (1, 2094, 12254),
+        "EDF's exact (full-scan, memo-scan, release-pass) row counts"
     );
+    assert_eq!(memo.can_start_calls(), 25630, "EDF's exact can_start calls");
     let mut memo_free = MemoFreeEdf::default();
     assert_eq!(sim.run_reusing(jobs, &mut memo_free, &mut view), summary);
     assert_eq!(memo_free.rows, 36714, "rows evaluated without the memo");

@@ -325,6 +325,7 @@ mod tests {
             speedup: SpeedupModel::Linear,
             malleable: true,
             utility_value: 1.0,
+            arrival_seq: 0,
         };
         assert_eq!(space.level_to_parallelism(&job, 0), 2);
         assert_eq!(space.level_to_parallelism(&job, 1), 6);

@@ -238,34 +238,49 @@ impl Clone for SimId {
 /// [`ClusterView::feasibility_gen`]); 0 is never minted.
 static NEXT_FEASIBILITY_GEN: AtomicU64 = AtomicU64::new(1);
 
-/// The engine's feasibility generation and the `(deadline, id)` keys of the
-/// jobs that arrived since it began. Cloning a simulator deliberately mints
-/// a *fresh* generation: the clone's state diverges from the original's, so
+/// The engine's feasibility generation and per-class release stamps (see
+/// [`ClusterView::released_at`]). Cloning a simulator deliberately mints a
+/// *fresh* generation: the clone's state diverges from the original's, so
 /// nothing a scheduler learned about one may carry over to the other.
 #[derive(Debug)]
 struct Feasibility {
     gen: u64,
-    arrivals: Vec<(f64, JobId)>,
+    released_at: Vec<usize>,
 }
 
 impl Feasibility {
-    fn fresh() -> Self {
+    fn new(num_classes: usize) -> Self {
         Feasibility {
-            gen: NEXT_FEASIBILITY_GEN.fetch_add(1, Ordering::Relaxed),
-            arrivals: Vec::new(),
+            gen: Self::mint(),
+            released_at: vec![0; num_classes],
         }
     }
 
-    /// Begin a new generation: some pending job may have become startable.
+    fn mint() -> u64 {
+        NEXT_FEASIBILITY_GEN.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Begin a new generation: a pending job may have become startable
+    /// other than by a capacity release.
     fn bump(&mut self) {
-        self.gen = NEXT_FEASIBILITY_GEN.fetch_add(1, Ordering::Relaxed);
-        self.arrivals.clear();
+        self.gen = Self::mint();
+    }
+
+    /// A new generation for a run starting from position 0 of a cleared
+    /// change log: stamps of the previous run would read as future
+    /// releases.
+    fn restart(&mut self) {
+        self.bump();
+        self.released_at.fill(0);
     }
 }
 
 impl Clone for Feasibility {
     fn clone(&self) -> Self {
-        Feasibility::fresh()
+        Feasibility {
+            gen: Self::mint(),
+            released_at: self.released_at.clone(),
+        }
     }
 }
 
@@ -316,7 +331,8 @@ pub struct Simulator {
     /// Absolute log position of `log[0]`: view cursors are absolute, so
     /// compaction just advances the base and views behind it rebuild.
     log_base: usize,
-    /// Current feasibility generation, stamped on every refilled view.
+    /// Current feasibility generation and release stamps, copied into
+    /// every refilled view.
     feasibility: Feasibility,
 }
 
@@ -329,6 +345,7 @@ impl Simulator {
         }
         let spec = Arc::new(spec);
         let cluster = Cluster::new((*spec).clone());
+        let feasibility = Feasibility::new(cluster.num_classes());
         Simulator {
             spec,
             config,
@@ -351,7 +368,7 @@ impl Simulator {
             run_epoch: 0,
             log: Vec::new(),
             log_base: 0,
-            feasibility: Feasibility::fresh(),
+            feasibility,
         }
     }
 
@@ -484,9 +501,7 @@ impl Simulator {
         self.feasibility.bump();
         job.malleable = false;
         job.max_parallelism = job.min_parallelism;
-        self.log
-            .push(ViewDelta::Arrived(ClusterView::pending_view_of(&job)));
-        self.pending.push(job);
+        self.push_pending(job);
         true
     }
 
@@ -541,7 +556,6 @@ impl Simulator {
         // reserve unbounded memory (longer runs fall back to amortised
         // growth; the capacity persists across resets).
         self.log.reserve(expected_jobs.saturating_mul(6).min(8_192));
-        self.feasibility.arrivals.reserve(expected_jobs.min(8_192));
         // Budget the utilisation trace: enough for the horizon the workload
         // plausibly covers, capped so pathological sampling intervals cannot
         // reserve unbounded memory. Runs that outlive the budget fall back to
@@ -621,11 +635,8 @@ impl Simulator {
                 EventKind::JobArrival(job) => {
                     self.arrivals_remaining = self.arrivals_remaining.saturating_sub(1);
                     self.arrival_hint = self.arrival_hint.saturating_sub(1);
-                    self.log
-                        .push(ViewDelta::Arrived(ClusterView::pending_view_of(&job)));
-                    self.feasibility.arrivals.push((job.deadline, job.id));
                     self.last_epoch = EpochKind::Arrival(job.id);
-                    self.pending.push(job);
+                    self.push_pending(job);
                     self.metrics.record_decision_epoch();
                     return true;
                 }
@@ -697,9 +708,9 @@ impl Simulator {
     /// (see [`RunningJobView`]): they hold reconciled state and derive
     /// `wait` / `remaining_work` / `scale_ready` at the `now` a reader asks
     /// for, so a refill where only time moved rewrites no row. Both paths
-    /// stamp the engine's feasibility generation
-    /// ([`ClusterView::feasibility_gen`]) and its arrival keys; the
-    /// incremental one appends only the keys it has not seen.
+    /// copy the engine's feasibility generation
+    /// ([`ClusterView::feasibility_gen`]) and release stamps
+    /// ([`ClusterView::released_at`]) in the shared header refresh.
     ///
     /// Any view that cannot prove it is in sync — freshly built, fabricated,
     /// last filled by another simulator or an earlier run — falls back to
@@ -756,15 +767,6 @@ impl Simulator {
         out.sync.log_pos = self.log_base + self.log.len();
         debug_assert_eq!(out.running.len(), self.running_order.len());
         self.refresh_header(out);
-        // Within one generation the arrival keys only grow: append the
-        // tail; a new generation starts the list over.
-        let arrivals = &self.feasibility.arrivals;
-        if out.feasibility_gen != self.feasibility.gen || out.gen_arrivals.len() > arrivals.len() {
-            out.feasibility_gen = self.feasibility.gen;
-            out.gen_arrivals.clear();
-        }
-        out.gen_arrivals
-            .extend_from_slice(&arrivals[out.gen_arrivals.len()..]);
         // The deadline index comes straight from the engine-maintained
         // order; the rebuild reference recomputes it by sorting, so the
         // oracle harness cross-checks the maintained index itself.
@@ -826,8 +828,11 @@ impl Simulator {
             }
         }
         out.pending.clear();
-        out.pending
-            .extend(self.pending.iter().map(ClusterView::pending_view_of));
+        out.pending.extend(
+            self.pending
+                .iter_with_seq()
+                .map(|(seq, job)| Self::pending_row(seq, job)),
+        );
         out.running.clear();
         out.running.extend(
             self.running_order
@@ -835,10 +840,6 @@ impl Simulator {
                 .map(|id| self.running_row(&self.running[id])),
         );
         self.refresh_header(out);
-        out.feasibility_gen = self.feasibility.gen;
-        out.gen_arrivals.clear();
-        out.gen_arrivals
-            .extend_from_slice(&self.feasibility.arrivals);
         // Reference computation of the deadline index: an actual sort over
         // the rows, independent of the engine-maintained order (into the
         // retained buffer).
@@ -852,17 +853,44 @@ impl Simulator {
     }
 
     /// Rewrite the fields shared by the incremental and rebuild refill
-    /// paths: the header (time, future-arrival count, scaling rules) and
-    /// per-class free capacity from the cluster's delta-maintained
-    /// aggregates. O(classes) — rows are time-affine and need no refresh.
+    /// paths: the header (time, future-arrival count, scaling rules,
+    /// feasibility generation and release stamps) and per-class free
+    /// capacity from the cluster's delta-maintained aggregates.
+    /// O(classes) — rows are time-affine and need no refresh.
     fn refresh_header(&self, out: &mut ClusterView) {
         out.time = self.time;
         out.future_arrivals = self.arrivals_remaining.max(self.arrival_hint);
         out.allow_scaling = self.config.allow_scaling;
         out.scale_cooldown = self.config.scale_cooldown;
+        out.feasibility_gen = self.feasibility.gen;
+        out.released_at.clear();
+        out.released_at
+            .extend_from_slice(&self.feasibility.released_at);
         for (class_view, id) in out.classes.iter_mut().zip(self.cluster.class_ids()) {
             class_view.free_capacity = self.cluster.free_capacity_of_class(id);
         }
+    }
+
+    /// One pending-job row: the job's fields plus its arrival sequence
+    /// number, exactly what an `Arrived` delta carries.
+    fn pending_row(seq: u64, job: &Job) -> PendingJobView {
+        PendingJobView {
+            arrival_seq: seq,
+            ..ClusterView::pending_view_of(job)
+        }
+    }
+
+    /// Admit a job at the tail of the pending queue and log its row.
+    fn push_pending(&mut self, job: Job) {
+        let mut row = ClusterView::pending_view_of(&job);
+        row.arrival_seq = self.pending.push(job);
+        self.log.push(ViewDelta::Arrived(row));
+    }
+
+    /// Stamp `class` as released at the log tip (just after the deltas of
+    /// the release that freed capacity on it).
+    fn stamp_release(&mut self, class: NodeClassId) {
+        self.feasibility.released_at[class.0] = self.log_base + self.log.len();
     }
 
     /// One running-job row: the job's static fields plus its reconciled
@@ -947,7 +975,7 @@ impl Simulator {
         self.run_epoch = self.run_epoch.wrapping_add(1);
         self.log.clear();
         self.log_base = 0;
-        self.feasibility.bump();
+        self.feasibility.restart();
     }
 
     // ------------------------------------------------------------------
@@ -1275,7 +1303,7 @@ impl Simulator {
         self.cluster
             .release_placement(&r.alloc.demand_per_unit, &r.alloc.placements);
         self.log_node_frees(&r.alloc.placements);
-        self.feasibility.bump();
+        self.stamp_release(r.alloc.class);
         let job = &r.job;
         let finish = self.time;
         let wait = r.started_at - job.arrival;
@@ -1448,7 +1476,7 @@ impl Simulator {
             r.rate = speed * speedup.speedup(r.alloc.total_units());
             self.cluster.release_placement(&demand, &released);
             self.log_node_frees(&released);
-            self.feasibility.bump();
+            self.stamp_release(class);
         }
         self.metrics.record_scale_event();
         let r = &self.running[&job_id];
@@ -2117,100 +2145,127 @@ mod tests {
     }
 
     /// Refill `view` and require it to agree with a fresh rebuild on the
-    /// generation header; returns the generation.
-    fn refilled_gen(sim: &Simulator, view: &mut ClusterView) -> u64 {
+    /// generation header, the release stamps and the arrival sequence
+    /// numbers; returns the generation and the stamps.
+    fn refilled_gen(sim: &Simulator, view: &mut ClusterView) -> (u64, Vec<usize>) {
         sim.view_into(view);
         let rebuilt = sim.view();
         assert_eq!(view.feasibility_gen, rebuilt.feasibility_gen);
-        assert_eq!(view.gen_arrivals, rebuilt.gen_arrivals);
+        assert_eq!(view.released_at, rebuilt.released_at);
+        let seqs = |v: &ClusterView| v.pending.iter().map(|j| j.arrival_seq).collect::<Vec<_>>();
+        assert_eq!(seqs(view), seqs(&rebuilt));
+        assert!(
+            seqs(view).windows(2).all(|w| w[0] < w[1]),
+            "arrival sequence numbers increase along the queue"
+        );
         assert_ne!(
             view.feasibility_gen, 0,
             "engine views are never generation 0"
         );
-        view.feasibility_gen
+        (view.feasibility_gen, view.released_at.clone())
     }
 
     #[test]
-    fn feasibility_generation_changes_only_when_a_job_could_become_startable() {
+    fn releases_stamp_their_class_and_only_queue_changes_mint_a_generation() {
         let mut cfg = SimConfig::default();
         cfg.decision_interval = Some(1.0);
         cfg.scale_cooldown = 0.0;
-        let mut sim = Simulator::new(tiny_spec(), cfg);
+        let class = |name, count| {
+            NodeClassSpec::new(
+                name,
+                count,
+                ResourceVector::of(8.0, 32.0, 0.0, 10.0),
+                SpeedProfile::uniform(1.0),
+            )
+        };
+        let spec = ClusterSpec::new(vec![class("generic", 2), class("second", 1)]);
+        let mut sim = Simulator::new(spec, cfg);
         let mut view = sim.view();
-        let fresh = refilled_gen(&sim, &mut view);
+        let (fresh, _) = refilled_gen(&sim, &mut view);
         let jobs = vec![
             simple_job(0, 0.0, 100.0, 1e4),
             simple_job(1, 0.5, 100.0, 1e4),
             simple_job(2, 0.6, 100.0, 1e4),
             simple_job(3, 0.7, 3.0, 1e4),
         ];
-        let key = |j: &Job| (j.deadline, j.id);
-        let keys: Vec<_> = jobs.iter().map(key).collect();
         sim.start(jobs);
-        let started = refilled_gen(&sim, &mut view);
+        let (started, stamps) = refilled_gen(&sim, &mut view);
         assert_ne!(started, fresh, "start");
-        assert!(view.gen_arrivals.is_empty());
+        assert_eq!(stamps, [0, 0], "nothing released yet");
+        let unchanged = |sim: &Simulator, view: &mut ClusterView, what: &str| {
+            assert_eq!(refilled_gen(sim, view), (started, stamps.clone()), "{what}");
+        };
 
-        // Arrivals, starts and scale-ups keep the generation; each arrival
-        // appends its key.
+        // Arrivals, starts, scale-ups and periodic epochs keep the
+        // generation and the stamps; each arrival takes the next sequence
+        // number.
         assert!(sim.advance());
         assert_eq!(sim.last_epoch(), EpochKind::Arrival(JobId(0)));
-        assert_eq!(refilled_gen(&sim, &mut view), started, "arrival");
-        assert_eq!(view.gen_arrivals, keys[..1]);
-        let start = |job, parallelism| Action::Start {
+        unchanged(&sim, &mut view, "arrival");
+        let start = |job, class, parallelism| Action::Start {
             job: JobId(job),
-            class: NodeClassId(0),
+            class: NodeClassId(class),
             parallelism,
         };
-        assert_eq!(sim.apply(&start(0, 1)), ActionOutcome::Started);
-        assert_eq!(refilled_gen(&sim, &mut view), started, "start");
+        assert_eq!(sim.apply(&start(0, 0, 1)), ActionOutcome::Started);
+        unchanged(&sim, &mut view, "start");
         let scale = |job, new_parallelism| Action::Scale {
             job: JobId(job),
             new_parallelism,
         };
         assert_eq!(sim.apply(&scale(0, 3)), ActionOutcome::Scaled);
-        assert_eq!(refilled_gen(&sim, &mut view), started, "scale-up");
+        unchanged(&sim, &mut view, "scale-up");
         for id in 1..4 {
             assert!(sim.advance());
             assert_eq!(sim.last_epoch(), EpochKind::Arrival(JobId(id)));
-            assert_eq!(refilled_gen(&sim, &mut view), started, "arrival");
+            unchanged(&sim, &mut view, "arrival");
         }
-        assert_eq!(view.gen_arrivals, keys, "started jobs keep their key");
+        let seqs: Vec<u64> = view.pending.iter().map(|j| j.arrival_seq).collect();
+        assert_eq!(seqs, [2, 3, 4], "job 0 took sequence number 1");
         assert!(sim.advance());
         assert_eq!(sim.last_epoch(), EpochKind::Periodic);
-        assert_eq!(refilled_gen(&sim, &mut view), started, "periodic epoch");
+        unchanged(&sim, &mut view, "periodic epoch");
 
-        // A scale-down, a cancel and a degrade each begin a generation,
-        // with no arrivals yet.
+        // A scale-down stamps its class, after its own node deltas.
+        let before = view.log_position();
+        assert_eq!(sim.apply(&scale(0, 2)), ActionOutcome::Scaled);
+        let (gen, after_shrink) = refilled_gen(&sim, &mut view);
+        assert_eq!(gen, started, "a scale-down keeps the generation");
+        assert!(before < after_shrink[0] && after_shrink[0] <= view.log_position());
+        assert_eq!(after_shrink[1], 0, "class 1 released nothing");
+
+        // A completion stamps only the class it ran on.
+        assert_eq!(sim.apply(&start(3, 1, 1)), ActionOutcome::Started);
+        let before = view.log_position();
+        loop {
+            assert!(sim.advance());
+            if sim.last_epoch() == EpochKind::Completion(JobId(3)) {
+                break;
+            }
+            assert_eq!(sim.last_epoch(), EpochKind::Periodic);
+        }
+        let (gen, after_completion) = refilled_gen(&sim, &mut view);
+        assert_eq!(gen, started, "a completion keeps the generation");
+        assert_eq!(after_completion[0], after_shrink[0], "class 0 untouched");
+        assert!(before < after_completion[1] && after_completion[1] <= view.log_position());
+
+        // A cancel, a degrade and a reset each begin a generation; the
+        // degraded job re-enters the queue with a new sequence number.
         let mut seen = vec![fresh, started];
         let mut expect_new = |gen: u64, what: &str| {
             assert!(!seen.contains(&gen), "{what} must change the generation");
             seen.push(gen);
         };
-        assert_eq!(sim.apply(&scale(0, 2)), ActionOutcome::Scaled);
-        expect_new(refilled_gen(&sim, &mut view), "scale-down");
-        assert!(view.gen_arrivals.is_empty());
         assert!(sim.cancel_pending(JobId(1)).is_some());
-        expect_new(refilled_gen(&sim, &mut view), "cancel");
+        expect_new(refilled_gen(&sim, &mut view).0, "cancel");
         assert!(sim.degrade_pending_to_rigid(JobId(2)));
-        expect_new(refilled_gen(&sim, &mut view), "degrade");
-        assert!(view.gen_arrivals.is_empty(), "a degrade is not an arrival");
-
-        // Periodic epochs keep it until a completion changes it.
-        assert_eq!(sim.apply(&start(3, 1)), ActionOutcome::Started);
-        let before = refilled_gen(&sim, &mut view);
-        loop {
-            assert!(sim.advance());
-            let gen = refilled_gen(&sim, &mut view);
-            if sim.last_epoch() == EpochKind::Completion(JobId(3)) {
-                expect_new(gen, "completion");
-                break;
-            }
-            assert_eq!(sim.last_epoch(), EpochKind::Periodic);
-            assert_eq!(gen, before, "periodic epoch");
-        }
+        expect_new(refilled_gen(&sim, &mut view).0, "degrade");
+        assert_eq!(view.pending.len(), 1);
+        assert_eq!(view.pending[0].arrival_seq, 5, "a degrade re-admits");
         sim.reset();
-        expect_new(refilled_gen(&sim, &mut view), "reset");
+        let (gen, stamps) = refilled_gen(&sim, &mut view);
+        expect_new(gen, "reset");
+        assert_eq!(stamps, [0, 0], "a reset clears the stamps");
         // A clone never shares its original's generation.
         let clone = sim.clone();
         assert_ne!(clone.view().feasibility_gen, sim.view().feasibility_gen);

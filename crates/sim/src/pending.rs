@@ -40,6 +40,10 @@ pub struct PendingQueue {
     pos_in_arrival: Vec<u32>,
     /// Slots sorted by `(deadline, id)`.
     deadline_order: Vec<u32>,
+    /// `slot → arrival sequence number` (parallel to `slots`).
+    seq_of: Vec<u64>,
+    /// Sequence number of the last push (0: none since the last clear).
+    last_seq: u64,
 }
 
 impl PendingQueue {
@@ -65,6 +69,7 @@ impl PendingQueue {
         self.index.reserve(n);
         self.arrival_order.reserve(n);
         self.deadline_order.reserve(n);
+        self.seq_of.reserve(n);
     }
 
     /// Drop every job but keep the allocated capacity (run-to-run reuse).
@@ -75,6 +80,8 @@ impl PendingQueue {
         self.arrival_order.clear();
         self.pos_in_arrival.clear();
         self.deadline_order.clear();
+        self.seq_of.clear();
+        self.last_seq = 0;
     }
 
     /// O(1) lookup by id.
@@ -93,6 +100,14 @@ impl PendingQueue {
         self.arrival_order.iter().map(move |&slot| self.job(slot))
     }
 
+    /// Jobs in arrival order with their arrival sequence numbers (see
+    /// [`Self::push`]).
+    pub fn iter_with_seq(&self) -> impl Iterator<Item = (u64, &Job)> + '_ {
+        self.arrival_order
+            .iter()
+            .map(move |&slot| (self.seq_of[slot as usize], self.job(slot)))
+    }
+
     /// Positions (indices into the arrival order) sorted by `(deadline, id)`
     /// — the engine copies this into `ClusterView::pending_by_deadline`.
     pub fn deadline_positions(&self) -> impl Iterator<Item = u32> + '_ {
@@ -102,9 +117,11 @@ impl PendingQueue {
     }
 
     /// Insert a job at the tail of the arrival order and into the deadline
-    /// index. Returns the job's position in the arrival order (always the
-    /// current tail). Job ids must be unique among pending jobs.
-    pub fn push(&mut self, job: Job) -> u32 {
+    /// index. Returns the job's arrival sequence number: 1 for the first
+    /// push after a clear, one more for every later push, so the numbers
+    /// increase strictly along the arrival order. Job ids must be unique
+    /// among pending jobs.
+    pub fn push(&mut self, job: Job) -> u64 {
         // Hard assert, not debug: the (deadline, id) binary searches assume
         // a total order, and a NaN deadline admitted in a release build
         // would silently corrupt the index (wrong rows fed to every
@@ -134,14 +151,16 @@ impl PendingQueue {
                 debug_assert!(old.is_none(), "duplicate pending job {}", job.id);
                 self.slots.push(Some(job));
                 self.pos_in_arrival.push(0);
+                self.seq_of.push(0);
                 slot
             }
         };
-        let pos = self.arrival_order.len() as u32;
+        self.last_seq += 1;
+        self.seq_of[slot as usize] = self.last_seq;
+        self.pos_in_arrival[slot as usize] = self.arrival_order.len() as u32;
         self.arrival_order.push(slot);
-        self.pos_in_arrival[slot as usize] = pos;
         self.deadline_order.insert(dpos, slot);
-        pos
+        self.last_seq
     }
 
     /// Remove a job by id: O(log n) on the deadline index plus the
@@ -232,8 +251,10 @@ mod tests {
             .map(|p| q.iter().nth(p as usize).unwrap().id.0)
             .collect();
         assert_eq!(by_deadline, vec![7, 6, 5, 4, 2, 1, 0]);
-        // Slots are recycled.
-        q.push(job(42, 1.0));
+        // Slots are recycled; sequence numbers are not.
+        assert_eq!(q.push(job(42, 1.0)), 9);
+        let seqs: Vec<u64> = q.iter_with_seq().map(|(seq, _)| seq).collect();
+        assert_eq!(seqs, vec![1, 2, 3, 5, 6, 7, 8, 9]);
         assert_eq!(q.len(), 8);
         assert_eq!(q.deadline_positions().next(), Some(7));
     }
@@ -247,7 +268,7 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.deadline_positions().count(), 0);
-        q.push(job(7, 3.0));
+        assert_eq!(q.push(job(7, 3.0)), 1, "sequence numbers restart");
         assert_eq!(q.len(), 1);
         assert_eq!(q.get(JobId(7)).unwrap().deadline, 3.0);
     }

@@ -233,6 +233,12 @@ pub struct PendingJobView {
     pub malleable: bool,
     /// Utility earned when meeting the deadline.
     pub utility_value: f64,
+    /// Arrival sequence number, engine-assigned: it increases strictly
+    /// along [`ClusterView::pending`] and is never reused within a run, so
+    /// the rows that arrived after a given one are a suffix of the queue.
+    /// 0 on fabricated or deserialized rows.
+    #[serde(skip)]
+    pub arrival_seq: u64,
 }
 
 impl PendingJobView {
@@ -249,6 +255,7 @@ impl PendingJobView {
             speedup: job.speedup,
             malleable: job.malleable,
             utility_value: job.utility.value,
+            arrival_seq: 0,
         }
     }
 
@@ -426,23 +433,27 @@ pub struct ClusterView {
     #[serde(default)]
     pub scale_cooldown: f64,
     /// Feasibility generation: a process-unique id the engine stamps on
-    /// every refill, 0 on fabricated or deserialized views. It changes
-    /// whenever a pending job could have become startable — a completion or
-    /// scale-down releases capacity, a pending job is cancelled or degraded,
-    /// the simulator resets or starts — and on nothing else: arrivals,
-    /// periodic epochs, starts and scale-ups keep it. Within one generation
-    /// every node's free capacity only shrinks and pending rows only arrive
-    /// or leave, so between two views of the same generation, the later one
-    /// by [`Self::log_position`], a job that fit no class in the earlier
-    /// fits none in the later, unless it is in [`Self::gen_arrivals`]. 0
-    /// means: assume nothing.
+    /// every refill, 0 on fabricated or deserialized views. It changes when
+    /// the pending queue changes other than by arrivals and starts — a job
+    /// is cancelled or degraded — and when the simulator resets or starts.
+    /// Arrivals, periodic epochs, starts and re-scalings keep it, and so do
+    /// completions: a capacity release is recorded per class in
+    /// [`Self::released_at`] instead. Within one generation pending rows
+    /// only arrive (with a higher [`PendingJobView::arrival_seq`] than any
+    /// row before them) or leave, and a node's free capacity grows only
+    /// through a release. So between two views of the same generation, the
+    /// later one by [`Self::log_position`], a job that fit no class in the
+    /// earlier one can fit in the later one only if it arrived since or on
+    /// a class whose `released_at` lies after the earlier view's log
+    /// position. 0 means: assume nothing.
     #[serde(skip)]
     pub feasibility_gen: u64,
-    /// `(deadline, id)` keys of the jobs that arrived since
-    /// [`Self::feasibility_gen`] began, in arrival order (engine-maintained;
-    /// rows that started since keep their key).
+    /// Release stamps, indexed by `NodeClassId`: the change-log position
+    /// just after the latest completion or scale-down that freed capacity
+    /// on the class, 0 if none since the simulator started or reset
+    /// (engine-maintained; empty on fabricated or deserialized views).
     #[serde(skip)]
-    pub gen_arrivals: Vec<(f64, JobId)>,
+    pub released_at: Vec<usize>,
     /// Incremental-refill cookie (engine-owned, never serialised).
     #[serde(skip)]
     pub(crate) sync: ViewSync,
@@ -473,7 +484,7 @@ impl ClusterView {
             allow_scaling: true,
             scale_cooldown: 0.0,
             feasibility_gen: 0,
-            gen_arrivals: Vec::new(),
+            released_at: Vec::new(),
             sync: ViewSync::default(),
         }
     }
@@ -534,7 +545,8 @@ impl ClusterView {
 
     /// Change-log position of the simulator state this view mirrors
     /// (0 on fabricated or deserialized views). Within one
-    /// [`Self::feasibility_gen`], a larger position is a later state.
+    /// [`Self::feasibility_gen`], a larger position is a later state, and
+    /// [`Self::released_at`] stamps are positions on the same scale.
     pub fn log_position(&self) -> usize {
         self.sync.log_pos
     }
