@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use tcrm_baselines::EdfScheduler;
-use tcrm_serve::{ClockMode, ServeConfig, ServeEvent, ServeSession, ShedPolicy};
+use tcrm_serve::{ClockMode, ServeConfig, ServeEvent, ServeReport, ServeSession, ShedPolicy};
 use tcrm_sim::{Action, ClusterSpec, ClusterView, Job, Scheduler, SimConfig, Simulator};
 use tcrm_workload::{ReplaySource, ScenarioRegistry, WorkloadSource, WorkloadSpec};
 
@@ -137,25 +137,40 @@ fn disabling_the_event_log_changes_nothing_but_the_log() {
 
 #[test]
 fn serving_matches_the_batch_driver_when_admission_is_disabled() {
+    let mut config = ServeConfig::default();
+    config.queue_cap = usize::MAX / 2; // never sheds
+    let check = |label: &str, jobs: Vec<Job>, serve: ServeReport| {
+        let batch = Simulator::new(ClusterSpec::icpp_default(), SimConfig::default())
+            .run(jobs, &mut EdfScheduler::new());
+        assert_eq!(
+            serve.summary, batch.summary,
+            "{label}: serving must reproduce the batch summary"
+        );
+        assert_eq!(serve.telemetry.shed_total(), 0);
+        assert!(!serve.aborted);
+    };
     for scenario in ["poisson", "poisson+spike(10x,5s,at=30)"] {
         let jobs = jobs_for(scenario, 100, 21);
         let replay = ReplaySource::from_jobs(jobs.clone());
-        let batch = Simulator::new(ClusterSpec::icpp_default(), SimConfig::default())
-            .run(jobs, &mut EdfScheduler::new());
-        let mut config = ServeConfig::default();
-        config.queue_cap = usize::MAX / 2; // never sheds
         let replayed = session(config).run_source(|| replay.clone(), &mut EdfScheduler::new());
+        check(scenario, jobs.clone(), replayed);
         let streamed =
             session(config).run_source(source_for(scenario, 100, 21), &mut EdfScheduler::new());
-        for serve in [replayed, streamed] {
-            assert_eq!(
-                serve.summary, batch.summary,
-                "{scenario}: serving must reproduce the batch summary"
-            );
-            assert_eq!(serve.telemetry.shed_total(), 0);
-            assert!(!serve.aborted);
-        }
+        check(scenario, jobs, streamed);
     }
+    // Arrivals snapped down to the 5 s sampling grid tie with utilisation
+    // samples and decision epochs: an arrival must win every tie on both
+    // sides.
+    let snapped: Vec<Job> = jobs_for("poisson", 100, 21)
+        .into_iter()
+        .map(|mut job| {
+            job.arrival = (job.arrival / 5.0).floor() * 5.0;
+            job
+        })
+        .collect();
+    let replay = ReplaySource::from_jobs(snapped.clone());
+    let replayed = session(config).run_source(|| replay.clone(), &mut EdfScheduler::new());
+    check("poisson on the sampling grid", snapped, replayed);
 }
 
 /// Never acts, so every job stays pending until the engine gives up.

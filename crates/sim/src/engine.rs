@@ -13,6 +13,14 @@
 //!   [`Simulator::view`], [`Simulator::apply`], [`Simulator::finalize`]) gives
 //!   a reinforcement-learning environment full control over decision epochs —
 //!   `tcrm-core::env::SchedulingEnv` is built on it.
+//!
+//! Every driver admits jobs the same way: the engine holds at most one
+//! future arrival, outside the event heap, and [`Simulator::advance`] lets
+//! it fire before any event at or after its timestamp. A batch run refills
+//! that slot from the job list [`Simulator::start`] loaded; the streaming
+//! entry points refill it from their ingress. The heap holds only
+//! completion and periodic events, and streamed or served runs equal
+//! [`Simulator::run`] over the same jobs exactly.
 
 use crate::allocation::{Allocation, Placement};
 use crate::cluster::Cluster;
@@ -66,8 +74,9 @@ pub enum EpochKind {
 /// Per decision epoch the loop runs, in order:
 ///
 /// 1. `advance` to the next epoch (arrival, completion or periodic tick);
-/// 2. pull [`Self::next_arrival`] if no arrival is buffered any more — the
-///    loop keeps exactly one future arrival buffered;
+/// 2. pull [`Self::next_arrival`] into the engine's arrival slot if the
+///    epoch's arrival emptied it — the loop keeps exactly one future
+///    arrival buffered;
 /// 3. [`Self::on_epoch`] — admission control and shedding;
 /// 4. the decision rounds, with [`Self::on_action`] after every applied
 ///    action;
@@ -75,10 +84,11 @@ pub enum EpochKind {
 /// 6. the deadlock guard: abort when no action changed anything and
 ///    [`Simulator::is_stalled`].
 ///
-/// Pulling (step 2) only schedules an arrival event and admission (step 3)
-/// never touches the event queue, so their order changes no event sequence.
-/// A pull may block on the ingress; it happens before `on_epoch`, so a hook
-/// that times the epoch from `on_epoch` to `after_epoch` excludes that wait.
+/// Pulling (step 2) only fills the arrival slot and admission (step 3)
+/// touches neither the slot nor the event queue, so their order changes no
+/// event sequence. A pull may block on the ingress; it happens before
+/// `on_epoch`, so a hook that times the epoch from `on_epoch` to
+/// `after_epoch` excludes that wait.
 pub trait EpochHooks {
     /// The ingress: the next job, in non-decreasing `(arrival, id)` order, or
     /// `None` once exhausted (out-of-order arrivals are clamped forward and
@@ -220,6 +230,9 @@ enum ViewDelta {
 #[derive(Debug)]
 struct SimId(u64);
 
+/// The most jobs any entry point pre-sizes its per-run collections for.
+const PRESIZE_JOBS: usize = 1024;
+
 static NEXT_SIM_ID: AtomicU64 = AtomicU64::new(1);
 
 impl SimId {
@@ -300,14 +313,18 @@ pub struct Simulator {
     running_order: Vec<JobId>,
     metrics: MetricsCollector,
     total_jobs: usize,
-    arrivals_remaining: usize,
+    /// The one future arrival, held outside the event heap; [`Self::advance`]
+    /// takes it when it is due no later than the heap's earliest event.
+    next_arrival: Option<Job>,
+    /// The rest of a batch run's jobs in `(arrival, id)` order, moved into
+    /// `next_arrival` one at a time. Empty in streamed runs, whose ingress
+    /// fills `next_arrival` instead.
+    staged: std::vec::IntoIter<Job>,
     /// Best-known count of arrivals still to come — what views report as
-    /// `future_arrivals`. In batch runs this tracks `arrivals_remaining`
-    /// exactly; in streaming runs it is seeded from the source's size hint
-    /// and counted down per arrival, so schedulers (e.g. the DRL state
-    /// encoder) see the same remaining-work signal as under [`Self::run`]
-    /// even though only one arrival event is buffered at a time.
-    arrival_hint: usize,
+    /// `future_arrivals`: the job count of a batch run, the ingress's size
+    /// hint in a streamed one, counted down per arrival, so schedulers (e.g.
+    /// the DRL state encoder) see the same remaining-work signal either way.
+    future_arrivals: usize,
     started: bool,
     aborted: bool,
     /// What produced the most recent decision epoch (see [`EpochKind`]).
@@ -357,8 +374,9 @@ impl Simulator {
             running_order: Vec::new(),
             metrics: MetricsCollector::new(),
             total_jobs: 0,
-            arrivals_remaining: 0,
-            arrival_hint: 0,
+            next_arrival: None,
+            staged: Vec::new().into_iter(),
+            future_arrivals: 0,
             started: false,
             aborted: false,
             last_epoch: EpochKind::Periodic,
@@ -424,10 +442,11 @@ impl Simulator {
     // Step-wise API
     // ------------------------------------------------------------------
 
-    /// Load a workload and schedule its arrival events. Must be called exactly
+    /// Load a workload: its jobs, sorted by `(arrival, id)`, arrive one at
+    /// a time through the single buffered arrival. Must be called exactly
     /// once before [`Self::advance`].
     pub fn start(&mut self, mut jobs: Vec<Job>) {
-        self.begin_run(jobs.len(), jobs.len());
+        self.begin_run(jobs.len());
         jobs.sort_by(|a, b| {
             a.arrival
                 .partial_cmp(&b.arrival)
@@ -435,25 +454,19 @@ impl Simulator {
                 .then(a.id.cmp(&b.id))
         });
         self.total_jobs = jobs.len();
-        self.arrivals_remaining = jobs.len();
-        for job in jobs {
-            debug_assert!(job.validate().is_ok(), "invalid job {}", job.id);
-            self.events.push(job.arrival, EventKind::JobArrival(job));
-        }
-        // Periodic events scheduled after the arrivals, so same-timestamp
-        // ties keep breaking arrival-first (insertion order).
-        self.schedule_periodic_events();
+        self.staged = jobs.into_iter();
+        self.next_arrival = self.staged.next();
     }
 
     // ------------------------------------------------------------------
     // Service hooks (admission control and external drivers use these)
     // ------------------------------------------------------------------
 
-    /// Number of scheduled-but-not-yet-arrived jobs in the event queue: every
-    /// remaining job of a batch run, and at most one for the streaming
-    /// entry points, whose loop keeps a single arrival buffered.
+    /// Number of loaded-but-not-yet-arrived jobs: every remaining job of a
+    /// batch run, and at most one for the streaming entry points, whose
+    /// loop keeps a single arrival buffered.
     pub fn buffered_arrivals(&self) -> usize {
-        self.arrivals_remaining
+        usize::from(self.next_arrival.is_some()) + self.staged.len()
     }
 
     /// What produced the decision epoch the latest [`Self::advance`] returned
@@ -532,30 +545,31 @@ impl Simulator {
     /// environment) ends a run that reaches this state after an epoch in
     /// which no action changed anything.
     pub fn is_stalled(&self) -> bool {
-        self.running.is_empty() && self.arrivals_remaining == 0 && !self.pending.is_empty()
+        self.running.is_empty() && self.next_arrival.is_none() && !self.pending.is_empty()
     }
 
     /// Run setup shared by [`Self::start`] and the streaming entry points:
-    /// flags, buffer pre-sizing and the future-arrival hint. Event
-    /// scheduling stays with the callers — their relative ordering of
-    /// arrival vs periodic events differs and is part of the determinism
-    /// contract.
-    fn begin_run(&mut self, expected_jobs: usize, arrival_hint: usize) {
+    /// flags, the future-arrival count, buffer pre-sizing and the periodic
+    /// events.
+    fn begin_run(&mut self, expected_jobs: usize) {
         assert!(!self.started, "Simulator::start called twice");
         self.started = true;
         self.feasibility.bump();
-        self.arrival_hint = arrival_hint;
+        self.future_arrivals = expected_jobs;
         self.metrics.configure(self.config.bounded_metrics);
         // Pre-size the per-run collections so steady-state stepping does not
-        // grow them (part of the allocation-free stepping contract).
-        self.pending.reserve(expected_jobs);
-        self.running_order.reserve(expected_jobs.min(1024));
-        self.metrics.reserve(expected_jobs);
+        // grow them (part of the allocation-free stepping contract), for at
+        // most `PRESIZE_JOBS` jobs: memory must not scale with an
+        // advertised run length when the queue stays short. Longer runs
+        // fall back to amortised growth; the capacity persists across
+        // resets.
+        let presize = expected_jobs.min(PRESIZE_JOBS);
+        self.pending.reserve(presize);
+        self.running_order.reserve(presize);
+        self.metrics.reserve(presize);
         // Budget the view change log: one entry per arrival plus a few per
-        // start/completion/scale, capped so huge streaming hints cannot
-        // reserve unbounded memory (longer runs fall back to amortised
-        // growth; the capacity persists across resets).
-        self.log.reserve(expected_jobs.saturating_mul(6).min(8_192));
+        // start/completion/scale.
+        self.log.reserve(presize * 6);
         // Budget the utilisation trace: enough for the horizon the workload
         // plausibly covers, capped so pathological sampling intervals cannot
         // reserve unbounded memory. Runs that outlive the budget fall back to
@@ -566,10 +580,6 @@ impl Simulator {
                 .clamp(16.0, 1024.0) as usize;
             self.metrics.reserve_samples(sample_budget);
         }
-    }
-
-    /// Schedule the first periodic decision epoch and utilisation sample.
-    fn schedule_periodic_events(&mut self) {
         if let Some(interval) = self.config.decision_interval {
             self.events.push(interval, EventKind::DecisionEpoch);
         }
@@ -583,20 +593,30 @@ impl Simulator {
     pub fn is_done(&self) -> bool {
         self.aborted
             || (self.started
-                && self.arrivals_remaining == 0
+                && self.next_arrival.is_none()
                 && self.pending.is_empty()
                 && self.running.is_empty())
     }
 
     /// Process events until the next decision epoch. Returns `true` if a
     /// decision is required, `false` if the simulation is over.
+    ///
+    /// The buffered arrival fires when it is due no later than the heap's
+    /// earliest event, so an arrival wins every timestamp tie whichever
+    /// driver buffered it.
     pub fn advance(&mut self) -> bool {
         assert!(self.started, "call Simulator::start first");
         loop {
             if self.is_done() {
                 return false;
             }
-            let Some(event) = self.events.pop() else {
+            let next_event = self.events.peek_time();
+            let arrival = self
+                .next_arrival
+                .as_ref()
+                .map(|job| job.arrival)
+                .filter(|&t| next_event.is_none_or(|e| t <= e));
+            let Some(time) = arrival.or(next_event) else {
                 // Nothing left to happen. If jobs are still pending they are
                 // unschedulable or the policy refuses to start them; give the
                 // caller one final decision opportunity only if something can
@@ -607,7 +627,7 @@ impl Simulator {
                 self.last_epoch = EpochKind::Periodic;
                 return !self.is_done() && !self.aborted;
             };
-            if event.time > self.config.max_sim_time {
+            if time > self.config.max_sim_time {
                 self.abort_run();
                 return false;
             }
@@ -616,30 +636,30 @@ impl Simulator {
             // is clamped forward to the current clock — time never runs
             // backwards. The clamp is explicit and counted so misuse is
             // observable instead of silently absorbed.
-            let event_time = if event.time < self.time {
+            if time < self.time {
                 debug_assert!(
-                    event.time + 1e-9 >= self.time,
-                    "event time {} is before simulation time {}",
-                    event.time,
+                    time + 1e-9 >= self.time,
+                    "event time {time} is before simulation time {}",
                     self.time
                 );
                 self.clamped_events += 1;
-                self.time
             } else {
-                event.time
-            };
-            // Running-job progress is lazily reconciled (constant rate
-            // between re-scales), so advancing the clock touches no job.
-            self.time = event_time;
+                // Running-job progress is lazily reconciled (constant rate
+                // between re-scales), so advancing the clock touches no job.
+                self.time = time;
+            }
+            if arrival.is_some() {
+                let job = self.next_arrival.take().expect("arrival buffered");
+                debug_assert!(job.validate().is_ok(), "invalid job {}", job.id);
+                self.next_arrival = self.staged.next();
+                self.future_arrivals = self.future_arrivals.saturating_sub(1);
+                self.last_epoch = EpochKind::Arrival(job.id);
+                self.push_pending(job);
+                self.metrics.record_decision_epoch();
+                return true;
+            }
+            let event = self.events.pop().expect("event peeked");
             match event.kind {
-                EventKind::JobArrival(job) => {
-                    self.arrivals_remaining = self.arrivals_remaining.saturating_sub(1);
-                    self.arrival_hint = self.arrival_hint.saturating_sub(1);
-                    self.last_epoch = EpochKind::Arrival(job.id);
-                    self.push_pending(job);
-                    self.metrics.record_decision_epoch();
-                    return true;
-                }
                 EventKind::JobCompletion { job, version } => {
                     let stale = self
                         .running
@@ -689,7 +709,7 @@ impl Simulator {
             Vec::new(),
             Vec::new(),
             Vec::new(),
-            self.arrivals_remaining,
+            self.future_arrivals,
         );
         self.view_into(&mut out);
         out
@@ -859,7 +879,7 @@ impl Simulator {
     /// O(classes) — rows are time-affine and need no refresh.
     fn refresh_header(&self, out: &mut ClusterView) {
         out.time = self.time;
-        out.future_arrivals = self.arrivals_remaining.max(self.arrival_hint);
+        out.future_arrivals = self.future_arrivals.max(self.buffered_arrivals());
         out.allow_scaling = self.config.allow_scaling;
         out.scale_cooldown = self.config.scale_cooldown;
         out.feasibility_gen = self.feasibility.gen;
@@ -964,8 +984,9 @@ impl Simulator {
         self.running_order.clear();
         self.metrics.reset();
         self.total_jobs = 0;
-        self.arrivals_remaining = 0;
-        self.arrival_hint = 0;
+        self.next_arrival = None;
+        self.staged = Vec::new().into_iter();
+        self.future_arrivals = 0;
         self.started = false;
         self.aborted = false;
         self.last_epoch = EpochKind::Periodic;
@@ -1025,16 +1046,13 @@ impl Simulator {
     /// source instead of requiring an upfront `Vec<Job>`.
     ///
     /// The engine keeps exactly one future arrival buffered: each time an
-    /// arrival fires, the next job is pulled from the iterator and its
-    /// arrival event enqueued, so arbitrarily long (or lazily generated)
-    /// workloads simulate in O(running + pending) memory. The source must
-    /// yield jobs in non-decreasing arrival order (`tcrm-workload` sources
-    /// do); out-of-order arrivals are clamped forward and counted like any
-    /// other stale event. Results are identical to [`Self::run`] over the
-    /// same job list, with one caveat: events at *exactly* equal timestamps
-    /// break ties by scheduling order, and lazily enqueued arrivals schedule
-    /// later than in a batch run — only observable for hand-crafted traces
-    /// whose arrivals exactly coincide with completions or sampling ticks.
+    /// arrival fires, the next job is pulled from the iterator into the
+    /// arrival slot [`Self::start`] fills from its job list, so arbitrarily
+    /// long (or lazily generated) workloads simulate in O(running + pending)
+    /// memory. The source must yield jobs in non-decreasing arrival order
+    /// (`tcrm-workload` sources do); out-of-order arrivals are clamped
+    /// forward and counted like any other stale event. Results are
+    /// identical to [`Self::run`] over the same job list.
     ///
     /// A run aborted at `max_sim_time` may leave jobs unpulled. Sources
     /// advertising a finite upper size bound are drained and their leftovers
@@ -1043,11 +1061,12 @@ impl Simulator {
     /// same miss/unfinished rates as [`Self::run`]; an endless generator
     /// keeps the pulled-only count.
     ///
-    /// Like [`Self::run_reusing`], the simulator is [`Self::reset`] first and
-    /// every per-run buffer — including the collections pre-sized from the
-    /// source's `size_hint` — is retained across calls, so replication
-    /// sweeps stay allocation-free after the first (warm-up) run (pinned by
-    /// `tests/alloc_free.rs`).
+    /// The source's `size_hint` seeds the `future_arrivals` count views
+    /// report and pre-sizes the per-run collections, for at most 1024 jobs
+    /// however large the hint. Like [`Self::run_reusing`], the simulator is
+    /// [`Self::reset`] first and every per-run buffer is retained across
+    /// calls, so replication sweeps stay allocation-free after the first
+    /// (warm-up) run (pinned by `tests/alloc_free.rs`).
     pub fn run_source<S, I>(
         &mut self,
         source: I,
@@ -1059,11 +1078,8 @@ impl Simulator {
         I: Iterator<Item = Job>,
     {
         let (lower, upper) = source.size_hint();
-        // An exact hint (every bundled source provides one) sizes the
-        // buffers and the arrival count for the whole run; unbounded sources
-        // get bounded values and fall back to amortised growth.
         let expected = upper.unwrap_or(lower);
-        self.run_stream(&mut Arrivals(source), scheduler, view, expected, 65_536)
+        self.run_service(&mut Arrivals(source), scheduler, view, expected)
     }
 
     /// Run a complete simulation whose arrivals, admission control and
@@ -1074,10 +1090,9 @@ impl Simulator {
     /// one at a time exactly like [`Self::run_source`] pulls from its
     /// iterator, so with hooks that never cancel a job the run reports the
     /// same [`Summary`] as [`Self::run`] over the same jobs. `arrival_hint`
-    /// is the expected number of arrivals; it sizes the `future_arrivals`
-    /// count scheduler views report. A service keeps only its admission
-    /// queue pending, so unlike [`Self::run_source`] the buffers are
-    /// pre-sized for at most 1024 jobs however large the hint.
+    /// is the expected number of arrivals; it seeds the `future_arrivals`
+    /// count scheduler views report and, like [`Self::run_source`]'s size
+    /// hint, pre-sizes the buffers for at most 1024 jobs.
     ///
     /// When the run aborts, [`EpochHooks::unpulled`] counts the jobs the
     /// ingress still holds toward the total. The simulator is
@@ -1094,62 +1109,36 @@ impl Simulator {
         H: EpochHooks + ?Sized,
         S: Scheduler + ?Sized,
     {
-        self.run_stream(hooks, scheduler, view, arrival_hint, 1024)
-    }
-
-    /// The streaming entry points' shared body: reset, pre-size the per-run
-    /// collections for `min(expected, presize_cap)` jobs, seed the
-    /// future-arrival hint (so views report the expected remaining-arrival
-    /// count, not just the single buffered arrival), schedule the periodic
-    /// events, buffer the first arrival and run the loop.
-    fn run_stream<H, S>(
-        &mut self,
-        hooks: &mut H,
-        scheduler: &mut S,
-        view: &mut ClusterView,
-        expected: usize,
-        presize_cap: usize,
-    ) -> Summary
-    where
-        H: EpochHooks + ?Sized,
-        S: Scheduler + ?Sized,
-    {
         self.reset();
         scheduler.on_simulation_start();
-        self.begin_run(expected.min(presize_cap), expected.min(u32::MAX as usize));
-        self.schedule_periodic_events();
+        // Unbounded ingresses report a bounded future-arrival count.
+        self.begin_run(arrival_hint.min(u32::MAX as usize));
         self.pull_next_arrival(hooks);
         self.epoch_loop(hooks, scheduler, view);
         self.finish_service()
     }
 
-    /// Buffer the next arrival from the ingress, if any. Maintains the
-    /// streaming invariant: while the ingress is not exhausted, exactly one
-    /// future arrival event is enqueued (`arrivals_remaining == 1`).
+    /// Fill an empty arrival slot from the ingress, if it has a job left.
     fn pull_next_arrival<H: EpochHooks + ?Sized>(&mut self, hooks: &mut H) {
-        if let Some(job) = hooks.next_arrival() {
-            debug_assert!(job.validate().is_ok(), "invalid job {}", job.id);
-            self.total_jobs += 1;
-            self.arrivals_remaining += 1;
-            self.events.push(job.arrival, EventKind::JobArrival(job));
+        if self.next_arrival.is_none() {
+            self.next_arrival = hooks.next_arrival();
+            self.total_jobs += usize::from(self.next_arrival.is_some());
         }
     }
 
     /// The decision loop of every driver, in the per-epoch order
-    /// [`EpochHooks`] documents. In batch mode the ingress is empty (all
-    /// arrivals were enqueued by [`Self::start`]); in streaming mode the
-    /// next arrival is pulled as soon as the buffered one fires —
-    /// `arrivals_remaining` drops to zero only when the ingress is
-    /// exhausted, so the refill happens before anyone sees the epoch.
+    /// [`EpochHooks`] documents. In batch mode the ingress is empty and
+    /// [`Self::advance`] refills the arrival slot from the job list
+    /// [`Self::start`] loaded; in streaming mode the slot is refilled from
+    /// the ingress as soon as its arrival fires, before anyone sees the
+    /// epoch.
     fn epoch_loop<H, S>(&mut self, hooks: &mut H, scheduler: &mut S, view: &mut ClusterView)
     where
         H: EpochHooks + ?Sized,
         S: Scheduler + ?Sized,
     {
         while self.advance() {
-            if self.arrivals_remaining == 0 {
-                self.pull_next_arrival(hooks);
-            }
+            self.pull_next_arrival(hooks);
             hooks.on_epoch(self);
             let epoch_changed_state = self.decision_rounds(hooks, scheduler, view);
             // The driver's view has consumed every recorded delta by the
@@ -1252,7 +1241,7 @@ impl Simulator {
     // ------------------------------------------------------------------
 
     fn is_active(&self) -> bool {
-        self.arrivals_remaining > 0 || !self.pending.is_empty() || !self.running.is_empty()
+        self.next_arrival.is_some() || !self.pending.is_empty() || !self.running.is_empty()
     }
 
     fn abort_run(&mut self) {
@@ -1977,25 +1966,49 @@ mod tests {
     #[test]
     fn run_source_matches_batch_run_over_the_same_jobs() {
         // Streaming the jobs one at a time must produce exactly the result
-        // of loading them upfront (arrival times are chosen off the decision
-        // grid so no event-timestamp ties exist to break differently).
-        let jobs: Vec<Job> = (0..25)
+        // of loading them upfront: off the decision grid, and on it, where
+        // every arrival ties with a decision epoch and a utilisation sample.
+        let off_grid: Vec<Job> = (0..25)
             .map(|i| simple_job(i, i as f64 * 1.37, 4.0 + (i as f64) * 0.93, 400.0))
+            .collect();
+        let on_grid: Vec<Job> = (0..40)
+            .map(|i| simple_job(i, i as f64 * 2.0, 3.0 + (i % 5) as f64, 400.0))
             .collect();
         let mut cfg = SimConfig::default();
         cfg.decision_interval = Some(2.0);
-        let batch = Simulator::new(tiny_spec(), cfg.clone()).run(jobs.clone(), &mut EagerMin);
+        cfg.util_sample_interval = 2.0;
+        for jobs in [off_grid, on_grid] {
+            let batch = Simulator::new(tiny_spec(), cfg.clone()).run(jobs.clone(), &mut EagerMin);
 
+            let mut sim = Simulator::new(tiny_spec(), cfg.clone());
+            let mut view = sim.view();
+            let summary = sim.run_source(jobs.iter().cloned(), &mut EagerMin, &mut view);
+            assert_eq!(summary, batch.summary);
+            assert_eq!(sim.completed_so_far(), batch.completed.as_slice());
+            assert_eq!(sim.total_jobs(), jobs.len());
+
+            // And the same simulator streams the next replication correctly.
+            let summary2 = sim.run_source(jobs.iter().cloned(), &mut EagerMin, &mut view);
+            assert_eq!(summary2, batch.summary);
+        }
+    }
+
+    #[test]
+    fn start_keeps_arrivals_out_of_the_event_heap() {
+        let mut cfg = SimConfig::default();
+        cfg.decision_interval = Some(2.0);
         let mut sim = Simulator::new(tiny_spec(), cfg);
-        let mut view = sim.view();
-        let summary = sim.run_source(jobs.iter().cloned(), &mut EagerMin, &mut view);
-        assert_eq!(summary, batch.summary);
-        assert_eq!(sim.completed_so_far(), batch.completed.as_slice());
-        assert_eq!(sim.total_jobs(), 25);
-
-        // And the same simulator streams the next replication correctly.
-        let summary2 = sim.run_source(jobs.iter().cloned(), &mut EagerMin, &mut view);
-        assert_eq!(summary2, batch.summary);
+        let jobs: Vec<Job> = (0..1000)
+            .map(|i| simple_job(i, i as f64 * 0.5, 4.0, 1e4))
+            .collect();
+        sim.start(jobs);
+        assert_eq!(sim.buffered_arrivals(), 1000);
+        // Only the first decision epoch and utilisation sample are queued.
+        assert_eq!(sim.events.len(), 2);
+        assert!(sim.advance());
+        assert_eq!(sim.last_epoch(), EpochKind::Arrival(JobId(0)));
+        assert_eq!(sim.buffered_arrivals(), 999);
+        assert_eq!(sim.events.len(), 2);
     }
 
     #[test]

@@ -2,18 +2,17 @@
 //!
 //! Events are ordered by `(time, sequence number)`, which makes the engine
 //! fully deterministic: two events at the same timestamp are processed in the
-//! order they were scheduled.
+//! order they were scheduled. Job arrivals are not events: the engine holds
+//! the one future arrival outside this queue and lets it fire before any
+//! event at or after its timestamp.
 
-use crate::job::{Job, JobId};
-use serde::{Deserialize, Serialize};
+use crate::job::JobId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// What happens when an event fires.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
-    /// A job enters the pending queue.
-    JobArrival(Job),
     /// A running job is expected to finish. The `version` stamps the
     /// allocation the prediction was made for; if the job has been re-scaled
     /// since, the event is stale and ignored.
@@ -26,7 +25,7 @@ pub enum EventKind {
 }
 
 /// A timestamped event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Simulated time at which the event fires.
     pub time: f64,
@@ -111,7 +110,6 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobClass;
 
     #[test]
     fn events_pop_in_time_order() {
@@ -145,19 +143,6 @@ mod tests {
             }
         );
         assert_eq!(kinds[2], EventKind::UtilizationSample);
-    }
-
-    #[test]
-    fn arrival_events_carry_the_job() {
-        let mut q = EventQueue::new();
-        let job = Job::builder(JobId(3), JobClass::Stream)
-            .deadline(4.0)
-            .build();
-        q.push(job.arrival, EventKind::JobArrival(job.clone()));
-        match q.pop().unwrap().kind {
-            EventKind::JobArrival(j) => assert_eq!(j, job),
-            other => panic!("unexpected event {other:?}"),
-        }
     }
 
     #[test]

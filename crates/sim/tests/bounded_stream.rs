@@ -8,10 +8,11 @@
 //! no degrade (the only mid-run generation changes) must therefore peak at
 //! the same live bytes for 20,000 jobs as for 2,000.
 //!
-//! The source is a lazy generator without a size hint, so the engine's
-//! pre-sizing does not scale with the job count either, and the run keeps
-//! bounded metrics. [`metered`] counts process-wide, so this file holds a
-//! single `#[test]`.
+//! The jobs are generated on demand, once without a size hint and once
+//! with an exact one: the engine pre-sizes its collections for at most
+//! 1024 jobs whatever the hint, so an advertised length does not make the
+//! peak scale with the job count either. The runs keep bounded metrics.
+//! [`metered`] counts process-wide, so this file holds a single `#[test]`.
 
 use tcrm_sim::node::SpeedProfile;
 use tcrm_sim::{
@@ -60,37 +61,37 @@ fn cluster() -> ClusterSpec {
     ClusterSpec::new(vec![class("a", 2), class("b", 1)])
 }
 
-/// `n` jobs, one per second, generated on demand (no size hint). About
-/// three quarters of the cluster's units are busy on average, so the queue
-/// stays short.
-fn source(n: u64) -> impl Iterator<Item = Job> {
-    let mut i = 0;
-    std::iter::from_fn(move || {
-        (i < n).then(|| {
-            let arrival = i as f64;
-            let job = Job::builder(JobId(i), JobClass::Batch)
-                .arrival(arrival)
-                .total_work(4.0 + (i * 7 % 11) as f64)
-                .demand_per_unit(ResourceVector::of(2.0, 4.0, 0.0, 1.0))
-                .parallelism_range(1, 2)
-                .speedup(SpeedupModel::Linear)
-                .deadline(arrival + 30.0)
-                .utility(TimeUtility::hard(1.0))
-                .build();
-            i += 1;
-            job
-        })
-    })
+/// Job `i` of the stream: one arrival per second. About three quarters of
+/// the cluster's units are busy on average, so the queue stays short.
+fn job(i: u64) -> Job {
+    let arrival = i as f64;
+    Job::builder(JobId(i), JobClass::Batch)
+        .arrival(arrival)
+        .total_work(4.0 + (i * 7 % 11) as f64)
+        .demand_per_unit(ResourceVector::of(2.0, 4.0, 0.0, 1.0))
+        .parallelism_range(1, 2)
+        .speedup(SpeedupModel::Linear)
+        .deadline(arrival + 30.0)
+        .utility(TimeUtility::hard(1.0))
+        .build()
 }
 
-fn streamed(n: u64) -> usize {
+/// Run `n` jobs generated on demand, with an exact size hint or none.
+fn streamed(n: u64, hinted: bool) -> usize {
     let mut cfg = SimConfig::default();
     cfg.bounded_metrics = true;
     cfg.decision_interval = Some(5.0);
     cfg.max_sim_time = 1e9;
     let mut sim = Simulator::new(cluster(), cfg);
     let mut view = sim.view();
-    let summary = sim.run_source(source(n), &mut FirstFit, &mut view);
+    let mut jobs = (0..n).map(job);
+    let summary = if hinted {
+        assert_eq!(jobs.size_hint(), (n as usize, Some(n as usize)));
+        sim.run_source(jobs, &mut FirstFit, &mut view)
+    } else {
+        let unhinted = std::iter::from_fn(|| jobs.next());
+        sim.run_source(unhinted, &mut FirstFit, &mut view)
+    };
     assert_eq!(summary.total_jobs, n as usize);
     assert_eq!(summary.completed_jobs, n as usize, "every job completes");
     summary.completed_jobs
@@ -102,20 +103,26 @@ fn streamed_peak_does_not_grow_with_the_job_count() {
     const LONG: u64 = 20_000;
 
     // Warm up lazy-init state outside the measurements.
-    streamed(64);
-    let (_, short_peak) = metered(|| {
-        streamed(SHORT);
-    });
-    let (_, long_peak) = metered(|| {
-        streamed(LONG);
-    });
-    eprintln!("streaming {SHORT}: peak {short_peak} B; streaming {LONG}: peak {long_peak} B");
+    streamed(64, false);
+    for hinted in [false, true] {
+        let (_, short_peak) = metered(|| {
+            streamed(SHORT, hinted);
+        });
+        let (_, long_peak) = metered(|| {
+            streamed(LONG, hinted);
+        });
+        eprintln!(
+            "hinted {hinted}: streaming {SHORT}: peak {short_peak} B; \
+             streaming {LONG}: peak {long_peak} B"
+        );
 
-    // Ten times the arrivals may only add amortised growth of buffers
-    // sized by the queue's deepest point; 16 bytes per arrival kept until
-    // the end of the run would add over 300 kB.
-    assert!(
-        long_peak < short_peak + short_peak / 2,
-        "streamed peak grew with the job count: {short_peak} B -> {long_peak} B"
-    );
+        // Ten times the arrivals may only add amortised growth of buffers
+        // sized by the queue's deepest point; 16 bytes per arrival kept
+        // until the end of the run would add over 300 kB.
+        assert!(
+            long_peak < short_peak + short_peak / 2,
+            "hinted {hinted}: streamed peak grew with the job count: \
+             {short_peak} B -> {long_peak} B"
+        );
+    }
 }
