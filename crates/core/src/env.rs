@@ -263,7 +263,15 @@ impl Environment for SchedulingEnv {
         let is_wait = matches!(decoded, Action::Wait);
         let outcome = {
             let sim = self.sim.as_mut().expect("no active episode");
-            sim.apply(&decoded)
+            let outcome = sim.apply(&decoded);
+            // One refill per step, right after the action: nothing changes
+            // the simulation before the deadlock guard below reads it. One
+            // retained view per episode: dropping the consumed deltas here
+            // keeps the engine's change log bounded by one epoch over
+            // arbitrarily long episodes.
+            sim.view_into(&mut view);
+            sim.compact_log(&view);
+            outcome
         };
 
         // Decide whether to stay at this decision epoch (more scheduling to
@@ -271,21 +279,13 @@ impl Environment for SchedulingEnv {
         self.epoch_actions += 1;
         let stay =
             !is_wait && !outcome.is_invalid() && self.epoch_actions < self.max_actions_per_epoch();
-        if stay {
-            let sim = self.sim.as_mut().expect("no active episode");
-            sim.view_into(&mut view);
-            // One retained view per episode: dropping the consumed deltas
-            // here keeps the engine's change log bounded by one epoch over
-            // arbitrarily long episodes.
-            sim.compact_log(&view);
-            if self.has_feasible_work(&view) {
-                // Stay at the epoch: reward only reflects shaping on the new
-                // snapshot (no time has passed).
-                let reward = self.collect_reward(&view);
-                self.write_step_into(&view, observation, mask);
-                self.current_view = Some(view);
-                return (reward, false);
-            }
+        if stay && self.has_feasible_work(&view) {
+            // Stay at the epoch: reward only reflects shaping on the new
+            // snapshot (no time has passed).
+            let reward = self.collect_reward(&view);
+            self.write_step_into(&view, observation, mask);
+            self.current_view = Some(view);
+            return (reward, false);
         }
 
         // Deadlock guard: nothing is running, nothing will ever arrive, and
@@ -293,16 +293,11 @@ impl Environment for SchedulingEnv {
         // The simulation state can never change again, so end the episode and
         // forfeit the pending jobs rather than spinning on empty decision
         // epochs.
-        {
-            let sim = self.sim.as_mut().expect("no active episode");
-            sim.view_into(&mut view);
-            sim.compact_log(&view);
-            if sim.is_stalled() {
-                let reward = self.collect_reward(&view);
-                self.write_terminal_into(observation, mask);
-                self.current_view = Some(view);
-                return (reward, true);
-            }
+        if self.sim.as_ref().expect("no active episode").is_stalled() {
+            let reward = self.collect_reward(&view);
+            self.write_terminal_into(observation, mask);
+            self.current_view = Some(view);
+            return (reward, true);
         }
 
         let alive = {

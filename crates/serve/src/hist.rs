@@ -2,25 +2,36 @@
 //!
 //! The serving plane records one latency sample per decision (and, in
 //! wall-clock mode, per epoch), so the recorder must be allocation-free and
-//! O(1): [`LatencyHistogram`] buckets samples geometrically — 16 sub-buckets
-//! per octave starting at one nanosecond, 1024 buckets total, covering
-//! `[1e-9 s, ~5.8e11 s)` with a worst-case relative quantile error of
-//! `2^(1/16) ≈ 4.4%` — in a single preallocated `u64` array. Histograms
-//! merge exactly (bucket-wise addition), so per-shard telemetry folds into a
-//! fleet view without re-reading samples.
+//! O(1): [`LatencyHistogram`] is the engine's [`LogHistogram`] with a
+//! latency layout — 16 sub-buckets per octave starting at one nanosecond,
+//! 1024 buckets total, covering `[1e-9 s, ~5.8e11 s)` with a worst-case
+//! relative quantile error of `2^(1/32) ≈ 2.2%` — in a single preallocated
+//! `u64` array. Histograms merge exactly (bucket-wise addition), so
+//! per-shard telemetry folds into a fleet view without re-reading samples.
 
-use std::fmt;
+use tcrm_sim::{HistogramLayout, LogHistogram};
 
 /// Smallest representable latency (seconds). Samples at or below this (and
 /// non-finite or negative samples) land in bucket 0.
 pub const MIN_LATENCY: f64 = 1e-9;
 
 /// Sub-buckets per factor-of-two octave. Higher means finer quantiles at the
-/// cost of more (still fixed) memory; 16 keeps the relative error under 4.4%.
+/// cost of more (still fixed) memory; 16 keeps the relative error under 2.2%.
 pub const SUBBUCKETS_PER_OCTAVE: u32 = 16;
 
 /// Total bucket count: 64 octaves × 16 sub-buckets.
 pub const NUM_BUCKETS: usize = 1024;
+
+/// The latency layout: [`MIN_LATENCY`], [`SUBBUCKETS_PER_OCTAVE`],
+/// [`NUM_BUCKETS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LatencyLayout;
+
+impl HistogramLayout for LatencyLayout {
+    const MIN: f64 = MIN_LATENCY;
+    const SUBBUCKETS_PER_OCTAVE: u32 = SUBBUCKETS_PER_OCTAVE;
+    const NUM_BUCKETS: usize = NUM_BUCKETS;
+}
 
 /// An allocation-free, mergeable latency histogram over seconds.
 ///
@@ -35,204 +46,4 @@ pub const NUM_BUCKETS: usize = 1024;
 /// assert!((p50 / 0.5 - 1.0).abs() < 0.05, "p50 within bucket error: {p50}");
 /// assert_eq!(h.count(), 1000);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencyHistogram {
-    buckets: Box<[u64; NUM_BUCKETS]>,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyHistogram {
-    /// An empty histogram. The only allocation this type ever performs.
-    pub fn new() -> Self {
-        Self {
-            buckets: Box::new([0u64; NUM_BUCKETS]),
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Bucket index of one sample: `floor(16 · log2(v / MIN))`, clamped to
-    /// the array. Pure arithmetic — no allocation, no branches on data size.
-    fn bucket_index(value: f64) -> usize {
-        if !(value > MIN_LATENCY) {
-            return 0;
-        }
-        let idx = ((value / MIN_LATENCY).log2() * SUBBUCKETS_PER_OCTAVE as f64) as usize;
-        idx.min(NUM_BUCKETS - 1)
-    }
-
-    /// Geometric midpoint of bucket `i` — the representative value quantiles
-    /// report. Within `2^(1/32) ≈ 2.2%` of every sample in the bucket.
-    fn bucket_mid(index: usize) -> f64 {
-        MIN_LATENCY * ((index as f64 + 0.5) / SUBBUCKETS_PER_OCTAVE as f64).exp2()
-    }
-
-    /// Record one latency sample (seconds). O(1), allocation-free.
-    pub fn record(&mut self, value: f64) {
-        let v = if value.is_finite() {
-            value.max(0.0)
-        } else {
-            0.0
-        };
-        self.buckets[Self::bucket_index(v)] += 1;
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Nearest-rank quantile estimate for `q ∈ [0, 1]`; 0 when empty. The
-    /// estimate is the bucket midpoint clamped to the observed `[min, max]`,
-    /// so extreme quantiles never overshoot the data.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Self::bucket_mid(i).clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Fold `other` into `self`. Exact: bucket-wise addition, so
-    /// `merge(a, b)` and `merge(b, a)` produce identical buckets, counts and
-    /// extrema regardless of grouping.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (dst, src) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *dst += src;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Arithmetic mean of the raw samples (exact, not bucketed); 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest recorded sample; 0 if empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest recorded sample; 0 if empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Raw bucket occupancies (tests and merge-exactness checks).
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.buckets[..]
-    }
-}
-
-impl fmt::Display for LatencyHistogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} p50={:.6}s p99={:.6}s p999={:.6}s max={:.6}s",
-            self.count,
-            self.quantile(0.50),
-            self.quantile(0.99),
-            self.quantile(0.999),
-            self.max()
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn empty_histogram_reports_zeroes() {
-        let h = LatencyHistogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.min(), 0.0);
-        assert_eq!(h.max(), 0.0);
-    }
-
-    #[test]
-    fn single_sample_is_every_quantile() {
-        let mut h = LatencyHistogram::new();
-        h.record(0.125);
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            let v = h.quantile(q);
-            assert!((v / 0.125 - 1.0).abs() < 0.05, "q={q}: {v}");
-        }
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.min(), 0.125);
-        assert_eq!(h.max(), 0.125);
-    }
-
-    #[test]
-    fn degenerate_samples_land_in_bucket_zero() {
-        let mut h = LatencyHistogram::new();
-        h.record(0.0);
-        h.record(-3.0);
-        h.record(f64::NAN);
-        h.record(f64::INFINITY);
-        h.record(5e-10);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.bucket_counts()[0], 5);
-        assert!(h.quantile(0.5) <= MIN_LATENCY, "clamped to observed range");
-    }
-
-    #[test]
-    fn quantiles_track_a_known_distribution() {
-        let mut h = LatencyHistogram::new();
-        for i in 1..=10_000u32 {
-            h.record(f64::from(i) * 1e-4); // 0.1ms .. 1s uniform
-        }
-        for (q, expect) in [(0.5, 0.5), (0.9, 0.9), (0.99, 0.99)] {
-            let v = h.quantile(q);
-            assert!(
-                (v / expect - 1.0).abs() < 0.05,
-                "q={q}: got {v}, want ~{expect}"
-            );
-        }
-    }
-}
+pub type LatencyHistogram = LogHistogram<LatencyLayout>;

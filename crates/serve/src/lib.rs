@@ -41,7 +41,7 @@ pub mod session;
 pub mod telemetry;
 
 pub use events::{ServeEvent, ShedPolicy};
-pub use hist::{LatencyHistogram, MIN_LATENCY, NUM_BUCKETS, SUBBUCKETS_PER_OCTAVE};
+pub use hist::{LatencyHistogram, LatencyLayout, MIN_LATENCY, NUM_BUCKETS, SUBBUCKETS_PER_OCTAVE};
 pub use mux::{produce_blocks, BlockChannel, BlockMux, DEFAULT_CHUNK};
 pub use session::{ClockMode, ServeConfig, ServeProgress, ServeReport, ServeSession};
 pub use telemetry::{ClassCounters, ServeTelemetry};

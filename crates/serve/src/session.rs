@@ -22,8 +22,8 @@
 //! `producers × chunk × (channel_capacity + warm-up blocks) + queue_cap`
 //! jobs plus the engine's running set — independent of how many arrivals
 //! the run serves. Pair it with
-//! [`SimConfig::bounded_metrics`](tcrm_sim::SimConfig) (which folds
-//! per-job metrics into fixed-size aggregates) and `log_events: false` to
+//! [`SimConfig::bounded_metrics`](tcrm_sim::SimConfig) (which drops the
+//! per-job completion log and the utilisation trace) and `log_events: false` to
 //! keep a million-arrival run's footprint flat; block buffers are recycled
 //! through a back-channel, so the steady-state ingest loop allocates
 //! nothing after warm-up. A job vector is served by replaying it:

@@ -39,13 +39,14 @@ impl Allocation {
     pub fn new(
         job: JobId,
         class: NodeClassId,
-        placements: Vec<Placement>,
+        mut placements: Vec<Placement>,
         demand_per_unit: ResourceVector,
     ) -> Self {
+        placements.retain(|p| p.units > 0);
         Allocation {
             job,
             class,
-            placements: placements.into_iter().filter(|p| p.units > 0).collect(),
+            placements,
             demand_per_unit,
         }
     }

@@ -259,28 +259,48 @@ impl Cluster {
         per_unit: &ResourceVector,
         units: u32,
     ) -> Option<Vec<Placement>> {
-        self.trivial_placement(class, per_unit, units)
-            .unwrap_or_else(|| self.find_placement_indexed(class, per_unit, units))
+        let mut placements = Vec::new();
+        self.find_placement_into(class, per_unit, units, &mut placements)
+            .then_some(placements)
+    }
+
+    /// [`Self::find_placement`] into a caller-retained buffer, which is
+    /// cleared first: true when the units fit (the buffer then holds the
+    /// placement), false otherwise. The engine recycles the buffers of
+    /// finished allocations through this, so starting a job does not
+    /// allocate once the buffers have grown.
+    pub fn find_placement_into(
+        &self,
+        class: NodeClassId,
+        per_unit: &ResourceVector,
+        units: u32,
+        placements: &mut Vec<Placement>,
+    ) -> bool {
+        placements.clear();
+        if let Some(fits) = self.trivial_placement(class, per_unit, units, placements) {
+            return fits;
+        }
+        self.find_placement_indexed(class, per_unit, units, placements)
     }
 
     /// The answer both placement paths give without searching: no units
     /// place nowhere, and zero-demand units trivially fit on the first
-    /// machine of the class. `None` when a search is needed.
+    /// machine of the class (pushed to `placements`). `None` when a search
+    /// is needed.
     fn trivial_placement(
         &self,
         class: NodeClassId,
         per_unit: &ResourceVector,
         units: u32,
-    ) -> Option<Option<Vec<Placement>>> {
+        placements: &mut Vec<Placement>,
+    ) -> Option<bool> {
         if units == 0 {
-            return Some(None);
+            return Some(false);
         }
         if per_unit.total() <= 0.0 {
-            return Some(
-                self.nodes_of_class(class)
-                    .next()
-                    .map(|n| vec![Placement { node: n.id, units }]),
-            );
+            let first = self.nodes_of_class(class).next();
+            placements.extend(first.map(|n| Placement { node: n.id, units }));
+            return Some(first.is_some());
         }
         None
     }
@@ -293,10 +313,10 @@ impl Cluster {
         class: NodeClassId,
         per_unit: &ResourceVector,
         units: u32,
-    ) -> Option<Vec<Placement>> {
+        placements: &mut Vec<Placement>,
+    ) -> bool {
         let slice = self.class_nodes(class);
         let mut remaining = units;
-        let mut placements = Vec::new();
         let floor = rank_floor(per_unit, &self.unit_capacity_of_class(class));
         for idx in self.fit[class.0].nodes_desc_from(floor) {
             let node = &slice[idx];
@@ -311,10 +331,10 @@ impl Cluster {
             });
             remaining -= take;
             if remaining == 0 {
-                return Some(placements);
+                return true;
             }
         }
-        None
+        false
     }
 
     /// Reference placement: the pre-index slice walk, a test oracle that the
@@ -328,8 +348,9 @@ impl Cluster {
         per_unit: &ResourceVector,
         units: u32,
     ) -> Option<Vec<Placement>> {
-        if let Some(trivial) = self.trivial_placement(class, per_unit, units) {
-            return trivial;
+        let mut placements = Vec::new();
+        if let Some(fits) = self.trivial_placement(class, per_unit, units, &mut placements) {
+            return fits.then_some(placements);
         }
         let cap = self.unit_capacity_of_class(class);
         let mut candidates: Vec<(&Node, u32, u8)> = self
@@ -340,7 +361,6 @@ impl Cluster {
         // Emptiest bucket first, then lowest id.
         candidates.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.id.cmp(&b.0.id)));
         let mut remaining = units;
-        let mut placements = Vec::new();
         for (node, fit, _) in candidates {
             if remaining == 0 {
                 break;

@@ -301,13 +301,14 @@ pub struct SimConfig {
     /// Hard cap on simulated time; the run aborts (completing metrics for the
     /// finished jobs only) if exceeded. Guards against livelock.
     pub max_sim_time: f64,
-    /// Fold metrics into fixed-size streaming aggregates instead of keeping
-    /// a per-job completion log and a full utilisation trace, so a run's
-    /// metric footprint is O(1) in the number of jobs. Every
-    /// [`crate::Summary`] field stays exact except the slowdown percentiles,
-    /// which come from a log-bucketed histogram (relative error ≤ 2.2%).
-    /// Million-arrival serving runs turn this on; evaluation sweeps that
-    /// need exact percentiles or the utilisation trace leave it off.
+    /// Drop the per-job completion log and the utilisation trace, so a run's
+    /// metric footprint is O(1) in the number of jobs. Every run builds its
+    /// [`crate::Summary`] from the same streaming aggregates, so every field
+    /// is identical either way except the slowdown percentiles: exact from
+    /// the sorted log when it is kept, from a log-bucketed histogram
+    /// (relative error ≤ 1.1%) when it is dropped. Million-arrival serving
+    /// runs turn this on; evaluation sweeps that need exact percentiles or
+    /// the utilisation trace leave it off.
     #[serde(default)]
     pub bounded_metrics: bool,
 }

@@ -311,6 +311,9 @@ pub struct Simulator {
     /// [`Self::view`] exposes. Maintained incrementally on start/completion
     /// so building a view never re-sorts.
     running_order: Vec<JobId>,
+    /// Placement buffers of finished allocations, reused by the next start
+    /// or scale-up so steady-state stepping does not allocate.
+    placement_pool: Vec<Vec<Placement>>,
     metrics: MetricsCollector,
     total_jobs: usize,
     /// The one future arrival, held outside the event heap; [`Self::advance`]
@@ -372,6 +375,7 @@ impl Simulator {
             pending: PendingQueue::new(),
             running: HashMap::new(),
             running_order: Vec::new(),
+            placement_pool: Vec::new(),
             metrics: MetricsCollector::new(),
             total_jobs: 0,
             next_arrival: None,
@@ -418,7 +422,7 @@ impl Simulator {
     /// Completion records collected so far (the RL environment reads newly
     /// appended entries to compute rewards between decision epochs).
     pub fn completed_so_far(&self) -> &[CompletedJob] {
-        &self.metrics.completed
+        self.metrics.completed()
     }
 
     /// Total number of jobs submitted via [`Self::start`].
@@ -447,12 +451,17 @@ impl Simulator {
     /// once before [`Self::advance`].
     pub fn start(&mut self, mut jobs: Vec<Job>) {
         self.begin_run(jobs.len());
-        jobs.sort_by(|a, b| {
+        let order = |a: &Job, b: &Job| {
             a.arrival
                 .partial_cmp(&b.arrival)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.id.cmp(&b.id))
-        });
+        };
+        // Workload sources emit sorted lists; skipping their sort keeps
+        // replications free of its scratch allocation.
+        if !jobs.is_sorted_by(|a, b| order(a, b).is_le()) {
+            jobs.sort_by(order);
+        }
         self.total_jobs = jobs.len();
         self.staged = jobs.into_iter();
         self.next_arrival = self.staged.next();
@@ -964,10 +973,11 @@ impl Simulator {
     pub fn finalize(mut self) -> SimulationResult {
         self.charge_unfinished();
         let summary = self.metrics.summarize(self.total_jobs);
+        let (completed, trace) = self.metrics.into_log();
         SimulationResult {
             summary,
-            completed: self.metrics.completed,
-            trace: self.metrics.trace,
+            completed,
+            trace,
         }
     }
 
@@ -1066,7 +1076,8 @@ impl Simulator {
     /// however large the hint. Like [`Self::run_reusing`], the simulator is
     /// [`Self::reset`] first and every per-run buffer is retained across
     /// calls, so replication sweeps stay allocation-free after the first
-    /// (warm-up) run (pinned by `tests/alloc_free.rs`).
+    /// (warm-up) run, job starts, completions and the summary included
+    /// (pinned by `tests/alloc_free.rs`).
     pub fn run_source<S, I>(
         &mut self,
         source: I,
@@ -1321,6 +1332,17 @@ impl Simulator {
             avg_parallelism,
             scale_count: r.scale_count,
         });
+        self.placement_pool.push(r.alloc.placements);
+    }
+
+    /// A placement buffer from the pool, or a new one. A new buffer joins
+    /// the circulation (one per running job plus the pool), so the pool
+    /// makes room for all of them here: returning a buffer never grows it.
+    fn placement_buffer(&mut self) -> Vec<Placement> {
+        self.placement_pool.pop().unwrap_or_else(|| {
+            self.placement_pool.reserve(self.running.len() + 1);
+            Vec::new()
+        })
     }
 
     fn apply_start(
@@ -1338,9 +1360,14 @@ impl Simulator {
         };
         let units = job.clamp_parallelism(parallelism);
         let demand = job.demand_per_unit;
-        let Some(placements) = self.cluster.find_placement(class, &demand, units) else {
+        let mut placements = self.placement_buffer();
+        if !self
+            .cluster
+            .find_placement_into(class, &demand, units, &mut placements)
+        {
+            self.placement_pool.push(placements);
             return ActionOutcome::Invalid("insufficient capacity");
-        };
+        }
         let (job, pending_pos) = self.pending.remove(job_id).expect("pending job vanished");
         self.log
             .push(ViewDelta::PendingRemoved { pos: pending_pos });
@@ -1440,9 +1467,14 @@ impl Simulator {
         let speedup = r.job.speedup;
         if target > current {
             let extra = target - current;
-            let Some(placements) = self.cluster.find_placement(class, &demand, extra) else {
+            let mut placements = self.placement_buffer();
+            if !self
+                .cluster
+                .find_placement_into(class, &demand, extra, &mut placements)
+            {
+                self.placement_pool.push(placements);
                 return ActionOutcome::Invalid("insufficient capacity for scale-up");
-            };
+            }
             self.cluster.apply_placement(&demand, &placements);
             self.log_node_frees(&placements);
             let r = self.running.get_mut(&job_id).expect("running job vanished");
@@ -1454,6 +1486,7 @@ impl Simulator {
             r.scale_count += 1;
             r.last_scaled_at = self.time;
             r.rate = speed * speedup.speedup(r.alloc.total_units());
+            self.placement_pool.push(placements);
         } else {
             let shrink_by = current - target;
             let r = self.running.get_mut(&job_id).expect("running job vanished");

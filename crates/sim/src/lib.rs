@@ -62,6 +62,7 @@ pub mod config;
 pub mod engine;
 pub mod event;
 pub mod fit_index;
+pub mod hist;
 pub mod job;
 pub mod metrics;
 pub mod node;
@@ -77,10 +78,11 @@ pub use config::{ClusterSpec, NodeClassSpec, PowerModel, SimConfig};
 pub use engine::{EpochHooks, EpochKind, SimulationResult, Simulator};
 pub use event::{Event, EventKind, EventQueue};
 pub use fit_index::{bucket_rank, rank_floor, FitIndex, MAX_RANK, NUM_RANKS};
+pub use hist::{HistogramLayout, LogHistogram};
 pub use job::{Job, JobBuilder, JobClass, JobId, JobState, SpeedupModel, TimeUtility};
 pub use metrics::{
-    BoundedStats, CompletedJob, EnergyReport, MetricsCollector, PerClassUtilization, Summary,
-    UtilizationSample, UtilizationTrace, MAX_NODE_CLASSES,
+    CompletedJob, EnergyReport, MetricsCollector, PerClassUtilization, Summary, UtilizationSample,
+    UtilizationTrace, MAX_NODE_CLASSES,
 };
 pub use node::{Node, NodeClassId, NodeId};
 pub use pending::PendingQueue;

@@ -2,6 +2,7 @@
 //! summary statistics reported in every table and figure of the evaluation.
 
 use crate::config::ClusterSpec;
+use crate::hist::{HistogramLayout, LogHistogram};
 use crate::job::{JobClass, JobId};
 use crate::resources::ResourceVector;
 use crate::stats;
@@ -184,9 +185,8 @@ impl EnergyReport {
 }
 
 impl UtilizationTrace {
-    /// Mean overall utilisation across samples. Single-pass (no scratch
-    /// buffer): this runs inside `Summary::from_collector` on the
-    /// allocation-free replication path.
+    /// Mean overall utilisation across samples; the same value as
+    /// [`Summary::mean_utilization`] of the run that recorded the trace.
     pub fn mean_overall(&self) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
@@ -336,90 +336,22 @@ fn default_fairness() -> f64 {
 }
 
 impl Summary {
-    /// Compute a summary from raw collector state.
-    fn from_collector(c: &MetricsCollector, total_jobs: usize) -> Summary {
-        let completed = &c.completed;
-        let slowdowns: Vec<f64> = completed.iter().map(|j| j.slowdown).collect();
-        let waits: Vec<f64> = completed.iter().map(|j| j.wait).collect();
-        let responses: Vec<f64> = completed.iter().map(|j| j.response).collect();
-        let parallelism: Vec<f64> = completed.iter().map(|j| j.avg_parallelism).collect();
-        let missed = completed.iter().filter(|j| j.missed).count();
-        let unfinished = total_jobs.saturating_sub(completed.len());
-        let total_utility: f64 = completed.iter().map(|j| j.utility).sum();
-        // Unfinished jobs forfeit their utility; count their maximum toward
-        // the achievable total so the ratio penalises them.
-        let max_total_utility: f64 =
-            completed.iter().map(|j| j.max_utility).sum::<f64>() + c.unfinished_max_utility;
-        let first_arrival = completed
-            .iter()
-            .map(|j| j.arrival)
-            .fold(f64::INFINITY, f64::min);
-        let last_finish = completed
-            .iter()
-            .map(|j| j.finish)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let makespan = if completed.is_empty() {
-            0.0
-        } else {
-            (last_finish - first_arrival).max(0.0)
-        };
-        let mut per_class_miss_rate = [0.0; JobClass::COUNT];
-        let mut per_class_mean_slowdown = [0.0; JobClass::COUNT];
-        for class in JobClass::ALL {
-            let of_class: Vec<&CompletedJob> =
-                completed.iter().filter(|j| j.class == class).collect();
-            if !of_class.is_empty() {
-                per_class_miss_rate[class.index()] =
-                    of_class.iter().filter(|j| j.missed).count() as f64 / of_class.len() as f64;
-                per_class_mean_slowdown[class.index()] =
-                    stats::mean(&of_class.iter().map(|j| j.slowdown).collect::<Vec<_>>());
-            }
-        }
-        let effective_missed = missed + unfinished;
-        Summary {
-            total_jobs,
-            completed_jobs: completed.len(),
-            unfinished_jobs: unfinished,
-            missed_jobs: missed,
-            miss_rate: if total_jobs > 0 {
-                effective_missed as f64 / total_jobs as f64
-            } else {
-                0.0
-            },
-            mean_slowdown: stats::mean(&slowdowns),
-            p50_slowdown: stats::percentile(&slowdowns, 50.0),
-            p95_slowdown: stats::percentile(&slowdowns, 95.0),
-            p99_slowdown: stats::percentile(&slowdowns, 99.0),
-            mean_wait: stats::mean(&waits),
-            mean_response: stats::mean(&responses),
-            total_utility,
-            max_total_utility,
-            utility_ratio: if max_total_utility > 0.0 {
-                total_utility / max_total_utility
-            } else {
-                0.0
-            },
-            makespan,
-            mean_utilization: c.trace.mean_overall(),
-            per_class_miss_rate,
-            per_class_mean_slowdown,
-            slowdown_fairness: stats::jain_fairness(&slowdowns),
-            mean_parallelism: stats::mean(&parallelism),
-            scale_events: c.scale_events,
-            invalid_actions: c.invalid_actions,
-            decision_epochs: c.decision_epochs,
-        }
-    }
-
-    /// Compute a summary from the bounded streaming aggregates. Every field
-    /// replicates [`Self::from_collector`]'s formula exactly from the folded
-    /// sums (`mean = Σx / n`, Jain fairness `(Σx)² / (n·Σx²)`, makespan from
-    /// the running extrema) except the slowdown percentiles, which come from
-    /// the log-bucketed histogram.
-    fn from_bounded(c: &MetricsCollector, b: &BoundedStats, total_jobs: usize) -> Summary {
+    /// Build the summary of a run from the collector's streaming
+    /// aggregates. Each field is the batch formula over the completion
+    /// records, folded left to right in completion order (`mean = Σx / n`,
+    /// Jain fairness `(Σx)² / (n·Σx²)`, makespan from the running extrema);
+    /// `slowdown_percentiles` are the p50/p95/p99 bounded slowdowns.
+    fn from_stats(
+        c: &MetricsCollector,
+        total_jobs: usize,
+        slowdown_percentiles: [f64; 3],
+    ) -> Summary {
+        let b = &c.stats;
         let n = b.completed;
         let mean = |sum: f64| if n > 0 { sum / n as f64 } else { 0.0 };
         let unfinished = total_jobs.saturating_sub(n);
+        // Unfinished jobs forfeit their utility; count their maximum toward
+        // the achievable total so the ratio penalises them.
         let max_total_utility = b.completed_max_utility + c.unfinished_max_utility;
         let mut per_class_miss_rate = [0.0; JobClass::COUNT];
         let mut per_class_mean_slowdown = [0.0; JobClass::COUNT];
@@ -432,6 +364,7 @@ impl Summary {
             }
         }
         let effective_missed = b.missed + unfinished;
+        let [p50_slowdown, p95_slowdown, p99_slowdown] = slowdown_percentiles;
         Summary {
             total_jobs,
             completed_jobs: n,
@@ -443,9 +376,9 @@ impl Summary {
                 0.0
             },
             mean_slowdown: mean(b.sum_slowdown),
-            p50_slowdown: b.slowdown_percentile(50.0),
-            p95_slowdown: b.slowdown_percentile(95.0),
-            p99_slowdown: b.slowdown_percentile(99.0),
+            p50_slowdown,
+            p95_slowdown,
+            p99_slowdown,
             mean_wait: mean(b.sum_wait),
             mean_response: mean(b.sum_response),
             total_utility: b.total_utility,
@@ -480,34 +413,33 @@ impl Summary {
     }
 }
 
-/// Smallest bucketed slowdown; samples at or below land in bucket 0.
-/// Bounded slowdown is `response / max(best_case, 1s)`, so values below 1
-/// are rare and values below this are impossible in practice.
-const MIN_SLOWDOWN: f64 = 1e-3;
+/// The bounded slowdown histogram's layout: 32 sub-buckets per octave from
+/// `1e-3` over 64 octaves (2048 buckets) cover `[1e-3, ~1.8e16)`. Bounded
+/// slowdown is `response / max(best_case, 1s)`, so values below 1 are rare
+/// and values below `1e-3` are impossible in practice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SlowdownLayout;
 
-/// Sub-buckets per factor-of-two octave of the bounded slowdown histogram.
-const SLOWDOWN_SUBBUCKETS: u32 = 32;
+impl HistogramLayout for SlowdownLayout {
+    const MIN: f64 = 1e-3;
+    const SUBBUCKETS_PER_OCTAVE: u32 = 32;
+    const NUM_BUCKETS: usize = 64 * 32;
+}
 
-/// Total bucket count of the bounded slowdown histogram: 64 octaves cover
-/// `[1e-3, ~1.8e16)`.
-const SLOWDOWN_BUCKETS: usize = 64 * SLOWDOWN_SUBBUCKETS as usize;
-
-/// Fixed-size streaming replacement for the per-job completion log, used
-/// when [`crate::SimConfig::bounded_metrics`] is on. Every [`Summary`]
-/// aggregate is folded incrementally — sums, per-class arrays, extrema and
-/// a log-bucketed slowdown histogram — so the metric footprint of a run is
-/// O(1) in the number of jobs. All summary fields are exact except the
-/// slowdown percentiles, whose bucket resolution bounds the relative error
-/// at `2^(1/64) ≈ 1.1%` (clamped to the observed min/max, so degenerate
-/// distributions stay exact).
+/// The streaming aggregates every [`Summary`] is built from: sums,
+/// per-class arrays and extrema folded one completion (or utilisation
+/// sample) at a time, so they are O(1) in the number of jobs. When the
+/// per-job log is dropped ([`crate::SimConfig::bounded_metrics`]) a
+/// log-bucketed slowdown histogram is folded too and supplies the slowdown
+/// percentiles, with a relative error of at most `2^(1/64) ≈ 1.1%`
+/// (clamped to the observed min/max, so degenerate distributions stay
+/// exact).
 #[derive(Debug, Clone, PartialEq)]
-pub struct BoundedStats {
+struct BoundedStats {
     completed: usize,
     missed: usize,
     sum_slowdown: f64,
     sum_slowdown_sq: f64,
-    min_slowdown: f64,
-    max_slowdown: f64,
     sum_wait: f64,
     sum_response: f64,
     sum_parallelism: f64,
@@ -518,9 +450,9 @@ pub struct BoundedStats {
     per_class_count: [usize; JobClass::COUNT],
     per_class_missed: [usize; JobClass::COUNT],
     per_class_sum_slowdown: [f64; JobClass::COUNT],
-    slowdown_hist: Box<[u64; SLOWDOWN_BUCKETS]>,
     util_sum: f64,
     util_samples: u64,
+    slowdown_hist: Option<LogHistogram<SlowdownLayout>>,
 }
 
 impl Default for BoundedStats {
@@ -530,16 +462,13 @@ impl Default for BoundedStats {
 }
 
 impl BoundedStats {
-    /// An empty accumulator. The histogram box is the only allocation this
-    /// type ever performs; [`Self::reset`] reuses it across runs.
-    pub fn new() -> Self {
+    /// An empty accumulator without a slowdown histogram.
+    fn new() -> Self {
         BoundedStats {
             completed: 0,
             missed: 0,
             sum_slowdown: 0.0,
             sum_slowdown_sq: 0.0,
-            min_slowdown: f64::INFINITY,
-            max_slowdown: f64::NEG_INFINITY,
             sum_wait: 0.0,
             sum_response: 0.0,
             sum_parallelism: 0.0,
@@ -550,50 +479,20 @@ impl BoundedStats {
             per_class_count: [0; JobClass::COUNT],
             per_class_missed: [0; JobClass::COUNT],
             per_class_sum_slowdown: [0.0; JobClass::COUNT],
-            slowdown_hist: Box::new([0; SLOWDOWN_BUCKETS]),
             util_sum: 0.0,
             util_samples: 0,
+            slowdown_hist: None,
         }
     }
 
     /// Clear every aggregate in place, keeping the histogram allocation.
-    pub fn reset(&mut self) {
-        self.completed = 0;
-        self.missed = 0;
-        self.sum_slowdown = 0.0;
-        self.sum_slowdown_sq = 0.0;
-        self.min_slowdown = f64::INFINITY;
-        self.max_slowdown = f64::NEG_INFINITY;
-        self.sum_wait = 0.0;
-        self.sum_response = 0.0;
-        self.sum_parallelism = 0.0;
-        self.total_utility = 0.0;
-        self.completed_max_utility = 0.0;
-        self.first_arrival = f64::INFINITY;
-        self.last_finish = f64::NEG_INFINITY;
-        self.per_class_count = [0; JobClass::COUNT];
-        self.per_class_missed = [0; JobClass::COUNT];
-        self.per_class_sum_slowdown = [0.0; JobClass::COUNT];
-        self.slowdown_hist.fill(0);
-        self.util_sum = 0.0;
-        self.util_samples = 0;
-    }
-
-    /// Number of completions folded in.
-    pub fn completed(&self) -> usize {
-        self.completed
-    }
-
-    fn bucket_index(value: f64) -> usize {
-        if !(value > MIN_SLOWDOWN) {
-            return 0;
-        }
-        let idx = ((value / MIN_SLOWDOWN).log2() * SLOWDOWN_SUBBUCKETS as f64) as usize;
-        idx.min(SLOWDOWN_BUCKETS - 1)
-    }
-
-    fn bucket_mid(index: usize) -> f64 {
-        MIN_SLOWDOWN * ((index as f64 + 0.5) / SLOWDOWN_SUBBUCKETS as f64).exp2()
+    fn reset(&mut self) {
+        let hist = self.slowdown_hist.take();
+        *self = Self::new();
+        self.slowdown_hist = hist.map(|mut h| {
+            h.reset();
+            h
+        });
     }
 
     /// Fold one completion record in. O(1), allocation-free.
@@ -605,8 +504,6 @@ impl BoundedStats {
         }
         self.sum_slowdown += job.slowdown;
         self.sum_slowdown_sq += job.slowdown * job.slowdown;
-        self.min_slowdown = self.min_slowdown.min(job.slowdown);
-        self.max_slowdown = self.max_slowdown.max(job.slowdown);
         self.sum_wait += job.wait;
         self.sum_response += job.response;
         self.sum_parallelism += job.avg_parallelism;
@@ -616,12 +513,9 @@ impl BoundedStats {
         self.last_finish = self.last_finish.max(job.finish);
         self.per_class_count[job.class.index()] += 1;
         self.per_class_sum_slowdown[job.class.index()] += job.slowdown;
-        let v = if job.slowdown.is_finite() {
-            job.slowdown.max(0.0)
-        } else {
-            0.0
-        };
-        self.slowdown_hist[Self::bucket_index(v)] += 1;
+        if let Some(hist) = &mut self.slowdown_hist {
+            hist.record(job.slowdown);
+        }
     }
 
     /// Fold one utilisation sample's overall scalar in.
@@ -629,32 +523,21 @@ impl BoundedStats {
         self.util_sum += overall;
         self.util_samples += 1;
     }
-
-    /// Nearest-rank percentile estimate (`p` in `[0, 100]`) from the
-    /// histogram, clamped to the observed extrema; 0 when empty.
-    fn slowdown_percentile(&self, p: f64) -> f64 {
-        if self.completed == 0 {
-            return 0.0;
-        }
-        let rank = ((p.clamp(0.0, 100.0) / 100.0 * self.completed as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &n) in self.slowdown_hist.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Self::bucket_mid(i).clamp(self.min_slowdown, self.max_slowdown);
-            }
-        }
-        self.max_slowdown
-    }
 }
 
 /// Accumulates metrics while a simulation runs.
+///
+/// Every completion and utilisation sample is folded into the streaming
+/// aggregates the [`Summary`] is built from. By default the
+/// collector also keeps the per-job completion log and the utilisation
+/// trace, and reports exact slowdown percentiles, sorted in a scratch
+/// buffer reused across runs. In bounded mode ([`Self::configure`]) it keeps
+/// neither and reads the percentiles from a slowdown histogram, so its
+/// footprint is independent of the job count.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsCollector {
-    /// Completion records.
-    pub completed: Vec<CompletedJob>,
-    /// Utilisation trace.
-    pub trace: UtilizationTrace,
+    completed: Vec<CompletedJob>,
+    trace: UtilizationTrace,
     /// Count of rejected scheduler actions.
     pub invalid_actions: u64,
     /// Count of applied scale actions.
@@ -664,42 +547,56 @@ pub struct MetricsCollector {
     /// Maximum utility of jobs that never finished (filled in at the end of a
     /// run for jobs still pending/running when the engine gave up).
     pub unfinished_max_utility: f64,
-    /// Streaming aggregation used instead of `completed`/`trace` when
-    /// [`crate::SimConfig::bounded_metrics`] is on (see
-    /// [`MetricsCollector::configure`]).
-    bounded: Option<BoundedStats>,
+    stats: BoundedStats,
+    /// Scratch for the exact slowdown percentiles.
+    sorted_slowdowns: Vec<f64>,
 }
 
 impl MetricsCollector {
-    /// Fresh collector.
+    /// Fresh collector that keeps the per-job log.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Switch between the exact per-job completion log (`bounded == false`,
-    /// the default) and the fixed-size [`BoundedStats`] aggregation. Called
-    /// by the engine at the start of every run from
-    /// [`crate::SimConfig::bounded_metrics`]; the bounded accumulator is
-    /// reused across runs, so flipping the mode allocates at most once.
+    /// Keep the per-job completion log and the utilisation trace
+    /// (`bounded == false`, the default) or drop them and take the slowdown
+    /// percentiles from a histogram. Called by the engine at the start of
+    /// every run from [`crate::SimConfig::bounded_metrics`]; the histogram
+    /// is allocated when bounded mode is first turned on and reused across
+    /// bounded runs.
     pub fn configure(&mut self, bounded: bool) {
-        match (bounded, &mut self.bounded) {
-            (true, Some(stats)) => stats.reset(),
-            (true, None) => self.bounded = Some(BoundedStats::new()),
-            (false, _) => self.bounded = None,
+        if bounded != self.is_bounded() {
+            self.stats.slowdown_hist = bounded.then(LogHistogram::new);
         }
     }
 
-    /// True when completions are folded into [`BoundedStats`] rather than
-    /// logged per job (`completed` and `trace` stay empty in this mode).
+    /// True when the per-job log and the utilisation trace are dropped
+    /// ([`Self::completed`] and [`Self::trace`] stay empty in this mode).
     pub fn is_bounded(&self) -> bool {
-        self.bounded.is_some()
+        self.stats.slowdown_hist.is_some()
+    }
+
+    /// The completion records, in completion order (empty in bounded mode).
+    pub fn completed(&self) -> &[CompletedJob] {
+        &self.completed
+    }
+
+    /// The utilisation trace (empty in bounded mode).
+    pub fn trace(&self) -> &UtilizationTrace {
+        &self.trace
+    }
+
+    /// Take the completion log and the utilisation trace out of the
+    /// collector.
+    pub(crate) fn into_log(self) -> (Vec<CompletedJob>, UtilizationTrace) {
+        (self.completed, self.trace)
     }
 
     /// Pre-size the completion log for a run of `total_jobs` jobs so
     /// steady-state recording never grows the buffer. No-op in bounded mode,
     /// where the footprint must stay independent of the job count.
     pub fn reserve(&mut self, total_jobs: usize) {
-        if self.bounded.is_none() {
+        if !self.is_bounded() {
             self.completed.reserve(total_jobs);
         }
     }
@@ -722,24 +619,22 @@ impl MetricsCollector {
         self.scale_events = 0;
         self.decision_epochs = 0;
         self.unfinished_max_utility = 0.0;
-        if let Some(stats) = &mut self.bounded {
-            stats.reset();
-        }
+        self.stats.reset();
     }
 
     /// Record a finished job.
     pub fn record_completion(&mut self, job: CompletedJob) {
-        match &mut self.bounded {
-            Some(stats) => stats.fold(&job),
-            None => self.completed.push(job),
+        self.stats.fold(&job);
+        if !self.is_bounded() {
+            self.completed.push(job);
         }
     }
 
     /// Record a utilisation sample.
     pub fn record_sample(&mut self, sample: UtilizationSample) {
-        match &mut self.bounded {
-            Some(stats) => stats.fold_sample(sample.overall),
-            None => self.trace.samples.push(sample),
+        self.stats.fold_sample(sample.overall);
+        if !self.is_bounded() {
+            self.trace.samples.push(sample);
         }
     }
 
@@ -763,12 +658,21 @@ impl MetricsCollector {
         self.unfinished_max_utility += max_utility;
     }
 
-    /// Produce the summary for `total_jobs` submitted jobs.
-    pub fn summarize(&self, total_jobs: usize) -> Summary {
-        match &self.bounded {
-            Some(stats) => Summary::from_bounded(self, stats, total_jobs),
-            None => Summary::from_collector(self, total_jobs),
-        }
+    /// Produce the summary for `total_jobs` submitted jobs. Allocation-free
+    /// once the percentile scratch has grown to the run's completion count.
+    pub fn summarize(&mut self, total_jobs: usize) -> Summary {
+        const PERCENTILES: [f64; 3] = [50.0, 95.0, 99.0];
+        let percentiles = match &self.stats.slowdown_hist {
+            Some(hist) => PERCENTILES.map(|p| hist.quantile(p / 100.0)),
+            None => {
+                let sorted = &mut self.sorted_slowdowns;
+                sorted.clear();
+                sorted.extend(self.completed.iter().map(|j| j.slowdown));
+                sorted.sort_unstable_by(f64::total_cmp);
+                PERCENTILES.map(|p| stats::percentile_sorted(sorted, p))
+            }
+        };
+        Summary::from_stats(self, total_jobs, percentiles)
     }
 }
 
@@ -987,10 +891,45 @@ mod tests {
         assert_eq!(report.mean_watts(), 0.0);
     }
 
+    /// Every non-percentile summary field as raw bits, so `-0.0` and
+    /// `+0.0` (which `==` equates) tell apart.
+    fn non_percentile_bits(s: &Summary) -> Vec<u64> {
+        let mut bits = vec![
+            s.total_jobs as u64,
+            s.completed_jobs as u64,
+            s.unfinished_jobs as u64,
+            s.missed_jobs as u64,
+            s.scale_events,
+            s.invalid_actions,
+            s.decision_epochs,
+        ];
+        bits.extend(
+            [
+                s.miss_rate,
+                s.mean_slowdown,
+                s.mean_wait,
+                s.mean_response,
+                s.total_utility,
+                s.max_total_utility,
+                s.utility_ratio,
+                s.makespan,
+                s.mean_utilization,
+                s.slowdown_fairness,
+                s.mean_parallelism,
+            ]
+            .iter()
+            .chain(&s.per_class_miss_rate)
+            .chain(&s.per_class_mean_slowdown)
+            .map(|v| v.to_bits()),
+        );
+        bits
+    }
+
     #[test]
     fn bounded_mode_matches_exact_aggregates() {
         // Every summary field except the percentiles must be bit-identical
-        // between the per-job log and the streaming aggregation.
+        // between the per-job log and the streaming aggregation, and equal
+        // to the batch formulas over the completion records.
         let mut exact = MetricsCollector::new();
         let mut bounded = MetricsCollector::new();
         bounded.configure(true);
@@ -1000,6 +939,7 @@ mod tests {
             job.class = JobClass::ALL[(i % 4) as usize];
             job.arrival = i as f64;
             job.finish = i as f64 + 20.0;
+            job.wait = 0.1 * (i % 5) as f64;
             exact.record_completion(job.clone());
             bounded.record_completion(job);
         }
@@ -1013,31 +953,95 @@ mod tests {
         let se = exact.summarize(55);
         let sb = bounded.summarize(55);
         assert!(bounded.completed.is_empty() && bounded.trace.samples.is_empty());
-        assert_eq!(se.total_jobs, sb.total_jobs);
-        assert_eq!(se.completed_jobs, sb.completed_jobs);
-        assert_eq!(se.unfinished_jobs, sb.unfinished_jobs);
-        assert_eq!(se.missed_jobs, sb.missed_jobs);
-        assert_eq!(se.miss_rate, sb.miss_rate);
-        assert_eq!(se.mean_slowdown, sb.mean_slowdown);
-        assert_eq!(se.mean_wait, sb.mean_wait);
-        assert_eq!(se.mean_response, sb.mean_response);
-        assert_eq!(se.total_utility, sb.total_utility);
-        assert_eq!(se.max_total_utility, sb.max_total_utility);
-        assert_eq!(se.utility_ratio, sb.utility_ratio);
-        assert_eq!(se.makespan, sb.makespan);
-        assert_eq!(se.mean_utilization, sb.mean_utilization);
-        assert_eq!(se.per_class_miss_rate, sb.per_class_miss_rate);
-        assert_eq!(se.per_class_mean_slowdown, sb.per_class_mean_slowdown);
-        assert!((se.slowdown_fairness - sb.slowdown_fairness).abs() < 1e-12);
-        assert_eq!(se.mean_parallelism, sb.mean_parallelism);
-        // Percentiles are approximate, within the bucket resolution.
-        for (e, b) in [
-            (se.p50_slowdown, sb.p50_slowdown),
-            (se.p95_slowdown, sb.p95_slowdown),
-            (se.p99_slowdown, sb.p99_slowdown),
+        assert_eq!(non_percentile_bits(&se), non_percentile_bits(&sb));
+
+        let jobs = exact.completed();
+        let slowdowns: Vec<f64> = jobs.iter().map(|j| j.slowdown).collect();
+        let mean_of =
+            |f: fn(&CompletedJob) -> f64| stats::mean(&jobs.iter().map(f).collect::<Vec<_>>());
+        assert_eq!(
+            se.mean_slowdown.to_bits(),
+            stats::mean(&slowdowns).to_bits()
+        );
+        assert_eq!(se.mean_wait.to_bits(), mean_of(|j| j.wait).to_bits());
+        assert_eq!(
+            se.mean_response.to_bits(),
+            mean_of(|j| j.response).to_bits()
+        );
+        assert_eq!(
+            se.mean_parallelism.to_bits(),
+            mean_of(|j| j.avg_parallelism).to_bits()
+        );
+        assert_eq!(
+            se.slowdown_fairness.to_bits(),
+            stats::jain_fairness(&slowdowns).to_bits()
+        );
+        assert_eq!(
+            se.mean_utilization.to_bits(),
+            exact.trace().mean_overall().to_bits()
+        );
+        let batch_utility: f64 = jobs.iter().map(|j| j.utility).sum();
+        assert_eq!(se.total_utility.to_bits(), batch_utility.to_bits());
+        for class in JobClass::ALL {
+            let of_class: Vec<f64> = jobs
+                .iter()
+                .filter(|j| j.class == class)
+                .map(|j| j.slowdown)
+                .collect();
+            assert_eq!(
+                se.per_class_mean_slowdown[class.index()].to_bits(),
+                stats::mean(&of_class).to_bits()
+            );
+        }
+
+        // Exact percentiles interpolate the sorted slowdowns; the histogram
+        // estimates stay within its bucket resolution.
+        let mut sorted = slowdowns.clone();
+        sorted.sort_by(f64::total_cmp);
+        for (p, e, b) in [
+            (50.0, se.p50_slowdown, sb.p50_slowdown),
+            (95.0, se.p95_slowdown, sb.p95_slowdown),
+            (99.0, se.p99_slowdown, sb.p99_slowdown),
         ] {
+            assert_eq!(e, stats::percentile_sorted(&sorted, p));
             assert!((b / e - 1.0).abs() < 0.05, "percentile {b} vs exact {e}");
         }
+    }
+
+    #[test]
+    fn runs_without_completions_report_positive_zero_utility() {
+        // Empty sums must fold from +0.0 in both modes: a run in which
+        // nothing completed reports `total_utility` and `utility_ratio` as
+        // +0.0, never -0.0.
+        for bounded in [false, true] {
+            let mut c = MetricsCollector::new();
+            c.configure(bounded);
+            c.record_sample(sample(0.0, 0.2, 0.4));
+            c.record_unfinished(3.0);
+            let s = c.summarize(2);
+            assert_eq!(s.completed_jobs, 0);
+            assert_eq!(
+                s.total_utility.to_bits(),
+                0.0f64.to_bits(),
+                "bounded={bounded}"
+            );
+            assert_eq!(
+                s.utility_ratio.to_bits(),
+                0.0f64.to_bits(),
+                "bounded={bounded}"
+            );
+            assert_eq!(format!("{:.4}", s.utility_ratio), "0.0000");
+            for v in [s.mean_slowdown, s.mean_wait, s.mean_parallelism, s.makespan] {
+                assert_eq!(v.to_bits(), 0.0f64.to_bits(), "bounded={bounded}");
+            }
+        }
+        let mut exact = MetricsCollector::new();
+        let mut bounded = MetricsCollector::new();
+        bounded.configure(true);
+        assert_eq!(
+            non_percentile_bits(&exact.summarize(0)),
+            non_percentile_bits(&bounded.summarize(0))
+        );
     }
 
     #[test]

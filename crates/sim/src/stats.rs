@@ -19,14 +19,12 @@ pub fn std_dev(values: &[f64]) -> f64 {
     var.sqrt()
 }
 
-/// Percentile via linear interpolation between closest ranks.
-/// `p` is in `[0, 100]`. Returns 0.0 for an empty slice.
-pub fn percentile(values: &[f64], p: f64) -> f64 {
-    if values.is_empty() {
+/// Percentile of an ascending slice via linear interpolation between
+/// closest ranks. `p` is in `[0, 100]`. Returns 0.0 for an empty slice.
+pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
         return 0.0;
     }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let p = p.clamp(0.0, 100.0);
     if sorted.len() == 1 {
         return sorted[0];
@@ -40,22 +38,6 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
         let frac = rank - lo as f64;
         sorted[lo] * (1.0 - frac) + sorted[hi] * frac
     }
-}
-
-/// Minimum; 0.0 for an empty slice.
-pub fn min(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().cloned().fold(f64::INFINITY, f64::min)
-}
-
-/// Maximum; 0.0 for an empty slice.
-pub fn max(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
 }
 
 /// Jain's fairness index: `(Σx)² / (n · Σx²)`.
@@ -76,58 +58,6 @@ pub fn jain_fairness(values: &[f64]) -> f64 {
     (sum * sum) / (values.len() as f64 * sum_sq)
 }
 
-/// Online mean/variance accumulator (Welford's algorithm). Useful when the
-/// benchmark harness streams per-seed results without storing them all.
-#[derive(Debug, Clone, Default)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// A fresh accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold one sample in.
-    pub fn push(&mut self, value: f64) {
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Current mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample variance (0.0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,22 +74,13 @@ mod tests {
     #[test]
     fn percentiles_interpolate() {
         let v = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 100.0), 5.0);
-        assert!((percentile(&v, 50.0) - 3.0).abs() < 1e-12);
-        assert!((percentile(&v, 25.0) - 2.0).abs() < 1e-12);
-        assert!((percentile(&v, 90.0) - 4.6).abs() < 1e-12);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(percentile(&[7.0], 99.0), 7.0);
-    }
-
-    #[test]
-    fn min_max_handle_empty() {
-        let v = [3.0, -1.0, 2.0];
-        assert_eq!(min(&v), -1.0);
-        assert_eq!(max(&v), 3.0);
-        assert_eq!(min(&[]), 0.0);
-        assert_eq!(max(&[]), 0.0);
+        assert_eq!(percentile_sorted(&v, 0.0), 1.0);
+        assert_eq!(percentile_sorted(&v, 100.0), 5.0);
+        assert!((percentile_sorted(&v, 50.0) - 3.0).abs() < 1e-12);
+        assert!((percentile_sorted(&v, 25.0) - 2.0).abs() < 1e-12);
+        assert!((percentile_sorted(&v, 90.0) - 4.6).abs() < 1e-12);
+        assert_eq!(percentile_sorted(&[], 50.0), 0.0);
+        assert_eq!(percentile_sorted(&[7.0], 99.0), 7.0);
     }
 
     #[test]
@@ -178,20 +99,5 @@ mod tests {
         let v = [0.1, 5.0, 2.2, 7.9, 0.4];
         let f = jain_fairness(&v);
         assert!(f > 0.0 && f <= 1.0);
-    }
-
-    #[test]
-    fn welford_matches_batch() {
-        let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for x in v {
-            w.push(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean() - mean(&v)).abs() < 1e-12);
-        // Welford computes the *sample* std dev, convert batch population std.
-        let sample_var = v.iter().map(|x| (x - 5.0) * (x - 5.0)).sum::<f64>() / 7.0;
-        assert!((w.variance() - sample_var).abs() < 1e-12);
-        assert_eq!(Welford::new().mean(), 0.0);
     }
 }

@@ -12,9 +12,13 @@
 //!   reusable view), and every later full run over the same source — pulled
 //!   job by job, never materialised — performs **zero** heap allocations on
 //!   the engine side.
+//! * **Step-wise replications with completions** — a reused simulator
+//!   driven through `start`/`advance`/`view_into`/`apply`/`compact_log`,
+//!   in which every job starts and completes, performs **zero** heap
+//!   allocations per replication after the first, `finish_service` and
+//!   its summary included.
 //!
-//! Allocations are counted per thread, so the two tests may run
-//! concurrently.
+//! Allocations are counted per thread, so the tests may run concurrently.
 
 use tcrm_testkit::count_allocations;
 
@@ -170,5 +174,96 @@ fn run_source_is_allocation_free_after_warm_up() {
     assert_eq!(
         allocations, 0,
         "warmed-up run_source replications allocated ({allocations} allocations)"
+    );
+}
+
+#[test]
+fn stepwise_replications_with_completions_are_allocation_free_after_warm_up() {
+    use tcrm_sim::node::SpeedProfile;
+    use tcrm_sim::{
+        Action, ClusterSpec, ClusterView, Job, JobClass, JobId, NodeClassId, NodeClassSpec,
+        ResourceVector, SimConfig, Simulator, SpeedupModel, Summary, TimeUtility,
+    };
+
+    let spec = ClusterSpec::new(vec![NodeClassSpec::new(
+        "generic",
+        4,
+        ResourceVector::of(16.0, 64.0, 0.0, 10.0),
+        SpeedProfile::uniform(1.0),
+    )]);
+    let mut cfg = SimConfig::default();
+    cfg.decision_interval = Some(1.0);
+    cfg.util_sample_interval = 0.5;
+    cfg.max_sim_time = 1e5;
+
+    // Every job class, and deadlines tight enough that some jobs miss.
+    let jobs: Vec<Job> = (0..40u64)
+        .map(|i| {
+            Job::builder(JobId(i), JobClass::ALL[(i % 4) as usize])
+                .arrival(i as f64 * 1.5)
+                .total_work(20.0 + 5.0 * (i % 7) as f64)
+                .demand_per_unit(ResourceVector::of(2.0, 4.0, 0.0, 1.0))
+                .parallelism_range(1, 4)
+                .speedup(SpeedupModel::Linear)
+                .deadline(i as f64 * 1.5 + 15.0 + 10.0 * (i % 3) as f64)
+                .utility(TimeUtility::hard(1.0))
+                .build()
+        })
+        .collect();
+
+    /// One replication on the step-wise API: every epoch, start each
+    /// pending job that fits at its minimum parallelism, with the actions
+    /// staged in a reused buffer.
+    fn replicate(
+        sim: &mut Simulator,
+        view: &mut ClusterView,
+        actions: &mut Vec<Action>,
+        jobs: Vec<Job>,
+    ) -> Summary {
+        sim.reset();
+        sim.start(jobs);
+        while sim.advance() {
+            sim.view_into(view);
+            actions.clear();
+            actions.extend(
+                view.pending
+                    .iter()
+                    .filter(|j| view.can_start(j, NodeClassId(0), j.min_parallelism))
+                    .map(|j| Action::Start {
+                        job: j.id,
+                        class: NodeClassId(0),
+                        parallelism: j.min_parallelism,
+                    }),
+            );
+            for action in actions.iter() {
+                sim.apply(action);
+            }
+            sim.view_into(view);
+            sim.compact_log(view);
+        }
+        sim.finish_service()
+    }
+
+    let mut sim = Simulator::new(spec, cfg);
+    let mut view = sim.view();
+    let mut actions = Vec::new();
+
+    // Warm-up replication: sizes every retained buffer.
+    let warm = replicate(&mut sim, &mut view, &mut actions, jobs.clone());
+    assert_eq!(warm.completed_jobs, 40, "every job starts and completes");
+    assert!(warm.missed_jobs > 0 && warm.missed_jobs < 40);
+
+    // The job lists are built outside the counted window.
+    let mut lists: Vec<Vec<Job>> = (0..4).map(|_| jobs.clone()).collect();
+    let mut summaries = Vec::with_capacity(lists.len());
+    let allocations = count_allocations(|| {
+        for list in lists.drain(..) {
+            summaries.push(replicate(&mut sim, &mut view, &mut actions, list));
+        }
+    });
+    assert!(summaries.iter().all(|s| *s == warm), "replications agree");
+    assert_eq!(
+        allocations, 0,
+        "warmed-up step-wise replications allocated ({allocations} allocations)"
     );
 }

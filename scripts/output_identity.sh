@@ -8,7 +8,8 @@
 # and with the same relative paths (checkpoint fingerprints hash the replay
 # trace's path):
 #
-#   * `table1 summary fig10 --quick`;
+#   * `table1 summary fig5 fig10 --quick` (fig5 writes the utilisation
+#     trace);
 #   * the CI sweep grid: `record-trace`, then `sweep` over edf and fifo on
 #     poisson, poisson+burst(3x) and the recorded replay trace;
 #   * the CI `serve` run, writing its event log and report.
@@ -62,7 +63,7 @@ runs() {
     local grid=(--policies edf,fifo
         --scenarios "poisson;poisson+burst(3x);replay(out/trace.json)"
         --loads 0.9 --jobs 40 --seeds 1,2)
-    "$exp" table1 summary fig10 --quick --out out/quick
+    "$exp" table1 summary fig5 fig10 --quick --out out/quick
     "$exp" record-trace --out out/trace.json --jobs 40 --load 0.9 --seed 7
     "$exp" sweep "${grid[@]}" --checkpoint out/grid.json --csv out/grid.csv
     "$exp" serve --policy edf --scenario "poisson+overload(2x,60s)" --jobs 150 \
