@@ -10,13 +10,19 @@
 //!   running job by one unit (the elasticity-compatible part);
 //! * **wait** — end the decision epoch without further changes.
 //!
-//! [`ActionSpace::mask`] marks exactly the decodable-and-feasible actions so
-//! the policy never wastes probability mass on impossible decisions, and
-//! [`ActionSpace::decode`] maps an index back to a concrete
+//! [`ActionSpace::mask_into`] marks exactly the decodable-and-feasible
+//! actions so the policy never wastes probability mass on impossible
+//! decisions, and [`ActionSpace::decode`] maps an index back to a concrete
 //! [`tcrm_sim::Action`] for the engine.
+//!
+//! Slot indices refer to the jobs a [`SlotSnapshot`] ranked for the view
+//! (queue slots earliest deadline first, running slots least slack first;
+//! see the [`state`](crate::state) module docs). The mask and the decoder
+//! of one decision read the same snapshot the observation was encoded from,
+//! so action `i` always names the job the policy saw in that slot.
 
 use crate::config::AgentConfig;
-use crate::state::StateEncoder;
+use crate::state::{SlotSnapshot, StateEncoder};
 use serde::{Deserialize, Serialize};
 use tcrm_sim::{Action, ClusterView, NodeClassId, PendingJobView};
 
@@ -134,21 +140,24 @@ impl ActionSpace {
         job.min_parallelism + (span * frac).round() as u32
     }
 
-    /// Feasibility mask over all action indices for the current view.
+    /// Feasibility mask over all action indices for the current view
+    /// (allocating wrapper: ranks the view's slots with `encoder`, then
+    /// [`Self::mask_into`]).
     pub fn mask(&self, view: &ClusterView, encoder: &StateEncoder) -> Vec<bool> {
+        let mut slots = SlotSnapshot::default();
+        encoder.slots_into(view, &mut slots);
         let mut mask = Vec::new();
-        self.mask_into(view, encoder, &mut mask);
+        self.mask_into(view, &slots, &mut mask);
         mask
     }
 
-    /// [`Self::mask`] into a caller-owned buffer (clear-and-refill), the
-    /// counterpart of [`StateEncoder::encode_into`] for the batched rollout
-    /// hot path.
-    pub fn mask_into(&self, view: &ClusterView, encoder: &StateEncoder, mask: &mut Vec<bool>) {
+    /// Feasibility mask over all action indices for a view whose slots
+    /// `slots` ranked, into a caller-owned buffer (clear-and-refill), the
+    /// counterpart of [`StateEncoder::encode_into`].
+    pub fn mask_into(&self, view: &ClusterView, slots: &SlotSnapshot, mask: &mut Vec<bool>) {
         mask.clear();
         mask.resize(self.action_count(), false);
-        let queue = encoder.queue_slot_jobs(view);
-        for (slot, job) in queue.iter().enumerate().take(self.queue_slots) {
+        for (slot, job) in slots.queue_jobs(view).enumerate().take(self.queue_slots) {
             for class_idx in 0..self.num_classes.min(view.num_classes()) {
                 let class = NodeClassId(class_idx);
                 for level in 0..self.parallelism_levels {
@@ -160,20 +169,20 @@ impl ActionSpace {
             }
         }
         if self.elastic {
-            let running = encoder.running_slot_jobs(view);
-            for (slot, job) in running.iter().enumerate().take(self.running_slots) {
+            for (slot, job) in slots
+                .running_jobs(view)
+                .enumerate()
+                .take(self.running_slots)
+            {
                 if !job.malleable || !view.scale_ready(job) {
                     continue;
                 }
-                if job.units < job.max_parallelism {
-                    // Scale-up needs one more unit of capacity on the job's
-                    // node class.
-                    let available = view
-                        .class(job.node_class)
-                        .units_available(&job.demand_per_unit);
-                    if available >= 1 {
-                        mask[self.scale_index(slot, true)] = true;
-                    }
+                // Scale-up needs one more unit of capacity on the job's
+                // node class.
+                if job.units < job.max_parallelism
+                    && view.class(job.node_class).can_host(&job.demand_per_unit, 1)
+                {
+                    mask[self.scale_index(slot, true)] = true;
                 }
                 if job.units > job.min_parallelism {
                     mask[self.scale_index(slot, false)] = true;
@@ -183,15 +192,11 @@ impl ActionSpace {
         mask[self.wait_index()] = true;
     }
 
-    /// Decode an action index into a simulator action for the current view.
-    /// Returns `None` when the index refers to an empty slot (the mask keeps
-    /// the policy away from those, but decoding stays total and safe).
-    pub fn decode(
-        &self,
-        index: usize,
-        view: &ClusterView,
-        encoder: &StateEncoder,
-    ) -> Option<Action> {
+    /// Decode an action index into a simulator action for a view whose
+    /// slots `slots` ranked. Returns `None` when the index refers to an
+    /// empty slot (the mask keeps the policy away from those, but decoding
+    /// stays total and safe).
+    pub fn decode(&self, index: usize, view: &ClusterView, slots: &SlotSnapshot) -> Option<Action> {
         match self.meaning(index) {
             ActionMeaning::Wait => Some(Action::Wait),
             ActionMeaning::Start {
@@ -199,8 +204,7 @@ impl ActionSpace {
                 class,
                 level,
             } => {
-                let queue = encoder.queue_slot_jobs(view);
-                let job = queue.get(queue_slot)?;
+                let job = slots.queue_jobs(view).nth(queue_slot)?;
                 if class >= view.num_classes() {
                     return None;
                 }
@@ -211,8 +215,7 @@ impl ActionSpace {
                 })
             }
             ActionMeaning::Scale { running_slot, up } => {
-                let running = encoder.running_slot_jobs(view);
-                let job = running.get(running_slot)?;
+                let job = slots.running_jobs(view).nth(running_slot)?;
                 let target = if up {
                     job.units.saturating_add(1).min(job.max_parallelism)
                 } else {
@@ -232,6 +235,12 @@ mod tests {
     use super::*;
     use crate::config::AgentConfig;
     use tcrm_sim::prelude::*;
+
+    fn slots_of(encoder: &StateEncoder, view: &ClusterView) -> SlotSnapshot {
+        let mut slots = SlotSnapshot::default();
+        encoder.slots_into(view, &mut slots);
+        slots
+    }
 
     fn setup(pending: usize, start_first: bool) -> (ActionSpace, StateEncoder, Simulator) {
         let cfg = AgentConfig::small();
@@ -384,6 +393,7 @@ mod tests {
     fn decode_produces_engine_accepted_actions() {
         let (space, encoder, mut sim) = setup(4, false);
         let view = sim.view();
+        let slots = slots_of(&encoder, &view);
         let mask = space.mask(&view, &encoder);
         let mut applied = 0;
         for idx in 0..space.action_count() {
@@ -391,7 +401,7 @@ mod tests {
                 continue;
             }
             let action = space
-                .decode(idx, &view, &encoder)
+                .decode(idx, &view, &slots)
                 .expect("masked-in action must decode");
             let outcome = sim.apply(&action);
             assert!(
@@ -408,14 +418,99 @@ mod tests {
     fn decode_empty_slot_is_none_and_wait_decodes() {
         let (space, encoder, sim) = setup(1, false);
         let view = sim.view();
+        let slots = slots_of(&encoder, &view);
         // Slot 3 is empty with a single pending job.
         assert!(space
-            .decode(space.start_index(3, 0, 0), &view, &encoder)
+            .decode(space.start_index(3, 0, 0), &view, &slots)
             .is_none());
         assert_eq!(
-            space.decode(space.wait_index(), &view, &encoder),
+            space.decode(space.wait_index(), &view, &slots),
             Some(Action::Wait)
         );
+    }
+
+    /// The scale-up mask asks `can_host(demand, 1)`, which stops at the
+    /// first node with room; it used to count every unit on the class with
+    /// `units_available(demand) >= 1`. The two must agree on every view:
+    /// here the views a random feasible policy walks through on loaded
+    /// clusters, queried with every visible job's demand, the zero demand
+    /// (every 7th job also demands nothing) and random demands.
+    #[test]
+    fn scale_up_fit_test_matches_the_unit_count() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use tcrm_workload::{SyntheticSource, WorkloadSpec};
+        let cluster = ClusterSpec::icpp_default();
+        let cfg = AgentConfig::default();
+        let space = ActionSpace::new(&cfg, 4);
+        let encoder = StateEncoder::new(&cfg, 4);
+        let mut rng = StdRng::seed_from_u64(31);
+        let (mut checked, mut fits, mut zero_demand_running) = (0, 0, 0);
+        for seed in 0..4 {
+            let spec = WorkloadSpec::icpp_default()
+                .with_num_jobs(40)
+                .with_load(1.3);
+            let mut jobs: Vec<Job> = SyntheticSource::new(&spec, &cluster, seed)
+                .expect("valid spec")
+                .collect();
+            for job in jobs.iter_mut().step_by(7) {
+                job.demand_per_unit = ResourceVector::zero();
+            }
+            let mut sim = Simulator::new(cluster.clone(), SimConfig::default());
+            sim.start(jobs);
+            let mut view = sim.view();
+            let mut slots = SlotSnapshot::default();
+            let mut mask = Vec::new();
+            while sim.advance() {
+                for _ in 0..12 {
+                    sim.view_into(&mut view);
+                    let random = ResourceVector::of(
+                        rng.gen_range(0.0..16.0),
+                        rng.gen_range(0.0..64.0),
+                        if rng.gen_bool(0.3) { 1.0 } else { 0.0 },
+                        rng.gen_range(0.0..2.0),
+                    );
+                    let demands: Vec<ResourceVector> = view
+                        .running
+                        .iter()
+                        .map(|r| r.demand_per_unit)
+                        .chain(view.pending.iter().map(|p| p.demand_per_unit))
+                        .chain([ResourceVector::zero(), random])
+                        .collect();
+                    zero_demand_running += view
+                        .running
+                        .iter()
+                        .filter(|r| r.demand_per_unit.total() == 0.0)
+                        .count();
+                    for class in &view.classes {
+                        for demand in &demands {
+                            let counted = class.units_available(demand) >= 1;
+                            assert_eq!(
+                                class.can_host(demand, 1),
+                                counted,
+                                "class {} demand {demand:?} at t={}",
+                                class.id.0,
+                                view.time
+                            );
+                            checked += 1;
+                            fits += usize::from(counted);
+                        }
+                    }
+                    encoder.slots_into(&view, &mut slots);
+                    space.mask_into(&view, &slots, &mut mask);
+                    let feasible: Vec<usize> = (0..mask.len()).filter(|&i| mask[i]).collect();
+                    let action = feasible[rng.gen_range(0..feasible.len())];
+                    if action == space.wait_index() {
+                        break;
+                    }
+                    let decoded = space.decode(action, &view, &slots).expect("masked in");
+                    assert!(!sim.apply(&decoded).is_invalid());
+                }
+            }
+        }
+        assert!(checked > 10_000, "{checked} checks");
+        assert!(fits > 0 && fits < checked, "{fits} of {checked} fit");
+        assert!(zero_demand_running > 0);
     }
 
     #[test]

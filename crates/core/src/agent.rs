@@ -3,14 +3,14 @@
 
 use crate::action::ActionSpace;
 use crate::config::AgentConfig;
-use crate::state::StateEncoder;
+use crate::state::{SlotSnapshot, StateEncoder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
 use std::path::Path;
-use tcrm_rl::CategoricalPolicy;
+use tcrm_rl::{argmax, sample_categorical, CategoricalPolicy, PolicyScratch};
 use tcrm_sim::{Action, ClusterView, Scheduler};
 
 /// A deep-RL scheduler: the trained policy wrapped with the state encoder and
@@ -33,6 +33,21 @@ pub struct DrlScheduler {
     /// single epoch).
     epoch_time: f64,
     epoch_decisions: usize,
+    /// Per-decision buffers, refilled by every [`Self::select_action`] so a
+    /// decision computes each intermediate once and allocates nothing but
+    /// the `Vec` that [`Scheduler::decide`] returns.
+    scratch: DecisionScratch,
+}
+
+/// The buffers one decision fills: the view's slot ranking (read by the
+/// encoder, the mask, the decoder and the fallback), the observation, the
+/// mask and the policy's inference buffers.
+#[derive(Debug, Clone, Default)]
+struct DecisionScratch {
+    slots: SlotSnapshot,
+    obs: Vec<f32>,
+    mask: Vec<bool>,
+    inference: PolicyScratch,
 }
 
 impl DrlScheduler {
@@ -54,6 +69,7 @@ impl DrlScheduler {
             seed: 0,
             epoch_time: f64::NEG_INFINITY,
             epoch_decisions: 0,
+            scratch: DecisionScratch::default(),
         }
     }
 
@@ -83,14 +99,24 @@ impl DrlScheduler {
     }
 
     /// Pick one action index for a view (exposed for decision-latency
-    /// benchmarks).
+    /// benchmarks): rank the slots, encode, mask, then the masked policy
+    /// distribution's argmax (greedy) or a sample from it. The slot ranking
+    /// stays in the scratch for decoding the index.
     pub fn select_action(&mut self, view: &ClusterView) -> usize {
-        let obs = self.encoder.encode(view);
-        let mask = self.actions.mask(view, &self.encoder);
+        let DecisionScratch {
+            slots,
+            obs,
+            mask,
+            inference,
+        } = &mut self.scratch;
+        self.encoder.slots_into(view, slots);
+        self.encoder.encode_into(view, slots, obs);
+        self.actions.mask_into(view, slots, mask);
+        let probs = self.policy.probabilities_into(obs, mask, inference);
         if self.greedy {
-            self.policy.greedy(&obs, &mask)
+            argmax(probs)
         } else {
-            self.policy.sample(&obs, &mask, &mut self.rng).0
+            sample_categorical(probs, &mut self.rng).0
         }
     }
 
@@ -135,8 +161,7 @@ impl DrlScheduler {
     /// its minimum parallelism so the run cannot deadlock. Returns `None`
     /// when nothing is feasible.
     fn fallback_start(&self, view: &ClusterView) -> Option<Action> {
-        let jobs = self.encoder.queue_slot_jobs(view);
-        for job in jobs {
+        for job in self.scratch.slots.queue_jobs(view) {
             for class in &view.classes {
                 if view.can_start(job, class.id, job.min_parallelism) {
                     return Some(Action::Start {
@@ -188,7 +213,7 @@ impl Scheduler for DrlScheduler {
         let index = self.select_action(view);
         let action = self
             .actions
-            .decode(index, view, &self.encoder)
+            .decode(index, view, &self.scratch.slots)
             .unwrap_or(Action::Wait);
         if matches!(action, Action::Wait)
             && view.running.is_empty()

@@ -10,7 +10,7 @@
 use crate::action::ActionSpace;
 use crate::config::AgentConfig;
 use crate::reward::RewardTracker;
-use crate::state::StateEncoder;
+use crate::state::{SlotSnapshot, StateEncoder};
 use tcrm_rl::{Environment, Step, Transition};
 use tcrm_sim::{Action, ClusterSpec, ClusterView, Job, SimConfig, Simulator};
 use tcrm_workload::{SyntheticSource, WorkloadSpec};
@@ -60,20 +60,33 @@ pub struct SchedulingEnv {
     /// cannot spin forever re-scaling jobs back and forth without letting
     /// simulated time advance).
     epoch_actions: usize,
+    /// The slot ranking of `current_view`: what the next action index
+    /// decodes against. Refilled with every view the env hands out.
+    slots: SlotSnapshot,
     /// Reusable encode/mask buffers: [`Environment::step_into`] refreshes
     /// these in place every step instead of allocating fresh `Step` vectors.
+    /// The mask is computed once per handed-out view and serves both the
+    /// stay-or-advance test and the step's output.
     obs_scratch: Vec<f32>,
     mask_scratch: Vec<bool>,
 }
 
 impl SchedulingEnv {
     /// Create an environment.
+    ///
+    /// Rewards are credited from the simulator's per-job completion log, so
+    /// the env keeps that log on its own copy of `sim_config`
+    /// (`bounded_metrics` is forced off); with the log dropped every
+    /// completion reward would silently read zero. A result taken with
+    /// [`Self::take_result`] therefore always carries the completion
+    /// records and exact slowdown percentiles.
     pub fn new(
         cluster: ClusterSpec,
-        sim_config: SimConfig,
+        mut sim_config: SimConfig,
         agent_config: &AgentConfig,
         source: EpisodeSource,
     ) -> Self {
+        sim_config.bounded_metrics = false;
         let num_classes = cluster.num_classes();
         SchedulingEnv {
             encoder: StateEncoder::new(agent_config, num_classes),
@@ -91,6 +104,7 @@ impl SchedulingEnv {
             episode_utility: 0.0,
             episode_misses: 0,
             epoch_actions: 0,
+            slots: SlotSnapshot::default(),
             obs_scratch: Vec::new(),
             mask_scratch: Vec::new(),
         }
@@ -149,19 +163,30 @@ impl SchedulingEnv {
         }
     }
 
-    /// Encode the view and its feasibility mask into the caller's buffers,
-    /// staging through the env-owned scratch so nothing is allocated once the
-    /// scratch has warmed.
-    fn write_step_into(&mut self, view: &ClusterView, obs: &mut [f32], mask: &mut [bool]) {
-        self.encoder.encode_into(view, &mut self.obs_scratch);
-        obs.copy_from_slice(&self.obs_scratch);
+    /// Rank the view's slots and compute its feasibility mask into the
+    /// env-owned scratch: once per view handed out.
+    fn rank_and_mask(&mut self, view: &ClusterView) {
+        self.encoder.slots_into(view, &mut self.slots);
         self.actions
-            .mask_into(view, &self.encoder, &mut self.mask_scratch);
+            .mask_into(view, &self.slots, &mut self.mask_scratch);
+    }
+
+    /// Encode the view into the caller's buffers and copy out the mask
+    /// [`Self::rank_and_mask`] computed for it, staging through the
+    /// env-owned scratch so nothing is allocated once the scratch has
+    /// warmed.
+    fn write_step_into(&mut self, view: &ClusterView, obs: &mut [f32], mask: &mut [bool]) {
+        self.encoder
+            .encode_into(view, &self.slots, &mut self.obs_scratch);
+        obs.copy_from_slice(&self.obs_scratch);
         mask.copy_from_slice(&self.mask_scratch);
     }
 
-    /// A terminal step: all-zero observation, only wait feasible.
-    fn write_terminal_into(&self, obs: &mut [f32], mask: &mut [bool]) {
+    /// A terminal step: all-zero observation, only wait feasible. The slots
+    /// are still ranked for `view`, so an index decodes against the view
+    /// the env holds even after the episode ended.
+    fn write_terminal_into(&mut self, view: &ClusterView, obs: &mut [f32], mask: &mut [bool]) {
+        self.encoder.slots_into(view, &mut self.slots);
         obs.fill(0.0);
         mask.fill(false);
         mask[self.actions.wait_index()] = true;
@@ -182,10 +207,9 @@ impl SchedulingEnv {
         reward
     }
 
-    /// Whether any non-wait action is feasible in the view.
-    fn has_feasible_work(&mut self, view: &ClusterView) -> bool {
-        self.actions
-            .mask_into(view, &self.encoder, &mut self.mask_scratch);
+    /// Whether any non-wait action is feasible in the view the last
+    /// [`Self::rank_and_mask`] covered.
+    fn has_feasible_work(&self) -> bool {
         let wait = self.actions.wait_index();
         self.mask_scratch
             .iter()
@@ -223,7 +247,16 @@ impl Environment for SchedulingEnv {
 
     fn reset_into(&mut self, seed: u64, observation: &mut [f32], mask: &mut [bool]) {
         let jobs = self.episode_jobs(seed);
-        let mut sim = Simulator::new(self.cluster.clone(), self.sim_config.clone());
+        // Reuse the previous episode's simulator and its grown buffers
+        // (`reset` returns it to the freshly constructed state), so steps
+        // stay allocation-free from the second episode on.
+        let mut sim = match self.sim.take() {
+            Some(mut sim) => {
+                sim.reset();
+                sim
+            }
+            None => Simulator::new(self.cluster.clone(), self.sim_config.clone()),
+        };
         sim.start(jobs);
         let alive = sim.advance();
         self.credited_completions = 0;
@@ -238,9 +271,10 @@ impl Environment for SchedulingEnv {
         sim.compact_log(&view);
         self.sim = Some(sim);
         if alive {
+            self.rank_and_mask(&view);
             self.write_step_into(&view, observation, mask);
         } else {
-            self.write_terminal_into(observation, mask);
+            self.write_terminal_into(&view, observation, mask);
         }
         self.current_view = Some(view);
     }
@@ -258,7 +292,7 @@ impl Environment for SchedulingEnv {
         let mut view = self.current_view.take().expect("step called before reset");
         let decoded = self
             .actions
-            .decode(action, &view, &self.encoder)
+            .decode(action, &view, &self.slots)
             .unwrap_or(Action::Wait);
         let is_wait = matches!(decoded, Action::Wait);
         let outcome = {
@@ -279,13 +313,16 @@ impl Environment for SchedulingEnv {
         self.epoch_actions += 1;
         let stay =
             !is_wait && !outcome.is_invalid() && self.epoch_actions < self.max_actions_per_epoch();
-        if stay && self.has_feasible_work(&view) {
-            // Stay at the epoch: reward only reflects shaping on the new
-            // snapshot (no time has passed).
-            let reward = self.collect_reward(&view);
-            self.write_step_into(&view, observation, mask);
-            self.current_view = Some(view);
-            return (reward, false);
+        if stay {
+            self.rank_and_mask(&view);
+            if self.has_feasible_work() {
+                // Stay at the epoch: reward only reflects shaping on the new
+                // snapshot (no time has passed).
+                let reward = self.collect_reward(&view);
+                self.write_step_into(&view, observation, mask);
+                self.current_view = Some(view);
+                return (reward, false);
+            }
         }
 
         // Deadlock guard: nothing is running, nothing will ever arrive, and
@@ -295,7 +332,7 @@ impl Environment for SchedulingEnv {
         // epochs.
         if self.sim.as_ref().expect("no active episode").is_stalled() {
             let reward = self.collect_reward(&view);
-            self.write_terminal_into(observation, mask);
+            self.write_terminal_into(&view, observation, mask);
             self.current_view = Some(view);
             return (reward, true);
         }
@@ -314,8 +351,9 @@ impl Environment for SchedulingEnv {
         let truncated = self.steps >= self.max_steps;
         let done = !alive || truncated;
         if done {
-            self.write_terminal_into(observation, mask);
+            self.write_terminal_into(&view, observation, mask);
         } else {
+            self.rank_and_mask(&view);
             self.write_step_into(&view, observation, mask);
         }
         self.current_view = Some(view);
@@ -399,6 +437,37 @@ mod tests {
             result.summary.completed_jobs + result.summary.unfinished_jobs,
             8
         );
+    }
+
+    #[test]
+    fn completion_rewards_survive_bounded_metrics() {
+        // Rewards come from the simulator's per-job completion log; a
+        // `bounded_metrics` config (which drops that log) must not zero
+        // them. Same random 8-job episode under both settings.
+        let mut outcomes = Vec::new();
+        for bounded in [false, true] {
+            let mut cfg = SimConfig::default();
+            cfg.bounded_metrics = bounded;
+            let mut env = SchedulingEnv::new(
+                ClusterSpec::tiny(),
+                cfg,
+                &AgentConfig::small(),
+                EpisodeSource::Generated {
+                    spec: WorkloadSpec::tiny(),
+                    jobs_per_episode: 8,
+                },
+            );
+            let (reward, _) = random_episode(&mut env, 3);
+            let utility = env.episode_utility();
+            let summary = env.take_result().expect("episode result").summary;
+            assert_eq!(summary.completed_jobs, 8);
+            assert_eq!(summary.total_utility, utility, "bounded = {bounded}");
+            outcomes.push((reward, utility));
+        }
+        assert_eq!(outcomes[0], outcomes[1]);
+        let (reward, utility) = outcomes[0];
+        assert!((reward - 1.465).abs() < 5e-4, "total reward {reward}");
+        assert!((utility - 5.505).abs() < 5e-4, "episode utility {utility}");
     }
 
     #[test]

@@ -18,9 +18,26 @@
 //!
 //! The heterogeneity-blind ablation replaces every per-class block with the
 //! cluster-wide average so the network cannot distinguish node classes.
+//!
+//! ## Slots
+//!
+//! Which jobs occupy the slots is decided once per view, by
+//! [`StateEncoder::slots_into`], into a reusable [`SlotSnapshot`] that the
+//! encoder, the action mask, the action decoder and the agent's fallback all
+//! read, so one decision ranks the jobs once. The slot order is:
+//!
+//! * **queue slots** — earliest deadline first, ties by id: the first
+//!   `queue_slots` rows of the engine-maintained deadline index, no sort;
+//! * **running slots** — least slack at the view's time first, ties by id,
+//!   so the jobs most at risk are always visible. Each job's slack is
+//!   computed once, then the running jobs are stably sorted in view order
+//!   with the comparator `slack.partial_cmp(..).unwrap_or(Equal)` then id,
+//!   and cut to `running_slots`. A NaN slack compares equal to every slack;
+//!   that is not a total order, and the standard sort may panic on it.
 
 use crate::config::AgentConfig;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use tcrm_sim::{
     ClusterView, JobClass, NodeClassView, PendingJobView, RunningJobView, NUM_RESOURCES,
 };
@@ -78,47 +95,52 @@ impl StateEncoder {
         self.running_slots
     }
 
-    /// The pending jobs that occupy the queue slots, in the deterministic
-    /// slot order used by both the encoder and the action space:
-    /// earliest-deadline-first (ties by id), read straight from the
-    /// engine-maintained deadline index — no per-call sort.
-    pub fn queue_slot_jobs<'a>(&self, view: &'a ClusterView) -> Vec<&'a PendingJobView> {
-        view.pending_in_deadline_order()
-            .take(self.queue_slots)
-            .collect()
-    }
-
-    /// The running jobs that occupy the running slots: least slack first
-    /// (ties by id), so the jobs most at risk are always visible.
-    pub fn running_slot_jobs<'a>(&self, view: &'a ClusterView) -> Vec<&'a RunningJobView> {
-        let mut jobs: Vec<&RunningJobView> = view.running.iter().collect();
-        jobs.sort_by(|a, b| {
-            a.slack(view.time)
-                .partial_cmp(&b.slack(view.time))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.id.cmp(&b.id))
+    /// Rank the view's jobs into `slots` (clear-and-refill; allocation-free
+    /// once the snapshot has warmed to the view's running-job count). See
+    /// the [module docs](self) for the slot order.
+    pub fn slots_into(&self, view: &ClusterView, slots: &mut SlotSnapshot) {
+        let SlotSnapshot {
+            queue,
+            running,
+            slack,
+        } = slots;
+        let queued = view.pending_by_deadline.len().min(self.queue_slots);
+        queue.clear();
+        queue.extend_from_slice(&view.pending_by_deadline[..queued]);
+        slack.clear();
+        slack.extend(view.running.iter().map(|r| r.slack(view.time)));
+        running.clear();
+        running.extend(0..view.running.len());
+        running.sort_by(|&a, &b| {
+            slack[a]
+                .partial_cmp(&slack[b])
+                .unwrap_or(Ordering::Equal)
+                .then(view.running[a].id.cmp(&view.running[b].id))
         });
-        jobs.truncate(self.running_slots);
-        jobs
+        running.truncate(self.running_slots);
     }
 
     /// Encode a view into an observation vector of length
-    /// [`Self::observation_dim`].
+    /// [`Self::observation_dim`] (allocating wrapper over
+    /// [`Self::encode_into`]).
     pub fn encode(&self, view: &ClusterView) -> Vec<f32> {
+        let mut slots = SlotSnapshot::default();
+        self.slots_into(view, &mut slots);
         let mut out = Vec::with_capacity(self.observation_dim());
-        self.encode_into(view, &mut out);
+        self.encode_into(view, &slots, &mut out);
         out
     }
 
-    /// [`Self::encode`] into a caller-owned buffer (clear-and-refill), so the
-    /// batched rollout hot path re-encodes every step without growing the
-    /// heap once the buffer has warmed to [`Self::observation_dim`].
-    pub fn encode_into(&self, view: &ClusterView, out: &mut Vec<f32>) {
+    /// Encode a view whose slots `slots` ranked into a caller-owned buffer
+    /// (clear-and-refill), so the rollout and decision hot paths re-encode
+    /// every step without growing the heap once the buffer has warmed to
+    /// [`Self::observation_dim`].
+    pub fn encode_into(&self, view: &ClusterView, slots: &SlotSnapshot, out: &mut Vec<f32>) {
         out.clear();
         out.reserve(self.observation_dim());
         self.encode_classes(view, out);
-        self.encode_queue(view, out);
-        self.encode_running(view, out);
+        self.encode_queue(view, slots, out);
+        self.encode_running(view, slots, out);
         self.encode_globals(view, out);
         debug_assert_eq!(out.len(), self.observation_dim());
     }
@@ -168,13 +190,12 @@ impl StateEncoder {
         }
     }
 
-    fn encode_queue(&self, view: &ClusterView, out: &mut Vec<f32>) {
-        let slots = self.queue_slot_jobs(view);
-        for slot in 0..self.queue_slots {
-            match slots.get(slot) {
-                Some(job) => self.push_queue_features(job, view, out),
-                None => out.extend(std::iter::repeat_n(0.0, QUEUE_FEATURES)),
-            }
+    fn encode_queue(&self, view: &ClusterView, slots: &SlotSnapshot, out: &mut Vec<f32>) {
+        for job in slots.queue_jobs(view) {
+            self.push_queue_features(job, view, out);
+        }
+        for _ in slots.queue.len()..self.queue_slots {
+            out.extend(std::iter::repeat_n(0.0, QUEUE_FEATURES));
         }
     }
 
@@ -213,24 +234,21 @@ impl StateEncoder {
         out.push(if job.malleable { 1.0 } else { 0.0 });
     }
 
-    fn encode_running(&self, view: &ClusterView, out: &mut Vec<f32>) {
-        let slots = self.running_slot_jobs(view);
-        for slot in 0..self.running_slots {
-            match slots.get(slot) {
-                Some(job) => {
-                    out.push(1.0);
-                    for class in JobClass::ALL {
-                        out.push(if job.class == class { 1.0 } else { 0.0 });
-                    }
-                    out.push(job.units as f32 / 16.0);
-                    out.push((job.remaining_work(view.time) / job.total_work.max(1e-9)) as f32);
-                    out.push(squash(job.slack(view.time), TIME_SCALE));
-                    out.push(job.max_parallelism.saturating_sub(job.units) as f32 / 16.0);
-                    out.push(if job.malleable { 1.0 } else { 0.0 });
-                    out.push(if view.scale_ready(job) { 1.0 } else { 0.0 });
-                }
-                None => out.extend(std::iter::repeat_n(0.0, RUNNING_FEATURES)),
+    fn encode_running(&self, view: &ClusterView, slots: &SlotSnapshot, out: &mut Vec<f32>) {
+        for job in slots.running_jobs(view) {
+            out.push(1.0);
+            for class in JobClass::ALL {
+                out.push(if job.class == class { 1.0 } else { 0.0 });
             }
+            out.push(job.units as f32 / 16.0);
+            out.push((job.remaining_work(view.time) / job.total_work.max(1e-9)) as f32);
+            out.push(squash(job.slack(view.time), TIME_SCALE));
+            out.push(job.max_parallelism.saturating_sub(job.units) as f32 / 16.0);
+            out.push(if job.malleable { 1.0 } else { 0.0 });
+            out.push(if view.scale_ready(job) { 1.0 } else { 0.0 });
+        }
+        for _ in slots.running.len()..self.running_slots {
+            out.extend(std::iter::repeat_n(0.0, RUNNING_FEATURES));
         }
     }
 
@@ -263,6 +281,41 @@ impl StateEncoder {
         out.push((at_risk_running as f32 / 20.0).min(2.0));
         out.push(view.overall_utilization() as f32);
         out.push((view.future_arrivals as f32 / 100.0).min(2.0));
+    }
+}
+
+/// The jobs occupying an encoder's slots in one view, as ranked by
+/// [`StateEncoder::slots_into`]: indices into the view's `pending` and
+/// `running` rows, in slot order. A snapshot describes the view it was
+/// filled from; reading it against another view is a logic error (the
+/// readers only bounds-check). Reusable across views: every fill clears and
+/// refills the same buffers.
+#[derive(Debug, Clone, Default)]
+pub struct SlotSnapshot {
+    /// `view.pending` rows of the queue slots.
+    queue: Vec<u32>,
+    /// `view.running` rows of the running slots.
+    running: Vec<usize>,
+    /// Ranking keys: every running job's slack at the view's time, in view
+    /// order (computed once per fill instead of once per comparison).
+    slack: Vec<f64>,
+}
+
+impl SlotSnapshot {
+    /// The occupied queue slots' jobs, in slot order.
+    pub fn queue_jobs<'s, 'v: 's>(
+        &'s self,
+        view: &'v ClusterView,
+    ) -> impl ExactSizeIterator<Item = &'v PendingJobView> + 's {
+        self.queue.iter().map(move |&i| &view.pending[i as usize])
+    }
+
+    /// The occupied running slots' jobs, in slot order.
+    pub fn running_jobs<'s, 'v: 's>(
+        &'s self,
+        view: &'v ClusterView,
+    ) -> impl ExactSizeIterator<Item = &'v RunningJobView> + 's {
+        self.running.iter().map(move |&i| &view.running[i])
     }
 }
 
@@ -360,10 +413,156 @@ mod tests {
         let cfg = AgentConfig::default();
         let enc = StateEncoder::new(&cfg, 4);
         let view = make_view(4, false);
-        let slots = enc.queue_slot_jobs(&view);
-        for w in slots.windows(2) {
+        let mut slots = SlotSnapshot::default();
+        enc.slots_into(&view, &mut slots);
+        let queue: Vec<&PendingJobView> = slots.queue_jobs(&view).collect();
+        assert!(queue.len() >= 4);
+        for w in queue.windows(2) {
             assert!(w[0].deadline <= w[1].deadline);
         }
+    }
+
+    /// Test oracle for the running-slot order: a stable sort of references
+    /// to the rows by a comparator that recomputes both slacks. The
+    /// snapshot's cached-key ranking must match it exactly.
+    fn running_order_oracle(view: &ClusterView, running_slots: usize) -> Vec<JobId> {
+        let mut jobs: Vec<&RunningJobView> = view.running.iter().collect();
+        jobs.sort_by(|a, b| {
+            a.slack(view.time)
+                .partial_cmp(&b.slack(view.time))
+                .unwrap_or(Ordering::Equal)
+                .then(a.id.cmp(&b.id))
+        });
+        jobs.truncate(running_slots);
+        jobs.iter().map(|r| r.id).collect()
+    }
+
+    fn snapshot_running_order(enc: &StateEncoder, view: &ClusterView) -> Vec<JobId> {
+        let mut slots = SlotSnapshot::default();
+        enc.slots_into(view, &mut slots);
+        slots.running_jobs(view).map(|r| r.id).collect()
+    }
+
+    /// A running row of `template` with the given id whose slack at
+    /// `view_time` is `deadline - (view_time + remaining / 2)`, or NaN for a
+    /// NaN `remaining`.
+    fn running_row(
+        template: &RunningJobView,
+        view_time: f64,
+        id: u64,
+        deadline: f64,
+        remaining: f64,
+    ) -> RunningJobView {
+        RunningJobView {
+            id: JobId(id),
+            deadline,
+            remaining_at_update: remaining,
+            last_update: view_time,
+            rate: 2.0,
+            ..template.clone()
+        }
+    }
+
+    #[test]
+    fn running_slots_match_the_comparator_sort_oracle() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let base = make_view(2, true);
+        let template = base.running[0].clone();
+        let t = base.time;
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut view = base.clone();
+        let (mut checked_nan, mut panicked) = (0, 0);
+        for case in 0..400 {
+            let n = rng.gen_range(0..48usize);
+            let mut ids: Vec<u64> = (0..n as u64).map(|i| i * 3 + 1).collect();
+            ids.shuffle(&mut rng);
+            // Few distinct deadlines and remaining-work values, so equal
+            // slacks (ties broken by id) are common; some NaN slacks.
+            view.running = ids
+                .iter()
+                .map(|&id| {
+                    let deadline = t + [40.0, 80.0, 80.0, 200.0][rng.gen_range(0..4usize)];
+                    let remaining = if rng.gen_bool(0.08) {
+                        f64::NAN
+                    } else {
+                        [10.0, 20.0, 20.0, 90.0][rng.gen_range(0..4usize)]
+                    };
+                    running_row(&template, t, id, deadline, remaining)
+                })
+                .collect();
+            let has_nan = view.running.iter().any(|r| r.slack(t).is_nan());
+            for running_slots in [0, 1, 5, 64] {
+                let mut cfg = AgentConfig::default();
+                cfg.running_slots = running_slots;
+                let enc = StateEncoder::new(&cfg, 4);
+                // A NaN slack makes the comparator inconsistent, which the
+                // standard stable sort may detect and panic on (past its
+                // insertion-sort sizes). The snapshot must then panic too:
+                // it runs the same sort on the same comparisons.
+                let ranked = catch_unwind(AssertUnwindSafe(|| snapshot_running_order(&enc, &view)));
+                let oracle = catch_unwind(AssertUnwindSafe(|| {
+                    running_order_oracle(&view, running_slots)
+                }));
+                match (ranked, oracle) {
+                    (Ok(ranked), Ok(oracle)) => {
+                        assert_eq!(
+                            ranked, oracle,
+                            "case {case}, {n} jobs, {running_slots} slots"
+                        );
+                        checked_nan += usize::from(has_nan);
+                    }
+                    (Err(_), Err(_)) => {
+                        assert!(has_nan);
+                        panicked += 1;
+                    }
+                    (ranked, _) => panic!(
+                        "case {case}, {n} jobs: only the {} panicked",
+                        if ranked.is_err() {
+                            "snapshot"
+                        } else {
+                            "oracle"
+                        }
+                    ),
+                }
+            }
+        }
+        assert!(checked_nan > 100, "too few ranked NaN cases: {checked_nan}");
+        assert!(panicked > 0, "no NaN case reached the sort's order check");
+    }
+
+    #[test]
+    fn equal_slacks_rank_by_id_and_nan_slack_follows_the_comparator() {
+        let base = make_view(2, true);
+        let template = base.running[0].clone();
+        let t = base.time;
+        let mut view = base.clone();
+        // Equal slacks in descending id order: ranked by ascending id, behind
+        // the one job with less slack.
+        view.running = vec![
+            running_row(&template, t, 9, t + 100.0, 20.0),
+            running_row(&template, t, 4, t + 100.0, 20.0),
+            running_row(&template, t, 7, t + 50.0, 20.0),
+            running_row(&template, t, 1, t + 100.0, 20.0),
+        ];
+        let mut cfg = AgentConfig::default();
+        cfg.running_slots = 8;
+        let enc = StateEncoder::new(&cfg, 4);
+        let order = snapshot_running_order(&enc, &view);
+        assert_eq!(order, [7, 1, 4, 9].map(JobId));
+        assert_eq!(order, running_order_oracle(&view, 8));
+        // A NaN slack compares equal to every slack, so only the id breaks
+        // its comparisons: the order is whatever the stable sort makes of
+        // that comparator, and the snapshot must reproduce it.
+        view.running
+            .insert(2, running_row(&template, t, 2, t + 100.0, f64::NAN));
+        assert!(view.running[2].slack(t).is_nan());
+        assert_eq!(
+            snapshot_running_order(&enc, &view),
+            running_order_oracle(&view, 8)
+        );
     }
 
     #[test]

@@ -657,54 +657,64 @@ mod avx2 {
 
     /// Single-row product `out (1×n) = a (1×k) · b (k×n)` streaming `b`
     /// directly (no packing): per k step one broadcast and one FMA per
-    /// 8-column tile, four tiles (32 columns) in flight for ILP.
+    /// 8-column tile, eight tiles (64 columns) in flight to cover the FMA
+    /// latency, then a 32- and 8-column block for the remainder. Each of
+    /// those output elements is one in-order FMA chain over k. The last
+    /// 1–7 columns run one lane-masked 8-lane `mul` then `add` per k step
+    /// (the masked-off lanes are never loaded from memory nor stored).
     ///
     /// # Safety
     /// Caller must ensure AVX2+FMA are available and the slices have the
     /// lengths implied by `(1, k, n)`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn matmul_row(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-        let bp = b.as_ptr();
-        let op = out.as_mut_ptr();
+        debug_assert_eq!(a.len(), k);
         let mut j = 0;
-        while j + 4 * W <= n {
-            let (mut c0, mut c1, mut c2, mut c3) = (
-                _mm256_setzero_ps(),
-                _mm256_setzero_ps(),
-                _mm256_setzero_ps(),
-                _mm256_setzero_ps(),
-            );
-            for (kk, &av) in a.iter().enumerate() {
-                let avv = _mm256_set1_ps(av);
-                let row = bp.add(kk * n + j);
-                c0 = _mm256_fmadd_ps(avv, _mm256_loadu_ps(row), c0);
-                c1 = _mm256_fmadd_ps(avv, _mm256_loadu_ps(row.add(W)), c1);
-                c2 = _mm256_fmadd_ps(avv, _mm256_loadu_ps(row.add(2 * W)), c2);
-                c3 = _mm256_fmadd_ps(avv, _mm256_loadu_ps(row.add(3 * W)), c3);
-            }
-            _mm256_storeu_ps(op.add(j), c0);
-            _mm256_storeu_ps(op.add(j + W), c1);
-            _mm256_storeu_ps(op.add(j + 2 * W), c2);
-            _mm256_storeu_ps(op.add(j + 3 * W), c3);
+        while j + 8 * W <= n {
+            row_block::<8>(a, b, out, n, j);
+            j += 8 * W;
+        }
+        if j + 4 * W <= n {
+            row_block::<4>(a, b, out, n, j);
             j += 4 * W;
         }
         while j + W <= n {
-            let mut c0 = _mm256_setzero_ps();
-            for (kk, &av) in a.iter().enumerate() {
-                c0 = _mm256_fmadd_ps(_mm256_set1_ps(av), _mm256_loadu_ps(bp.add(kk * n + j)), c0);
-            }
-            _mm256_storeu_ps(op.add(j), c0);
+            row_block::<1>(a, b, out, n, j);
             j += W;
         }
-        while j < n {
-            let mut acc = 0.0f32;
+        if j < n {
+            let mask = lane_mask(n - j);
+            let bp = b.as_ptr().add(j);
+            let mut acc = _mm256_setzero_ps();
             for (kk, &av) in a.iter().enumerate() {
-                acc += av * b[kk * n + j];
+                let bv = _mm256_maskload_ps(bp.add(kk * n), mask);
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(av), bv));
             }
-            out[j] = acc;
-            j += 1;
+            _mm256_maskstore_ps(out.as_mut_ptr().add(j), mask, acc);
         }
-        let _ = k;
+    }
+
+    /// Columns `j..j + 8·P` of [`matmul_row`]: `P` accumulators, each an
+    /// in-order FMA chain over k.
+    ///
+    /// # Safety
+    /// As for [`matmul_row`], with `j + 8·P ≤ n`.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn row_block<const P: usize>(a: &[f32], b: &[f32], out: &mut [f32], n: usize, j: usize) {
+        let bp = b.as_ptr().add(j);
+        let mut c = [_mm256_setzero_ps(); P];
+        for (kk, &av) in a.iter().enumerate() {
+            let avv = _mm256_set1_ps(av);
+            let row = bp.add(kk * n);
+            for (q, acc) in c.iter_mut().enumerate() {
+                *acc = _mm256_fmadd_ps(avv, _mm256_loadu_ps(row.add(q * W)), *acc);
+            }
+        }
+        let op = out.as_mut_ptr().add(j);
+        for (q, acc) in c.iter().enumerate() {
+            _mm256_storeu_ps(op.add(q * W), *acc);
+        }
     }
 
     /// Pack the logical `k×n` B operand into zero-padded 8-lane panels,

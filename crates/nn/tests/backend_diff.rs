@@ -22,6 +22,11 @@
 //! * exact ∞ propagation, for all three products: with positive
 //!   surroundings, an injected +∞ produces +∞ in exactly the dependent
 //!   outputs on both backends.
+//!
+//! One check is bit-for-bit rather than a tolerance: the SIMD backend's
+//! single-row product (the per-decision policy forward) against a scalar
+//! reference that spells out its exact operation sequence
+//! (`single_row_simd_product_is_exact`).
 
 use proptest::prelude::*;
 use tcrm_nn::{Backend, Matrix};
@@ -334,6 +339,110 @@ proptest! {
                 prop_assert!((x - y).abs() <= 1e-5 * scale,
                     "{name}[{i}]: scalar {x} vs simd {y}");
             }
+        }
+    }
+}
+
+/// Test-only reference for the SIMD single-row product `a (1×k) · b (k×n)`:
+/// every column covered by a full 8-lane tile is one in-order fused
+/// multiply-add chain over k from +0.0; each of the last `n mod 8` columns
+/// is the same chain with an unfused multiply, then add.
+fn single_row_reference(a: &[f32], b: &[f32], n: usize) -> Vec<f32> {
+    let full = n / 8 * 8;
+    (0..n)
+        .map(|j| {
+            let column = a.iter().enumerate().map(|(kk, &av)| (av, b[kk * n + j]));
+            if j < full {
+                column.fold(0.0f32, |acc, (av, bv)| av.mul_add(bv, acc))
+            } else {
+                column.fold(0.0f32, |acc, (av, bv)| acc + av * bv)
+            }
+        })
+        .collect()
+}
+
+/// Pseudo-random operand with the values a policy forward meets: runs of
+/// zeros (most observation features are zero), -0.0, and, when `special`
+/// is set, sparse NaN, +∞ and -∞ entries.
+fn spiky(len: usize, seed: u64, special: bool) -> Vec<f32> {
+    let mut state = seed
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    let mut zero_run = 0usize;
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = state >> 33;
+            if zero_run > 0 {
+                zero_run -= 1;
+                return 0.0;
+            }
+            match r % 64 {
+                0..=5 => {
+                    zero_run = (r >> 8) as usize % 12;
+                    0.0
+                }
+                6 => -0.0,
+                7 if special => f32::NAN,
+                8 if special => f32::INFINITY,
+                9 if special => f32::NEG_INFINITY,
+                _ => ((r >> 6) % 2001) as f32 / 1000.0 - 1.0,
+            }
+        })
+        .collect()
+}
+
+/// Bit-for-bit equality, except that any NaN equals any NaN (the payload a
+/// NaN operand propagates is not part of the contract).
+fn assert_bits_equal(simd: &[f32], reference: &[f32], what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(simd.len(), reference.len());
+    for (j, (x, y)) in simd.iter().zip(reference).enumerate() {
+        prop_assert!(
+            (x.is_nan() && y.is_nan()) || x.to_bits() == y.to_bits(),
+            "{} column {}: simd {} ({:#010x}) vs reference {} ({:#010x})",
+            what,
+            j,
+            x,
+            x.to_bits(),
+            y,
+            y.to_bits()
+        );
+    }
+    Ok(())
+}
+
+fn single_row_simd(a: &[f32], b: &[f32], k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![f32::NAN; n];
+    tcrm_nn::kernels::matmul(Backend::Simd, a, b, &mut out, 1, k, n);
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The SIMD single-row product equals its reference bit for bit: at
+    /// the agent's layer shapes (259×128, 128×64, 64×131) and at random
+    /// `k < 300`, `n < 140` that cross the 64-, 32- and 8-column blocks and
+    /// every tail width, on inputs with zero runs, -0.0, NaN and ±∞.
+    /// Meaningless without AVX2+FMA, where the SIMD backend runs the scalar
+    /// kernels, so the check is skipped there.
+    #[test]
+    fn single_row_simd_product_is_exact(
+        k in 0usize..300,
+        n in 0usize..140,
+        seed in 0u64..1_000_000,
+        special in any::<bool>(),
+    ) {
+        if !Backend::Simd.is_accelerated() {
+            return Ok(());
+        }
+        for (k, n) in [(259, 128), (128, 64), (64, 131), (k, n)] {
+            let a = spiky(k, seed, special);
+            let b = spiky(k * n, seed ^ 0x5eed, special);
+            let what = format!("{k}×{n}");
+            assert_bits_equal(&single_row_simd(&a, &b, k, n), &single_row_reference(&a, &b, n), &what)?;
         }
     }
 }

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use tcrm_nn::loss::entropy;
-use tcrm_nn::{masked_softmax, Activation, Matrix, Mlp, MlpConfig};
+use tcrm_nn::{masked_softmax_into, Activation, Matrix, Mlp, MlpConfig, Workspace};
 
 /// A stochastic policy π(a | s) parameterised by an MLP emitting one logit per
 /// action. Infeasible actions (mask = false) receive probability zero.
@@ -54,9 +54,32 @@ impl CategoricalPolicy {
         self.net.forward_vec(obs)
     }
 
-    /// Masked action probabilities for one observation.
+    /// Masked action probabilities for one observation (allocating wrapper
+    /// over [`Self::probabilities_into`]).
     pub fn probabilities(&self, obs: &[f32], mask: &[bool]) -> Vec<f32> {
-        masked_softmax(&self.logits(obs), mask)
+        let mut scratch = PolicyScratch::default();
+        self.probabilities_into(obs, mask, &mut scratch);
+        scratch.probs
+    }
+
+    /// Masked action probabilities for one observation through
+    /// caller-owned buffers: the single-observation inference path every
+    /// other single-observation method wraps. The observation is copied
+    /// into a one-row input, run through [`Mlp::forward_ws`] and
+    /// masked-softmaxed; the returned row is borrowed from `scratch`.
+    /// Allocation-free once `scratch` has warmed to this policy's shapes.
+    pub fn probabilities_into<'s>(
+        &self,
+        obs: &[f32],
+        mask: &[bool],
+        scratch: &'s mut PolicyScratch,
+    ) -> &'s [f32] {
+        let PolicyScratch { input, ws, probs } = scratch;
+        input.clear_rows();
+        input.push_row(obs);
+        let logits = self.net.forward_ws(input, ws);
+        masked_softmax_into(logits.row(0), mask, probs);
+        probs
     }
 
     /// Batched logits through a caller-owned workspace: one forward pass for
@@ -81,7 +104,7 @@ impl CategoricalPolicy {
 
     /// Greedy (argmax) action under the mask.
     pub fn greedy(&self, obs: &[f32], mask: &[bool]) -> usize {
-        Self::argmax(&self.probabilities(obs, mask))
+        argmax(&self.probabilities(obs, mask))
     }
 
     /// Entropy of the masked distribution at an observation.
@@ -106,18 +129,32 @@ impl CategoricalPolicy {
     pub fn from_json(json: &str) -> serde_json::Result<Self> {
         serde_json::from_str(json)
     }
+}
 
-    fn argmax(values: &[f32]) -> usize {
-        let mut best = 0;
-        let mut best_v = f32::NEG_INFINITY;
-        for (i, &v) in values.iter().enumerate() {
-            if v > best_v {
-                best_v = v;
-                best = i;
-            }
+/// Reusable buffers of [`CategoricalPolicy::probabilities_into`]: the
+/// one-row input matrix, the forward workspace and the probability row.
+/// Shape-agnostic: the buffers grow to the largest policy they serve.
+#[derive(Debug, Clone, Default)]
+pub struct PolicyScratch {
+    input: Matrix,
+    ws: Workspace,
+    probs: Vec<f32>,
+}
+
+/// Index of the first largest entry (0 when every entry is NaN or `-∞`):
+/// the greedy choice over a probability row from
+/// [`CategoricalPolicy::probabilities_into`], where masked-out actions hold
+/// exactly zero.
+pub fn argmax(values: &[f32]) -> usize {
+    let mut best = 0;
+    let mut best_v = f32::NEG_INFINITY;
+    for (i, &v) in values.iter().enumerate() {
+        if v > best_v {
+            best_v = v;
+            best = i;
         }
-        best
     }
+    best
 }
 
 /// Sample from a (masked) probability distribution, consuming exactly one
@@ -143,7 +180,7 @@ pub fn sample_categorical(probs: &[f32], rng: &mut StdRng) -> (usize, f32) {
     // Guard: if rounding pushed us onto a zero-probability action, pick the
     // most likely feasible one instead.
     if probs[action] <= 0.0 {
-        action = CategoricalPolicy::argmax(probs);
+        action = argmax(probs);
     }
     let log_prob = probs[action].max(1e-12).ln();
     (action, log_prob)

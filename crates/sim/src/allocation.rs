@@ -79,10 +79,12 @@ impl Allocation {
 
     /// Remove up to `units` units, preferring the placements with the fewest
     /// units first (so scale-down frees whole nodes as quickly as possible).
-    /// Returns the placements that were released (for the cluster to free).
-    pub fn shrink(&mut self, units: u32) -> Vec<Placement> {
+    /// Writes the placements that were released (for the cluster to free)
+    /// into `released`, cleared first: the engine passes a pooled placement
+    /// buffer, so a scale-down allocates nothing.
+    pub fn shrink(&mut self, units: u32, released: &mut Vec<Placement>) {
         let mut to_remove = units;
-        let mut released = Vec::new();
+        released.clear();
         // Sort ascending by units so small fragments are vacated first.
         self.placements.sort_by_key(|p| p.units);
         for p in &mut self.placements {
@@ -100,7 +102,6 @@ impl Allocation {
             }
         }
         self.placements.retain(|p| p.units > 0);
-        released
     }
 
     /// Add placements from a grow operation, merging with existing entries for
@@ -171,7 +172,12 @@ mod tests {
     #[test]
     fn shrink_prefers_small_fragments_and_reports_released() {
         let mut a = alloc();
-        let released = a.shrink(2);
+        // A reused buffer: its stale entry must not survive.
+        let mut released = vec![Placement {
+            node: NodeId(9),
+            units: 7,
+        }];
+        a.shrink(2, &mut released);
         // The 1-unit placement on node 1 goes first, then one unit from node 0.
         assert_eq!(a.total_units(), 2);
         let total_released: u32 = released.iter().map(|p| p.units).sum();
@@ -183,7 +189,8 @@ mod tests {
     #[test]
     fn shrink_more_than_available_empties_allocation() {
         let mut a = alloc();
-        let released = a.shrink(100);
+        let mut released = Vec::new();
+        a.shrink(100, &mut released);
         assert_eq!(a.total_units(), 0);
         assert!(a.placements.is_empty());
         assert_eq!(released.iter().map(|p| p.units).sum::<u32>(), 4);

@@ -26,7 +26,7 @@ use crate::allocation::{Allocation, Placement};
 use crate::cluster::Cluster;
 use crate::config::{ClusterSpec, SimConfig};
 use crate::event::{EventKind, EventQueue};
-use crate::job::{Job, JobId};
+use crate::job::{Job, JobId, JobIdMap};
 use crate::metrics::{
     CompletedJob, MetricsCollector, PerClassUtilization, Summary, UtilizationSample,
     UtilizationTrace,
@@ -36,7 +36,6 @@ use crate::pending::PendingQueue;
 use crate::resources::ResourceVector;
 use crate::scheduler::{Action, ActionOutcome, Scheduler};
 use crate::view::{ClusterView, NodeClassView, PendingJobView, RunningJobView, ViewSync};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -306,7 +305,7 @@ pub struct Simulator {
     time: f64,
     events: EventQueue,
     pending: PendingQueue,
-    running: HashMap<JobId, RunningJob>,
+    running: JobIdMap<RunningJob>,
     /// Running job ids kept sorted by `(started_at, id)` — the order
     /// [`Self::view`] exposes. Maintained incrementally on start/completion
     /// so building a view never re-sorts.
@@ -373,7 +372,7 @@ impl Simulator {
             time: 0.0,
             events: EventQueue::new(),
             pending: PendingQueue::new(),
-            running: HashMap::new(),
+            running: JobIdMap::default(),
             running_order: Vec::new(),
             placement_pool: Vec::new(),
             metrics: MetricsCollector::new(),
@@ -1489,9 +1488,10 @@ impl Simulator {
             self.placement_pool.push(placements);
         } else {
             let shrink_by = current - target;
+            let mut released = self.placement_buffer();
             let r = self.running.get_mut(&job_id).expect("running job vanished");
             r.reconcile(self.time);
-            let released = r.alloc.shrink(shrink_by);
+            r.alloc.shrink(shrink_by, &mut released);
             r.remaining_work += reconfig_cost;
             r.scale_count += 1;
             r.last_scaled_at = self.time;
@@ -1499,6 +1499,7 @@ impl Simulator {
             self.cluster.release_placement(&demand, &released);
             self.log_node_frees(&released);
             self.stamp_release(class);
+            self.placement_pool.push(released);
         }
         self.metrics.record_scale_event();
         let r = &self.running[&job_id];

@@ -15,6 +15,37 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct JobId(pub u64);
 
+/// A map keyed by [`JobId`] with a fixed multiplicative hash instead of
+/// the standard library's per-process random one. Ids are engine-local
+/// integers, so collision attacks are not a concern, and a fixed hash makes
+/// the table's layout, and with it when a reused map grows, the same in
+/// every process: a warmed-up replication of a run replays the insertions
+/// and removals of the one before it exactly, allocation-free included.
+pub(crate) type JobIdMap<V> =
+    std::collections::HashMap<JobId, V, std::hash::BuildHasherDefault<JobIdHasher>>;
+
+/// The [`JobIdMap`] hasher: one multiply by an odd 64-bit constant per
+/// `u64` written (the Fx hash), which spreads consecutive ids over distinct
+/// buckets.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct JobIdHasher(u64);
+
+impl std::hash::Hasher for JobIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
 impl fmt::Display for JobId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "job-{}", self.0)

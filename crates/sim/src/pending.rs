@@ -22,8 +22,7 @@
 //! per *started job*, not once per epoch, and moves 4-byte indices instead
 //! of whole `Job` records.
 
-use crate::job::{Job, JobId};
-use std::collections::HashMap;
+use crate::job::{Job, JobId, JobIdMap};
 
 /// A slab of pending jobs with maintained id/arrival/deadline indices.
 #[derive(Debug, Clone, Default)]
@@ -33,7 +32,7 @@ pub struct PendingQueue {
     /// Reusable slots of removed jobs.
     free_slots: Vec<u32>,
     /// `JobId → slot`.
-    index: HashMap<JobId, u32>,
+    index: JobIdMap<u32>,
     /// Slots in insertion (arrival-event) order — the canonical view order.
     arrival_order: Vec<u32>,
     /// `slot → position in arrival_order` (parallel to `slots`).

@@ -419,9 +419,9 @@ pub struct ClusterView {
     /// Number of jobs that have not yet arrived.
     pub future_arrivals: usize,
     /// Indices into [`Self::pending`] ordered by `(deadline, id)` — the
-    /// engine-maintained deadline index. EDF-family schedulers and the DRL
-    /// queue-slot encoder iterate [`Self::pending_in_deadline_order`]
-    /// instead of re-sorting the queue at every decision.
+    /// engine-maintained deadline index. EDF-family schedulers iterate
+    /// [`Self::pending_in_deadline_order`] and the DRL queue slots are its
+    /// first rows, instead of re-sorting the queue at every decision.
     #[serde(default)]
     pub pending_by_deadline: Vec<u32>,
     /// Whether the engine accepts re-scaling at all (its

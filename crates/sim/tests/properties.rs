@@ -97,7 +97,8 @@ proptest! {
             placements,
             ResourceVector::of(1.0, 1.0, 0.0, 0.0),
         );
-        let released = alloc.shrink(shrink_by);
+        let mut released = Vec::new();
+        alloc.shrink(shrink_by, &mut released);
         let released_units: u32 = released.iter().map(|p| p.units).sum();
         prop_assert_eq!(released_units, shrink_by.min(total));
         prop_assert_eq!(alloc.total_units(), total - shrink_by.min(total));
