@@ -12,10 +12,9 @@
 //! The same stepping pins the EDF family's start memo
 //! (`util::StartMemo`): at every `decide` a memoized scheduler must return
 //! exactly what a memo-free twin returns on the same view, including when
-//! epochs pass without a decision, on an older clone of the view and on a
-//! serde round-tripped one; and EDF's exact work counts on a `sim_scale`
-//! style trace are pinned, so a memo that silently stops skipping rows
-//! fails here.
+//! epochs pass without a decision and on an older clone of the view; and
+//! EDF's exact work counts on a `sim_scale` style trace are pinned, so a
+//! memo that silently stops skipping rows fails here.
 
 use tcrm_baselines::greedy_elastic::GreedyElasticConfig;
 use tcrm_baselines::{
@@ -446,30 +445,6 @@ fn an_older_view_after_a_release_gets_a_full_scan() {
     // The older clone still has the released node free: it must not reuse
     // the memo made on the later view.
     assert_eq!(edf.decide(&released), start);
-}
-
-#[test]
-fn a_deserialized_view_is_generation_zero_and_gets_a_full_scan() {
-    let (mut sim, mut view) = contended_view();
-    let round_trip = |v: &ClusterView| -> ClusterView {
-        serde_json::from_str(&serde_json::to_string(v).unwrap()).unwrap()
-    };
-    let old = round_trip(&view);
-    assert_eq!(old.feasibility_gen, 0);
-    assert!(old.released_at.is_empty());
-    assert!(old.pending.iter().all(|job| job.arrival_seq == 0));
-    let actions = EdfScheduler::new().decide(&view);
-    for action in &actions {
-        sim.apply(action);
-    }
-    sim.view_into(&mut view);
-    let later = round_trip(&view);
-    let mut edf = EdfScheduler::new();
-    assert!(edf.decide(&later).is_empty());
-    // Both deserialized views are generation 0 at log position 0; the
-    // memo from the first must not carry over to the second.
-    assert_eq!(edf.decide(&old), EdfScheduler::new().decide(&old));
-    assert_eq!(edf.decide(&old), actions);
 }
 
 /// EDF with its memo forgotten before every call: every start pass is a

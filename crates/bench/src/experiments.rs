@@ -160,45 +160,25 @@ impl Lab {
         if let Some(found) = self.agents.lock().get(key) {
             return found.clone();
         }
-        let (agent_cfg, learner, reward) = match key {
-            "drl" => (
-                AgentConfig::default(),
-                LearnerKind::A2c,
-                RewardKind::Utility,
-            ),
-            "drl-rigid" => (
-                AgentConfig::default().rigid(),
-                LearnerKind::A2c,
-                RewardKind::Utility,
-            ),
+        let (agent_cfg, learner) = match key {
+            "drl" => (AgentConfig::default(), LearnerKind::A2c),
+            "drl-rigid" => (AgentConfig::default().rigid(), LearnerKind::A2c),
             "drl-class-blind" => (
                 AgentConfig::default().heterogeneity_blind(),
                 LearnerKind::A2c,
-                RewardKind::Utility,
             ),
             "drl-reward-miss" => (
                 AgentConfig::default().with_reward(RewardKind::MissPenalty),
                 LearnerKind::A2c,
-                RewardKind::MissPenalty,
             ),
             "drl-reward-slowdown" => (
                 AgentConfig::default().with_reward(RewardKind::Slowdown),
                 LearnerKind::A2c,
-                RewardKind::Slowdown,
             ),
-            "drl-ppo" => (
-                AgentConfig::default(),
-                LearnerKind::Ppo,
-                RewardKind::Utility,
-            ),
-            "drl-reinforce" => (
-                AgentConfig::default(),
-                LearnerKind::Reinforce,
-                RewardKind::Utility,
-            ),
+            "drl-ppo" => (AgentConfig::default(), LearnerKind::Ppo),
+            "drl-reinforce" => (AgentConfig::default(), LearnerKind::Reinforce),
             other => panic!("unknown agent variant '{other}'"),
         };
-        let _ = reward;
         // Try the on-disk checkpoint first (training history is re-derived
         // only when an actual training run happens).
         let ckpt_dir = self.out_dir.join("agents");

@@ -20,6 +20,9 @@ use tcrm_sim::{Action, ClusterView, Scheduler};
 pub struct DrlScheduler {
     name: String,
     config: AgentConfig,
+    /// Node classes of the cluster the policy was built for (the
+    /// observation and action layouts depend on it).
+    num_classes: usize,
     encoder: StateEncoder,
     actions: ActionSpace,
     policy: CategoricalPolicy,
@@ -61,6 +64,7 @@ impl DrlScheduler {
         DrlScheduler {
             name: "drl".to_string(),
             config,
+            num_classes,
             encoder,
             actions,
             policy,
@@ -124,7 +128,7 @@ impl DrlScheduler {
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let checkpoint = AgentCheckpoint {
             config: self.config.clone(),
-            num_classes: self.actions_num_classes(),
+            num_classes: self.num_classes,
             policy_json: self
                 .policy
                 .to_json()
@@ -135,25 +139,31 @@ impl DrlScheduler {
         fs::write(path, json)
     }
 
-    /// Load an agent from a JSON checkpoint.
+    /// Load an agent from a JSON checkpoint. A checkpoint whose policy's
+    /// observation or action dimension disagrees with the layout its config
+    /// and class count define is rejected with [`io::ErrorKind::InvalidData`]
+    /// (it would otherwise panic at the first decision).
     pub fn load(path: impl AsRef<Path>) -> io::Result<Self> {
         let json = fs::read_to_string(path)?;
         let checkpoint: AgentCheckpoint = serde_json::from_str(&json)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let policy = CategoricalPolicy::from_json(&checkpoint.policy_json)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        Ok(DrlScheduler::new(
-            policy,
-            checkpoint.config,
-            checkpoint.num_classes,
-        ))
-    }
-
-    fn actions_num_classes(&self) -> usize {
-        // The action space is (slots × classes × levels) + 2·running + 1.
-        let per_slot = (self.actions.action_count() - 2 * self.config.running_slots - 1)
-            / self.config.queue_slots;
-        per_slot / self.config.parallelism_levels
+        let (config, num_classes) = (&checkpoint.config, checkpoint.num_classes);
+        let observation_dim = StateEncoder::new(config, num_classes).observation_dim();
+        let action_count = ActionSpace::new(config, num_classes).action_count();
+        if policy.observation_dim() != observation_dim || policy.action_count() != action_count {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "checkpoint policy is {}→{} but its config with {num_classes} node classes \
+                     needs {observation_dim}→{action_count}",
+                    policy.observation_dim(),
+                    policy.action_count()
+                ),
+            ));
+        }
+        Ok(DrlScheduler::new(policy, checkpoint.config, num_classes))
     }
 
     /// Emergency fallback when the policy refuses to schedule even though
@@ -319,6 +329,28 @@ mod tests {
             Simulator::new(cluster.clone(), SimConfig::default()).run(jobs.clone(), &mut original);
         let rb = Simulator::new(cluster, SimConfig::default()).run(jobs, &mut restored);
         assert_eq!(ra.summary, rb.summary);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn checkpoint_with_mismatched_shape_is_invalid_data() {
+        let agent = fresh_agent();
+        let dir = std::env::temp_dir().join("tcrm-agent-shape-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("agent.json");
+        // The policy was built for 4 classes; the checkpoint claims 3.
+        let checkpoint = AgentCheckpoint {
+            config: agent.config.clone(),
+            num_classes: 3,
+            policy_json: agent.policy.to_json().unwrap(),
+        };
+        std::fs::write(&path, serde_json::to_string(&checkpoint).unwrap()).unwrap();
+        let err = DrlScheduler::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("3 node classes"), "{err}");
+        // The same checkpoint with the right class count loads.
+        agent.save(&path).unwrap();
+        assert_eq!(DrlScheduler::load(&path).unwrap().num_classes, 4);
         let _ = std::fs::remove_file(&path);
     }
 

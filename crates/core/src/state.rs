@@ -31,9 +31,10 @@
 //! * **running slots** — least slack at the view's time first, ties by id,
 //!   so the jobs most at risk are always visible. Each job's slack is
 //!   computed once, then the running jobs are stably sorted in view order
-//!   with the comparator `slack.partial_cmp(..).unwrap_or(Equal)` then id,
-//!   and cut to `running_slots`. A NaN slack compares equal to every slack;
-//!   that is not a total order, and the standard sort may panic on it.
+//!   by slack (`-0.0` equal to `0.0`) then id, and cut to `running_slots`.
+//!   A NaN slack ranks after every number, so the order is total: no input
+//!   can make the sort panic, and on finite slacks it is the plain numeric
+//!   order.
 
 use crate::config::AgentConfig;
 use serde::{Deserialize, Serialize};
@@ -56,6 +57,14 @@ const GLOBAL_FEATURES: usize = 8;
 const TIME_SCALE: f64 = 300.0;
 /// Work-scale used to squash work features.
 const WORK_SCALE: f64 = 200.0;
+
+/// The running-slot slack order: numeric (`-0.0` equals `0.0`), with NaN
+/// after every number and equal to NaN — a total preorder, where
+/// `partial_cmp(..).unwrap_or(Equal)` alone is not one.
+fn slack_order(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
 
 /// Encodes cluster views into observation vectors.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -112,10 +121,7 @@ impl StateEncoder {
         running.clear();
         running.extend(0..view.running.len());
         running.sort_by(|&a, &b| {
-            slack[a]
-                .partial_cmp(&slack[b])
-                .unwrap_or(Ordering::Equal)
-                .then(view.running[a].id.cmp(&view.running[b].id))
+            slack_order(slack[a], slack[b]).then(view.running[a].id.cmp(&view.running[b].id))
         });
         running.truncate(self.running_slots);
     }
@@ -422,9 +428,10 @@ mod tests {
         }
     }
 
-    /// Test oracle for the running-slot order: a stable sort of references
-    /// to the rows by a comparator that recomputes both slacks. The
-    /// snapshot's cached-key ranking must match it exactly.
+    /// Test oracle for the running-slot order on views without a NaN slack:
+    /// a stable sort of references to the rows by a comparator that
+    /// recomputes both slacks. The snapshot's cached-key ranking must match
+    /// it exactly.
     fn running_order_oracle(view: &ClusterView, running_slots: usize) -> Vec<JobId> {
         let mut jobs: Vec<&RunningJobView> = view.running.iter().collect();
         jobs.sort_by(|a, b| {
@@ -435,6 +442,25 @@ mod tests {
         });
         jobs.truncate(running_slots);
         jobs.iter().map(|r| r.id).collect()
+    }
+
+    /// Test oracle for views with NaN slacks: [`running_order_oracle`] over
+    /// the rows with a number slack, then the NaN-slack rows by id.
+    fn nan_last_oracle(view: &ClusterView, running_slots: usize) -> Vec<JobId> {
+        let is_nan = |r: &RunningJobView| r.slack(view.time).is_nan();
+        let mut numbers = view.clone();
+        numbers.running.retain(|r| !is_nan(r));
+        let mut order = running_order_oracle(&numbers, usize::MAX);
+        let mut nan: Vec<JobId> = view
+            .running
+            .iter()
+            .filter(|r| is_nan(r))
+            .map(|r| r.id)
+            .collect();
+        nan.sort();
+        order.extend(nan);
+        order.truncate(running_slots);
+        order
     }
 
     fn snapshot_running_order(enc: &StateEncoder, view: &ClusterView) -> Vec<JobId> {
@@ -468,13 +494,12 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::seq::SliceRandom;
         use rand::{Rng, SeedableRng};
-        use std::panic::{catch_unwind, AssertUnwindSafe};
         let base = make_view(2, true);
         let template = base.running[0].clone();
         let t = base.time;
         let mut rng = StdRng::seed_from_u64(25);
         let mut view = base.clone();
-        let (mut checked_nan, mut panicked) = (0, 0);
+        let (mut checked_nan, mut checked_large_nan) = (0, 0);
         for case in 0..400 {
             let n = rng.gen_range(0..48usize);
             let mut ids: Vec<u64> = (0..n as u64).map(|i| i * 3 + 1).collect();
@@ -498,39 +523,64 @@ mod tests {
                 let mut cfg = AgentConfig::default();
                 cfg.running_slots = running_slots;
                 let enc = StateEncoder::new(&cfg, 4);
-                // A NaN slack makes the comparator inconsistent, which the
-                // standard stable sort may detect and panic on (past its
-                // insertion-sort sizes). The snapshot must then panic too:
-                // it runs the same sort on the same comparisons.
-                let ranked = catch_unwind(AssertUnwindSafe(|| snapshot_running_order(&enc, &view)));
-                let oracle = catch_unwind(AssertUnwindSafe(|| {
+                // Without NaN the order is the comparator sort's, bit for
+                // bit; NaN slacks rank last, by id.
+                let expected = if has_nan {
+                    nan_last_oracle(&view, running_slots)
+                } else {
                     running_order_oracle(&view, running_slots)
-                }));
-                match (ranked, oracle) {
-                    (Ok(ranked), Ok(oracle)) => {
-                        assert_eq!(
-                            ranked, oracle,
-                            "case {case}, {n} jobs, {running_slots} slots"
-                        );
-                        checked_nan += usize::from(has_nan);
-                    }
-                    (Err(_), Err(_)) => {
-                        assert!(has_nan);
-                        panicked += 1;
-                    }
-                    (ranked, _) => panic!(
-                        "case {case}, {n} jobs: only the {} panicked",
-                        if ranked.is_err() {
-                            "snapshot"
-                        } else {
-                            "oracle"
-                        }
-                    ),
-                }
+                };
+                assert_eq!(
+                    snapshot_running_order(&enc, &view),
+                    expected,
+                    "case {case}, {n} jobs, {running_slots} slots"
+                );
+                checked_nan += usize::from(has_nan);
+                // Past the standard sort's insertion-sort sizes, where a
+                // comparator that is not a total order may make it panic.
+                checked_large_nan += usize::from(has_nan && n > 20);
             }
         }
         assert!(checked_nan > 100, "too few ranked NaN cases: {checked_nan}");
-        assert!(panicked > 0, "no NaN case reached the sort's order check");
+        assert!(checked_large_nan > 0, "no NaN case beyond 20 jobs");
+    }
+
+    #[test]
+    fn a_nan_slack_among_many_running_jobs_ranks_last_without_panicking() {
+        // 25 running jobs with slacks 25, 24, ..., 1 in view order, the
+        // fourth one's slack NaN: the old `partial_cmp(..).unwrap_or(Equal)`
+        // comparator made the standard sort panic on this view ("does not
+        // correctly implement a total order").
+        let base = make_view(2, true);
+        let template = base.running[0].clone();
+        let t = base.time;
+        let mut view = base.clone();
+        view.running = (0..25u64)
+            .map(|i| {
+                let remaining = if i == 3 { f64::NAN } else { 20.0 };
+                running_row(
+                    &template,
+                    t,
+                    i * 3 + 1,
+                    t + 10.0 + (25 - i) as f64,
+                    remaining,
+                )
+            })
+            .collect();
+        assert!(view.running[3].slack(t).is_nan());
+        let mut cfg = AgentConfig::default();
+        cfg.running_slots = 32;
+        let enc = StateEncoder::new(&cfg, 4);
+        let order = snapshot_running_order(&enc, &view);
+        // Least slack first (the view's reverse), the NaN job last.
+        let mut expected: Vec<JobId> = (0..25u64)
+            .rev()
+            .filter(|&i| i != 3)
+            .map(|i| JobId(i * 3 + 1))
+            .collect();
+        expected.push(JobId(10));
+        assert_eq!(order, expected);
+        assert_eq!(order, nan_last_oracle(&view, 32));
     }
 
     #[test]
@@ -553,15 +603,15 @@ mod tests {
         let order = snapshot_running_order(&enc, &view);
         assert_eq!(order, [7, 1, 4, 9].map(JobId));
         assert_eq!(order, running_order_oracle(&view, 8));
-        // A NaN slack compares equal to every slack, so only the id breaks
-        // its comparisons: the order is whatever the stable sort makes of
-        // that comparator, and the snapshot must reproduce it.
+        // A NaN slack ranks after every number; NaN slacks tie, by id.
         view.running
-            .insert(2, running_row(&template, t, 2, t + 100.0, f64::NAN));
-        assert!(view.running[2].slack(t).is_nan());
+            .insert(2, running_row(&template, t, 8, t + 100.0, f64::NAN));
+        view.running
+            .insert(0, running_row(&template, t, 2, t + 100.0, f64::NAN));
+        assert!(view.running[3].slack(t).is_nan());
         assert_eq!(
             snapshot_running_order(&enc, &view),
-            running_order_oracle(&view, 8)
+            [7, 1, 4, 9, 2, 8].map(JobId)
         );
     }
 

@@ -9,10 +9,9 @@
 use crate::job::JobId;
 use crate::node::{NodeClassId, NodeId};
 use crate::resources::ResourceVector;
-use serde::{Deserialize, Serialize};
 
 /// Units placed on one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
     /// The machine.
     pub node: NodeId,
@@ -21,7 +20,7 @@ pub struct Placement {
 }
 
 /// The complete placement of one running job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Allocation {
     /// The job this allocation belongs to.
     pub job: JobId,

@@ -2,10 +2,11 @@
 
 use crate::allocation::Placement;
 use crate::config::ClusterSpec;
-use crate::fit_index::{bucket_rank, rank_floor, FitIndex};
+use crate::fit_index::{bucket_rank, rank_floor, units_that_fit, FitIndex};
 use crate::job::JobClass;
 use crate::node::{Node, NodeClassId, NodeId};
 use crate::resources::{ResourceVector, NUM_RESOURCES};
+use crate::view::NodeClassView;
 
 /// A concrete cluster instantiated from a [`ClusterSpec`].
 ///
@@ -31,6 +32,10 @@ use crate::resources::{ResourceVector, NUM_RESOURCES};
 ///   `sim_scale` at 256 nodes. The pre-index slice walk survives as the
 ///   property-tested oracle [`Self::find_placement_walk`] (re-keyed to the
 ///   same `(bucket_rank desc, id asc)` order), which the engine never calls.
+///
+/// The cluster answers placement queries only. "How many units fit on this
+/// class?" is asked of the class's snapshot, [`Self::class_view`] — the
+/// row every [`crate::ClusterView`] holds, which keeps its own fit index.
 ///
 /// [`Self::check_invariants`] cross-checks both the aggregates and the fit
 /// indices against a fresh per-node recomputation.
@@ -201,43 +206,37 @@ impl Cluster {
         }
     }
 
-    /// How many units of `per_unit` demand can still be placed on machines of
-    /// `class` (summing per-node fits, i.e. respecting fragmentation).
-    ///
-    /// Saturating: at 64k nodes the raw sum of per-node fits can exceed
-    /// `u32::MAX`, which used to wrap silently in release builds.
-    pub fn units_available(&self, class: NodeClassId, per_unit: &ResourceVector) -> u32 {
-        self.units_available_capped(class, per_unit, u32::MAX)
+    /// Snapshot of one class as schedulers see it: the row every
+    /// [`crate::ClusterView`] holds, its fit index built. The engine's full
+    /// view rebuild builds its class rows through this.
+    pub fn class_view(&self, id: NodeClassId) -> NodeClassView {
+        let spec = &self.spec.node_classes[id.0];
+        let mut view = NodeClassView {
+            id,
+            name: spec.name.clone(),
+            node_count: spec.count,
+            total_capacity: self.total_capacity_of_class(id),
+            free_capacity: self.free_capacity_of_class(id),
+            node_free: Vec::with_capacity(spec.count),
+            // Straight from the spec (not derived by division) so view-side
+            // bucket ranks are bit-identical to the cluster's.
+            unit_capacity: spec.capacity,
+            fit_index: FitIndex::new(),
+            speed_factors: spec.speed.as_array(),
+        };
+        self.refill_class_view(&mut view);
+        view
     }
 
-    /// `min(units_available, cap)`, returning as soon as the cap is reached.
-    /// The sum is iteration-order-independent, so this walks the fit index in
-    /// emptiest-first order (reaching the cap after the fewest nodes, and
-    /// skipping the buckets below the demand's [`rank_floor`], whose nodes
-    /// fit nothing) and accumulates saturating.
-    pub fn units_available_capped(
-        &self,
-        class: NodeClassId,
-        per_unit: &ResourceVector,
-        cap: u32,
-    ) -> u32 {
-        if cap == 0 {
-            return 0;
-        }
-        let mut total = 0u32;
-        let slice = self.class_nodes(class);
-        let floor = rank_floor(per_unit, &self.unit_capacity_of_class(class));
-        for idx in self.fit[class.0].nodes_desc_from(floor) {
-            let u = slice[idx].units_that_fit(per_unit);
-            if u == u32::MAX {
-                continue; // zero-demand jobs are handled by the caller
-            }
-            total = total.saturating_add(u);
-            if total >= cap {
-                return cap;
-            }
-        }
-        total
+    /// Refill a class view's per-node free rows from the nodes and rebuild
+    /// its fit index, into the retained buffers (no allocation once
+    /// warmed) — the reference recomputation the incremental
+    /// [`NodeClassView::set_node_free`] maintenance is checked against.
+    pub(crate) fn refill_class_view(&self, view: &mut NodeClassView) {
+        view.node_free.clear();
+        view.node_free
+            .extend(self.nodes_of_class(view.id).map(|n| n.free()));
+        view.rebuild_fit_index();
     }
 
     /// Find a placement for `units` parallel units of `per_unit` demand on
@@ -320,7 +319,7 @@ impl Cluster {
         let floor = rank_floor(per_unit, &self.unit_capacity_of_class(class));
         for idx in self.fit[class.0].nodes_desc_from(floor) {
             let node = &slice[idx];
-            let fit = node.units_that_fit(per_unit);
+            let fit = units_that_fit(&node.free(), per_unit);
             if fit == 0 {
                 continue;
             }
@@ -355,7 +354,10 @@ impl Cluster {
         let cap = self.unit_capacity_of_class(class);
         let mut candidates: Vec<(&Node, u32, u8)> = self
             .nodes_of_class(class)
-            .map(|n| (n, n.units_that_fit(per_unit), bucket_rank(&n.free(), &cap)))
+            .map(|n| {
+                let free = n.free();
+                (n, units_that_fit(&free, per_unit), bucket_rank(&free, &cap))
+            })
             .filter(|(_, fit, _)| *fit > 0)
             .collect();
         // Emptiest bucket first, then lowest id.
@@ -377,20 +379,6 @@ impl Cluster {
         } else {
             None
         }
-    }
-
-    /// The largest number of units (≤ `max_units`) for which a placement on
-    /// `class` exists. Returns 0 if even one unit does not fit.
-    pub fn max_placeable_units(
-        &self,
-        class: NodeClassId,
-        per_unit: &ResourceVector,
-        max_units: u32,
-    ) -> u32 {
-        if per_unit.total() <= 0.0 {
-            return max_units;
-        }
-        self.units_available_capped(class, per_unit, max_units)
     }
 
     /// Reserve resources for a placement. Panics in debug builds if the
@@ -510,7 +498,8 @@ mod tests {
         c.apply_placement(&per_unit, &placement);
         assert!(c.check_invariants().is_ok());
         // Remaining capacity only fits 2 more units.
-        assert_eq!(c.max_placeable_units(NodeClassId(0), &per_unit, 100), 2);
+        let class = c.class_view(NodeClassId(0));
+        assert_eq!(class.units_available_capped(&per_unit, 100), 2);
         c.release_placement(&per_unit, &placement);
         assert_eq!(c.free_capacity(), c.spec().total_capacity());
     }
@@ -581,9 +570,11 @@ mod tests {
     #[test]
     fn indexed_and_walk_placements_are_identical() {
         // Drive both paths through an allocate/release churn and require
-        // byte-identical placements at every step. Every class sees every
-        // demand, and the last ones fill whole nodes, so some steps query
-        // past full nodes below the rank floor.
+        // byte-identical placements and exact unit counts at every step.
+        // Every class sees every demand, and the node-filling ones leave
+        // some steps querying past full nodes below the rank floor. The
+        // I/O-heavy one fills a node's I/O with CPU to spare, so an
+        // I/O-free demand (rank floor 0) must count that rank-0 node too.
         let mut c = Cluster::new(ClusterSpec::icpp_default());
         let demands = [
             ResourceVector::of(2.0, 4.0, 0.0, 1.0),
@@ -592,6 +583,7 @@ mod tests {
             ResourceVector::of(4.0, 16.0, 1.0, 2.0),
             ResourceVector::of(8.0, 32.0, 0.0, 2.5),
             ResourceVector::of(4.0, 32.0, 1.0, 6.25),
+            ResourceVector::of(1.0, 2.0, 0.0, 5.0),
         ];
         let mut live: Vec<(ResourceVector, Vec<Placement>)> = Vec::new();
         let mut pruned_steps = 0;
@@ -600,19 +592,27 @@ mod tests {
             let per_unit = demands[(step / c.num_classes() + step) % demands.len()];
             let units = 1 + (step % 5) as u32;
             pruned_steps += usize::from(floor_prunes(&c, class, &per_unit));
-            let indexed = c.find_placement(class, &per_unit, units);
-            let walk = c.find_placement_walk(class, &per_unit, units);
-            assert_eq!(indexed, walk, "step {step} diverged");
+            // The class's snapshot counts what a fresh per-node sum counts.
             let fresh_sum = c
                 .nodes_of_class(class)
-                .map(|n| n.units_that_fit(&per_unit))
-                .filter(|&u| u != u32::MAX)
-                .fold(0u32, |a, u| a.saturating_add(u));
+                .map(|n| units_that_fit(&n.free(), &per_unit))
+                .fold(0u32, u32::saturating_add);
+            let view = c.class_view(class);
             assert_eq!(
-                c.units_available(class, &per_unit),
+                view.units_available(&per_unit),
                 fresh_sum,
                 "step {step}: indexed count disagrees with the fresh per-node sum"
             );
+            for cap in [0, 1, units, fresh_sum, fresh_sum + 1] {
+                assert_eq!(
+                    view.units_available_capped(&per_unit, cap),
+                    fresh_sum.min(cap),
+                    "step {step}: capped count at {cap}"
+                );
+            }
+            let indexed = c.find_placement(class, &per_unit, units);
+            let walk = c.find_placement_walk(class, &per_unit, units);
+            assert_eq!(indexed, walk, "step {step} diverged");
             if let Some(p) = indexed {
                 c.apply_placement(&per_unit, &p);
                 live.push((per_unit, p));
@@ -650,6 +650,6 @@ mod tests {
         // A 4-core unit now only fits on node 1 even though 10 cores are free
         // cluster-wide.
         let per_unit = ResourceVector::of(4.0, 1.0, 0.0, 0.0);
-        assert_eq!(c.units_available(NodeClassId(0), &per_unit), 2);
+        assert_eq!(c.class_view(NodeClassId(0)).units_available(&per_unit), 2);
     }
 }

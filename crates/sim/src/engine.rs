@@ -35,7 +35,7 @@ use crate::node::NodeClassId;
 use crate::pending::PendingQueue;
 use crate::resources::ResourceVector;
 use crate::scheduler::{Action, ActionOutcome, Scheduler};
-use crate::view::{ClusterView, NodeClassView, PendingJobView, RunningJobView, ViewSync};
+use crate::view::{ClusterView, PendingJobView, RunningJobView, ViewSync};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -740,7 +740,7 @@ impl Simulator {
     /// ([`ClusterView::feasibility_gen`]) and release stamps
     /// ([`ClusterView::released_at`]) in the shared header refresh.
     ///
-    /// Any view that cannot prove it is in sync — freshly built, fabricated,
+    /// Any view that cannot prove it is in sync — freshly built,
     /// last filled by another simulator or an earlier run — falls back to
     /// [`Self::rebuild_view_into`], the full-rebuild reference. Both paths
     /// produce byte-identical views: the oracle harness behind
@@ -823,36 +823,12 @@ impl Simulator {
             out.classes = self
                 .cluster
                 .class_ids()
-                .map(|id| {
-                    let spec = &self.spec.node_classes[id.0];
-                    let mut view = NodeClassView {
-                        id,
-                        name: spec.name.clone(),
-                        node_count: spec.count,
-                        total_capacity: self.cluster.total_capacity_of_class(id),
-                        free_capacity: self.cluster.free_capacity_of_class(id),
-                        node_free: self.cluster.nodes_of_class(id).map(|n| n.free()).collect(),
-                        // Straight from the spec (not derived by division) so
-                        // view-side bucket ranks are bit-identical to the
-                        // cluster's.
-                        unit_capacity: spec.capacity,
-                        fit_index: Default::default(),
-                        speed_factors: spec.speed.as_array(),
-                    };
-                    view.rebuild_fit_index();
-                    view
-                })
+                .map(|id| self.cluster.class_view(id))
                 .collect();
         } else {
-            for (class_view, id) in out.classes.iter_mut().zip(self.cluster.class_ids()) {
-                class_view.node_free.clear();
-                class_view
-                    .node_free
-                    .extend(self.cluster.nodes_of_class(id).map(|n| n.free()));
-                // O(n) refill of the retained index buffers (no allocation
-                // once warmed) — the reference recomputation the incremental
-                // `set_node_free` maintenance is property-tested against.
-                class_view.rebuild_fit_index();
+            // O(n) refill of the retained rows and index buffers.
+            for class_view in &mut out.classes {
+                self.cluster.refill_class_view(class_view);
             }
         }
         out.pending.clear();

@@ -42,7 +42,6 @@
 //! split by a libm rounding difference.
 
 use crate::resources::{ResourceVector, NUM_RESOURCES};
-use serde::{Deserialize, Serialize};
 
 /// Number of free-fraction buckets. Rank 0 collects nodes whose scarcest
 /// dimension is below 2^-15 of capacity (effectively full); the top rank
@@ -52,6 +51,34 @@ pub const NUM_RANKS: usize = 16;
 
 /// The rank of a completely free node (`NUM_RANKS - 1`).
 pub const MAX_RANK: u8 = (NUM_RANKS - 1) as u8;
+
+/// Whole units of `per_unit` demand fitting into `free` capacity: the
+/// floor of `(free_i + 1e-9) / d_i` over the dimensions with positive
+/// demand, and 0 when no dimension carries positive demand (callers screen
+/// zero-demand requests first). The one per-node fit computation: the
+/// cluster's placement searches and the view's counts all use it.
+///
+/// Demand presence is tracked with a flag rather than a `u32::MAX`
+/// sentinel: the saturating float→u32 cast legitimately produces
+/// `u32::MAX` on huge free vectors (e.g. megabyte-scale capacity against a
+/// unit demand), which a sentinel would misread.
+#[inline]
+pub fn units_that_fit(free: &ResourceVector, per_unit: &ResourceVector) -> u32 {
+    let mut fit = u32::MAX;
+    let mut any_demand = false;
+    for i in 0..NUM_RESOURCES {
+        let d = per_unit.0[i];
+        if d > 0.0 {
+            any_demand = true;
+            fit = fit.min(((free.0[i] + 1e-9) / d).floor().max(0.0) as u32);
+        }
+    }
+    if any_demand {
+        fit
+    } else {
+        0
+    }
+}
 
 /// Bucket rank of a node with free vector `free` in a class whose per-node
 /// capacity is `unit_capacity`: `MAX_RANK + floor(log2(min_i free_i/cap_i))`
@@ -133,14 +160,13 @@ fn fraction_rank(frac: f64) -> u8 {
 /// Steady-state maintenance is allocation-free: every bucket is pre-reserved
 /// to the class size at (re)build, so membership moves are binary-searched
 /// `Vec` inserts/removes that never touch the allocator.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FitIndex {
     /// Current bucket of each in-class node index.
     rank_of: Vec<u8>,
     /// Per-rank membership, each sorted ascending by in-class index.
-    /// Invariant: exactly [`NUM_RANKS`] buckets once built (empty when the
-    /// index has never been built, e.g. a deserialized legacy snapshot —
-    /// queries detect that through [`Self::len`] and fall back to a walk).
+    /// Invariant: exactly [`NUM_RANKS`] buckets once built (empty before
+    /// the first [`Self::rebuild`]).
     buckets: Vec<Vec<u32>>,
 }
 
@@ -155,7 +181,7 @@ impl FitIndex {
         self.rank_of.len()
     }
 
-    /// True when no nodes are tracked (a fresh or legacy-deserialized index).
+    /// True when no nodes are tracked (an index never built).
     pub fn is_empty(&self) -> bool {
         self.rank_of.is_empty()
     }
@@ -290,7 +316,6 @@ impl FitIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{Node, NodeClassId, NodeId};
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -339,11 +364,24 @@ mod tests {
         }
     }
 
-    /// Units of `per_unit` fitting into `free`, through the engine's own fit
-    /// test (a node whose capacity is `free` and that has nothing allocated
-    /// reports exactly `free` as its free vector).
-    fn units_fitting(free: &ResourceVector, per_unit: &ResourceVector) -> u32 {
-        Node::new(NodeId(0), NodeClassId(0), *free).units_that_fit(per_unit)
+    #[test]
+    fn units_that_fit_is_floor_of_bottleneck() {
+        let free = ResourceVector::of(16.0, 64.0, 2.0, 10.0);
+        let per_unit = ResourceVector::of(4.0, 10.0, 0.5, 1.0);
+        // cpu: 4, mem: 6, gpu: 4, io: 10 -> 4
+        assert_eq!(units_that_fit(&free, &per_unit), 4);
+        // The 1e-9 tolerance admits a unit a rounding residue short.
+        let short = ResourceVector::of(4.0 - 5e-10, 64.0, 2.0, 10.0);
+        assert_eq!(units_that_fit(&short, &per_unit), 1);
+        // No positive demand fits nothing (callers screen it first).
+        assert_eq!(units_that_fit(&free, &ResourceVector::zero()), 0);
+        let nan = ResourceVector::of(f64::NAN, 0.0, -1.0, 0.0);
+        assert_eq!(units_that_fit(&free, &nan), 0);
+        // A genuine fit at the top of the range is not mistaken for "no
+        // demand".
+        let huge = ResourceVector::of(1e300, 0.0, 0.0, 0.0);
+        let sliver = ResourceVector::of(1.0, 0.0, 0.0, 0.0);
+        assert_eq!(units_that_fit(&huge, &sliver), u32::MAX);
     }
 
     /// `x` moved by `steps` ulps (negative steps move down).
@@ -425,8 +463,8 @@ mod tests {
                         prop_assert_eq!(floor, 0, "undemanded or NaN dimension {}", i);
                     }
                 }
-                let units = units_fitting(&free, &demand);
-                if units >= 1 && units != u32::MAX {
+                let units = units_that_fit(&free, &demand);
+                if units >= 1 {
                     let rank = bucket_rank(&free, &cap);
                     prop_assert!(
                         rank >= floor,
@@ -468,7 +506,7 @@ mod tests {
         assert_eq!(rank_floor(&cpu_only, &c), 0);
         let gpus_taken = ResourceVector::of(16.0, 128.0, 0.0, 25.0);
         assert_eq!(bucket_rank(&gpus_taken, &c), 0);
-        assert!(units_fitting(&gpus_taken, &cpu_only) >= 1);
+        assert!(units_that_fit(&gpus_taken, &cpu_only) >= 1);
         // NaN demand, demand within the tolerance, and NaN g all walk fully.
         let nan = ResourceVector::of(f64::NAN, 8.0, 1.0, 1.0);
         assert_eq!(rank_floor(&nan, &c), 0);

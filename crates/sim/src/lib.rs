@@ -77,7 +77,7 @@ pub use cluster::Cluster;
 pub use config::{ClusterSpec, NodeClassSpec, PowerModel, SimConfig};
 pub use engine::{EpochHooks, EpochKind, SimulationResult, Simulator};
 pub use event::{Event, EventKind, EventQueue};
-pub use fit_index::{bucket_rank, rank_floor, FitIndex, MAX_RANK, NUM_RANKS};
+pub use fit_index::{bucket_rank, rank_floor, units_that_fit, FitIndex, MAX_RANK, NUM_RANKS};
 pub use hist::{HistogramLayout, LogHistogram};
 pub use job::{Job, JobBuilder, JobClass, JobId, JobState, SpeedupModel, TimeUtility};
 pub use metrics::{

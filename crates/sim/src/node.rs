@@ -30,7 +30,7 @@ impl fmt::Display for NodeId {
 /// Nodes never know which jobs occupy them — allocation bookkeeping lives in
 /// [`crate::cluster::Cluster`] and [`crate::engine::Simulator`]; the node only
 /// enforces capacity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Identifier, dense from 0 within a cluster.
     pub id: NodeId,
@@ -61,31 +61,6 @@ impl Node {
     /// Can `demand` be placed on this node right now?
     pub fn can_fit(&self, demand: &ResourceVector) -> bool {
         demand.fits_in(&self.free())
-    }
-
-    /// How many whole units of `per_unit` demand fit into the free capacity?
-    ///
-    /// `u32::MAX` is reserved as the "no positive demand" sentinel (zero
-    /// demand fits "infinitely"); genuine fits are clamped to
-    /// `u32::MAX - 1` so a saturating float→u32 cast on an absurdly roomy
-    /// node can never be mistaken for the sentinel by counting callers.
-    pub fn units_that_fit(&self, per_unit: &ResourceVector) -> u32 {
-        let free = self.free();
-        let mut max_units = u32::MAX - 1;
-        let mut any_demand = false;
-        for i in 0..crate::resources::NUM_RESOURCES {
-            let d = per_unit.0[i];
-            if d > 0.0 {
-                any_demand = true;
-                let fit = ((free.0[i] + 1e-9) / d).floor();
-                max_units = max_units.min(fit.max(0.0) as u32);
-            }
-        }
-        if any_demand {
-            max_units
-        } else {
-            u32::MAX
-        }
     }
 
     /// Reserve `demand`. Returns `false` (and leaves the node unchanged) if it
@@ -206,16 +181,6 @@ mod tests {
         let d = ResourceVector::of(20.0, 1.0, 0.0, 0.0);
         assert!(!n.allocate(&d));
         assert!(n.is_idle());
-    }
-
-    #[test]
-    fn units_that_fit_is_floor_of_bottleneck() {
-        let n = node();
-        let per_unit = ResourceVector::of(4.0, 10.0, 0.5, 1.0);
-        // cpu: 4, mem: 6, gpu: 4, io: 10 -> 4
-        assert_eq!(n.units_that_fit(&per_unit), 4);
-        let per_unit = ResourceVector::of(0.0, 0.0, 0.0, 0.0);
-        assert_eq!(n.units_that_fit(&per_unit), u32::MAX);
     }
 
     #[test]

@@ -88,10 +88,10 @@ impl ActionOutcome {
 ///
 /// A scheduler may therefore carry over any conclusion that is monotone in
 /// free capacity, such as "this job fits no class", from the earlier view
-/// to the later one, for every class not released since. Generation 0
-/// (fabricated or deserialized views) means: assume nothing. Stateful
-/// schedulers that rely on this forget what they carried in
-/// [`Scheduler::on_simulation_start`].
+/// to the later one, for every class not released since. The engine never
+/// mints generation 0, so a scheduler may use 0 as its own "nothing
+/// carried" marker. Stateful schedulers that rely on this forget what they
+/// carried in [`Scheduler::on_simulation_start`].
 pub trait Scheduler {
     /// Short name used in result tables.
     fn name(&self) -> &str;

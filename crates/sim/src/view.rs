@@ -1,19 +1,21 @@
 //! Scheduler-facing snapshot of the simulation state.
 //!
-//! A [`ClusterView`] is built by the engine at every decision epoch. It owns
-//! its data (no borrows into the engine) so policies can keep it around, ship
-//! it to an RL replay buffer, or serialise it for debugging.
+//! A [`ClusterView`] is built and refilled by the engine
+//! ([`crate::engine::Simulator::view`] / `view_into`) at every decision
+//! epoch; no other public path builds one. It owns its data (no borrows
+//! into the engine) so policies can keep a clone around or ship it to an
+//! RL replay buffer.
 
 use crate::config::ClusterSpec;
-use crate::fit_index::{rank_floor, FitIndex};
+use crate::fit_index::{rank_floor, units_that_fit, FitIndex};
 use crate::job::{Job, JobClass, JobId, SpeedupModel};
 use crate::node::NodeClassId;
 use crate::resources::ResourceVector;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Per-node-class aggregate information.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Per-node-class aggregate information, built by
+/// [`crate::cluster::Cluster::class_view`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeClassView {
     /// Class id.
     pub id: NodeClassId,
@@ -30,19 +32,15 @@ pub struct NodeClassView {
     pub node_free: Vec<ResourceVector>,
     /// Per-node capacity (uniform within a class) — the denominator of the
     /// fit-index bucket ranks, taken straight from the spec so view-side
-    /// ranks are bit-identical to the cluster's. Defaults to zero on
-    /// legacy-deserialized views (every node then ties at the top rank).
-    #[serde(default)]
+    /// ranks are bit-identical to the cluster's.
     pub unit_capacity: ResourceVector,
     /// Bucketed free-capacity index over [`Self::node_free`] (same structure
-    /// the cluster maintains), kept current by [`Self::set_node_free`] /
-    /// [`Self::rebuild_fit_index`]. A pure function of `node_free`, so the
-    /// derived `PartialEq` stays a pure state comparison. Counting queries
-    /// walk it emptiest-first to reach their cap after the fewest nodes;
-    /// when it is absent (fabricated or legacy-deserialized views) they
-    /// lawfully fall back to the plain slice walk.
-    #[serde(default)]
-    pub fit_index: FitIndex,
+    /// the cluster maintains), always built: kept current by
+    /// [`Self::set_node_free`] / [`Self::rebuild_fit_index`]. A pure
+    /// function of `node_free`, so the derived `PartialEq` stays a pure
+    /// state comparison. Counting queries walk it emptiest-first to reach
+    /// their cap after the fewest nodes.
+    pub(crate) fit_index: FitIndex,
     /// Speed factor per job class ([`JobClass::ALL`] order).
     pub speed_factors: [f64; JobClass::COUNT],
 }
@@ -53,48 +51,31 @@ impl NodeClassView {
     /// per-node sum can exceed `u32::MAX`.
     ///
     /// The saturating sum is order-independent, so it walks only the fit
-    /// index's buckets at or above the demand's [`rank_floor`] when the
-    /// index is present, and the plain slice otherwise.
+    /// index's buckets at or above the demand's [`rank_floor`].
     pub fn units_available(&self, per_unit: &ResourceVector) -> u32 {
         if per_unit.total() <= 0.0 {
             return u32::MAX;
         }
-        let fits = |free: &ResourceVector| unit_fit(free, per_unit);
-        if self.fit_index_valid() {
-            let floor = rank_floor(per_unit, &self.unit_capacity);
-            self.fit_index
-                .nodes_desc_from(floor)
-                .map(|idx| fits(&self.node_free[idx]))
-                .fold(0, u32::saturating_add)
-        } else {
-            self.node_free.iter().map(fits).fold(0, u32::saturating_add)
-        }
-    }
-
-    /// True when the fit index covers every node of the class (always for
-    /// engine-built views; false for fabricated or legacy-deserialized ones,
-    /// which fall back to the plain walk).
-    #[inline]
-    fn fit_index_valid(&self) -> bool {
-        self.fit_index.len() == self.node_free.len()
+        let floor = rank_floor(per_unit, &self.unit_capacity);
+        self.fit_index
+            .nodes_desc_from(floor)
+            .map(|idx| units_that_fit(&self.node_free[idx], per_unit))
+            .fold(0, u32::saturating_add)
     }
 
     /// Rebuild [`Self::fit_index`] from the current [`Self::node_free`] rows
-    /// (the engine calls this after a full view rebuild; incremental refills
-    /// go through [`Self::set_node_free`]).
-    pub fn rebuild_fit_index(&mut self) {
+    /// (full view rebuilds; incremental refills go through
+    /// [`Self::set_node_free`]).
+    pub(crate) fn rebuild_fit_index(&mut self) {
         let cap = self.unit_capacity;
         self.fit_index.rebuild(&cap, self.node_free.iter().copied());
     }
 
     /// Update one node's free vector, keeping the fit index in step (the
     /// incremental-view `NodeFree` delta lands here).
-    pub fn set_node_free(&mut self, index: usize, free: ResourceVector) {
-        let valid = self.fit_index_valid();
+    pub(crate) fn set_node_free(&mut self, index: usize, free: ResourceVector) {
         self.node_free[index] = free;
-        if valid {
-            self.fit_index.update(index, &free, &self.unit_capacity);
-        }
+        self.fit_index.update(index, &free, &self.unit_capacity);
     }
 
     /// Upper bound on placeable units from the class-level free-capacity
@@ -103,7 +84,7 @@ impl NodeClassView {
     /// infeasibility screen for saturated classes.
     #[inline]
     pub fn aggregate_unit_bound(&self, per_unit: &ResourceVector) -> u32 {
-        unit_fit(&self.free_capacity, per_unit)
+        units_that_fit(&self.free_capacity, per_unit)
     }
 
     /// [`Self::units_available`], stopping as soon as `cap` units are
@@ -119,9 +100,7 @@ impl NodeClassView {
     /// [`rank_floor`]. A query the class cannot satisfy therefore visits
     /// every node in the buckets at or above the floor — all of the class
     /// when the floor is 0 (some capacity dimension undemanded) — but not
-    /// the nearly-full nodes beneath it. The sum is
-    /// iteration-order-independent, so the plain-slice fallback for views
-    /// without an index returns the identical answer.
+    /// the nearly-full nodes beneath it.
     pub fn units_available_capped(&self, per_unit: &ResourceVector, cap: u32) -> u32 {
         if per_unit.total() <= 0.0 {
             return cap;
@@ -135,20 +114,11 @@ impl NodeClassView {
         }
         let cap = cap.min(bound);
         let mut total = 0u32;
-        if self.fit_index_valid() {
-            let floor = rank_floor(per_unit, &self.unit_capacity);
-            for idx in self.fit_index.nodes_desc_from(floor) {
-                total = total.saturating_add(unit_fit(&self.node_free[idx], per_unit));
-                if total >= cap {
-                    return cap;
-                }
-            }
-        } else {
-            for free in &self.node_free {
-                total = total.saturating_add(unit_fit(free, per_unit));
-                if total >= cap {
-                    return cap;
-                }
+        let floor = rank_floor(per_unit, &self.unit_capacity);
+        for idx in self.fit_index.nodes_desc_from(floor) {
+            total = total.saturating_add(units_that_fit(&self.node_free[idx], per_unit));
+            if total >= cap {
+                return cap;
             }
         }
         total
@@ -184,32 +154,8 @@ impl NodeClassView {
     }
 }
 
-/// Whole units of `per_unit` demand fitting into `free` capacity (0 when
-/// no dimension carries positive demand — callers screen zero-demand
-/// requests first). Tracks demand presence with a flag rather than a
-/// `u32::MAX` sentinel: the saturating float→u32 cast legitimately
-/// produces `u32::MAX` on huge aggregates (e.g. 64k nodes × megabyte-scale
-/// capacity against a unit demand), which a sentinel would misread as 0.
-#[inline]
-fn unit_fit(free: &ResourceVector, per_unit: &ResourceVector) -> u32 {
-    let mut fit = u32::MAX;
-    let mut any_demand = false;
-    for i in 0..crate::resources::NUM_RESOURCES {
-        let d = per_unit.0[i];
-        if d > 0.0 {
-            any_demand = true;
-            fit = fit.min(((free.0[i] + 1e-9) / d).floor().max(0.0) as u32);
-        }
-    }
-    if any_demand {
-        fit
-    } else {
-        0
-    }
-}
-
 /// A job waiting in the queue, as seen by the scheduler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PendingJobView {
     /// Job id.
     pub id: JobId,
@@ -236,8 +182,6 @@ pub struct PendingJobView {
     /// Arrival sequence number, engine-assigned: it increases strictly
     /// along [`ClusterView::pending`] and is never reused within a run, so
     /// the rows that arrived after a given one are a suffix of the queue.
-    /// 0 on fabricated or deserialized rows.
-    #[serde(skip)]
     pub arrival_seq: u64,
 }
 
@@ -300,7 +244,7 @@ impl PendingJobView {
 /// time-dependent quantities are methods taking the `now` to read them at.
 /// Between its start and completion a row changes only when the job is
 /// re-scaled, so a refill where only time moved rewrites no row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunningJobView {
     /// Job id.
     pub id: JobId,
@@ -384,9 +328,8 @@ impl RunningJobView {
 /// remembers which simulator instance, run and change-log position it
 /// mirrors; a matching cookie lets the next refill apply only the deltas
 /// recorded since, anything else falls back to a full rebuild. The cookie is
-/// engine-owned state: it never serialises and a fabricated or deserialized
-/// view starts unsynced (cookie zeroed), which is always safe — the first
-/// refill rebuilds.
+/// engine-owned state: a freshly built view starts unsynced (cookie
+/// zeroed), which is always safe — the first refill rebuilds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ViewSync {
     /// Identity of the simulator the view last mirrored (0 = never synced).
@@ -404,7 +347,7 @@ pub(crate) struct ViewSync {
 /// [`crate::engine::Simulator::view_into`]). Do not structurally mutate a
 /// view that will be refilled again — clone it first (schedulers receive
 /// `&ClusterView` and cannot, but tests holding the buffer could).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterView {
     /// Current simulated time.
     pub time: f64,
@@ -422,18 +365,15 @@ pub struct ClusterView {
     /// engine-maintained deadline index. EDF-family schedulers iterate
     /// [`Self::pending_in_deadline_order`] and the DRL queue slots are its
     /// first rows, instead of re-sorting the queue at every decision.
-    #[serde(default)]
     pub pending_by_deadline: Vec<u32>,
     /// Whether the engine accepts re-scaling at all (its
     /// `SimConfig::allow_scaling`); read by [`Self::scale_ready`].
-    #[serde(default)]
     pub allow_scaling: bool,
     /// Minimum time between two re-scalings of one job (its
     /// `SimConfig::scale_cooldown`); read by [`Self::scale_ready`].
-    #[serde(default)]
     pub scale_cooldown: f64,
     /// Feasibility generation: a process-unique id the engine stamps on
-    /// every refill, 0 on fabricated or deserialized views. It changes when
+    /// every refill (never 0). It changes when
     /// the pending queue changes other than by arrivals and starts — a job
     /// is cancelled or degraded — and when the simulator resets or starts.
     /// Arrivals, periodic epochs, starts and re-scalings keep it, and so do
@@ -445,26 +385,23 @@ pub struct ClusterView {
     /// later one by [`Self::log_position`], a job that fit no class in the
     /// earlier one can fit in the later one only if it arrived since or on
     /// a class whose `released_at` lies after the earlier view's log
-    /// position. 0 means: assume nothing.
-    #[serde(skip)]
+    /// position.
     pub feasibility_gen: u64,
     /// Release stamps, indexed by `NodeClassId`: the change-log position
     /// just after the latest completion or scale-down that freed capacity
     /// on the class, 0 if none since the simulator started or reset
-    /// (engine-maintained; empty on fabricated or deserialized views).
-    #[serde(skip)]
+    /// (engine-maintained).
     pub released_at: Vec<usize>,
-    /// Incremental-refill cookie (engine-owned, never serialised).
-    #[serde(skip)]
+    /// Incremental-refill cookie (engine-owned).
     pub(crate) sync: ViewSync,
 }
 
 impl ClusterView {
-    /// Build a view (used by the engine; exposed for tests of downstream
-    /// schedulers that want to fabricate synthetic views). The deadline
-    /// index is derived from `pending`; a fabricated view allows scaling
-    /// with no cooldown (the engine overwrites both from its config).
-    pub fn new(
+    /// Build an unsynced view (the engine's [`crate::engine::Simulator::view`]
+    /// refills it at once). The deadline index is derived from `pending`;
+    /// the view allows scaling with no cooldown until a refill copies both
+    /// from the engine's config.
+    pub(crate) fn new(
         time: f64,
         spec: Arc<ClusterSpec>,
         classes: Vec<NodeClassView>,
@@ -472,7 +409,8 @@ impl ClusterView {
         running: Vec<RunningJobView>,
         future_arrivals: usize,
     ) -> Self {
-        let pending_by_deadline = Self::sorted_deadline_index(&pending);
+        let mut pending_by_deadline = Vec::new();
+        Self::fill_sorted_deadline_index(&pending, &mut pending_by_deadline);
         ClusterView {
             time,
             spec,
@@ -490,18 +428,10 @@ impl ClusterView {
     }
 
     /// Compute the `(deadline, id)`-sorted index over a pending-row slice
-    /// from scratch (the full-rebuild reference for the engine-maintained
-    /// index).
-    pub fn sorted_deadline_index(pending: &[PendingJobView]) -> Vec<u32> {
-        let mut index = Vec::new();
-        Self::fill_sorted_deadline_index(pending, &mut index);
-        index
-    }
-
-    /// [`Self::sorted_deadline_index`] into a caller-retained buffer
-    /// (allocation-free once `out` has capacity; `sort_unstable` sorts in
-    /// place).
-    pub fn fill_sorted_deadline_index(pending: &[PendingJobView], out: &mut Vec<u32>) {
+    /// from scratch into a caller-retained buffer — the full-rebuild
+    /// reference for the engine-maintained index (allocation-free once
+    /// `out` has capacity; `sort_unstable` sorts in place).
+    pub(crate) fn fill_sorted_deadline_index(pending: &[PendingJobView], out: &mut Vec<u32>) {
         out.clear();
         out.extend(0..pending.len() as u32);
         out.sort_unstable_by(|&a, &b| {
@@ -543,8 +473,8 @@ impl ClusterView {
         lo + order[lo..hi].partition_point(below)
     }
 
-    /// Change-log position of the simulator state this view mirrors
-    /// (0 on fabricated or deserialized views). Within one
+    /// Change-log position of the simulator state this view mirrors.
+    /// Within one
     /// [`Self::feasibility_gen`], a larger position is a later state, and
     /// [`Self::released_at`] stamps are positions on the same scale.
     pub fn log_position(&self) -> usize {
@@ -635,9 +565,9 @@ impl ClusterView {
         }
     }
 
-    /// Build the pending-job view (helper for the engine and for synthetic
-    /// views in tests).
-    pub fn pending_view_of(job: &Job) -> PendingJobView {
+    /// Build the pending-job row of `job` (its arrival sequence number
+    /// still 0; the engine assigns it).
+    pub(crate) fn pending_view_of(job: &Job) -> PendingJobView {
         PendingJobView::from_job(job)
     }
 }
@@ -720,25 +650,25 @@ mod tests {
 
     #[test]
     fn indexed_and_plain_counting_agree() {
-        // A view without a fit index (fabricated/legacy) must count exactly
-        // like the indexed one — the sum is iteration-order-independent.
+        // The floored index walk counts exactly what a plain per-node sum
+        // over every row counts — the sum is iteration-order-independent.
         let view = make_view();
-        let indexed = &view.classes[0];
-        let mut plain = indexed.clone();
-        plain.fit_index = FitIndex::default();
+        let class = &view.classes[0];
         for per_unit in [
             ResourceVector::of(3.0, 4.0, 0.0, 1.0),
             ResourceVector::of(1.0, 2.0, 0.0, 0.5),
             ResourceVector::of(100.0, 1.0, 0.0, 0.0),
         ] {
-            assert_eq!(
-                indexed.units_available(&per_unit),
-                plain.units_available(&per_unit)
-            );
+            let plain = class
+                .node_free
+                .iter()
+                .map(|free| units_that_fit(free, &per_unit))
+                .fold(0, u32::saturating_add);
+            assert_eq!(class.units_available(&per_unit), plain);
             for cap in 0..12u32 {
                 assert_eq!(
-                    indexed.units_available_capped(&per_unit, cap),
-                    plain.units_available_capped(&per_unit, cap),
+                    class.units_available_capped(&per_unit, cap),
+                    plain.min(cap),
                     "cap {cap} demand {per_unit}"
                 );
             }
@@ -787,7 +717,7 @@ mod tests {
                 ..base
             },
         ];
-        view.pending_by_deadline = ClusterView::sorted_deadline_index(&view.pending);
+        ClusterView::fill_sorted_deadline_index(&view.pending, &mut view.pending_by_deadline);
         let ids: Vec<u64> = view.pending_in_deadline_order().map(|j| j.id.0).collect();
         assert_eq!(ids, vec![1, 9, 3, 5]);
         // Galloping lookups agree with a linear scan from every start.

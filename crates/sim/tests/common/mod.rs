@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use tcrm_sim::node::SpeedProfile;
 use tcrm_sim::prelude::*;
-use tcrm_sim::{bucket_rank, rank_floor};
+use tcrm_sim::{bucket_rank, rank_floor, units_that_fit};
 
 /// A small heterogeneous cluster: two classes with different speeds and
 /// capacities so placement and speed lookups are non-trivial.
@@ -207,9 +207,10 @@ pub struct OracleRun {
 }
 
 /// Refill `view` incrementally and `oracle` from scratch and require them
-/// byte-identical; require the indexed placement to equal the reference walk
-/// for every pending job on every class at the job's minimum and maximum
-/// parallelism; require the cluster's invariants.
+/// byte-identical; require the view's unit count to equal a fresh per-node
+/// sum over the cluster, and the indexed placement to equal the reference
+/// walk, for every pending job on every class (placements at the job's
+/// minimum and maximum parallelism); require the cluster's invariants.
 fn check_oracles(
     sim: &Simulator,
     view: &mut ClusterView,
@@ -224,6 +225,16 @@ fn check_oracles(
         let demand = &job.demand_per_unit;
         for class in cluster.class_ids() {
             run.pruned_queries += usize::from(floor_prunes(cluster, class, demand));
+            let fresh_sum = cluster
+                .nodes_of_class(class)
+                .map(|n| units_that_fit(&n.free(), demand))
+                .fold(0u32, u32::saturating_add);
+            assert_eq!(
+                view.class(class).units_available(demand),
+                fresh_sum,
+                "unit count of {} on {class} diverged from the per-node sum",
+                job.id
+            );
             for units in [job.min_parallelism, job.max_parallelism] {
                 assert_eq!(
                     cluster.find_placement(class, demand, units),

@@ -7,9 +7,10 @@
 //! queries take both the rank-floored walk and the full walk (a CPU-only
 //! job leaves the GPU dimension undemanded).
 //!
-//! Also hosts the direct `Cluster`-level differential proptest and the
-//! 16k-node saturating `units_available` regression test (the `u32` sum
-//! used to wrap in release builds).
+//! Also hosts the direct `Cluster`-level differential proptest, which also
+//! checks the class snapshots' unit counts, and the 16k-node saturating
+//! `units_available` regression test (the `u32` sum used to wrap in release
+//! builds).
 
 mod common;
 
@@ -20,6 +21,7 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tcrm_sim::node::SpeedProfile;
 use tcrm_sim::prelude::*;
+use tcrm_sim::units_that_fit;
 
 /// Three classes of different shapes, one with GPUs.
 fn gpu_spec() -> ClusterSpec {
@@ -73,9 +75,10 @@ fn indexed_placement_matches_reference_walk() {
 }
 
 /// Direct cluster-level differential: random demand/unit sequences with
-/// interleaved releases; `find_placement` must return the identical
-/// placement vector as `find_placement_walk` after every mutation, and the
-/// counting queries must match a fresh per-node saturating sum. The cases
+/// interleaved releases; after every mutation the class snapshot the engine
+/// builds (`Cluster::class_view`) must count what a fresh per-node
+/// saturating sum counts, uncapped and capped, and `find_placement` must
+/// return the identical placement vector as `find_placement_walk`. The cases
 /// together must query at least once past a node below a non-zero rank
 /// floor, so the floored walk is part of what is compared.
 #[test]
@@ -97,19 +100,27 @@ fn cluster_paths_agree_under_random_churn() {
                 let per_unit = ResourceVector::of(cpu, mem, gpu.floor(), 0.25);
                 let prunes = floor_prunes(&c, class, &per_unit);
                 PRUNED.fetch_add(usize::from(prunes), Ordering::Relaxed);
+                let fresh_sum = c
+                    .nodes_of_class(class)
+                    .map(|n| units_that_fit(&n.free(), &per_unit))
+                    .fold(0u32, u32::saturating_add);
+                let view = c.class_view(class);
+                prop_assert_eq!(
+                    view.units_available(&per_unit),
+                    fresh_sum,
+                    "unit count diverged from the per-node sum"
+                );
+                for cap in [units, fresh_sum, fresh_sum + 1] {
+                    prop_assert_eq!(
+                        view.units_available_capped(&per_unit, cap),
+                        fresh_sum.min(cap),
+                        "unit count capped at {} diverged",
+                        cap
+                    );
+                }
                 let indexed = c.find_placement(class, &per_unit, units);
                 let walk = c.find_placement_walk(class, &per_unit, units);
                 prop_assert_eq!(&indexed, &walk, "placement paths diverged");
-                let fresh_sum = c
-                    .nodes_of_class(class)
-                    .map(|n| n.units_that_fit(&per_unit))
-                    .filter(|&u| u != u32::MAX)
-                    .fold(0u32, |a, u| a.saturating_add(u));
-                prop_assert_eq!(c.units_available(class, &per_unit), fresh_sum);
-                prop_assert_eq!(
-                    c.max_placeable_units(class, &per_unit, units),
-                    fresh_sum.min(units)
-                );
                 if let Some(p) = indexed {
                     c.apply_placement(&per_unit, &p);
                     live.push((per_unit, p));
@@ -154,18 +165,11 @@ fn units_available_saturates_at_scale_instead_of_wrapping() {
         ResourceVector::of(1_048_576.0, 0.0, 0.0, 0.0),
         SpeedProfile::uniform(1.0),
     )]);
-    let c = Cluster::new(spec);
-    let sliver = ResourceVector::of(1.0, 0.0, 0.0, 0.0);
-    assert_eq!(c.units_available(NodeClassId(0), &sliver), u32::MAX);
-    assert_eq!(
-        c.units_available_capped(NodeClassId(0), &sliver, 1000),
-        1000
-    );
-    assert_eq!(c.max_placeable_units(NodeClassId(0), &sliver, 64), 64);
-
-    // The view-side count saturates identically.
-    let sim = Simulator::new(c.spec().clone(), SimConfig::default());
+    let sim = Simulator::new(spec, SimConfig::default());
     let view = sim.view();
-    assert_eq!(view.classes[0].units_available(&sliver), u32::MAX);
-    assert_eq!(view.classes[0].units_available_capped(&sliver, 1000), 1000);
+    let class = &view.classes[0];
+    let sliver = ResourceVector::of(1.0, 0.0, 0.0, 0.0);
+    assert_eq!(class.units_available(&sliver), u32::MAX);
+    assert_eq!(class.units_available_capped(&sliver, 1000), 1000);
+    assert_eq!(class.units_available_capped(&sliver, 64), 64);
 }

@@ -205,7 +205,7 @@ proptest! {
         let cluster = Cluster::new(ClusterSpec::icpp_default());
         let per_unit = ResourceVector::of(cpu, mem, 0.0, 0.1);
         for class in cluster.class_ids() {
-            let available = cluster.units_available(class, &per_unit);
+            let available = cluster.class_view(class).units_available(&per_unit);
             let placement = cluster.find_placement(class, &per_unit, units);
             prop_assert_eq!(placement.is_some(), available >= units);
         }

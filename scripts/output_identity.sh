@@ -10,6 +10,10 @@
 #
 #   * `table1 summary fig5 fig10 --quick` (fig5 writes the utilisation
 #     trace);
+#   * `table2 summary fig5 fig10 --full` (about 20 s per side on a 2-vCPU
+#     VM): the paper-scale runs reach states the quick ones do not — a
+#     change can leave every quick file identical and still move full-mode
+#     DRL rows;
 #   * the CI sweep grid: `record-trace`, then `sweep` over edf and fifo on
 #     poisson, poisson+burst(3x) and the recorded replay trace;
 #   * the CI `serve` run, writing its event log and report.
@@ -64,6 +68,7 @@ runs() {
         --scenarios "poisson;poisson+burst(3x);replay(out/trace.json)"
         --loads 0.9 --jobs 40 --seeds 1,2)
     "$exp" table1 summary fig5 fig10 --quick --out out/quick
+    "$exp" table2 summary fig5 fig10 --full --out out/full
     "$exp" record-trace --out out/trace.json --jobs 40 --load 0.9 --seed 7
     "$exp" sweep "${grid[@]}" --checkpoint out/grid.json --csv out/grid.csv
     "$exp" serve --policy edf --scenario "poisson+overload(2x,60s)" --jobs 150 \
