@@ -121,6 +121,35 @@ fn bench_kernel_backends(c: &mut Criterion) {
             },
         );
     }
+    // The agent's first layer with its zero observation entries skipped:
+    // 1×259 · 259×128 reading 75 evenly spread weight rows, about what a
+    // decision keeps on evaluation-sweep traffic.
+    let w1 = fill(259, 128, 17);
+    let nonzero: Vec<u32> = (0..259u32)
+        .filter(|&i| i * 75 / 259 != (i + 1) * 75 / 259)
+        .collect();
+    let mut obs = vec![0.0f32; 259];
+    for &i in &nonzero {
+        obs[i as usize] = (i as f32 * 0.07).cos();
+    }
+    let mut hidden = vec![0.0f32; 128];
+    group.bench_function(
+        format!("matmul_row_sparse_{}of259x128_simd", nonzero.len()),
+        |bench| {
+            bench.iter(|| {
+                kernels::matmul_row_sparse(
+                    Backend::Simd,
+                    &obs,
+                    &nonzero,
+                    w1.data(),
+                    &mut hidden,
+                    259,
+                    128,
+                );
+                hidden[0]
+            })
+        },
+    );
     group.bench_function("matmul_256x64x13_simd", |bench| {
         bench.iter(|| {
             g2.matmul_into_with(Backend::Simd, &w3, &mut out);

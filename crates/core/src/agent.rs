@@ -10,12 +10,37 @@ use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
 use std::path::Path;
-use tcrm_rl::{argmax, sample_categorical, CategoricalPolicy, PolicyScratch};
+use tcrm_nn::Backend;
+use tcrm_rl::{sample_categorical, CategoricalPolicy, PolicyScratch};
 use tcrm_sim::{Action, ClusterView, Scheduler};
 
 /// A deep-RL scheduler: the trained policy wrapped with the state encoder and
 /// action decoder, exposed through the simulator's [`Scheduler`] trait so it
 /// can be compared head-to-head with every baseline.
+///
+/// A decision takes two shortcuts, each returning the same action index as
+/// the dense forward followed by `argmax(masked_softmax(..))` (greedy) or
+/// the sample from that distribution (stochastic):
+///
+/// * **Zero-row skip.** Most observation entries are zero. On the SIMD
+///   kernels each first-layer output is an in-order chain of fused
+///   multiply-adds from +0.0, and with a finite weight `w` the step
+///   `acc + 0·w` returns `acc` unchanged, so the first layer reads only the
+///   weight rows of the nonzero entries
+///   ([`tcrm_nn::kernels::matmul_row_sparse`] spells out the argument,
+///   including its one corner: products below the subnormal range can
+///   leave the sign of a zero output different, which neither the
+///   remaining layers nor the softmax and argmax can observe). A
+///   non-finite weight makes a zero input count (`0·∞` and `0·NaN` are
+///   NaN), so the agent checks once, at construction, that every
+///   first-layer weight is finite; the policy is private and never mutated
+///   afterwards. Agents with a non-finite weight, and the scalar kernels,
+///   whose row kernel adds four rows at a time, keep the dense forward.
+/// * **Greedy argmax without `exp`.** A greedy agent needs only the argmax,
+///   which [`tcrm_rl::greedy_from_logits`] reads off the logits and proves
+///   equal to the softmax's argmax, computing the softmax only for an empty
+///   mask, a non-finite logit or a near-tie before the maximum. Stochastic
+///   agents keep the softmax, since sampling needs the probabilities.
 #[derive(Debug, Clone)]
 pub struct DrlScheduler {
     name: String,
@@ -40,15 +65,20 @@ pub struct DrlScheduler {
     /// decision computes each intermediate once and allocates nothing but
     /// the `Vec` that [`Scheduler::decide`] returns.
     scratch: DecisionScratch,
+    /// Whether the first layer skips the zero observation entries (see the
+    /// type docs), fixed at construction.
+    sparse_input: bool,
 }
 
 /// The buffers one decision fills: the view's slot ranking (read by the
 /// encoder, the mask, the decoder and the fallback), the observation, the
-/// mask and the policy's inference buffers.
+/// indices of its nonzero entries, the mask and the policy's inference
+/// buffers.
 #[derive(Debug, Clone, Default)]
 struct DecisionScratch {
     slots: SlotSnapshot,
     obs: Vec<f32>,
+    nonzero: Vec<u32>,
     mask: Vec<bool>,
     inference: PolicyScratch,
 }
@@ -61,6 +91,12 @@ impl DrlScheduler {
         let actions = ActionSpace::new(&config, num_classes);
         debug_assert_eq!(policy.observation_dim(), encoder.observation_dim());
         debug_assert_eq!(policy.action_count(), actions.action_count());
+        let sparse_input = Backend::active().is_accelerated()
+            && policy
+                .network()
+                .layers()
+                .first()
+                .is_some_and(|layer| layer.weights.is_finite());
         DrlScheduler {
             name: "drl".to_string(),
             config,
@@ -74,6 +110,7 @@ impl DrlScheduler {
             epoch_time: f64::NEG_INFINITY,
             epoch_decisions: 0,
             scratch: DecisionScratch::default(),
+            sparse_input,
         }
     }
 
@@ -103,23 +140,39 @@ impl DrlScheduler {
     }
 
     /// Pick one action index for a view (exposed for decision-latency
-    /// benchmarks): rank the slots, encode, mask, then the masked policy
-    /// distribution's argmax (greedy) or a sample from it. The slot ranking
+    /// benchmarks): rank the slots, encode, mask, run the policy, then take
+    /// the masked distribution's argmax (greedy) or a sample from it, with
+    /// the two shortcuts of the [type docs](DrlScheduler). The slot ranking
     /// stays in the scratch for decoding the index.
     pub fn select_action(&mut self, view: &ClusterView) -> usize {
         let DecisionScratch {
             slots,
             obs,
+            nonzero,
             mask,
             inference,
         } = &mut self.scratch;
         self.encoder.slots_into(view, slots);
         self.encoder.encode_into(view, slots, obs);
         self.actions.mask_into(view, slots, mask);
-        let probs = self.policy.probabilities_into(obs, mask, inference);
+        let nonzero = self.sparse_input.then(|| {
+            // Branch-free: every index is written, and the count moves past
+            // it only for a nonzero entry (the zero pattern is irregular, so
+            // a branch would mispredict).
+            nonzero.resize(obs.len(), 0);
+            let mut kept = 0;
+            for (k, &x) in obs.iter().enumerate() {
+                nonzero[kept] = k as u32;
+                kept += usize::from(x != 0.0);
+            }
+            &nonzero[..kept]
+        });
         if self.greedy {
-            argmax(probs)
+            self.policy.greedy_into(obs, mask, nonzero, inference)
         } else {
+            let probs = self
+                .policy
+                .probabilities_into(obs, mask, nonzero, inference);
             sample_categorical(probs, &mut self.rng).0
         }
     }

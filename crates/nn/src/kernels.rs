@@ -23,7 +23,11 @@
 //!   and are never stored. Single-row `matmul` products keep a separate
 //!   streaming path that reads `B` directly, because one output row never
 //!   amortises packing; it is the per-decision policy forward, and
-//!   single-row forwards must match the rows of a one-slot batch.
+//!   single-row forwards must match the rows of a one-slot batch. The same
+//!   row kernel also runs over a list of rows ([`matmul_row_sparse`]): a
+//!   decision's first layer reads only the weight rows of its nonzero
+//!   observation entries and still returns the dense product (see that
+//!   function for the exactness argument).
 //!   On hosts without AVX2+FMA — checked once via
 //!   `is_x86_feature_detected!` — this backend degrades to the scalar
 //!   kernels, so forcing it is always safe.
@@ -163,13 +167,65 @@ pub fn matmul(
     if backend.is_accelerated() {
         if m == 1 {
             // Latency path: a single output row never amortises packing.
-            unsafe { avx2::matmul_row(a, b, out, k, n) };
+            unsafe { avx2::matmul_row(a.iter().copied().enumerate(), b, out, n) };
         } else {
             packed_gemm(a, (k, 1), b, false, out, (m, k, n), false);
         }
         return;
     }
     scalar::matmul(a, b, out, m, k, n);
+}
+
+/// The single-row product `out (1×n) = a (1×k) · b (k×n)` reading only the
+/// rows of `b` listed in `nonzero`, which must be ascending and name every
+/// index where `a` is nonzero. When `b` is finite the result equals
+/// [`matmul`]`(backend, a, b, out, 1, k, n)` (see the exactness argument
+/// below); a backend that is not accelerated computes that dense product
+/// outright, because the scalar row kernel groups four rows per add and
+/// skipping one would regroup the sum.
+///
+/// **Exactness.** On the accelerated backend every output column is one
+/// in-order chain `acc ← fma(a[kk], b[kk][j], acc)` (a `mul` then `add`
+/// for the last `n mod 8` columns) over the rows from `acc = +0.0`, so
+/// the sparse product is the dense chain with the zero-input steps
+/// removed. For a finite `w`, the product `±0·w` is a zero, and a zero
+/// added to a nonzero `acc` returns `acc` bit for bit, fused or not, as
+/// does a zero added to `acc = +0.0` (round-to-nearest sums `+0 + -0` to
+/// `+0`). A chain can hold `-0.0` only after an FMA whose exact result is
+/// a nonzero value smaller than half the least subnormal (`2⁻¹⁵⁰`), i.e.
+/// with products below the subnormal range; a skipped step may then turn
+/// that `-0` into `+0`, so in that corner the two products agree as
+/// values and may differ only in the sign of a zero. Only a non-finite
+/// weight makes a zero input matter (`0·∞` and `0·NaN` are NaN), hence
+/// the finiteness precondition; a NaN in `a` itself is nonzero and stays
+/// listed.
+pub fn matmul_row_sparse(
+    backend: Backend,
+    a: &[f32],
+    nonzero: &[u32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+) {
+    assert_eq!(a.len(), k, "lhs length mismatch");
+    assert_eq!(b.len(), k * n, "rhs length mismatch");
+    assert_eq!(out.len(), n, "output length mismatch");
+    debug_assert!(
+        nonzero.windows(2).all(|w| w[0] < w[1]),
+        "nonzero rows must ascend"
+    );
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (backend, nonzero);
+    #[cfg(target_arch = "x86_64")]
+    if backend.is_accelerated() {
+        // `a[kk]` is bounds-checked against `k`, so every row read is in
+        // bounds of `b`.
+        let rows = nonzero.iter().map(|&kk| (kk as usize, a[kk as usize]));
+        unsafe { avx2::matmul_row(rows, b, out, n) };
+        return;
+    }
+    scalar::matmul(a, b, out, 1, k, n);
 }
 
 /// `out = a (m×k) · bᵀ` where `b` is `n×k` row-major (the transpose is never
@@ -655,38 +711,44 @@ mod avx2 {
     /// Panel width: one AVX2 register of f32 lanes.
     const W: usize = 8;
 
-    /// Single-row product `out (1×n) = a (1×k) · b (k×n)` streaming `b`
-    /// directly (no packing): per k step one broadcast and one FMA per
+    /// Single-row product `out (1×n) = a · b (k×n)` over the rows of `b`
+    /// that `rows` yields as `(kk, a[kk])` pairs, in the order yielded:
+    /// every row for the dense product, the nonzero ones for
+    /// [`matmul_row_sparse`](super::matmul_row_sparse). Streams `b`
+    /// directly (no packing): per row one broadcast and one FMA per
     /// 8-column tile, eight tiles (64 columns) in flight to cover the FMA
     /// latency, then a 32- and 8-column block for the remainder. Each of
-    /// those output elements is one in-order FMA chain over k. The last
-    /// 1–7 columns run one lane-masked 8-lane `mul` then `add` per k step
-    /// (the masked-off lanes are never loaded from memory nor stored).
+    /// those output elements is one in-order FMA chain over the rows from
+    /// +0.0. The last 1–7 columns run one lane-masked 8-lane `mul` then
+    /// `add` per row (the masked-off lanes are never loaded from memory
+    /// nor stored).
     ///
     /// # Safety
-    /// Caller must ensure AVX2+FMA are available and the slices have the
-    /// lengths implied by `(1, k, n)`.
+    /// Caller must ensure AVX2+FMA are available, `out.len() == n` and
+    /// every yielded `kk` satisfies `(kk + 1)·n ≤ b.len()`.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn matmul_row(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-        debug_assert_eq!(a.len(), k);
+    pub unsafe fn matmul_row<R>(rows: R, b: &[f32], out: &mut [f32], n: usize)
+    where
+        R: Iterator<Item = (usize, f32)> + Clone,
+    {
         let mut j = 0;
         while j + 8 * W <= n {
-            row_block::<8>(a, b, out, n, j);
+            row_block::<8, R>(rows.clone(), b, out, n, j);
             j += 8 * W;
         }
         if j + 4 * W <= n {
-            row_block::<4>(a, b, out, n, j);
+            row_block::<4, R>(rows.clone(), b, out, n, j);
             j += 4 * W;
         }
         while j + W <= n {
-            row_block::<1>(a, b, out, n, j);
+            row_block::<1, R>(rows.clone(), b, out, n, j);
             j += W;
         }
         if j < n {
             let mask = lane_mask(n - j);
             let bp = b.as_ptr().add(j);
             let mut acc = _mm256_setzero_ps();
-            for (kk, &av) in a.iter().enumerate() {
+            for (kk, av) in rows {
                 let bv = _mm256_maskload_ps(bp.add(kk * n), mask);
                 acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(av), bv));
             }
@@ -695,16 +757,19 @@ mod avx2 {
     }
 
     /// Columns `j..j + 8·P` of [`matmul_row`]: `P` accumulators, each an
-    /// in-order FMA chain over k.
+    /// in-order FMA chain over the rows.
     ///
     /// # Safety
     /// As for [`matmul_row`], with `j + 8·P ≤ n`.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
-    unsafe fn row_block<const P: usize>(a: &[f32], b: &[f32], out: &mut [f32], n: usize, j: usize) {
+    unsafe fn row_block<const P: usize, R>(rows: R, b: &[f32], out: &mut [f32], n: usize, j: usize)
+    where
+        R: Iterator<Item = (usize, f32)>,
+    {
         let bp = b.as_ptr().add(j);
         let mut c = [_mm256_setzero_ps(); P];
-        for (kk, &av) in a.iter().enumerate() {
+        for (kk, av) in rows {
             let avv = _mm256_set1_ps(av);
             let row = bp.add(kk * n);
             for (q, acc) in c.iter_mut().enumerate() {

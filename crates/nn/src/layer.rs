@@ -9,6 +9,7 @@
 
 use crate::activation::Activation;
 use crate::init;
+use crate::kernels::{self, Backend};
 use crate::matrix::Matrix;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -99,6 +100,23 @@ impl Dense {
     /// (allocation-free once `out` has capacity; no caches kept).
     pub fn forward_into(&self, input: &Matrix, out: &mut Matrix) {
         input.matmul_into(&self.weights, out);
+        out.add_row_broadcast_assign(&self.bias);
+        self.activation.forward_inplace(out);
+    }
+
+    /// [`Self::forward_into`] for one input row given as a slice, into a
+    /// `1 × out_dim` `out`. With `nonzero`, the product reads only the
+    /// weight rows it lists ([`kernels::matmul_row_sparse`]): it must
+    /// ascend and name every nonzero input, and the result equals the dense
+    /// one when the weights are finite.
+    pub fn forward_row_into(&self, input: &[f32], nonzero: Option<&[u32]>, out: &mut Matrix) {
+        let (k, n) = (self.in_dim(), self.out_dim());
+        out.resize(1, n);
+        let (w, o) = (self.weights.data(), out.data_mut());
+        match nonzero {
+            Some(rows) => kernels::matmul_row_sparse(Backend::active(), input, rows, w, o, k, n),
+            None => kernels::matmul(Backend::active(), input, w, o, 1, k, n),
+        }
         out.add_row_broadcast_assign(&self.bias);
         self.activation.forward_inplace(out);
     }

@@ -144,14 +144,52 @@ impl Mlp {
             }
             Some((first, rest)) => {
                 first.forward_into(input, ping);
-                let (mut src, mut dst) = (ping, pong);
-                for layer in rest {
-                    layer.forward_into(src, dst);
-                    std::mem::swap(&mut src, &mut dst);
-                }
-                src
+                Self::forward_rest(rest, ping, pong)
             }
         }
+    }
+
+    /// Inference forward pass of one input row, returning the output row
+    /// (borrowed from `ws`); equal to row 0 of [`Self::forward_ws`] on a
+    /// one-row matrix. With `nonzero`, the first layer reads only the
+    /// weight rows it lists ([`Dense::forward_row_into`]): it must ascend
+    /// and name every nonzero input, and the output equals the dense one
+    /// when the first layer's weights are finite. Allocation-free once `ws`
+    /// has warmed up.
+    pub fn forward_row_ws<'w>(
+        &self,
+        input: &[f32],
+        nonzero: Option<&[u32]>,
+        ws: &'w mut Workspace,
+    ) -> &'w [f32] {
+        let Workspace { ping, pong, .. } = ws;
+        let out = match self.layers.split_first() {
+            None => {
+                ping.clear_rows();
+                ping.push_row(input);
+                ping
+            }
+            Some((first, rest)) => {
+                first.forward_row_into(input, nonzero, ping);
+                Self::forward_rest(rest, ping, pong)
+            }
+        };
+        out.row(0)
+    }
+
+    /// Run `layers` on the activations in `ping`, ping-ponging through
+    /// `pong`; returns the buffer holding the last output.
+    fn forward_rest<'w>(
+        layers: &[Dense],
+        ping: &'w mut Matrix,
+        pong: &'w mut Matrix,
+    ) -> &'w Matrix {
+        let (mut src, mut dst) = (ping, pong);
+        for layer in layers {
+            layer.forward_into(src, dst);
+            std::mem::swap(&mut src, &mut dst);
+        }
+        src
     }
 
     /// Inference forward pass (buffer-returning wrapper).
@@ -163,8 +201,8 @@ impl Mlp {
     /// Convenience: forward a single observation vector, returning the output
     /// row.
     pub fn forward_vec(&self, input: &[f32]) -> Vec<f32> {
-        let out = self.forward(&Matrix::row_vector(input));
-        out.row(0).to_vec()
+        self.forward_row_ws(input, None, &mut Workspace::default())
+            .to_vec()
     }
 
     /// Training forward pass (caches activations for backprop). The returned

@@ -23,10 +23,12 @@
 //!   surroundings, an injected +∞ produces +∞ in exactly the dependent
 //!   outputs on both backends.
 //!
-//! One check is bit-for-bit rather than a tolerance: the SIMD backend's
+//! Two checks are bit-for-bit rather than a tolerance: the SIMD backend's
 //! single-row product (the per-decision policy forward) against a scalar
 //! reference that spells out its exact operation sequence
-//! (`single_row_simd_product_is_exact`).
+//! (`single_row_simd_product_is_exact`), and the row-list product that
+//! reads only the nonzero input rows against both
+//! (`row_list_product_equals_the_dense_row_product`).
 
 use proptest::prelude::*;
 use tcrm_nn::{Backend, Matrix};
@@ -445,6 +447,98 @@ proptest! {
             assert_bits_equal(&single_row_simd(&a, &b, k, n), &single_row_reference(&a, &b, n), &what)?;
         }
     }
+}
+
+/// The indices of the nonzero entries of `a` (-0.0 counts as zero; NaN is
+/// nonzero).
+fn nonzero_rows(a: &[f32]) -> Vec<u32> {
+    (0..a.len() as u32)
+        .filter(|&k| a[k as usize] != 0.0)
+        .collect()
+}
+
+fn single_row_sparse(a: &[f32], rows: &[u32], b: &[f32], k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![f32::NAN; n];
+    tcrm_nn::kernels::matmul_row_sparse(Backend::Simd, a, rows, b, &mut out, k, n);
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The row-list product over the nonzero rows of `a` equals the dense
+    /// SIMD single-row product and its reference bit for bit, at the
+    /// agent's layer shapes and random `k < 300`, `n < 140`, on inputs with
+    /// zero runs and -0.0 (and, with `special`, NaN and ±∞ inputs, which
+    /// are nonzero and stay listed) against finite weights. Skipped without
+    /// AVX2+FMA, like the dense pin.
+    #[test]
+    fn row_list_product_equals_the_dense_row_product(
+        k in 0usize..300,
+        n in 0usize..140,
+        seed in 0u64..1_000_000,
+        special in any::<bool>(),
+    ) {
+        if !Backend::Simd.is_accelerated() {
+            return Ok(());
+        }
+        for (k, n) in [(259, 128), (128, 64), (64, 131), (k, n)] {
+            let a = spiky(k, seed, special);
+            let b = spiky(k * n, seed ^ 0x5eed, false);
+            let rows = nonzero_rows(&a);
+            let sparse = single_row_sparse(&a, &rows, &b, k, n);
+            let what = format!("{k}×{n}, {} of {k} rows", rows.len());
+            assert_bits_equal(&sparse, &single_row_simd(&a, &b, k, n), &what)?;
+            assert_bits_equal(&sparse, &single_row_reference(&a, &b, n), &what)?;
+        }
+    }
+}
+
+/// The one corner where the row-list product is not bit-identical: an FMA
+/// whose exact result is a nonzero value below half the least subnormal
+/// rounds to -0.0, and a skipped zero row then turns the dense chain's -0.0
+/// into +0.0. The two results still compare equal.
+#[test]
+fn row_list_product_differs_only_in_a_zero_sign_after_underflow() {
+    if !Backend::Simd.is_accelerated() {
+        return;
+    }
+    let (k, n) = (2, 8);
+    let a = [2f32.powi(-80), 0.0];
+    let mut b = vec![-(2f32.powi(-80)); n];
+    b.resize(k * n, 1.0);
+    let dense = single_row_simd(&a, &b, k, n);
+    let sparse = single_row_sparse(&a, &[0], &b, k, n);
+    for (d, s) in dense.iter().zip(&sparse) {
+        assert_eq!(d, s);
+        assert_eq!(d.to_bits(), 0.0f32.to_bits());
+        assert_eq!(s.to_bits(), (-0.0f32).to_bits());
+    }
+}
+
+/// Without AVX2+FMA (or on the scalar backend) the row-list entry point
+/// computes the dense product, whatever the list says.
+#[test]
+fn row_list_product_on_the_scalar_backend_is_the_dense_product() {
+    let (k, n) = (37, 21);
+    let a = spiky(k, 3, false);
+    let b = spiky(k * n, 4, false);
+    let mut dense = vec![0.0; n];
+    tcrm_nn::kernels::matmul(Backend::Scalar, &a, &b, &mut dense, 1, k, n);
+    let mut sparse = vec![f32::NAN; n];
+    tcrm_nn::kernels::matmul_row_sparse(
+        Backend::Scalar,
+        &a,
+        &nonzero_rows(&a),
+        &b,
+        &mut sparse,
+        k,
+        n,
+    );
+    assert_eq!(
+        dense.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+        sparse.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+    );
 }
 
 /// Every product at the PPO update's shapes (batch 256; policy

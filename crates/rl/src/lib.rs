@@ -35,7 +35,10 @@ pub use algorithm::{
 };
 pub use buffer::{discounted_returns_flat_into, gae_flat_into, normalize_advantages, RolloutBatch};
 pub use env::{Environment, Step, Transition};
-pub use policy::{argmax, sample_categorical, CategoricalPolicy, PolicyScratch};
+pub use policy::{
+    argmax, greedy_from_logits, greedy_shortcut, sample_categorical, CategoricalPolicy,
+    PolicyScratch,
+};
 pub use trainer::{EpisodeStats, Trainer, TrainerConfig, TrainingHistory};
 pub use value::ValueNet;
 pub use vec_env::VecEnv;

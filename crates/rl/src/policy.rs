@@ -58,28 +58,44 @@ impl CategoricalPolicy {
     /// over [`Self::probabilities_into`]).
     pub fn probabilities(&self, obs: &[f32], mask: &[bool]) -> Vec<f32> {
         let mut scratch = PolicyScratch::default();
-        self.probabilities_into(obs, mask, &mut scratch);
+        self.probabilities_into(obs, mask, None, &mut scratch);
         scratch.probs
     }
 
     /// Masked action probabilities for one observation through
-    /// caller-owned buffers: the single-observation inference path every
-    /// other single-observation method wraps. The observation is copied
-    /// into a one-row input, run through [`Mlp::forward_ws`] and
-    /// masked-softmaxed; the returned row is borrowed from `scratch`.
-    /// Allocation-free once `scratch` has warmed to this policy's shapes.
+    /// caller-owned buffers: the observation runs through
+    /// [`Mlp::forward_row_ws`] and is masked-softmaxed; the returned row is
+    /// borrowed from `scratch`. `nonzero` is handed to the forward: when
+    /// given, it must ascend and list every nonzero observation entry, and
+    /// the first layer's weights must be finite for the result to equal
+    /// the dense (`None`) one. Allocation-free once `scratch` has warmed to
+    /// this policy's shapes.
     pub fn probabilities_into<'s>(
         &self,
         obs: &[f32],
         mask: &[bool],
+        nonzero: Option<&[u32]>,
         scratch: &'s mut PolicyScratch,
     ) -> &'s [f32] {
-        let PolicyScratch { input, ws, probs } = scratch;
-        input.clear_rows();
-        input.push_row(obs);
-        let logits = self.net.forward_ws(input, ws);
-        masked_softmax_into(logits.row(0), mask, probs);
+        let PolicyScratch { ws, probs } = scratch;
+        let logits = self.net.forward_row_ws(obs, nonzero, ws);
+        masked_softmax_into(logits, mask, probs);
         probs
+    }
+
+    /// The greedy action for one observation through caller-owned buffers:
+    /// [`greedy_from_logits`] on the forward's logits, with `nonzero` as for
+    /// [`Self::probabilities_into`]. Allocation-free once `scratch` has
+    /// warmed to this policy's shapes.
+    pub fn greedy_into(
+        &self,
+        obs: &[f32],
+        mask: &[bool],
+        nonzero: Option<&[u32]>,
+        scratch: &mut PolicyScratch,
+    ) -> usize {
+        let PolicyScratch { ws, probs } = scratch;
+        greedy_from_logits(self.net.forward_row_ws(obs, nonzero, ws), mask, probs)
     }
 
     /// Batched logits through a caller-owned workspace: one forward pass for
@@ -102,9 +118,10 @@ impl CategoricalPolicy {
         (action, log_prob, probs)
     }
 
-    /// Greedy (argmax) action under the mask.
+    /// Greedy (argmax) action under the mask (allocating wrapper over
+    /// [`Self::greedy_into`]).
     pub fn greedy(&self, obs: &[f32], mask: &[bool]) -> usize {
-        argmax(&self.probabilities(obs, mask))
+        self.greedy_into(obs, mask, None, &mut PolicyScratch::default())
     }
 
     /// Entropy of the masked distribution at an observation.
@@ -131,12 +148,12 @@ impl CategoricalPolicy {
     }
 }
 
-/// Reusable buffers of [`CategoricalPolicy::probabilities_into`]: the
-/// one-row input matrix, the forward workspace and the probability row.
-/// Shape-agnostic: the buffers grow to the largest policy they serve.
+/// Reusable buffers of [`CategoricalPolicy::probabilities_into`] and
+/// [`CategoricalPolicy::greedy_into`]: the forward workspace and the
+/// probability row. Shape-agnostic: the buffers grow to the largest policy
+/// they serve.
 #[derive(Debug, Clone, Default)]
 pub struct PolicyScratch {
-    input: Matrix,
     ws: Workspace,
     probs: Vec<f32>,
 }
@@ -155,6 +172,58 @@ pub fn argmax(values: &[f32]) -> usize {
         }
     }
     best
+}
+
+/// The greedy action for a logits row under `mask`: always equal to
+/// `argmax(masked_softmax(logits, mask))`, with the softmax computed (into
+/// `probs`) only when [`greedy_shortcut`] cannot prove its answer.
+///
+/// **Why the shortcut is exact.** It answers only when every unmasked
+/// logit is finite, and then returns the first unmasked index `i*` holding
+/// the maximum. The softmax gives `i*` the probability `exp(0)/sum =
+/// 1/sum` and index `i` the probability `exp(lᵢ − max)/sum ≤ 1/sum`
+/// (division by the positive `sum` is monotone); masked indices hold
+/// exactly zero. `argmax` keeps the first largest entry, so no index after
+/// `i*` can displace it, and an earlier index could only if its
+/// probability rounded up to `1/sum`. An earlier unmasked index has `lᵢ <
+/// max`, and it could round to the same probability only for `1 −
+/// exp(lᵢ − max) < 2⁻²³`, i.e. for a faithful `exp`, `lᵢ − max > ≈
+/// −2.4e-7`. The shortcut hands every earlier index with `lᵢ − max >
+/// −1e-6` to the softmax, a 4× margin: past it `exp(lᵢ − max)` lies at
+/// least ~15 ulps below 1, a relative gap that survives the division.
+pub fn greedy_from_logits(logits: &[f32], mask: &[bool], probs: &mut Vec<f32>) -> usize {
+    greedy_shortcut(logits, mask).unwrap_or_else(|| {
+        masked_softmax_into(logits, mask, probs);
+        argmax(probs)
+    })
+}
+
+/// The greedy action read off the logits without any `exp`: the first
+/// unmasked index holding the largest unmasked logit, or `None` when the
+/// softmax must decide — the mask is empty, an unmasked logit is
+/// non-finite, or an unmasked logit before that index lies within `1e-6`
+/// of the maximum. [`greedy_from_logits`] proves the answer equal to the
+/// softmax's argmax.
+pub fn greedy_shortcut(logits: &[f32], mask: &[bool]) -> Option<usize> {
+    assert_eq!(logits.len(), mask.len(), "mask length mismatch");
+    let mut best: Option<(usize, f32)> = None;
+    for (i, (&l, &m)) in logits.iter().zip(mask).enumerate() {
+        if !m {
+            continue;
+        }
+        if !l.is_finite() {
+            return None;
+        }
+        if best.is_none_or(|(_, max)| l > max) {
+            best = Some((i, l));
+        }
+    }
+    let (index, max) = best?;
+    let near_tie = logits[..index]
+        .iter()
+        .zip(mask)
+        .any(|(&l, &m)| m && l - max > -1e-6);
+    (!near_tie).then_some(index)
 }
 
 /// Sample from a (masked) probability distribution, consuming exactly one

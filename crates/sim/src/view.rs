@@ -81,10 +81,19 @@ impl NodeClassView {
     /// Upper bound on placeable units from the class-level free-capacity
     /// aggregate, ignoring fragmentation. Never below the true per-node
     /// answer, and O(resource dims) instead of O(nodes) — the fast
-    /// infeasibility screen for saturated classes.
+    /// infeasibility screen for saturated classes. The per-node count
+    /// grants [`units_that_fit`]'s 1e-9 tolerance once per node, so the
+    /// aggregate gets it once per node too (three nodes of `1 − 0.5e-9`
+    /// CPU fit three 1-CPU units, their plain aggregate only two), plus the
+    /// 1e-6 drift between the delta-maintained aggregate and the node sum
+    /// that `Cluster::check_invariants` allows.
     #[inline]
     pub fn aggregate_unit_bound(&self, per_unit: &ResourceVector) -> u32 {
-        units_that_fit(&self.free_capacity, per_unit)
+        let slack = (self.node_count.saturating_sub(1)) as f64 * 1e-9 + 1e-6;
+        units_that_fit(
+            &(self.free_capacity + ResourceVector::splat(slack)),
+            per_unit,
+        )
     }
 
     /// [`Self::units_available`], stopping as soon as `cap` units are
@@ -646,6 +655,62 @@ mod tests {
             // The aggregate screen is a true upper bound.
             assert!(class.aggregate_unit_bound(&per_unit) >= full);
         }
+    }
+
+    /// Three nodes, each `0.5e-9` CPU short of one unit: the per-node
+    /// tolerance fits a unit on each, although the summed free capacity
+    /// (`3 − 1.5e-9`) holds only two with the tolerance applied once. The
+    /// aggregate screen must still bound the count from above, so the
+    /// capped count and the feasibility queries built on it see all three.
+    #[test]
+    fn capped_count_applies_the_tolerance_per_node() {
+        let unit = ResourceVector::of(1.0, 0.0, 0.0, 0.0);
+        let free = ResourceVector::of(1.0 - 0.5e-9, 0.0, 0.0, 0.0);
+        let spec = Arc::new(ClusterSpec::new(vec![NodeClassSpec::new(
+            "thin",
+            3,
+            unit,
+            SpeedProfile::uniform(1.0),
+        )]));
+        let mut class_view = NodeClassView {
+            id: NodeClassId(0),
+            name: "thin".into(),
+            node_count: 3,
+            total_capacity: ResourceVector::of(3.0, 0.0, 0.0, 0.0),
+            free_capacity: ResourceVector::of(3.0 * (1.0 - 0.5e-9), 0.0, 0.0, 0.0),
+            node_free: vec![free; 3],
+            unit_capacity: unit,
+            fit_index: FitIndex::default(),
+            speed_factors: [1.0; JobClass::COUNT],
+        };
+        class_view.rebuild_fit_index();
+        let job = Job::builder(JobId(1), JobClass::Batch)
+            .arrival(0.0)
+            .total_work(3.0)
+            .demand_per_unit(unit)
+            .parallelism_range(1, 3)
+            .deadline(30.0)
+            .build();
+        let view = ClusterView::new(
+            0.0,
+            spec,
+            vec![class_view],
+            vec![ClusterView::pending_view_of(&job)],
+            vec![],
+            0,
+        );
+        let (class, job) = (&view.classes[0], &view.pending[0]);
+        assert_eq!(class.units_available(&unit), 3);
+        assert!(class.aggregate_unit_bound(&unit) >= 3);
+        for cap in 0..6 {
+            assert_eq!(
+                class.units_available_capped(&unit, cap),
+                cap.min(3),
+                "cap {cap}"
+            );
+        }
+        assert!(view.can_start(job, NodeClassId(0), 3));
+        assert_eq!(view.max_feasible_parallelism(job, NodeClassId(0)), Some(3));
     }
 
     #[test]
