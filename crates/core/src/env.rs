@@ -16,8 +16,7 @@ use tcrm_sim::{Action, ClusterSpec, ClusterView, Job, SimConfig, Simulator};
 use tcrm_workload::{SyntheticSource, WorkloadSpec};
 
 /// Where episode workloads come from. (Named `EpisodeSource` to leave the
-/// `WorkloadSource` name to `tcrm_workload`'s streaming trait, which the
-/// `Streamed` variant accepts through any boxed source.)
+/// `WorkloadSource` name to `tcrm_workload`'s streaming trait.)
 pub enum EpisodeSource {
     /// Every episode replays exactly this job list (evaluation on a fixed
     /// trace).
@@ -30,13 +29,6 @@ pub enum EpisodeSource {
         /// Number of jobs per episode.
         jobs_per_episode: usize,
     },
-    /// Every episode re-arms this source with the episode seed and collects
-    /// its stream into that episode's job list — training on arbitrary
-    /// composed scenarios (replays, transformed traces, merged streams)
-    /// from one resettable source instead of a per-episode job-list
-    /// configuration. The stream **must be finite** (bound endless
-    /// generators with `truncate`): each `reset` drains it fully.
-    Streamed(Box<dyn tcrm_workload::WorkloadSource>),
 }
 
 /// The scheduling environment (implements [`tcrm_rl::Environment`]).
@@ -144,8 +136,8 @@ impl SchedulingEnv {
         self.sim.take().map(|sim| sim.finalize())
     }
 
-    fn episode_jobs(&mut self, seed: u64) -> Vec<Job> {
-        match &mut self.source {
+    fn episode_jobs(&self, seed: u64) -> Vec<Job> {
+        match &self.source {
             EpisodeSource::Fixed(jobs) => jobs.clone(),
             EpisodeSource::Generated {
                 spec,
@@ -155,10 +147,6 @@ impl SchedulingEnv {
                 SyntheticSource::new(&spec, &self.cluster, seed)
                     .expect("episode workload spec validates")
                     .collect()
-            }
-            EpisodeSource::Streamed(source) => {
-                source.reset(seed);
-                source.by_ref().collect()
             }
         }
     }

@@ -78,10 +78,9 @@ pub fn train_agent(setup: &TrainSetup) -> TrainOutcome {
     let obs_dim = encoder.observation_dim();
     let action_count = actions.action_count();
 
-    // `EpisodeSource` is not `Clone` (it may box a streaming source), so each
-    // pool slot gets its own generated source over the shared workload spec.
-    // Episode seeds come from the trainer, not the slot, so the pool size
-    // never changes which workloads are trained on.
+    // Each pool slot gets its own generated source over the shared workload
+    // spec. Episode seeds come from the trainer, not the slot, so the pool
+    // size never changes which workloads are trained on.
     let envs: Vec<SchedulingEnv> = (0..setup.train.num_envs.max(1))
         .map(|_| {
             SchedulingEnv::new(

@@ -134,53 +134,87 @@ impl<I: Iterator<Item = Job>> EpochHooks for Arrivals<I> {
     }
 }
 
-/// Internal bookkeeping for one running job.
+/// The engine's record of one running job: the job, its allocation and its
+/// scheduler row.
+///
+/// The record *is* the row every view copies: `row` is the
+/// [`RunningJobView`] that `rebuild_view_into` clones and the
+/// `RunningInserted` / `RunningRescaled` deltas carry, so remaining work,
+/// the cooldown and the finish prediction are computed by the row's own
+/// methods, for the engine and the schedulers alike.
 ///
 /// Progress is **lazily reconciled**: between two rate changes (start,
 /// re-scale) a running job's execution rate is constant, so nothing touches
-/// the job while time advances. `remaining_work` and `unit_seconds` are the
-/// values *as of `last_update`*; the view row carries the same reconciled
-/// state and [`RunningJobView::remaining_work`] derives the current
-/// remaining work on demand, while [`Self::reconcile`] folds the elapsed
-/// span in exactly when the rate is about to change (or the job completes).
-/// Time advances are therefore O(1) instead of O(running jobs).
+/// the job while time advances. The row holds the remaining work and
+/// `unit_seconds` the parallelism integral *as of `row.last_update`*;
+/// [`RunningJobView::remaining_work`] derives the current remaining work on
+/// demand, while [`Self::reconcile`] folds the elapsed span in exactly when
+/// the rate is about to change (or the job completes). Time advances are
+/// therefore O(1) instead of O(running jobs).
 #[derive(Debug, Clone)]
 struct RunningJob {
     job: Job,
     alloc: Allocation,
-    /// Remaining work as of `last_update` (not "now").
-    remaining_work: f64,
-    last_update: f64,
-    started_at: f64,
+    /// The scheduler row: reconciled progress, the rate since
+    /// `row.last_update` (cached at start/re-scale: it only depends on the
+    /// placement class and the degree of parallelism) and the cooldown
+    /// anchor `row.last_scaled_at`.
+    row: RunningJobView,
     /// Invalidates stale completion events after re-scaling.
     version: u64,
-    /// Time of the job's start or most recent re-scaling (cooldown tracking).
-    last_scaled_at: f64,
-    /// Integral of parallelism over time as of `last_update` (for the
+    /// Integral of parallelism over time as of `row.last_update` (for the
     /// average-parallelism metric).
     unit_seconds: f64,
     scale_count: u32,
-    /// Execution rate in work units per second — cached at start/re-scale
-    /// (it only depends on the placement class and the degree of
-    /// parallelism, both constant between re-scales).
-    rate: f64,
 }
 
 impl RunningJob {
+    /// The record of `job` starting at `now` on `alloc`.
+    fn start(cluster: &Cluster, job: Job, alloc: Allocation, now: f64) -> Self {
+        let row = RunningJobView {
+            id: job.id,
+            class: job.class,
+            node_class: alloc.class,
+            units: alloc.total_units(),
+            remaining_at_update: job.total_work,
+            last_update: now,
+            total_work: job.total_work,
+            arrival: job.arrival,
+            started_at: now,
+            deadline: job.deadline,
+            demand_per_unit: job.demand_per_unit,
+            min_parallelism: job.min_parallelism,
+            max_parallelism: job.max_parallelism,
+            speedup: job.speedup,
+            malleable: job.malleable,
+            rate: Self::compute_rate(cluster, &alloc, &job),
+            utility_value: job.utility.value,
+            last_scaled_at: now,
+        };
+        RunningJob {
+            job,
+            alloc,
+            row,
+            version: 0,
+            unit_seconds: 0.0,
+            scale_count: 0,
+        }
+    }
+
     fn compute_rate(cluster: &Cluster, alloc: &Allocation, job: &Job) -> f64 {
         let speed = cluster.speed_factor(alloc.class, job.class);
         speed * job.speedup.speedup(alloc.total_units())
     }
 
-    /// Fold the constant-rate span `[last_update, now]` into the stored
-    /// progress. Must run before the rate changes (re-scale) and at
-    /// completion.
+    /// Fold the constant-rate span `[row.last_update, now]` into the stored
+    /// progress, at the row's units and rate. Must run before the row's
+    /// rate changes (re-scale) and at completion.
     fn reconcile(&mut self, now: f64) {
-        if now > self.last_update {
-            let dt = now - self.last_update;
-            self.remaining_work = (self.remaining_work - dt * self.rate).max(0.0);
-            self.unit_seconds += dt * self.alloc.total_units() as f64;
-            self.last_update = now;
+        let row = &mut self.row;
+        if now > row.last_update {
+            self.unit_seconds += (now - row.last_update) * row.units as f64;
+            row.remaining_at_update = row.remaining_work(now);
+            row.last_update = now;
         }
     }
 }
@@ -203,16 +237,9 @@ enum ViewDelta {
     /// A job started: insert this row at the given start-order position.
     RunningInserted { pos: u32, row: RunningJobView },
     /// A running job was re-scaled — the only change to a running row
-    /// between its start and completion: overwrite the reconciled progress
-    /// of the row at this start-order position.
-    RunningRescaled {
-        pos: u32,
-        units: u32,
-        remaining_at_update: f64,
-        last_update: f64,
-        rate: f64,
-        last_scaled_at: f64,
-    },
+    /// between its start and completion: overwrite the row at this
+    /// start-order position.
+    RunningRescaled { pos: u32, row: RunningJobView },
     /// A running job completed: remove the row at this start-order position.
     RunningRemoved { pos: u32 },
     /// A node's free capacity changed: overwrite its `node_free` entry.
@@ -766,20 +793,8 @@ impl Simulator {
                 ViewDelta::RunningInserted { pos, row } => {
                     out.running.insert(*pos as usize, row.clone())
                 }
-                ViewDelta::RunningRescaled {
-                    pos,
-                    units,
-                    remaining_at_update,
-                    last_update,
-                    rate,
-                    last_scaled_at,
-                } => {
-                    let row = &mut out.running[*pos as usize];
-                    row.units = *units;
-                    row.remaining_at_update = *remaining_at_update;
-                    row.last_update = *last_update;
-                    row.rate = *rate;
-                    row.last_scaled_at = *last_scaled_at;
+                ViewDelta::RunningRescaled { pos, row } => {
+                    out.running[*pos as usize] = row.clone();
                 }
                 ViewDelta::RunningRemoved { pos } => {
                     out.running.remove(*pos as usize);
@@ -841,7 +856,7 @@ impl Simulator {
         out.running.extend(
             self.running_order
                 .iter()
-                .map(|id| self.running_row(&self.running[id])),
+                .map(|id| self.running[id].row.clone()),
         );
         self.refresh_header(out);
         // Reference computation of the deadline index: an actual sort over
@@ -895,31 +910,6 @@ impl Simulator {
     /// the release that freed capacity on it).
     fn stamp_release(&mut self, class: NodeClassId) {
         self.feasibility.released_at[class.0] = self.log_base + self.log.len();
-    }
-
-    /// One running-job row: the job's static fields plus its reconciled
-    /// progress, exactly what a `RunningRescaled` delta patches.
-    fn running_row(&self, r: &RunningJob) -> RunningJobView {
-        RunningJobView {
-            id: r.job.id,
-            class: r.job.class,
-            node_class: r.alloc.class,
-            units: r.alloc.total_units(),
-            remaining_at_update: r.remaining_work,
-            last_update: r.last_update,
-            total_work: r.job.total_work,
-            arrival: r.job.arrival,
-            started_at: r.started_at,
-            deadline: r.job.deadline,
-            demand_per_unit: r.job.demand_per_unit,
-            min_parallelism: r.job.min_parallelism,
-            max_parallelism: r.job.max_parallelism,
-            speedup: r.job.speedup,
-            malleable: r.job.malleable,
-            rate: r.rate,
-            utility_value: r.job.utility.value,
-            last_scaled_at: r.last_scaled_at,
-        }
     }
 
     /// Apply one scheduling action at the current decision epoch.
@@ -1248,23 +1238,31 @@ impl Simulator {
         }
     }
 
-    /// (Re-)schedule the completion event of a job whose progress was just
-    /// reconciled (start or re-scale): `remaining_work` is current as of
-    /// `self.time` and `rate` freshly cached, so the finish prediction is a
-    /// single constant-rate extrapolation.
+    /// (Re-)schedule the completion event of a job whose row was just
+    /// reconciled (start or re-scale): the finish time is the row's
+    /// constant-rate extrapolation [`RunningJobView::expected_finish`],
+    /// which floors the rate at 1e-9 work units per second (no shipped
+    /// spec comes near it: the slowest speed factor is 0.3).
     fn schedule_completion(&mut self, job: JobId) {
         let (finish, version) = {
             let r = self.running.get_mut(&job).expect("unknown running job");
             r.version += 1;
-            debug_assert_eq!(r.last_update, self.time, "schedule before reconcile");
-            (self.time + r.remaining_work / r.rate.max(1e-12), r.version)
+            debug_assert_eq!(r.row.last_update, self.time, "schedule before reconcile");
+            // Incremental and rebuilt views copy this same row, so their
+            // oracle cannot see it drift from the allocation; every
+            // accepted start and re-scale passes through here.
+            debug_assert!(
+                r.row.units == r.alloc.total_units() && r.row.node_class == r.alloc.class,
+                "row of {job} out of step with its allocation"
+            );
+            (r.row.expected_finish(self.time), r.version)
         };
         self.events
             .push(finish, EventKind::JobCompletion { job, version });
     }
 
     fn complete_job(&mut self, job_id: JobId) {
-        let Some(started_at) = self.running.get(&job_id).map(|r| r.started_at) else {
+        let Some(started_at) = self.running.get(&job_id).map(|r| r.row.started_at) else {
             return;
         };
         // Must happen while the job is still in the map: the order index's
@@ -1281,20 +1279,20 @@ impl Simulator {
         self.stamp_release(r.alloc.class);
         let job = &r.job;
         let finish = self.time;
-        let wait = r.started_at - job.arrival;
+        let wait = started_at - job.arrival;
         let response = finish - job.arrival;
         let best_speed = self.best_speed_cache[job.class.index()];
         let best_case = job.best_case_service_time(best_speed);
         let slowdown = response / best_case.max(1.0);
         let missed = finish > job.deadline + 1e-9;
         let utility = job.utility.utility(job.arrival, job.deadline, finish);
-        let elapsed = (finish - r.started_at).max(1e-9);
+        let elapsed = (finish - started_at).max(1e-9);
         let avg_parallelism = r.unit_seconds / elapsed;
         self.metrics.record_completion(CompletedJob {
             id: job.id,
             class: job.class,
             arrival: job.arrival,
-            start: r.started_at,
+            start: started_at,
             finish,
             deadline: job.deadline,
             wait,
@@ -1349,22 +1347,10 @@ impl Simulator {
         self.cluster.apply_placement(&demand, &placements);
         self.log_node_frees(&placements);
         let alloc = Allocation::new(job.id, class, placements, demand);
-        let rate = RunningJob::compute_rate(&self.cluster, &alloc, &job);
-        let running = RunningJob {
-            remaining_work: job.total_work,
-            last_update: self.time,
-            started_at: self.time,
-            version: 0,
-            last_scaled_at: self.time,
-            unit_seconds: 0.0,
-            scale_count: 0,
-            rate,
-            alloc,
-            job,
-        };
+        let running = RunningJob::start(&self.cluster, job, alloc, self.time);
+        let row = running.row.clone();
         self.running.insert(job_id, running);
         let order_pos = self.insert_running_order(job_id);
-        let row = self.running_row(&self.running[&job_id]);
         self.log.push(ViewDelta::RunningInserted {
             pos: order_pos as u32,
             row,
@@ -1378,10 +1364,7 @@ impl Simulator {
     /// insertion point is at or very near the tail; the binary search only
     /// resolves same-timestamp ties.
     fn insert_running_order(&mut self, job_id: JobId) -> usize {
-        let key = |id: &JobId| {
-            let r = &self.running[id];
-            (r.started_at, *id)
-        };
+        let key = |id: &JobId| (self.running[id].row.started_at, *id);
         let probe = key(&job_id);
         let pos = self.running_order.partition_point(|id| key(id) < probe);
         self.running_order.insert(pos, job_id);
@@ -1406,10 +1389,9 @@ impl Simulator {
     /// [`Self::remove_running_order`], which see).
     fn running_order_pos(&self, job_id: JobId, started_at: f64) -> usize {
         let probe = (started_at, job_id);
-        let pos = self.running_order.partition_point(|id| {
-            let r = &self.running[id];
-            (r.started_at, *id) < probe
-        });
+        let pos = self
+            .running_order
+            .partition_point(|id| (self.running[id].row.started_at, *id) < probe);
         assert!(
             self.running_order.get(pos) == Some(&job_id),
             "running-order index out of sync for {job_id}"
@@ -1432,20 +1414,22 @@ impl Simulator {
         if target == current {
             return ActionOutcome::Invalid("no parallelism change");
         }
-        if self.time - r.last_scaled_at < self.config.scale_cooldown - 1e-9 {
+        if !r.row.scale_ready(
+            self.time,
+            self.config.allow_scaling,
+            self.config.scale_cooldown,
+        ) {
             return ActionOutcome::Invalid("reconfiguration cooldown");
         }
         let class = r.alloc.class;
         let demand = r.job.demand_per_unit;
         let reconfig_cost = r.job.total_work * self.config.reconfig_cost_frac;
-        let speed = self.cluster.speed_factor(class, r.job.class);
-        let speedup = r.job.speedup;
+        // The units added by a scale-up, or released by a scale-down.
+        let mut placements = self.placement_buffer();
         if target > current {
-            let extra = target - current;
-            let mut placements = self.placement_buffer();
             if !self
                 .cluster
-                .find_placement_into(class, &demand, extra, &mut placements)
+                .find_placement_into(class, &demand, target - current, &mut placements)
             {
                 self.placement_pool.push(placements);
                 return ActionOutcome::Invalid("insufficient capacity for scale-up");
@@ -1453,40 +1437,30 @@ impl Simulator {
             self.cluster.apply_placement(&demand, &placements);
             self.log_node_frees(&placements);
             let r = self.running.get_mut(&job_id).expect("running job vanished");
-            // Fold the progress of the old-rate span in before the rate
-            // changes (lazy-reconciliation contract).
-            r.reconcile(self.time);
             r.alloc.grow(&placements);
-            r.remaining_work += reconfig_cost;
-            r.scale_count += 1;
-            r.last_scaled_at = self.time;
-            r.rate = speed * speedup.speedup(r.alloc.total_units());
-            self.placement_pool.push(placements);
         } else {
-            let shrink_by = current - target;
-            let mut released = self.placement_buffer();
             let r = self.running.get_mut(&job_id).expect("running job vanished");
-            r.reconcile(self.time);
-            r.alloc.shrink(shrink_by, &mut released);
-            r.remaining_work += reconfig_cost;
-            r.scale_count += 1;
-            r.last_scaled_at = self.time;
-            r.rate = speed * speedup.speedup(r.alloc.total_units());
-            self.cluster.release_placement(&demand, &released);
-            self.log_node_frees(&released);
+            r.alloc.shrink(current - target, &mut placements);
+            self.cluster.release_placement(&demand, &placements);
+            self.log_node_frees(&placements);
             self.stamp_release(class);
-            self.placement_pool.push(released);
         }
+        self.placement_pool.push(placements);
+        let r = self.running.get_mut(&job_id).expect("running job vanished");
+        // The row still holds the old units and rate: fold the old-rate
+        // span in before they change (lazy-reconciliation contract).
+        r.reconcile(self.time);
+        r.row.remaining_at_update += reconfig_cost;
+        r.scale_count += 1;
+        r.row.last_scaled_at = self.time;
+        r.row.units = r.alloc.total_units();
+        r.row.rate = RunningJob::compute_rate(&self.cluster, &r.alloc, &r.job);
+        let row = r.row.clone();
         self.metrics.record_scale_event();
-        let r = &self.running[&job_id];
-        let pos = self.running_order_pos(job_id, r.started_at);
+        let pos = self.running_order_pos(job_id, row.started_at);
         self.log.push(ViewDelta::RunningRescaled {
             pos: pos as u32,
-            units: r.alloc.total_units(),
-            remaining_at_update: r.remaining_work,
-            last_update: r.last_update,
-            rate: r.rate,
-            last_scaled_at: r.last_scaled_at,
+            row,
         });
         self.schedule_completion(job_id);
         ActionOutcome::Scaled
@@ -1862,9 +1836,8 @@ mod tests {
 
     #[test]
     fn time_affine_rows_agree_with_the_engine_at_any_later_time() {
-        // A row read at `now` must report what the engine itself would:
-        // the remaining work `reconcile(now)` folds in, and the cooldown
-        // verdict `apply_scale` reaches at `now`.
+        // A re-scale rewrites the stored row: the grow at t = 7 reconciles
+        // the progress and anchors the cooldown there.
         let mut cfg = SimConfig::default();
         cfg.scale_cooldown = 6.0;
         cfg.reconfig_cost_frac = 0.05;
@@ -1889,25 +1862,53 @@ mod tests {
             (row.last_update, row.last_scaled_at, row.units),
             (7.0, 7.0, 3)
         );
-        for now in [7.0, 7.5, 12.0, 13.0 - 1e-9, 13.0, 13.0 + 1e-9, 20.0, 1e4] {
-            let mut r = sim.running[&JobId(0)].clone();
-            r.reconcile(now);
-            assert_eq!(
-                row.remaining_work(now).to_bits(),
-                r.remaining_work.to_bits()
-            );
-            let mut at = sim.clone();
-            at.time = now;
-            let verdict = at.apply(&Action::Scale {
-                job: JobId(0),
-                new_parallelism: 2,
-            });
-            assert_eq!(
-                row.scale_ready(now, view.allow_scaling, view.scale_cooldown),
-                verdict != ActionOutcome::Invalid("reconfiguration cooldown"),
-                "now {now}: engine said {verdict:?}"
-            );
+    }
+
+    #[test]
+    fn elastic_timeline_matches_the_hand_computed_finish() {
+        // 40 work units at rate 1 from t = 0. At t = 7 the scale to 3 units
+        // leaves 33 + 2 (the 5% reconfiguration charge) at rate 3; at
+        // t = 12 the cooldown (6 s) rejects a re-scale; at t = 13 the scale
+        // to 2 leaves 35 − 18 + 2 = 19 at rate 2, so the job finishes at
+        // 13 + 19 / 2 = 22.5.
+        let mut cfg = SimConfig::default();
+        cfg.decision_interval = Some(1.0);
+        cfg.scale_cooldown = 6.0;
+        cfg.reconfig_cost_frac = 0.05;
+        let mut sim = Simulator::new(tiny_spec(), cfg);
+        sim.start(vec![simple_job(0, 0.0, 40.0, 1000.0)]);
+        let advance_to = |sim: &mut Simulator, t: f64| {
+            while sim.time() < t {
+                assert!(sim.advance());
+            }
+            assert_eq!(sim.time(), t);
+        };
+        let scale = |new_parallelism| Action::Scale {
+            job: JobId(0),
+            new_parallelism,
+        };
+        assert!(sim.advance());
+        let start = Action::Start {
+            job: JobId(0),
+            class: NodeClassId(0),
+            parallelism: 1,
+        };
+        assert_eq!(sim.apply(&start), ActionOutcome::Started);
+        advance_to(&mut sim, 7.0);
+        assert_eq!(sim.apply(&scale(3)), ActionOutcome::Scaled);
+        advance_to(&mut sim, 12.0);
+        assert_eq!(
+            sim.apply(&scale(2)),
+            ActionOutcome::Invalid("reconfiguration cooldown")
+        );
+        advance_to(&mut sim, 13.0);
+        assert_eq!(sim.apply(&scale(2)), ActionOutcome::Scaled);
+        while sim.last_epoch() != EpochKind::Completion(JobId(0)) {
+            assert!(sim.advance());
         }
+        let record = &sim.completed_so_far()[0];
+        assert_eq!(record.finish, 22.5);
+        assert_eq!(record.scale_count, 2);
     }
 
     #[test]

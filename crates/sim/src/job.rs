@@ -278,14 +278,6 @@ impl Job {
         self.service_time(best_speed, self.max_parallelism)
     }
 
-    /// Slack at time `now` assuming the job still needs `remaining_work` and
-    /// would run at `rate` work-units per second: `deadline - now -
-    /// remaining/rate`. Negative slack means the deadline cannot be met at
-    /// that rate.
-    pub fn slack(&self, now: f64, remaining_work: f64, rate: f64) -> f64 {
-        self.deadline - now - remaining_work / rate.max(1e-9)
-    }
-
     /// The total resource demand at a given parallelism.
     pub fn demand_at(&self, parallelism: u32) -> ResourceVector {
         self.demand_per_unit.scaled(parallelism as f64)
@@ -516,15 +508,6 @@ mod tests {
         assert!((j.service_time(2.0, 1) - 10.0).abs() < 1e-9);
         // linear part of Amdahl default keeps it below 10 at p=4
         assert!(j.service_time(2.0, 4) < 10.0);
-    }
-
-    #[test]
-    fn slack_sign_reflects_feasibility() {
-        let j = job();
-        // at t=5 with 20 units remaining and rate 1 -> finish 25 < 45: slack 20
-        assert!((j.slack(5.0, 20.0, 1.0) - 20.0).abs() < 1e-9);
-        // rate 0.4 -> finish at 55 > 45: negative slack
-        assert!(j.slack(5.0, 20.0, 0.4) < 0.0);
     }
 
     #[test]

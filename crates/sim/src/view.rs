@@ -236,16 +236,12 @@ impl PendingJobView {
     pub fn slack_on(&self, now: f64, class: &NodeClassView, parallelism: u32) -> f64 {
         self.time_to_deadline(now) - self.service_time_on(class, parallelism)
     }
-
-    /// The smallest parallelism (within the job's range) whose slack on
-    /// `class` is non-negative, or `None` if even the maximum parallelism
-    /// misses the deadline.
-    pub fn min_parallelism_meeting_deadline(&self, now: f64, class: &NodeClassView) -> Option<u32> {
-        (self.min_parallelism..=self.max_parallelism).find(|&p| self.slack_on(now, class, p) >= 0.0)
-    }
 }
 
-/// A running job, as seen by the scheduler.
+/// A running job, as seen by the scheduler — and the engine's own record of
+/// the job's progress: the engine stores this row with each running job and
+/// views copy it, so the methods below are the one computation of remaining
+/// work, cooldown and finish time.
 ///
 /// Rows are **time-affine**: they hold the engine's reconciled progress
 /// (remaining work as of [`Self::last_update`], the constant `rate` since
@@ -299,9 +295,8 @@ pub struct RunningJobView {
 
 impl RunningJobView {
     /// Remaining work at `now`: the reconciled value minus the progress made
-    /// at the constant rate since [`Self::last_update`], clamped at zero —
-    /// the expression the engine folds in when it reconciles the job, so
-    /// the value is bit-identical to the simulator's own at `now`.
+    /// at the constant rate since [`Self::last_update`], clamped at zero.
+    /// The engine's `reconcile` calls this to fold the progress in.
     pub fn remaining_work(&self, now: f64) -> f64 {
         if now <= self.last_update {
             self.remaining_at_update
@@ -313,13 +308,16 @@ impl RunningJobView {
     /// True when the engine would accept a re-scaling of this job at `now`
     /// under the given rules (the view header's `allow_scaling` /
     /// `scale_cooldown`; [`ClusterView::scale_ready`] passes them): scaling
-    /// enabled and the reconfiguration cooldown elapsed, with the engine's
-    /// 1e-9 tolerance.
+    /// enabled and the reconfiguration cooldown elapsed, with a 1e-9
+    /// tolerance. The engine's `apply_scale` calls this as its cooldown
+    /// test.
     pub fn scale_ready(&self, now: f64, allow_scaling: bool, scale_cooldown: f64) -> bool {
         allow_scaling && now - self.last_scaled_at >= scale_cooldown - 1e-9
     }
 
-    /// Expected finish time when the job keeps its current rate from `now`.
+    /// Expected finish time when the job keeps its current rate from `now`
+    /// (the rate floored at 1e-9). The engine schedules the job's
+    /// completion event at this time after every start and re-scale.
     pub fn expected_finish(&self, now: f64) -> f64 {
         now + self.remaining_work(now) / self.rate.max(1e-9)
     }
@@ -807,10 +805,6 @@ mod tests {
         // service time at p=1: 40 / (2*1) = 20, time to deadline = 20 -> slack 0
         assert!((j.slack_on(10.0, &view.classes[0], 1)).abs() < 1e-9);
         assert!(j.slack_on(10.0, &view.classes[0], 4) > 0.0);
-        assert_eq!(
-            j.min_parallelism_meeting_deadline(10.0, &view.classes[0]),
-            Some(1)
-        );
     }
 
     #[test]
@@ -851,36 +845,15 @@ mod tests {
         }
     }
 
-    /// The engine's remaining-work expression over reconciled state
-    /// (`RunningJob::reconcile` folds exactly this span in).
-    fn engine_remaining(r: &RunningJobView, now: f64) -> f64 {
-        if now > r.last_update {
-            (r.remaining_at_update - (now - r.last_update) * r.rate).max(0.0)
-        } else {
-            r.remaining_at_update
-        }
-    }
-
-    /// The engine's acceptance test for a re-scale's cooldown
-    /// (`apply_scale` rejects when this is false).
-    fn engine_scale_ready(r: &RunningJobView, now: f64, allow: bool, cooldown: f64) -> bool {
-        allow && !(now - r.last_scaled_at < cooldown - 1e-9)
-    }
-
     #[test]
     fn remaining_work_is_the_engine_expression_at_any_now() {
         let r = running_row();
         // now < last_update reads the reconciled value unchanged; at
         // last_update nothing has elapsed; 4.0 + 10/2 = 9.0 is the exact
         // drain point, past it the value clamps at 0.
-        for now in [0.0, 3.999, 4.0, 4.0 + 1e-12, 6.5, 9.0 - 1e-9, 9.0, 9.5, 1e6] {
-            assert_eq!(
-                r.remaining_work(now).to_bits(),
-                engine_remaining(&r, now).to_bits(),
-                "now {now}"
-            );
-        }
         assert_eq!(r.remaining_work(2.0), 10.0, "before last_update");
+        assert_eq!(r.remaining_work(4.0), 10.0);
+        assert_eq!(r.remaining_work(9.0), 0.0, "drained");
         assert_eq!(r.remaining_work(6.5), 5.0);
         assert_eq!(r.remaining_work(9.5), 0.0, "clamped at zero");
         assert_eq!(r.remaining_work(1e6), 0.0, "clamped at zero");
@@ -891,26 +864,8 @@ mod tests {
         let r = running_row();
         let cooldown = 20.0;
         let ready_at = r.last_scaled_at + cooldown;
-        for now in [
-            0.0,
-            r.last_scaled_at,
-            ready_at - 1e-9 - 1e-9,
-            ready_at - 1e-9,
-            ready_at - 0.5e-9,
-            ready_at,
-            ready_at + 1e-9,
-            1e6,
-        ] {
-            for allow in [true, false] {
-                assert_eq!(
-                    r.scale_ready(now, allow, cooldown),
-                    engine_scale_ready(&r, now, allow, cooldown),
-                    "now {now} allow {allow}"
-                );
-            }
-        }
-        // Exactly at the boundary ±1e-9: the engine's tolerance accepts
-        // 1e-9 early and refuses anything earlier.
+        // Exactly at the boundary ±1e-9: the tolerance accepts 1e-9 early
+        // and refuses anything earlier.
         assert!(r.scale_ready(ready_at, true, cooldown));
         assert!(r.scale_ready(ready_at - 1e-9, true, cooldown));
         assert!(r.scale_ready(ready_at + 1e-9, true, cooldown));

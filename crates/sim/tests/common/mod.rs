@@ -95,10 +95,18 @@ pub fn dense_params(n: usize, gpu_every: usize) -> Vec<JobParams> {
         .collect()
 }
 
-/// The action script paired with [`dense_params`].
+/// The action script paired with [`dense_params`]. Every tenth action asks
+/// a running job for one unit, a scale-down of any job running wider.
 pub fn dense_script() -> Vec<(u8, u8, u8)> {
     (0..200u32)
-        .map(|i| ((i % 5) as u8, (i * 7 % 251) as u8, (i * 13 % 241) as u8))
+        .map(|i| {
+            let (x, y) = ((i * 7 % 251) as u8, (i * 13 % 241) as u8);
+            if i % 10 == 9 {
+                (2, x, 0)
+            } else {
+                ((i % 5) as u8, x, y)
+            }
+        })
         .collect()
 }
 
@@ -200,8 +208,10 @@ pub fn floor_prunes(c: &Cluster, class: NodeClassId, per_unit: &ResourceVector) 
 pub struct OracleRun {
     /// Decision epochs stepped.
     pub epochs: usize,
-    /// Re-scales the engine accepted (each one a `RunningRescaled` delta).
-    pub accepted_scales: usize,
+    /// Scale-ups the engine accepted (each one a `RunningRescaled` delta).
+    pub accepted_scale_ups: usize,
+    /// Scale-downs the engine accepted (each one a `RunningRescaled` delta).
+    pub accepted_scale_downs: usize,
     /// Placement queries whose rank floor skipped at least one node.
     pub pruned_queries: usize,
 }
@@ -291,7 +301,22 @@ pub fn run_against_oracles(
             cursor += 1;
             let action = script_action(&view, kind, x, y);
             let outcome = sim.apply(&action);
-            run.accepted_scales += usize::from(outcome == ActionOutcome::Scaled);
+            match action {
+                Action::Scale {
+                    job,
+                    new_parallelism,
+                } if outcome == ActionOutcome::Scaled => {
+                    // An accepted re-scale moves the units towards the
+                    // request.
+                    let units = view.running_job(job).expect("scaled job runs").units;
+                    if new_parallelism > units {
+                        run.accepted_scale_ups += 1;
+                    } else {
+                        run.accepted_scale_downs += 1;
+                    }
+                }
+                _ => {}
+            }
             check_oracles(&sim, &mut view, &mut oracle, &mut run);
         }
         sim.compact_log(&view);

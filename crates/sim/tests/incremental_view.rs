@@ -23,10 +23,12 @@ use tcrm_sim::prelude::*;
 /// Random workloads × random valid/invalid action scripts: the incremental
 /// view is byte-identical to the rebuilt reference at every epoch and after
 /// every action. The cases together must apply at least one accepted
-/// re-scale, so the `RunningRescaled` patch is part of what is compared.
+/// scale-up and one accepted scale-down, so the `RunningRescaled` patch of
+/// both directions is part of what is compared.
 #[test]
 fn incremental_view_matches_rebuild_reference() {
-    static ACCEPTED_SCALES: AtomicUsize = AtomicUsize::new(0);
+    static SCALE_UPS: AtomicUsize = AtomicUsize::new(0);
+    static SCALE_DOWNS: AtomicUsize = AtomicUsize::new(0);
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -36,13 +38,18 @@ fn incremental_view_matches_rebuild_reference() {
             interval in 1.0f64..6.0,
         ) {
             let run = run_against_oracles(two_class_spec(), build_jobs(&params), &script, interval);
-            ACCEPTED_SCALES.fetch_add(run.accepted_scales, Ordering::Relaxed);
+            SCALE_UPS.fetch_add(run.accepted_scale_ups, Ordering::Relaxed);
+            SCALE_DOWNS.fetch_add(run.accepted_scale_downs, Ordering::Relaxed);
         }
     }
     incremental_view_matches_rebuild_reference();
     assert!(
-        ACCEPTED_SCALES.load(Ordering::Relaxed) > 0,
-        "no case applied an accepted Scale"
+        SCALE_UPS.load(Ordering::Relaxed) > 0,
+        "no case applied an accepted scale-up"
+    );
+    assert!(
+        SCALE_DOWNS.load(Ordering::Relaxed) > 0,
+        "no case applied an accepted scale-down"
     );
 }
 
@@ -53,8 +60,8 @@ fn paired_run_with_dense_script_exercises_scales_and_rejections() {
     let run = run_against_oracles(two_class_spec(), jobs, &dense_script(), 2.0);
     assert!(run.epochs >= 14, "expected at least one epoch per job");
     assert!(
-        run.accepted_scales > 0,
-        "the dense script must re-scale a running job"
+        run.accepted_scale_ups > 0 && run.accepted_scale_downs > 0,
+        "the dense script must scale a running job up and down: {run:?}"
     );
 }
 
