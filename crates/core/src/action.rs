@@ -333,7 +333,7 @@ mod tests {
             max_parallelism: 10,
             speedup: SpeedupModel::Linear,
             malleable: true,
-            utility_value: 1.0,
+            utility: TimeUtility::hard(1.0),
             arrival_seq: 0,
         };
         assert_eq!(space.level_to_parallelism(&job, 0), 2);

@@ -518,7 +518,7 @@ impl ServeHooks<'_> {
     }
 
     fn shed(&mut self, sim: &mut Simulator, victim: JobId) {
-        if sim.cancel_pending(victim).is_some() {
+        if sim.cancel_pending(victim) {
             // A shed job will never complete: prune its bookkeeping now so
             // the meta map stays O(live jobs).
             if let Some(m) = self.meta.remove(&victim.0) {

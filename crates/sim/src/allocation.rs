@@ -4,11 +4,10 @@
 //! (so the whole job executes at that class's speed factor), but the units may
 //! be spread across several machines of that class. The [`Allocation`] records
 //! the per-node placement so resources can be released or partially released
-//! on scale-down.
+//! on scale-down; the job's class, node class and per-unit demand live in its
+//! scheduler row, not here.
 
-use crate::job::JobId;
-use crate::node::{NodeClassId, NodeId};
-use crate::resources::ResourceVector;
+use crate::node::NodeId;
 
 /// Units placed on one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,58 +21,20 @@ pub struct Placement {
 /// The complete placement of one running job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Allocation {
-    /// The job this allocation belongs to.
-    pub job: JobId,
-    /// Node class all placements belong to.
-    pub class: NodeClassId,
-    /// Per-node placements (non-empty, units all > 0).
+    /// Per-node placements (units all > 0), all on one node class.
     pub placements: Vec<Placement>,
-    /// Resource demand of a single unit (copied from the job for convenient
-    /// release computations).
-    pub demand_per_unit: ResourceVector,
 }
 
 impl Allocation {
     /// Create an allocation; filters out zero-unit placements.
-    pub fn new(
-        job: JobId,
-        class: NodeClassId,
-        mut placements: Vec<Placement>,
-        demand_per_unit: ResourceVector,
-    ) -> Self {
+    pub fn new(mut placements: Vec<Placement>) -> Self {
         placements.retain(|p| p.units > 0);
-        Allocation {
-            job,
-            class,
-            placements,
-            demand_per_unit,
-        }
+        Allocation { placements }
     }
 
     /// Total number of parallel units currently allocated.
     pub fn total_units(&self) -> u32 {
         self.placements.iter().map(|p| p.units).sum()
-    }
-
-    /// Total resources held by this allocation.
-    pub fn total_demand(&self) -> ResourceVector {
-        self.demand_per_unit.scaled(self.total_units() as f64)
-    }
-
-    /// Resources held on one specific node.
-    pub fn demand_on(&self, node: NodeId) -> ResourceVector {
-        let units: u32 = self
-            .placements
-            .iter()
-            .filter(|p| p.node == node)
-            .map(|p| p.units)
-            .sum();
-        self.demand_per_unit.scaled(units as f64)
-    }
-
-    /// Nodes touched by this allocation.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.placements.iter().map(|p| p.node)
     }
 
     /// Remove up to `units` units, preferring the placements with the fewest
@@ -124,46 +85,29 @@ mod tests {
     use super::*;
 
     fn alloc() -> Allocation {
-        Allocation::new(
-            JobId(7),
-            NodeClassId(1),
-            vec![
-                Placement {
-                    node: NodeId(0),
-                    units: 3,
-                },
-                Placement {
-                    node: NodeId(1),
-                    units: 1,
-                },
-            ],
-            ResourceVector::of(2.0, 4.0, 0.0, 0.5),
-        )
+        Allocation::new(vec![
+            Placement {
+                node: NodeId(0),
+                units: 3,
+            },
+            Placement {
+                node: NodeId(1),
+                units: 1,
+            },
+        ])
     }
 
     #[test]
     fn totals() {
-        let a = alloc();
-        assert_eq!(a.total_units(), 4);
-        assert_eq!(a.total_demand(), ResourceVector::of(8.0, 16.0, 0.0, 2.0));
-        assert_eq!(
-            a.demand_on(NodeId(1)),
-            ResourceVector::of(2.0, 4.0, 0.0, 0.5)
-        );
-        assert_eq!(a.demand_on(NodeId(9)), ResourceVector::zero());
+        assert_eq!(alloc().total_units(), 4);
     }
 
     #[test]
     fn zero_unit_placements_are_dropped() {
-        let a = Allocation::new(
-            JobId(1),
-            NodeClassId(0),
-            vec![Placement {
-                node: NodeId(0),
-                units: 0,
-            }],
-            ResourceVector::zero(),
-        );
+        let a = Allocation::new(vec![Placement {
+            node: NodeId(0),
+            units: 0,
+        }]);
         assert!(a.placements.is_empty());
         assert_eq!(a.total_units(), 0);
     }

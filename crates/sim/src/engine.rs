@@ -134,14 +134,17 @@ impl<I: Iterator<Item = Job>> EpochHooks for Arrivals<I> {
     }
 }
 
-/// The engine's record of one running job: the job, its allocation and its
-/// scheduler row.
+/// The engine's record of one running job: its scheduler row, its
+/// placement and the bookkeeping of its completion record.
 ///
 /// The record *is* the row every view copies: `row` is the
 /// [`RunningJobView`] that `rebuild_view_into` clones and the
 /// `RunningInserted` / `RunningRescaled` deltas carry, so remaining work,
 /// the cooldown and the finish prediction are computed by the row's own
-/// methods, for the engine and the schedulers alike.
+/// methods, for the engine and the schedulers alike. The row also holds
+/// every static field of the job (class, demand, parallelism range,
+/// utility): once admitted, a job has no other record, and `alloc` holds
+/// only where its units are placed.
 ///
 /// Progress is **lazily reconciled**: between two rate changes (start,
 /// re-scale) a running job's execution rate is constant, so nothing touches
@@ -153,13 +156,13 @@ impl<I: Iterator<Item = Job>> EpochHooks for Arrivals<I> {
 /// therefore O(1) instead of O(running jobs).
 #[derive(Debug, Clone)]
 struct RunningJob {
-    job: Job,
-    alloc: Allocation,
-    /// The scheduler row: reconciled progress, the rate since
-    /// `row.last_update` (cached at start/re-scale: it only depends on the
-    /// placement class and the degree of parallelism) and the cooldown
+    /// The scheduler row: the job's fields, reconciled progress, the rate
+    /// since `row.last_update` (cached at start/re-scale: it only depends on
+    /// the placement class and the degree of parallelism) and the cooldown
     /// anchor `row.last_scaled_at`.
     row: RunningJobView,
+    /// The per-node placement of `row.units` units on `row.node_class`.
+    alloc: Allocation,
     /// Invalidates stale completion events after re-scaling.
     version: u64,
     /// Integral of parallelism over time as of `row.last_update` (for the
@@ -169,12 +172,19 @@ struct RunningJob {
 }
 
 impl RunningJob {
-    /// The record of `job` starting at `now` on `alloc`.
-    fn start(cluster: &Cluster, job: Job, alloc: Allocation, now: f64) -> Self {
-        let row = RunningJobView {
+    /// The record of the pending job `job` starting at `now` on
+    /// `node_class` with the placements of `alloc`.
+    fn start(
+        cluster: &Cluster,
+        job: PendingJobView,
+        node_class: NodeClassId,
+        alloc: Allocation,
+        now: f64,
+    ) -> Self {
+        let mut row = RunningJobView {
             id: job.id,
             class: job.class,
-            node_class: alloc.class,
+            node_class,
             units: alloc.total_units(),
             remaining_at_update: job.total_work,
             last_update: now,
@@ -187,23 +197,24 @@ impl RunningJob {
             max_parallelism: job.max_parallelism,
             speedup: job.speedup,
             malleable: job.malleable,
-            rate: Self::compute_rate(cluster, &alloc, &job),
-            utility_value: job.utility.value,
+            rate: 0.0,
+            utility: job.utility,
             last_scaled_at: now,
         };
+        row.rate = Self::compute_rate(cluster, &row);
         RunningJob {
-            job,
-            alloc,
             row,
+            alloc,
             version: 0,
             unit_seconds: 0.0,
             scale_count: 0,
         }
     }
 
-    fn compute_rate(cluster: &Cluster, alloc: &Allocation, job: &Job) -> f64 {
-        let speed = cluster.speed_factor(alloc.class, job.class);
-        speed * job.speedup.speedup(alloc.total_units())
+    /// Execution rate of `row` at its units on its node class.
+    fn compute_rate(cluster: &Cluster, row: &RunningJobView) -> f64 {
+        let speed = cluster.speed_factor(row.node_class, row.class);
+        speed * row.speedup.speedup(row.units)
     }
 
     /// Fold the constant-rate span `[row.last_update, now]` into the stored
@@ -510,46 +521,43 @@ impl Simulator {
         self.last_epoch
     }
 
-    /// Iterate the queued jobs in arrival order (admission policies inspect
-    /// deadlines and classes without building a full view).
-    pub fn pending_jobs(&self) -> impl Iterator<Item = &Job> + '_ {
+    /// Iterate the queued jobs' rows in arrival order (admission policies
+    /// inspect deadlines and classes without building a full view).
+    pub fn pending_jobs(&self) -> impl Iterator<Item = &PendingJobView> + '_ {
         self.pending.iter()
-    }
-
-    /// One queued job by id.
-    pub fn pending_job(&self, id: JobId) -> Option<&Job> {
-        self.pending.get(id)
     }
 
     /// Remove a queued job before it ever starts (load shedding). The job's
     /// maximum utility is charged as forfeited — a shed job counts against
-    /// the policy exactly like one that was never scheduled — and the job is
-    /// returned to the caller for event reporting. Returns `None` when the
-    /// id is not pending.
-    pub fn cancel_pending(&mut self, id: JobId) -> Option<Job> {
-        let (job, pos) = self.pending.remove(id)?;
+    /// the policy exactly like one that was never scheduled. Returns `false`
+    /// when the id is not pending.
+    pub fn cancel_pending(&mut self, id: JobId) -> bool {
+        let Some((job, pos)) = self.pending.remove(id) else {
+            return false;
+        };
         self.log.push(ViewDelta::PendingRemoved { pos });
         self.feasibility.bump();
         self.metrics.record_unfinished(job.utility.value);
-        Some(job)
+        true
     }
 
     /// Degrade a queued job to rigid minimum-parallelism service (the
     /// `degrade-to-rigid` shed policy): the job loses malleability and its
     /// parallelism range collapses to `min_parallelism`, making it cheaper
-    /// to place and immune to re-scaling churn. The job moves to the tail of
-    /// the arrival order (remove + re-admit), which the incremental view
+    /// to place and immune to re-scaling churn. The stored row is changed
+    /// and moves to the tail of the arrival order with a new arrival
+    /// sequence number (remove + re-admit), which the incremental view
     /// protocol records as a removal plus a fresh arrival. Returns `false`
     /// when the id is not pending.
     pub fn degrade_pending_to_rigid(&mut self, id: JobId) -> bool {
-        let Some((mut job, pos)) = self.pending.remove(id) else {
+        let Some((mut row, pos)) = self.pending.remove(id) else {
             return false;
         };
         self.log.push(ViewDelta::PendingRemoved { pos });
         self.feasibility.bump();
-        job.malleable = false;
-        job.max_parallelism = job.min_parallelism;
-        self.push_pending(job);
+        row.malleable = false;
+        row.max_parallelism = row.min_parallelism;
+        self.enqueue(row);
         true
     }
 
@@ -822,9 +830,9 @@ impl Simulator {
     /// oracle the incremental [`Self::view_into`] is checked against, and its
     /// fallback when the view is out of sync. The static per-class skeleton
     /// (names, capacities, speed factors) is still reused when the spec is
-    /// unchanged; pending/running rows are cleared and re-extended into the
-    /// retained buffers, with running jobs in `(started_at, id)` order
-    /// straight from the maintained index.
+    /// unchanged; the stored pending/running rows are cloned into the
+    /// cleared, retained buffers, with running jobs in `(started_at, id)`
+    /// order straight from the maintained index.
     pub fn rebuild_view_into(&self, out: &mut ClusterView) {
         // A spec change invalidates the whole static class skeleton (names,
         // node counts, capacities, speed factors), not just its length — a
@@ -847,11 +855,7 @@ impl Simulator {
             }
         }
         out.pending.clear();
-        out.pending.extend(
-            self.pending
-                .iter_with_seq()
-                .map(|(seq, job)| Self::pending_row(seq, job)),
-        );
+        out.pending.extend(self.pending.iter().cloned());
         out.running.clear();
         out.running.extend(
             self.running_order
@@ -890,19 +894,16 @@ impl Simulator {
         }
     }
 
-    /// One pending-job row: the job's fields plus its arrival sequence
-    /// number, exactly what an `Arrived` delta carries.
-    fn pending_row(seq: u64, job: &Job) -> PendingJobView {
-        PendingJobView {
-            arrival_seq: seq,
-            ..ClusterView::pending_view_of(job)
-        }
+    /// Admit an arriving job: the one place a `Job` becomes engine state.
+    /// From here on the engine keeps only the job's scheduler row.
+    fn push_pending(&mut self, job: Job) {
+        self.enqueue(PendingJobView::from_job(&job));
     }
 
-    /// Admit a job at the tail of the pending queue and log its row.
-    fn push_pending(&mut self, job: Job) {
-        let mut row = ClusterView::pending_view_of(&job);
-        row.arrival_seq = self.pending.push(job);
+    /// Append a row at the tail of the pending queue, which stamps its
+    /// arrival sequence number, and log it.
+    fn enqueue(&mut self, row: PendingJobView) {
+        let row = self.pending.push(row).clone();
         self.log.push(ViewDelta::Arrived(row));
     }
 
@@ -1208,7 +1209,7 @@ impl Simulator {
             self.metrics.record_unfinished(job.utility.value);
         }
         for r in self.running.values() {
-            self.metrics.record_unfinished(r.job.utility.value);
+            self.metrics.record_unfinished(r.row.utility.value);
         }
     }
 
@@ -1251,8 +1252,9 @@ impl Simulator {
             // Incremental and rebuilt views copy this same row, so their
             // oracle cannot see it drift from the allocation; every
             // accepted start and re-scale passes through here.
-            debug_assert!(
-                r.row.units == r.alloc.total_units() && r.row.node_class == r.alloc.class,
+            debug_assert_eq!(
+                r.row.units,
+                r.alloc.total_units(),
                 "row of {job} out of step with its allocation"
             );
             (r.row.expected_finish(self.time), r.version)
@@ -1273,11 +1275,11 @@ impl Simulator {
         // Fold the final constant-rate span into the progress integrals
         // before the record is written.
         r.reconcile(self.time);
+        let job = &r.row;
         self.cluster
-            .release_placement(&r.alloc.demand_per_unit, &r.alloc.placements);
+            .release_placement(&job.demand_per_unit, &r.alloc.placements);
         self.log_node_frees(&r.alloc.placements);
-        self.stamp_release(r.alloc.class);
-        let job = &r.job;
+        self.stamp_release(job.node_class);
         let finish = self.time;
         let wait = started_at - job.arrival;
         let response = finish - job.arrival;
@@ -1346,8 +1348,8 @@ impl Simulator {
             .push(ViewDelta::PendingRemoved { pos: pending_pos });
         self.cluster.apply_placement(&demand, &placements);
         self.log_node_frees(&placements);
-        let alloc = Allocation::new(job.id, class, placements, demand);
-        let running = RunningJob::start(&self.cluster, job, alloc, self.time);
+        let alloc = Allocation::new(placements);
+        let running = RunningJob::start(&self.cluster, job, class, alloc, self.time);
         let row = running.row.clone();
         self.running.insert(job_id, running);
         let order_pos = self.insert_running_order(job_id);
@@ -1406,24 +1408,25 @@ impl Simulator {
         let Some(r) = self.running.get(&job_id) else {
             return ActionOutcome::Invalid("job not running");
         };
-        if !r.job.malleable {
+        let row = &r.row;
+        if !row.malleable {
             return ActionOutcome::Invalid("job is rigid");
         }
-        let target = new_parallelism.clamp(r.job.min_parallelism, r.job.max_parallelism);
-        let current = r.alloc.total_units();
+        let target = new_parallelism.clamp(row.min_parallelism, row.max_parallelism);
+        let current = row.units;
         if target == current {
             return ActionOutcome::Invalid("no parallelism change");
         }
-        if !r.row.scale_ready(
+        if !row.scale_ready(
             self.time,
             self.config.allow_scaling,
             self.config.scale_cooldown,
         ) {
             return ActionOutcome::Invalid("reconfiguration cooldown");
         }
-        let class = r.alloc.class;
-        let demand = r.job.demand_per_unit;
-        let reconfig_cost = r.job.total_work * self.config.reconfig_cost_frac;
+        let class = row.node_class;
+        let demand = row.demand_per_unit;
+        let reconfig_cost = row.total_work * self.config.reconfig_cost_frac;
         // The units added by a scale-up, or released by a scale-down.
         let mut placements = self.placement_buffer();
         if target > current {
@@ -1454,7 +1457,7 @@ impl Simulator {
         r.scale_count += 1;
         r.row.last_scaled_at = self.time;
         r.row.units = r.alloc.total_units();
-        r.row.rate = RunningJob::compute_rate(&self.cluster, &r.alloc, &r.job);
+        r.row.rate = RunningJob::compute_rate(&self.cluster, &r.row);
         let row = r.row.clone();
         self.metrics.record_scale_event();
         let pos = self.running_order_pos(job_id, row.started_at);
@@ -1870,13 +1873,16 @@ mod tests {
         // leaves 33 + 2 (the 5% reconfiguration charge) at rate 3; at
         // t = 12 the cooldown (6 s) rejects a re-scale; at t = 13 the scale
         // to 2 leaves 35 − 18 + 2 = 19 at rate 2, so the job finishes at
-        // 13 + 19 / 2 = 22.5.
+        // 13 + 19 / 2 = 22.5, 2.5 s past its deadline of 20.
         let mut cfg = SimConfig::default();
         cfg.decision_interval = Some(1.0);
         cfg.scale_cooldown = 6.0;
         cfg.reconfig_cost_frac = 0.05;
         let mut sim = Simulator::new(tiny_spec(), cfg);
-        sim.start(vec![simple_job(0, 0.0, 40.0, 1000.0)]);
+        sim.start(vec![Job {
+            utility: TimeUtility::soft(2.0, 0.5),
+            ..simple_job(0, 0.0, 40.0, 20.0)
+        }]);
         let advance_to = |sim: &mut Simulator, t: f64| {
             while sim.time() < t {
                 assert!(sim.advance());
@@ -1906,8 +1912,23 @@ mod tests {
         while sim.last_epoch() != EpochKind::Completion(JobId(0)) {
             assert!(sim.advance());
         }
+        // Every field of the completion record comes from the running row:
+        // the grace window is 0.5 × 20 = 10 s, so the 2.5 s overrun keeps
+        // three quarters of the value 2; the best case is 40 work units at
+        // the maximum 4 units, 10 s; the units integral is
+        // 7 × 1 + 6 × 3 + 9.5 × 2 = 44 unit-seconds.
         let record = &sim.completed_so_far()[0];
-        assert_eq!(record.finish, 22.5);
+        assert_eq!(record.id, JobId(0));
+        assert_eq!(record.class, JobClass::Batch);
+        assert_eq!((record.arrival, record.start), (0.0, 0.0));
+        assert_eq!((record.finish, record.deadline), (22.5, 20.0));
+        assert!(record.missed);
+        assert_eq!(record.utility, 1.5);
+        assert_eq!(record.max_utility, 2.0);
+        assert_eq!((record.wait, record.response), (0.0, 22.5));
+        assert_eq!(record.best_case_service, 10.0);
+        assert_eq!(record.slowdown, 2.25);
+        assert!((record.avg_parallelism - 44.0 / 22.5).abs() < 1e-12);
         assert_eq!(record.scale_count, 2);
     }
 
@@ -2280,12 +2301,23 @@ mod tests {
             assert!(!seen.contains(&gen), "{what} must change the generation");
             seen.push(gen);
         };
-        assert!(sim.cancel_pending(JobId(1)).is_some());
+        assert!(sim.cancel_pending(JobId(1)));
+        assert!(!sim.cancel_pending(JobId(1)), "no longer pending");
         expect_new(refilled_gen(&sim, &mut view).0, "cancel");
         assert!(sim.degrade_pending_to_rigid(JobId(2)));
         expect_new(refilled_gen(&sim, &mut view).0, "degrade");
         assert_eq!(view.pending.len(), 1);
         assert_eq!(view.pending[0].arrival_seq, 5, "a degrade re-admits");
+        // Both refill paths show the degraded row: rigid, its range
+        // collapsed to the minimum.
+        let mut rebuilt = view.clone();
+        sim.rebuild_view_into(&mut rebuilt);
+        for row in [&view.pending[0], &rebuilt.pending[0]] {
+            assert_eq!(row.id, JobId(2));
+            assert!(!row.malleable);
+            assert_eq!((row.min_parallelism, row.max_parallelism), (1, 1));
+        }
+        assert_eq!(view.pending, rebuilt.pending);
         sim.reset();
         let (gen, stamps) = refilled_gen(&sim, &mut view);
         expect_new(gen, "reset");

@@ -214,17 +214,6 @@ impl Default for TimeUtility {
     }
 }
 
-/// Lifecycle state of a job inside the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum JobState {
-    /// Waiting in the queue.
-    Pending,
-    /// Currently allocated and executing.
-    Running,
-    /// Finished (possibly after its deadline).
-    Completed,
-}
-
 /// A unit of elastic, deadline-constrained work submitted to the cluster.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Job {
@@ -270,35 +259,6 @@ impl Job {
     pub fn service_time(&self, speed_factor: f64, parallelism: u32) -> f64 {
         let rate = speed_factor.max(1e-9) * self.speedup.speedup(parallelism);
         self.total_work / rate
-    }
-
-    /// The minimum service time achievable anywhere in the cluster given the
-    /// best speed factor available to this job class.
-    pub fn best_case_service_time(&self, best_speed: f64) -> f64 {
-        self.service_time(best_speed, self.max_parallelism)
-    }
-
-    /// The total resource demand at a given parallelism.
-    pub fn demand_at(&self, parallelism: u32) -> ResourceVector {
-        self.demand_per_unit.scaled(parallelism as f64)
-    }
-
-    /// Clamp a requested parallelism into the job's feasible range, honouring
-    /// rigidity.
-    pub fn clamp_parallelism(&self, requested: u32) -> u32 {
-        if !self.malleable {
-            return self.min_parallelism;
-        }
-        requested.clamp(self.min_parallelism, self.max_parallelism)
-    }
-
-    /// Number of distinct parallelism levels the job supports.
-    pub fn parallelism_levels(&self) -> u32 {
-        if self.malleable {
-            self.max_parallelism - self.min_parallelism + 1
-        } else {
-            1
-        }
     }
 
     /// Basic structural validity check used by the engine and by property
@@ -508,20 +468,6 @@ mod tests {
         assert!((j.service_time(2.0, 1) - 10.0).abs() < 1e-9);
         // linear part of Amdahl default keeps it below 10 at p=4
         assert!(j.service_time(2.0, 4) < 10.0);
-    }
-
-    #[test]
-    fn clamp_parallelism_honours_rigidity() {
-        let j = job();
-        assert_eq!(j.clamp_parallelism(0), 1);
-        assert_eq!(j.clamp_parallelism(100), 8);
-        let rigid = Job::builder(JobId(2), JobClass::Stream)
-            .parallelism_range(2, 6)
-            .deadline(10.0)
-            .rigid()
-            .build();
-        assert_eq!(rigid.clamp_parallelism(5), 2);
-        assert_eq!(rigid.parallelism_levels(), 1);
     }
 
     #[test]

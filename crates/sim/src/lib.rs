@@ -66,7 +66,7 @@ pub mod hist;
 pub mod job;
 pub mod metrics;
 pub mod node;
-pub mod pending;
+mod pending;
 pub mod resources;
 pub mod scheduler;
 pub mod stats;
@@ -79,13 +79,12 @@ pub use engine::{EpochHooks, EpochKind, SimulationResult, Simulator};
 pub use event::{Event, EventKind, EventQueue};
 pub use fit_index::{bucket_rank, rank_floor, units_that_fit, FitIndex, MAX_RANK, NUM_RANKS};
 pub use hist::{HistogramLayout, LogHistogram};
-pub use job::{Job, JobBuilder, JobClass, JobId, JobState, SpeedupModel, TimeUtility};
+pub use job::{Job, JobBuilder, JobClass, JobId, SpeedupModel, TimeUtility};
 pub use metrics::{
     CompletedJob, EnergyReport, MetricsCollector, PerClassUtilization, Summary, UtilizationSample,
     UtilizationTrace, MAX_NODE_CLASSES,
 };
 pub use node::{Node, NodeClassId, NodeId};
-pub use pending::PendingQueue;
 pub use resources::{ResourceKind, ResourceVector, NUM_RESOURCES};
 pub use scheduler::{Action, ActionOutcome, Scheduler};
 pub use view::{ClusterView, NodeClassView, PendingJobView, RunningJobView};
@@ -96,7 +95,7 @@ pub mod prelude {
     pub use crate::cluster::Cluster;
     pub use crate::config::{ClusterSpec, NodeClassSpec, PowerModel, SimConfig};
     pub use crate::engine::{EpochHooks, EpochKind, SimulationResult, Simulator};
-    pub use crate::job::{Job, JobBuilder, JobClass, JobId, JobState, SpeedupModel, TimeUtility};
+    pub use crate::job::{Job, JobBuilder, JobClass, JobId, SpeedupModel, TimeUtility};
     pub use crate::metrics::{CompletedJob, EnergyReport, Summary, UtilizationTrace};
     pub use crate::node::{Node, NodeClassId, NodeId};
     pub use crate::resources::{ResourceKind, ResourceVector, NUM_RESOURCES};

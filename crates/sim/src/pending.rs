@@ -3,8 +3,10 @@
 //!
 //! The engine's original `Vec<Job>` pending queue made every lookup and
 //! removal an O(n) scan (`iter().position()`), repeated at every `Start`
-//! action. [`PendingQueue`] keeps the jobs in a slab (stable slots, free
-//! list) and maintains three indices incrementally:
+//! action. [`PendingQueue`] keeps the jobs' scheduler rows
+//! ([`PendingJobView`], the engine's only record of a queued job: the
+//! engine converts each `Job` once, on admission) in a slab (stable slots,
+//! free list) and maintains three indices incrementally:
 //!
 //! * **id index** — `JobId → slot` hash map: O(1) lookup and removal entry;
 //! * **arrival order** — slots in insertion order. This is the *canonical
@@ -20,15 +22,16 @@
 //! Removal from the middle of the arrival order shifts the tail (a `u32`
 //! memmove plus a position fix-up), which costs O(pending) — but only once
 //! per *started job*, not once per epoch, and moves 4-byte indices instead
-//! of whole `Job` records.
+//! of whole rows.
 
-use crate::job::{Job, JobId, JobIdMap};
+use crate::job::{JobId, JobIdMap};
+use crate::view::PendingJobView;
 
-/// A slab of pending jobs with maintained id/arrival/deadline indices.
+/// A slab of pending-job rows with maintained id/arrival/deadline indices.
 #[derive(Debug, Clone, Default)]
 pub struct PendingQueue {
     /// Slab storage; `None` slots are on the free list.
-    slots: Vec<Option<Job>>,
+    slots: Vec<Option<PendingJobView>>,
     /// Reusable slots of removed jobs.
     free_slots: Vec<u32>,
     /// `JobId → slot`.
@@ -39,8 +42,6 @@ pub struct PendingQueue {
     pos_in_arrival: Vec<u32>,
     /// Slots sorted by `(deadline, id)`.
     deadline_order: Vec<u32>,
-    /// `slot → arrival sequence number` (parallel to `slots`).
-    seq_of: Vec<u64>,
     /// Sequence number of the last push (0: none since the last clear).
     last_seq: u64,
 }
@@ -68,7 +69,6 @@ impl PendingQueue {
         self.index.reserve(n);
         self.arrival_order.reserve(n);
         self.deadline_order.reserve(n);
-        self.seq_of.reserve(n);
     }
 
     /// Drop every job but keep the allocated capacity (run-to-run reuse).
@@ -79,32 +79,18 @@ impl PendingQueue {
         self.arrival_order.clear();
         self.pos_in_arrival.clear();
         self.deadline_order.clear();
-        self.seq_of.clear();
         self.last_seq = 0;
     }
 
     /// O(1) lookup by id.
-    pub fn get(&self, id: JobId) -> Option<&Job> {
+    pub fn get(&self, id: JobId) -> Option<&PendingJobView> {
         self.index.get(&id).map(|&slot| self.job(slot))
     }
 
-    /// True when `id` is pending.
-    pub fn contains(&self, id: JobId) -> bool {
-        self.index.contains_key(&id)
-    }
-
-    /// Jobs in arrival (insertion) order — the order `ClusterView::pending`
+    /// Rows in arrival (insertion) order — the order `ClusterView::pending`
     /// exposes.
-    pub fn iter(&self) -> impl Iterator<Item = &Job> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = &PendingJobView> + '_ {
         self.arrival_order.iter().map(move |&slot| self.job(slot))
-    }
-
-    /// Jobs in arrival order with their arrival sequence numbers (see
-    /// [`Self::push`]).
-    pub fn iter_with_seq(&self) -> impl Iterator<Item = (u64, &Job)> + '_ {
-        self.arrival_order
-            .iter()
-            .map(move |&slot| (self.seq_of[slot as usize], self.job(slot)))
     }
 
     /// Positions (indices into the arrival order) sorted by `(deadline, id)`
@@ -115,12 +101,12 @@ impl PendingQueue {
             .map(move |&slot| self.pos_in_arrival[slot as usize])
     }
 
-    /// Insert a job at the tail of the arrival order and into the deadline
-    /// index. Returns the job's arrival sequence number: 1 for the first
+    /// Insert a row at the tail of the arrival order and into the deadline
+    /// index, stamping its [`PendingJobView::arrival_seq`]: 1 for the first
     /// push after a clear, one more for every later push, so the numbers
-    /// increase strictly along the arrival order. Job ids must be unique
-    /// among pending jobs.
-    pub fn push(&mut self, job: Job) -> u64 {
+    /// increase strictly along the arrival order. Returns the stored row.
+    /// Job ids must be unique among pending jobs.
+    pub fn push(&mut self, mut job: PendingJobView) -> &PendingJobView {
         // Hard assert, not debug: the (deadline, id) binary searches assume
         // a total order, and a NaN deadline admitted in a release build
         // would silently corrupt the index (wrong rows fed to every
@@ -136,6 +122,8 @@ impl PendingQueue {
         let dpos = self
             .deadline_order
             .partition_point(|&s| (self.job(s).deadline, self.job(s).id) < key);
+        self.last_seq += 1;
+        job.arrival_seq = self.last_seq;
         let slot = match self.free_slots.pop() {
             Some(slot) => {
                 debug_assert!(self.slots[slot as usize].is_none());
@@ -150,22 +138,19 @@ impl PendingQueue {
                 debug_assert!(old.is_none(), "duplicate pending job {}", job.id);
                 self.slots.push(Some(job));
                 self.pos_in_arrival.push(0);
-                self.seq_of.push(0);
                 slot
             }
         };
-        self.last_seq += 1;
-        self.seq_of[slot as usize] = self.last_seq;
         self.pos_in_arrival[slot as usize] = self.arrival_order.len() as u32;
         self.arrival_order.push(slot);
         self.deadline_order.insert(dpos, slot);
-        self.last_seq
+        self.job(slot)
     }
 
     /// Remove a job by id: O(log n) on the deadline index plus the
-    /// arrival-order tail shift. Returns the job and the arrival-order
+    /// arrival-order tail shift. Returns the row and the arrival-order
     /// position it occupied (the position `ClusterView::pending` drops).
-    pub fn remove(&mut self, id: JobId) -> Option<(Job, u32)> {
+    pub fn remove(&mut self, id: JobId) -> Option<(PendingJobView, u32)> {
         let slot = self.index.remove(&id)?;
         // Binary search on the unique, totally ordered (deadline, id) key —
         // deadlines are finite (asserted on push), so the probe always lands
@@ -194,7 +179,7 @@ impl PendingQueue {
         Some((job, pos))
     }
 
-    fn job(&self, slot: u32) -> &Job {
+    fn job(&self, slot: u32) -> &PendingJobView {
         self.slots[slot as usize]
             .as_ref()
             .expect("indexed slot is empty")
@@ -204,16 +189,18 @@ impl PendingQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobClass;
+    use crate::job::{Job, JobClass};
     use crate::resources::ResourceVector;
 
-    fn job(id: u64, deadline: f64) -> Job {
-        Job::builder(JobId(id), JobClass::Batch)
-            .arrival(0.0)
-            .total_work(10.0)
-            .demand_per_unit(ResourceVector::of(1.0, 1.0, 0.0, 0.1))
-            .deadline(deadline)
-            .build()
+    fn job(id: u64, deadline: f64) -> PendingJobView {
+        PendingJobView::from_job(
+            &Job::builder(JobId(id), JobClass::Batch)
+                .arrival(0.0)
+                .total_work(10.0)
+                .demand_per_unit(ResourceVector::of(1.0, 1.0, 0.0, 0.1))
+                .deadline(deadline)
+                .build(),
+        )
     }
 
     #[test]
@@ -227,7 +214,7 @@ mod tests {
         // Deadline order: (10,1), (10,3), (20,9), (30,5) → arrival positions.
         let dl: Vec<u32> = q.deadline_positions().collect();
         assert_eq!(dl, vec![1, 3, 2, 0]);
-        assert!(q.contains(JobId(9)));
+        assert!(q.get(JobId(9)).is_some());
         assert_eq!(q.get(JobId(1)).unwrap().deadline, 10.0);
         assert!(q.get(JobId(2)).is_none());
     }
@@ -251,8 +238,8 @@ mod tests {
             .collect();
         assert_eq!(by_deadline, vec![7, 6, 5, 4, 2, 1, 0]);
         // Slots are recycled; sequence numbers are not.
-        assert_eq!(q.push(job(42, 1.0)), 9);
-        let seqs: Vec<u64> = q.iter_with_seq().map(|(seq, _)| seq).collect();
+        assert_eq!(q.push(job(42, 1.0)).arrival_seq, 9);
+        let seqs: Vec<u64> = q.iter().map(|j| j.arrival_seq).collect();
         assert_eq!(seqs, vec![1, 2, 3, 5, 6, 7, 8, 9]);
         assert_eq!(q.len(), 8);
         assert_eq!(q.deadline_positions().next(), Some(7));
@@ -267,7 +254,11 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.deadline_positions().count(), 0);
-        assert_eq!(q.push(job(7, 3.0)), 1, "sequence numbers restart");
+        assert_eq!(
+            q.push(job(7, 3.0)).arrival_seq,
+            1,
+            "sequence numbers restart"
+        );
         assert_eq!(q.len(), 1);
         assert_eq!(q.get(JobId(7)).unwrap().deadline, 3.0);
     }

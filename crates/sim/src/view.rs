@@ -8,7 +8,7 @@
 
 use crate::config::ClusterSpec;
 use crate::fit_index::{rank_floor, units_that_fit, FitIndex};
-use crate::job::{Job, JobClass, JobId, SpeedupModel};
+use crate::job::{Job, JobClass, JobId, SpeedupModel, TimeUtility};
 use crate::node::NodeClassId;
 use crate::resources::ResourceVector;
 use std::sync::Arc;
@@ -163,7 +163,10 @@ impl NodeClassView {
     }
 }
 
-/// A job waiting in the queue, as seen by the scheduler.
+/// A job waiting in the queue, as seen by the scheduler — and the engine's
+/// own record of the job from admission until it starts: the engine converts
+/// each arriving `Job` into this row once, keeps it in its pending queue and
+/// views copy it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PendingJobView {
     /// Job id.
@@ -186,8 +189,9 @@ pub struct PendingJobView {
     pub speedup: SpeedupModel,
     /// Whether the job may be re-scaled after starting.
     pub malleable: bool,
-    /// Utility earned when meeting the deadline.
-    pub utility_value: f64,
+    /// Time-utility function (its `value` is earned when meeting the
+    /// deadline).
+    pub utility: TimeUtility,
     /// Arrival sequence number, engine-assigned: it increases strictly
     /// along [`ClusterView::pending`] and is never reused within a run, so
     /// the rows that arrived after a given one are a suffix of the queue.
@@ -195,7 +199,9 @@ pub struct PendingJobView {
 }
 
 impl PendingJobView {
-    fn from_job(job: &Job) -> Self {
+    /// The row of an arriving job, its arrival sequence number still 0 (the
+    /// pending queue stamps it on admission).
+    pub(crate) fn from_job(job: &Job) -> Self {
         PendingJobView {
             id: job.id,
             class: job.class,
@@ -207,9 +213,18 @@ impl PendingJobView {
             max_parallelism: job.max_parallelism,
             speedup: job.speedup,
             malleable: job.malleable,
-            utility_value: job.utility.value,
+            utility: job.utility,
             arrival_seq: 0,
         }
+    }
+
+    /// Clamp a requested parallelism into the job's feasible range,
+    /// honouring rigidity (a rigid job runs at exactly `min_parallelism`).
+    pub(crate) fn clamp_parallelism(&self, requested: u32) -> u32 {
+        if !self.malleable {
+            return self.min_parallelism;
+        }
+        requested.clamp(self.min_parallelism, self.max_parallelism)
     }
 
     /// How long the job has been waiting by `now` (`now − arrival`, never
@@ -239,9 +254,10 @@ impl PendingJobView {
 }
 
 /// A running job, as seen by the scheduler — and the engine's own record of
-/// the job's progress: the engine stores this row with each running job and
-/// views copy it, so the methods below are the one computation of remaining
-/// work, cooldown and finish time.
+/// the job from its start to its completion: the engine builds this row from
+/// the job's pending row, stores it with the job's placement and views copy
+/// it, so the methods below are the one computation of remaining work,
+/// cooldown and finish time, and the completion record reads its fields.
 ///
 /// Rows are **time-affine**: they hold the engine's reconciled progress
 /// (remaining work as of [`Self::last_update`], the constant `rate` since
@@ -286,8 +302,9 @@ pub struct RunningJobView {
     /// Execution rate in work units per second, constant since
     /// [`Self::last_update`].
     pub rate: f64,
-    /// Utility earned when meeting the deadline.
-    pub utility_value: f64,
+    /// Time-utility function (its `value` is earned when meeting the
+    /// deadline).
+    pub utility: TimeUtility,
     /// Time of the job's start or most recent re-scale — the anchor of the
     /// reconfiguration cooldown read by [`Self::scale_ready`].
     pub last_scaled_at: f64,
@@ -326,6 +343,13 @@ impl RunningJobView {
     /// be missed without scaling up).
     pub fn slack(&self, now: f64) -> f64 {
         self.deadline - self.expected_finish(now)
+    }
+
+    /// The minimum service time achievable anywhere in the cluster given the
+    /// best speed factor available to this job class: the whole work at
+    /// `max_parallelism` (the completion record's slowdown denominator).
+    pub(crate) fn best_case_service_time(&self, best_speed: f64) -> f64 {
+        self.total_work / (best_speed.max(1e-9) * self.speedup.speedup(self.max_parallelism))
     }
 }
 
@@ -571,12 +595,6 @@ impl ClusterView {
             0.0
         }
     }
-
-    /// Build the pending-job row of `job` (its arrival sequence number
-    /// still 0; the engine assigns it).
-    pub(crate) fn pending_view_of(job: &Job) -> PendingJobView {
-        PendingJobView::from_job(job)
-    }
 }
 
 #[cfg(test)]
@@ -618,7 +636,7 @@ mod tests {
             10.0,
             spec,
             vec![class_view],
-            vec![ClusterView::pending_view_of(&job)],
+            vec![PendingJobView::from_job(&job)],
             vec![],
             3,
         )
@@ -693,7 +711,7 @@ mod tests {
             0.0,
             spec,
             vec![class_view],
-            vec![ClusterView::pending_view_of(&job)],
+            vec![PendingJobView::from_job(&job)],
             vec![],
             0,
         );
@@ -840,7 +858,7 @@ mod tests {
             speedup: SpeedupModel::Linear,
             malleable: true,
             rate: 2.0,
-            utility_value: 1.0,
+            utility: TimeUtility::hard(1.0),
             last_scaled_at: 4.0,
         }
     }
@@ -908,6 +926,21 @@ mod tests {
         view.pending.clear();
         // Folded from +0.0: an empty queue totals +0.0.
         assert_eq!(view.pending_work_total().to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn clamp_parallelism_honours_rigidity() {
+        let j = make_view().pending[0].clone();
+        assert_eq!(j.clamp_parallelism(0), 1);
+        assert_eq!(j.clamp_parallelism(100), 6);
+        let rigid = PendingJobView {
+            min_parallelism: 2,
+            max_parallelism: 6,
+            malleable: false,
+            ..j
+        };
+        assert_eq!(rigid.clamp_parallelism(5), 2);
+        assert_eq!(rigid.clamp_parallelism(0), 2);
     }
 
     #[test]

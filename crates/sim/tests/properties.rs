@@ -91,12 +91,7 @@ proptest! {
             .map(|(i, &u)| Placement { node: NodeId(i), units: u })
             .collect();
         let total: u32 = units.iter().sum();
-        let mut alloc = Allocation::new(
-            JobId(0),
-            NodeClassId(0),
-            placements,
-            ResourceVector::of(1.0, 1.0, 0.0, 0.0),
-        );
+        let mut alloc = Allocation::new(placements);
         let mut released = Vec::new();
         alloc.shrink(shrink_by, &mut released);
         let released_units: u32 = released.iter().map(|p| p.units).sum();

@@ -16,9 +16,16 @@
 #     DRL rows;
 #   * the CI sweep grid: `record-trace`, then `sweep` over edf and fifo on
 #     poisson, poisson+burst(3x) and the recorded replay trace;
-#   * the CI `serve` run, writing its event log and report.
+#   * the CI `serve` run, writing its event log and report. Its queue
+#     never fills (the deepest is 7 of 16), so it sheds nothing; the same
+#     run with `--queue-cap 4` is repeated under each shed policy
+#     (`reject-latest-deadline`, `degrade-to-rigid`, `reject-newest`),
+#     each into its own files: the three cancel, degrade and re-admit
+#     queued jobs through different engine paths.
 #
-# It then `cmp`s every output file of one side against the other's.
+# It then `cmp`s every output file of one side against the other's, after
+# checking that each of those three runs took its path: a run that never
+# sheds or degrades a job would compare nothing of it.
 # `table4` is not run: it reports wall-clock decision latencies, which
 # differ from run to run.
 #
@@ -71,9 +78,15 @@ runs() {
     "$exp" table2 summary fig5 fig10 --full --out out/full
     "$exp" record-trace --out out/trace.json --jobs 40 --load 0.9 --seed 7
     "$exp" sweep "${grid[@]}" --checkpoint out/grid.json --csv out/grid.csv
-    "$exp" serve --policy edf --scenario "poisson+overload(2x,60s)" --jobs 150 \
-        --queue-cap 16 --shed reject-latest-deadline --producers 6 --seed 11 \
+    local serve=(serve --policy edf --scenario "poisson+overload(2x,60s)" --jobs 150
+        --producers 6 --seed 11)
+    "$exp" "${serve[@]}" --queue-cap 16 --shed reject-latest-deadline \
         --event-log out/serve.log --report out/serve.md
+    local shed
+    for shed in reject-latest-deadline degrade-to-rigid reject-newest; do
+        "$exp" "${serve[@]}" --queue-cap 4 --shed "$shed" \
+            --event-log "out/serve-$shed.log" --report "out/serve-$shed.md"
+    done
 }
 
 RUNS="$DIR/runs"
@@ -83,6 +96,16 @@ for side in rev work; do
     if [ "$side" = rev ]; then bin="$BIN_REV"; else bin="$BIN_WORK"; fi
     echo "== running $side" >&2
     (cd "$RUNS/$side" && runs "$bin" >/dev/null)
+done
+
+for side in rev work; do
+    for check in "reject-latest-deadline:shed job=" "degrade-to-rigid:degrade job=" \
+        "reject-newest:shed job="; do
+        if ! grep -q "${check#*:}" "$RUNS/$side/out/serve-${check%%:*}.log"; then
+            echo "output_identity: the $side ${check%%:*} serve run has no '${check#*:}' event" >&2
+            exit 2
+        fi
+    done
 done
 
 differ=0
