@@ -5,7 +5,9 @@
 //!
 //! The scale tiers (`edf_16k`, `edf_64k`) push the same epoch-dense loop to
 //! 16,384- and 65,536-machine clusters — past the old 256-node ceiling that
-//! the bucketed placement index lifted.
+//! the bucketed placement index lifted. The cluster keeps that index in its
+//! one row per node class, whose emptiest-first walk serves both placement
+//! and the views' unit counts.
 //! Set `TCRM_SIM_SCALE=smoke` to run only a small 16k-node tier (fewer
 //! jobs, short budget) — the CI bench-smoke configuration.
 //!

@@ -2,9 +2,9 @@
 
 use crate::allocation::Placement;
 use crate::config::ClusterSpec;
-use crate::fit_index::{bucket_rank, rank_floor, units_that_fit, FitIndex};
+use crate::fit_index::{bucket_rank, units_that_fit, FitIndex};
 use crate::job::JobClass;
-use crate::node::{Node, NodeClassId, NodeId};
+use crate::node::{NodeClassId, NodeId};
 use crate::resources::{ResourceVector, NUM_RESOURCES};
 use crate::view::NodeClassView;
 
@@ -14,167 +14,150 @@ use crate::view::NodeClassView;
 /// It does not know about jobs or time; the [`crate::engine::Simulator`] maps
 /// jobs to placements through it.
 ///
-/// Three pieces of *indexed state* keep the per-epoch cost independent of
-/// the node count:
+/// Its record of each node class is that class's [`NodeClassView`] row —
+/// the row every [`crate::ClusterView`] copies: capacities, speeds, each
+/// node's free vector and the bucketed free-capacity [`FitIndex`] over them.
+/// Node ids are dense and grouped by class, so a class's nodes are one
+/// contiguous id range and a node's position in its row is its id minus the
+/// range start. Next to the rows the cluster keeps each node's `used`
+/// vector and each class's unclamped free-capacity accumulator. Every
+/// [`Self::apply_placement`] / [`Self::release_placement`] updates the
+/// touched nodes' `used`, writes `capacity − used` (clamped at zero) into
+/// the row through `NodeClassView::set_node_free`, which re-ranks the node
+/// in the index, and applies the demand **as a delta** to the accumulator,
+/// whose clamped value is the row's `free_capacity`. So
+/// [`Self::free_capacity_of_class`] and everything built on it is O(1) per
+/// class, and [`Self::find_placement`] walks the row's index in worst-fit
+/// order without a per-start sort. The sorted walk survives as the
+/// property-tested oracle [`Self::find_placement_walk`], which the engine
+/// never calls.
 ///
-/// * nodes are stored contiguously per class (the order
-///   [`ClusterSpec::build_nodes`] emits), so [`Self::nodes_of_class`] is a
-///   slice walk over one class instead of a filter over every node;
-/// * per-class free capacity is maintained **as deltas** on every
-///   [`Self::apply_placement`] / [`Self::release_placement`] instead of being
-///   re-summed over the nodes at every read —
-///   [`Self::free_capacity_of_class`] and everything built on it
-///   (utilisation sampling, view refills, feature extraction) is O(1) per
-///   class;
-/// * each class carries a bucketed free-capacity [`FitIndex`]
-///   delta-updated by the same two methods, so [`Self::find_placement`]
-///   visits nodes in worst-fit order without the per-start sort that capped
-///   `sim_scale` at 256 nodes. The pre-index slice walk survives as the
-///   property-tested oracle [`Self::find_placement_walk`] (re-keyed to the
-///   same `(bucket_rank desc, id asc)` order), which the engine never calls.
-///
-/// The cluster answers placement queries only. "How many units fit on this
-/// class?" is asked of the class's snapshot, [`Self::class_view`] — the
-/// row every [`crate::ClusterView`] holds, which keeps its own fit index.
-///
-/// [`Self::check_invariants`] cross-checks both the aggregates and the fit
-/// indices against a fresh per-node recomputation.
+/// [`Self::check_invariants`] cross-checks the rows, the aggregates and the
+/// fit indices against a fresh per-node recomputation from `used`.
 #[derive(Debug, Clone)]
 pub struct Cluster {
-    spec: ClusterSpec,
-    nodes: Vec<Node>,
-    /// Contiguous `[start, end)` node-index range of each class.
-    class_ranges: Vec<(usize, usize)>,
-    /// Delta-maintained per-class free capacity (see the type docs).
+    /// One row per class, indexed by `NodeClassId`.
+    classes: Vec<NodeClassView>,
+    /// First node id of each class.
+    class_start: Vec<usize>,
+    /// Allocated resources of each node, indexed by `NodeId`.
+    used: Vec<ResourceVector>,
+    /// Delta-maintained, unclamped per-class free capacity (see the type
+    /// docs).
     free_by_class: Vec<ResourceVector>,
-    /// Delta-maintained per-class bucketed placement index (see the type
-    /// docs), serving every fit query and [`Self::find_placement`].
-    fit: Vec<FitIndex>,
 }
 
 impl Cluster {
-    /// Instantiate all nodes described by the spec.
-    pub fn new(spec: ClusterSpec) -> Self {
-        let nodes = spec.build_nodes();
-        let mut class_ranges = Vec::with_capacity(spec.num_classes());
-        let mut start = 0usize;
-        for (ci, class) in spec.node_classes.iter().enumerate() {
-            let end = start + class.count;
-            class_ranges.push((start, end));
-            debug_assert!(
-                nodes[start..end].iter().all(|n| n.class == NodeClassId(ci)),
-                "build_nodes must emit classes contiguously"
-            );
-            start = end;
-        }
-        let free_by_class = (0..spec.num_classes())
-            .map(|ci| spec.class_capacity(NodeClassId(ci)))
+    /// Instantiate all nodes described by the spec, every one free.
+    pub fn new(spec: &ClusterSpec) -> Self {
+        let mut class_start = Vec::with_capacity(spec.num_classes());
+        let mut next = 0usize;
+        let classes = spec
+            .node_classes
+            .iter()
+            .enumerate()
+            .map(|(ci, class)| {
+                class_start.push(next);
+                next += class.count;
+                NodeClassView {
+                    id: NodeClassId(ci),
+                    name: class.name.clone(),
+                    node_count: class.count,
+                    total_capacity: spec.class_capacity(NodeClassId(ci)),
+                    free_capacity: ResourceVector::zero(),
+                    node_free: Vec::with_capacity(class.count),
+                    // Straight from the spec (not derived by division), the
+                    // denominator of every bucket rank.
+                    unit_capacity: class.capacity,
+                    fit_index: FitIndex::new(),
+                    speed_factors: class.speed.as_array(),
+                }
+            })
             .collect();
         let mut cluster = Cluster {
-            fit: vec![FitIndex::new(); spec.num_classes()],
-            spec,
-            nodes,
-            class_ranges,
-            free_by_class,
+            classes,
+            class_start,
+            used: vec![ResourceVector::zero(); next],
+            free_by_class: vec![ResourceVector::zero(); spec.num_classes()],
         };
-        cluster.rebuild_fit_indices();
+        cluster.reset();
         cluster
     }
 
-    /// Per-node capacity of one class (uniform within a class by
-    /// construction) — the denominator every bucket rank is computed
-    /// against, on the cluster and the view path alike.
-    pub fn unit_capacity_of_class(&self, class: NodeClassId) -> ResourceVector {
-        self.spec.node_classes[class.0].capacity
-    }
-
-    /// Rebuild every class's fit index from the nodes' current free vectors.
-    fn rebuild_fit_indices(&mut self) {
-        for ci in 0..self.spec.num_classes() {
-            let cap = self.spec.node_classes[ci].capacity;
-            let (start, end) = self.class_ranges[ci];
-            let frees = self.nodes[start..end].iter().map(|n| n.free());
-            self.fit[ci].rebuild(&cap, frees);
-        }
-    }
-
-    /// The spec this cluster was built from.
-    pub fn spec(&self) -> &ClusterSpec {
-        &self.spec
-    }
-
     /// Release every allocation, returning the cluster to its freshly built
-    /// state without reconstructing the nodes. Re-derives the per-class
-    /// aggregates from the spec, so accumulated floating-point residue from a
+    /// state without reallocating. Re-derives the per-class aggregates from
+    /// the class capacities, so accumulated floating-point residue from a
     /// previous run cannot carry over.
     pub fn reset(&mut self) {
-        for node in &mut self.nodes {
-            node.used = ResourceVector::zero();
+        self.used.fill(ResourceVector::zero());
+        for (row, free) in self.classes.iter_mut().zip(&mut self.free_by_class) {
+            *free = row.total_capacity;
+            row.free_capacity = free.max(&ResourceVector::zero());
+            let idle = row.unit_capacity.saturating_sub(&ResourceVector::zero());
+            row.node_free.clear();
+            row.node_free.resize(row.node_count, idle);
+            // O(n) refill of the retained fit-index buffers.
+            row.rebuild_fit_index();
         }
-        for (ci, free) in self.free_by_class.iter_mut().enumerate() {
-            *free = self.spec.class_capacity(NodeClassId(ci));
-        }
-        // O(n) refill of the retained fit-index buffers (no allocation).
-        self.rebuild_fit_indices();
-    }
-
-    /// All nodes.
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
     }
 
     /// Number of machines.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.used.len()
     }
 
     /// Number of node classes.
     pub fn num_classes(&self) -> usize {
-        self.spec.num_classes()
+        self.classes.len()
     }
 
-    /// One node by id.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.0]
+    /// The class of `node` and its position in that class's row.
+    pub fn locate(&self, node: NodeId) -> (NodeClassId, usize) {
+        // The last class starting at or before the node: empty classes
+        // share their start with the next class and come first.
+        let ci = self.class_start.partition_point(|&s| s <= node.0) - 1;
+        (NodeClassId(ci), node.0 - self.class_start[ci])
     }
 
-    /// Nodes of one class (a contiguous slice walk, not a full-cluster
-    /// filter).
-    pub fn nodes_of_class(&self, class: NodeClassId) -> impl Iterator<Item = &Node> {
-        self.class_nodes(class).iter()
+    /// Resources currently allocated on one node.
+    pub fn used(&self, node: NodeId) -> ResourceVector {
+        self.used[node.0]
     }
 
-    /// The contiguous node slice of one class.
-    pub fn class_nodes(&self, class: NodeClassId) -> &[Node] {
-        let (start, end) = self.class_ranges[class.0];
-        &self.nodes[start..end]
+    /// The cluster's record of one class: the row views copy.
+    pub fn class_row(&self, id: NodeClassId) -> &NodeClassView {
+        &self.classes[id.0]
     }
 
-    /// Position of `node` within its class (dense, in node-id order).
-    pub fn index_in_class(&self, node: NodeId) -> usize {
-        let class = self.nodes[node.0].class;
-        node.0 - self.class_ranges[class.0].0
+    /// Snapshot of one class as schedulers see it: a copy of the stored row.
+    pub fn class_view(&self, id: NodeClassId) -> NodeClassView {
+        self.class_row(id).clone()
     }
 
     /// Free capacity aggregated over one node class: an O(1) read of the
     /// delta-maintained aggregate (clamped at zero to absorb float residue).
     pub fn free_capacity_of_class(&self, class: NodeClassId) -> ResourceVector {
-        self.free_by_class[class.0].max(&ResourceVector::zero())
+        self.classes[class.0].free_capacity
     }
 
     /// Total capacity of one node class.
     pub fn total_capacity_of_class(&self, class: NodeClassId) -> ResourceVector {
-        self.spec.class_capacity(class)
+        self.classes[class.0].total_capacity
+    }
+
+    /// Total capacity of the whole cluster.
+    pub fn total_capacity(&self) -> ResourceVector {
+        self.classes
+            .iter()
+            .fold(ResourceVector::zero(), |acc, row| acc + row.total_capacity)
     }
 
     /// Free capacity aggregated over the whole cluster (O(classes), from the
     /// delta-maintained aggregates).
     pub fn free_capacity(&self) -> ResourceVector {
-        self.free_by_class
+        self.classes
             .iter()
-            .fold(ResourceVector::zero(), |acc, f| {
-                acc + f.max(&ResourceVector::zero())
-            })
+            .fold(ResourceVector::zero(), |acc, row| acc + row.free_capacity)
     }
 
     /// Per-dimension utilisation of one class in `[0, 1]`.
@@ -188,7 +171,7 @@ impl Cluster {
     /// Average utilisation across classes and dimensions (scalar in `[0,1]`),
     /// weighting each dimension of each class by its capacity share.
     pub fn overall_utilization(&self) -> f64 {
-        let total = self.spec.total_capacity();
+        let total = self.total_capacity();
         let free = self.free_capacity();
         let used = total.saturating_sub(&free);
         let mut num = 0.0;
@@ -206,39 +189,6 @@ impl Cluster {
         }
     }
 
-    /// Snapshot of one class as schedulers see it: the row every
-    /// [`crate::ClusterView`] holds, its fit index built. The engine's full
-    /// view rebuild builds its class rows through this.
-    pub fn class_view(&self, id: NodeClassId) -> NodeClassView {
-        let spec = &self.spec.node_classes[id.0];
-        let mut view = NodeClassView {
-            id,
-            name: spec.name.clone(),
-            node_count: spec.count,
-            total_capacity: self.total_capacity_of_class(id),
-            free_capacity: self.free_capacity_of_class(id),
-            node_free: Vec::with_capacity(spec.count),
-            // Straight from the spec (not derived by division) so view-side
-            // bucket ranks are bit-identical to the cluster's.
-            unit_capacity: spec.capacity,
-            fit_index: FitIndex::new(),
-            speed_factors: spec.speed.as_array(),
-        };
-        self.refill_class_view(&mut view);
-        view
-    }
-
-    /// Refill a class view's per-node free rows from the nodes and rebuild
-    /// its fit index, into the retained buffers (no allocation once
-    /// warmed) — the reference recomputation the incremental
-    /// [`NodeClassView::set_node_free`] maintenance is checked against.
-    pub(crate) fn refill_class_view(&self, view: &mut NodeClassView) {
-        view.node_free.clear();
-        view.node_free
-            .extend(self.nodes_of_class(view.id).map(|n| n.free()));
-        view.rebuild_fit_index();
-    }
-
     /// Find a placement for `units` parallel units of `per_unit` demand on
     /// machines of `class`, or `None` if the class cannot host them.
     ///
@@ -247,11 +197,11 @@ impl Cluster {
     /// is keyed on the node's [`bucket_rank`] — the floor-log2 bucket of its
     /// scarcest relative free resource, the same demand-independent key the
     /// [`FitIndex`] maintains — and ties break on the lower node id so the
-    /// search is deterministic. The search walks the class's [`FitIndex`]
-    /// in exactly this `(bucket_rank desc, id asc)` order; the reference
-    /// [`Self::find_placement_walk`] sorts the class slice into the same
-    /// order, which keeps the two byte-identical (pinned by
-    /// `tests/placement_index.rs`).
+    /// search is deterministic. The search is the row's emptiest-first walk
+    /// (the one the unit counts take); the reference
+    /// [`Self::find_placement_walk`] sorts the row into the same
+    /// `(bucket_rank desc, id asc)` order, which keeps the two byte-identical
+    /// (pinned by `tests/placement_index.rs`).
     pub fn find_placement(
         &self,
         class: NodeClassId,
@@ -279,7 +229,23 @@ impl Cluster {
         if let Some(fits) = self.trivial_placement(class, per_unit, units, placements) {
             return fits;
         }
-        self.find_placement_indexed(class, per_unit, units, placements)
+        let first = self.class_start[class.0];
+        let mut remaining = units;
+        for (idx, fit) in self.classes[class.0].fits_desc(per_unit) {
+            if fit == 0 {
+                continue;
+            }
+            let take = fit.min(remaining);
+            placements.push(Placement {
+                node: NodeId(first + idx),
+                units: take,
+            });
+            remaining -= take;
+            if remaining == 0 {
+                return true;
+            }
+        }
+        false
     }
 
     /// The answer both placement paths give without searching: no units
@@ -297,50 +263,24 @@ impl Cluster {
             return Some(false);
         }
         if per_unit.total() <= 0.0 {
-            let first = self.nodes_of_class(class).next();
-            placements.extend(first.map(|n| Placement { node: n.id, units }));
-            return Some(first.is_some());
+            let fits = self.classes[class.0].node_count > 0;
+            if fits {
+                placements.push(Placement {
+                    node: NodeId(self.class_start[class.0]),
+                    units,
+                });
+            }
+            return Some(fits);
         }
         None
     }
 
-    /// Indexed placement: O(placed + skipped) bucket-order traversal, no
-    /// per-start sort, that stops at the demand's [`rank_floor`] (the nodes
-    /// below it fit nothing, so the walk skips them too).
-    fn find_placement_indexed(
-        &self,
-        class: NodeClassId,
-        per_unit: &ResourceVector,
-        units: u32,
-        placements: &mut Vec<Placement>,
-    ) -> bool {
-        let slice = self.class_nodes(class);
-        let mut remaining = units;
-        let floor = rank_floor(per_unit, &self.unit_capacity_of_class(class));
-        for idx in self.fit[class.0].nodes_desc_from(floor) {
-            let node = &slice[idx];
-            let fit = units_that_fit(&node.free(), per_unit);
-            if fit == 0 {
-                continue;
-            }
-            let take = fit.min(remaining);
-            placements.push(Placement {
-                node: node.id,
-                units: take,
-            });
-            remaining -= take;
-            if remaining == 0 {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Reference placement: the pre-index slice walk, a test oracle that the
-    /// engine never calls. Same contract as [`Self::find_placement`], but
-    /// sorts the whole class slice into the identical
-    /// `(bucket_rank desc, id asc)` worst-fit order on every call — O(n log n)
-    /// per search instead of O(placed + skipped).
+    /// Reference placement: a sorted walk over the row's `node_free`, a test
+    /// oracle that the engine never calls. Same contract as
+    /// [`Self::find_placement`], but sorts the whole class into the identical
+    /// `(bucket_rank desc, id asc)` worst-fit order on every call —
+    /// O(n log n) per search instead of O(placed + skipped), and no use of
+    /// the fit index.
     pub fn find_placement_walk(
         &self,
         class: NodeClassId,
@@ -351,34 +291,32 @@ impl Cluster {
         if let Some(fits) = self.trivial_placement(class, per_unit, units, &mut placements) {
             return fits.then_some(placements);
         }
-        let cap = self.unit_capacity_of_class(class);
-        let mut candidates: Vec<(&Node, u32, u8)> = self
-            .nodes_of_class(class)
-            .map(|n| {
-                let free = n.free();
-                (n, units_that_fit(&free, per_unit), bucket_rank(&free, &cap))
+        let row = &self.classes[class.0];
+        let mut candidates: Vec<(usize, u32, u8)> = row
+            .node_free
+            .iter()
+            .enumerate()
+            .map(|(idx, free)| {
+                let rank = bucket_rank(free, &row.unit_capacity);
+                (idx, units_that_fit(free, per_unit), rank)
             })
             .filter(|(_, fit, _)| *fit > 0)
             .collect();
         // Emptiest bucket first, then lowest id.
-        candidates.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.id.cmp(&b.0.id)));
+        candidates.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
         let mut remaining = units;
-        for (node, fit, _) in candidates {
+        for (idx, fit, _) in candidates {
             if remaining == 0 {
                 break;
             }
             let take = fit.min(remaining);
             placements.push(Placement {
-                node: node.id,
+                node: NodeId(self.class_start[class.0] + idx),
                 units: take,
             });
             remaining -= take;
         }
-        if remaining == 0 {
-            Some(placements)
-        } else {
-            None
-        }
+        (remaining == 0).then_some(placements)
     }
 
     /// Reserve resources for a placement. Panics in debug builds if the
@@ -387,15 +325,17 @@ impl Cluster {
     pub fn apply_placement(&mut self, per_unit: &ResourceVector, placements: &[Placement]) {
         for p in placements {
             let demand = per_unit.scaled(p.units as f64);
-            let ok = self.nodes[p.node.0].allocate(&demand);
-            debug_assert!(ok, "placement on {} does not fit", p.node);
-            if !ok {
-                // Defensive: force the accounting anyway so release stays
-                // symmetric; callers validate with find_placement first.
-                self.nodes[p.node.0].used += demand;
-            }
-            self.free_by_class[self.nodes[p.node.0].class.0] -= demand;
-            self.reindex_node(p.node);
+            let (class, idx) = self.locate(p.node);
+            // Callers validate with find_placement first; the usage is
+            // recorded either way so release stays symmetric.
+            debug_assert!(
+                demand.fits_in(&self.classes[class.0].node_free[idx]),
+                "placement on {} does not fit",
+                p.node
+            );
+            self.used[p.node.0] += demand;
+            self.free_by_class[class.0] -= demand;
+            self.sync_node(class, idx, p.node);
         }
     }
 
@@ -403,64 +343,95 @@ impl Cluster {
     pub fn release_placement(&mut self, per_unit: &ResourceVector, placements: &[Placement]) {
         for p in placements {
             let demand = per_unit.scaled(p.units as f64);
-            self.nodes[p.node.0].release(&demand);
-            self.free_by_class[self.nodes[p.node.0].class.0] += demand;
-            self.reindex_node(p.node);
+            let (class, idx) = self.locate(p.node);
+            let used = &mut self.used[p.node.0];
+            *used -= demand;
+            debug_assert!(
+                used.is_non_negative(),
+                "{} released more than allocated: {used}",
+                p.node
+            );
+            *used = used.max(&ResourceVector::zero());
+            self.free_by_class[class.0] += demand;
+            self.sync_node(class, idx, p.node);
         }
     }
 
-    /// Delta-update the fit index after one node's usage changed.
-    fn reindex_node(&mut self, node: NodeId) {
-        let n = &self.nodes[node.0];
-        let ci = n.class.0;
-        let idx = node.0 - self.class_ranges[ci].0;
-        let free = n.free();
-        let cap = self.spec.node_classes[ci].capacity;
-        self.fit[ci].update(idx, &free, &cap);
+    /// Write one node's free vector and its class's clamped aggregate into
+    /// the class row after the node's usage changed.
+    fn sync_node(&mut self, class: NodeClassId, idx: usize, node: NodeId) {
+        let row = &mut self.classes[class.0];
+        let free = row.unit_capacity.saturating_sub(&self.used[node.0]);
+        row.set_node_free(idx, free);
+        row.free_capacity = self.free_by_class[class.0].max(&ResourceVector::zero());
     }
 
     /// Speed factor a job class enjoys on a node class.
     pub fn speed_factor(&self, class: NodeClassId, job_class: JobClass) -> f64 {
-        self.spec.speed_factor(class, job_class)
+        self.classes[class.0].speed_factor(job_class)
     }
 
     /// Iterate over class ids.
     pub fn class_ids(&self) -> impl Iterator<Item = NodeClassId> {
-        (0..self.spec.num_classes()).map(NodeClassId)
+        (0..self.classes.len()).map(NodeClassId)
     }
 
     /// Sanity check used by tests and debug assertions: no node exceeds its
-    /// capacity, usage is non-negative, and the delta-maintained per-class
-    /// free-capacity aggregates agree with a fresh per-node sum (within
-    /// floating-point tolerance).
+    /// capacity and usage is non-negative; every row's `node_free` is
+    /// exactly `capacity − used` (clamped at zero) bit for bit and its
+    /// `free_capacity` exactly the clamped accumulator; the accumulators
+    /// agree with a fresh per-node sum (within floating-point tolerance);
+    /// and every fit index agrees with ranks recomputed from `node_free`.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for n in &self.nodes {
-            if !n.used.is_non_negative() {
-                return Err(format!("{} has negative usage {}", n.id, n.used));
-            }
-            if !n.used.fits_in(&n.capacity) {
+        let bits = |v: &ResourceVector| v.0.map(f64::to_bits);
+        for (row, (&start, accumulated)) in self
+            .classes
+            .iter()
+            .zip(self.class_start.iter().zip(&self.free_by_class))
+        {
+            let class = row.id;
+            let cap = row.unit_capacity;
+            if row.node_free.len() != row.node_count {
                 return Err(format!(
-                    "{} over capacity: used {} capacity {}",
-                    n.id, n.used, n.capacity
+                    "{class} row holds {} node frees for {} nodes",
+                    row.node_free.len(),
+                    row.node_count
                 ));
             }
-        }
-        for class in self.class_ids() {
-            let summed = self
-                .nodes_of_class(class)
-                .fold(ResourceVector::zero(), |acc, n| acc + n.free());
-            let aggregate = self.free_capacity_of_class(class);
-            for i in 0..NUM_RESOURCES {
-                if (summed.0[i] - aggregate.0[i]).abs() > 1e-6 {
+            let mut summed = ResourceVector::zero();
+            for (idx, free) in row.node_free.iter().enumerate() {
+                let node = NodeId(start + idx);
+                let used = self.used[node.0];
+                if !used.is_non_negative() {
+                    return Err(format!("{node} has negative usage {used}"));
+                }
+                if !used.fits_in(&cap) {
+                    return Err(format!("{node} over capacity: used {used} capacity {cap}"));
+                }
+                let expect = cap.saturating_sub(&used);
+                if bits(free) != bits(&expect) {
                     return Err(format!(
-                        "{class} free-capacity aggregate drifted: maintained {aggregate} vs summed {summed}"
+                        "{node} row free {free} differs from capacity - used {expect}"
+                    ));
+                }
+                summed += *free;
+            }
+            let clamped = accumulated.max(&ResourceVector::zero());
+            if bits(&row.free_capacity) != bits(&clamped) {
+                return Err(format!(
+                    "{class} row free capacity {} differs from the clamped aggregate {clamped}",
+                    row.free_capacity
+                ));
+            }
+            for i in 0..NUM_RESOURCES {
+                if (summed.0[i] - clamped.0[i]).abs() > 1e-6 {
+                    return Err(format!(
+                        "{class} free-capacity aggregate drifted: maintained {clamped} vs summed {summed}"
                     ));
                 }
             }
-            // The fit index must agree with ranks recomputed from the nodes.
-            let cap = self.unit_capacity_of_class(class);
-            self.fit[class.0]
-                .check(&cap, self.nodes_of_class(class).map(|n| n.free()))
+            row.fit_index
+                .check(&cap, row.node_free.iter().copied())
                 .map_err(|e| format!("{class}: {e}"))?;
         }
         Ok(())
@@ -470,23 +441,88 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::NodeClassSpec;
+    use crate::fit_index::rank_floor;
+    use crate::node::SpeedProfile;
 
     fn cluster() -> Cluster {
-        Cluster::new(ClusterSpec::icpp_default())
+        Cluster::new(&ClusterSpec::icpp_default())
+    }
+
+    /// One class of a single 16-core, 2-GPU machine.
+    fn one_node() -> Cluster {
+        Cluster::new(&ClusterSpec::new(vec![NodeClassSpec::new(
+            "single",
+            1,
+            ResourceVector::of(16.0, 64.0, 2.0, 10.0),
+            SpeedProfile::uniform(1.0),
+        )]))
+    }
+
+    fn on_node_0(units: u32) -> [Placement; 1] {
+        [Placement {
+            node: NodeId(0),
+            units,
+        }]
     }
 
     #[test]
     fn construction_matches_spec() {
-        let c = cluster();
+        let spec = ClusterSpec::icpp_default();
+        let c = Cluster::new(&spec);
         assert_eq!(c.num_nodes(), 24);
         assert_eq!(c.num_classes(), 4);
-        assert_eq!(c.free_capacity(), c.spec().total_capacity());
+        assert_eq!(c.total_capacity(), spec.total_capacity());
+        assert_eq!(c.free_capacity(), spec.total_capacity());
+        // Node ids are dense and grouped by class.
+        assert_eq!(c.locate(NodeId(0)), (NodeClassId(0), 0));
+        assert_eq!(c.locate(NodeId(23)), (NodeClassId(3), 3));
         assert!(c.check_invariants().is_ok());
     }
 
     #[test]
+    fn allocate_and_release_roundtrip() {
+        let mut c = one_node();
+        let capacity = c.class_row(NodeClassId(0)).unit_capacity;
+        let d = ResourceVector::of(4.0, 8.0, 1.0, 1.0);
+        c.apply_placement(&d, &on_node_0(1));
+        assert_eq!(c.used(NodeId(0)), d);
+        assert_eq!(
+            c.class_row(NodeClassId(0)).node_free,
+            vec![ResourceVector::of(12.0, 56.0, 1.0, 9.0)]
+        );
+        assert!(c.check_invariants().is_ok());
+        c.release_placement(&d, &on_node_0(1));
+        assert_eq!(c.used(NodeId(0)), ResourceVector::zero());
+        assert_eq!(c.class_row(NodeClassId(0)).node_free, vec![capacity]);
+        assert!(c.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn allocate_rejects_overcommit() {
+        let c = one_node();
+        let d = ResourceVector::of(20.0, 1.0, 0.0, 0.0);
+        assert!(c.find_placement(NodeClassId(0), &d, 1).is_none());
+        assert_eq!(c.class_row(NodeClassId(0)).units_available(&d), 0);
+        assert_eq!(c.used(NodeId(0)), ResourceVector::zero());
+    }
+
+    #[test]
+    fn utilization_tracks_dominant_resource() {
+        let mut c = one_node();
+        c.apply_placement(&ResourceVector::of(8.0, 8.0, 2.0, 0.0), &on_node_0(1));
+        let capacity = c.class_row(NodeClassId(0)).unit_capacity;
+        // GPUs saturated: the dominant share is 1.
+        assert!((c.used(NodeId(0)).dominant_share(&capacity) - 1.0).abs() < 1e-9);
+        let v = c.class_utilization(NodeClassId(0));
+        assert!((v.0[0] - 0.5).abs() < 1e-9);
+        assert!((v.0[2] - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn placement_spreads_worst_fit() {
-        let mut c = Cluster::new(ClusterSpec::tiny());
+        let spec = ClusterSpec::tiny();
+        let mut c = Cluster::new(&spec);
         let per_unit = ResourceVector::of(2.0, 4.0, 0.0, 1.0);
         // Ask for 6 units: each tiny node fits 4 (cpu bottleneck 8/2), so it
         // must span both machines.
@@ -501,12 +537,12 @@ mod tests {
         let class = c.class_view(NodeClassId(0));
         assert_eq!(class.units_available_capped(&per_unit, 100), 2);
         c.release_placement(&per_unit, &placement);
-        assert_eq!(c.free_capacity(), c.spec().total_capacity());
+        assert_eq!(c.free_capacity(), spec.total_capacity());
     }
 
     #[test]
     fn placement_fails_when_class_is_full() {
-        let mut c = Cluster::new(ClusterSpec::tiny());
+        let mut c = Cluster::new(&ClusterSpec::tiny());
         let per_unit = ResourceVector::of(8.0, 1.0, 0.0, 0.0);
         let placement = c.find_placement(NodeClassId(0), &per_unit, 2).unwrap();
         c.apply_placement(&per_unit, &placement);
@@ -525,7 +561,7 @@ mod tests {
 
     #[test]
     fn utilization_tracks_allocations() {
-        let mut c = Cluster::new(ClusterSpec::tiny());
+        let mut c = Cluster::new(&ClusterSpec::tiny());
         assert_eq!(c.overall_utilization(), 0.0);
         let per_unit = ResourceVector::of(4.0, 16.0, 0.5, 5.0);
         let placement = c.find_placement(NodeClassId(0), &per_unit, 2).unwrap();
@@ -541,12 +577,9 @@ mod tests {
         // Nodes with identical free capacity (same bucket rank) must be
         // visited in ascending NodeId order by the indexed path and the
         // reference walk alike.
-        let c = Cluster::new(ClusterSpec::tiny());
+        let c = Cluster::new(&ClusterSpec::tiny());
         let per_unit = ResourceVector::of(2.0, 4.0, 0.0, 1.0);
-        let lowest = Some(vec![Placement {
-            node: NodeId(0),
-            units: 1,
-        }]);
+        let lowest = Some(on_node_0(1).to_vec());
         assert_eq!(
             c.find_placement(NodeClassId(0), &per_unit, 1),
             lowest,
@@ -562,8 +595,9 @@ mod tests {
     /// True when the fit query for `per_unit` on `class` skips a node: its
     /// rank floor is non-zero and some node of the class ranks below it.
     fn floor_prunes(c: &Cluster, class: NodeClassId, per_unit: &ResourceVector) -> bool {
-        let floor = rank_floor(per_unit, &c.unit_capacity_of_class(class));
-        let fit = &c.fit[class.0];
+        let row = c.class_row(class);
+        let floor = rank_floor(per_unit, &row.unit_capacity);
+        let fit = &row.fit_index;
         floor > 0 && (0..fit.len()).any(|i| fit.rank(i) < floor)
     }
 
@@ -575,7 +609,8 @@ mod tests {
         // some steps querying past full nodes below the rank floor. The
         // I/O-heavy one fills a node's I/O with CPU to spare, so an
         // I/O-free demand (rank floor 0) must count that rank-0 node too.
-        let mut c = Cluster::new(ClusterSpec::icpp_default());
+        let spec = ClusterSpec::icpp_default();
+        let mut c = Cluster::new(&spec);
         let demands = [
             ResourceVector::of(2.0, 4.0, 0.0, 1.0),
             ResourceVector::of(7.0, 1.0, 0.0, 0.0),
@@ -594,8 +629,10 @@ mod tests {
             pruned_steps += usize::from(floor_prunes(&c, class, &per_unit));
             // The class's snapshot counts what a fresh per-node sum counts.
             let fresh_sum = c
-                .nodes_of_class(class)
-                .map(|n| units_that_fit(&n.free(), &per_unit))
+                .class_row(class)
+                .node_free
+                .iter()
+                .map(|free| units_that_fit(free, &per_unit))
                 .fold(0u32, u32::saturating_add);
             let view = c.class_view(class);
             assert_eq!(
@@ -631,22 +668,16 @@ mod tests {
         for (d, p) in live.drain(..) {
             c.release_placement(&d, &p);
         }
-        assert_eq!(c.free_capacity(), c.spec().total_capacity());
+        assert_eq!(c.free_capacity(), spec.total_capacity());
         c.check_invariants().expect("invariants hold after drain");
     }
 
     #[test]
     fn units_available_respects_fragmentation() {
-        let mut c = Cluster::new(ClusterSpec::tiny());
+        let mut c = Cluster::new(&ClusterSpec::tiny());
         // Fill 6 of 8 cores on node 0.
         let filler = ResourceVector::of(6.0, 1.0, 0.0, 0.0);
-        c.apply_placement(
-            &filler,
-            &[Placement {
-                node: NodeId(0),
-                units: 1,
-            }],
-        );
+        c.apply_placement(&filler, &on_node_0(1));
         // A 4-core unit now only fits on node 1 even though 10 cores are free
         // cluster-wide.
         let per_unit = ResourceVector::of(4.0, 1.0, 0.0, 0.0);

@@ -6,7 +6,7 @@
 //! allowed at all).
 
 use crate::job::JobClass;
-use crate::node::{Node, NodeClassId, NodeId, SpeedProfile};
+use crate::node::{NodeClassId, SpeedProfile};
 use crate::resources::ResourceVector;
 use serde::{Deserialize, Serialize};
 
@@ -234,19 +234,6 @@ impl ClusterSpec {
             .fold(f64::MIN, f64::max)
     }
 
-    /// Instantiate the concrete node list, ids dense and grouped by class.
-    pub fn build_nodes(&self) -> Vec<Node> {
-        let mut nodes = Vec::with_capacity(self.num_nodes());
-        let mut next = 0usize;
-        for (ci, class) in self.node_classes.iter().enumerate() {
-            for _ in 0..class.count {
-                nodes.push(Node::new(NodeId(next), NodeClassId(ci), class.capacity));
-                next += 1;
-            }
-        }
-        nodes
-    }
-
     /// A rough aggregate "work capacity" in work-units per second for a given
     /// job-class mix (probabilities summing to 1). Used by the workload
     /// generator to translate an offered-load target into an arrival rate.
@@ -347,13 +334,6 @@ mod tests {
         let spec = ClusterSpec::icpp_default();
         assert_eq!(spec.num_classes(), 4);
         assert_eq!(spec.num_nodes(), 24);
-        let nodes = spec.build_nodes();
-        assert_eq!(nodes.len(), 24);
-        // Node ids are dense and grouped by class.
-        assert_eq!(nodes[0].id, NodeId(0));
-        assert_eq!(nodes[23].id, NodeId(23));
-        assert_eq!(nodes[0].class, NodeClassId(0));
-        assert_eq!(nodes[23].class, NodeClassId(3));
     }
 
     #[test]

@@ -261,32 +261,38 @@ enum ViewDelta {
     },
 }
 
-/// Process-unique simulator identity for the view-sync protocol. Cloning a
-/// simulator deliberately mints a *fresh* id: a view synced against the
-/// original must not incrementally follow the clone's diverging change log.
-#[derive(Debug)]
-struct SimId(u64);
-
 /// The most jobs any entry point pre-sizes its per-run collections for.
 const PRESIZE_JOBS: usize = 1024;
 
-static NEXT_SIM_ID: AtomicU64 = AtomicU64::new(1);
+/// The one process-wide source of the engine's unique ids: run identities
+/// ([`RunId`]) and feasibility generations
+/// ([`ClusterView::feasibility_gen`]). Both only need to be unique, and 0
+/// is never minted.
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
-impl SimId {
+fn mint_id() -> u64 {
+    NEXT_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Process-unique identity of one simulator run for the view-sync
+/// protocol, minted on construction, on every reset and on clone: a view
+/// synced to the original must not incrementally follow the clone's
+/// diverging change log, nor a view synced to an earlier run replay a
+/// cleared one.
+#[derive(Debug)]
+struct RunId(u64);
+
+impl RunId {
     fn fresh() -> Self {
-        SimId(NEXT_SIM_ID.fetch_add(1, Ordering::Relaxed))
+        RunId(mint_id())
     }
 }
 
-impl Clone for SimId {
+impl Clone for RunId {
     fn clone(&self) -> Self {
-        SimId::fresh()
+        RunId::fresh()
     }
 }
-
-/// Process-unique feasibility generations (see
-/// [`ClusterView::feasibility_gen`]); 0 is never minted.
-static NEXT_FEASIBILITY_GEN: AtomicU64 = AtomicU64::new(1);
 
 /// The engine's feasibility generation and per-class release stamps (see
 /// [`ClusterView::released_at`]). Cloning a simulator deliberately mints a
@@ -301,19 +307,15 @@ struct Feasibility {
 impl Feasibility {
     fn new(num_classes: usize) -> Self {
         Feasibility {
-            gen: Self::mint(),
+            gen: mint_id(),
             released_at: vec![0; num_classes],
         }
-    }
-
-    fn mint() -> u64 {
-        NEXT_FEASIBILITY_GEN.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Begin a new generation: a pending job may have become startable
     /// other than by a capacity release.
     fn bump(&mut self) {
-        self.gen = Self::mint();
+        self.gen = mint_id();
     }
 
     /// A new generation for a run starting from position 0 of a cleared
@@ -328,7 +330,7 @@ impl Feasibility {
 impl Clone for Feasibility {
     fn clone(&self) -> Self {
         Feasibility {
-            gen: Self::mint(),
+            gen: mint_id(),
             released_at: self.released_at.clone(),
         }
     }
@@ -373,11 +375,9 @@ pub struct Simulator {
     /// clamped forward to `self.time` (see [`Self::advance`]).
     clamped_events: u64,
     best_speed_cache: [f64; crate::job::JobClass::COUNT],
-    /// Process-unique identity for the incremental-view sync protocol.
-    sim_id: SimId,
-    /// Bumped on every [`Self::reset`]; views synced to an earlier run
-    /// rebuild instead of replaying a cleared change log.
-    run_epoch: u64,
+    /// Identity of this simulator and run for the incremental-view sync
+    /// protocol.
+    run_id: RunId,
     /// Change log of scheduler-visible state (cleared on reset), always
     /// maintained: [`Self::view_into`] replays it. The drivers compact
     /// it once their view has consumed it — see [`Self::compact_log`] — so
@@ -401,7 +401,7 @@ impl Simulator {
             best_speed_cache[class.index()] = spec.best_speed_factor(class);
         }
         let spec = Arc::new(spec);
-        let cluster = Cluster::new((*spec).clone());
+        let cluster = Cluster::new(&spec);
         let feasibility = Feasibility::new(cluster.num_classes());
         Simulator {
             spec,
@@ -423,8 +423,7 @@ impl Simulator {
             last_epoch: EpochKind::Periodic,
             clamped_events: 0,
             best_speed_cache,
-            sim_id: SimId::fresh(),
-            run_epoch: 0,
+            run_id: RunId::fresh(),
             log: Vec::new(),
             log_base: 0,
             feasibility,
@@ -782,8 +781,7 @@ impl Simulator {
     /// `tests/incremental_view.rs` checks this refill against
     /// [`Self::rebuild_view_into`] at every step of one simulator.
     pub fn view_into(&self, out: &mut ClusterView) {
-        let in_sync = out.sync.sim_id == self.sim_id.0
-            && out.sync.run_epoch == self.run_epoch
+        let in_sync = out.sync.run_id == self.run_id.0
             && out.sync.log_pos >= self.log_base
             && out.sync.log_pos - self.log_base <= self.log.len()
             && Arc::ptr_eq(&out.spec, &self.spec);
@@ -848,11 +846,15 @@ impl Simulator {
                 .class_ids()
                 .map(|id| self.cluster.class_view(id))
                 .collect();
-        } else {
-            // O(n) refill of the retained rows and index buffers.
-            for class_view in &mut out.classes {
-                self.cluster.refill_class_view(class_view);
-            }
+        }
+        // Copy the stored rows' node frees into the retained buffers and
+        // rebuild each view's fit index from scratch — the reference the
+        // incremental `set_node_free` maintenance is checked against. O(n),
+        // no allocation once warmed.
+        for class_view in &mut out.classes {
+            let row = self.cluster.class_row(class_view.id);
+            class_view.node_free.clone_from(&row.node_free);
+            class_view.rebuild_fit_index();
         }
         out.pending.clear();
         out.pending.extend(self.pending.iter().cloned());
@@ -869,8 +871,7 @@ impl Simulator {
         let (pending, index) = (&out.pending, &mut out.pending_by_deadline);
         ClusterView::fill_sorted_deadline_index(pending, index);
         out.sync = ViewSync {
-            sim_id: self.sim_id.0,
-            run_epoch: self.run_epoch,
+            run_id: self.run_id.0,
             log_pos: self.log_base + self.log.len(),
         };
     }
@@ -969,7 +970,7 @@ impl Simulator {
         self.clamped_events = 0;
         // Views synced to the previous run must rebuild, not replay a
         // cleared change log.
-        self.run_epoch = self.run_epoch.wrapping_add(1);
+        self.run_id = RunId::fresh();
         self.log.clear();
         self.log_base = 0;
         self.feasibility.restart();
@@ -1194,9 +1195,7 @@ impl Simulator {
     /// after refilling it, so the log stays bounded by one epoch instead of
     /// growing with the run.
     pub fn compact_log(&mut self, view: &ClusterView) {
-        if view.sync.sim_id == self.sim_id.0
-            && view.sync.run_epoch == self.run_epoch
-            && view.sync.log_pos == self.log_base + self.log.len()
+        if view.sync.run_id == self.run_id.0 && view.sync.log_pos == self.log_base + self.log.len()
         {
             self.log_base += self.log.len();
             self.log.clear();
@@ -1230,11 +1229,11 @@ impl Simulator {
     /// dirty `node_free` entries.
     fn log_node_frees(&mut self, placements: &[Placement]) {
         for p in placements {
-            let node = &self.cluster.nodes()[p.node.0];
+            let (class, index) = self.cluster.locate(p.node);
             self.log.push(ViewDelta::NodeFree {
-                class: node.class.0 as u32,
-                index: self.cluster.index_in_class(p.node) as u32,
-                free: node.free(),
+                class: class.0 as u32,
+                index: index as u32,
+                free: self.cluster.class_row(class).node_free[index],
             });
         }
     }

@@ -12,9 +12,11 @@
 //! worst-fit visit order `(rank desc, node id asc)` without any per-query
 //! sort.
 //!
-//! The index is delta-updated on every allocation/release (an O(log bucket)
-//! membership move) and rebuilt in O(n) when a retained snapshot refills from
-//! scratch. Both the indexed queries and the reference walk
+//! The index lives only in node-class rows ([`crate::view::NodeClassView`]):
+//! the cluster's record of each class is its row, and views copy it. It is
+//! delta-updated on every allocation/release (an O(log bucket) membership
+//! move) and rebuilt in O(n) when a retained snapshot refills from scratch.
+//! Both the indexed queries and the reference walk
 //! ([`crate::cluster::Cluster::find_placement_walk`], a test oracle the engine
 //! never calls) order candidates by the *same* `(bucket_rank desc, id asc)`
 //! key, which is what keeps their placements byte-identical (pinned in
@@ -150,12 +152,13 @@ fn fraction_rank(frac: f64) -> u8 {
     rank.max(0) as u8
 }
 
-/// Bucketed free-capacity index over one node class.
+/// Bucketed free-capacity index over one node class, held by the class's
+/// [`crate::view::NodeClassView`] row over its
+/// [`crate::view::NodeClassView::node_free`] vectors.
 ///
-/// Node positions are *in-class* indices (dense, node-id order), so the same
-/// structure serves both the [`crate::cluster::Cluster`] (whose classes are
-/// contiguous node ranges) and the per-class
-/// [`crate::view::NodeClassView::node_free`] snapshot rows.
+/// Node positions are *in-class* indices (dense, node-id order): a class's
+/// nodes are one contiguous id range, so a node's position is its id minus
+/// the first id of its class.
 ///
 /// Steady-state maintenance is allocation-free: every bucket is pre-reserved
 /// to the class size at (re)build, so membership moves are binary-searched

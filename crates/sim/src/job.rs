@@ -89,11 +89,6 @@ impl JobClass {
         }
     }
 
-    /// Class from an index (panics if out of range).
-    pub fn from_index(i: usize) -> JobClass {
-        Self::ALL[i]
-    }
-
     /// Human-readable label.
     pub fn label(self) -> &'static str {
         match self {
@@ -143,11 +138,6 @@ impl SpeedupModel {
             }
             SpeedupModel::Power { alpha } => p.powf(alpha.clamp(0.0, 1.0)),
         }
-    }
-
-    /// Marginal benefit of adding one more unit at parallelism `p`.
-    pub fn marginal_gain(&self, parallelism: u32) -> f64 {
-        self.speedup(parallelism + 1) - self.speedup(parallelism)
     }
 }
 
@@ -402,7 +392,6 @@ mod tests {
     fn job_class_index_roundtrip() {
         for (i, c) in JobClass::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
-            assert_eq!(JobClass::from_index(i), *c);
         }
     }
 
@@ -439,8 +428,9 @@ mod tests {
     #[test]
     fn marginal_gain_decreases() {
         let m = SpeedupModel::Power { alpha: 0.6 };
-        assert!(m.marginal_gain(1) > m.marginal_gain(4));
-        assert!(m.marginal_gain(4) > m.marginal_gain(16));
+        let gain = |p: u32| m.speedup(p + 1) - m.speedup(p);
+        assert!(gain(1) > gain(4));
+        assert!(gain(4) > gain(16));
     }
 
     #[test]

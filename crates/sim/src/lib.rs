@@ -84,7 +84,7 @@ pub use metrics::{
     CompletedJob, EnergyReport, MetricsCollector, PerClassUtilization, Summary, UtilizationSample,
     UtilizationTrace, MAX_NODE_CLASSES,
 };
-pub use node::{Node, NodeClassId, NodeId};
+pub use node::{NodeClassId, NodeId};
 pub use resources::{ResourceKind, ResourceVector, NUM_RESOURCES};
 pub use scheduler::{Action, ActionOutcome, Scheduler};
 pub use view::{ClusterView, NodeClassView, PendingJobView, RunningJobView};
@@ -97,7 +97,7 @@ pub mod prelude {
     pub use crate::engine::{EpochHooks, EpochKind, SimulationResult, Simulator};
     pub use crate::job::{Job, JobBuilder, JobClass, JobId, SpeedupModel, TimeUtility};
     pub use crate::metrics::{CompletedJob, EnergyReport, Summary, UtilizationTrace};
-    pub use crate::node::{Node, NodeClassId, NodeId};
+    pub use crate::node::{NodeClassId, NodeId};
     pub use crate::resources::{ResourceKind, ResourceVector, NUM_RESOURCES};
     pub use crate::scheduler::{Action, ActionOutcome, Scheduler};
     pub use crate::view::{ClusterView, NodeClassView, PendingJobView, RunningJobView};

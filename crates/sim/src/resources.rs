@@ -202,11 +202,6 @@ impl ResourceVector {
         self.0.iter().sum()
     }
 
-    /// The largest component.
-    pub fn max_component(&self) -> f64 {
-        self.0.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-    }
-
     /// Iterate over `(kind, value)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ResourceKind, f64)> + '_ {
         ResourceKind::ALL.iter().map(move |&k| (k, self.get(k)))

@@ -13,8 +13,9 @@ use crate::node::NodeClassId;
 use crate::resources::ResourceVector;
 use std::sync::Arc;
 
-/// Per-node-class aggregate information, built by
-/// [`crate::cluster::Cluster::class_view`].
+/// One node class: its static fields, each node's free capacity and the
+/// fit index over them. The cluster keeps one row per class as its record
+/// of the class ([`crate::cluster::Cluster::class_row`]); views copy it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeClassView {
     /// Class id.
@@ -31,15 +32,13 @@ pub struct NodeClassView {
     /// feasibility checks), in node-id order.
     pub node_free: Vec<ResourceVector>,
     /// Per-node capacity (uniform within a class) — the denominator of the
-    /// fit-index bucket ranks, taken straight from the spec so view-side
-    /// ranks are bit-identical to the cluster's.
+    /// fit-index bucket ranks, taken straight from the spec.
     pub unit_capacity: ResourceVector,
-    /// Bucketed free-capacity index over [`Self::node_free`] (same structure
-    /// the cluster maintains), always built: kept current by
-    /// [`Self::set_node_free`] / [`Self::rebuild_fit_index`]. A pure
-    /// function of `node_free`, so the derived `PartialEq` stays a pure
-    /// state comparison. Counting queries walk it emptiest-first to reach
-    /// their cap after the fewest nodes.
+    /// Bucketed free-capacity index over [`Self::node_free`], always built:
+    /// kept current by [`Self::set_node_free`] / [`Self::rebuild_fit_index`].
+    /// A pure function of `node_free`, so the derived `PartialEq` stays a
+    /// pure state comparison. Counting queries and the cluster's placement
+    /// search walk it emptiest-first ([`Self::fits_desc`]).
     pub(crate) fit_index: FitIndex,
     /// Speed factor per job class ([`JobClass::ALL`] order).
     pub speed_factors: [f64; JobClass::COUNT],
@@ -50,17 +49,33 @@ impl NodeClassView {
     /// respecting per-node fragmentation. Saturating — at 64k nodes the raw
     /// per-node sum can exceed `u32::MAX`.
     ///
-    /// The saturating sum is order-independent, so it walks only the fit
-    /// index's buckets at or above the demand's [`rank_floor`].
+    /// The saturating sum is order-independent, so it takes the
+    /// [`Self::fits_desc`] walk, which skips the nodes below the demand's
+    /// [`rank_floor`].
     pub fn units_available(&self, per_unit: &ResourceVector) -> u32 {
         if per_unit.total() <= 0.0 {
             return u32::MAX;
         }
+        self.fits_desc(per_unit)
+            .map(|(_, fit)| fit)
+            .fold(0, u32::saturating_add)
+    }
+
+    /// The one emptiest-first walk behind the unit counts and the cluster's
+    /// placement search: `(position in the row, units that fit)` for every
+    /// node in the fit index's buckets at or above the demand's
+    /// [`rank_floor`], emptiest bucket first and in ascending position
+    /// within a bucket. The nodes below the floor fit nothing, so skipping
+    /// them changes no count and no placement.
+    #[inline]
+    pub fn fits_desc<'a>(
+        &'a self,
+        per_unit: &'a ResourceVector,
+    ) -> impl Iterator<Item = (usize, u32)> + 'a {
         let floor = rank_floor(per_unit, &self.unit_capacity);
         self.fit_index
             .nodes_desc_from(floor)
-            .map(|idx| units_that_fit(&self.node_free[idx], per_unit))
-            .fold(0, u32::saturating_add)
+            .map(move |idx| (idx, units_that_fit(&self.node_free[idx], per_unit)))
     }
 
     /// Rebuild [`Self::fit_index`] from the current [`Self::node_free`] rows
@@ -72,7 +87,8 @@ impl NodeClassView {
     }
 
     /// Update one node's free vector, keeping the fit index in step (the
-    /// incremental-view `NodeFree` delta lands here).
+    /// cluster's allocations and releases and the incremental-view
+    /// `NodeFree` delta land here).
     pub(crate) fn set_node_free(&mut self, index: usize, free: ResourceVector) {
         self.node_free[index] = free;
         self.fit_index.update(index, &free, &self.unit_capacity);
@@ -102,14 +118,13 @@ impl NodeClassView {
     /// Feasibility queries never need more than the requested parallelism,
     /// so the hot scheduler paths answer with (a) the O(dims) aggregate
     /// screen — which alone rejects requests on saturated classes, the
-    /// common case under load — and (b) a walk over the fit index in
-    /// emptiest-first order that exits as soon as the target is reached
-    /// (after the *fewest possible* machines, because the emptiest nodes
-    /// contribute the most units) and never descends below the demand's
-    /// [`rank_floor`]. A query the class cannot satisfy therefore visits
-    /// every node in the buckets at or above the floor — all of the class
-    /// when the floor is 0 (some capacity dimension undemanded) — but not
-    /// the nearly-full nodes beneath it.
+    /// common case under load — and (b) the [`Self::fits_desc`] walk, which
+    /// exits as soon as the target is reached (after the *fewest possible*
+    /// machines, because the emptiest nodes contribute the most units) and
+    /// never descends below the demand's [`rank_floor`]. A query the class
+    /// cannot satisfy therefore visits every node in the buckets at or above
+    /// the floor — all of the class when the floor is 0 (some capacity
+    /// dimension undemanded) — but not the nearly-full nodes beneath it.
     pub fn units_available_capped(&self, per_unit: &ResourceVector, cap: u32) -> u32 {
         if per_unit.total() <= 0.0 {
             return cap;
@@ -123,9 +138,8 @@ impl NodeClassView {
         }
         let cap = cap.min(bound);
         let mut total = 0u32;
-        let floor = rank_floor(per_unit, &self.unit_capacity);
-        for idx in self.fit_index.nodes_desc_from(floor) {
-            total = total.saturating_add(units_that_fit(&self.node_free[idx], per_unit));
+        for (_, fit) in self.fits_desc(per_unit) {
+            total = total.saturating_add(fit);
             if total >= cap {
                 return cap;
             }
@@ -363,10 +377,9 @@ impl RunningJobView {
 /// zeroed), which is always safe — the first refill rebuilds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ViewSync {
-    /// Identity of the simulator the view last mirrored (0 = never synced).
-    pub sim_id: u64,
-    /// The simulator's run epoch (bumped on every reset) at last refill.
-    pub run_epoch: u64,
+    /// Identity of the simulator run the view last mirrored, minted anew
+    /// on every construction, clone and reset (0 = never synced).
+    pub run_id: u64,
     /// Change-log position up to which deltas have been applied.
     pub log_pos: usize,
 }

@@ -196,11 +196,13 @@ pub fn assert_views_equal(view: &ClusterView, reference: &ClusterView) {
 /// True when the fit query for `per_unit` on `class` skips a node: its rank
 /// floor is non-zero and some node of the class ranks below it.
 pub fn floor_prunes(c: &Cluster, class: NodeClassId, per_unit: &ResourceVector) -> bool {
-    let cap = c.unit_capacity_of_class(class);
-    let floor = rank_floor(per_unit, &cap);
+    let row = c.class_row(class);
+    let floor = rank_floor(per_unit, &row.unit_capacity);
     floor > 0
-        && c.nodes_of_class(class)
-            .any(|n| bucket_rank(&n.free(), &cap) < floor)
+        && row
+            .node_free
+            .iter()
+            .any(|free| bucket_rank(free, &row.unit_capacity) < floor)
 }
 
 /// What one [`run_against_oracles`] exercised.
@@ -236,8 +238,10 @@ fn check_oracles(
         for class in cluster.class_ids() {
             run.pruned_queries += usize::from(floor_prunes(cluster, class, demand));
             let fresh_sum = cluster
-                .nodes_of_class(class)
-                .map(|n| units_that_fit(&n.free(), demand))
+                .class_row(class)
+                .node_free
+                .iter()
+                .map(|free| units_that_fit(free, demand))
                 .fold(0u32, u32::saturating_add);
             assert_eq!(
                 view.class(class).units_available(demand),

@@ -93,7 +93,7 @@ fn cluster_paths_agree_under_random_churn() {
                 1..60,
             ),
         ) {
-            let mut c = Cluster::new(ClusterSpec::icpp_default());
+            let mut c = Cluster::new(&ClusterSpec::icpp_default());
             let mut live: Vec<(ResourceVector, Vec<Placement>)> = Vec::new();
             for (class, cpu, mem, gpu, units, release) in ops {
                 let class = NodeClassId(class % c.num_classes());
@@ -101,8 +101,10 @@ fn cluster_paths_agree_under_random_churn() {
                 let prunes = floor_prunes(&c, class, &per_unit);
                 PRUNED.fetch_add(usize::from(prunes), Ordering::Relaxed);
                 let fresh_sum = c
-                    .nodes_of_class(class)
-                    .map(|n| units_that_fit(&n.free(), &per_unit))
+                    .class_row(class)
+                    .node_free
+                    .iter()
+                    .map(|free| units_that_fit(free, &per_unit))
                     .fold(0u32, u32::saturating_add);
                 let view = c.class_view(class);
                 prop_assert_eq!(

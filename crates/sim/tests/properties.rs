@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 use tcrm_sim::allocation::{Allocation, Placement};
+use tcrm_sim::node::SpeedProfile;
 use tcrm_sim::prelude::*;
 use tcrm_sim::{EventKind, EventQueue};
 
@@ -67,20 +68,42 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
-    // Node and allocation bookkeeping
+    // Node usage and allocation bookkeeping
     // ------------------------------------------------------------------
 
     #[test]
-    fn node_allocate_release_roundtrip(cap in arb_resources(), demand in arb_resources()) {
-        let mut node = Node::new(NodeId(0), NodeClassId(0), cap);
-        let fitted = node.allocate(&demand);
-        prop_assert_eq!(fitted, demand.fits_in(&cap));
-        if fitted {
-            prop_assert!(node.used == demand);
-            node.release(&demand);
+    fn node_allocate_release_roundtrip(
+        cap in arb_resources(),
+        count in 1usize..5,
+        demand in arb_resources(),
+        units in 1u32..6,
+    ) {
+        let spec = ClusterSpec::new(vec![NodeClassSpec::new(
+            "random",
+            count,
+            cap,
+            SpeedProfile::uniform(1.0),
+        )]);
+        let mut cluster = Cluster::new(&spec);
+        let class = NodeClassId(0);
+        let Some(placement) = cluster.find_placement(class, &demand, units) else {
+            return Ok(());
+        };
+        cluster.apply_placement(&demand, &placement);
+        prop_assert!(cluster.check_invariants().is_ok());
+        for p in &placement {
+            prop_assert!(cluster.used(p.node) == demand.scaled(p.units as f64));
         }
-        prop_assert!(node.is_idle());
-        prop_assert!(node.utilization() <= 1.0);
+        cluster.release_placement(&demand, &placement);
+        for p in &placement {
+            let (_, idx) = cluster.locate(p.node);
+            prop_assert!(cluster.used(p.node) == ResourceVector::zero());
+            prop_assert_eq!(
+                cluster.class_row(class).node_free[idx].0.map(f64::to_bits),
+                cap.0.map(f64::to_bits)
+            );
+        }
+        prop_assert!(cluster.check_invariants().is_ok());
     }
 
     #[test]
@@ -171,7 +194,7 @@ proptest! {
         mem in 1.0f64..40.0,
         units in 1u32..20,
     ) {
-        let mut cluster = Cluster::new(ClusterSpec::icpp_default());
+        let mut cluster = Cluster::new(&ClusterSpec::icpp_default());
         let per_unit = ResourceVector::of(cpu, mem, 0.0, 0.2);
         for class in cluster.class_ids().collect::<Vec<_>>() {
             if let Some(placement) = cluster.find_placement(class, &per_unit, units) {
@@ -185,7 +208,7 @@ proptest! {
         }
         // After all releases the cluster is back to full capacity.
         let free = cluster.free_capacity();
-        let total = cluster.spec().total_capacity();
+        let total = ClusterSpec::icpp_default().total_capacity();
         for i in 0..NUM_RESOURCES {
             prop_assert!((free.0[i] - total.0[i]).abs() < 1e-6);
         }
@@ -197,7 +220,7 @@ proptest! {
         mem in 1.0f64..80.0,
         units in 1u32..24,
     ) {
-        let cluster = Cluster::new(ClusterSpec::icpp_default());
+        let cluster = Cluster::new(&ClusterSpec::icpp_default());
         let per_unit = ResourceVector::of(cpu, mem, 0.0, 0.1);
         for class in cluster.class_ids() {
             let available = cluster.class_view(class).units_available(&per_unit);
