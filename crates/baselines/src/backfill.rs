@@ -133,7 +133,7 @@ impl Scheduler for EasyBackfillScheduler {
         let mut actions = Vec::new();
         let mut reservation: Option<(NodeClassId, f64)> = None;
 
-        // Deadline order straight from the engine-maintained index.
+        // Deadline order straight from the view's maintained index.
         for job in view.pending_in_deadline_order() {
             let placement = util::best_class_for(job, view)
                 .and_then(|class| util::deadline_parallelism(job, view, class).map(|p| (class, p)));

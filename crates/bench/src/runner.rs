@@ -450,13 +450,6 @@ impl<'r> EvalSession<'r> {
         Ok(self)
     }
 
-    /// Add one pre-parsed policy spec (validated against the registry).
-    pub fn policy_spec(mut self, spec: PolicySpec) -> Result<Self, PolicyError> {
-        self.registry.validate(&spec)?;
-        self.policies.push(spec);
-        Ok(self)
-    }
-
     /// Add scenarios by spec string (see the `tcrm_workload::scenario`
     /// grammar), resolved against `registry`. Each scenario multiplies the
     /// grid: every `(policy, point, seed)` cell is evaluated once per

@@ -27,7 +27,7 @@
 //! read, so one decision ranks the jobs once. The slot order is:
 //!
 //! * **queue slots** — earliest deadline first, ties by id: the first
-//!   `queue_slots` rows of the engine-maintained deadline index, no sort;
+//!   `queue_slots` rows of the view's maintained deadline index, no sort;
 //! * **running slots** — least slack at the view's time first, ties by id,
 //!   so the jobs most at risk are always visible. Each job's slack is
 //!   computed once, then the running jobs are stably sorted in view order

@@ -23,11 +23,6 @@ impl CategoricalPolicy {
         }
     }
 
-    /// Wrap an existing network (used when restoring checkpoints).
-    pub fn from_network(net: Mlp) -> Self {
-        CategoricalPolicy { net }
-    }
-
     /// The underlying network.
     pub fn network(&self) -> &Mlp {
         &self.net

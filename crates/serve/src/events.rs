@@ -72,9 +72,8 @@ impl FromStr for ShedPolicy {
     }
 }
 
-/// One observable step in a job's life under the serving facade. Streamed to
-/// subscribers as it happens and appended (with `seq time ` prefixes) to the
-/// session's canonical event log.
+/// One observable step in a job's life under the serving facade, appended
+/// (with `seq time ` prefixes) to the session's canonical event log.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeEvent {
     /// A producer's job reached the engine (its arrival epoch fired).

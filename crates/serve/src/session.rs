@@ -1,7 +1,7 @@
 //! The serving session: producers feed a deterministic multiplexer, the
 //! engine's epoch loop drives the run with the session's hooks plugged in —
-//! admission control sheds under overload, and every observable step streams
-//! to subscribers and into a byte-reproducible event log.
+//! admission control sheds under overload, and every observable step goes
+//! into a byte-reproducible event log.
 //!
 //! The session does not drive epochs itself: [`ServeSession::run_source`]
 //! hands the engine ([`Simulator::run_service`]) an [`EpochHooks`] value
@@ -33,7 +33,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc;
 use std::time::Instant;
 
 use tcrm_sim::{
@@ -83,8 +83,8 @@ pub struct ServeConfig {
     pub seed: u64,
     /// Virtual-time determinism or wall-clock measurement.
     pub mode: ClockMode,
-    /// Build the canonical event-log text. `false` keeps subscribers and
-    /// every other observable identical but leaves
+    /// Build the canonical event-log text. `false` keeps every other
+    /// observable identical but leaves
     /// [`ServeReport::event_log`] empty — the log grows O(jobs), so
     /// million-arrival runs turn it off.
     pub log_events: bool,
@@ -139,16 +139,14 @@ struct JobMeta {
     producer: usize,
 }
 
-/// The event fan-out: appends canonical lines to the log (when enabled) and
-/// clones each event to every live subscriber (dead receivers are dropped).
-struct EventSink<'a> {
+/// The event log: appends one canonical line per event (when enabled).
+struct EventSink {
     text: String,
     seq: u64,
     enabled: bool,
-    subscribers: &'a mut Vec<Sender<ServeEvent>>,
 }
 
-impl EventSink<'_> {
+impl EventSink {
     fn emit(&mut self, time: f64, event: ServeEvent) {
         // `{}` on f64 is shortest-roundtrip formatting: identical bits render
         // identical bytes, which is what makes the log `cmp`-able.
@@ -156,7 +154,6 @@ impl EventSink<'_> {
             let _ = writeln!(self.text, "{} {} {}", self.seq, time, event);
         }
         self.seq += 1;
-        self.subscribers.retain(|tx| tx.send(event.clone()).is_ok());
     }
 }
 
@@ -200,7 +197,6 @@ pub struct ServeSession {
     /// The scheduler-facing snapshot, refilled in place run after run.
     view: ClusterView,
     config: ServeConfig,
-    subscribers: Vec<Sender<ServeEvent>>,
     progress: Option<Box<dyn FnMut(ServeProgress)>>,
 }
 
@@ -212,7 +208,6 @@ impl ServeSession {
             view: sim.view(),
             sim,
             config,
-            subscribers: Vec::new(),
             progress: None,
         }
     }
@@ -220,14 +215,6 @@ impl ServeSession {
     /// The serving configuration.
     pub fn config(&self) -> &ServeConfig {
         &self.config
-    }
-
-    /// Subscribe to the event stream of subsequent runs. Events arrive in
-    /// log order; dropping the receiver unsubscribes.
-    pub fn subscribe(&mut self) -> Receiver<ServeEvent> {
-        let (tx, rx) = mpsc::channel();
-        self.subscribers.push(tx);
-        rx
     }
 
     /// Install a progress hook, called from the serving thread every
@@ -239,7 +226,7 @@ impl ServeSession {
 
     /// Serve one workload **streamed** from `make_source` under `scheduler`
     /// and return the report — no intermediate `Vec<Job>` ever exists. The
-    /// session (simulator, view and subscribers) is reusable afterwards.
+    /// session (simulator and view) is reusable afterwards.
     ///
     /// Each producer thread rebuilds the source via `make_source()` and
     /// keeps only its own slots of the seeded position hash
@@ -275,7 +262,6 @@ impl ServeSession {
         let Self {
             sim,
             view,
-            subscribers,
             progress,
             ..
         } = self;
@@ -308,7 +294,6 @@ impl ServeSession {
                     text: String::new(),
                     seq: 0,
                     enabled: config.log_events,
-                    subscribers,
                 },
                 progress,
                 config,
@@ -347,7 +332,7 @@ struct ServeHooks<'a> {
     /// completion/shed, so the map holds O(queue + running) entries.
     meta: HashMap<u64, JobMeta>,
     telemetry: ServeTelemetry,
-    sink: EventSink<'a>,
+    sink: EventSink,
     progress: &'a mut Option<Box<dyn FnMut(ServeProgress)>>,
     config: ServeConfig,
     /// Virtual time of the current epoch.

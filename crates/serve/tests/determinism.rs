@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use tcrm_baselines::EdfScheduler;
-use tcrm_serve::{ClockMode, ServeConfig, ServeEvent, ServeReport, ServeSession, ShedPolicy};
+use tcrm_serve::{ClockMode, ServeConfig, ServeReport, ServeSession, ShedPolicy};
 use tcrm_sim::{Action, ClusterSpec, ClusterView, Job, Scheduler, SimConfig, Simulator};
 use tcrm_workload::{ReplaySource, ScenarioRegistry, WorkloadSource, WorkloadSpec};
 
@@ -248,25 +248,6 @@ fn wall_mode_matches_virtual_mode_job_visible_behaviour() {
         !wall.telemetry.epoch_compute.is_empty(),
         "wall mode must measure per-epoch compute"
     );
-}
-
-#[test]
-fn subscribers_see_the_logged_events_in_order() {
-    let replay = replay_for("poisson", 30, 2);
-    let mut s = session(ServeConfig::default());
-    let rx = s.subscribe();
-    let report = s.run_source(|| replay.clone(), &mut EdfScheduler::new());
-    let events: Vec<ServeEvent> = rx.try_iter().collect();
-    assert_eq!(
-        events.len() as u64,
-        report.event_log.lines().count() as u64,
-        "one streamed event per log line"
-    );
-    assert!(matches!(events.last(), Some(ServeEvent::Finished { .. })));
-    // The log is the rendered event stream.
-    for (line, event) in report.event_log.lines().zip(&events) {
-        assert!(line.ends_with(&event.to_string()), "{line} vs {event}");
-    }
 }
 
 #[test]

@@ -33,9 +33,8 @@ use crate::metrics::{
 };
 use crate::node::NodeClassId;
 use crate::pending::PendingQueue;
-use crate::resources::ResourceVector;
 use crate::scheduler::{Action, ActionOutcome, Scheduler};
-use crate::view::{ClusterView, PendingJobView, RunningJobView, ViewSync};
+use crate::view::{ClusterView, PendingJobView, RunningJobView, ViewDelta, ViewSync};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -230,37 +229,6 @@ impl RunningJob {
     }
 }
 
-/// One recorded change to the scheduler-visible state, the unit of the
-/// incremental view protocol (see [`Simulator::view_into`]). Deltas are
-/// **self-contained**: positions are valid in the view state that results
-/// from applying every earlier delta, and rows/capacities are captured at
-/// emit time, so a view can catch up from any recorded position.
-// Row-carrying variants stay inline: boxing them would put one heap
-// allocation on every arrival/start, breaking the allocation-free stepping
-// contract the counting-allocator tests pin.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum ViewDelta {
-    /// A job arrived: append this row to `pending`.
-    Arrived(PendingJobView),
-    /// A pending job started: remove the row at this arrival-order position.
-    PendingRemoved { pos: u32 },
-    /// A job started: insert this row at the given start-order position.
-    RunningInserted { pos: u32, row: RunningJobView },
-    /// A running job was re-scaled — the only change to a running row
-    /// between its start and completion: overwrite the row at this
-    /// start-order position.
-    RunningRescaled { pos: u32, row: RunningJobView },
-    /// A running job completed: remove the row at this start-order position.
-    RunningRemoved { pos: u32 },
-    /// A node's free capacity changed: overwrite its `node_free` entry.
-    NodeFree {
-        class: u32,
-        index: u32,
-        free: ResourceVector,
-    },
-}
-
 /// The most jobs any entry point pre-sizes its per-run collections for.
 const PRESIZE_JOBS: usize = 1024;
 
@@ -346,10 +314,6 @@ pub struct Simulator {
     events: EventQueue,
     pending: PendingQueue,
     running: JobIdMap<RunningJob>,
-    /// Running job ids kept sorted by `(started_at, id)` — the order
-    /// [`Self::view`] exposes. Maintained incrementally on start/completion
-    /// so building a view never re-sorts.
-    running_order: Vec<JobId>,
     /// Placement buffers of finished allocations, reused by the next start
     /// or scale-up so steady-state stepping does not allocate.
     placement_pool: Vec<Vec<Placement>>,
@@ -411,7 +375,6 @@ impl Simulator {
             events: EventQueue::new(),
             pending: PendingQueue::new(),
             running: JobIdMap::default(),
-            running_order: Vec::new(),
             placement_pool: Vec::new(),
             metrics: MetricsCollector::new(),
             total_jobs: 0,
@@ -531,10 +494,12 @@ impl Simulator {
     /// the policy exactly like one that was never scheduled. Returns `false`
     /// when the id is not pending.
     pub fn cancel_pending(&mut self, id: JobId) -> bool {
-        let Some((job, pos)) = self.pending.remove(id) else {
+        let Some(job) = self.pending.remove(id) else {
             return false;
         };
-        self.log.push(ViewDelta::PendingRemoved { pos });
+        self.log.push(ViewDelta::PendingRemoved {
+            seq: job.arrival_seq,
+        });
         self.feasibility.bump();
         self.metrics.record_unfinished(job.utility.value);
         true
@@ -549,10 +514,12 @@ impl Simulator {
     /// protocol records as a removal plus a fresh arrival. Returns `false`
     /// when the id is not pending.
     pub fn degrade_pending_to_rigid(&mut self, id: JobId) -> bool {
-        let Some((mut row, pos)) = self.pending.remove(id) else {
+        let Some(mut row) = self.pending.remove(id) else {
             return false;
         };
-        self.log.push(ViewDelta::PendingRemoved { pos });
+        self.log.push(ViewDelta::PendingRemoved {
+            seq: row.arrival_seq,
+        });
         self.feasibility.bump();
         row.malleable = false;
         row.max_parallelism = row.min_parallelism;
@@ -607,7 +574,6 @@ impl Simulator {
         // resets.
         let presize = expected_jobs.min(PRESIZE_JOBS);
         self.pending.reserve(presize);
-        self.running_order.reserve(presize);
         self.metrics.reserve(presize);
         // Budget the view change log: one entry per arrival plus a few per
         // start/completion/scale.
@@ -763,10 +729,12 @@ impl Simulator {
     /// When the snapshot was last filled by **this simulator in this run**
     /// (tracked through an engine-owned sync cookie), the refill is
     /// *incremental*: the deltas recorded since the last refill (job
-    /// arrived / started / re-scaled / completed, node capacities touched)
-    /// are replayed onto the retained rows, and only the header and
-    /// per-class free capacity are refreshed — O(changes + classes), plus
-    /// copying the engine-maintained deadline order. Rows are time-affine
+    /// arrived / started / cancelled / degraded / re-scaled / completed,
+    /// node capacities touched) are replayed onto the retained rows, and
+    /// only the header and per-class free capacity are refreshed —
+    /// O(changes + classes). The log names jobs by key; the view finds
+    /// their rows and keeps its own deadline index as it replays
+    /// (`ClusterView::replay`). Rows are time-affine
     /// (see [`RunningJobView`]): they hold reconciled state and derive
     /// `wait` / `remaining_work` / `scale_ready` at the `now` a reader asks
     /// for, so a refill where only time moved rewrites no row. Both paths
@@ -789,39 +757,10 @@ impl Simulator {
             self.rebuild_view_into(out);
             return;
         }
-        let from = out.sync.log_pos - self.log_base;
-        for delta in &self.log[from..] {
-            match delta {
-                ViewDelta::Arrived(row) => out.pending.push(row.clone()),
-                ViewDelta::PendingRemoved { pos } => {
-                    out.pending.remove(*pos as usize);
-                }
-                ViewDelta::RunningInserted { pos, row } => {
-                    out.running.insert(*pos as usize, row.clone())
-                }
-                ViewDelta::RunningRescaled { pos, row } => {
-                    out.running[*pos as usize] = row.clone();
-                }
-                ViewDelta::RunningRemoved { pos } => {
-                    out.running.remove(*pos as usize);
-                }
-                ViewDelta::NodeFree { class, index, free } => {
-                    // Routed through the setter so the view's fit index
-                    // tracks the change; the rebuild path re-derives it,
-                    // keeping both paths byte-identical.
-                    out.classes[*class as usize].set_node_free(*index as usize, *free);
-                }
-            }
-        }
+        out.replay(&self.log[out.sync.log_pos - self.log_base..]);
         out.sync.log_pos = self.log_base + self.log.len();
-        debug_assert_eq!(out.running.len(), self.running_order.len());
+        debug_assert_eq!(out.running.len(), self.running.len());
         self.refresh_header(out);
-        // The deadline index comes straight from the engine-maintained
-        // order; the rebuild reference recomputes it by sorting, so the
-        // oracle harness cross-checks the maintained index itself.
-        out.pending_by_deadline.clear();
-        out.pending_by_deadline
-            .extend(self.pending.deadline_positions());
     }
 
     /// Rebuild every row of the snapshot from scratch — the full-rebuild
@@ -829,8 +768,9 @@ impl Simulator {
     /// fallback when the view is out of sync. The static per-class skeleton
     /// (names, capacities, speed factors) is still reused when the spec is
     /// unchanged; the stored pending/running rows are cloned into the
-    /// cleared, retained buffers, with running jobs in `(started_at, id)`
-    /// order straight from the maintained index.
+    /// cleared, retained buffers, and both orders the incremental refill
+    /// maintains — running rows by `(started_at, id)`, the deadline index —
+    /// are derived by sorting.
     pub fn rebuild_view_into(&self, out: &mut ClusterView) {
         // A spec change invalidates the whole static class skeleton (names,
         // node counts, capacities, speed factors), not just its length — a
@@ -859,15 +799,13 @@ impl Simulator {
         out.pending.clear();
         out.pending.extend(self.pending.iter().cloned());
         out.running.clear();
-        out.running.extend(
-            self.running_order
-                .iter()
-                .map(|id| self.running[id].row.clone()),
-        );
+        out.running
+            .extend(self.running.values().map(|r| r.row.clone()));
+        ClusterView::sort_running(&mut out.running);
         self.refresh_header(out);
         // Reference computation of the deadline index: an actual sort over
-        // the rows, independent of the engine-maintained order (into the
-        // retained buffer).
+        // the rows, independent of the replayed index (into the retained
+        // buffer).
         let (pending, index) = (&out.pending, &mut out.pending_by_deadline);
         ClusterView::fill_sorted_deadline_index(pending, index);
         out.sync = ViewSync {
@@ -958,7 +896,6 @@ impl Simulator {
         self.events.clear();
         self.pending.clear();
         self.running.clear();
-        self.running_order.clear();
         self.metrics.reset();
         self.total_jobs = 0;
         self.next_arrival = None;
@@ -1263,14 +1200,14 @@ impl Simulator {
     }
 
     fn complete_job(&mut self, job_id: JobId) {
-        let Some(started_at) = self.running.get(&job_id).map(|r| r.row.started_at) else {
+        let Some(mut r) = self.running.remove(&job_id) else {
             return;
         };
-        // Must happen while the job is still in the map: the order index's
-        // sort key is looked up there.
-        let pos = self.remove_running_order(job_id, started_at);
-        self.log.push(ViewDelta::RunningRemoved { pos: pos as u32 });
-        let mut r = self.running.remove(&job_id).expect("running job vanished");
+        let started_at = r.row.started_at;
+        self.log.push(ViewDelta::RunningRemoved {
+            started_at,
+            id: job_id,
+        });
         // Fold the final constant-rate span into the progress integrals
         // before the record is written.
         r.reconcile(self.time);
@@ -1342,62 +1279,19 @@ impl Simulator {
             self.placement_pool.push(placements);
             return ActionOutcome::Invalid("insufficient capacity");
         }
-        let (job, pending_pos) = self.pending.remove(job_id).expect("pending job vanished");
-        self.log
-            .push(ViewDelta::PendingRemoved { pos: pending_pos });
+        let job = self.pending.remove(job_id).expect("pending job vanished");
+        self.log.push(ViewDelta::PendingRemoved {
+            seq: job.arrival_seq,
+        });
         self.cluster.apply_placement(&demand, &placements);
         self.log_node_frees(&placements);
         let alloc = Allocation::new(placements);
         let running = RunningJob::start(&self.cluster, job, class, alloc, self.time);
-        let row = running.row.clone();
+        self.log
+            .push(ViewDelta::RunningInserted(running.row.clone()));
         self.running.insert(job_id, running);
-        let order_pos = self.insert_running_order(job_id);
-        self.log.push(ViewDelta::RunningInserted {
-            pos: order_pos as u32,
-            row,
-        });
         self.schedule_completion(job_id);
         ActionOutcome::Started
-    }
-
-    /// Insert `job_id` into the `(started_at, id)`-sorted order index and
-    /// return its position. Jobs start at the current clock, so the
-    /// insertion point is at or very near the tail; the binary search only
-    /// resolves same-timestamp ties.
-    fn insert_running_order(&mut self, job_id: JobId) -> usize {
-        let key = |id: &JobId| (self.running[id].row.started_at, *id);
-        let probe = key(&job_id);
-        let pos = self.running_order.partition_point(|id| key(id) < probe);
-        self.running_order.insert(pos, job_id);
-        pos
-    }
-
-    /// Remove `job_id` from the order index and return the position it
-    /// occupied. Pure binary search — O(log n) in all cases: the
-    /// `(started_at, id)` key is unique and totally ordered (start times are
-    /// engine clock readings, which are always finite and non-decreasing),
-    /// so the probe lands exactly on the job's entry. Index corruption is a
-    /// bug, not a recoverable state — it would silently desynchronise every
-    /// incremental view — so it panics instead of degrading to a linear
-    /// scan.
-    fn remove_running_order(&mut self, job_id: JobId, started_at: f64) -> usize {
-        let pos = self.running_order_pos(job_id, started_at);
-        self.running_order.remove(pos);
-        pos
-    }
-
-    /// Position of a running job in the order index (the binary search of
-    /// [`Self::remove_running_order`], which see).
-    fn running_order_pos(&self, job_id: JobId, started_at: f64) -> usize {
-        let probe = (started_at, job_id);
-        let pos = self
-            .running_order
-            .partition_point(|id| (self.running[id].row.started_at, *id) < probe);
-        assert!(
-            self.running_order.get(pos) == Some(&job_id),
-            "running-order index out of sync for {job_id}"
-        );
-        pos
     }
 
     fn apply_scale(&mut self, job_id: JobId, new_parallelism: u32) -> ActionOutcome {
@@ -1457,13 +1351,8 @@ impl Simulator {
         r.row.last_scaled_at = self.time;
         r.row.units = r.alloc.total_units();
         r.row.rate = RunningJob::compute_rate(&self.cluster, &r.row);
-        let row = r.row.clone();
+        self.log.push(ViewDelta::RunningRescaled(r.row.clone()));
         self.metrics.record_scale_event();
-        let pos = self.running_order_pos(job_id, row.started_at);
-        self.log.push(ViewDelta::RunningRescaled {
-            pos: pos as u32,
-            row,
-        });
         self.schedule_completion(job_id);
         ActionOutcome::Scaled
     }
@@ -1933,8 +1822,8 @@ mod tests {
 
     #[test]
     fn running_view_order_is_start_time_then_id() {
-        // Start jobs out of id order at identical timestamps and verify the
-        // incrementally maintained order matches the documented sort key.
+        // Start jobs out of id order at identical timestamps and verify both
+        // the replayed and the rebuilt order match the documented sort key.
         let spec = ClusterSpec::new(vec![NodeClassSpec::new(
             "wide",
             8,
@@ -1951,7 +1840,10 @@ mod tests {
         for _ in 0..5 {
             assert!(sim.advance());
         }
-        // Start in a scrambled order; started_at is identical for all.
+        // Start in a scrambled order; started_at is identical for all. The
+        // refilled view replays each start into place by binary search; the
+        // fresh view sorts the rows.
+        let mut refilled = sim.view();
         for id in [9u64, 1, 7, 5, 3] {
             let outcome = sim.apply(&Action::Start {
                 job: JobId(id),
@@ -1959,9 +1851,12 @@ mod tests {
                 parallelism: 1,
             });
             assert_eq!(outcome, ActionOutcome::Started);
+            sim.view_into(&mut refilled);
         }
-        let order: Vec<u64> = sim.view().running.iter().map(|r| r.id.0).collect();
-        assert_eq!(order, vec![1, 3, 5, 7, 9]);
+        for view in [sim.view(), refilled] {
+            let order: Vec<u64> = view.running.iter().map(|r| r.id.0).collect();
+            assert_eq!(order, vec![1, 3, 5, 7, 9]);
+        }
     }
 
     #[test]

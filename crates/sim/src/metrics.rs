@@ -108,11 +108,6 @@ impl PerClassUtilization {
     pub fn iter(&self) -> std::slice::Iter<'_, ResourceVector> {
         self.values[..self.len].iter()
     }
-
-    /// The populated prefix as a slice.
-    pub fn as_slice(&self) -> &[ResourceVector] {
-        &self.values[..self.len]
-    }
 }
 
 impl std::ops::Index<usize> for PerClassUtilization {

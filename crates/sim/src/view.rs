@@ -5,6 +5,13 @@
 //! epoch; no other public path builds one. It owns its data (no borrows
 //! into the engine) so policies can keep a clone around or ship it to an
 //! RL replay buffer.
+//!
+//! The view owns its layout: pending rows in arrival order, running rows in
+//! `(started_at, id)` order and the deadline index over the pending rows.
+//! The engine's change log names jobs by key (`ViewDelta`), and the
+//! incremental refill's `ClusterView::replay` is the one place that finds
+//! their positions and keeps the deadline index in step; the engine keeps
+//! neither order.
 
 use crate::config::ClusterSpec;
 use crate::fit_index::{rank_floor, units_that_fit, FitIndex};
@@ -367,6 +374,41 @@ impl RunningJobView {
     }
 }
 
+/// One recorded change to the scheduler-visible state, the unit of the
+/// incremental view protocol (see [`crate::engine::Simulator::view_into`]).
+/// Deltas name jobs by key, never by a position in a view's arrays: a
+/// pending row by its [`PendingJobView::arrival_seq`], a running row by its
+/// `(started_at, id)`. [`ClusterView::replay`] turns keys into positions,
+/// so the view is the only owner of its layout and its indices. Rows and
+/// capacities are captured at emit time, so a view can catch up from any
+/// recorded position.
+// Row-carrying variants stay inline: boxing them would put one heap
+// allocation on every arrival/start, breaking the allocation-free stepping
+// contract the counting-allocator tests pin.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+pub(crate) enum ViewDelta {
+    /// A job arrived: append this row to `pending`.
+    Arrived(PendingJobView),
+    /// A pending job started, was cancelled or was degraded: remove the
+    /// row with this arrival sequence number.
+    PendingRemoved { seq: u64 },
+    /// A job started: insert this row at its `(started_at, id)` position.
+    RunningInserted(RunningJobView),
+    /// A running job was re-scaled — the only change to a running row
+    /// between its start and completion: overwrite the row with the same
+    /// `(started_at, id)`.
+    RunningRescaled(RunningJobView),
+    /// A running job completed: remove the row with this key.
+    RunningRemoved { started_at: f64, id: JobId },
+    /// A node's free capacity changed: overwrite its `node_free` entry.
+    NodeFree {
+        class: u32,
+        index: u32,
+        free: ResourceVector,
+    },
+}
+
 /// Synchronisation cookie of the incremental view maintenance protocol.
 ///
 /// A [`ClusterView`] refilled by [`crate::engine::Simulator::view_into`]
@@ -401,14 +443,16 @@ pub struct ClusterView {
     pub classes: Vec<NodeClassView>,
     /// Pending jobs in arrival order.
     pub pending: Vec<PendingJobView>,
-    /// Running jobs in start order.
+    /// Running jobs in start order: sorted by `(started_at, id)`.
     pub running: Vec<RunningJobView>,
     /// Number of jobs that have not yet arrived.
     pub future_arrivals: usize,
     /// Indices into [`Self::pending`] ordered by `(deadline, id)` — the
-    /// engine-maintained deadline index. EDF-family schedulers iterate
-    /// [`Self::pending_in_deadline_order`] and the DRL queue slots are its
-    /// first rows, instead of re-sorting the queue at every decision.
+    /// deadline index, which the incremental refill maintains as it replays
+    /// arrivals and removals (the full rebuild sorts it afresh). EDF-family
+    /// schedulers iterate [`Self::pending_in_deadline_order`] and the DRL
+    /// queue slots are its first rows, instead of re-sorting the queue at
+    /// every decision.
     pub pending_by_deadline: Vec<u32>,
     /// Whether the engine accepts re-scaling at all (its
     /// `SimConfig::allow_scaling`); read by [`Self::scale_ready`].
@@ -473,8 +517,8 @@ impl ClusterView {
 
     /// Compute the `(deadline, id)`-sorted index over a pending-row slice
     /// from scratch into a caller-retained buffer — the full-rebuild
-    /// reference for the engine-maintained index (allocation-free once
-    /// `out` has capacity; `sort_unstable` sorts in place).
+    /// reference for the index [`Self::replay`] maintains (allocation-free
+    /// once `out` has capacity; `sort_unstable` sorts in place).
     pub(crate) fn fill_sorted_deadline_index(pending: &[PendingJobView], out: &mut Vec<u32>) {
         out.clear();
         out.extend(0..pending.len() as u32);
@@ -515,6 +559,97 @@ impl ClusterView {
         }
         let hi = (lo + step - 1).min(order.len());
         lo + order[lo..hi].partition_point(below)
+    }
+
+    /// Sort running rows by `(started_at, id)`, the order of
+    /// [`Self::running`] — the full-rebuild reference for the order
+    /// [`Self::replay`] keeps by binary search (in place, no allocation).
+    pub(crate) fn sort_running(running: &mut [RunningJobView]) {
+        running.sort_unstable_by(|a, b| {
+            a.started_at
+                .partial_cmp(&b.started_at)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.id.cmp(&b.id))
+        });
+    }
+
+    /// Apply recorded deltas in log order — the one place that turns the
+    /// log's keys into positions in the view's arrays. Pending rows are
+    /// found by binary search on [`PendingJobView::arrival_seq`] and
+    /// running rows on `(started_at, id)`; both keys are unique and
+    /// increase along their arrays. [`Self::pending_by_deadline`] follows
+    /// every arrival and removal. Costs O(log rows) per delta plus the
+    /// shifts of an insertion or removal; the deadline index is never
+    /// copied or re-sorted.
+    pub(crate) fn replay(&mut self, deltas: &[ViewDelta]) {
+        for delta in deltas {
+            match delta {
+                ViewDelta::Arrived(row) => {
+                    let at = self.deadline_position(0, row.deadline, row.id);
+                    self.pending_by_deadline
+                        .insert(at, self.pending.len() as u32);
+                    self.pending.push(row.clone());
+                }
+                ViewDelta::PendingRemoved { seq } => self.remove_pending(*seq),
+                ViewDelta::RunningInserted(row) => {
+                    let at = self.running_position(row.started_at, row.id);
+                    self.running.insert(at, row.clone());
+                }
+                ViewDelta::RunningRescaled(row) => {
+                    let at = self.running_slot(row.started_at, row.id);
+                    self.running[at] = row.clone();
+                }
+                ViewDelta::RunningRemoved { started_at, id } => {
+                    let at = self.running_slot(*started_at, *id);
+                    self.running.remove(at);
+                }
+                ViewDelta::NodeFree { class, index, free } => {
+                    // Routed through the setter so the view's fit index
+                    // tracks the change; the rebuild path re-derives it,
+                    // keeping both paths byte-identical.
+                    self.classes[*class as usize].set_node_free(*index as usize, *free);
+                }
+            }
+        }
+    }
+
+    /// Remove the pending row with arrival sequence number `seq` and its
+    /// deadline-index entry, and renumber the entries of the rows behind it.
+    fn remove_pending(&mut self, seq: u64) {
+        let pos = self.pending.partition_point(|j| j.arrival_seq < seq);
+        let job = self
+            .pending
+            .get(pos)
+            .filter(|j| j.arrival_seq == seq)
+            .unwrap_or_else(|| panic!("no pending row with arrival sequence {seq}"));
+        let at = self.deadline_position(0, job.deadline, job.id);
+        debug_assert_eq!(self.pending_by_deadline[at], pos as u32);
+        self.pending_by_deadline.remove(at);
+        for index in &mut self.pending_by_deadline {
+            if *index > pos as u32 {
+                *index -= 1;
+            }
+        }
+        self.pending.remove(pos);
+    }
+
+    /// Position of the first running row whose `(started_at, id)` is not
+    /// below the given key.
+    fn running_position(&self, started_at: f64, id: JobId) -> usize {
+        self.running
+            .partition_point(|r| (r.started_at, r.id) < (started_at, id))
+    }
+
+    /// Position of the running row with this key. Start times are engine
+    /// clock readings (finite), so the search lands exactly on the row; a
+    /// miss means the view was mutated behind the engine's back.
+    fn running_slot(&self, started_at: f64, id: JobId) -> usize {
+        let at = self.running_position(started_at, id);
+        assert!(
+            self.running.get(at).is_some_and(|r| r.id == id),
+            "no running row for {id}"
+        );
+        at
     }
 
     /// Change-log position of the simulator state this view mirrors.

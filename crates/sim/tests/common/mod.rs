@@ -96,15 +96,18 @@ pub fn dense_params(n: usize, gpu_every: usize) -> Vec<JobParams> {
 }
 
 /// The action script paired with [`dense_params`]. Every tenth action asks
-/// a running job for one unit, a scale-down of any job running wider.
+/// a running job for one unit, a scale-down of any job running wider. One
+/// step in forty cancels and one degrades the second job in the queue,
+/// which is mid-queue whenever three or more jobs wait.
 pub fn dense_script() -> Vec<(u8, u8, u8)> {
     (0..200u32)
         .map(|i| {
             let (x, y) = ((i * 7 % 251) as u8, (i * 13 % 241) as u8);
-            if i % 10 == 9 {
-                (2, x, 0)
-            } else {
-                ((i % 5) as u8, x, y)
+            match (i % 10, i % 40) {
+                (9, _) => (2, x, 0),
+                (_, 13) => (5, 1, y),
+                (_, 4) => (6, 1, y),
+                _ => ((i % 5) as u8, x, y),
             }
         })
         .collect()
@@ -132,9 +135,10 @@ pub fn build_jobs(params: &[JobParams]) -> Vec<Job> {
 }
 
 /// Derive one (possibly invalid) action from a script triple and the
-/// current view.
+/// current view. Kinds 5 and 6 are the queue operations
+/// [`run_against_oracles`] applies itself; here they wait.
 pub fn script_action(view: &ClusterView, kind: u8, x: u8, y: u8) -> Action {
-    match kind % 5 {
+    match kind % 7 {
         0 | 1 => {
             // Start a pending job — class index deliberately runs one past
             // the real classes so "unknown node class" is exercised, and the
@@ -216,6 +220,13 @@ pub struct OracleRun {
     pub accepted_scale_downs: usize,
     /// Placement queries whose rank floor skipped at least one node.
     pub pruned_queries: usize,
+    /// Queued jobs cancelled (each one a `PendingRemoved` delta).
+    pub cancels: usize,
+    /// Queued jobs degraded to rigid (a `PendingRemoved` delta and a
+    /// re-admission at the tail).
+    pub degrades: usize,
+    /// Cancels and degrades of a job neither first nor last in the queue.
+    pub mid_queue: usize,
 }
 
 /// Refill `view` incrementally and `oracle` from scratch and require them
@@ -262,10 +273,11 @@ fn check_oracles(
     cluster.check_invariants().expect("cluster invariants");
 }
 
-/// Step one simulator through `jobs` and `script` (two script actions per
-/// epoch), checking it against its oracles at the start, at every epoch and
-/// after every action. The view is compacted out of the change log at the
-/// end of each epoch, as the engine's own epoch loop does.
+/// Step one simulator through `jobs` and `script` (two script steps per
+/// epoch: an action, or a cancel or degrade of a queued job), checking it
+/// against its oracles at the start, at every epoch and after every step.
+/// The view is compacted out of the change log at the end of each epoch, as
+/// the engine's own epoch loop does.
 pub fn run_against_oracles(
     spec: ClusterSpec,
     jobs: Vec<Job>,
@@ -303,6 +315,22 @@ pub fn run_against_oracles(
                 break;
             };
             cursor += 1;
+            if kind % 7 >= 5 && !view.pending.is_empty() {
+                // Cancel or degrade the queued job at a script-chosen
+                // position, through the service hooks admission uses.
+                let pos = x as usize % view.pending.len();
+                let id = view.pending[pos].id;
+                if kind % 7 == 5 {
+                    assert!(sim.cancel_pending(id), "{id} is queued");
+                    run.cancels += 1;
+                } else {
+                    assert!(sim.degrade_pending_to_rigid(id), "{id} is queued");
+                    run.degrades += 1;
+                }
+                run.mid_queue += usize::from(pos > 0 && pos + 1 < view.pending.len());
+                check_oracles(&sim, &mut view, &mut oracle, &mut run);
+                continue;
+            }
             let action = script_action(&view, kind, x, y);
             let outcome = sim.apply(&action);
             match action {

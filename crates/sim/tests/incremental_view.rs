@@ -24,11 +24,13 @@ use tcrm_sim::prelude::*;
 /// view is byte-identical to the rebuilt reference at every epoch and after
 /// every action. The cases together must apply at least one accepted
 /// scale-up and one accepted scale-down, so the `RunningRescaled` patch of
-/// both directions is part of what is compared.
+/// both directions is part of what is compared, and cancel and degrade
+/// queued jobs, so the key-based `PendingRemoved` replay is too.
 #[test]
 fn incremental_view_matches_rebuild_reference() {
     static SCALE_UPS: AtomicUsize = AtomicUsize::new(0);
     static SCALE_DOWNS: AtomicUsize = AtomicUsize::new(0);
+    static QUEUE_OPS: AtomicUsize = AtomicUsize::new(0);
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -40,6 +42,7 @@ fn incremental_view_matches_rebuild_reference() {
             let run = run_against_oracles(two_class_spec(), build_jobs(&params), &script, interval);
             SCALE_UPS.fetch_add(run.accepted_scale_ups, Ordering::Relaxed);
             SCALE_DOWNS.fetch_add(run.accepted_scale_downs, Ordering::Relaxed);
+            QUEUE_OPS.fetch_add(run.cancels.min(run.degrades), Ordering::Relaxed);
         }
     }
     incremental_view_matches_rebuild_reference();
@@ -51,17 +54,25 @@ fn incremental_view_matches_rebuild_reference() {
         SCALE_DOWNS.load(Ordering::Relaxed) > 0,
         "no case applied an accepted scale-down"
     );
+    assert!(
+        QUEUE_OPS.load(Ordering::Relaxed) > 0,
+        "no case both cancelled and degraded a queued job"
+    );
 }
 
 #[test]
 fn paired_run_with_dense_script_exercises_scales_and_rejections() {
     // A deterministic, action-dense companion to the proptest.
-    let jobs = build_jobs(&dense_params(14, 0));
+    let jobs = build_jobs(&dense_params(16, 0));
     let run = run_against_oracles(two_class_spec(), jobs, &dense_script(), 2.0);
-    assert!(run.epochs >= 14, "expected at least one epoch per job");
+    assert!(run.epochs >= 16, "expected at least one epoch per job");
     assert!(
         run.accepted_scale_ups > 0 && run.accepted_scale_downs > 0,
         "the dense script must scale a running job up and down: {run:?}"
+    );
+    assert!(
+        run.cancels > 0 && run.degrades > 0 && run.mid_queue > 0,
+        "the dense script must cancel and degrade queued jobs, mid-queue too: {run:?}"
     );
 }
 
