@@ -135,7 +135,8 @@ impl Scheduler for EasyBackfillScheduler {
 
         // Deadline order straight from the view's maintained index.
         for job in view.pending_in_deadline_order() {
-            let placement = util::best_class_for(job, view)
+            let placement = view
+                .best_class_for(job)
                 .and_then(|class| util::deadline_parallelism(job, view, class).map(|p| (class, p)));
 
             match (placement, reservation) {

@@ -1,7 +1,7 @@
 //! Earliest-deadline-first scheduling with deadline-aware parallelism.
 
 use crate::util;
-use tcrm_sim::{Action, ClusterView, Scheduler};
+use tcrm_sim::{Action, ClusterView, Scheduler, StartMemo};
 
 /// Classic EDF adapted to elastic jobs: the queue is ordered by absolute
 /// deadline and each job starts on its fastest feasible class with the
@@ -11,7 +11,7 @@ use tcrm_sim::{Action, ClusterView, Scheduler};
 /// non-learning contender of the DRL agent.
 #[derive(Debug, Clone, Default)]
 pub struct EdfScheduler {
-    memo: util::StartMemo,
+    memo: StartMemo,
 }
 
 impl EdfScheduler {
@@ -21,7 +21,7 @@ impl EdfScheduler {
     }
 
     /// The start pass's memo (its work counters).
-    pub fn start_memo(&self) -> &util::StartMemo {
+    pub fn start_memo(&self) -> &StartMemo {
         &self.memo
     }
 }
@@ -33,7 +33,7 @@ impl Scheduler for EdfScheduler {
 
     fn decide(&mut self, view: &ClusterView) -> Vec<Action> {
         let mut actions = Vec::new();
-        self.memo.push_starts(view, &mut actions);
+        util::push_deadline_starts(&mut self.memo, view, &mut actions);
         actions
     }
 

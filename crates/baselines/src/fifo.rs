@@ -1,6 +1,5 @@
 //! Strict first-come-first-served scheduling.
 
-use crate::util;
 use tcrm_sim::{Action, ClusterView, Scheduler};
 
 /// FCFS without backfilling: jobs start in arrival order at their minimum
@@ -25,7 +24,7 @@ impl Scheduler for FifoScheduler {
         let mut actions = Vec::new();
         // Pending jobs are already in arrival order.
         for job in &view.pending {
-            match util::best_class_for(job, view) {
+            match view.best_class_for(job) {
                 Some(class) => actions.push(Action::Start {
                     job: job.id,
                     class,

@@ -8,7 +8,7 @@
 //! slack and other jobs are waiting for resources.
 
 use crate::util;
-use tcrm_sim::{Action, ClusterView, RunningJobView, Scheduler};
+use tcrm_sim::{Action, ClusterView, RunningJobView, Scheduler, StartMemo};
 
 /// Tuning knobs of the heuristic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,7 +34,7 @@ impl Default for GreedyElasticConfig {
 #[derive(Debug, Clone, Default)]
 pub struct GreedyElasticScheduler {
     config: GreedyElasticConfig,
-    memo: util::StartMemo,
+    memo: StartMemo,
 }
 
 impl GreedyElasticScheduler {
@@ -109,7 +109,7 @@ impl Scheduler for GreedyElasticScheduler {
 
         // 2. Start pending jobs EDF-ordered at the cheapest deadline-meeting
         //    parallelism on their fastest feasible class.
-        self.memo.push_starts(view, &mut actions);
+        util::push_deadline_starts(&mut self.memo, view, &mut actions);
         actions
     }
 

@@ -1,6 +1,5 @@
 //! Shortest-job-first scheduling.
 
-use crate::util;
 use tcrm_sim::{Action, ClusterView, Scheduler};
 
 /// Orders the queue by best-case service time (the job's work divided by the
@@ -33,7 +32,7 @@ impl Scheduler for SjfScheduler {
         });
         let mut actions = Vec::new();
         for job in order {
-            if let Some(class) = util::best_class_for(job, view) {
+            if let Some(class) = view.best_class_for(job) {
                 actions.push(Action::Start {
                     job: job.id,
                     class,

@@ -10,9 +10,10 @@
 //! scheduler zoo.
 //!
 //! The same stepping pins the EDF family's start memo
-//! (`util::StartMemo`): at every `decide` a memoized scheduler must return
-//! exactly what a memo-free twin returns on the same view, including when
-//! epochs pass without a decision and on an older clone of the view; and
+//! (`tcrm_sim::StartMemo`): at every `decide` a memoized scheduler must
+//! return exactly what a memo-free twin returns on the same view, including
+//! when epochs pass without a decision, when queued jobs were cancelled or
+//! degraded since the last decide, and on an older clone of the view; and
 //! EDF's exact work counts on a `sim_scale` style trace are pinned, so a
 //! memo that silently stops skipping rows fails here.
 
@@ -128,10 +129,6 @@ fn assert_view_matches_rebuild(sim: &Simulator, view: &ClusterView, oracle: &mut
         "deadline index diverged"
     );
     assert_eq!(
-        view.feasibility_gen, oracle.feasibility_gen,
-        "feasibility generation diverged"
-    );
-    assert_eq!(
         view.released_at, oracle.released_at,
         "release stamps diverged"
     );
@@ -153,6 +150,11 @@ struct Stepped {
     /// Rounds whose view shows capacity released on at least two classes
     /// since the scheduler's previous round, one of them by a scale-down.
     multi_release_rounds: usize,
+    /// Queued jobs cancelled and degraded by [`Cadence::surgery`].
+    cancels: usize,
+    degrades: usize,
+    /// Cancels and degrades of a job neither first nor last in the queue.
+    mid_queue: usize,
 }
 
 /// Which epochs [`stepped_run`] decides at, and for how many rounds.
@@ -166,12 +168,19 @@ struct Cadence {
     /// state, so capacity a scale-down releases is first seen together
     /// with whatever the next epochs release.
     rounds: Option<usize>,
+    /// Before the first round of every decided epoch with an even epoch
+    /// count and a non-empty queue, take the queued job at a position
+    /// chosen from the queue (the `k`-th operation, from 0, takes position
+    /// `k` modulo the queue length) and cancel it (every third operation)
+    /// or degrade it to rigid.
+    surgery: bool,
 }
 
 /// The engine's own round semantics, at every epoch.
 const EVERY_EPOCH: Cadence = Cadence {
     every: 1,
     rounds: None,
+    surgery: false,
 };
 
 /// One batch run stepped by hand, checking the view against its rebuild
@@ -192,6 +201,7 @@ fn stepped_run(
         .rounds
         .unwrap_or(sim.config().max_decisions_per_epoch);
     let (mut checked, mut multi_release_rounds) = (0, 0);
+    let (mut cancels, mut degrades, mut mid_queue) = (0, 0, 0);
     let mut epochs = 0;
     // Log position of the previous round's view, and the classes
     // scale-downs released capacity on since.
@@ -203,6 +213,20 @@ fn stepped_run(
         epochs += 1;
         if epochs % cadence.every != 0 {
             continue;
+        }
+        let queued = sim.pending_count();
+        if cadence.surgery && queued > 0 && epochs % 2 == 0 {
+            let k = cancels + degrades;
+            let pos = k % queued;
+            let id = sim.pending_jobs().nth(pos).expect("position in queue").id;
+            if k % 3 == 0 {
+                assert!(sim.cancel_pending(id), "{id} is queued");
+                cancels += 1;
+            } else {
+                assert!(sim.degrade_pending_to_rigid(id), "{id} is queued");
+                degrades += 1;
+            }
+            mid_queue += usize::from(pos > 0 && pos + 1 < queued);
         }
         let mut epoch_changed_state = false;
         for _ in 0..max_rounds {
@@ -261,6 +285,9 @@ fn stepped_run(
         completed: sim.completed_so_far().to_vec(),
         rounds: checked,
         multi_release_rounds,
+        cancels,
+        degrades,
+        mid_queue,
     }
 }
 
@@ -329,21 +356,41 @@ fn small_cluster() -> ClusterSpec {
 fn memoized_decisions_match_a_memo_free_twin() {
     let jobs = workload(80);
     let mut multi_release_rounds = 0;
-    for cluster in [ClusterSpec::icpp_default(), small_cluster()] {
-        for name in MEMOIZED {
-            for (every, rounds) in [(1, None), (2, None), (1, Some(1))] {
+    for name in MEMOIZED {
+        // Queue operations over both clusters: cancels, degrades, mid-queue.
+        let mut surgery_ops = (0, 0, 0);
+        for cluster in [ClusterSpec::icpp_default(), small_cluster()] {
+            for (every, rounds, surgery) in [
+                (1, None, false),
+                (2, None, false),
+                (1, Some(1), false),
+                (1, None, true),
+            ] {
                 let mut twin = scheduler(name);
                 let stepped = stepped_run(
                     &cluster,
                     &jobs,
                     scheduler(name).as_mut(),
                     Some(twin.as_mut()),
-                    Cadence { every, rounds },
+                    Cadence {
+                        every,
+                        rounds,
+                        surgery,
+                    },
                 );
                 assert!(stepped.rounds > 0, "{name}: no decision round was checked");
                 multi_release_rounds += stepped.multi_release_rounds;
+                surgery_ops.0 += stepped.cancels;
+                surgery_ops.1 += stepped.degrades;
+                surgery_ops.2 += stepped.mid_queue;
             }
         }
+        let (cancels, degrades, mid_queue) = surgery_ops;
+        assert!(
+            cancels > 0 && degrades > 0 && mid_queue > 0,
+            "{name}: the surgery must cancel and degrade queued jobs, mid-queue too \
+             ({cancels} cancels, {degrades} degrades, {mid_queue} mid-queue)"
+        );
     }
     // Some round followed releases on two classes, one by a scale-down.
     assert!(
@@ -364,6 +411,33 @@ fn memoized_decisions_match_a_memo_free_twin() {
         "the memo skipped nothing: {memo:?} vs {} memo-free calls",
         memo_free.can_start_calls
     );
+}
+
+#[test]
+fn queue_surgery_costs_edf_no_full_scan() {
+    // Cancels and degrades add no capacity and re-admit a degraded row as an
+    // arrival, so only the first decide of the run scans the whole queue
+    // (one row: the first job arrives alone).
+    let surgery = Cadence {
+        surgery: true,
+        ..EVERY_EPOCH
+    };
+    let mut edf = EdfScheduler::new();
+    let stepped = stepped_run(
+        &small_cluster(),
+        &workload(80),
+        &mut edf,
+        Some(&mut EdfScheduler::new()),
+        surgery,
+    );
+    assert!(stepped.cancels > 0 && stepped.degrades > 0);
+    let memo = edf.start_memo();
+    assert_eq!(
+        memo.full_rows(),
+        1,
+        "a full scan after queue surgery: {memo:?}"
+    );
+    assert!(memo.memo_rows() > 0 && memo.release_rows() > 0);
 }
 
 /// One node of 8 CPUs and two 6-CPU rigid jobs arriving together: both fit
@@ -396,25 +470,28 @@ fn contended_view() -> (Simulator, ClusterView) {
 }
 
 #[test]
-fn an_older_view_of_the_same_generation_gets_a_full_scan() {
+fn an_older_view_of_the_same_run_gets_a_full_scan() {
     let (mut sim, mut view) = contended_view();
     let old = view.clone();
     let mut edf = EdfScheduler::new();
     let first = edf.decide(&view);
     assert_eq!(first.len(), 2, "both jobs fit alone: {first:?}");
+    assert_eq!(edf.start_memo().full_rows(), 2);
     assert!(sim.apply(&first[0]).changed_state());
     assert!(sim.apply(&first[1]).is_invalid());
     sim.view_into(&mut view);
-    assert_eq!(view.feasibility_gen, old.feasibility_gen);
     assert!(view.log_position() > old.log_position());
     assert!(
         edf.decide(&view).is_empty(),
         "the second job no longer fits"
     );
+    // The later view of the same run reused the memo: no full scan.
+    assert_eq!(edf.start_memo().full_rows(), 2);
     // The older clone still has room for both: it must not reuse the memo
     // made on the later view.
     let mut twin = EdfScheduler::new();
     assert_eq!(edf.decide(&old), twin.decide(&old));
+    assert_eq!(edf.start_memo().full_rows(), 4);
     assert_eq!(edf.decide(&old), first);
 }
 
@@ -426,25 +503,32 @@ fn an_older_view_after_a_release_gets_a_full_scan() {
     assert!(sim.apply(&first[0]).changed_state());
     sim.view_into(&mut view);
     assert!(edf.decide(&view).is_empty(), "job 1 is blocked");
-    // Job 0 completes after the memo's view: a release, not a new
-    // generation, and the release pass finds job 1 startable.
-    let gen = view.feasibility_gen;
+    // Job 0 completes after the memo's view: a release on the same run,
+    // and the release pass finds job 1 startable.
+    let before = view.log_position();
     while sim.last_epoch() != EpochKind::Completion(JobId(0)) {
         assert!(sim.advance());
     }
     sim.view_into(&mut view);
-    assert_eq!(view.feasibility_gen, gen);
+    assert!(view.released_at[0] > before && view.log_position() >= view.released_at[0]);
+    let full_rows = edf.start_memo().full_rows();
     let released = view.clone();
     let start = edf.decide(&released);
     assert_eq!(start, EdfScheduler::new().decide(&released));
     assert_eq!(start.len(), 1, "job 1 fits the released node: {start:?}");
     assert!(edf.start_memo().release_rows() > 0);
+    assert_eq!(
+        edf.start_memo().full_rows(),
+        full_rows,
+        "same run: no full scan"
+    );
     assert!(sim.apply(&start[0]).changed_state());
     sim.view_into(&mut view);
     assert!(edf.decide(&view).is_empty(), "nothing is left to start");
     // The older clone still has the released node free: it must not reuse
     // the memo made on the later view.
     assert_eq!(edf.decide(&released), start);
+    assert!(edf.start_memo().full_rows() > full_rows);
 }
 
 /// EDF with its memo forgotten before every call: every start pass is a

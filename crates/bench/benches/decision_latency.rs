@@ -38,9 +38,9 @@ fn bench_decisions(c: &mut Criterion) {
     for &scale in &[1.0f64, 4.0] {
         let view = loaded_view(scale);
         let nodes = view.spec.num_nodes();
-        // EDF and greedy-elastic memoize their start pass across calls on
-        // one feasibility generation; forgetting the memo every call keeps
-        // these rows timing the full scan a fresh epoch pays.
+        // EDF and greedy-elastic memoize their start pass across the views
+        // of one simulator run; forgetting the memo every call keeps these
+        // rows timing the full scan a fresh run pays.
         let mut edf = tcrm_baselines::EdfScheduler::new();
         group.bench_with_input(BenchmarkId::new("edf", nodes), &view, |b, view| {
             b.iter(|| {

@@ -18,7 +18,7 @@ use tcrm_core::{
     train_agent, AgentConfig, DrlScheduler, LearnerKind, RewardKind, TrainConfig, TrainSetup,
 };
 use tcrm_rl::TrainingHistory;
-use tcrm_sim::{ClusterSpec, Job, JobClass, SimConfig, Simulator};
+use tcrm_sim::{ClusterSpec, Job, SimConfig, Simulator};
 use tcrm_workload::{load_sweep, slack_sweep, SyntheticSource, WorkloadSpec};
 
 /// The rendered output of one experiment.
@@ -987,11 +987,6 @@ impl Lab {
             _ => None,
         }
     }
-
-    /// Convenience: the mix of job classes in the workload (used by tests).
-    pub fn job_classes(&self) -> Vec<JobClass> {
-        self.workload.classes.iter().map(|c| c.class).collect()
-    }
 }
 
 #[cfg(test)]
@@ -1016,7 +1011,6 @@ mod tests {
         assert!(out.markdown.contains("cpu-heavy"));
         assert!(out.markdown.contains("ml-train"));
         assert_eq!(out.csv.lines().count(), 1 + 4 + 1 + 4);
-        assert_eq!(lab.job_classes().len(), 4);
     }
 
     #[test]

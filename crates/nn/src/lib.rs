@@ -24,7 +24,7 @@
 //!   heap allocations after warm-up** (see `tests/alloc_free.rs` for the
 //!   counting-allocator proof and `Mlp::forward_ws` for the inference entry
 //!   point),
-//! * [`Adam`] and [`Sgd`] optimisers,
+//! * the [`Adam`] optimiser,
 //! * numerically stable softmax / log-softmax / cross-entropy helpers with
 //!   support for **action masking** (infeasible scheduling actions receive
 //!   probability zero),
@@ -70,4 +70,4 @@ pub use loss::{
 };
 pub use matrix::Matrix;
 pub use mlp::{Mlp, MlpConfig, Workspace};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer};

@@ -1,7 +1,7 @@
-//! Optimisers: plain SGD (with optional momentum) and Adam.
+//! Optimisers: the [`Optimizer`] interface and Adam.
 //!
-//! Both operate on the gradients an [`Mlp`] accumulated via `backward` and
-//! keep their own per-parameter state vectors, indexed in layer order
+//! An optimiser operates on the gradients an [`Mlp`] accumulated via
+//! `backward` and keeps its own per-parameter state vectors, indexed in layer order
 //! (weights row-major, then bias) so the state lines up deterministically
 //! across steps and across checkpoint restores of the same architecture.
 
@@ -19,70 +19,6 @@ pub trait Optimizer {
 
     /// Change the learning rate (used by schedules).
     fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<f32>,
-}
-
-impl Sgd {
-    /// Plain SGD.
-    pub fn new(num_parameters: usize, lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: vec![0.0; num_parameters],
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(num_parameters: usize, lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: vec![0.0; num_parameters],
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, net: &mut Mlp) {
-        let mut idx = 0usize;
-        for layer in net.layers_mut() {
-            let n = layer.weights.rows() * layer.weights.cols();
-            // Borrow gradients and parameters side by side (disjoint fields):
-            // no gradient clone, no allocation.
-            if let Some(gw) = &layer.grad_weights {
-                let w = layer.weights.data_mut();
-                for (i, g) in gw.data().iter().enumerate() {
-                    let v = &mut self.velocity[idx + i];
-                    *v = self.momentum * *v + g;
-                    w[i] -= self.lr * *v;
-                }
-            }
-            idx += n;
-            if let Some(gb) = &layer.grad_bias {
-                for (i, g) in gb.iter().enumerate() {
-                    let v = &mut self.velocity[idx + i];
-                    *v = self.momentum * *v + g;
-                    layer.bias[i] -= self.lr * *v;
-                }
-            }
-            idx += layer.bias.len();
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 /// Adam (Kingma & Ba, 2015) with bias correction.
@@ -193,29 +129,6 @@ mod tests {
             opt.step(&mut net);
         }
         last
-    }
-
-    #[test]
-    fn sgd_decreases_quadratic_loss() {
-        let cfg = MlpConfig::new(2, &[], 1, Activation::Identity);
-        let net = Mlp::new(&cfg, 3);
-        let mut opt = Sgd::new(net.num_parameters(), 0.1);
-        let final_loss = quadratic_step(&mut opt, 200);
-        assert!(final_loss < 1e-3, "loss = {final_loss}");
-        assert_eq!(opt.learning_rate(), 0.1);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
-    }
-
-    #[test]
-    fn momentum_accelerates_sgd() {
-        let cfg = MlpConfig::new(2, &[], 1, Activation::Identity);
-        let net = Mlp::new(&cfg, 3);
-        let mut plain = Sgd::new(net.num_parameters(), 0.02);
-        let mut momentum = Sgd::with_momentum(net.num_parameters(), 0.02, 0.9);
-        let loss_plain = quadratic_step(&mut plain, 60);
-        let loss_momentum = quadratic_step(&mut momentum, 60);
-        assert!(loss_momentum < loss_plain);
     }
 
     #[test]

@@ -372,11 +372,6 @@ impl A2c {
     pub fn value_net(&self) -> &ValueNet {
         &self.value
     }
-
-    /// Mutable critic access (checkpoint restore).
-    pub fn value_net_mut(&mut self) -> &mut ValueNet {
-        &mut self.value
-    }
 }
 
 impl Algorithm for A2c {
@@ -530,11 +525,6 @@ impl Ppo {
     /// The critic.
     pub fn value_net(&self) -> &ValueNet {
         &self.value
-    }
-
-    /// Mutable critic access.
-    pub fn value_net_mut(&mut self) -> &mut ValueNet {
-        &mut self.value
     }
 }
 

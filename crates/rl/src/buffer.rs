@@ -318,15 +318,10 @@ impl RolloutBatch {
         normalize_advantages(&mut self.advantages);
     }
 
-    /// Advantages from the last [`Self::compute_gae`] call (or as overwritten
-    /// through [`Self::advantages_mut`]).
+    /// Advantages from the last [`Self::compute_gae`] or
+    /// [`Self::set_advantages_to_returns_minus`] call.
     pub fn advantages(&self) -> &[f64] {
         &self.advantages
-    }
-
-    /// Mutable advantages (REINFORCE overwrites them with baselined returns).
-    pub fn advantages_mut(&mut self) -> &mut Vec<f64> {
-        &mut self.advantages
     }
 
     /// Discounted returns from the last [`Self::compute_returns`] call.

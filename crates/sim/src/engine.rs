@@ -232,75 +232,28 @@ impl RunningJob {
 /// The most jobs any entry point pre-sizes its per-run collections for.
 const PRESIZE_JOBS: usize = 1024;
 
-/// The one process-wide source of the engine's unique ids: run identities
-/// ([`RunId`]) and feasibility generations
-/// ([`ClusterView::feasibility_gen`]). Both only need to be unique, and 0
-/// is never minted.
+/// The process-wide source of [`RunId`]s: they only need to be unique,
+/// and 0 is never minted.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-
-fn mint_id() -> u64 {
-    NEXT_ID.fetch_add(1, Ordering::Relaxed)
-}
 
 /// Process-unique identity of one simulator run for the view-sync
 /// protocol, minted on construction, on every reset and on clone: a view
 /// synced to the original must not incrementally follow the clone's
 /// diverging change log, nor a view synced to an earlier run replay a
-/// cleared one.
+/// cleared one. [`crate::StartMemo`] reuses a scan only on views of the
+/// run it was made on.
 #[derive(Debug)]
 struct RunId(u64);
 
 impl RunId {
     fn fresh() -> Self {
-        RunId(mint_id())
+        RunId(NEXT_ID.fetch_add(1, Ordering::Relaxed))
     }
 }
 
 impl Clone for RunId {
     fn clone(&self) -> Self {
         RunId::fresh()
-    }
-}
-
-/// The engine's feasibility generation and per-class release stamps (see
-/// [`ClusterView::released_at`]). Cloning a simulator deliberately mints a
-/// *fresh* generation: the clone's state diverges from the original's, so
-/// nothing a scheduler learned about one may carry over to the other.
-#[derive(Debug)]
-struct Feasibility {
-    gen: u64,
-    released_at: Vec<usize>,
-}
-
-impl Feasibility {
-    fn new(num_classes: usize) -> Self {
-        Feasibility {
-            gen: mint_id(),
-            released_at: vec![0; num_classes],
-        }
-    }
-
-    /// Begin a new generation: a pending job may have become startable
-    /// other than by a capacity release.
-    fn bump(&mut self) {
-        self.gen = mint_id();
-    }
-
-    /// A new generation for a run starting from position 0 of a cleared
-    /// change log: stamps of the previous run would read as future
-    /// releases.
-    fn restart(&mut self) {
-        self.bump();
-        self.released_at.fill(0);
-    }
-}
-
-impl Clone for Feasibility {
-    fn clone(&self) -> Self {
-        Feasibility {
-            gen: mint_id(),
-            released_at: self.released_at.clone(),
-        }
     }
 }
 
@@ -352,9 +305,9 @@ pub struct Simulator {
     /// Absolute log position of `log[0]`: view cursors are absolute, so
     /// compaction just advances the base and views behind it rebuild.
     log_base: usize,
-    /// Current feasibility generation and release stamps, copied into
-    /// every refilled view.
-    feasibility: Feasibility,
+    /// Per-class release stamps (see [`ClusterView::released_at`]), copied
+    /// into every refilled view.
+    released_at: Vec<usize>,
 }
 
 impl Simulator {
@@ -366,7 +319,7 @@ impl Simulator {
         }
         let spec = Arc::new(spec);
         let cluster = Cluster::new(&spec);
-        let feasibility = Feasibility::new(cluster.num_classes());
+        let released_at = vec![0; cluster.num_classes()];
         Simulator {
             spec,
             config,
@@ -389,7 +342,7 @@ impl Simulator {
             run_id: RunId::fresh(),
             log: Vec::new(),
             log_base: 0,
-            feasibility,
+            released_at,
         }
     }
 
@@ -500,7 +453,6 @@ impl Simulator {
         self.log.push(ViewDelta::PendingRemoved {
             seq: job.arrival_seq,
         });
-        self.feasibility.bump();
         self.metrics.record_unfinished(job.utility.value);
         true
     }
@@ -520,7 +472,6 @@ impl Simulator {
         self.log.push(ViewDelta::PendingRemoved {
             seq: row.arrival_seq,
         });
-        self.feasibility.bump();
         row.malleable = false;
         row.max_parallelism = row.min_parallelism;
         self.enqueue(row);
@@ -563,7 +514,6 @@ impl Simulator {
     fn begin_run(&mut self, expected_jobs: usize) {
         assert!(!self.started, "Simulator::start called twice");
         self.started = true;
-        self.feasibility.bump();
         self.future_arrivals = expected_jobs;
         self.metrics.configure(self.config.bounded_metrics);
         // Pre-size the per-run collections so steady-state stepping does not
@@ -738,9 +688,8 @@ impl Simulator {
     /// (see [`RunningJobView`]): they hold reconciled state and derive
     /// `wait` / `remaining_work` / `scale_ready` at the `now` a reader asks
     /// for, so a refill where only time moved rewrites no row. Both paths
-    /// copy the engine's feasibility generation
-    /// ([`ClusterView::feasibility_gen`]) and release stamps
-    /// ([`ClusterView::released_at`]) in the shared header refresh.
+    /// copy the engine's release stamps ([`ClusterView::released_at`]) in
+    /// the shared header refresh.
     ///
     /// Any view that cannot prove it is in sync — freshly built,
     /// last filled by another simulator or an earlier run — falls back to
@@ -815,8 +764,8 @@ impl Simulator {
     }
 
     /// Rewrite the fields shared by the incremental and rebuild refill
-    /// paths: the header (time, future-arrival count, scaling rules,
-    /// feasibility generation and release stamps) and per-class free
+    /// paths: the header (time, future-arrival count, scaling rules and
+    /// release stamps) and per-class free
     /// capacity from the cluster's delta-maintained aggregates.
     /// O(classes) — rows are time-affine and need no refresh.
     fn refresh_header(&self, out: &mut ClusterView) {
@@ -824,10 +773,8 @@ impl Simulator {
         out.future_arrivals = self.future_arrivals.max(self.buffered_arrivals());
         out.allow_scaling = self.config.allow_scaling;
         out.scale_cooldown = self.config.scale_cooldown;
-        out.feasibility_gen = self.feasibility.gen;
         out.released_at.clear();
-        out.released_at
-            .extend_from_slice(&self.feasibility.released_at);
+        out.released_at.extend_from_slice(&self.released_at);
         for (class_view, id) in out.classes.iter_mut().zip(self.cluster.class_ids()) {
             class_view.free_capacity = self.cluster.free_capacity_of_class(id);
         }
@@ -849,7 +796,7 @@ impl Simulator {
     /// Stamp `class` as released at the log tip (just after the deltas of
     /// the release that freed capacity on it).
     fn stamp_release(&mut self, class: NodeClassId) {
-        self.feasibility.released_at[class.0] = self.log_base + self.log.len();
+        self.released_at[class.0] = self.log_base + self.log.len();
     }
 
     /// Apply one scheduling action at the current decision epoch.
@@ -910,7 +857,8 @@ impl Simulator {
         self.run_id = RunId::fresh();
         self.log.clear();
         self.log_base = 0;
-        self.feasibility.restart();
+        // Stamps of the previous run would read as future releases.
+        self.released_at.fill(0);
     }
 
     // ------------------------------------------------------------------
@@ -2084,12 +2032,10 @@ mod tests {
     }
 
     /// Refill `view` and require it to agree with a fresh rebuild on the
-    /// generation header, the release stamps and the arrival sequence
-    /// numbers; returns the generation and the stamps.
-    fn refilled_gen(sim: &Simulator, view: &mut ClusterView) -> (u64, Vec<usize>) {
+    /// release stamps and the arrival sequence numbers; returns the stamps.
+    fn refilled_stamps(sim: &Simulator, view: &mut ClusterView) -> Vec<usize> {
         sim.view_into(view);
         let rebuilt = sim.view();
-        assert_eq!(view.feasibility_gen, rebuilt.feasibility_gen);
         assert_eq!(view.released_at, rebuilt.released_at);
         let seqs = |v: &ClusterView| v.pending.iter().map(|j| j.arrival_seq).collect::<Vec<_>>();
         assert_eq!(seqs(view), seqs(&rebuilt));
@@ -2097,15 +2043,11 @@ mod tests {
             seqs(view).windows(2).all(|w| w[0] < w[1]),
             "arrival sequence numbers increase along the queue"
         );
-        assert_ne!(
-            view.feasibility_gen, 0,
-            "engine views are never generation 0"
-        );
-        (view.feasibility_gen, view.released_at.clone())
+        view.released_at.clone()
     }
 
     #[test]
-    fn releases_stamp_their_class_and_only_queue_changes_mint_a_generation() {
+    fn only_releases_stamp_their_class() {
         let mut cfg = SimConfig::default();
         cfg.decision_interval = Some(1.0);
         cfg.scale_cooldown = 0.0;
@@ -2120,7 +2062,7 @@ mod tests {
         let spec = ClusterSpec::new(vec![class("generic", 2), class("second", 1)]);
         let mut sim = Simulator::new(spec, cfg);
         let mut view = sim.view();
-        let (fresh, _) = refilled_gen(&sim, &mut view);
+        assert_eq!(refilled_stamps(&sim, &mut view), [0, 0]);
         let jobs = vec![
             simple_job(0, 0.0, 100.0, 1e4),
             simple_job(1, 0.5, 100.0, 1e4),
@@ -2128,16 +2070,13 @@ mod tests {
             simple_job(3, 0.7, 3.0, 1e4),
         ];
         sim.start(jobs);
-        let (started, stamps) = refilled_gen(&sim, &mut view);
-        assert_ne!(started, fresh, "start");
-        assert_eq!(stamps, [0, 0], "nothing released yet");
         let unchanged = |sim: &Simulator, view: &mut ClusterView, what: &str| {
-            assert_eq!(refilled_gen(sim, view), (started, stamps.clone()), "{what}");
+            assert_eq!(refilled_stamps(sim, view), [0, 0], "{what}");
         };
+        unchanged(&sim, &mut view, "start");
 
-        // Arrivals, starts, scale-ups and periodic epochs keep the
-        // generation and the stamps; each arrival takes the next sequence
-        // number.
+        // Arrivals, starts, scale-ups and periodic epochs stamp no class;
+        // each arrival takes the next sequence number.
         assert!(sim.advance());
         assert_eq!(sim.last_epoch(), EpochKind::Arrival(JobId(0)));
         unchanged(&sim, &mut view, "arrival");
@@ -2168,8 +2107,7 @@ mod tests {
         // A scale-down stamps its class, after its own node deltas.
         let before = view.log_position();
         assert_eq!(sim.apply(&scale(0, 2)), ActionOutcome::Scaled);
-        let (gen, after_shrink) = refilled_gen(&sim, &mut view);
-        assert_eq!(gen, started, "a scale-down keeps the generation");
+        let after_shrink = refilled_stamps(&sim, &mut view);
         assert!(before < after_shrink[0] && after_shrink[0] <= view.log_position());
         assert_eq!(after_shrink[1], 0, "class 1 released nothing");
 
@@ -2183,23 +2121,21 @@ mod tests {
             }
             assert_eq!(sim.last_epoch(), EpochKind::Periodic);
         }
-        let (gen, after_completion) = refilled_gen(&sim, &mut view);
-        assert_eq!(gen, started, "a completion keeps the generation");
+        let after_completion = refilled_stamps(&sim, &mut view);
         assert_eq!(after_completion[0], after_shrink[0], "class 0 untouched");
         assert!(before < after_completion[1] && after_completion[1] <= view.log_position());
 
-        // A cancel, a degrade and a reset each begin a generation; the
+        // A cancel and a degrade stamp no class: they add no capacity. The
         // degraded job re-enters the queue with a new sequence number.
-        let mut seen = vec![fresh, started];
-        let mut expect_new = |gen: u64, what: &str| {
-            assert!(!seen.contains(&gen), "{what} must change the generation");
-            seen.push(gen);
-        };
         assert!(sim.cancel_pending(JobId(1)));
         assert!(!sim.cancel_pending(JobId(1)), "no longer pending");
-        expect_new(refilled_gen(&sim, &mut view).0, "cancel");
+        assert_eq!(refilled_stamps(&sim, &mut view), after_completion, "cancel");
         assert!(sim.degrade_pending_to_rigid(JobId(2)));
-        expect_new(refilled_gen(&sim, &mut view).0, "degrade");
+        assert_eq!(
+            refilled_stamps(&sim, &mut view),
+            after_completion,
+            "degrade"
+        );
         assert_eq!(view.pending.len(), 1);
         assert_eq!(view.pending[0].arrival_seq, 5, "a degrade re-admits");
         // Both refill paths show the degraded row: rigid, its range
@@ -2212,12 +2148,17 @@ mod tests {
             assert_eq!((row.min_parallelism, row.max_parallelism), (1, 1));
         }
         assert_eq!(view.pending, rebuilt.pending);
-        sim.reset();
-        let (gen, stamps) = refilled_gen(&sim, &mut view);
-        expect_new(gen, "reset");
-        assert_eq!(stamps, [0, 0], "a reset clears the stamps");
-        // A clone never shares its original's generation.
+        // A clone copies the stamps but mints its own run: views synced to
+        // the original are out of sync with it.
         let clone = sim.clone();
-        assert_ne!(clone.view().feasibility_gen, sim.view().feasibility_gen);
+        let cloned = clone.view();
+        assert_eq!(cloned.released_at, after_completion);
+        assert_ne!(cloned.sync.run_id, view.sync.run_id);
+        sim.reset();
+        assert_eq!(
+            refilled_stamps(&sim, &mut view),
+            [0, 0],
+            "a reset clears the stamps"
+        );
     }
 }

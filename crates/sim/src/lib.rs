@@ -69,6 +69,7 @@ pub mod node;
 mod pending;
 pub mod resources;
 pub mod scheduler;
+mod start_memo;
 pub mod stats;
 pub mod view;
 
@@ -87,6 +88,7 @@ pub use metrics::{
 pub use node::{NodeClassId, NodeId};
 pub use resources::{ResourceKind, ResourceVector, NUM_RESOURCES};
 pub use scheduler::{Action, ActionOutcome, Scheduler};
+pub use start_memo::StartMemo;
 pub use view::{ClusterView, NodeClassView, PendingJobView, RunningJobView};
 
 /// Convenience re-exports for downstream crates and examples.

@@ -64,34 +64,6 @@ impl ActionOutcome {
 /// batch of actions; the engine applies them in order, silently counting any
 /// infeasible ones as invalid. Returning an empty vector or only
 /// [`Action::Wait`] ends the epoch.
-///
-/// # Feasibility generations
-///
-/// Every view the engine refills carries a
-/// [`ClusterView::feasibility_gen`], per-class release stamps
-/// ([`ClusterView::released_at`]) and an arrival sequence number on every
-/// pending row ([`crate::PendingJobView::arrival_seq`]). The generation
-/// changes only when `cancel_pending` or `degrade_pending_to_rigid`
-/// mutates the queue, or the simulator resets or starts. Arrivals,
-/// periodic epochs, starts, re-scalings and completions keep it; a
-/// completion or scale-down instead stamps the one node class it released
-/// capacity on with the change-log position just after the release.
-/// Between two views of one generation, the later one by
-/// [`ClusterView::log_position`]:
-///
-/// * every node's free capacity (and each class's aggregate) has only
-///   shrunk, except on the classes whose stamp lies after the earlier
-///   view's position;
-/// * pending rows have only left or arrived, arrivals forming the suffix of
-///   the queue whose sequence numbers exceed the earlier view's last, and
-///   no row changed.
-///
-/// A scheduler may therefore carry over any conclusion that is monotone in
-/// free capacity, such as "this job fits no class", from the earlier view
-/// to the later one, for every class not released since. The engine never
-/// mints generation 0, so a scheduler may use 0 as its own "nothing
-/// carried" marker. Stateful schedulers that rely on this forget what they
-/// carried in [`Scheduler::on_simulation_start`].
 pub trait Scheduler {
     /// Short name used in result tables.
     fn name(&self) -> &str;

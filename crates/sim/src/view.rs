@@ -420,7 +420,8 @@ pub(crate) enum ViewDelta {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ViewSync {
     /// Identity of the simulator run the view last mirrored, minted anew
-    /// on every construction, clone and reset (0 = never synced).
+    /// on every construction, clone and reset (0 = never synced). The
+    /// start memo ([`crate::StartMemo`]) keys on it and on `log_pos`.
     pub run_id: u64,
     /// Change-log position up to which deltas have been applied.
     pub log_pos: usize,
@@ -460,25 +461,13 @@ pub struct ClusterView {
     /// Minimum time between two re-scalings of one job (its
     /// `SimConfig::scale_cooldown`); read by [`Self::scale_ready`].
     pub scale_cooldown: f64,
-    /// Feasibility generation: a process-unique id the engine stamps on
-    /// every refill (never 0). It changes when
-    /// the pending queue changes other than by arrivals and starts — a job
-    /// is cancelled or degraded — and when the simulator resets or starts.
-    /// Arrivals, periodic epochs, starts and re-scalings keep it, and so do
-    /// completions: a capacity release is recorded per class in
-    /// [`Self::released_at`] instead. Within one generation pending rows
-    /// only arrive (with a higher [`PendingJobView::arrival_seq`] than any
-    /// row before them) or leave, and a node's free capacity grows only
-    /// through a release. So between two views of the same generation, the
-    /// later one by [`Self::log_position`], a job that fit no class in the
-    /// earlier one can fit in the later one only if it arrived since or on
-    /// a class whose `released_at` lies after the earlier view's log
-    /// position.
-    pub feasibility_gen: u64,
     /// Release stamps, indexed by `NodeClassId`: the change-log position
     /// just after the latest completion or scale-down that freed capacity
     /// on the class, 0 if none since the simulator started or reset
-    /// (engine-maintained).
+    /// (engine-maintained). Nothing else adds capacity, so between two
+    /// views of one run a class's nodes have only lost free capacity unless
+    /// its stamp lies after the earlier view's [`Self::log_position`]
+    /// ([`crate::StartMemo`] relies on this).
     pub released_at: Vec<usize>,
     /// Incremental-refill cookie (engine-owned).
     pub(crate) sync: ViewSync,
@@ -509,7 +498,6 @@ impl ClusterView {
             pending_by_deadline,
             allow_scaling: true,
             scale_cooldown: 0.0,
-            feasibility_gen: 0,
             released_at: Vec::new(),
             sync: ViewSync::default(),
         }
@@ -546,7 +534,7 @@ impl ClusterView {
     /// search gallops (doubling steps, then a binary search), so it costs
     /// O(log distance) and looking up a sorted run of keys in order, each
     /// from the position after the last, costs little more than one pass.
-    pub fn deadline_position(&self, from: usize, deadline: f64, id: JobId) -> usize {
+    pub(crate) fn deadline_position(&self, from: usize, deadline: f64, id: JobId) -> usize {
         let below = |slot: &u32| {
             let job = &self.pending[*slot as usize];
             (job.deadline, job.id) < (deadline, id)
@@ -653,9 +641,9 @@ impl ClusterView {
     }
 
     /// Change-log position of the simulator state this view mirrors.
-    /// Within one
-    /// [`Self::feasibility_gen`], a larger position is a later state, and
-    /// [`Self::released_at`] stamps are positions on the same scale.
+    /// Between two views of the same simulator run, a larger position is a
+    /// later state, and [`Self::released_at`] stamps are positions on the
+    /// same scale.
     pub fn log_position(&self) -> usize {
         self.sync.log_pos
     }
@@ -705,6 +693,25 @@ impl ClusterView {
             return false;
         }
         self.classes[class.0].can_host(&job.demand_per_unit, parallelism)
+    }
+
+    /// The node class on which `job` would execute fastest among the classes
+    /// that can currently host at least its minimum parallelism (one
+    /// [`Self::can_start`] per class). Ties break toward the lower class id
+    /// so behaviour is deterministic.
+    pub fn best_class_for(&self, job: &PendingJobView) -> Option<NodeClassId> {
+        let mut best: Option<(NodeClassId, f64)> = None;
+        for class in &self.classes {
+            if !self.can_start(job, class.id, job.min_parallelism) {
+                continue;
+            }
+            let speed = class.speed_factor(job.class);
+            match best {
+                Some((_, s)) if s >= speed => {}
+                _ => best = Some((class.id, speed)),
+            }
+        }
+        best.map(|(id, _)| id)
     }
 
     /// The largest feasible parallelism for `job` on `class`, capped by the

@@ -1,12 +1,11 @@
 //! Counting-allocator proof that a streamed run's memory does not grow with
-//! its length when nothing mints a feasibility generation mid-run.
+//! its length.
 //!
-//! Completions and scale-downs record a per-class release stamp instead of
-//! starting a new generation, and new arrivals are found by their arrival
-//! sequence numbers, so no per-arrival bookkeeping waits for a generation
-//! change to be cleared. A `Simulator::run_source` run with no cancel and
-//! no degrade (the only mid-run generation changes) must therefore peak at
-//! the same live bytes for 20,000 jobs as for 2,000.
+//! Completions and scale-downs record a per-class release stamp, and new
+//! arrivals are found by their arrival sequence numbers, so no
+//! per-arrival bookkeeping accumulates over a run. A
+//! `Simulator::run_source` run must therefore peak at the same live bytes
+//! for 20,000 jobs as for 2,000.
 //!
 //! The jobs are generated on demand, once without a size hint and once
 //! with an exact one: the engine pre-sizes its collections for at most

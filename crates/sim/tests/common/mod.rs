@@ -10,6 +10,7 @@
 #![allow(dead_code)]
 
 use proptest::prelude::*;
+use std::collections::VecDeque;
 use tcrm_sim::node::SpeedProfile;
 use tcrm_sim::prelude::*;
 use tcrm_sim::{bucket_rank, rank_floor, units_that_fit};
@@ -95,22 +96,77 @@ pub fn dense_params(n: usize, gpu_every: usize) -> Vec<JobParams> {
         .collect()
 }
 
-/// The action script paired with [`dense_params`]. Every tenth action asks
-/// a running job for one unit, a scale-down of any job running wider. One
-/// step in forty cancels and one degrades the second job in the queue,
-/// which is mid-queue whenever three or more jobs wait.
-pub fn dense_script() -> Vec<(u8, u8, u8)> {
+/// One step of an action script.
+#[derive(Debug, Clone, Copy)]
+pub enum Step {
+    /// A raw triple: an action derived by [`script_action`], or (kinds 5
+    /// and 6) a cancel or degrade of the queued job at position `x` modulo
+    /// the queue length.
+    Raw(u8, u8, u8),
+    /// Cancel a middle queued job once three or more jobs are queued; the
+    /// operation waits, armed, until then.
+    Cancel,
+    /// Degrade a middle queued job once three or more jobs are queued; the
+    /// operation waits, armed, until then.
+    Degrade,
+    /// Ask a running, malleable, scale-ready job for one unit more or one
+    /// unit less, the other way from the last accepted request (see
+    /// [`rescale_action`]); waits, armed, until some job can move.
+    Rescale,
+}
+
+impl From<(u8, u8, u8)> for Step {
+    fn from((kind, x, y): (u8, u8, u8)) -> Self {
+        Step::Raw(kind, x, y)
+    }
+}
+
+/// The action script paired with [`dense_params`], five steps at a time:
+/// a raw start, a wait, a raw re-scale of any running job (often
+/// rejected), a start of an unknown job, and a re-scale chosen from the
+/// view. One step in twenty cancels and one degrades, chosen from the view
+/// too. With one raw start per five steps the queue builds up, so the
+/// armed queue operations fire.
+pub fn dense_script() -> Vec<Step> {
     (0..200u32)
         .map(|i| {
             let (x, y) = ((i * 7 % 251) as u8, (i * 13 % 241) as u8);
-            match (i % 10, i % 40) {
-                (9, _) => (2, x, 0),
-                (_, 13) => (5, 1, y),
-                (_, 4) => (6, 1, y),
-                _ => ((i % 5) as u8, x, y),
+            match (i % 5, i % 20) {
+                (4, _) => Step::Rescale,
+                (_, 13) => Step::Cancel,
+                (_, 7) => Step::Degrade,
+                (1, _) => Step::Raw(4, x, y),
+                (kind, _) => Step::Raw(kind as u8, x, y),
             }
         })
         .collect()
+}
+
+/// The re-scale [`Step::Rescale`] issues on `view`: one unit more or less
+/// for the first running, malleable, scale-ready job that can move that
+/// way (a scale-up needs a free unit on the job's class), in the requested
+/// direction if some job can move in it, else in the other.
+fn rescale_action(view: &ClusterView, up: bool) -> Option<Action> {
+    let step = |up: bool| {
+        view.running
+            .iter()
+            .filter(|job| job.malleable && view.scale_ready(job))
+            .find_map(|job| {
+                let units = if up {
+                    let free = view
+                        .class(job.node_class)
+                        .units_available(&job.demand_per_unit);
+                    Some(job.units + 1).filter(|&u| u <= job.max_parallelism && free > 0)
+                } else {
+                    Some(job.units - 1).filter(|&u| u >= job.min_parallelism)
+                }?;
+                Some(Action::Scale {
+                    job: job.id,
+                    new_parallelism: units,
+                })
+            })
+    };
+    step(up).or_else(|| step(!up))
 }
 
 pub fn build_jobs(params: &[JobParams]) -> Vec<Job> {
@@ -229,6 +285,20 @@ pub struct OracleRun {
     pub mid_queue: usize,
 }
 
+/// Require a [`dense_script`] run to have taken every path several times:
+/// at least three accepted scale-ups, scale-downs, cancels, degrades and
+/// mid-queue removals.
+pub fn assert_dense_coverage(run: &OracleRun) {
+    assert!(
+        run.accepted_scale_ups >= 3
+            && run.accepted_scale_downs >= 3
+            && run.cancels >= 3
+            && run.degrades >= 3
+            && run.mid_queue >= 3,
+        "the dense script must take every path at least three times: {run:?}"
+    );
+}
+
 /// Refill `view` incrementally and `oracle` from scratch and require them
 /// byte-identical; require the view's unit count to equal a fresh per-node
 /// sum over the cluster, and the indexed placement to equal the reference
@@ -273,15 +343,64 @@ fn check_oracles(
     cluster.check_invariants().expect("cluster invariants");
 }
 
-/// Step one simulator through `jobs` and `script` (two script steps per
-/// epoch: an action, or a cancel or degrade of a queued job), checking it
+/// Apply `action`, counting an accepted re-scale in `run`; returns whether
+/// an accepted re-scale went up.
+fn apply_counted(
+    sim: &mut Simulator,
+    view: &ClusterView,
+    action: &Action,
+    run: &mut OracleRun,
+) -> Option<bool> {
+    let outcome = sim.apply(action);
+    let Action::Scale {
+        job,
+        new_parallelism,
+    } = *action
+    else {
+        return None;
+    };
+    if outcome != ActionOutcome::Scaled {
+        return None;
+    }
+    // An accepted re-scale moves the units towards the request.
+    let up = new_parallelism > view.running_job(job).expect("scaled job runs").units;
+    if up {
+        run.accepted_scale_ups += 1;
+    } else {
+        run.accepted_scale_downs += 1;
+    }
+    Some(up)
+}
+
+/// Cancel (`cancel`) or degrade the queued job at `pos` through the
+/// service hooks admission uses, counting the operation in `run`.
+fn queue_operation(
+    sim: &mut Simulator,
+    view: &ClusterView,
+    pos: usize,
+    cancel: bool,
+    run: &mut OracleRun,
+) {
+    let id = view.pending[pos].id;
+    if cancel {
+        assert!(sim.cancel_pending(id), "{id} is queued");
+        run.cancels += 1;
+    } else {
+        assert!(sim.degrade_pending_to_rigid(id), "{id} is queued");
+        run.degrades += 1;
+    }
+    run.mid_queue += usize::from(pos > 0 && pos + 1 < view.pending.len());
+}
+
+/// Step one simulator through `jobs` and `script` (two [`Step`]s per
+/// epoch, each followed by any armed operation that can fire), checking it
 /// against its oracles at the start, at every epoch and after every step.
 /// The view is compacted out of the change log at the end of each epoch, as
 /// the engine's own epoch loop does.
-pub fn run_against_oracles(
+pub fn run_against_oracles<S: Copy + Into<Step>>(
     spec: ClusterSpec,
     jobs: Vec<Job>,
-    script: &[(u8, u8, u8)],
+    script: &[S],
     decision_interval: f64,
 ) -> OracleRun {
     let mut cfg = SimConfig::default();
@@ -298,6 +417,10 @@ pub fn run_against_oracles(
 
     let mut cursor = 0usize;
     let mut post_script_epochs = 0usize;
+    // Armed view-chosen operations: queue operations (true: cancel),
+    // oldest first, and re-scales, with the next re-scale's direction.
+    let mut armed_queue_ops: VecDeque<bool> = VecDeque::new();
+    let (mut armed_rescales, mut scale_up) = (0usize, true);
     while sim.advance() {
         run.epochs += 1;
         check_oracles(&sim, &mut view, &mut oracle, &mut run);
@@ -311,45 +434,40 @@ pub fn run_against_oracles(
             }
         }
         for _ in 0..2 {
-            let Some(&(kind, x, y)) = script.get(cursor) else {
-                break;
-            };
-            cursor += 1;
-            if kind % 7 >= 5 && !view.pending.is_empty() {
-                // Cancel or degrade the queued job at a script-chosen
-                // position, through the service hooks admission uses.
-                let pos = x as usize % view.pending.len();
-                let id = view.pending[pos].id;
-                if kind % 7 == 5 {
-                    assert!(sim.cancel_pending(id), "{id} is queued");
-                    run.cancels += 1;
-                } else {
-                    assert!(sim.degrade_pending_to_rigid(id), "{id} is queued");
-                    run.degrades += 1;
+            // Armed operations keep firing after the script ends.
+            let step = script.get(cursor).map(|&step| step.into());
+            cursor += usize::from(step.is_some());
+            match step {
+                None => {}
+                Some(Step::Raw(kind, x, _)) if kind % 7 >= 5 && !view.pending.is_empty() => {
+                    let pos = x as usize % view.pending.len();
+                    queue_operation(&mut sim, &view, pos, kind % 7 == 5, &mut run);
+                    check_oracles(&sim, &mut view, &mut oracle, &mut run);
                 }
-                run.mid_queue += usize::from(pos > 0 && pos + 1 < view.pending.len());
-                check_oracles(&sim, &mut view, &mut oracle, &mut run);
-                continue;
+                Some(Step::Raw(kind, x, y)) => {
+                    let action = script_action(&view, kind, x, y);
+                    apply_counted(&mut sim, &view, &action, &mut run);
+                    check_oracles(&sim, &mut view, &mut oracle, &mut run);
+                }
+                Some(Step::Cancel) => armed_queue_ops.push_back(true),
+                Some(Step::Degrade) => armed_queue_ops.push_back(false),
+                Some(Step::Rescale) => armed_rescales += 1,
             }
-            let action = script_action(&view, kind, x, y);
-            let outcome = sim.apply(&action);
-            match action {
-                Action::Scale {
-                    job,
-                    new_parallelism,
-                } if outcome == ActionOutcome::Scaled => {
-                    // An accepted re-scale moves the units towards the
-                    // request.
-                    let units = view.running_job(job).expect("scaled job runs").units;
-                    if new_parallelism > units {
-                        run.accepted_scale_ups += 1;
-                    } else {
-                        run.accepted_scale_downs += 1;
+            if view.pending.len() >= 3 {
+                if let Some(cancel) = armed_queue_ops.pop_front() {
+                    queue_operation(&mut sim, &view, view.pending.len() / 2, cancel, &mut run);
+                    check_oracles(&sim, &mut view, &mut oracle, &mut run);
+                }
+            }
+            if armed_rescales > 0 {
+                if let Some(action) = rescale_action(&view, scale_up) {
+                    armed_rescales -= 1;
+                    if let Some(up) = apply_counted(&mut sim, &view, &action, &mut run) {
+                        scale_up = !up;
                     }
+                    check_oracles(&sim, &mut view, &mut oracle, &mut run);
                 }
-                _ => {}
             }
-            check_oracles(&sim, &mut view, &mut oracle, &mut run);
         }
         sim.compact_log(&view);
         assert!(run.epochs < 20_000, "run did not terminate");

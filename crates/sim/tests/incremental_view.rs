@@ -13,8 +13,8 @@
 mod common;
 
 use common::{
-    arb_job_params, assert_views_equal, build_jobs, dense_params, dense_script,
-    run_against_oracles, two_class_spec, JobParams,
+    arb_job_params, assert_dense_coverage, assert_views_equal, build_jobs, dense_params,
+    dense_script, run_against_oracles, two_class_spec, JobParams,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -63,17 +63,10 @@ fn incremental_view_matches_rebuild_reference() {
 #[test]
 fn paired_run_with_dense_script_exercises_scales_and_rejections() {
     // A deterministic, action-dense companion to the proptest.
-    let jobs = build_jobs(&dense_params(16, 0));
+    let jobs = build_jobs(&dense_params(36, 0));
     let run = run_against_oracles(two_class_spec(), jobs, &dense_script(), 2.0);
-    assert!(run.epochs >= 16, "expected at least one epoch per job");
-    assert!(
-        run.accepted_scale_ups > 0 && run.accepted_scale_downs > 0,
-        "the dense script must scale a running job up and down: {run:?}"
-    );
-    assert!(
-        run.cancels > 0 && run.degrades > 0 && run.mid_queue > 0,
-        "the dense script must cancel and degrade queued jobs, mid-queue too: {run:?}"
-    );
+    assert!(run.epochs >= 36, "expected at least one epoch per job");
+    assert_dense_coverage(&run);
 }
 
 #[test]
