@@ -51,6 +51,11 @@ impl GreedyElasticScheduler {
         }
     }
 
+    /// The start pass's memo (its work counters).
+    pub fn start_memo(&self) -> &StartMemo {
+        &self.memo
+    }
+
     /// Parallelism a running job needs (at its current node class speed) to
     /// finish exactly at its deadline; `None` if even the maximum does not
     /// suffice.

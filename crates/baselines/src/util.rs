@@ -30,10 +30,21 @@ pub fn deadline_parallelism(
     class: NodeClassId,
 ) -> Option<u32> {
     let max_feasible = view.max_feasible_parallelism(job, class)?;
+    Some(deadline_parallelism_up_to(job, view, class, max_feasible))
+}
+
+/// [`deadline_parallelism`] given the job's largest feasible parallelism
+/// on `class`.
+fn deadline_parallelism_up_to(
+    job: &PendingJobView,
+    view: &ClusterView,
+    class: NodeClassId,
+    max_feasible: u32,
+) -> u32 {
     let class_view = view.class(class);
-    let meets = (job.min_parallelism..=max_feasible)
-        .find(|&p| job.slack_on(view.time, class_view, p) >= 0.0);
-    Some(meets.unwrap_or(max_feasible))
+    (job.min_parallelism..=max_feasible)
+        .find(|&p| job.slack_on(view.time, class_view, p) >= 0.0)
+        .unwrap_or(max_feasible)
 }
 
 /// All classes able to host at least the minimum parallelism of the job.
@@ -50,14 +61,12 @@ pub fn feasible_classes(job: &PendingJobView, view: &ClusterView) -> Vec<NodeCla
 /// [`deadline_parallelism`], in `(deadline, id)` order, found through the
 /// scheduler's [`StartMemo`].
 pub fn push_deadline_starts(memo: &mut StartMemo, view: &ClusterView, actions: &mut Vec<Action>) {
-    memo.for_each_startable(view, |job, class| {
-        if let Some(parallelism) = deadline_parallelism(job, view, class) {
-            actions.push(Action::Start {
-                job: job.id,
-                class,
-                parallelism,
-            });
-        }
+    memo.for_each_startable(view, |job, class, max_feasible| {
+        actions.push(Action::Start {
+            job: job.id,
+            class,
+            parallelism: deadline_parallelism_up_to(job, view, class, max_feasible),
+        });
     });
 }
 

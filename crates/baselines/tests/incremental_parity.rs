@@ -13,9 +13,11 @@
 //! (`tcrm_sim::StartMemo`): at every `decide` a memoized scheduler must
 //! return exactly what a memo-free twin returns on the same view, including
 //! when epochs pass without a decision, when queued jobs were cancelled or
-//! degraded since the last decide, and on an older clone of the view; and
-//! EDF's exact work counts on a `sim_scale` style trace are pinned, so a
-//! memo that silently stops skipping rows fails here.
+//! degraded since the last decide, on a queue whose rows all have their
+//! own demand, and on an older clone of the view. Release passes must both
+//! skip the walk and take it, and EDF's exact work counts on a `sim_scale`
+//! style trace are pinned, so a memo that silently stops skipping rows
+//! fails here.
 
 use tcrm_baselines::greedy_elastic::GreedyElasticConfig;
 use tcrm_baselines::{
@@ -23,17 +25,24 @@ use tcrm_baselines::{
     RigidAdapter,
 };
 use tcrm_sim::prelude::*;
+use tcrm_sim::StartMemo;
 use tcrm_workload::{SyntheticSource, WorkloadSpec};
 
 /// A deterministic mixed workload: varied arrivals, demands, deadlines,
-/// elasticity ranges and malleability, sized to keep several jobs pending
-/// and running at once on the default cluster.
+/// elasticity ranges and malleability, sized to keep several jobs running
+/// at once on the default cluster.
 fn workload(n: u64) -> Vec<Job> {
+    spaced_workload(n, 1.0)
+}
+
+/// [`workload`] with every arrival time scaled by `spacing`: below 1 the
+/// jobs arrive faster and the default cluster builds a queue.
+fn spaced_workload(n: u64, spacing: f64) -> Vec<Job> {
     (0..n)
         .map(|i| {
             // Jittered but non-decreasing (run_source requires sorted
             // arrivals): the jitter term never exceeds the 1.3 base step.
-            let arrival = i as f64 * 1.3 + (i % 4) as f64 * 0.3;
+            let arrival = (i as f64 * 1.3 + (i % 4) as f64 * 0.3) * spacing;
             let work = 10.0 + (i * 7 % 53) as f64;
             let slack = 25.0 + (i * 13 % 160) as f64;
             Job::builder(
@@ -95,14 +104,16 @@ fn scheduler_specs() -> Vec<(String, Box<dyn Scheduler>)> {
         "edf+admission".into(),
         Box::new(AdmissionAdapter::new(EdfScheduler::new())),
     ));
-    all.push((
-        "greedy-elastic(eager)".into(),
-        Box::new(GreedyElasticScheduler::with_config(GreedyElasticConfig {
-            scale_up_slack: 30.0,
-            scale_down_slack: 5.0,
-        })),
-    ));
+    all.push(("greedy-elastic(eager)".into(), Box::new(eager_greedy())));
     all
+}
+
+/// Greedy-elastic with thresholds that re-scale eagerly.
+fn eager_greedy() -> GreedyElasticScheduler {
+    GreedyElasticScheduler::with_config(GreedyElasticConfig {
+        scale_up_slack: 30.0,
+        scale_down_slack: 5.0,
+    })
 }
 
 /// A fresh instance of the named scheduler (identical construction + seed
@@ -155,6 +166,8 @@ struct Stepped {
     degrades: usize,
     /// Cancels and degrades of a job neither first nor last in the queue.
     mid_queue: usize,
+    /// The most jobs queued at the start of a decided epoch.
+    max_queued: usize,
 }
 
 /// Which epochs [`stepped_run`] decides at, and for how many rounds.
@@ -202,7 +215,7 @@ fn stepped_run(
         .unwrap_or(sim.config().max_decisions_per_epoch);
     let (mut checked, mut multi_release_rounds) = (0, 0);
     let (mut cancels, mut degrades, mut mid_queue) = (0, 0, 0);
-    let mut epochs = 0;
+    let (mut epochs, mut max_queued) = (0, 0);
     // Log position of the previous round's view, and the classes
     // scale-downs released capacity on since.
     let mut last_pos = 0;
@@ -215,6 +228,7 @@ fn stepped_run(
             continue;
         }
         let queued = sim.pending_count();
+        max_queued = max_queued.max(queued);
         if cadence.surgery && queued > 0 && epochs % 2 == 0 {
             let k = cancels + degrades;
             let pos = k % queued;
@@ -288,6 +302,7 @@ fn stepped_run(
         cancels,
         degrades,
         mid_queue,
+        max_queued,
     }
 }
 
@@ -352,14 +367,54 @@ fn small_cluster() -> ClusterSpec {
     ])
 }
 
+/// Run `f` on a fresh instance of the memoized scheduler `name`, and
+/// return what it returned and the scheduler's start memo.
+fn with_memo<T>(name: &str, f: impl FnOnce(&mut dyn Scheduler) -> T) -> (T, StartMemo) {
+    match name {
+        "edf" => {
+            let mut sched = EdfScheduler::new();
+            (f(&mut sched), sched.start_memo().clone())
+        }
+        "greedy-elastic" => {
+            let mut sched = GreedyElasticScheduler::new();
+            (f(&mut sched), sched.start_memo().clone())
+        }
+        "greedy-elastic(eager)" => {
+            let mut sched = eager_greedy();
+            (f(&mut sched), sched.start_memo().clone())
+        }
+        "edf+admission" => {
+            let mut sched = AdmissionAdapter::new(EdfScheduler::new());
+            (f(&mut sched), sched.inner().start_memo().clone())
+        }
+        "edf+rigid" => {
+            let mut sched = RigidAdapter::new(EdfScheduler::new());
+            (f(&mut sched), sched.inner().start_memo().clone())
+        }
+        _ => panic!("{name} has no start memo"),
+    }
+}
+
 #[test]
 fn memoized_decisions_match_a_memo_free_twin() {
-    let jobs = workload(80);
+    // The default cluster meets a backlog only when the jobs arrive in a
+    // burst: at a twentieth of the spacing, 240 jobs queue up to 14 deep.
+    let runs = [
+        (
+            "icpp_default",
+            ClusterSpec::icpp_default(),
+            spaced_workload(240, 0.05),
+        ),
+        ("small", small_cluster(), workload(80)),
+    ];
     let mut multi_release_rounds = 0;
     for name in MEMOIZED {
         // Queue operations over both clusters: cancels, degrades, mid-queue.
         let mut surgery_ops = (0, 0, 0);
-        for cluster in [ClusterSpec::icpp_default(), small_cluster()] {
+        // Release passes over both clusters: walked, skipped.
+        let mut release_passes = (0, 0);
+        for (cluster_name, cluster, jobs) in &runs {
+            let mut max_queued = 0;
             for (every, rounds, surgery) in [
                 (1, None, false),
                 (2, None, false),
@@ -367,29 +422,44 @@ fn memoized_decisions_match_a_memo_free_twin() {
                 (1, None, true),
             ] {
                 let mut twin = scheduler(name);
-                let stepped = stepped_run(
-                    &cluster,
-                    &jobs,
-                    scheduler(name).as_mut(),
-                    Some(twin.as_mut()),
-                    Cadence {
-                        every,
-                        rounds,
-                        surgery,
-                    },
-                );
+                let (stepped, memo) = with_memo(name, |sched| {
+                    stepped_run(
+                        cluster,
+                        jobs,
+                        sched,
+                        Some(twin.as_mut()),
+                        Cadence {
+                            every,
+                            rounds,
+                            surgery,
+                        },
+                    )
+                });
                 assert!(stepped.rounds > 0, "{name}: no decision round was checked");
                 multi_release_rounds += stepped.multi_release_rounds;
                 surgery_ops.0 += stepped.cancels;
                 surgery_ops.1 += stepped.degrades;
                 surgery_ops.2 += stepped.mid_queue;
+                release_passes.0 += memo.release_walks();
+                release_passes.1 += memo.release_skips();
+                max_queued = max_queued.max(stepped.max_queued);
             }
+            assert!(
+                max_queued >= 3,
+                "{name}: on {cluster_name}, no epoch started with three queued jobs \
+                 (at most {max_queued})"
+            );
         }
         let (cancels, degrades, mid_queue) = surgery_ops;
         assert!(
             cancels > 0 && degrades > 0 && mid_queue > 0,
             "{name}: the surgery must cancel and degrade queued jobs, mid-queue too \
              ({cancels} cancels, {degrades} degrades, {mid_queue} mid-queue)"
+        );
+        let (walks, skips) = release_passes;
+        assert!(
+            walks > 0 && skips > 0,
+            "{name}: release passes must both walk and skip ({walks} walked, {skips} skipped)"
         );
     }
     // Some round followed releases on two classes, one by a scale-down.
@@ -399,17 +469,16 @@ fn memoized_decisions_match_a_memo_free_twin() {
     );
     // On the small cluster the memo must skip rows a full scan evaluates,
     // and take the release pass.
+    let (_, small, jobs) = &runs[1];
     let mut edf = EdfScheduler::new();
-    stepped_run(&small_cluster(), &jobs, &mut edf, None, EVERY_EPOCH);
+    stepped_run(small, jobs, &mut edf, None, EVERY_EPOCH);
     let mut memo_free = MemoFreeEdf::default();
-    stepped_run(&small_cluster(), &jobs, &mut memo_free, None, EVERY_EPOCH);
+    stepped_run(small, jobs, &mut memo_free, None, EVERY_EPOCH);
     let memo = edf.start_memo();
     assert!(
-        memo.memo_rows() > 0
-            && memo.release_rows() > 0
-            && memo.can_start_calls() < memo_free.can_start_calls,
-        "the memo skipped nothing: {memo:?} vs {} memo-free calls",
-        memo_free.can_start_calls
+        memo.memo_rows() > 0 && memo.release_rows() > 0 && memo.fit_walks() < memo_free.fit_walks,
+        "the memo skipped nothing: {memo:?} vs {} memo-free fit walks",
+        memo_free.fit_walks
     );
 }
 
@@ -438,6 +507,101 @@ fn queue_surgery_costs_edf_no_full_scan() {
         "a full scan after queue surgery: {memo:?}"
     );
     assert!(memo.memo_rows() > 0 && memo.release_rows() > 0);
+}
+
+#[test]
+fn distinct_demands_bound_release_pass_fit_walks() {
+    // Every job has its own demand, so no two queued rows share a group.
+    let jobs: Vec<Job> = spaced_workload(80, 0.5)
+        .into_iter()
+        .map(|mut job| {
+            job.demand_per_unit.0[0] += job.id.0 as f64 * 1e-3;
+            job
+        })
+        .collect();
+    let mut sim = Simulator::new(small_cluster(), config());
+    let mut view = sim.view();
+    let (mut edf, mut twin) = (EdfScheduler::new(), EdfScheduler::new());
+    edf.on_simulation_start();
+    sim.start(jobs);
+    // The previous decide's view position, newest arrival and starts.
+    let (mut last_pos, mut last_seq, mut last_starts) = (0, 0, Vec::new());
+    // Release passes checked, and the longest queue one of them met.
+    let (mut passes, mut longest) = (0, 0);
+    while sim.advance() {
+        let mut epoch_changed_state = false;
+        loop {
+            sim.view_into(&mut view);
+            let memo = edf.start_memo();
+            let before = (
+                memo.fit_walks(),
+                memo.release_walks() + memo.release_skips(),
+            );
+            let actions = edf.decide(&view);
+            twin.on_simulation_start();
+            assert_eq!(actions, twin.decide(&view), "memoized EDF diverged");
+            let memo = edf.start_memo();
+            if memo.release_walks() + memo.release_skips() > before.1 {
+                // What a walk costs: every remembered startable row and new
+                // arrival is evaluated on every class, every other row is
+                // asked once per released class, and each start adds one
+                // maximum-parallelism walk on its class, after that row was
+                // evaluated. The skip test adds one walk per blocked group
+                // and released class: at most eight groups are tested.
+                let classes = view.classes.len();
+                let released = view.released_at.iter().filter(|&&at| at > last_pos).count();
+                let rows: usize = (view.pending.iter())
+                    .map(|job| {
+                        let carried = last_starts.contains(&job.id) || job.arrival_seq > last_seq;
+                        if carried {
+                            classes
+                        } else {
+                            released
+                        }
+                    })
+                    .sum();
+                let walk = rows as u64 + (actions.len() * (classes + 1)) as u64;
+                let groups = (view.pending.len().min(8) * released) as u64;
+                let walks = memo.fit_walks() - before.0;
+                assert!(
+                    walks <= walk + groups,
+                    "{walks} fit walks on {} rows: a walk makes {walk}, the groups {groups}",
+                    view.pending.len()
+                );
+                passes += 1;
+                longest = longest.max(view.pending.len());
+            }
+            last_pos = view.log_position();
+            last_seq = view.pending.last().map_or(0, |job| job.arrival_seq);
+            last_starts = (actions.iter())
+                .filter_map(|action| match action {
+                    Action::Start { job, .. } => Some(*job),
+                    _ => None,
+                })
+                .collect();
+            let mut changed = false;
+            for action in &actions {
+                changed |= sim.apply(action).changed_state();
+            }
+            epoch_changed_state |= changed;
+            if !changed {
+                break;
+            }
+        }
+        sim.compact_log(&view);
+        if !epoch_changed_state && sim.is_stalled() {
+            sim.abort_service();
+        }
+    }
+    let memo = edf.start_memo();
+    assert!(
+        memo.release_walks() > 0 && memo.release_skips() > 0,
+        "release passes must both walk and skip: {memo:?}"
+    );
+    assert!(
+        passes > 0 && longest > 8,
+        "{passes} release passes, the longest over {longest} rows"
+    );
 }
 
 /// One node of 8 CPUs and two 6-CPU rigid jobs arriving together: both fit
@@ -532,13 +696,12 @@ fn an_older_view_after_a_release_gets_a_full_scan() {
 }
 
 /// EDF with its memo forgotten before every call: every start pass is a
-/// full scan. Counts the rows those scans evaluate and their `can_start`
-/// calls.
+/// full scan. Counts the rows those scans evaluate and their fit walks.
 #[derive(Default)]
 struct MemoFreeEdf {
     edf: EdfScheduler,
     rows: u64,
-    can_start_calls: u64,
+    fit_walks: u64,
 }
 
 impl Scheduler for MemoFreeEdf {
@@ -550,7 +713,7 @@ impl Scheduler for MemoFreeEdf {
         self.edf.on_simulation_start();
         let actions = self.edf.decide(view);
         self.rows += self.edf.start_memo().full_rows();
-        self.can_start_calls += self.edf.start_memo().can_start_calls();
+        self.fit_walks += self.edf.start_memo().fit_walks();
         actions
     }
 }
@@ -579,10 +742,15 @@ fn edf_work_counts_are_pinned_on_a_sim_scale_trace() {
     let memo = edf.start_memo();
     assert_eq!(
         (memo.full_rows(), memo.memo_rows(), memo.release_rows()),
-        (1, 2094, 12254),
+        (1, 2094, 2176),
         "EDF's exact (full-scan, memo-scan, release-pass) row counts"
     );
-    assert_eq!(memo.can_start_calls(), 25630, "EDF's exact can_start calls");
+    assert_eq!(
+        (memo.release_walks(), memo.release_skips()),
+        (137, 863),
+        "EDF's exact (walked, skipped) release passes"
+    );
+    assert_eq!(memo.fit_walks(), 6832, "EDF's exact fit walks");
     let mut memo_free = MemoFreeEdf::default();
     assert_eq!(sim.run_reusing(jobs, &mut memo_free, &mut view), summary);
     assert_eq!(memo_free.rows, 36714, "rows evaluated without the memo");

@@ -3,18 +3,21 @@
 
 use crate::job::JobId;
 use crate::node::NodeClassId;
+use crate::resources::{ResourceVector, NUM_RESOURCES};
 use crate::view::{ClusterView, PendingJobView};
 use std::cmp::Ordering;
 
-/// Finds every pending job that can start now and its fastest class,
-/// reusing what the previous call found.
+/// Finds every pending job that can start now, its fastest class and its
+/// largest feasible parallelism there, reusing what the previous call
+/// found.
 ///
 /// [`Self::for_each_startable`] visits, in `(deadline, id)` order, every
 /// pending row that fits some class at its minimum parallelism, with the
-/// class [`ClusterView::best_class_for`] picks. The memo remembers which
-/// jobs its last scan found startable, the newest
-/// [`PendingJobView::arrival_seq`] it saw, and the view's run and
-/// [`ClusterView::log_position`].
+/// class [`ClusterView::best_class_for`] picks and
+/// [`ClusterView::max_feasible_parallelism`] on it. The memo remembers
+/// which jobs its last scan found startable, the groups of the jobs its
+/// scans left blocked, the newest [`PendingJobView::arrival_seq`] it saw,
+/// and the view's run and [`ClusterView::log_position`].
 ///
 /// **The reuse rule.** A view of the same simulator run at a log position
 /// no older than the memo's needs less than a full scan. Between two such
@@ -31,15 +34,38 @@ use std::cmp::Ordering;
 /// [`ClusterView::best_class_for`] is monotone in free capacity, so:
 ///
 /// * if no class was released since, only the remembered startable jobs
-///   plus the new arrivals are evaluated;
-/// * otherwise one pass in `(deadline, id)` order evaluates those same
-///   jobs, and every other job only if a `can_start` at its minimum
-///   parallelism succeeds on one of the released classes: the other
-///   classes have only lost capacity, so it still fits none of them.
+///   plus the new arrivals are evaluated (a memo scan);
+/// * otherwise a release pass asks whether a job the last scans left
+///   blocked now fits a released class: the other classes have only lost
+///   capacity, so it still fits none of them. Whether a row fits a class at
+///   its minimum parallelism depends only on its group, its
+///   `(demand_per_unit, min_parallelism)` key. The memo keeps a superset
+///   of the blocked rows' groups: every walk (a full scan or a release
+///   walk) rebuilds it, and every memo scan adds the groups of the rows it
+///   evaluated and found blocked; past eight groups it stops counting
+///   and every release pass walks. The pass first asks `can_start` once per group and
+///   released class (startable rows are evaluated anyway, so their groups
+///   are not kept). If no group fits, the pass is the memo scan, which
+///   visits the same rows in the same order (a skipped release pass).
+///   Otherwise one walk in `(deadline, id)` order evaluates the remembered
+///   startable jobs, the new arrivals and every other job that fits one of
+///   the released classes.
 ///
 /// Any other view gets the full scan: a view of another run (the engine
 /// mints a new run on construction, clone and reset), or an older one.
 /// The visits are identical either way.
+///
+/// **The fit table.** The view does not change during one call, and every
+/// query the call makes (a `can_start`, a [`ClusterView::best_class_for`]
+/// or a maximum feasible parallelism) is one
+/// [`crate::NodeClassView::units_available_capped`]`(demand, cap)`, which
+/// is `min(g, cap)` for a `g` that does not depend on `cap` (the aggregate
+/// clamp, then an early-exit walk). So the call keeps a small
+/// direct-mapped table of `(class, demand) → (cap asked, answer)`: a
+/// stored answer decides every smaller cap, and every cap when it is below
+/// the cap asked. A collision or a larger cap walks again, so a queue in
+/// which every row has its own demand makes no more walks than without the
+/// table.
 #[derive(Debug, Clone, Default)]
 pub struct StartMemo {
     /// Run of the last scan's view (0, never minted: nothing to reuse).
@@ -50,25 +76,37 @@ pub struct StartMemo {
     seen_seq: u64,
     /// `(deadline, id)` keys the last scan found startable, in that order.
     startable: Vec<(f64, JobId)>,
+    /// A superset of the groups of the pending rows not in `startable`;
+    /// longer than [`MAX_BLOCKED_GROUPS`] once it stopped counting.
+    blocked: Vec<Group>,
     /// Reused buffer: the keys a memo scan evaluates.
     candidates: Vec<(f64, JobId)>,
     /// Reused buffer: the classes released since the last scan.
     released: Vec<NodeClassId>,
+    fits: FitTable,
     full_rows: u64,
     memo_rows: u64,
     release_rows: u64,
-    can_start_calls: u64,
+    release_walks: u64,
+    release_skips: u64,
 }
+
+/// The most blocked groups a release pass tests before walking: the
+/// queues of the benchmark traces hold two to four.
+const MAX_BLOCKED_GROUPS: usize = 8;
 
 impl StartMemo {
     /// Forget the memo and zero the counters (at simulation start).
     pub fn clear(&mut self) {
         self.run = 0;
         self.startable.clear();
+        self.blocked.clear();
+        self.fits.walks = 0;
         self.full_rows = 0;
         self.memo_rows = 0;
         self.release_rows = 0;
-        self.can_start_calls = 0;
+        self.release_walks = 0;
+        self.release_skips = 0;
     }
 
     /// Pending rows evaluated by full scans since the last [`Self::clear`].
@@ -81,25 +119,38 @@ impl StartMemo {
         self.memo_rows
     }
 
-    /// Pending rows visited by release passes since the last
-    /// [`Self::clear`].
+    /// Pending rows visited by release passes (walked or skipped) since the
+    /// last [`Self::clear`].
     pub fn release_rows(&self) -> u64 {
         self.release_rows
     }
 
-    /// [`ClusterView::can_start`] calls made by all three kinds of scan
-    /// since the last [`Self::clear`].
-    pub fn can_start_calls(&self) -> u64 {
-        self.can_start_calls
+    /// Release passes that walked the queue since the last [`Self::clear`].
+    pub fn release_walks(&self) -> u64 {
+        self.release_walks
     }
 
-    /// Call `f` with every pending row of `view` that fits some class at
-    /// its minimum parallelism and the fastest such class, in
+    /// Release passes that skipped the walk, because no blocked group fits
+    /// a released class, since the last [`Self::clear`].
+    pub fn release_skips(&self) -> u64 {
+        self.release_skips
+    }
+
+    /// [`crate::NodeClassView::units_available_capped`] walks made by all
+    /// kinds of scan since the last [`Self::clear`]: the fit queries the
+    /// fit table did not answer.
+    pub fn fit_walks(&self) -> u64 {
+        self.fits.walks
+    }
+
+    /// Call `f(row, class, max_feasible)` with every pending row of `view`
+    /// that fits some class at its minimum parallelism, the fastest such
+    /// class and its largest feasible parallelism there, in
     /// `(deadline, id)` order.
     pub fn for_each_startable(
         &mut self,
         view: &ClusterView,
-        mut f: impl FnMut(&PendingJobView, NodeClassId),
+        mut f: impl FnMut(&PendingJobView, NodeClassId, u32),
     ) {
         let reuse =
             self.run != 0 && view.sync.run_id == self.run && view.sync.log_pos >= self.log_pos;
@@ -107,6 +158,7 @@ impl StartMemo {
         // this scan's (the two buffers trade places every call).
         std::mem::swap(&mut self.startable, &mut self.candidates);
         self.startable.clear();
+        self.fits.begin();
         if reuse {
             let log_pos = self.log_pos;
             self.released.clear();
@@ -117,11 +169,17 @@ impl StartMemo {
             );
             let candidates = std::mem::take(&mut self.candidates);
             if self.released.is_empty() {
-                self.memo_scan(candidates, view, &mut f);
-            } else {
+                self.memo_rows += self.memo_scan(candidates, view, &mut f);
+            } else if self.a_blocked_group_may_fit(view) {
+                self.release_walks += 1;
+                self.blocked.clear();
                 self.release_scan(candidates, view, &mut f);
+            } else {
+                self.release_skips += 1;
+                self.release_rows += self.memo_scan(candidates, view, &mut f);
             }
         } else {
+            self.blocked.clear();
             for job in view.pending_in_deadline_order() {
                 self.full_rows += 1;
                 self.evaluate(job, view, &mut f);
@@ -141,19 +199,19 @@ impl StartMemo {
         &view.pending[first..]
     }
 
-    /// No capacity was released: evaluate the last scan's startable keys
-    /// plus the new arrivals, back in `(deadline, id)` order. A degraded
-    /// row's key may appear twice; the lookup visits its row once.
+    /// Evaluate the last scan's startable keys plus the new arrivals, back
+    /// in `(deadline, id)` order, and return how many rows it evaluated. A
+    /// degraded row's key may appear twice; the lookup visits its row once.
     fn memo_scan(
         &mut self,
         mut candidates: Vec<(f64, JobId)>,
         view: &ClusterView,
-        f: &mut impl FnMut(&PendingJobView, NodeClassId),
-    ) {
+        f: &mut impl FnMut(&PendingJobView, NodeClassId, u32),
+    ) -> u64 {
         let new = self.new_arrivals(view);
         candidates.extend(new.iter().map(|job| (job.deadline, job.id)));
         candidates.sort_unstable_by(key_order);
-        let mut from = 0;
+        let (mut from, mut rows) = (0, 0);
         for &(deadline, id) in &candidates {
             from = view.deadline_position(from, deadline, id);
             let Some(&slot) = view.pending_by_deadline.get(from) else {
@@ -161,12 +219,28 @@ impl StartMemo {
             };
             let job = &view.pending[slot as usize];
             if job.id == id {
-                self.memo_rows += 1;
+                rows += 1;
                 self.evaluate(job, view, f);
                 from += 1;
             }
         }
         self.candidates = candidates;
+        rows
+    }
+
+    /// Whether a release pass must walk the queue: some blocked group fits
+    /// a released class at its minimum parallelism, or the groups stopped
+    /// being counted.
+    fn a_blocked_group_may_fit(&mut self, view: &ClusterView) -> bool {
+        if self.blocked.len() > MAX_BLOCKED_GROUPS {
+            return true;
+        }
+        let (fits, released) = (&mut self.fits, &self.released);
+        self.blocked.iter().any(|group| {
+            released
+                .iter()
+                .any(|&class| fits.units(view, class, &group.demand, group.min) >= group.min)
+        })
     }
 
     /// Capacity was released on the classes in `self.released`: one pass
@@ -177,7 +251,7 @@ impl StartMemo {
         &mut self,
         candidates: Vec<(f64, JobId)>,
         view: &ClusterView,
-        f: &mut impl FnMut(&PendingJobView, NodeClassId),
+        f: &mut impl FnMut(&PendingJobView, NodeClassId, u32),
     ) {
         let mut next = candidates.iter().peekable();
         for job in view.pending_in_deadline_order() {
@@ -191,34 +265,46 @@ impl StartMemo {
             if startable || job.arrival_seq > self.seen_seq || self.fits_a_released_class(job, view)
             {
                 self.evaluate(job, view, f);
+            } else {
+                self.block(job);
             }
         }
         self.candidates = candidates;
     }
 
     fn fits_a_released_class(&mut self, job: &PendingJobView, view: &ClusterView) -> bool {
-        for &class in &self.released {
-            self.can_start_calls += 1;
-            if view.can_start(job, class, job.min_parallelism) {
-                return true;
-            }
-        }
-        false
+        let fits = &mut self.fits;
+        (self.released.iter()).any(|&class| fits.can_start(view, job, class))
     }
 
     fn evaluate(
         &mut self,
         job: &PendingJobView,
         view: &ClusterView,
-        f: &mut impl FnMut(&PendingJobView, NodeClassId),
+        f: &mut impl FnMut(&PendingJobView, NodeClassId, u32),
     ) {
-        // `best_class_for` asks `can_start` once per class.
-        self.can_start_calls += view.classes.len() as u64;
-        let Some(class) = view.best_class_for(job) else {
+        let fits = &mut self.fits;
+        let Some(class) = view.best_class_where(job, |class| fits.can_start(view, job, class))
+        else {
+            self.block(job);
             return;
         };
+        // The class fits the minimum, so this is at least the minimum.
+        let max_feasible = fits.units(view, class, &job.demand_per_unit, job.max_parallelism);
         self.startable.push((job.deadline, job.id));
-        f(job, class);
+        f(job, class, max_feasible);
+    }
+
+    /// Record a blocked row's group, unless it is known or the groups
+    /// stopped being counted.
+    fn block(&mut self, job: &PendingJobView) {
+        if self.blocked.len() > MAX_BLOCKED_GROUPS || self.blocked.iter().any(|g| g.holds(job)) {
+            return;
+        }
+        self.blocked.push(Group {
+            demand: job.demand_per_unit,
+            min: job.min_parallelism,
+        });
     }
 }
 
@@ -227,4 +313,94 @@ fn key_order(a: &(f64, JobId), b: &(f64, JobId)) -> Ordering {
     a.0.partial_cmp(&b.0)
         .unwrap_or(Ordering::Equal)
         .then(a.1.cmp(&b.1))
+}
+
+/// The rows that fit the same classes at their minimum parallelism.
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    demand: ResourceVector,
+    min: u32,
+}
+
+impl Group {
+    fn holds(&self, job: &PendingJobView) -> bool {
+        self.min == job.min_parallelism && bits(&self.demand) == bits(&job.demand_per_unit)
+    }
+}
+
+fn bits(demand: &ResourceVector) -> [u64; NUM_RESOURCES] {
+    demand.0.map(f64::to_bits)
+}
+
+/// Slots of the fit table (a power of two).
+const FIT_SLOTS: usize = 64;
+
+/// The fit answers of one [`StartMemo::for_each_startable`] call.
+#[derive(Debug, Clone, Default)]
+struct FitTable {
+    /// The current call; a slot of another call is empty.
+    pass: u64,
+    /// Allocated on the first call, then kept.
+    slots: Vec<FitSlot>,
+    walks: u64,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct FitSlot {
+    pass: u64,
+    class: usize,
+    demand: [u64; NUM_RESOURCES],
+    /// The cap asked, and the answer `min(g, cap)`.
+    cap: u32,
+    units: u32,
+}
+
+impl FitTable {
+    /// Start a call: forget every stored answer.
+    fn begin(&mut self) {
+        self.pass += 1;
+        if self.slots.is_empty() {
+            self.slots.resize(FIT_SLOTS, FitSlot::default());
+        }
+    }
+
+    /// [`ClusterView::can_start`] at the job's minimum parallelism.
+    fn can_start(&mut self, view: &ClusterView, job: &PendingJobView, class: NodeClassId) -> bool {
+        let min = job.min_parallelism;
+        min <= job.max_parallelism && self.units(view, class, &job.demand_per_unit, min) >= min
+    }
+
+    /// `units_available_capped(demand, cap)` on `class`, from the table
+    /// when a stored answer decides it.
+    fn units(
+        &mut self,
+        view: &ClusterView,
+        class: NodeClassId,
+        demand: &ResourceVector,
+        cap: u32,
+    ) -> u32 {
+        let demand_bits = bits(demand);
+        let mut hash = class.0 as u64;
+        for word in demand_bits {
+            hash = (hash ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+        let slot = &mut self.slots[(hash >> (64 - FIT_SLOTS.trailing_zeros())) as usize];
+        if slot.pass == self.pass
+            && slot.class == class.0
+            && slot.demand == demand_bits
+            && (cap <= slot.cap || slot.units < slot.cap)
+        {
+            return slot.units.min(cap);
+        }
+        self.walks += 1;
+        let units = view.classes[class.0].units_available_capped(demand, cap);
+        *slot = FitSlot {
+            pass: self.pass,
+            class: class.0,
+            demand: demand_bits,
+            cap,
+            units,
+        };
+        units
+    }
 }

@@ -700,9 +700,20 @@ impl ClusterView {
     /// [`Self::can_start`] per class). Ties break toward the lower class id
     /// so behaviour is deterministic.
     pub fn best_class_for(&self, job: &PendingJobView) -> Option<NodeClassId> {
+        self.best_class_where(job, |class| self.can_start(job, class, job.min_parallelism))
+    }
+
+    /// [`Self::best_class_for`] with `fits(class)` answering its
+    /// [`Self::can_start`] at the job's minimum parallelism (the start memo
+    /// answers it from its fit table).
+    pub(crate) fn best_class_where(
+        &self,
+        job: &PendingJobView,
+        mut fits: impl FnMut(NodeClassId) -> bool,
+    ) -> Option<NodeClassId> {
         let mut best: Option<(NodeClassId, f64)> = None;
         for class in &self.classes {
-            if !self.can_start(job, class.id, job.min_parallelism) {
+            if !fits(class.id) {
                 continue;
             }
             let speed = class.speed_factor(job.class);

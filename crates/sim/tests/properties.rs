@@ -228,4 +228,66 @@ proptest! {
             prop_assert_eq!(placement.is_some(), available >= units);
         }
     }
+
+    // ------------------------------------------------------------------
+    // The start memo's fit table
+    // ------------------------------------------------------------------
+
+    /// The identity the start memo's fit table relies on: a capped count
+    /// is the uncapped one clamped to the cap, so one stored answer decides
+    /// every smaller cap.
+    #[test]
+    fn units_available_capped_is_the_uncapped_count_clamped_to_the_cap(
+        nodes in 1usize..10,
+        capacity in (1.0f64..16.0, 1.0f64..64.0, 0.0f64..4.0, 1.0f64..20.0),
+        fill in prop::collection::vec((arb_unit(), 1u32..4), 0..12),
+        random_demand in arb_unit(),
+        mode in 0u32..3,
+        k in 1u32..6,
+        offset in -1e-9f64..1e-9,
+        caps in prop::collection::vec(0u32..48, 1..6),
+    ) {
+        let (cpu, mem, gpu, net) = capacity;
+        let spec = ClusterSpec::new(vec![NodeClassSpec::new(
+            "random",
+            nodes,
+            ResourceVector::of(cpu, mem, gpu, net),
+            SpeedProfile::uniform(1.0),
+        )]);
+        let mut cluster = Cluster::new(&spec);
+        let class = NodeClassId(0);
+        for (per_unit, units) in &fill {
+            if let Some(placement) = cluster.find_placement(class, per_unit, *units) {
+                cluster.apply_placement(per_unit, &placement);
+            }
+        }
+        let row = cluster.class_row(class);
+        let demand = match mode {
+            0 => random_demand,
+            1 => ResourceVector::default(),
+            // `k` units of it fill the first node's free vector to within
+            // 1e-9 in every dimension.
+            _ => ResourceVector(
+                row.node_free[0]
+                    .0
+                    .map(|free| ((free + offset) / k as f64).max(0.0)),
+            ),
+        };
+        let uncapped = row.units_available_capped(&demand, u32::MAX);
+        for cap in caps.into_iter().chain([0, 1, u32::MAX]) {
+            prop_assert_eq!(
+                row.units_available_capped(&demand, cap),
+                uncapped.min(cap),
+                "cap {} on demand {:?}",
+                cap,
+                demand
+            );
+        }
+    }
+}
+
+/// One unit of a job's demand.
+fn arb_unit() -> impl Strategy<Value = ResourceVector> {
+    (0.1f64..4.0, 0.5f64..16.0, 0.0f64..1.0, 0.1f64..2.0)
+        .prop_map(|(c, m, g, n)| ResourceVector::of(c, m, g, n))
 }

@@ -2,9 +2,9 @@
 # Check that the experiment driver's outputs are byte-identical between a
 # base revision and the working tree.
 #
-# Builds the `expdriver` binary of <rev> in a git worktree under
-# target/output-identity/ (the way scripts/perfbench_ab.sh builds its base)
-# and the working tree's, then runs with each binary, in its own directory
+# Extracts <rev> with `git archive` into a directory under
+# target/output-identity/ (the way scripts/perfbench_ab.sh extracts its
+# base), builds its `expdriver` binary and the working tree's, then runs with each binary, in its own directory
 # and with the same relative paths (checkpoint fingerprints hash the replay
 # trace's path):
 #
@@ -31,8 +31,8 @@
 #
 # Exit status: 0 when every file is identical, 1 when any file differs or
 # exists on one side only, anything else when a build or a run failed.
-# The worktree is kept for later runs; remove it with
-# `git worktree remove target/output-identity/tree-<sha>`.
+# The extracted tree is kept for later runs; remove it with
+# `rm -rf target/output-identity/tree-<sha>`.
 #
 # Usage:
 #   scripts/output_identity.sh <rev>
@@ -54,7 +54,10 @@ DIR="target/output-identity"
 TREE="$DIR/tree-$SHA"
 mkdir -p "$DIR"
 if [ ! -d "$TREE" ]; then
-    git worktree add --detach "$TREE" "$SHA" >/dev/null
+    rm -rf "$TREE.partial"
+    mkdir -p "$TREE.partial"
+    git archive "$SHA" | tar -x -C "$TREE.partial"
+    mv "$TREE.partial" "$TREE"
 fi
 
 build() {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # A/B the repository benchmark: a base revision against the working tree.
 #
-# Builds the perfbench binary of <rev> in a git worktree under
-# target/perfbench-ab/ and the working tree's next to it, then, for each
+# Extracts <rev> with `git archive` into a directory under
+# target/perfbench-ab/, builds its perfbench binary and the working tree's
+# next to it, then, for each
 # workload of the comma-separated <workloads> list, runs one measurement of
 # each side per seed, for the `pairs` seeds starting at first-seed
 # (default 1), alternating which side runs first from pair to pair.
@@ -16,8 +17,8 @@
 # the quartiles of <rev>'s runs; it reads "worse" under the same rule with
 # the sides swapped (<rev> won at least nine tenths of the pairs). The
 # script exits non-zero when any metric reads "worse" or any run reports a
-# failed benchmark check. The worktree is kept for later runs; remove it
-# with `git worktree remove target/perfbench-ab/tree-<sha>`.
+# failed benchmark check. The extracted tree is kept for later runs;
+# remove it with `rm -rf target/perfbench-ab/tree-<sha>`.
 #
 # Files under perfbench/ are left as they are: the lock file cargo may
 # rewrite while building the working tree is restored afterwards.
@@ -48,7 +49,10 @@ AB_DIR="target/perfbench-ab"
 TREE="$AB_DIR/tree-$SHA"
 mkdir -p "$AB_DIR"
 if [ ! -d "$TREE" ]; then
-    git worktree add --detach "$TREE" "$SHA" >/dev/null
+    rm -rf "$TREE.partial"
+    mkdir -p "$TREE.partial"
+    git archive "$SHA" | tar -x -C "$TREE.partial"
+    mv "$TREE.partial" "$TREE"
 fi
 
 LOCK_BACKUP="$(mktemp)"
