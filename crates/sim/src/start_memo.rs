@@ -60,12 +60,12 @@ use std::cmp::Ordering;
 /// or a maximum feasible parallelism) is one
 /// [`crate::NodeClassView::units_available_capped`]`(demand, cap)`, which
 /// is `min(g, cap)` for a `g` that does not depend on `cap` (the aggregate
-/// clamp, then an early-exit walk). So the call keeps a small
-/// direct-mapped table of `(class, demand) → (cap asked, answer)`: a
-/// stored answer decides every smaller cap, and every cap when it is below
-/// the cap asked. A collision or a larger cap walks again, so a queue in
-/// which every row has its own demand makes no more walks than without the
-/// table.
+/// clamp, then an early-exit walk). So the call keeps a small table of
+/// `(class, demand) → (cap asked, answer)` for the first eight demands it
+/// meets: a stored answer decides every smaller cap, and every cap when it
+/// is below the cap asked. A larger cap walks again, and so does every
+/// query on a later demand, so a queue in which every row has its own
+/// demand makes no more walks than without the table.
 #[derive(Debug, Clone, Default)]
 pub struct StartMemo {
     /// Run of the last scan's view (0, never minted: nothing to reuse).
@@ -158,7 +158,7 @@ impl StartMemo {
         // this scan's (the two buffers trade places every call).
         std::mem::swap(&mut self.startable, &mut self.candidates);
         self.startable.clear();
-        self.fits.begin();
+        self.fits.begin(view.classes.len());
         if reuse {
             let log_pos = self.log_pos;
             self.released.clear();
@@ -301,6 +301,9 @@ impl StartMemo {
         if self.blocked.len() > MAX_BLOCKED_GROUPS || self.blocked.iter().any(|g| g.holds(job)) {
             return;
         }
+        // Room for every group plus the one past the limit, allocated once.
+        self.blocked
+            .reserve_exact(MAX_BLOCKED_GROUPS + 1 - self.blocked.len());
         self.blocked.push(Group {
             demand: job.demand_per_unit,
             min: job.min_parallelism,
@@ -332,35 +335,33 @@ fn bits(demand: &ResourceVector) -> [u64; NUM_RESOURCES] {
     demand.0.map(f64::to_bits)
 }
 
-/// Slots of the fit table (a power of two).
-const FIT_SLOTS: usize = 64;
+/// The most demands the fit table stores answers for in one call; the
+/// workload templates have four.
+const FIT_DEMANDS: usize = 8;
 
 /// The fit answers of one [`StartMemo::for_each_startable`] call.
 #[derive(Debug, Clone, Default)]
 struct FitTable {
-    /// The current call; a slot of another call is empty.
-    pass: u64,
-    /// Allocated on the first call, then kept.
-    slots: Vec<FitSlot>,
+    /// The demands this call stored answers for, in first-asked order.
+    demands: Vec<[u64; NUM_RESOURCES]>,
+    /// `(cap asked, answer min(g, cap))` of each stored demand on each
+    /// class, `classes` entries per demand. `(0, 0)`, nothing asked yet,
+    /// answers only cap 0, correctly.
+    answers: Vec<(u32, u32)>,
+    classes: usize,
     walks: u64,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct FitSlot {
-    pass: u64,
-    class: usize,
-    demand: [u64; NUM_RESOURCES],
-    /// The cap asked, and the answer `min(g, cap)`.
-    cap: u32,
-    units: u32,
-}
-
 impl FitTable {
-    /// Start a call: forget every stored answer.
-    fn begin(&mut self) {
-        self.pass += 1;
-        if self.slots.is_empty() {
-            self.slots.resize(FIT_SLOTS, FitSlot::default());
+    /// Start a call on a view of `classes` classes: forget every stored
+    /// answer. Both buffers are allocated on the first call, then kept.
+    fn begin(&mut self, classes: usize) {
+        self.demands.clear();
+        self.demands.reserve_exact(FIT_DEMANDS);
+        if self.classes != classes {
+            self.classes = classes;
+            self.answers.clear();
+            self.answers.resize(FIT_DEMANDS * classes, (0, 0));
         }
     }
 
@@ -371,7 +372,8 @@ impl FitTable {
     }
 
     /// `units_available_capped(demand, cap)` on `class`, from the table
-    /// when a stored answer decides it.
+    /// when a stored answer decides it. Past [`FIT_DEMANDS`] demands a new
+    /// one walks without being stored.
     fn units(
         &mut self,
         view: &ClusterView,
@@ -380,27 +382,27 @@ impl FitTable {
         cap: u32,
     ) -> u32 {
         let demand_bits = bits(demand);
-        let mut hash = class.0 as u64;
-        for word in demand_bits {
-            hash = (hash ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-        let slot = &mut self.slots[(hash >> (64 - FIT_SLOTS.trailing_zeros())) as usize];
-        if slot.pass == self.pass
-            && slot.class == class.0
-            && slot.demand == demand_bits
-            && (cap <= slot.cap || slot.units < slot.cap)
-        {
-            return slot.units.min(cap);
+        let row = match self.demands.iter().position(|d| *d == demand_bits) {
+            Some(row) => row,
+            None if self.demands.len() < FIT_DEMANDS => {
+                self.demands.push(demand_bits);
+                let row = self.demands.len() - 1;
+                self.answers[row * self.classes..][..self.classes].fill((0, 0));
+                row
+            }
+            None => {
+                self.walks += 1;
+                return view.classes[class.0].units_available_capped(demand, cap);
+            }
+        };
+        let entry = &mut self.answers[row * self.classes + class.0];
+        let (asked, units) = *entry;
+        if cap <= asked || units < asked {
+            return units.min(cap);
         }
         self.walks += 1;
         let units = view.classes[class.0].units_available_capped(demand, cap);
-        *slot = FitSlot {
-            pass: self.pass,
-            class: class.0,
-            demand: demand_bits,
-            cap,
-            units,
-        };
+        *entry = (cap, units);
         units
     }
 }

@@ -4,9 +4,9 @@
 #
 # Extracts <rev> with `git archive` into a directory under
 # target/output-identity/ (the way scripts/perfbench_ab.sh extracts its
-# base), builds its `expdriver` binary and the working tree's, then runs with each binary, in its own directory
-# and with the same relative paths (checkpoint fingerprints hash the replay
-# trace's path):
+# base), builds its `expdriver` binary and the working tree's, then runs
+# with each binary, in its own directory and with the same relative paths
+# (checkpoint fingerprints hash the replay trace's path):
 #
 #   * `table1 summary fig5 fig10 --quick` (fig5 writes the utilisation
 #     trace);

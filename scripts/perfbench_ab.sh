@@ -3,10 +3,10 @@
 #
 # Extracts <rev> with `git archive` into a directory under
 # target/perfbench-ab/, builds its perfbench binary and the working tree's
-# next to it, then, for each
-# workload of the comma-separated <workloads> list, runs one measurement of
-# each side per seed, for the `pairs` seeds starting at first-seed
-# (default 1), alternating which side runs first from pair to pair.
+# next to it, then, for each workload of the comma-separated <workloads>
+# list, runs one measurement of each side per seed, for the `pairs` seeds
+# starting at first-seed (default 1), alternating which side runs first
+# from pair to pair.
 # Passing a first-seed past the seeds used while developing a change
 # confirms a claim on held-out seeds. For every workload and every
 # end-to-end metric BENCHMARK.json declares it prints the per-pair ratio
