@@ -313,12 +313,15 @@ impl<'r> SweepPlan<'r> {
     }
 }
 
+/// A checkpointing run flushes its checkpoint after every this many
+/// completed rows.
+const CHECKPOINT_EVERY: usize = 32;
+
 /// Execution options split off a session when it is frozen into a plan.
 struct RunOptions {
     parallel: bool,
     shard: Option<(usize, usize)>,
     checkpoint: Option<PathBuf>,
-    checkpoint_every: usize,
     progress: Option<ProgressCallback>,
 }
 
@@ -404,7 +407,6 @@ pub struct EvalSession<'r> {
     parallel: bool,
     shard: Option<(usize, usize)>,
     checkpoint: Option<PathBuf>,
-    checkpoint_every: usize,
     progress: Option<ProgressCallback>,
     experiment: String,
     caption: String,
@@ -429,7 +431,6 @@ impl<'r> EvalSession<'r> {
             parallel: true,
             shard: None,
             checkpoint: None,
-            checkpoint_every: 32,
             progress: None,
             experiment: "eval".into(),
             caption: String::new(),
@@ -536,17 +537,11 @@ impl<'r> EvalSession<'r> {
         self
     }
 
-    /// Checkpoint completed rows to `path` as versioned JSON and, when the
-    /// file already holds rows of this grid, resume from them instead of
-    /// re-simulating.
+    /// Checkpoint completed rows to `path` as versioned JSON (flushed after
+    /// every 32 completed rows and at the end) and, when the file already
+    /// holds rows of this grid, resume from them instead of re-simulating.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some(path.into());
-        self
-    }
-
-    /// Flush the checkpoint after every `rows` completed rows (default 32).
-    pub fn checkpoint_every(mut self, rows: usize) -> Self {
-        self.checkpoint_every = rows.max(1);
         self
     }
 
@@ -586,7 +581,6 @@ impl<'r> EvalSession<'r> {
             parallel,
             shard,
             checkpoint,
-            checkpoint_every,
             progress,
             experiment,
             caption,
@@ -723,7 +717,6 @@ impl<'r> EvalSession<'r> {
                 parallel,
                 shard,
                 checkpoint,
-                checkpoint_every,
                 progress,
             },
         ))
@@ -745,7 +738,6 @@ impl<'r> EvalSession<'r> {
             parallel,
             shard,
             checkpoint,
-            checkpoint_every,
             progress,
         } = options;
 
@@ -806,7 +798,7 @@ impl<'r> EvalSession<'r> {
                 if let Some((path, partial)) = flusher.as_ref() {
                     let mut partial = partial.lock();
                     partial.rows.push(row.clone());
-                    if partial.rows.len() % checkpoint_every == 0 {
+                    if partial.rows.len() % CHECKPOINT_EVERY == 0 {
                         let _ = partial.save_json(path);
                     }
                 }

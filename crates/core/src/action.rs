@@ -192,6 +192,16 @@ impl ActionSpace {
         mask[self.wait_index()] = true;
     }
 
+    /// The first start index at parallelism level 0 (the job's minimum)
+    /// that `mask` allows, in `(queue slot, class)` order: the most urgent
+    /// job that can start at its minimum, on its lowest-numbered feasible
+    /// class. `None` when no job can start.
+    pub(crate) fn first_min_start(&self, mask: &[bool]) -> Option<usize> {
+        (0..self.queue_slots * self.num_classes)
+            .map(|slot_class| slot_class * self.parallelism_levels)
+            .find(|&index| mask[index])
+    }
+
     /// Decode an action index into a simulator action for a view whose
     /// slots `slots` ranked. Returns `None` when the index refers to an
     /// empty slot (the mask keeps the policy away from those, but decoding

@@ -221,21 +221,12 @@ impl DrlScheduler {
 
     /// Emergency fallback when the policy refuses to schedule even though
     /// nothing else can ever happen: start the most urgent feasible job at
-    /// its minimum parallelism so the run cannot deadlock. Returns `None`
-    /// when nothing is feasible.
+    /// its minimum parallelism so the run cannot deadlock. Reads the mask
+    /// [`Self::select_action`] left for this view (level 0 is the minimum);
+    /// returns `None` when nothing is feasible.
     fn fallback_start(&self, view: &ClusterView) -> Option<Action> {
-        for job in self.scratch.slots.queue_jobs(view) {
-            for class in &view.classes {
-                if view.can_start(job, class.id, job.min_parallelism) {
-                    return Some(Action::Start {
-                        job: job.id,
-                        class: class.id,
-                        parallelism: job.min_parallelism,
-                    });
-                }
-            }
-        }
-        None
+        let index = self.actions.first_min_start(&self.scratch.mask)?;
+        self.actions.decode(index, view, &self.scratch.slots)
     }
 }
 
@@ -405,6 +396,74 @@ mod tests {
         agent.save(&path).unwrap();
         assert_eq!(DrlScheduler::load(&path).unwrap().num_classes, 4);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Reference for [`DrlScheduler::fallback_start`] that asks the view
+    /// directly: the first queue slot's job that `can_start` accepts at its
+    /// minimum parallelism, on the first class that fits.
+    fn fallback_by_can_start(slots: &SlotSnapshot, view: &ClusterView) -> Option<Action> {
+        for job in slots.queue_jobs(view) {
+            for class in &view.classes {
+                if view.can_start(job, class.id, job.min_parallelism) {
+                    return Some(Action::Start {
+                        job: job.id,
+                        class: class.id,
+                        parallelism: job.min_parallelism,
+                    });
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn fallback_from_the_mask_matches_the_can_start_walk() {
+        use rand::Rng;
+        let cluster = ClusterSpec::icpp_default();
+        let mut rng = StdRng::seed_from_u64(17);
+        let (mut starts, mut nones) = (0, 0);
+        for (seed, rigid) in [(0, false), (1, false), (2, true)] {
+            let mut agent = fresh_agent();
+            if rigid {
+                agent.actions = ActionSpace::new(&agent.config.clone().rigid(), 4);
+            }
+            let spec = WorkloadSpec::icpp_default()
+                .with_num_jobs(40)
+                .with_load(1.3);
+            let mut sim = Simulator::new(cluster.clone(), SimConfig::default());
+            sim.start(jobs_for(&spec, &cluster, seed));
+            let mut view = sim.view();
+            while sim.advance() {
+                for _ in 0..12 {
+                    sim.view_into(&mut view);
+                    agent.select_action(&view);
+                    let fallback = agent.fallback_start(&view);
+                    assert_eq!(
+                        fallback,
+                        fallback_by_can_start(&agent.scratch.slots, &view),
+                        "t={}",
+                        view.time
+                    );
+                    if fallback.is_some() {
+                        starts += 1;
+                    } else {
+                        nones += 1;
+                    }
+                    let mask = &agent.scratch.mask;
+                    let feasible: Vec<usize> = (0..mask.len()).filter(|&i| mask[i]).collect();
+                    let index = feasible[rng.gen_range(0..feasible.len())];
+                    if index == agent.actions.wait_index() {
+                        break;
+                    }
+                    let action = agent
+                        .actions
+                        .decode(index, &view, &agent.scratch.slots)
+                        .expect("masked in");
+                    assert!(!sim.apply(&action).is_invalid());
+                }
+            }
+        }
+        assert!(starts > 100 && nones > 100, "{starts} starts, {nones} none");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! [`ClusterSpec`] describes the heterogeneous machine park (Table 1 of the
 //! reconstructed evaluation); [`SimConfig`] collects the engine knobs
-//! (decision epochs, reconfiguration cost, whether elastic re-scaling is
-//! allowed at all).
+//! (decision epochs, the re-scale cooldown, run limits and metric
+//! retention).
 
 use crate::job::JobClass;
 use crate::node::{NodeClassId, SpeedProfile};
@@ -262,25 +262,22 @@ impl Default for ClusterSpec {
     }
 }
 
-/// Engine knobs.
+/// Engine knobs. The re-scale charge
+/// ([`RECONFIG_COST_FRAC`](crate::engine::RECONFIG_COST_FRAC)) and the
+/// utilisation sampling period
+/// ([`UTIL_SAMPLE_INTERVAL`](crate::engine::UTIL_SAMPLE_INTERVAL)) are engine
+/// constants, not knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
     /// If set, a decision epoch is raised every `decision_interval` seconds
     /// even when no arrival/completion happened, letting the scheduler
     /// re-scale running jobs proactively.
     pub decision_interval: Option<f64>,
-    /// Fraction of a job's total work added as overhead every time its degree
-    /// of parallelism changes while running (elastic reconfiguration cost).
-    pub reconfig_cost_frac: f64,
-    /// If false, `Action::Scale` requests are rejected (rigid ablation).
-    pub allow_scaling: bool,
     /// Minimum simulated time between two re-scaling operations on the same
     /// job (and between a job's start and its first re-scaling). Models the
     /// fact that elastic reconfiguration is not instantaneous and prevents
     /// degenerate policies from thrashing a job's parallelism.
     pub scale_cooldown: f64,
-    /// Sampling period of the utilisation trace, in seconds.
-    pub util_sample_interval: f64,
     /// Maximum number of scheduler invocations per decision epoch before the
     /// engine forces progress (guards against schedulers that keep emitting
     /// infeasible actions).
@@ -304,23 +301,10 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             decision_interval: Some(10.0),
-            reconfig_cost_frac: 0.02,
-            allow_scaling: true,
             scale_cooldown: 20.0,
-            util_sample_interval: 5.0,
             max_decisions_per_epoch: 64,
             max_sim_time: 1e6,
             bounded_metrics: false,
-        }
-    }
-}
-
-impl SimConfig {
-    /// A configuration with elasticity disabled (used by the rigid ablation).
-    pub fn rigid() -> Self {
-        SimConfig {
-            allow_scaling: false,
-            ..Default::default()
         }
     }
 }
@@ -456,6 +440,17 @@ mod tests {
         assert!(legacy.contains("\"placement_index\":false"));
         let back: SimConfig = serde_json::from_str(&legacy).unwrap();
         assert_eq!(cfg, back);
+        // So do configs written while the re-scale charge and sampling
+        // period were settable and re-scaling could be switched off: the
+        // engine now uses its constants, whatever values the file holds.
+        let legacy = json.replacen(
+            '{',
+            "{\"reconfig_cost_frac\":0.5,\"util_sample_interval\":1.0,\"allow_scaling\":false,",
+            1,
+        );
+        assert!(legacy.contains("\"allow_scaling\":false"));
+        let back: SimConfig = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(back, SimConfig::default());
         let spec = ClusterSpec::icpp_default();
         let json = serde_json::to_string(&spec).unwrap();
         let back: ClusterSpec = serde_json::from_str(&json).unwrap();

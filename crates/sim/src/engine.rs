@@ -232,6 +232,14 @@ impl RunningJob {
 /// The most jobs any entry point pre-sizes its per-run collections for.
 const PRESIZE_JOBS: usize = 1024;
 
+/// The re-scale charge: every accepted `Action::Scale` adds this fraction of
+/// the job's total work to its remaining work (the cost of elastic
+/// reconfiguration).
+pub const RECONFIG_COST_FRAC: f64 = 0.02;
+
+/// Sampling period of the utilisation trace, in seconds of simulated time.
+pub const UTIL_SAMPLE_INTERVAL: f64 = 5.0;
+
 /// The process-wide source of [`RunId`]s: they only need to be unique,
 /// and 0 is never minted.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
@@ -534,17 +542,15 @@ impl Simulator {
         // amortised growth. Bounded-metrics runs fold samples into fixed
         // state instead of storing them, so the trace stays unallocated.
         if !self.config.bounded_metrics {
-            let sample_budget = (self.config.max_sim_time / self.config.util_sample_interval)
-                .clamp(16.0, 1024.0) as usize;
+            let sample_budget =
+                (self.config.max_sim_time / UTIL_SAMPLE_INTERVAL).clamp(16.0, 1024.0) as usize;
             self.metrics.reserve_samples(sample_budget);
         }
         if let Some(interval) = self.config.decision_interval {
             self.events.push(interval, EventKind::DecisionEpoch);
         }
-        self.events.push(
-            self.config.util_sample_interval,
-            EventKind::UtilizationSample,
-        );
+        self.events
+            .push(UTIL_SAMPLE_INTERVAL, EventKind::UtilizationSample);
     }
 
     /// True when every job has been processed (or the run aborted).
@@ -649,7 +655,7 @@ impl Simulator {
                     self.record_utilization_sample();
                     if self.is_active() {
                         self.events.push(
-                            self.time + self.config.util_sample_interval,
+                            self.time + UTIL_SAMPLE_INTERVAL,
                             EventKind::UtilizationSample,
                         );
                     }
@@ -764,14 +770,13 @@ impl Simulator {
     }
 
     /// Rewrite the fields shared by the incremental and rebuild refill
-    /// paths: the header (time, future-arrival count, scaling rules and
+    /// paths: the header (time, future-arrival count, scale cooldown and
     /// release stamps) and per-class free
     /// capacity from the cluster's delta-maintained aggregates.
     /// O(classes) — rows are time-affine and need no refresh.
     fn refresh_header(&self, out: &mut ClusterView) {
         out.time = self.time;
         out.future_arrivals = self.future_arrivals.max(self.buffered_arrivals());
-        out.allow_scaling = self.config.allow_scaling;
         out.scale_cooldown = self.config.scale_cooldown;
         out.released_at.clear();
         out.released_at.extend_from_slice(&self.released_at);
@@ -1243,9 +1248,6 @@ impl Simulator {
     }
 
     fn apply_scale(&mut self, job_id: JobId, new_parallelism: u32) -> ActionOutcome {
-        if !self.config.allow_scaling {
-            return ActionOutcome::Invalid("scaling disabled");
-        }
         let Some(r) = self.running.get(&job_id) else {
             return ActionOutcome::Invalid("job not running");
         };
@@ -1258,16 +1260,12 @@ impl Simulator {
         if target == current {
             return ActionOutcome::Invalid("no parallelism change");
         }
-        if !row.scale_ready(
-            self.time,
-            self.config.allow_scaling,
-            self.config.scale_cooldown,
-        ) {
+        if !row.scale_ready(self.time, self.config.scale_cooldown) {
             return ActionOutcome::Invalid("reconfiguration cooldown");
         }
         let class = row.node_class;
         let demand = row.demand_per_unit;
-        let reconfig_cost = row.total_work * self.config.reconfig_cost_frac;
+        let reconfig_cost = row.total_work * RECONFIG_COST_FRAC;
         // The units added by a scale-up, or released by a scale-down.
         let mut placements = self.placement_buffer();
         if target > current {
@@ -1482,7 +1480,6 @@ mod tests {
         }
         let mut cfg = SimConfig::default();
         cfg.decision_interval = Some(2.0);
-        cfg.reconfig_cost_frac = 0.0;
         cfg.scale_cooldown = 0.0;
         let sim = Simulator::new(tiny_spec(), cfg);
         let jobs = vec![simple_job(0, 0.0, 40.0, 1000.0)];
@@ -1490,28 +1487,11 @@ mod tests {
         assert_eq!(result.summary.completed_jobs, 1);
         let finish = result.completed[0].finish;
         // Without scaling it would take 40s; with a scale-up to 4 after ~2s it
-        // finishes around 2 + 38/4 ≈ 11.5s.
+        // finishes around 2 + (38 + 0.8)/4 ≈ 11.7s (0.8: the 2% re-scale
+        // charge).
         assert!(finish < 20.0, "finish = {finish}");
         assert_eq!(result.summary.scale_events, 1);
         assert!(result.completed[0].avg_parallelism > 1.5);
-    }
-
-    #[test]
-    fn scaling_disabled_is_rejected() {
-        let mut sim = Simulator::new(tiny_spec(), SimConfig::rigid());
-        sim.start(vec![simple_job(0, 0.0, 40.0, 1000.0)]);
-        assert!(sim.advance());
-        let outcome = sim.apply(&Action::Start {
-            job: JobId(0),
-            class: NodeClassId(0),
-            parallelism: 1,
-        });
-        assert_eq!(outcome, ActionOutcome::Started);
-        let outcome = sim.apply(&Action::Scale {
-            job: JobId(0),
-            new_parallelism: 4,
-        });
-        assert_eq!(outcome, ActionOutcome::Invalid("scaling disabled"));
     }
 
     #[test]
@@ -1587,20 +1567,24 @@ mod tests {
 
     #[test]
     fn utilization_trace_is_sampled() {
-        let mut cfg = SimConfig::default();
-        cfg.util_sample_interval = 1.0;
-        let sim = Simulator::new(tiny_spec(), cfg);
+        // Two 50-unit jobs at one unit each run over [0, 50] and [1, 51]:
+        // the trace holds one sample every `UTIL_SAMPLE_INTERVAL` (5 s) of
+        // that span, in time order, and every one sees a job running.
+        let sim = Simulator::new(tiny_spec(), SimConfig::default());
         let jobs = vec![
-            simple_job(0, 0.0, 10.0, 100.0),
-            simple_job(1, 1.0, 10.0, 100.0),
+            simple_job(0, 0.0, 50.0, 100.0),
+            simple_job(1, 1.0, 50.0, 100.0),
         ];
         let result = sim.run(jobs, &mut EagerMin);
-        assert!(result.trace.samples.len() >= 5);
+        let times: Vec<f64> = result.trace.samples.iter().map(|s| s.time).collect();
+        let expected: Vec<f64> = (1..=10).map(|k| k as f64 * UTIL_SAMPLE_INTERVAL).collect();
+        assert_eq!(times, expected);
+        assert!(result
+            .trace
+            .samples
+            .iter()
+            .all(|s| s.running > 0 && s.overall > 0.0));
         assert!(result.summary.mean_utilization > 0.0);
-        // Samples are in time order.
-        for w in result.trace.samples.windows(2) {
-            assert!(w[0].time <= w[1].time);
-        }
     }
 
     #[test]
@@ -1679,7 +1663,6 @@ mod tests {
         // the progress and anchors the cooldown there.
         let mut cfg = SimConfig::default();
         cfg.scale_cooldown = 6.0;
-        cfg.reconfig_cost_frac = 0.05;
         let mut sim = Simulator::new(tiny_spec(), cfg);
         sim.start(vec![simple_job(0, 0.0, 40.0, 1000.0)]);
         assert!(sim.advance());
@@ -1705,19 +1688,19 @@ mod tests {
 
     #[test]
     fn elastic_timeline_matches_the_hand_computed_finish() {
-        // 40 work units at rate 1 from t = 0. At t = 7 the scale to 3 units
-        // leaves 33 + 2 (the 5% reconfiguration charge) at rate 3; at
+        // 50 work units at rate 1 from t = 0. At t = 7 the scale to 3 units
+        // leaves 43 + 1 (the 2% reconfiguration charge) at rate 3; at
         // t = 12 the cooldown (6 s) rejects a re-scale; at t = 13 the scale
-        // to 2 leaves 35 − 18 + 2 = 19 at rate 2, so the job finishes at
-        // 13 + 19 / 2 = 22.5, 2.5 s past its deadline of 20.
+        // to 2 leaves 44 − 18 + 1 = 27 at rate 2, so the job finishes at
+        // 13 + 27 / 2 = 26.5, 6.5 s past its deadline of 20.
+        assert_eq!(RECONFIG_COST_FRAC, 0.02);
         let mut cfg = SimConfig::default();
         cfg.decision_interval = Some(1.0);
         cfg.scale_cooldown = 6.0;
-        cfg.reconfig_cost_frac = 0.05;
         let mut sim = Simulator::new(tiny_spec(), cfg);
         sim.start(vec![Job {
             utility: TimeUtility::soft(2.0, 0.5),
-            ..simple_job(0, 0.0, 40.0, 20.0)
+            ..simple_job(0, 0.0, 50.0, 20.0)
         }]);
         let advance_to = |sim: &mut Simulator, t: f64| {
             while sim.time() < t {
@@ -1749,22 +1732,22 @@ mod tests {
             assert!(sim.advance());
         }
         // Every field of the completion record comes from the running row:
-        // the grace window is 0.5 × 20 = 10 s, so the 2.5 s overrun keeps
-        // three quarters of the value 2; the best case is 40 work units at
-        // the maximum 4 units, 10 s; the units integral is
-        // 7 × 1 + 6 × 3 + 9.5 × 2 = 44 unit-seconds.
+        // the grace window is 0.5 × 20 = 10 s, so the 6.5 s overrun keeps
+        // 35% of the value 2; the best case is 50 work units at the
+        // maximum 4 units, 12.5 s; the units integral is
+        // 7 × 1 + 6 × 3 + 13.5 × 2 = 52 unit-seconds.
         let record = &sim.completed_so_far()[0];
         assert_eq!(record.id, JobId(0));
         assert_eq!(record.class, JobClass::Batch);
         assert_eq!((record.arrival, record.start), (0.0, 0.0));
-        assert_eq!((record.finish, record.deadline), (22.5, 20.0));
+        assert_eq!((record.finish, record.deadline), (26.5, 20.0));
         assert!(record.missed);
-        assert_eq!(record.utility, 1.5);
+        assert!((record.utility - 0.7).abs() < 1e-12);
         assert_eq!(record.max_utility, 2.0);
-        assert_eq!((record.wait, record.response), (0.0, 22.5));
-        assert_eq!(record.best_case_service, 10.0);
-        assert_eq!(record.slowdown, 2.25);
-        assert!((record.avg_parallelism - 44.0 / 22.5).abs() < 1e-12);
+        assert_eq!((record.wait, record.response), (0.0, 26.5));
+        assert_eq!(record.best_case_service, 12.5);
+        assert_eq!(record.slowdown, 26.5 / 12.5);
+        assert!((record.avg_parallelism - 52.0 / 26.5).abs() < 1e-12);
         assert_eq!(record.scale_count, 2);
     }
 
@@ -1846,11 +1829,13 @@ mod tests {
             .map(|i| simple_job(i, i as f64 * 1.37, 4.0 + (i as f64) * 0.93, 400.0))
             .collect();
         let on_grid: Vec<Job> = (0..40)
-            .map(|i| simple_job(i, i as f64 * 2.0, 3.0 + (i % 5) as f64, 400.0))
+            .map(|i| {
+                let arrival = i as f64 * UTIL_SAMPLE_INTERVAL;
+                simple_job(i, arrival, 3.0 + (i % 5) as f64, 400.0)
+            })
             .collect();
         let mut cfg = SimConfig::default();
-        cfg.decision_interval = Some(2.0);
-        cfg.util_sample_interval = 2.0;
+        cfg.decision_interval = Some(UTIL_SAMPLE_INTERVAL);
         for jobs in [off_grid, on_grid] {
             let batch = Simulator::new(tiny_spec(), cfg.clone()).run(jobs.clone(), &mut EagerMin);
 

@@ -344,13 +344,12 @@ impl RunningJobView {
     }
 
     /// True when the engine would accept a re-scaling of this job at `now`
-    /// under the given rules (the view header's `allow_scaling` /
-    /// `scale_cooldown`; [`ClusterView::scale_ready`] passes them): scaling
-    /// enabled and the reconfiguration cooldown elapsed, with a 1e-9
-    /// tolerance. The engine's `apply_scale` calls this as its cooldown
-    /// test.
-    pub fn scale_ready(&self, now: f64, allow_scaling: bool, scale_cooldown: f64) -> bool {
-        allow_scaling && now - self.last_scaled_at >= scale_cooldown - 1e-9
+    /// under the given cooldown (the view header's `scale_cooldown`;
+    /// [`ClusterView::scale_ready`] passes it): the reconfiguration cooldown
+    /// has elapsed, with a 1e-9 tolerance. The engine's `apply_scale` calls
+    /// this as its cooldown test.
+    pub fn scale_ready(&self, now: f64, scale_cooldown: f64) -> bool {
+        now - self.last_scaled_at >= scale_cooldown - 1e-9
     }
 
     /// Expected finish time when the job keeps its current rate from `now`
@@ -455,9 +454,6 @@ pub struct ClusterView {
     /// queue slots are its first rows, instead of re-sorting the queue at
     /// every decision.
     pub pending_by_deadline: Vec<u32>,
-    /// Whether the engine accepts re-scaling at all (its
-    /// `SimConfig::allow_scaling`); read by [`Self::scale_ready`].
-    pub allow_scaling: bool,
     /// Minimum time between two re-scalings of one job (its
     /// `SimConfig::scale_cooldown`); read by [`Self::scale_ready`].
     pub scale_cooldown: f64,
@@ -476,8 +472,7 @@ pub struct ClusterView {
 impl ClusterView {
     /// Build an unsynced view (the engine's [`crate::engine::Simulator::view`]
     /// refills it at once). The deadline index is derived from `pending`;
-    /// the view allows scaling with no cooldown until a refill copies both
-    /// from the engine's config.
+    /// the view has no scale cooldown until a refill copies the engine's.
     pub(crate) fn new(
         time: f64,
         spec: Arc<ClusterSpec>,
@@ -496,7 +491,6 @@ impl ClusterView {
             running,
             future_arrivals,
             pending_by_deadline,
-            allow_scaling: true,
             scale_cooldown: 0.0,
             released_at: Vec::new(),
             sync: ViewSync::default(),
@@ -656,9 +650,9 @@ impl ClusterView {
 
     /// True when the engine would accept a re-scaling of `job` at this
     /// view's time ([`RunningJobView::scale_ready`] under the header's
-    /// scaling rules).
+    /// cooldown).
     pub fn scale_ready(&self, job: &RunningJobView) -> bool {
-        job.scale_ready(self.time, self.allow_scaling, self.scale_cooldown)
+        job.scale_ready(self.time, self.scale_cooldown)
     }
 
     /// One class view by id.
@@ -1050,15 +1044,12 @@ mod tests {
         let ready_at = r.last_scaled_at + cooldown;
         // Exactly at the boundary ±1e-9: the tolerance accepts 1e-9 early
         // and refuses anything earlier.
-        assert!(r.scale_ready(ready_at, true, cooldown));
-        assert!(r.scale_ready(ready_at - 1e-9, true, cooldown));
-        assert!(r.scale_ready(ready_at + 1e-9, true, cooldown));
-        assert!(!r.scale_ready(ready_at - 1e-6, true, cooldown));
-        // Scaling disabled: never ready, however long the job has waited.
-        assert!(!r.scale_ready(1e9, false, cooldown));
-        assert!(!r.scale_ready(1e9, false, 0.0));
+        assert!(r.scale_ready(ready_at, cooldown));
+        assert!(r.scale_ready(ready_at - 1e-9, cooldown));
+        assert!(r.scale_ready(ready_at + 1e-9, cooldown));
+        assert!(!r.scale_ready(ready_at - 1e-6, cooldown));
         // No cooldown: ready at the very instant of the last re-scale.
-        assert!(r.scale_ready(r.last_scaled_at, true, 0.0));
+        assert!(r.scale_ready(r.last_scaled_at, 0.0));
     }
 
     #[test]
@@ -1066,14 +1057,10 @@ mod tests {
         let mut view = make_view();
         view.running.push(running_row());
         view.time = 10.0;
-        view.allow_scaling = true;
         view.scale_cooldown = 5.0;
         assert!(view.scale_ready(&view.running[0]), "10 - 4 >= 5");
         view.scale_cooldown = 7.0;
         assert!(!view.scale_ready(&view.running[0]), "10 - 4 < 7");
-        view.scale_cooldown = 0.0;
-        view.allow_scaling = false;
-        assert!(!view.scale_ready(&view.running[0]), "scaling disabled");
     }
 
     #[test]

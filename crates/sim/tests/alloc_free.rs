@@ -38,10 +38,10 @@ fn steady_state_stepping_does_not_allocate() {
     )]);
     let mut cfg = SimConfig::default();
     cfg.decision_interval = Some(1.0);
-    // Sampling enabled well inside the measured window: per-class vectors
-    // are stored inline and the trace is pre-reserved, so sampling must not
-    // allocate either.
-    cfg.util_sample_interval = 0.5;
+    // The measured window spans at least 50 s, so it holds ten or more
+    // utilisation samples (one every 5 s): per-class vectors are stored
+    // inline and the trace is pre-reserved, so sampling must not allocate
+    // either.
     cfg.max_sim_time = 1e5;
 
     let jobs: Vec<Job> = (0..30)
@@ -135,7 +135,6 @@ fn run_source_is_allocation_free_after_warm_up() {
     )]);
     let mut cfg = SimConfig::default();
     cfg.decision_interval = Some(1.0);
-    cfg.util_sample_interval = 0.5;
     cfg.max_sim_time = 1e5;
 
     // A fixed job list replayed through a cloning iterator: `Job` holds no
@@ -193,7 +192,6 @@ fn stepwise_replications_with_completions_are_allocation_free_after_warm_up() {
     )]);
     let mut cfg = SimConfig::default();
     cfg.decision_interval = Some(1.0);
-    cfg.util_sample_interval = 0.5;
     cfg.max_sim_time = 1e5;
 
     // Every job class, and deadlines tight enough that some jobs miss.

@@ -406,7 +406,6 @@ pub fn run_against_oracles<S: Copy + Into<Step>>(
     let mut cfg = SimConfig::default();
     cfg.decision_interval = Some(decision_interval);
     cfg.scale_cooldown = 3.0;
-    cfg.util_sample_interval = 2.5;
     cfg.max_sim_time = 5e4;
     let mut sim = Simulator::new(spec, cfg);
     sim.start(jobs);
@@ -485,7 +484,6 @@ const READ_OFFSETS: [f64; 4] = [0.0, 0.75, 9.5, 5e3];
 /// at `view.time` and at later times: pending `wait`, running
 /// `remaining_work` / `scale_ready` / `slack`, and the pending-work total.
 pub fn assert_derived_equal(a: &ClusterView, b: &ClusterView) {
-    assert_eq!(a.allow_scaling, b.allow_scaling, "scaling rule diverged");
     assert_eq!(
         a.scale_cooldown.to_bits(),
         b.scale_cooldown.to_bits(),
@@ -513,8 +511,8 @@ pub fn assert_derived_equal(a: &ClusterView, b: &ClusterView) {
                 x.id
             );
             assert_eq!(
-                x.scale_ready(now, a.allow_scaling, a.scale_cooldown),
-                y.scale_ready(now, b.allow_scaling, b.scale_cooldown),
+                x.scale_ready(now, a.scale_cooldown),
+                y.scale_ready(now, b.scale_cooldown),
                 "scale readiness of {} diverged at +{dt}",
                 x.id
             );

@@ -8,12 +8,13 @@
 //! first-class, composable evaluation scenario.
 //!
 //! The workload API is built around the open [`WorkloadSource`] trait: a
-//! seeded, resettable, streaming iterator of jobs. Three source families are
-//! bundled — [`SyntheticSource`] (the incremental generator),
-//! [`ReplaySource`] (a recorded [`Trace`] re-emitted verbatim or
-//! time-scaled) and [`FnSource`] (custom closures) — and composable
-//! transformers ([`SourceExt`]) wrap any of them: `scale_load`,
-//! `inject_burst`, `tighten_deadlines`, `filter_class`, `truncate`, `merge`.
+//! seeded, resettable, streaming iterator of jobs. Two source families are
+//! bundled: [`SyntheticSource`] (the incremental generator) and
+//! [`ReplaySource`] (a recorded [`Trace`] re-emitted verbatim). A custom
+//! stream implements the trait or registers a factory with
+//! [`ScenarioRegistry::register_fn`]. Composable transformers
+//! ([`SourceExt`]) wrap any source: `scale_load`, `inject_burst`,
+//! `tighten_deadlines`, `filter_class`, `truncate`, `merge`.
 //! Scenarios are addressable through round-tripping **spec strings**
 //! (`"poisson(load=0.8)+burst(3x)"`, `"replay(day1.json)+tighten(0.9)"`)
 //! resolved by a [`ScenarioRegistry`] — see [`scenario`] for the grammar.
@@ -63,8 +64,8 @@ pub use scenario::{
     DEFAULT_BURST_PERIOD,
 };
 pub use source::{
-    partition_lane, split_seed, FilterClass, FnSource, InjectBurst, Merge, Partition, RateWindow,
-    Renumber, ReplaySource, ScaleLoad, SourceExt, SyntheticSource, TightenDeadlines, Truncate,
+    partition_lane, split_seed, FilterClass, InjectBurst, Merge, Partition, RateWindow, Renumber,
+    ReplaySource, ScaleLoad, SourceExt, SyntheticSource, TightenDeadlines, Truncate,
     WorkloadSource,
 };
 pub use spec::{ArrivalProcess, ClassTemplate, DeadlineSpec, ElasticitySpec, WorkloadSpec};

@@ -1,5 +1,5 @@
 //! Streaming workload sources: the open [`WorkloadSource`] trait plus the
-//! three bundled source families and the composable transformers that wrap
+//! two bundled source families and the composable transformers that wrap
 //! them.
 //!
 //! A source is a **seeded, resettable, arrival-ordered stream of jobs**:
@@ -10,9 +10,11 @@
 //!
 //! * [`SyntheticSource`] — the synthetic generator, emitting one job at a
 //!   time instead of materialising the trace upfront;
-//! * [`ReplaySource`] — a recorded [`crate::Trace`] re-emitted verbatim or
-//!   time-scaled (reproducible comparisons on a fixed event sequence);
-//! * [`FnSource`] — a custom stream built from a `seed -> iterator` closure.
+//! * [`ReplaySource`] — a recorded [`crate::Trace`] re-emitted verbatim
+//!   (reproducible comparisons on a fixed event sequence).
+//!
+//! A custom stream implements [`WorkloadSource`] itself, or registers a
+//! factory with [`crate::ScenarioRegistry::register_fn`].
 //!
 //! Transformers ([`SourceExt`]) wrap any source without changing its type
 //! discipline: [`SourceExt::scale_load`], [`SourceExt::inject_burst`],
@@ -281,7 +283,7 @@ impl WorkloadSource for SyntheticSource {
 // Replay
 // ---------------------------------------------------------------------------
 
-/// Re-emits a recorded job list — verbatim, or with arrivals time-scaled.
+/// Re-emits a recorded job list verbatim.
 ///
 /// The job list is shared (`Arc`), so resetting or cloning a replay of a
 /// large trace never copies the jobs. Seeds are ignored: a replay is the
@@ -290,10 +292,6 @@ impl WorkloadSource for SyntheticSource {
 pub struct ReplaySource {
     jobs: Arc<Vec<Job>>,
     cursor: usize,
-    /// Arrival times are multiplied by this factor; each job's *relative*
-    /// deadline is preserved, so scaling changes the offered load without
-    /// changing per-job tightness.
-    time_scale: f64,
 }
 
 impl ReplaySource {
@@ -311,7 +309,6 @@ impl ReplaySource {
         ReplaySource {
             jobs: Arc::new(jobs),
             cursor: 0,
-            time_scale: 1.0,
         }
     }
 
@@ -342,28 +339,12 @@ impl ReplaySource {
     /// replay via [`Self::shared_jobs`].
     pub fn from_shared(jobs: Arc<Vec<Job>>) -> Self {
         debug_assert!(jobs.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-        ReplaySource {
-            jobs,
-            cursor: 0,
-            time_scale: 1.0,
-        }
+        ReplaySource { jobs, cursor: 0 }
     }
 
     /// The shared (arrival-sorted) job list behind this replay.
     pub fn shared_jobs(&self) -> Arc<Vec<Job>> {
         Arc::clone(&self.jobs)
-    }
-
-    /// Multiply every arrival time by `scale` (`< 1` compresses the trace —
-    /// higher offered load), preserving each job's relative deadline.
-    pub fn time_scaled(mut self, scale: f64) -> Result<Self, WorkloadError> {
-        if !(scale.is_finite() && scale > 0.0) {
-            return Err(WorkloadError::InvalidWorkload(format!(
-                "replay time-scale must be finite and positive, got {scale}"
-            )));
-        }
-        self.time_scale = scale;
-        Ok(self)
     }
 
     /// Number of jobs in the replayed list.
@@ -381,13 +362,8 @@ impl Iterator for ReplaySource {
     type Item = Job;
 
     fn next(&mut self) -> Option<Job> {
-        let mut job = self.jobs.get(self.cursor)?.clone();
+        let job = self.jobs.get(self.cursor)?.clone();
         self.cursor += 1;
-        if self.time_scale != 1.0 {
-            let relative = job.deadline - job.arrival;
-            job.arrival *= self.time_scale;
-            job.deadline = job.arrival + relative;
-        }
         Some(job)
     }
 
@@ -400,73 +376,6 @@ impl Iterator for ReplaySource {
 impl WorkloadSource for ReplaySource {
     fn reset(&mut self, _seed: u64) {
         self.cursor = 0;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Custom closures
-// ---------------------------------------------------------------------------
-
-/// A source built from a `seed -> iterator` factory closure: ad-hoc job
-/// streams in tests, examples and custom registered scenarios.
-///
-/// ```
-/// use tcrm_sim::{Job, JobClass, JobId};
-/// use tcrm_workload::{FnSource, WorkloadSource};
-///
-/// let mut source = FnSource::new(7, |seed| {
-///     (0..3u64).map(move |i| {
-///         Job::builder(JobId(i), JobClass::Batch)
-///             .arrival(i as f64 + (seed % 10) as f64)
-///             .total_work(5.0)
-///             .deadline(1000.0)
-///             .build()
-///     })
-/// });
-/// assert_eq!(source.by_ref().count(), 3);
-/// source.reset(7);
-/// assert_eq!(source.next().unwrap().arrival, 7.0);
-/// ```
-pub struct FnSource<F, I> {
-    factory: F,
-    current: I,
-}
-
-impl<F, I> FnSource<F, I>
-where
-    F: Fn(u64) -> I + Send,
-    I: Iterator<Item = Job> + Send,
-{
-    /// Build the source, immediately arming it with `seed`.
-    pub fn new(seed: u64, factory: F) -> Self {
-        let current = factory(seed);
-        FnSource { factory, current }
-    }
-}
-
-impl<F, I> Iterator for FnSource<F, I>
-where
-    F: Fn(u64) -> I + Send,
-    I: Iterator<Item = Job> + Send,
-{
-    type Item = Job;
-
-    fn next(&mut self) -> Option<Job> {
-        self.current.next()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.current.size_hint()
-    }
-}
-
-impl<F, I> WorkloadSource for FnSource<F, I>
-where
-    F: Fn(u64) -> I + Send,
-    I: Iterator<Item = Job> + Send,
-{
-    fn reset(&mut self, seed: u64) {
-        self.current = (self.factory)(seed);
     }
 }
 
@@ -1144,24 +1053,6 @@ mod tests {
         assert_eq!(jobs_of(&mut replay), jobs);
         replay.reset(999);
         assert_eq!(jobs_of(&mut replay), jobs, "seeds must not affect replay");
-    }
-
-    #[test]
-    fn replay_time_scaling_preserves_relative_deadlines() {
-        let spec = WorkloadSpec::tiny().with_num_jobs(10);
-        let mut synth = SyntheticSource::new(&spec, &ClusterSpec::tiny(), 4).unwrap();
-        let jobs = jobs_of(&mut synth);
-        let mut scaled = ReplaySource::from_jobs(jobs.clone())
-            .time_scaled(0.5)
-            .unwrap();
-        for (original, scaled) in jobs.iter().zip(scaled.by_ref()) {
-            assert!((scaled.arrival - original.arrival * 0.5).abs() < 1e-12);
-            assert!(
-                (scaled.relative_deadline() - original.relative_deadline()).abs() < 1e-9,
-                "relative deadline must survive time scaling"
-            );
-        }
-        assert!(ReplaySource::from_jobs(vec![]).time_scaled(0.0).is_err());
     }
 
     #[test]

@@ -25,7 +25,10 @@
 #
 # It then `cmp`s every output file of one side against the other's, after
 # checking that each of those three runs took its path: a run that never
-# sheds or degrades a job would compare nothing of it.
+# sheds or degrades a job would compare nothing of it. For a differing
+# `*.json` file it also prints the top-level keys whose values differ
+# (diagnostics only: they change neither the exit status nor the files
+# compared).
 # `table4` is not run: it reports wall-clock decision latencies, which
 # differ from run to run.
 #
@@ -111,6 +114,20 @@ for side in rev work; do
     done
 done
 
+# The top-level keys whose values differ between two JSON files, or a
+# note when either file is not a JSON object.
+json_keys() {
+    python3 - "$1" "$2" <<'PY' || echo "    (could not compare the JSON keys)"
+import json, sys
+a, b = (json.load(open(path)) for path in sys.argv[1:3])
+if isinstance(a, dict) and isinstance(b, dict):
+    keys = [k for k in sorted(set(a) | set(b)) if k not in a or k not in b or a[k] != b[k]]
+    print("    top-level keys that differ: " + (", ".join(keys) or "none"))
+else:
+    print("    (not JSON objects: no per-key comparison)")
+PY
+}
+
 differ=0
 compared=0
 while IFS= read -r file; do
@@ -119,6 +136,9 @@ while IFS= read -r file; do
         differ=1
     elif ! cmp -s "$RUNS/rev/$file" "$RUNS/work/$file"; then
         echo "differs: $file"
+        case "$file" in
+            *.json) json_keys "$RUNS/rev/$file" "$RUNS/work/$file" ;;
+        esac
         differ=1
     fi
     compared=$((compared + 1))
